@@ -13,7 +13,7 @@ CLI equivalent:  tvcate sweep --fast --display-x10
 
 import argparse
 
-from tvcate import overlap_sweep, spearman, summarize_sweep
+from tvcate import overlap_sweep, spearman, summarize
 from tvcate.harness import default_sweep_config, format_sweep_table
 
 
@@ -34,7 +34,7 @@ def main():
     print(format_sweep_table(sweep, scale=10.0))
     print()
 
-    summary = summarize_sweep(sweep)
+    summary = summarize(sweep)
     dr = [r["mean_rmse"] for r in summary if r["learner"] == "DR"]
     ivw = [r["mean_rmse"] for r in summary if r["learner"] == "IVW-DR"]
     rho = spearman(cfg.gammas, dr)

@@ -5,10 +5,10 @@ Walks the core API end to end on the moderate-overlap generator:
 1. draw training and test panels,
 2. fit the nuisance collection (response surfaces + propensities),
 3. fit a doubly robust learner and its inverse-variance weighted variant,
-4. predict treatment effects on pooled test histories and compare with the
-   closed-form constant effect,
-5. repeat step 3 with oracle nuisances to show the estimators are exact
-   when the nuisances are.
+4. predict treatment effects on the encoded pooled test histories and
+   compare with the closed-form constant effect,
+5. repeat step 3 for DR with oracle nuisances to show the estimators are
+   exact when the nuisances are.
 
 Run:  python3 demos/quickstart.py [--n 2000]
 """
@@ -17,15 +17,9 @@ import argparse
 
 import numpy as np
 
-from tvcate import (HistoryView, RegressorSpec, build_row_table, fit_meta,
-                    fit_nuisances, get_dgp, make_split, oracle_nuisances,
-                    benchmark_pair, simulate_panel)
-
-
-def pooled_views(panel, tau, codec):
-    table = build_row_table(panel, tau, codec)
-    return [HistoryView(panel.trajectories[i], t)
-            for i, t in zip(table.traj_id, table.t)]
+from tvcate import (RegressorSpec, build_row_table, fit_meta, fit_nuisances,
+                    get_dgp, make_split, oracle_nuisances, benchmark_pair,
+                    simulate_panel)
 
 
 def main():
@@ -49,13 +43,13 @@ def main():
     nuisances = fit_nuisances(
         train, pair, split=split, clip_eps=0.02,
         regressor_spec=RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2))
-    views = pooled_views(test, args.tau, nuisances.codec)
-    print(f"fit nuisances with cross-fitting; evaluating on {len(views)} "
+    feats = build_row_table(test, args.tau, nuisances.codec).features(0)
+    print(f"fit nuisances with cross-fitting; evaluating on {len(feats)} "
           "pooled test histories")
 
     for kind in ("PI-RA", "DR", "IVW-DR"):
         model = fit_meta(kind, train, pair, nuisances)
-        preds = model.predict(views)
+        preds = model.predict(feats)
         rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
         clip = model.diagnostics.get("clip_fraction", 0.0)
         print(f"  {kind:7} rmse {rmse:.4f}   mean prediction "
@@ -63,7 +57,7 @@ def main():
 
     oracle = oracle_nuisances(dgp, pair)
     model = fit_meta("DR", train, pair, oracle)
-    preds = model.predict(views)
+    preds = model.predict(feats)
     rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
     print(f"  DR with oracle nuisances: rmse {rmse:.4f} "
           "(second-stage smoothing is now the only error source)")

@@ -14,12 +14,10 @@ from .panel import (
     HistoryView,
     InterventionPair,
     FeatureCodec,
-    PooledRows,
     validate_panel,
     encode_history,
     encode_block,
     decode_history,
-    pooled_rows,
     panel_from_arrays,
     panel_to_csv,
     panel_from_csv,
@@ -77,7 +75,6 @@ from .meta import (
     build_pseudo_rows,
     fit_v_model,
     fit_meta,
-    predict_cate,
     save_cate_model,
     load_cate_model,
 )
@@ -92,8 +89,6 @@ from .harness import (
     ExperimentConfig,
     ExperimentResult,
     ResultRow,
-    SweepResult,
-    SweepRow,
     default_sweep_config,
     config_to_text,
     parse_config_text,
@@ -101,7 +96,6 @@ from .harness import (
     run_experiment,
     overlap_sweep,
     summarize,
-    summarize_sweep,
     emit_results,
     emit_sweep,
     spearman,

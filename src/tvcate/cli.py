@@ -44,7 +44,7 @@ from .learners import ClassifierSpec, RegressorSpec
 from .meta import (LEARNER_KINDS, fit_meta, load_cate_model, save_cate_model)
 from .nuisance import (build_row_table, fit_nuisances, load_nuisances,
                        make_split, save_nuisances)
-from .panel import HistoryView, InterventionPair, panel_from_csv, panel_to_csv
+from .panel import InterventionPair, panel_from_csv, panel_to_csv
 from .verify import DEFAULT_BUDGETS, SUITE_NAMES, format_report, run_suite
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z_0-9]*)=(.*)$", re.S)
@@ -199,16 +199,14 @@ def _cmd_evaluate(args) -> int:
         keep = table.t == args.eval_t
         if not keep.any():
             raise SystemExit(f"no rows at decision time t={args.eval_t}")
-    views = [HistoryView(panel.trajectories[i], t)
-             for i, t in zip(table.traj_id[keep], table.t[keep])]
-    preds = model.predict(views)
+    preds = model.predict(table.features(0)[keep])
     rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
     scale = 10.0 if args.display_x10 else 1.0
     label = " (x10)" if args.display_x10 else ""
     print(f"rmse{label}: {rmse * scale:.6g}  "
-          f"({len(views)} pooled test histories, truth {truth:g})")
+          f"({preds.size} pooled test histories, truth {truth:g})")
     if args.out is not None:
-        payload = {"rmse": rmse, "n_rows": len(views), "truth": truth,
+        payload = {"rmse": rmse, "n_rows": preds.size, "truth": truth,
                    "kind": model.kind, "tau": model.tau}
         with open(args.out, "w", encoding="utf-8", newline="") as fh:
             fh.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")

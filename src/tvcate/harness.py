@@ -7,8 +7,8 @@ hyper-parameters.  Given the same config, :func:`run_experiment` and
 under every ``workers`` setting, because all randomness flows through seeds
 derived from the config and rows are assembled in a fixed order.  Measured
 wall times are the one intentionally non-reproducible quantity, so the
-``walltime_s`` column is written as ``0.0`` unless ``record_walltime`` is
-switched on.
+``walltime_s`` column (``fit_meta`` plus prediction, not the nuisance fits)
+is written as ``0.0`` unless ``record_walltime`` is switched on.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 :func:`parse_config_text`); every field can also be overridden from a
@@ -16,13 +16,15 @@ Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 default output directory is taken from the ``TVCATE_OUTPUT_DIR`` environment
 variable when a config leaves ``output_dir`` empty.
 
-Result files per experiment: a row-level CSV (``learner,tau,seed,rmse,
-walltime_s,clip_fraction``, reals at 17 significant digits), a JSON mirror of
-the same rows plus the config, and a per-(learner, tau) summary CSV with
-mean and standard deviation of RMSE across seeds.  The overlap sweep
-prepends a ``gamma`` column and emits a plot-data JSON with per-gamma mean
-curves.  Evaluation pools test histories over every valid decision time; the
-``eval_t`` field restricts it to one fixed time instead.
+Both experiment kinds return an :class:`ExperimentResult`, whose
+:class:`ResultRow` entries carry a ``gamma`` in a sweep only.  Result files
+per experiment: a row-level CSV (``learner,tau,seed,rmse,walltime_s,
+clip_fraction``, reals at 17 significant digits), a JSON mirror of the same
+rows plus the config, and a per-(learner, tau) summary CSV with mean and
+standard deviation of RMSE across seeds.  The overlap sweep prepends a
+``gamma`` column and emits a plot-data JSON with per-gamma mean curves.
+Evaluation predicts on the encoded test histories pooled over every valid
+decision time; the ``eval_t`` field restricts it to one fixed time instead.
 """
 
 from __future__ import annotations
@@ -44,16 +46,14 @@ from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .learners import ClassifierSpec, RegressorSpec
 from .meta import LEARNER_KINDS, fit_meta
 from .nuisance import build_row_table, fit_nuisances, make_split
-from .panel import HistoryView
 
 __all__ = [
     "OUTPUT_DIR_ENV", "RESULT_FIELDS", "SWEEP_FIELDS", "ExperimentConfig",
-    "ResultRow", "ExperimentResult", "SweepRow", "SweepResult",
-    "default_sweep_config", "config_to_dict", "config_to_text",
-    "parse_config_text", "config_with_overrides", "run_experiment",
-    "overlap_sweep", "summarize", "summarize_sweep", "format_results_csv",
-    "format_summary_csv", "format_sweep_csv", "format_summary_table",
-    "format_sweep_table", "results_to_json_dict", "sweep_to_json_dict",
+    "ResultRow", "ExperimentResult", "default_sweep_config", "config_to_dict",
+    "config_to_text", "parse_config_text", "config_with_overrides",
+    "run_experiment", "overlap_sweep", "summarize", "format_results_csv",
+    "format_summary_csv", "format_summary_table", "format_sweep_table",
+    "results_to_json_dict", "sweep_to_json_dict",
     "emit_results", "emit_sweep", "resolve_output_dir", "spearman",
 ]
 
@@ -287,7 +287,7 @@ def config_with_overrides(base: Optional[ExperimentConfig],
 
 @dataclass(frozen=True)
 class ResultRow:
-    """One (learner, horizon, seed) evaluation."""
+    """One (learner, horizon, seed) evaluation; sweep rows also carry gamma."""
 
     learner: str
     tau: int
@@ -295,36 +295,15 @@ class ResultRow:
     rmse: float
     walltime_s: float
     clip_fraction: float
+    gamma: Optional[float] = None
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """All rows of one experiment plus any fit advisories encountered."""
+    """All rows of one experiment or sweep plus any fit advisories."""
 
     config: ExperimentConfig
     rows: Tuple[ResultRow, ...]
-    advisories: Tuple[str, ...] = ()
-
-
-@dataclass(frozen=True)
-class SweepRow:
-    """One (overlap knob, learner, seed) evaluation at the sweep horizon."""
-
-    gamma: float
-    learner: str
-    tau: int
-    seed: int
-    rmse: float
-    walltime_s: float
-    clip_fraction: float
-
-
-@dataclass(frozen=True)
-class SweepResult:
-    """All rows of one overlap sweep plus any fit advisories encountered."""
-
-    config: ExperimentConfig
-    rows: Tuple[SweepRow, ...]
     advisories: Tuple[str, ...] = ()
 
 
@@ -408,14 +387,13 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
             keep = np.ones(table.t.size, dtype=bool)
             if cfg.eval_t is not None:
                 keep = table.t == cfg.eval_t
-            views = [HistoryView(test.trajectories[i], t)
-                     for i, t in zip(table.traj_id[keep], table.t[keep])]
+            feats = table.features(0)[keep]
             for kind in cfg.learners:
                 start = time.perf_counter()
                 try:
                     model = fit_meta(kind, train, pair, nuisances,
                                      second_stage_spec=second_stage)
-                    preds = model.predict(views)
+                    preds = model.predict(feats)
                 except Exception as exc:
                     raise RuntimeError(f"learner {kind!r} failed at tau={tau}"
                                        f" seed={seed}: {exc}") from exc
@@ -450,13 +428,10 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 def _sweep_job(cfg: ExperimentConfig, gamma: float, seed: int):
     point = dataclasses.replace(cfg, dgp=f"d3:gamma={gamma:g}")
     rows, notes = _seed_job(point, seed)
-    sweep_rows = [SweepRow(gamma=gamma, learner=r.learner, tau=r.tau,
-                           seed=r.seed, rmse=r.rmse, walltime_s=r.walltime_s,
-                           clip_fraction=r.clip_fraction) for r in rows]
-    return sweep_rows, notes
+    return [dataclasses.replace(r, gamma=gamma) for r in rows], notes
 
 
-def overlap_sweep(cfg: ExperimentConfig) -> SweepResult:
+def overlap_sweep(cfg: ExperimentConfig) -> ExperimentResult:
     """Run the gamma grid x seed grid at the single sweep horizon."""
     if cfg.dgp.split(":", 1)[0] != "d3":
         raise ValueError("the overlap sweep runs on the d3 family; set "
@@ -478,11 +453,17 @@ def overlap_sweep(cfg: ExperimentConfig) -> SweepResult:
                              cfg.learners.index(r.learner), r.tau,
                              cfg.seeds.index(r.seed)))
     advisories = sorted({note for _, notes in outputs for note in notes})
-    return SweepResult(cfg, tuple(rows), tuple(advisories))
+    return ExperimentResult(cfg, tuple(rows), tuple(advisories))
 
 
 # --------------------------------------------------------------------------
 # summaries and serialization
+
+def _fields(result: ExperimentResult) -> Tuple[str, ...]:
+    """Sweep rows carry a gamma; run rows leave it None and omit the column."""
+    sweep = result.rows and result.rows[0].gamma is not None
+    return SWEEP_FIELDS if sweep else RESULT_FIELDS
+
 
 def _mean_sd(values: Sequence[float]) -> Tuple[float, float]:
     arr = np.asarray(values, dtype=float)
@@ -491,28 +472,21 @@ def _mean_sd(values: Sequence[float]) -> Tuple[float, float]:
 
 
 def summarize(result: ExperimentResult) -> List[Dict[str, object]]:
-    """Per-(learner, tau) mean and standard deviation of RMSE across seeds."""
-    out = []
-    for kind in result.config.learners:
-        for tau in result.config.taus:
-            values = [r.rmse for r in result.rows
-                      if r.learner == kind and r.tau == tau]
-            mean, sd = _mean_sd(values)
-            out.append({"learner": kind, "tau": tau,
-                        "mean_rmse": mean, "sd_rmse": sd})
-    return out
+    """Mean and standard deviation of RMSE across seeds.
 
-
-def summarize_sweep(sweep: SweepResult) -> List[Dict[str, object]]:
-    """Per-(gamma, learner) mean and standard deviation of RMSE."""
+    One entry per (learner, tau) for a run, per (gamma, learner) for a sweep.
+    """
+    cfg = result.config
+    if _fields(result) == SWEEP_FIELDS:
+        cells = [{"gamma": g, "learner": k} for g in cfg.gammas for k in cfg.learners]
+    else:
+        cells = [{"learner": k, "tau": t} for k in cfg.learners for t in cfg.taus]
     out = []
-    for gamma in sweep.config.gammas:
-        for kind in sweep.config.learners:
-            values = [r.rmse for r in sweep.rows
-                      if r.gamma == gamma and r.learner == kind]
-            mean, sd = _mean_sd(values)
-            out.append({"gamma": gamma, "learner": kind,
-                        "mean_rmse": mean, "sd_rmse": sd})
+    for cell in cells:
+        values = [r.rmse for r in result.rows
+                  if all(getattr(r, key) == v for key, v in cell.items())]
+        mean, sd = _mean_sd(values)
+        out.append({**cell, "mean_rmse": mean, "sd_rmse": sd})
     return out
 
 
@@ -520,11 +494,16 @@ def _real(x: float) -> str:
     return "%.17g" % float(x)
 
 
+def _row_dict(result: ExperimentResult, row: ResultRow) -> Dict[str, object]:
+    return {name: getattr(row, name) for name in _fields(result)}
+
+
 def format_results_csv(result: ExperimentResult) -> str:
-    lines = [",".join(RESULT_FIELDS)]
+    """Row-level CSV of a run (``RESULT_FIELDS``) or a sweep (``SWEEP_FIELDS``)."""
+    lines = [",".join(_fields(result))]
     for r in result.rows:
-        lines.append(f"{r.learner},{r.tau},{r.seed},{_real(r.rmse)},"
-                     f"{_real(r.walltime_s)},{_real(r.clip_fraction)}")
+        lines.append(",".join(_real(v) if isinstance(v, float) else str(v)
+                              for v in _row_dict(result, r).values()))
     return "\n".join(lines) + "\n"
 
 
@@ -536,30 +515,21 @@ def format_summary_csv(result: ExperimentResult) -> str:
     return "\n".join(lines) + "\n"
 
 
-def format_sweep_csv(sweep: SweepResult) -> str:
-    lines = [",".join(SWEEP_FIELDS)]
-    for r in sweep.rows:
-        lines.append(f"{_real(r.gamma)},{r.learner},{r.tau},{r.seed},"
-                     f"{_real(r.rmse)},{_real(r.walltime_s)},"
-                     f"{_real(r.clip_fraction)}")
-    return "\n".join(lines) + "\n"
-
-
 def results_to_json_dict(result: ExperimentResult) -> Dict[str, object]:
     """JSON mirror of the result CSV plus the config and advisories."""
     return {
         "config": config_to_dict(result.config),
-        "rows": [dataclasses.asdict(r) for r in result.rows],
+        "rows": [_row_dict(result, r) for r in result.rows],
         "summary": summarize(result),
         "advisories": list(result.advisories),
     }
 
 
-def sweep_to_json_dict(sweep: SweepResult) -> Dict[str, object]:
+def sweep_to_json_dict(sweep: ExperimentResult) -> Dict[str, object]:
     """Sweep rows plus per-gamma mean curves ready for plotting."""
     curves = {}
     for kind in sweep.config.learners:
-        rows = [r for r in summarize_sweep(sweep) if r["learner"] == kind]
+        rows = [r for r in summarize(sweep) if r["learner"] == kind]
         curves[kind] = {"mean_rmse": [r["mean_rmse"] for r in rows],
                         "sd_rmse": [r["sd_rmse"] for r in rows]}
     return {
@@ -567,7 +537,7 @@ def sweep_to_json_dict(sweep: SweepResult) -> Dict[str, object]:
         "gamma_grid": list(sweep.config.gammas),
         "tau": sweep.config.taus[0],
         "curves": curves,
-        "rows": [dataclasses.asdict(r) for r in sweep.rows],
+        "rows": [_row_dict(sweep, r) for r in sweep.rows],
         "advisories": list(sweep.advisories),
     }
 
@@ -585,13 +555,13 @@ def format_summary_table(result: ExperimentResult, scale: float = 1.0) -> str:
     return "\n".join(lines)
 
 
-def format_sweep_table(sweep: SweepResult, scale: float = 1.0) -> str:
+def format_sweep_table(sweep: ExperimentResult, scale: float = 1.0) -> str:
     """Human-readable sweep summary; ``scale=10`` for x10 display."""
     suffix = "" if scale == 1.0 else f" (x{scale:g})"
     header = f"{'gamma':>6} {'learner':10}  {'mean_rmse' + suffix:>16} " \
              f"{'sd_rmse' + suffix:>16}"
     lines = [header]
-    for row in summarize_sweep(sweep):
+    for row in summarize(sweep):
         lines.append(f"{row['gamma']:>6g} {row['learner']:10}  "
                      f"{row['mean_rmse'] * scale:16.4f} "
                      f"{row['sd_rmse'] * scale:16.4f}")
@@ -627,7 +597,7 @@ def emit_results(result: ExperimentResult, output_dir: Optional[str] = None,
     return paths
 
 
-def emit_sweep(sweep: SweepResult, output_dir: Optional[str] = None,
+def emit_sweep(sweep: ExperimentResult, output_dir: Optional[str] = None,
                stem: str = "sweep") -> Dict[str, str]:
     """Write ``<stem>.csv`` and the plot-data ``<stem>.json``."""
     outdir = output_dir if output_dir is not None \
@@ -635,7 +605,7 @@ def emit_sweep(sweep: SweepResult, output_dir: Optional[str] = None,
     os.makedirs(outdir, exist_ok=True)
     paths = {"csv": os.path.join(outdir, f"{stem}.csv"),
              "json": os.path.join(outdir, f"{stem}.json")}
-    _write(paths["csv"], format_sweep_csv(sweep))
+    _write(paths["csv"], format_results_csv(sweep))
     _write(paths["json"], _json_text(sweep_to_json_dict(sweep)))
     return paths
 

@@ -15,7 +15,6 @@ with the same contract could be swapped in.  The built-in regressors are
   rescaling and ridge_lambda comparable across sample sizes).  Heavy
   regularization therefore shrinks predictions toward the weighted target
   mean rather than toward zero.
-* ``k-nearest-neighbor`` — weighted mean of the k nearest training targets.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 The classifier is multinomial logistic regression (optional random cosine
@@ -29,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 from scipy import linalg, optimize
-from scipy.spatial import cKDTree
 
 __all__ = [
     "RegressorSpec",
@@ -37,12 +35,11 @@ __all__ = [
     "ClassifierSpec",
     "FittedClassifier",
     "fit_regressor",
-    "predict",
     "fit_classifier",
     "random_cosine_map",
 ]
 
-REGRESSOR_KINDS = ("ridge-random-features", "k-nearest-neighbor", "lookup-table")
+REGRESSOR_KINDS = ("ridge-random-features", "lookup-table")
 
 # grids used when a regularization strength is set to "auto"
 RIDGE_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
@@ -62,23 +59,21 @@ class RegressorSpec:
     """Configuration of a weighted regressor.
 
     feature_count, bandwidth, and seed control the random cosine map (ridge
-    kind only); k is the neighbor count for the kNN kind.  ridge_lambda may
-    be the string "auto", selecting the penalty from a fixed grid by
-    generalized cross-validation at fit time.
+    kind only).  ridge_lambda may be the string "auto", selecting the
+    penalty from a fixed grid by generalized cross-validation at fit time.
     """
 
     kind: str = "ridge-random-features"
     feature_count: int = 256
     bandwidth: float = 1.0
     ridge_lambda: float | str = 1e-4
-    k: int = 25
     seed: int = 0
 
     def __post_init__(self):
         if self.kind not in REGRESSOR_KINDS:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
-        if self.feature_count < 1 or self.k < 1:
-            raise ValueError("feature_count and k must be >= 1")
+        if self.feature_count < 1:
+            raise ValueError("feature_count must be >= 1")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
         _validate_penalty(self.ridge_lambda, "ridge_lambda")
@@ -131,25 +126,9 @@ class FittedRegressor:
         if self.spec.kind == "ridge-random-features":
             phi = _cosine_features(features, self.params["W"], self.params["b"])
             out = self.params["intercept"] + (phi - self.params["phi_mean"]) @ self.params["beta"]
-        elif self.spec.kind == "k-nearest-neighbor":
-            out = self._predict_knn(features)
         else:
             out = self._predict_lookup(features)
         return out[0] if squeeze else out
-
-    def _predict_knn(self, features):
-        tree: cKDTree = self.params["tree"]
-        k = min(self.spec.k, self.n_rows)
-        _, idx = tree.query(features, k=k)
-        idx = np.atleast_2d(idx)
-        if idx.shape[0] != features.shape[0]:       # k == 1 returns (n,)
-            idx = idx.reshape(features.shape[0], -1)
-        ny = self.params["y"][idx]
-        nw = self.params["w"][idx]
-        tot = nw.sum(axis=1)
-        out = np.where(tot > 0, (ny * nw).sum(axis=1) / np.where(tot > 0, tot, 1.0),
-                       ny.mean(axis=1))
-        return out
 
     def _predict_lookup(self, features):
         table = self.params["table"]
@@ -167,9 +146,6 @@ class FittedRegressor:
                                else self.params[k]
                                for k in ("W", "b", "beta", "phi_mean", "intercept",
                                          "ridge_lambda_used")}
-        elif self.spec.kind == "k-nearest-neighbor":
-            state["params"] = {"X": self.params["X"].tolist(), "y": self.params["y"].tolist(),
-                               "w": self.params["w"].tolist()}
         else:
             state["params"] = {"keys": [list(map(float, np.frombuffer(kb)))
                                         for kb in self.params["table"]],
@@ -179,17 +155,14 @@ class FittedRegressor:
 
     @staticmethod
     def from_dict(state: dict) -> "FittedRegressor":
-        spec = RegressorSpec(**state["spec"])
+        # bundles written while a kNN kind existed carry its neighbor count "k"
+        spec = RegressorSpec(**{key: v for key, v in state["spec"].items() if key != "k"})
         raw = state["params"]
         if spec.kind == "ridge-random-features":
             params = {"W": np.array(raw["W"]), "b": np.array(raw["b"]),
                       "beta": np.array(raw["beta"]), "phi_mean": np.array(raw["phi_mean"]),
                       "intercept": float(raw["intercept"]),
                       "ridge_lambda_used": float(raw["ridge_lambda_used"])}
-        elif spec.kind == "k-nearest-neighbor":
-            X = np.array(raw["X"])
-            params = {"X": X, "y": np.array(raw["y"]), "w": np.array(raw["w"]),
-                      "tree": cKDTree(X)}
         else:
             table = {np.array(k, dtype=float).tobytes(): float(v)
                      for k, v in zip(raw["keys"], raw["values"])}
@@ -219,8 +192,6 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None,
 
     if spec.kind == "ridge-random-features":
         params = _fit_ridge_rff(spec, X, y, w)
-    elif spec.kind == "k-nearest-neighbor":
-        params = {"X": X, "y": y, "w": w, "tree": cKDTree(X)}
     else:
         params = _fit_lookup(X, y, w)
     return FittedRegressor(spec, X.shape[1], n, params, codec)
@@ -287,11 +258,6 @@ def _fit_lookup(X, y, w):
         table[key] = wy / ws if ws > 0 else ys / cnt
     default = float(np.dot(w, y) / w.sum())
     return {"table": table, "default": default}
-
-
-def predict(model: FittedRegressor, features) -> np.ndarray:
-    """Functional alias for ``model.predict(features)``."""
-    return model.predict(features)
 
 
 @dataclass(frozen=True)

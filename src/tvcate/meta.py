@@ -16,7 +16,8 @@ Six learner kinds share one interface:
 
 Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
 RowTable`; every propensity enters through the nuisance set's clipping, and
-the fraction of clipped queries is reported per learner.
+the fraction of clipped queries is reported per learner.  Every learner
+predicts from encoded histories H_t, the rows of ``RowTable.features(0)``.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .nuisance import (
     nuisances_from_dict,
     nuisances_to_dict,
 )
-from .panel import FeatureCodec, HistoryView, InterventionPair, Panel, encode_history
+from .panel import FeatureCodec, InterventionPair, Panel
 
 __all__ = [
     "LEARNER_KINDS",
@@ -48,7 +49,6 @@ __all__ = [
     "build_pseudo_rows",
     "fit_v_model",
     "fit_meta",
-    "predict_cate",
     "cate_model_to_dict",
     "cate_model_from_dict",
     "save_cate_model",
@@ -249,9 +249,10 @@ def fit_v_model(rows: PseudoRows, spec: RegressorSpec = DEFAULT_V_SPEC,
 class CateModel:
     """A fitted treatment-effect estimator with a uniform predict interface.
 
-    Plug-in kinds close over the nuisance set; second-stage kinds carry a
-    fitted regressor over encoded histories.  ``target`` selects between the
-    contrast of the two arms ("cate") and the single-arm response ("capo").
+    Plug-in kinds close over the fitted nuisance models; second-stage kinds
+    carry a fitted regressor.  Both predict from encoded histories H_t.
+    ``target`` selects between the contrast of the two arms ("cate") and the
+    single-arm response ("capo").
     """
 
     kind: str
@@ -265,30 +266,20 @@ class CateModel:
     weights_mode: str = "estimated"
     diagnostics: dict = field(default_factory=dict)
 
-    def predict(self, histories) -> np.ndarray:
-        feats, views = self._coerce(histories)
+    def predict(self, features) -> np.ndarray:
+        """Predict the target at encoded histories (rows of ``features(0)``)."""
         if self.kind == "PI-HA":
-            if views is None:
-                raise ValueError("plug-in prediction needs full histories")
-            out = self.nuisances.delta_at_histories("a", views)
+            out = self.nuisances.delta_features("a", features)
             if self.target == "cate":
-                out = out - self.nuisances.delta_at_histories("b", views)
+                out = out - self.nuisances.delta_features("b", features)
             return out
         if self.kind == "PI-RA":
-            if views is None:
-                raise ValueError("plug-in prediction needs full histories")
-            out = self.nuisances.mu_at_histories("a", views)
+            models = self.nuisances.response_models
+            out = models["a"][0].predict(features)
             if self.target == "cate":
-                out = out - self.nuisances.mu_at_histories("b", views)
+                out = out - models["b"][0].predict(features)
             return out
-        return self.second_stage.predict(feats)
-
-    def _coerce(self, histories):
-        if isinstance(histories, np.ndarray):
-            return np.atleast_2d(histories), None
-        views = list(histories)
-        feats = np.array([encode_history(h, self.codec) for h in views])
-        return feats, views
+        return self.second_stage.predict(features)
 
 
 def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
@@ -303,6 +294,7 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     pseudo-outcome fold of the nuisance split plan; the inverse-variance kind
     additionally fits (or, in "realized" mode, directly inverts) the variance
     statistic and reweights rows by stabilized 1/V-hat with empirical mean 1.
+    Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
     """
     if kind not in LEARNER_KINDS:
         raise ValueError(f"unknown learner kind {kind!r}; choose from {LEARNER_KINDS}")
@@ -320,6 +312,10 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
                       weights_mode=weights_mode)
 
     if kind in ("PI-HA", "PI-RA"):
+        family = "history" if kind == "PI-HA" else "response"
+        if nuisances.oracle_mode or getattr(nuisances, f"{family}_models") is None:
+            raise ValueError(f"{kind} needs fitted {family} models to predict on encoded "
+                             "rows; oracle surfaces need full histories")
         model.nuisances = nuisances
         model.diagnostics = {"plug_in": True}
         return model
@@ -351,11 +347,6 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
                                        weight, codec=codec)
     model.diagnostics = diagnostics
     return model
-
-
-def predict_cate(model: CateModel, histories) -> np.ndarray:
-    """Predict the model's target for each history (view list or feature array)."""
-    return model.predict(histories)
 
 
 # -- bundles -----------------------------------------------------------------

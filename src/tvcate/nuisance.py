@@ -30,8 +30,7 @@ from .learners import (
     fit_classifier,
     fit_regressor,
 )
-from .panel import FeatureCodec, HistoryView, InterventionPair, Panel, encode_block, \
-    encode_history
+from .panel import FeatureCodec, InterventionPair, Panel, encode_block
 
 __all__ = [
     "RowTable",
@@ -43,7 +42,6 @@ __all__ = [
     "fit_history_adjustment",
     "fit_response_iterative",
     "fit_propensities",
-    "clipped_propensity",
     "fit_nuisances",
     "oracle_nuisances",
     "default_codec",
@@ -68,8 +66,7 @@ class RowTable:
     ordered by (trajectory position, t).
     """
 
-    def __init__(self, panel: Panel, tau: int, codec: FeatureCodec,
-                 weight_mode: str = "uniform"):
+    def __init__(self, panel: Panel, tau: int, codec: FeatureCodec):
         if tau < 0:
             raise ValueError("tau must be >= 0")
         lengths = panel.lengths()
@@ -126,13 +123,7 @@ class RowTable:
         self.y_term = y_term
         self.time_abs = self.t[:, None] + np.arange(K)[None, :]
 
-        if weight_mode == "uniform":
-            self.base_weight = np.full(self.n_rows, 1.0 / self.n_rows)
-        elif weight_mode == "per_trajectory":
-            rows_per = (lengths - tau)[self.traj_id]
-            self.base_weight = 1.0 / (panel.n * rows_per)
-        else:
-            raise ValueError(f"unknown weight_mode {weight_mode!r}")
+        self.base_weight = np.full(self.n_rows, 1.0 / self.n_rows)
         self._feat_cache: dict[int, np.ndarray] = {}
 
     def features(self, j: int) -> np.ndarray:
@@ -153,11 +144,11 @@ class RowTable:
         return np.isin(self.traj_id, fold_ids)
 
 
-def build_row_table(panel: Panel, tau: int, codec: Optional[FeatureCodec] = None,
-                    weight_mode: str = "uniform") -> RowTable:
+def build_row_table(panel: Panel, tau: int,
+                    codec: Optional[FeatureCodec] = None) -> RowTable:
     if codec is None:
         codec = default_codec(panel)
-    return RowTable(panel, tau, codec, weight_mode)
+    return RowTable(panel, tau, codec)
 
 
 def propensity_training_rows(panel: Panel, codec: FeatureCodec):
@@ -221,7 +212,6 @@ def _restrict(mask: np.ndarray, what: str):
 def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
                            split: Optional[SplitPlan] = None,
                            codec: Optional[FeatureCodec] = None,
-                           weight_mode: str = "uniform",
                            table: Optional[RowTable] = None) -> list[FittedRegressor]:
     """Backward iterative G-computation for one intervention sequence.
 
@@ -235,7 +225,7 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
     if len(a_seq) != tau + 1:
         raise ValueError("a_seq must have length tau+1")
     if table is None:
-        table = build_row_table(panel, tau, codec, weight_mode)
+        table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
 
@@ -256,7 +246,6 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
 def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
                            spec: RegressorSpec, split: Optional[SplitPlan] = None,
                            codec: Optional[FeatureCodec] = None,
-                           weight_mode: str = "uniform",
                            table: Optional[RowTable] = None) -> dict:
     """Direct regressions E[Y_{t+tau} | H_t, observed arms = sequence].
 
@@ -267,7 +256,7 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
     if pair.tau != tau:
         raise ValueError("pair horizon does not match tau")
     if table is None:
-        table = build_row_table(panel, tau, codec, weight_mode)
+        table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
     fold_mask = table.traj_mask(split.fold("mu_0"))
@@ -307,18 +296,6 @@ def fit_propensities(panel: Panel, spec: ClassifierSpec,
                           codec=codec)
 
 
-def clipped_propensity(model: FittedClassifier, h: HistoryView, a: int,
-                       clip_eps: float) -> float:
-    """Estimated P(A_t = a | H_t = h) clamped into [clip_eps, 1 - clip_eps]."""
-    if not 0.0 < clip_eps < 0.5:
-        raise ValueError("clip_eps must lie in (0, 0.5)")
-    codec = model.codec
-    if codec is None:
-        raise ValueError("classifier carries no codec; encode the history yourself")
-    raw = float(model.predict_proba(encode_history(h, codec))[int(a)])
-    return float(np.clip(raw, clip_eps, 1.0 - clip_eps))
-
-
 @dataclass(frozen=True)
 class NuisanceSet:
     """All nuisances behind one query interface (fitted or oracle).
@@ -343,7 +320,6 @@ class NuisanceSet:
     propensity_model: Optional[FittedClassifier] = None
     history_models: Optional[dict] = None        # {"a"|"b": model}
     dgp: object = None
-    oracle_history_mc: int = 4000
     override_propensity: Optional[float] = None
     override_response: object = None
 
@@ -382,18 +358,6 @@ class NuisanceSet:
         self._need_response(arm)
         return self.response_models[arm][j].predict(table.features(j))
 
-    def mu_at_histories(self, arm: str, histories: Sequence[HistoryView]) -> np.ndarray:
-        """mu-hat at level offset 0 for arbitrary histories (plug-in predictions)."""
-        if self.override_response is not None:
-            return np.full(len(histories), self._response_override(arm, 0))
-        if self.oracle_mode:
-            form = self.dgp.response_form
-            x = np.array([float(h.x_prefix[-1, 0]) for h in histories])
-            return np.asarray(form.capo(x, self.tau, self._seq(arm)[-1], self.dgp.x_sd))
-        self._need_response(arm)
-        feats = np.array([encode_history(h, self.codec) for h in histories])
-        return self.response_models[arm][0].predict(feats)
-
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
             raise ValueError(f"missing response models for arm {arm!r}")
@@ -420,21 +384,6 @@ class NuisanceSet:
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), raw
 
     # -- history adjustments ----------------------------------------------
-    def delta_at_histories(self, arm: str, histories: Sequence[HistoryView]) -> np.ndarray:
-        if self.oracle_mode:
-            from .dgp import oracle_history_adjustment
-            seq = self._seq(arm)
-            out = np.empty(len(histories))
-            for i, h in enumerate(histories):
-                out[i] = oracle_history_adjustment(self.dgp, h, seq,
-                                                   n_mc=self.oracle_history_mc,
-                                                   seed=[1299721, i]).value
-            return out
-        if self.history_models is None or arm not in self.history_models:
-            raise ValueError(f"missing history-adjustment model for arm {arm!r}")
-        feats = np.array([encode_history(h, self.codec) for h in histories])
-        return self.history_models[arm].predict(feats)
-
     def delta_features(self, arm: str, feats: np.ndarray) -> np.ndarray:
         if self.oracle_mode:
             raise ValueError("oracle history adjustment needs full histories, "
@@ -454,7 +403,7 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                   regressor_spec: RegressorSpec = RegressorSpec(),
                   classifier_spec: ClassifierSpec = ClassifierSpec(),
                   split: Optional[SplitPlan] = None, clip_eps: float = 0.01,
-                  codec: Optional[FeatureCodec] = None, weight_mode: str = "uniform",
+                  codec: Optional[FeatureCodec] = None,
                   need: Sequence[str] = ("response", "propensity", "history"),
                   table: Optional[RowTable] = None) -> NuisanceSet:
     """Fit the full nuisance collection for one intervention pair."""
@@ -464,7 +413,7 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
     if split is None:
         split = make_split(panel, tau, enabled=False)
     if table is None:
-        table = build_row_table(panel, tau, codec, weight_mode)
+        table = build_row_table(panel, tau, codec)
 
     response_models = None
     if "response" in need:
@@ -488,8 +437,7 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
 
 
 def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
-                     codec: Optional[FeatureCodec] = None,
-                     oracle_history_mc: int = 4000) -> NuisanceSet:
+                     codec: Optional[FeatureCodec] = None) -> NuisanceSet:
     """NuisanceSet that answers every query from the DGP's ground truth."""
     if codec is None:
         codec = FeatureCodec(max_len=dgp.horizon, cov_dim=1,
@@ -499,8 +447,7 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
                                         [f"mu_{j}" for j in range(pair.tau + 1)]
                                         + ["pi", "po"]})
     return NuisanceSet(pair=pair, tau=pair.tau, codec=codec, clip_eps=clip_eps,
-                       split=split, oracle_mode=True, dgp=dgp,
-                       oracle_history_mc=oracle_history_mc)
+                       split=split, oracle_mode=True, dgp=dgp)
 
 
 # -- bundle serialization ----------------------------------------------------
@@ -519,8 +466,7 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
     """JSON-compatible bundle (model parameters + specs + split plan)."""
     if ns.oracle_mode:
         name = getattr(ns.dgp, "name", None)
-        state = {"oracle_mode": True, "dgp": name,
-                 "oracle_history_mc": ns.oracle_history_mc}
+        state = {"oracle_mode": True, "dgp": name}
     else:
         state = {
             "oracle_mode": False,
@@ -552,8 +498,7 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
         from .dgp import get_dgp
         if state["dgp"] is None:
             raise ValueError("oracle bundle lacks a registered DGP name")
-        return NuisanceSet(oracle_mode=True, dgp=get_dgp(state["dgp"]),
-                           oracle_history_mc=int(state["oracle_history_mc"]), **common)
+        return NuisanceSet(oracle_mode=True, dgp=get_dgp(state["dgp"]), **common)
     rm = state["response_models"]
     pm = state["propensity_model"]
     hm = state["history_models"]

@@ -13,8 +13,8 @@ regressors and classifiers can consume them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -24,12 +24,10 @@ __all__ = [
     "HistoryView",
     "InterventionPair",
     "FeatureCodec",
-    "PooledRows",
     "validate_panel",
     "encode_history",
     "encode_block",
     "decode_history",
-    "pooled_rows",
     "panel_from_arrays",
     "panel_to_csv",
     "panel_from_csv",
@@ -322,11 +320,6 @@ def encode_history(h: HistoryView, codec: FeatureCodec) -> np.ndarray:
     return encode_block(X, A, Y, h.t, codec)[0]
 
 
-def encode_histories(histories: Sequence[HistoryView], codec: FeatureCodec) -> np.ndarray:
-    """Encode a list of histories; rows follow the input order."""
-    return np.array([encode_history(h, codec) for h in histories])
-
-
 def decode_history(vec: np.ndarray, codec: FeatureCodec):
     """Invert a flat-padded encoding back to (X (t,d), A (t-1,), Y (t-1,), t).
 
@@ -354,84 +347,6 @@ def decode_history(vec: np.ndarray, codec: FeatureCodec):
     off += (L - 1) * (m - 1)
     y = vec[off: off + (t - 1)].copy()
     return x, a, y, t
-
-
-@dataclass(frozen=True)
-class PooledRows:
-    """Row set pooled over trajectories and time, in (trajectory, t) order."""
-
-    features: np.ndarray   # (N, width)
-    target: np.ndarray     # (N,)
-    weight: np.ndarray     # (N,), sums to 1
-    traj_id: np.ndarray    # (N,) int, position in the panel
-    t: np.ndarray          # (N,) int, 1-based
-
-
-def pooled_rows(panel: Panel, tau: int, target=None, weight_mode: str = "uniform",
-                codec: FeatureCodec | None = None) -> PooledRows:
-    """Pool training rows (i, t) over all trajectories and 1 <= t <= T_i - tau.
-
-    Parameters
-    ----------
-    panel : Panel
-    tau : int
-        Look-ahead horizon; the default target is the outcome Y_{t+tau}.
-    target : None | "outcome" | array_like
-        ``None``/"outcome" targets Y_{t+tau}; otherwise per-row values in
-        the canonical (trajectory, t) row order.
-    weight_mode : {"uniform", "per_trajectory"}
-        "uniform" gives every row weight 1/N.  "per_trajectory" divides each
-        trajectory's unit mass by its row count (T_i - tau), then scales by
-        1/n, so trajectories contribute equally regardless of length.
-    codec : FeatureCodec, optional
-        Defaults to a flat-padded codec sized to the longest trajectory.
-
-    Rows are ordered by (trajectory position, t); supplied per-row targets
-    must follow that order.
-    """
-    if panel.n == 0:
-        raise ValueError("empty panel")
-    lengths = panel.lengths()
-    if tau < 0:
-        raise ValueError("tau must be >= 0")
-    if tau >= lengths.min():
-        raise ValueError("horizon too long: tau >= shortest trajectory length")
-    if codec is None:
-        codec = FeatureCodec(max_len=int(lengths.max()), cov_dim=panel.covariate_dim,
-                             treatment_arity=panel.treatment_arity)
-
-    feats, targ, tid, tt = [], [], [], []
-    for idx, X, A, Y in panel.dense_blocks():
-        T = X.shape[1]
-        for s in range(1, T - tau + 1):
-            feats.append(encode_block(X, A, Y, s, codec))
-            targ.append(Y[:, s + tau - 1])
-            tid.append(idx)
-            tt.append(np.full(idx.size, s, dtype=int))
-    features = np.concatenate(feats)
-    y = np.concatenate(targ)
-    traj_id = np.concatenate(tid)
-    t_arr = np.concatenate(tt)
-
-    order = np.lexsort((t_arr, traj_id))
-    features, y, traj_id, t_arr = features[order], y[order], traj_id[order], t_arr[order]
-
-    N = y.shape[0]
-    if target is None or (isinstance(target, str) and target == "outcome"):
-        target_vals = y
-    else:
-        target_vals = np.asarray(target, dtype=float)
-        if target_vals.shape != (N,):
-            raise ValueError(f"supplied target must have shape ({N},)")
-
-    if weight_mode == "uniform":
-        weight = np.full(N, 1.0 / N)
-    elif weight_mode == "per_trajectory":
-        rows_per_traj = (lengths - tau)[traj_id]
-        weight = 1.0 / (panel.n * rows_per_traj)
-    else:
-        raise ValueError(f"unknown weight_mode {weight_mode!r}")
-    return PooledRows(features, target_vals, weight, traj_id, t_arr)
 
 
 def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
@@ -467,27 +382,46 @@ def panel_to_csv(panel: Panel, path) -> None:
 
 
 def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
-    """Read a panel written by :func:`panel_to_csv`."""
+    """Read a panel written by :func:`panel_to_csv`.
+
+    Rejects, naming the line or the traj_id and t, a row with the wrong field
+    count, an arm outside [0, treatment_arity), and times other than 1..T once each.
+    """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["traj_id", "t"] or header[-2:] != ["a", "y"]:
             raise ValueError(f"unrecognized panel CSV header: {header}")
         d = len(header) - 4
         rows = {}
-        for line in fh:
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
+            if len(parts) != len(header):
+                raise ValueError(f"line {lineno}: {len(parts)} fields, the header "
+                                 f"has {len(header)}")
             tid, t = int(parts[0]), int(parts[1])
             x = [float(v) for v in parts[2:2 + d]]
             a, y = int(parts[2 + d]), float(parts[3 + d])
-            rows.setdefault(tid, []).append((t, x, a, y))
+            if not 0 <= a < treatment_arity:
+                raise ValueError(f"traj_id {tid}, t {t}: arm {a} outside "
+                                 f"[0, {treatment_arity})")
+            recs = rows.setdefault(tid, {})
+            if t in recs:
+                raise ValueError(f"traj_id {tid}, t {t}: repeated on line {lineno}")
+            recs[t] = (x, a, y)
     trajs = []
     for tid in sorted(rows):
-        recs = sorted(rows[tid])
-        X = np.array([r[1] for r in recs])
-        A = np.array([r[2] for r in recs], dtype=int)
-        Y = np.array([r[3] for r in recs])
+        times = sorted(rows[tid])
+        if times[0] != 1:
+            raise ValueError(f"traj_id {tid}: times start at t {times[0]}, not 1")
+        missing = sorted(set(range(1, times[-1] + 1)).difference(times))
+        if missing:
+            raise ValueError(f"traj_id {tid}, t {missing[0]}: missing")
+        recs = [rows[tid][t] for t in times]
+        X = np.array([r[0] for r in recs])
+        A = np.array([r[1] for r in recs], dtype=int)
+        Y = np.array([r[2] for r in recs])
         trajs.append(Trajectory(X, A, Y))
     return Panel(tuple(trajs), treatment_arity)

@@ -19,8 +19,7 @@ import pytest
 
 from tvcate.harness import (ExperimentConfig, default_sweep_config,
                             emit_results, emit_sweep, overlap_sweep,
-                            run_experiment, spearman, summarize,
-                            summarize_sweep)
+                            run_experiment, spearman, summarize)
 from tvcate.verify import run_suite
 
 pytestmark = pytest.mark.acceptance
@@ -134,7 +133,7 @@ class TestAcceptance:
         # gamma in at least 4 of 5 seeds; < 20 min.
         sweep, wall = full_overlap_sweep
         gammas = sweep.config.gammas
-        dr_means = [r["mean_rmse"] for r in summarize_sweep(sweep)
+        dr_means = [r["mean_rmse"] for r in summarize(sweep)
                     if r["learner"] == "DR"]
         rho = spearman(gammas, dr_means)
         largest = gammas[-1]

@@ -12,10 +12,9 @@ from tvcate.harness import (ExperimentConfig, ExperimentResult, ResultRow,
                             config_with_overrides, default_sweep_config,
                             emit_results, emit_sweep, format_results_csv,
                             format_summary_csv, format_summary_table,
-                            format_sweep_csv, overlap_sweep,
-                            parse_config_text, resolve_output_dir,
-                            run_experiment, spearman, summarize,
-                            summarize_sweep, OUTPUT_DIR_ENV)
+                            overlap_sweep, parse_config_text,
+                            resolve_output_dir, run_experiment, spearman,
+                            summarize, OUTPUT_DIR_ENV)
 
 TINY = ExperimentConfig(n_train=300, n_test=150, seeds=(0, 1), taus=(0, 1),
                         learners=("PI-RA", "DR"))
@@ -230,6 +229,8 @@ class TestEmit:
         assert len(payload["rows"]) == len(result.rows)
         assert payload["rows"][0]["learner"] == result.rows[0].learner
         assert payload["summary"] == summarize(result)
+        assert "gamma" not in payload["rows"][0]
+        assert "gamma" not in payload["summary"][0]
 
     def test_output_dir_resolution(self, monkeypatch):
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
@@ -270,9 +271,10 @@ class TestOverlapSweep:
 
     def test_summary_and_files(self, tmp_path):
         sweep = overlap_sweep(SWEEP_TINY)
-        summary = summarize_sweep(sweep)
+        summary = summarize(sweep)
         assert [s["gamma"] for s in summary] == [0.0, 0.0, 4.0, 4.0]
-        lines = format_sweep_csv(sweep).splitlines()
+        assert "tau" not in summary[0]
+        lines = format_results_csv(sweep).splitlines()
         assert lines[0] == ("gamma,learner,tau,seed,rmse,walltime_s,"
                             "clip_fraction")
         paths = emit_sweep(sweep, str(tmp_path))
@@ -280,6 +282,7 @@ class TestOverlapSweep:
         assert payload["gamma_grid"] == [0.0, 4.0]
         assert set(payload["curves"]) == {"DR", "IVW-DR"}
         assert len(payload["curves"]["DR"]["mean_rmse"]) == 2
+        assert payload["rows"][0]["gamma"] == 0.0
         first = open(paths["csv"], "rb").read()
         emit_sweep(overlap_sweep(SWEEP_TINY), str(tmp_path))
         assert open(paths["csv"], "rb").read() == first

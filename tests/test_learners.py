@@ -8,7 +8,6 @@ from tvcate.learners import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
-    predict,
 )
 
 
@@ -90,22 +89,6 @@ class TestRidgeRandomFeatures:
             model.predict(np.zeros((2, 2)))
 
 
-class TestKnnRegressor:
-    def test_weighted_neighbor_mean(self):
-        X = np.array([[0.0], [0.1], [5.0]])
-        y = np.array([1.0, 3.0, 100.0])
-        w = np.array([1.0, 3.0, 1.0])
-        model = fit_regressor(RegressorSpec(kind="k-nearest-neighbor", k=2), X, y, w)
-        # neighbors of 0.05 are the first two rows; weighted mean = (1*1 + 3*3)/4
-        assert model.predict(np.array([0.05])) == pytest.approx(2.5)
-
-    def test_k_capped_at_sample_size(self):
-        X = np.array([[0.0], [1.0]])
-        y = np.array([2.0, 4.0])
-        model = fit_regressor(RegressorSpec(kind="k-nearest-neighbor", k=10), X, y)
-        assert model.predict(np.array([0.5])) == pytest.approx(3.0)
-
-
 class TestLookupTable:
     def test_weighted_mean_of_matching_rows(self):
         X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
@@ -124,13 +107,12 @@ class TestLookupTable:
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("kind", ["ridge-random-features", "k-nearest-neighbor",
-                                      "lookup-table"])
+    @pytest.mark.parametrize("kind", ["ridge-random-features", "lookup-table"])
     def test_regressor_round_trip(self, kind):
         rng = np.random.default_rng(6)
         X = rng.integers(0, 3, size=(40, 2)).astype(float)
         y = rng.normal(size=40)
-        model = fit_regressor(RegressorSpec(kind=kind, feature_count=8, k=3, seed=1), X, y)
+        model = fit_regressor(RegressorSpec(kind=kind, feature_count=8, seed=1), X, y)
         clone = FittedRegressor.from_dict(model.to_dict())
         grid = rng.integers(0, 3, size=(15, 2)).astype(float)
         np.testing.assert_allclose(clone.predict(grid), model.predict(grid), atol=1e-15)
@@ -215,13 +197,3 @@ class TestClassifier:
         lo = model.predict_proba(np.array([-2.0]))
         hi = model.predict_proba(np.array([2.0]))
         assert lo[1] < 0.2 and hi[1] > 0.8
-
-
-class TestPredictAlias:
-    def test_predict_function_matches_method(self):
-        rng = np.random.default_rng(12)
-        X = rng.normal(size=(50, 1))
-        y = X[:, 0] ** 2
-        model = fit_regressor(RegressorSpec(feature_count=16, seed=0), X, y)
-        grid = rng.normal(size=(10, 1))
-        np.testing.assert_array_equal(predict(model, grid), model.predict(grid))

@@ -4,7 +4,8 @@ identities, inverse-variance weighting, model fitting, and serialization."""
 import numpy as np
 import pytest
 
-from tvcate.dgp import get_dgp, make_d1, make_d2, make_d3, benchmark_pair, simulate_panel
+from tvcate.dgp import (get_dgp, make_d1, make_d2, make_d3, benchmark_pair,
+                        oracle_history_adjustment, simulate_panel)
 from tvcate.learners import RegressorSpec
 from tvcate.meta import (
     DEFAULT_SECOND_STAGE,
@@ -17,7 +18,6 @@ from tvcate.meta import (
     fit_v_model,
     ivw_realized,
     load_cate_model,
-    predict_cate,
     pseudo_dr,
     pseudo_ipw,
     pseudo_ra,
@@ -53,6 +53,15 @@ def override_nuisances(panel, pair, *, propensity, response=None, clip_eps=0.01)
         override_propensity=propensity,
         override_response=response,
     )
+
+
+def oracle_history_contrast(dgp, pair, histories):
+    """Contrast of the seeded oracle history adjustments of the two arms."""
+    def arm(seq):
+        return np.array([oracle_history_adjustment(dgp, h, seq, n_mc=4000,
+                                                   seed=[1299721, i]).value
+                         for i, h in enumerate(histories)])
+    return arm(pair.a_seq) - arm(pair.b_seq)
 
 
 def cluster_mean_se(table, values):
@@ -386,12 +395,14 @@ class TestFitMeta:
         with pytest.raises(ValueError, match="different intervention pair"):
             fit_meta("DR", panel, other, nz)
 
+    # The plug-in identities below hold for the oracle surfaces themselves;
+    # fit_meta builds plug-ins over fitted nuisances only.
     @pytest.mark.parametrize("tau", [0, 1, 2])
     def test_plug_in_iterative_oracle_is_exact(self, tau):
         d1, panel, pair, nz = self.fitted_setup(tau=tau, n=60)
-        model = fit_meta("PI-RA", panel, pair, nz)
-        histories = [HistoryView(panel.trajectories[i], 1) for i in range(20)]
-        assert predict_cate(model, histories) == pytest.approx(0.5, abs=1e-12)
+        table = build_row_table(panel, tau, nz.codec)
+        contrast = nz.mu("a", 0, table) - nz.mu("b", 0, table)
+        assert contrast == pytest.approx(0.5, abs=1e-12)
 
     def test_plug_in_history_oracle_is_near_effect_without_confounding(self):
         # with gamma = 0 assignment ignores the history, so conditioning on
@@ -400,30 +411,43 @@ class TestFitMeta:
         # Monte Carlo noise of the oracle surfaces
         d3 = make_d3(0.0)
         panel = simulate_panel(d3, 60, seed=21)
-        pair = benchmark_pair(1)
-        nz = oracle_nuisances(d3, pair)
-        model = fit_meta("PI-HA", panel, pair, nz)
         histories = [HistoryView(panel.trajectories[i], 2) for i in range(10)]
-        preds = predict_cate(model, histories)
+        preds = oracle_history_contrast(d3, benchmark_pair(1), histories)
         assert np.all(np.abs(preds - 0.5) <= 0.1)
 
     def test_plug_in_history_is_deterministic_and_biased_under_confounding(self):
         # conditioning on observed arms is *not* a valid adjustment when
-        # assignment depends on the history, so the plug-in history contrast
-        # deviates from the constant effect; its oracle surfaces use fixed
-        # simulation seeds, so repeated prediction is exact
-        d1, panel, pair, nz = self.fitted_setup(tau=1, n=60)
-        model = fit_meta("PI-HA", panel, pair, nz)
+        # assignment depends on the history, so the history contrast deviates
+        # from the constant effect; the oracle surfaces use fixed simulation
+        # seeds, so repeating them is exact
+        d1, panel, pair, _ = self.fitted_setup(tau=1, n=60)
         histories = [HistoryView(panel.trajectories[i], 2) for i in range(10)]
-        preds = predict_cate(model, histories)
-        assert np.array_equal(preds, predict_cate(model, histories))
+        preds = oracle_history_contrast(d1, pair, histories)
+        assert np.array_equal(preds, oracle_history_contrast(d1, pair, histories))
         assert np.mean(np.abs(preds - 0.5)) > 0.02
 
     def test_plug_in_needs_full_histories(self):
+        # plug-ins predict on encoded rows, which the oracle surfaces cannot take
         _, panel, pair, nz = self.fitted_setup(n=60)
-        model = fit_meta("PI-RA", panel, pair, nz)
-        with pytest.raises(ValueError, match="full histories"):
-            model.predict(np.zeros((2, model.codec.width)))
+        for kind in ("PI-HA", "PI-RA"):
+            with pytest.raises(ValueError, match="full histories"):
+                fit_meta(kind, panel, pair, nz)
+        fitted = fit_nuisances(panel, pair, need=("propensity",))
+        with pytest.raises(ValueError, match="fitted history models"):
+            fit_meta("PI-HA", panel, pair, fitted)
+
+    def test_plug_in_predicts_the_level_zero_contrast(self):
+        d1 = make_d1()
+        panel = simulate_panel(d1, 400, seed=21)
+        pair = benchmark_pair(1)
+        nz = fit_nuisances(panel, pair, need=("response", "history"))
+        feats = build_row_table(panel, 1, nz.codec).features(0)
+        ra = fit_meta("PI-RA", panel, pair, nz).predict(feats)
+        mu = nz.response_models
+        assert np.array_equal(ra, mu["a"][0].predict(feats) - mu["b"][0].predict(feats))
+        ha = fit_meta("PI-HA", panel, pair, nz).predict(feats)
+        assert np.array_equal(ha, nz.delta_features("a", feats)
+                              - nz.delta_features("b", feats))
 
     def test_identical_arms_give_zero_effect(self):
         d1 = make_d1()
@@ -503,11 +527,15 @@ class TestFitMeta:
         assert np.array_equal(first, second)
 
     def test_every_kind_fits_and_predicts(self):
-        d1, panel, pair, nz = self.fitted_setup(n=300)
-        views = [HistoryView(panel.trajectories[i], 1) for i in range(5)]
+        d1 = make_d1()
+        panel = simulate_panel(d1, 300, seed=31)
+        pair = benchmark_pair(1)
+        nz = fit_nuisances(panel, pair)
+        table = build_row_table(panel, 1, nz.codec)
+        feats = table.features(0)[table.t == 1][:5]
         for kind in LEARNER_KINDS:
             model = fit_meta(kind, panel, pair, nz)
-            preds = predict_cate(model, views)
+            preds = model.predict(feats)
             assert preds.shape == (5,)
             assert np.all(np.isfinite(preds))
 
@@ -530,13 +558,33 @@ class TestSerialization:
 
     def test_plug_in_round_trip(self):
         d1 = get_dgp("D1")
-        panel = simulate_panel(d1, 60, seed=31)
+        panel = simulate_panel(d1, 300, seed=31)
         pair = benchmark_pair(1)
-        nz = oracle_nuisances(d1, pair)
+        nz = fit_nuisances(panel, pair, need=("response",))
         model = fit_meta("PI-RA", panel, pair, nz)
         loaded = cate_model_from_dict(cate_model_to_dict(model))
-        views = [HistoryView(panel.trajectories[i], 1) for i in range(10)]
-        assert np.array_equal(model.predict(views), loaded.predict(views))
+        feats = build_row_table(panel, 1, nz.codec).features(0)
+        assert np.array_equal(model.predict(feats), loaded.predict(feats))
+
+    def test_bundle_with_old_spec_keys_predicts_identically(self):
+        # bundles written while a kNN regressor existed carry "k" in every
+        # regressor spec, including those of the nuisance bundle a plug-in embeds
+        def with_old_spec_keys(state):
+            if isinstance(state, list):
+                return [with_old_spec_keys(v) for v in state]
+            if not isinstance(state, dict):
+                return state
+            out = {key: with_old_spec_keys(v) for key, v in state.items()}
+            return {**out, "k": 25} if "ridge_lambda" in out else out
+        d1 = make_d1()
+        panel = simulate_panel(d1, 300, seed=31)
+        pair = benchmark_pair(1)
+        nz = fit_nuisances(panel, pair)
+        feats = build_row_table(panel, 1, nz.codec).features(0)
+        for kind in ("PI-HA", "PI-RA", "IVW-DR"):
+            model = fit_meta(kind, panel, pair, nz)
+            old = cate_model_from_dict(with_old_spec_keys(cate_model_to_dict(model)))
+            assert np.array_equal(model.predict(feats), old.predict(feats))
 
     def test_default_second_stage_is_heavier_than_nuisance_default(self):
         assert DEFAULT_SECOND_STAGE.ridge_lambda > RegressorSpec().ridge_lambda

@@ -21,7 +21,6 @@ from tvcate.learners import ClassifierSpec, RegressorSpec, fit_regressor
 from tvcate.nuisance import (
     NuisanceSet,
     build_row_table,
-    clipped_propensity,
     default_codec,
     fit_history_adjustment,
     fit_nuisances,
@@ -29,15 +28,18 @@ from tvcate.nuisance import (
     fit_response_iterative,
     load_nuisances,
     make_split,
+    nuisances_from_dict,
+    nuisances_to_dict,
     oracle_nuisances,
     save_nuisances,
 )
 from tvcate.panel import (
     HistoryView,
     InterventionPair,
+    Panel,
+    Trajectory,
     encode_history,
     panel_from_arrays,
-    pooled_rows,
 )
 
 TUNED_D1_SPEC = RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2)
@@ -52,14 +54,26 @@ def hand_panel():
 
 class TestRowTable:
     def test_matches_pooled_rows(self):
-        panel = simulate_panel(make_d1(), 60, seed=3)
-        table = build_row_table(panel, 1)
-        rows = pooled_rows(panel, 1)
-        assert np.array_equal(table.traj_id, rows.traj_id)
-        assert np.array_equal(table.t, rows.t)
-        assert np.allclose(table.features(0), rows.features)
-        assert np.allclose(table.y_term, rows.target)
-        assert np.allclose(table.base_weight, rows.weight)
+        # the pooled-row definition on a ragged panel (lengths 5 and 3); the
+        # encoded rows equal per-history encodings bit for bit, so predicting
+        # on table rows equals predicting on encoded history views
+        rng = np.random.default_rng(3)
+        trajs = tuple(Trajectory(rng.normal(size=(T, 1)), rng.integers(0, 2, size=T),
+                                 rng.normal(size=T)) for T in (5, 3))
+        panel = Panel(trajs, 2)
+        with pytest.raises(ValueError, match="horizon too long"):
+            build_row_table(panel, 3)
+        for tau in (1, 2):
+            table = build_row_table(panel, tau)
+            want = [(i, t) for i, tr in enumerate(trajs) for t in range(1, tr.length - tau + 1)]
+            assert table.n_rows == len(want)
+            assert list(zip(table.traj_id.tolist(), table.t.tolist())) == want
+            assert table.base_weight.sum() == pytest.approx(1.0, abs=1e-15)
+            for row, (i, t) in enumerate(want):
+                assert table.y_term[row] == trajs[i].outcomes[t + tau - 1]
+                for j in range(tau + 1):
+                    vec = encode_history(HistoryView(trajs[i], t + j), table.codec)
+                    assert table.features(j)[row].tobytes() == vec.tobytes()
 
     def test_raw_tails_hand_values(self):
         table = build_row_table(hand_panel(), 1)
@@ -279,36 +293,33 @@ class TestFitPropensities:
 
 
 class TestClippedPropensity:
+    """A fitted propensity model's queries through NuisanceSet clipping."""
+
+    @staticmethod
+    def fitted_set(panel, model, clip_eps):
+        return NuisanceSet(pair=benchmark_pair(1), tau=1, codec=model.codec,
+                           clip_eps=clip_eps, split=make_split(panel, 1, enabled=False),
+                           propensity_model=model)
+
     def test_clamps_extreme_and_keeps_interior(self):
         d1 = make_d1()
         panel = simulate_panel(d1, 2000, seed=17)
         model = fit_propensities(panel, ClassifierSpec())
-        lo = hi = mid = None
-        for traj in panel.trajectories[:400]:
-            h = HistoryView(traj, 2)
-            raw = float(model.predict_proba(encode_history(h, model.codec))[0])
-            if raw < 0.05:
-                lo = h
-            elif raw > 0.95:
-                hi = h
-            elif 0.3 < raw < 0.7:
-                mid = h
-        assert lo is not None
-        assert clipped_propensity(model, lo, 0, 0.05) == 0.05
-        if hi is not None:
-            assert clipped_propensity(model, hi, 0, 0.05) == 0.95
-        if mid is not None:
-            raw = clipped_propensity(model, mid, 0, 1e-6)
-            assert clipped_propensity(model, mid, 0, 0.05) == pytest.approx(raw)
+        table = build_row_table(panel, 1, model.codec)
+        clipped, raw = self.fitted_set(panel, model, 0.05).propensity(1, 0, table)
+        assert np.array_equal(raw, model.predict_proba(table.features(1))[:, 0])
+        assert np.any(raw < 0.05)
+        assert np.all(clipped[raw < 0.05] == 0.05)
+        assert np.all(clipped[raw > 0.95] == 0.95)
+        inside = (raw >= 0.05) & (raw <= 0.95)
+        assert inside.any() and np.array_equal(clipped[inside], raw[inside])
 
     def test_eps_validation(self):
-        d1 = make_d1()
-        panel = simulate_panel(d1, 100, seed=0)
+        panel = simulate_panel(make_d1(), 100, seed=0)
         model = fit_propensities(panel, ClassifierSpec(feature_count=8))
-        h = HistoryView(panel.trajectories[0], 1)
         for bad in (0.0, 0.5, -0.1):
             with pytest.raises(ValueError, match="clip_eps"):
-                clipped_propensity(model, h, 1, bad)
+                self.fitted_set(panel, model, bad)
 
 
 class TestNuisanceSetOracle:
@@ -337,14 +348,21 @@ class TestNuisanceSetOracle:
         assert np.array_equal(clipped, np.clip(want_raw, 0.01, 0.99))
 
     def test_history_adjustment_is_deterministic(self):
+        # the oracle set answers encoded rows only, which cannot carry a full
+        # history; the history-adjustment oracle itself is seeded and exact
         d1 = make_d1()
         pair = benchmark_pair(1)
         panel = simulate_panel(d1, 5, seed=25)
+        table = build_row_table(panel, 1)
+        with pytest.raises(ValueError, match="full histories"):
+            oracle_nuisances(d1, pair).delta_features("a", table.features(0))
         histories = [HistoryView(traj, 2) for traj in panel.trajectories[:3]]
-        ons = oracle_nuisances(d1, pair, oracle_history_mc=4000)
-        first = ons.delta_at_histories("a", histories)
-        again = ons.delta_at_histories("a", histories)
-        assert np.array_equal(first, again)
+
+        def values():
+            return [oracle_history_adjustment(d1, h, pair.a_seq, n_mc=4000,
+                                              seed=[1299721, i]).value
+                    for i, h in enumerate(histories)]
+        assert values() == values()
 
     def test_requires_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):
@@ -372,7 +390,7 @@ class TestNuisanceSetOracle:
         with pytest.raises(ValueError, match="missing response"):
             ns.mu("a", 0, table)
         with pytest.raises(ValueError, match="missing history"):
-            ns.delta_at_histories("a", [HistoryView(panel.trajectories[0], 1)])
+            ns.delta_features("a", table.features(0))
 
     def test_clip_eps_validation(self):
         with pytest.raises(ValueError, match="clip_eps"):
@@ -397,9 +415,9 @@ class TestBundleSerialization:
                 assert np.array_equal(ns.mu(arm, j, table), back.mu(arm, j, table))
         assert np.array_equal(ns.propensity(0, 1, table)[1],
                               back.propensity(0, 1, table)[1])
-        histories = [HistoryView(panel.trajectories[k], 2) for k in range(4)]
-        assert np.array_equal(ns.delta_at_histories("a", histories),
-                              back.delta_at_histories("a", histories))
+        feats = table.features(0)
+        assert np.array_equal(ns.delta_features("a", feats),
+                              back.delta_features("a", feats))
 
     def test_oracle_round_trip(self, tmp_path):
         ns = oracle_nuisances(make_d1(), benchmark_pair(1))
@@ -412,3 +430,7 @@ class TestBundleSerialization:
         assert np.array_equal(ns.mu("a", 0, table), back.mu("a", 0, table))
         assert np.array_equal(ns.propensity(1, 0, table)[0],
                               back.propensity(1, 0, table)[0])
+        # bundles written before the history-adjustment budget was dropped
+        old = nuisances_from_dict({**nuisances_to_dict(ns), "oracle_history_mc": 4000})
+        assert old.oracle_mode
+        assert np.array_equal(ns.mu("a", 0, table), old.mu("a", 0, table))

@@ -13,9 +13,9 @@ from tvcate.panel import (
     panel_from_arrays,
     panel_from_csv,
     panel_to_csv,
-    pooled_rows,
     validate_panel,
 )
+from tvcate.nuisance import build_row_table
 
 
 def random_panel(rng, n=6, lengths=None, d=2, arity=3):
@@ -131,61 +131,48 @@ class TestEncodeHistory:
 
 
 class TestPooledRows:
+    """The pooled (trajectory, t) rows of a RowTable on short ragged panels."""
+
     def test_row_count_two_length5_tau1(self):
         rng = np.random.default_rng(1)
         panel = random_panel(rng, n=2, lengths=[5, 5], d=1, arity=2)
-        rows = pooled_rows(panel, tau=1)
-        assert rows.features.shape[0] == 8
+        table = build_row_table(panel, tau=1)
+        assert table.n_rows == 8
+        assert table.features(0).shape[0] == 8
 
     def test_boundary_tau4_one_row_each(self):
         rng = np.random.default_rng(2)
         panel = random_panel(rng, n=3, lengths=[5, 5, 5], d=1, arity=2)
-        rows = pooled_rows(panel, tau=4)
-        assert rows.target.shape[0] == 3
-        np.testing.assert_array_equal(rows.t, [1, 1, 1])
-
-    def test_per_trajectory_weights_lengths_5_and_3(self):
-        rng = np.random.default_rng(3)
-        panel = random_panel(rng, n=2, lengths=[5, 3], d=1, arity=2)
-        rows = pooled_rows(panel, tau=1, weight_mode="per_trajectory")
-        # per-row factors 1/4 and 1/2, globally scaled by 1/n = 1/2
-        np.testing.assert_allclose(rows.weight[rows.traj_id == 0], 1 / 8)
-        np.testing.assert_allclose(rows.weight[rows.traj_id == 1], 1 / 4)
-        assert rows.weight.sum() == pytest.approx(1.0)
+        table = build_row_table(panel, tau=4)
+        assert table.y_term.shape[0] == 3
+        np.testing.assert_array_equal(table.t, [1, 1, 1])
 
     def test_uniform_weights_sum_to_one(self):
         rng = np.random.default_rng(4)
         panel = random_panel(rng, n=5, lengths=[5, 4, 3, 5, 2], d=2, arity=2)
-        rows = pooled_rows(panel, tau=1)
+        table = build_row_table(panel, tau=1)
         expected_rows = sum(T - 1 for T in [5, 4, 3, 5, 2])
-        assert rows.weight.shape[0] == expected_rows
-        np.testing.assert_allclose(rows.weight, 1 / expected_rows)
+        assert table.base_weight.shape[0] == expected_rows
+        np.testing.assert_allclose(table.base_weight, 1 / expected_rows)
 
     def test_target_is_future_outcome(self):
         panel = panel_from_arrays(np.zeros((1, 4)), np.zeros((1, 4), dtype=int),
                                   [[10.0, 20.0, 30.0, 40.0]])
-        rows = pooled_rows(panel, tau=2)
-        np.testing.assert_array_equal(rows.target, [30.0, 40.0])
-
-    def test_supplied_target_values(self):
-        rng = np.random.default_rng(5)
-        panel = random_panel(rng, n=2, lengths=[3, 3], d=1, arity=2)
-        vals = np.arange(4.0)
-        rows = pooled_rows(panel, tau=1, target=vals)
-        np.testing.assert_array_equal(rows.target, vals)
+        table = build_row_table(panel, tau=2)
+        np.testing.assert_array_equal(table.y_term, [30.0, 40.0])
 
     def test_horizon_too_long_errors(self):
         rng = np.random.default_rng(6)
         panel = random_panel(rng, n=2, lengths=[5, 3], d=1, arity=2)
         with pytest.raises(ValueError, match="horizon too long"):
-            pooled_rows(panel, tau=3)
+            build_row_table(panel, tau=3)
 
     def test_rows_ordered_by_trajectory_then_time(self):
         rng = np.random.default_rng(8)
         panel = random_panel(rng, n=3, lengths=[4, 2, 3], d=1, arity=2)
-        rows = pooled_rows(panel, tau=1)
-        np.testing.assert_array_equal(rows.traj_id, [0, 0, 0, 1, 2, 2])
-        np.testing.assert_array_equal(rows.t, [1, 2, 3, 1, 1, 2])
+        table = build_row_table(panel, tau=1)
+        np.testing.assert_array_equal(table.traj_id, [0, 0, 0, 1, 2, 2])
+        np.testing.assert_array_equal(table.t, [1, 2, 3, 1, 1, 2])
 
 
 class TestInterventionPair:
@@ -228,3 +215,52 @@ class TestCsvRoundTrip:
         path.write_text("foo,bar\n1,2\n")
         with pytest.raises(ValueError, match="header"):
             panel_from_csv(path)
+
+
+class TestCsvStrictIngest:
+    """Malformed panel CSVs fail at ingest with the line or (traj_id, t)."""
+
+    @staticmethod
+    def written_lines(tmp_path):
+        panel = random_panel(np.random.default_rng(10), n=3, lengths=[5, 5, 5],
+                             d=1, arity=2)
+        path = tmp_path / "panel.csv"
+        panel_to_csv(panel, path)
+        return path, path.read_text().splitlines(keepends=True)
+
+    def rewrite_and_read(self, tmp_path, edit):
+        path, lines = self.written_lines(tmp_path)
+        path.write_text("".join(edit(lines)))
+        return panel_from_csv(path)
+
+    def test_missing_time_is_rejected(self, tmp_path):
+        # ls[8] is traj 1, t 3: dropping it used to read back a length-4 trajectory
+        with pytest.raises(ValueError, match=r"traj_id 1, t 3: missing"):
+            self.rewrite_and_read(tmp_path, lambda ls: ls[:8] + ls[9:])
+
+    def test_repeated_time_is_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match=r"traj_id 1, t 3: repeated on line 10"):
+            self.rewrite_and_read(tmp_path, lambda ls: ls[:9] + [ls[8]] + ls[9:])
+
+    def test_times_must_start_at_one(self, tmp_path):
+        def shift(ls):
+            out = ls[:1]
+            for line in ls[1:]:
+                tid, t, rest = line.split(",", 2)
+                out.append(f"{tid},{int(t) + 1},{rest}")
+            return out
+        with pytest.raises(ValueError, match=r"traj_id 0: times start at t 2"):
+            self.rewrite_and_read(tmp_path, shift)
+
+    def test_wrong_field_count_names_the_line(self, tmp_path):
+        with pytest.raises(ValueError, match=r"line 4: 4 fields, the header has 5"):
+            self.rewrite_and_read(tmp_path, lambda ls: ls[:3]
+                                  + [ls[3].rsplit(",", 1)[0] + "\n"] + ls[4:])
+
+    def test_arm_outside_arity_is_rejected(self, tmp_path):
+        def arm5(ls):
+            fields = ls[7].split(",")
+            fields[-2] = "5"
+            return ls[:7] + [",".join(fields)] + ls[8:]
+        with pytest.raises(ValueError, match=r"traj_id 1, t 2: arm 5 outside \[0, 2\)"):
+            self.rewrite_and_read(tmp_path, arm5)
