@@ -2,13 +2,18 @@
 
 An :class:`ExperimentConfig` pins one experiment completely: generator,
 horizons, sample sizes, seed list, learner set, nuisance and second-stage
-hyper-parameters.  Given the same config, :func:`run_experiment` and
-:func:`overlap_sweep` produce byte-identical result files on every run and
-under every ``workers`` setting, because all randomness flows through seeds
-derived from the config and rows are assembled in a fixed order.  Measured
-wall times are the one intentionally non-reproducible quantity, so the
-``walltime_s`` column (``fit_meta`` plus prediction, not the nuisance fits)
-is written as ``0.0`` unless ``record_walltime`` is switched on.
+hyper-parameters.  Given the same config and BLAS thread count,
+:func:`run_experiment` and :func:`overlap_sweep` produce byte-identical
+result files on every run and under every ``workers`` setting, because all
+randomness flows through seeds derived from the config and rows are
+assembled in a fixed order.  Measured wall times are the one intentionally
+non-reproducible quantity, so the ``walltime_s`` column (``fit_meta`` plus
+prediction, not the nuisance fits) is written as ``0.0`` unless
+``record_walltime`` is switched on.  The learners of one horizon share a
+nuisance set, which evaluates each fitted model once per row table source:
+later learners reuse the evaluations the first one paid for, so the
+per-learner times depend on the learner order.  Without a split plan, one
+propensity fit serves every horizon of a seed.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 :func:`parse_config_text`); every field can also be overridden from a
@@ -45,7 +50,8 @@ import scipy.stats
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .learners import ClassifierSpec, RegressorSpec
 from .meta import LEARNER_KINDS, fit_meta
-from .nuisance import build_row_table, fit_nuisances, make_split
+from .nuisance import (build_row_table, fit_nuisances, fit_propensities,
+                       make_split)
 
 __all__ = [
     "OUTPUT_DIR_ENV", "RESULT_FIELDS", "SWEEP_FIELDS", "ExperimentConfig",
@@ -111,7 +117,8 @@ class ExperimentConfig:
         Write measured per-fit wall times instead of the deterministic 0.0.
     workers : int
         Worker processes for seed-level (and gamma-level) parallelism.
-        Results are byte-identical for every value.
+        Results are byte-identical for every value at a fixed BLAS
+        thread count.
     output_dir : str
         Where emit functions write files; empty means "TVCATE_OUTPUT_DIR or
         ``results``".
@@ -364,6 +371,14 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
     dgp = _experiment_dgp(cfg.dgp)
     n_train, n_test = _effective_sizes(cfg)
     regressor, classifier, second_stage = _specs(cfg)
+    need = _needed_nuisances(cfg.learners)
+    # without a split the propensity model trains on every (trajectory, time)
+    # whatever tau, so one fit serves every horizon; with one, its "pi" fold
+    # depends on tau and each horizon fits its own
+    share_pi = "propensity" in need and not cfg.split_enabled
+    if share_pi:
+        need = tuple(n for n in need if n != "propensity")
+    propensity_model = None
     rows: List[ResultRow] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -375,14 +390,18 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
             split = make_split(train, tau, enabled=cfg.split_enabled,
                                seed=[seed, 12])
             try:
+                if share_pi and propensity_model is None:
+                    propensity_model = fit_propensities(train, classifier)
                 nuisances = fit_nuisances(
                     train, pair, regressor_spec=regressor,
                     classifier_spec=classifier, split=split,
-                    clip_eps=cfg.clip_eps,
-                    need=_needed_nuisances(cfg.learners))
+                    clip_eps=cfg.clip_eps, need=need)
             except Exception as exc:
                 raise RuntimeError(f"nuisance fit failed at tau={tau} "
                                    f"seed={seed}: {exc}") from exc
+            if share_pi:
+                nuisances = dataclasses.replace(
+                    nuisances, propensity_model=propensity_model)
             table = build_row_table(test, tau, nuisances.codec)
             keep = np.ones(table.t.size, dtype=bool)
             if cfg.eval_t is not None:

@@ -88,7 +88,12 @@ def random_cosine_map(in_dim: int, feature_count: int, bandwidth: float, seed):
 
 
 def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sqrt(2.0 / W.shape[1]) * np.cos(X @ W + b)
+    # built in place: one N x F array, the same bits as sqrt(2/F) * cos(X W + b)
+    Z = X @ W
+    Z += b
+    np.cos(Z, out=Z)
+    Z *= np.sqrt(2.0 / W.shape[1])
+    return Z
 
 
 def _normalized_weights(weight, n) -> np.ndarray:
@@ -125,7 +130,8 @@ class FittedRegressor:
                              f"training width {self.in_dim}")
         if self.spec.kind == "ridge-random-features":
             phi = _cosine_features(features, self.params["W"], self.params["b"])
-            out = self.params["intercept"] + (phi - self.params["phi_mean"]) @ self.params["beta"]
+            phi -= self.params["phi_mean"]
+            out = self.params["intercept"] + phi @ self.params["beta"]
         else:
             out = self._predict_lookup(features)
         return out[0] if squeeze else out
@@ -202,9 +208,9 @@ def _fit_ridge_rff(spec, X, y, w):
     phi = _cosine_features(X, W, b)
     phi_mean = w @ phi
     y_mean = float(w @ y)
-    phi_c = phi - phi_mean
-    gram = (phi_c * w[:, None]).T @ phi_c
-    rhs = phi_c.T @ (w * (y - y_mean))
+    phi -= phi_mean
+    gram = (phi * w[:, None]).T @ phi
+    rhs = phi.T @ (w * (y - y_mean))
     lam = spec.ridge_lambda
     if lam == "auto":
         lam = _gcv_lambda(gram, rhs, float(w @ (y - y_mean) ** 2), len(y))

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -308,6 +308,17 @@ class NuisanceSet:
     robustness experiments and identity checks: an overridden propensity is
     used verbatim (no clipping), and the response override may be a scalar
     or a nested mapping ``{arm: {level_offset: value}}``.
+
+    Fitted models are evaluated once per row-table source: the first ``mu``
+    query for an (arm, level) and the first ``propensity`` query for a level
+    store the model's output, the response predictions or the whole class
+    probability matrix, and later queries on any table built from the same
+    ``table.panel`` object, ``table.tau`` and ``table.codec`` return it.  The
+    key is (id of the panel, tau, codec, level), plus the arm for mu-hat; each
+    entry also holds the panel, so its id cannot be reused while stored.
+    Stored arrays are read-only.  Oracle and override answers are never
+    stored, and the store is no constructor argument: ``replace()`` and
+    :meth:`corrupted` return a set whose store starts empty.
     """
 
     pair: InterventionPair
@@ -322,6 +333,8 @@ class NuisanceSet:
     dgp: object = None
     override_propensity: Optional[float] = None
     override_response: object = None
+    _store: dict = field(default_factory=dict, init=False, compare=False,
+                         repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.clip_eps < 0.5:
@@ -332,6 +345,15 @@ class NuisanceSet:
             if getattr(self.dgp, "response_form", None) is None:
                 raise ValueError("oracle mode needs a DGP with closed-form response "
                                  "surfaces (response_form)")
+
+    def _stored(self, key: tuple, table: RowTable, evaluate) -> np.ndarray:
+        """``evaluate()`` on the first query for key on the table's source."""
+        key = (id(table.panel), table.tau, table.codec) + key
+        if key not in self._store:
+            out = evaluate()
+            out.flags.writeable = False
+            self._store[key] = (table.panel, out)    # the panel pins its id
+        return self._store[key][1]
 
     def _seq(self, arm: str):
         return {"a": self.pair.a_seq, "b": self.pair.b_seq}[arm]
@@ -356,7 +378,9 @@ class NuisanceSet:
             return np.asarray(form.capo(table.x_tail[:, j], self.tau - j,
                                         self._seq(arm)[-1], self.dgp.x_sd))
         self._need_response(arm)
-        return self.response_models[arm][j].predict(table.features(j))
+        model = self.response_models[arm][j]
+        return self._stored(("mu", arm, j), table,
+                            lambda: model.predict(table.features(j)))
 
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
@@ -380,7 +404,10 @@ class NuisanceSet:
         else:
             if self.propensity_model is None:
                 raise ValueError("missing propensity model")
-            raw = self.propensity_model.predict_proba(table.features(j))[:, int(a_value)]
+            model = self.propensity_model
+            proba = self._stored(("pi", j), table,
+                                 lambda: model.predict_proba(table.features(j)))
+            raw = proba[:, int(a_value)]
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), raw
 
     # -- history adjustments ----------------------------------------------

@@ -13,6 +13,7 @@ regressors and classifiers can consume them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -385,7 +386,8 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     """Read a panel written by :func:`panel_to_csv`.
 
     Rejects, naming the line or the traj_id and t, a row with the wrong field
-    count, an arm outside [0, treatment_arity), and times other than 1..T once each.
+    count, an arm outside [0, treatment_arity), a ``nan`` or infinite covariate
+    or outcome, and times other than 1..T once each.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
@@ -407,6 +409,9 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
             if not 0 <= a < treatment_arity:
                 raise ValueError(f"traj_id {tid}, t {t}: arm {a} outside "
                                  f"[0, {treatment_arity})")
+            if not (math.isfinite(y) and all(map(math.isfinite, x))):
+                raise ValueError(f"traj_id {tid}, t {t}: non-finite covariate or "
+                                 f"outcome on line {lineno}")
             recs = rows.setdefault(tid, {})
             if t in recs:
                 raise ValueError(f"traj_id {tid}, t {t}: repeated on line {lineno}")

@@ -264,3 +264,15 @@ class TestCsvStrictIngest:
             return ls[:7] + [",".join(fields)] + ls[8:]
         with pytest.raises(ValueError, match=r"traj_id 1, t 2: arm 5 outside \[0, 2\)"):
             self.rewrite_and_read(tmp_path, arm5)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field,column", [("covariate", 2), ("outcome", -1)])
+    def test_non_finite_value_is_rejected(self, tmp_path, value, field, column):
+        # ls[7] is traj 1, t 2; nan and inf parse as floats but must not fit
+        def poison(ls):
+            fields = ls[7].rstrip("\n").split(",")
+            fields[column] = value
+            return ls[:7] + [",".join(fields) + "\n"] + ls[8:]
+        with pytest.raises(ValueError, match=r"traj_id 1, t 2: non-finite covariate "
+                                             r"or outcome on line 8"):
+            self.rewrite_and_read(tmp_path, poison)
