@@ -36,6 +36,7 @@ __all__ = [
     "FittedClassifier",
     "fit_regressor",
     "fit_classifier",
+    "predict_many",
     "random_cosine_map",
 ]
 
@@ -121,20 +122,7 @@ class FittedRegressor:
     codec: object = None
 
     def predict(self, features) -> np.ndarray:
-        features = np.asarray(features, dtype=float)
-        squeeze = features.ndim == 1
-        if squeeze:
-            features = features[None, :]
-        if features.shape[1] != self.in_dim:
-            raise ValueError(f"feature width {features.shape[1]} does not match "
-                             f"training width {self.in_dim}")
-        if self.spec.kind == "ridge-random-features":
-            phi = _cosine_features(features, self.params["W"], self.params["b"])
-            phi -= self.params["phi_mean"]
-            out = self.params["intercept"] + phi @ self.params["beta"]
-        else:
-            out = self._predict_lookup(features)
-        return out[0] if squeeze else out
+        return predict_many([self], features)[0]
 
     def _predict_lookup(self, features):
         table = self.params["table"]
@@ -174,6 +162,67 @@ class FittedRegressor:
                      for k, v in zip(raw["keys"], raw["values"])}
             params = {"table": table, "default": float(raw["default"])}
         return FittedRegressor(spec, int(state["in_dim"]), int(state["n_rows"]), params)
+
+
+#: rows per block when a cosine map is centered and multiplied by beta
+_PREDICT_BLOCK_ROWS = 4096
+
+
+def _shares_map(m1: FittedRegressor, m2: FittedRegressor) -> bool:
+    return (m1.spec.kind == m2.spec.kind == "ridge-random-features"
+            and np.array_equal(m1.params["W"], m2.params["W"])
+            and np.array_equal(m1.params["b"], m2.params["b"]))
+
+
+def _predict_ridge(models, features) -> list:
+    """Predictions of ridge models that draw one (W, b), mapping the rows once.
+
+    Each model centers the map with its own ``phi_mean`` and multiplies by its
+    own ``beta``, block by block, so extra models cost one block, not one
+    N x F map.  Blocks start at multiples of ``_PREDICT_BLOCK_ROWS`` and the
+    last holds at least two rows: on one BLAS thread the block products then
+    carry the bits of one product over the whole map.
+    """
+    phi = _cosine_features(features, models[0].params["W"], models[0].params["b"])
+    n = phi.shape[0]
+    outs = [np.empty(n) for _ in models]
+    edges = list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
+    for lo, hi in zip(edges, edges[1:]):
+        block = phi[lo:hi]
+        for k, model in enumerate(models):      # the last model centers in place
+            last = k == len(models) - 1
+            centered = np.subtract(block, model.params["phi_mean"],
+                                   out=block if last else None)
+            outs[k][lo:hi] = centered @ model.params["beta"]
+    return [model.params["intercept"] + out for model, out in zip(models, outs)]
+
+
+def predict_many(models, features) -> list:
+    """Predict each fitted regressor at the same rows.
+
+    Ridge models whose cosine maps have equal (W, b) share one evaluation of
+    the map; every prediction has the bits of ``model.predict(features)``.
+    """
+    features = np.asarray(features, dtype=float)
+    squeeze = features.ndim == 1
+    if squeeze:
+        features = features[None, :]
+    for model in models:
+        if features.shape[1] != model.in_dim:
+            raise ValueError(f"feature width {features.shape[1]} does not match "
+                             f"training width {model.in_dim}")
+    outs = [None] * len(models)
+    for k, model in enumerate(models):
+        if outs[k] is not None:
+            continue
+        if model.spec.kind != "ridge-random-features":
+            outs[k] = model._predict_lookup(features)
+            continue
+        group = [j for j in range(k, len(models))
+                 if outs[j] is None and _shares_map(model, models[j])]
+        for j, out in zip(group, _predict_ridge([models[j] for j in group], features)):
+            outs[j] = out
+    return [out[0] if squeeze else out for out in outs]
 
 
 def fit_regressor(spec: RegressorSpec, features, target, weight=None,

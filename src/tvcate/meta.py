@@ -27,7 +27,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .learners import FittedRegressor, RegressorSpec, fit_regressor
+from .learners import FittedRegressor, RegressorSpec, fit_regressor, predict_many
 from .nuisance import (
     NuisanceSet,
     RowTable,
@@ -268,18 +268,20 @@ class CateModel:
 
     def predict(self, features) -> np.ndarray:
         """Predict the target at encoded histories (rows of ``features(0)``)."""
+        if self.kind not in ("PI-HA", "PI-RA"):
+            return self.second_stage.predict(features)
         if self.kind == "PI-HA":
-            out = self.nuisances.delta_features("a", features)
-            if self.target == "cate":
-                out = out - self.nuisances.delta_features("b", features)
-            return out
-        if self.kind == "PI-RA":
+            if self.target == "capo":
+                return self.nuisances.delta_features("a", features)
+            pair = [self.nuisances.history_models[arm] for arm in ("a", "b")]
+        else:
             models = self.nuisances.response_models
-            out = models["a"][0].predict(features)
-            if self.target == "cate":
-                out = out - models["b"][0].predict(features)
-            return out
-        return self.second_stage.predict(features)
+            if self.target == "capo":
+                return models["a"][0].predict(features)
+            pair = [models[arm][0] for arm in ("a", "b")]
+        # the two arms' models draw one (W, b): map the rows once
+        out_a, out_b = predict_many(pair, features)
+        return out_a - out_b
 
 
 def fit_meta(kind: str, panel: Panel, pair: InterventionPair,

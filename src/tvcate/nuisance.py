@@ -78,50 +78,22 @@ class RowTable:
         self.tau = tau
         self.codec = codec
 
-        blocks = list(panel.dense_blocks())
-        traj, tt = [], []
-        for idx, X, A, Y in blocks:
-            T = X.shape[1]
-            n_t = T - tau
-            traj.append(np.repeat(idx, n_t))
-            tt.append(np.tile(np.arange(1, n_t + 1), idx.size))
-        traj = np.concatenate(traj)
-        tt = np.concatenate(tt)
-        order = np.lexsort((tt, traj))
-        self.traj_id = traj[order]
-        self.t = tt[order]
+        # rows ordered by (trajectory position, t); row(i, t) = first[i] + t - 1
+        n_t = lengths - tau
+        self.traj_id = np.repeat(np.arange(panel.n), n_t)
         self.n_rows = self.traj_id.size
-
-        # raw per-offset columns (rows within a trajectory are contiguous and
-        # ordered by t after the lexsort, so row(i, t) = first[i] + t - 1)
+        self._first = np.cumsum(n_t) - n_t
+        self.t = np.arange(self.n_rows) - self._first[self.traj_id] + 1
         K = tau + 1
-        x_tail = np.empty((self.n_rows, K))
-        aprev = np.zeros((self.n_rows, K))
-        yprev = np.zeros((self.n_rows, K))
-        a_obs = np.empty((self.n_rows, K), dtype=int)
-        y_term = np.empty(self.n_rows)
-        self._first = np.searchsorted(self.traj_id, np.arange(panel.n), side="left")
-        self._blocks = blocks
-        for idx, X, A, Y in blocks:
-            T = X.shape[1]
-            n_t = T - tau
-            ts = np.arange(1, n_t + 1)
-            rows = self._first[idx][:, None] + (ts - 1)[None, :]   # (n_block, n_t)
-            for j in range(K):
-                s = ts + j                 # absolute time of level j
-                x_tail[rows, j] = X[:, s - 1, 0]
-                a_obs[rows, j] = A[:, s - 1]
-                prev = s >= 2
-                if prev.any():
-                    aprev[rows[:, prev], j] = A[:, s[prev] - 2]
-                    yprev[rows[:, prev], j] = Y[:, s[prev] - 2]
-            y_term[rows] = Y[:, ts + tau - 1]
-        self.x_tail = x_tail
-        self.aprev_tail = aprev
-        self.yprev_tail = yprev
-        self.a_obs = a_obs
-        self.y_term = y_term
         self.time_abs = self.t[:, None] + np.arange(K)[None, :]
+        # raw per-offset columns gathered from the panel's flat rows
+        src = panel.offsets[self.traj_id][:, None] + self.time_abs - 1
+        has_prev = self.time_abs >= 2
+        self.x_tail = panel.X[src, 0]
+        self.aprev_tail = np.where(has_prev, panel.A[src - 1], 0).astype(float)
+        self.yprev_tail = np.where(has_prev, panel.Y[src - 1], 0.0)
+        self.a_obs = panel.A[src]
+        self.y_term = panel.Y[src[:, -1]]
 
         self.base_weight = np.full(self.n_rows, 1.0 / self.n_rows)
         self._feat_cache: dict[int, np.ndarray] = {}
@@ -132,7 +104,7 @@ class RowTable:
             raise ValueError(f"offset {j} outside 0..{self.tau}")
         if j not in self._feat_cache:
             out = np.empty((self.n_rows, self.codec.width))
-            for idx, X, A, Y in self._blocks:
+            for idx, X, A, Y in self.panel.dense_blocks():
                 T = X.shape[1]
                 for t in range(1, T - self.tau + 1):
                     out[self._first[idx] + (t - 1)] = encode_block(X, A, Y, t + j,

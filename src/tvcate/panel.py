@@ -9,12 +9,26 @@ the covariates up to t and the treatments/outcomes up to t-1,
 so covariates lead the treatment/outcome prefixes by one step.  Histories are
 encoded into fixed-width real vectors by a :class:`FeatureCodec` so generic
 regressors and classifiers can consume them.
+
+A :class:`Panel` is stored flat: read-only arrays ``X (R, d)``, ``A (R,)``
+and ``Y (R,)`` hold the rows of all trajectories end to end, and
+``offsets (n+1,)`` bounds them (trajectory i is rows
+``offsets[i]:offsets[i+1]``).  ``Panel.trajectories`` builds n read-only
+:class:`Trajectory` views on every access: O(n) objects, meant for oracles
+and tests, not hot paths.  What each constructor rejects:
+
+* ``Panel(trajectories, treatment_arity)``: mixed covariate widths, and
+  trajectories whose covariates, treatments and outcomes differ in length.
+  Values are left to :func:`validate_panel`, which reports and does not raise.
+* :func:`panel_from_arrays`, which copies its inputs once: also non-finite
+  covariates or outcomes and arms outside [0, treatment_arity).
+* :func:`panel_from_csv`: also wrong field counts, a non-integral traj_id,
+  t or arm, and times other than 1..T once each.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
 import numpy as np
@@ -67,6 +81,13 @@ class Trajectory:
         object.__setattr__(self, "treatments", _frozen_array(self.treatments, int))
         object.__setattr__(self, "outcomes", _frozen_array(self.outcomes, float))
 
+    @classmethod
+    def _view(cls, x, a, y) -> "Trajectory":
+        """Wrap read-only panel slices without copying them."""
+        tr = object.__new__(cls)
+        tr.__dict__.update(covariates=x, treatments=a, outcomes=y)
+        return tr
+
     @property
     def length(self) -> int:
         return self.covariates.shape[0]
@@ -76,64 +97,88 @@ class Trajectory:
         return self.covariates.shape[1]
 
 
-@dataclass(frozen=True)
 class Panel:
-    """A collection of trajectories sharing covariate dimension and treatment arity."""
+    """Immutable trajectories of one covariate width and treatment arity, held
+    in the flat read-only columns ``X``, ``A``, ``Y`` and ``offsets``."""
 
-    trajectories: tuple[Trajectory, ...]
-    treatment_arity: int = 2
+    def __init__(self, trajectories: Iterable[Trajectory] = (), treatment_arity: int = 2):
+        trajs = tuple(trajectories)
+        for i, tr in enumerate(trajs):
+            if not tr.length == tr.treatments.shape[0] == tr.outcomes.shape[0]:
+                raise ValueError(f"trajectory {i}: length mismatch between covariates, "
+                                 f"treatments, and outcomes")
+            if tr.covariate_dim != trajs[0].covariate_dim:
+                raise ValueError(f"trajectory {i}: covariate dimension "
+                                 f"{tr.covariate_dim} != {trajs[0].covariate_dim}")
+        X = np.concatenate([tr.covariates for tr in trajs] or [np.empty((0, 0))])
+        A = np.concatenate([tr.treatments for tr in trajs] or [np.empty(0, dtype=int)])
+        Y = np.concatenate([tr.outcomes for tr in trajs] or [np.empty(0)])
+        self._fill(X, A, Y, np.cumsum([0] + [tr.length for tr in trajs]), treatment_arity)
 
-    def __post_init__(self):
-        object.__setattr__(self, "trajectories", tuple(self.trajectories))
+    def _fill(self, X, A, Y, offsets, treatment_arity):
+        for name, arr in zip(("X", "A", "Y", "offsets"), (X, A, Y, offsets)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
+        object.__setattr__(self, "treatment_arity", treatment_arity)
+        return self
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
 
     @property
     def n(self) -> int:
-        return len(self.trajectories)
+        return self.offsets.size - 1
 
     @property
     def covariate_dim(self) -> int:
-        if not self.trajectories:
+        if self.n == 0:
             raise ValueError("empty panel has no covariate dimension")
-        return self.trajectories[0].covariate_dim
+        return self.X.shape[1]
+
+    @property
+    def trajectories(self) -> tuple[Trajectory, ...]:
+        """Read-only views, one per trajectory, built anew on every access."""
+        X, A, Y, o = self.X, self.A, self.Y, self.offsets.tolist()
+        return tuple(Trajectory._view(X[s:e], A[s:e], Y[s:e]) for s, e in zip(o, o[1:]))
 
     def lengths(self) -> np.ndarray:
-        return np.array([tr.length for tr in self.trajectories], dtype=int)
+        return np.diff(self.offsets)
 
     def dense(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Stack all trajectories into (X, A, Y) arrays of shape (n, T, d) / (n, T).
-
-        Only valid when every trajectory has the same length.
-        """
-        lengths = self.lengths()
-        if lengths.size == 0:
-            raise ValueError("empty panel")
-        if not np.all(lengths == lengths[0]):
-            raise ValueError("dense() requires equal-length trajectories")
-        X = np.stack([tr.covariates for tr in self.trajectories])
-        A = np.stack([tr.treatments for tr in self.trajectories])
-        Y = np.stack([tr.outcomes for tr in self.trajectories])
-        return X, A, Y
+        """Read-only (X, A, Y) reshaped to (n, T, d) / (n, T) / (n, T); equal lengths only."""
+        blocks = list(self.dense_blocks())
+        if len(blocks) != 1:
+            raise ValueError("dense() requires equal-length trajectories" if blocks
+                             else "empty panel")
+        return blocks[0][1:]
 
     def dense_blocks(self) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
         """Yield (indices, X, A, Y) per distinct trajectory length.
 
         Groups trajectories by length so vectorized kernels can run on
         rectangular blocks even when the panel is ragged.  Indices refer to
-        positions in ``self.trajectories``; groups are yielded in increasing
-        length order.
+        trajectory positions; groups come in increasing length order.  An
+        equal-length panel is one reshape; a ragged group is one gather.
         """
         lengths = self.lengths()
         for T in np.unique(lengths):
             idx = np.flatnonzero(lengths == T)
-            X = np.stack([self.trajectories[i].covariates for i in idx])
-            A = np.stack([self.trajectories[i].treatments for i in idx])
-            Y = np.stack([self.trajectories[i].outcomes for i in idx])
-            yield idx, X, A, Y
+            if idx.size == self.n:
+                shape = (self.n, int(T))
+                yield (idx, self.X.reshape(shape + self.X.shape[1:]), self.A.reshape(shape),
+                       self.Y.reshape(shape))
+            else:
+                rows = self.offsets[idx][:, None] + np.arange(T)
+                yield idx, self.X[rows], self.A[rows], self.Y[rows]
 
     def subset(self, indices) -> "Panel":
-        """Panel restricted to the given trajectory positions."""
-        indices = np.asarray(indices, dtype=int)
-        return Panel(tuple(self.trajectories[i] for i in indices), self.treatment_arity)
+        """Panel restricted to the given trajectory positions (one gather)."""
+        idx = np.arange(self.n)[np.asarray(indices, dtype=int)]
+        lengths = self.lengths()[idx]
+        offsets = np.cumsum(np.append(0, lengths))
+        rows = np.repeat(self.offsets[idx] - offsets[:-1], lengths) + np.arange(offsets[-1])
+        return Panel.__new__(Panel)._fill(self.X[rows], self.A[rows], self.Y[rows],
+                                          offsets, self.treatment_arity)
 
 
 @dataclass(frozen=True)
@@ -203,8 +248,7 @@ class FeatureCodec:
     t-1 treatment/outcome slots; remaining slots are exactly zero and the
     mask marks which covariate slots hold real data.  Treatments are encoded
     as reduced one-hots (category 0 = all zeros) so the layout supports any
-    arity.  The ``windowed:k`` scheme keeps only the most recent k steps
-    (not injective; meant for long-history experiments).
+    arity.  ``flat-padded`` is the only scheme.
     """
 
     max_len: int
@@ -218,50 +262,34 @@ class FeatureCodec:
         if self.max_len < 1:
             raise ValueError("max_len must be >= 1")
         if self.scheme != "flat-padded":
-            if not self.scheme.startswith("windowed:"):
-                raise ValueError(f"unknown encoding scheme {self.scheme!r}")
-            if self._window() < 1:
-                raise ValueError("window must be >= 1")
-
-    def _window(self) -> int:
-        if self.scheme == "flat-padded":
-            return self.max_len
-        return int(self.scheme.split(":", 1)[1])
-
-    @property
-    def slots(self) -> int:
-        return min(self._window(), self.max_len)
+            raise ValueError(f"unknown encoding scheme {self.scheme!r}")
 
     @property
     def width(self) -> int:
-        L, d, m = self.slots, self.cov_dim, self.treatment_arity
+        L, d, m = self.max_len, self.cov_dim, self.treatment_arity
         return L * d + (L - 1) * (m - 1) + (L - 1) + L + (1 if self.include_time_index else 0)
+
+
+def _bad_rows(X, A, Y, treatment_arity):
+    """Row masks: arm outside [0, treatment_arity); non-finite covariate or outcome."""
+    return ((A < 0) | (A >= treatment_arity),
+            ~(np.isfinite(Y) & np.isfinite(X).all(axis=1)))
 
 
 def validate_panel(panel: Panel) -> list[str]:
     """Check panel invariants; returns a list of violation messages (empty = valid)."""
-    report = []
     if panel.n == 0:
-        report.append("panel has no trajectories")
-        return report
-    d = panel.trajectories[0].covariate_dim
-    for i, tr in enumerate(panel.trajectories):
-        T = tr.length
-        if tr.treatments.shape[0] != T or tr.outcomes.shape[0] != T:
-            report.append(f"trajectory {i}: length mismatch between covariates, "
-                          f"treatments, and outcomes")
-        if tr.covariate_dim != d:
-            report.append(f"trajectory {i}: covariate dimension {tr.covariate_dim} != {d}")
-        if T < 1:
-            report.append(f"trajectory {i}: empty trajectory")
-        if not np.all(np.isfinite(tr.covariates)):
-            report.append(f"trajectory {i}: non-finite covariate")
-        if not np.all(np.isfinite(tr.outcomes)):
-            report.append(f"trajectory {i}: non-finite outcome")
-        if np.any(tr.treatments < 0) or np.any(tr.treatments >= panel.treatment_arity):
-            report.append(f"trajectory {i}: treatment out of range "
-                          f"[0, {panel.treatment_arity})")
-    return report
+        return ["panel has no trajectories"]
+    traj = np.repeat(np.arange(panel.n), panel.lengths())
+    m = panel.treatment_arity
+    checks = [
+        (np.flatnonzero(panel.lengths() < 1), "empty trajectory"),
+        (traj[~np.isfinite(panel.X).all(axis=1)], "non-finite covariate"),
+        (traj[~np.isfinite(panel.Y)], "non-finite outcome"),
+        (traj[(panel.A < 0) | (panel.A >= m)], f"treatment out of range [0, {m})"),
+    ]
+    found = sorted({(int(i), k) for k, (ids, _) in enumerate(checks) for i in ids})
+    return [f"trajectory {i}: {checks[k][1]}" for i, k in found]
 
 
 def encode_block(X: np.ndarray, A: np.ndarray, Y: np.ndarray, t: int,
@@ -288,25 +316,21 @@ def encode_block(X: np.ndarray, A: np.ndarray, Y: np.ndarray, t: int,
         raise ValueError(f"history time {t} exceeds trajectory length {T}")
     if d != codec.cov_dim:
         raise ValueError(f"covariate dim {d} does not match codec ({codec.cov_dim})")
-    L = codec.slots
+    L = codec.max_len
     m = codec.treatment_arity
-    w = min(t, L)          # steps retained (flat-padded keeps all t)
-    start = t - w          # 0-based index of the first retained step
     out = np.zeros((n, codec.width))
 
-    out[:, : w * d] = X[:, start:t, :].reshape(n, w * d)
+    out[:, : t * d] = X[:, :t, :].reshape(n, t * d)
     off = L * d
-    if w > 1 and m > 1:
-        a_sub = A[:, start: t - 1]                       # (n, w-1)
+    if t > 1 and m > 1:
         one_hot = np.zeros((n, L - 1, m - 1))
         for c in range(1, m):
-            one_hot[:, : w - 1, c - 1] = (a_sub == c)
+            one_hot[:, : t - 1, c - 1] = (A[:, : t - 1] == c)
         out[:, off: off + (L - 1) * (m - 1)] = one_hot.reshape(n, -1)
     off += (L - 1) * (m - 1)
-    if w > 1:
-        out[:, off: off + (w - 1)] = Y[:, start: t - 1]
+    out[:, off: off + (t - 1)] = Y[:, : t - 1]
     off += L - 1
-    out[:, off: off + w] = 1.0
+    out[:, off: off + t] = 1.0
     if codec.include_time_index:
         out[:, -1] = t * codec.time_scale
     return out
@@ -322,17 +346,14 @@ def encode_history(h: HistoryView, codec: FeatureCodec) -> np.ndarray:
 
 
 def decode_history(vec: np.ndarray, codec: FeatureCodec):
-    """Invert a flat-padded encoding back to (X (t,d), A (t-1,), Y (t-1,), t).
+    """Invert an encoding back to (X (t,d), A (t-1,), Y (t-1,), t).
 
-    Exists so the encoding can be tested for losslessness; windowed schemes
-    drop data and cannot be decoded.
+    Exists so the encoding can be tested for losslessness.
     """
-    if codec.scheme != "flat-padded":
-        raise ValueError("only the flat-padded scheme is decodable")
     vec = np.asarray(vec, dtype=float)
     if vec.shape[0] != codec.width:
         raise ValueError("vector width does not match codec")
-    L, d, m = codec.slots, codec.cov_dim, codec.treatment_arity
+    L, d, m = codec.max_len, codec.cov_dim, codec.treatment_arity
     mask_off = L * d + (L - 1) * (m - 1) + (L - 1)
     mask = vec[mask_off: mask_off + L]
     t = int(round(mask.sum()))
@@ -351,18 +372,26 @@ def decode_history(vec: np.ndarray, codec: FeatureCodec):
 
 
 def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
-    """Build a Panel from dense arrays X (n,T,d) or (n,T), A (n,T), Y (n,T)."""
-    X = np.asarray(X, dtype=float)
+    """Build a Panel from private copies of X (n,T,d) or (n,T), A (n,T), Y (n,T).
+
+    Rejects a non-finite covariate or outcome and an arm outside
+    [0, treatment_arity), naming the trajectory index and t.
+    """
+    X = np.array(X, dtype=float, order="C")
     if X.ndim == 2:
         X = X[:, :, None]
-    A = np.asarray(A, dtype=int)
-    Y = np.asarray(Y, dtype=float)
-    trajs = tuple(Trajectory(X[i], A[i], Y[i]) for i in range(X.shape[0]))
-    return Panel(trajs, treatment_arity)
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+    A = np.array(A, dtype=int, order="C")
+    Y = np.array(Y, dtype=float, order="C")
+    if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != X.shape[:2]:
+        raise ValueError(f"X {X.shape}, A {A.shape} and Y {Y.shape} do not share (n, T)")
+    n, T, d = X.shape
+    X, A, Y = X.reshape(n * T, d), A.reshape(-1), Y.reshape(-1)
+    bad_arm, bad_val = _bad_rows(X, A, Y, treatment_arity)
+    for r in np.flatnonzero(bad_arm | bad_val)[:1]:
+        why = (f"arm {A[r]} outside [0, {treatment_arity})" if bad_arm[r]
+               else "non-finite covariate or outcome")
+        raise ValueError(f"trajectory {r // T}, t {r % T + 1}: {why}")
+    return Panel.__new__(Panel)._fill(X, A, Y, np.arange(n + 1) * T, treatment_arity)
 
 
 def panel_to_csv(panel: Panel, path) -> None:
@@ -371,62 +400,85 @@ def panel_to_csv(panel: Panel, path) -> None:
     Reals are written with 17 significant digits so parsing the file
     reproduces the original float64 values bit-exactly.
     """
-    d = panel.covariate_dim
-    header = "traj_id,t," + ",".join(f"x_{j + 1}" for j in range(d)) + ",a,y"
-    lines = [header]
-    for i, tr in enumerate(panel.trajectories):
-        for s in range(tr.length):
-            xs = ",".join(_fmt(v) for v in tr.covariates[s])
-            lines.append(f"{i},{s + 1},{xs},{tr.treatments[s]},{_fmt(tr.outcomes[s])}")
+    tid = np.repeat(np.arange(panel.n), panel.lengths())
+    t = np.arange(tid.size) - panel.offsets[tid] + 1
+    lines = ["traj_id,t," + ",".join(f"x_{j + 1}" for j in range(panel.covariate_dim))
+             + ",a,y"]
+    lines += [f"{i},{s},{','.join(f'{v:.17g}' for v in x)},{a},{y:.17g}" for i, s, x, a, y in
+              zip(tid.tolist(), t.tolist(), panel.X.tolist(), panel.A.tolist(),
+                  panel.Y.tolist())]
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def _parse_csv_rows(lines, d):
+    """(tid, t, x, a, y) records of the non-empty lines in one NumPy pass;
+    tid, t and a must be integers."""
+    dtype = [("tid", int), ("t", int), ("x", float, (d,)), ("a", int), ("y", float)]
+    if not any(line.strip() for line in lines):
+        return np.empty(0, dtype)
+    return np.loadtxt(lines, delimiter=",", dtype=dtype, comments=None, ndmin=1)
+
+
+def _numbered(lines):
+    """The stripped non-blank body lines and their line numbers in the file."""
+    keep = [k for k, line in enumerate(lines) if line.strip()]
+    return [lines[k].strip() for k in keep], np.array(keep, dtype=int) + 2
+
+
+def _first_malformed(rows, lineno, width):
+    """(index, error) of the first row with a wrong field count or a field
+    int()/float() reject; (len(rows), None) if there is none."""
+    for k, row in enumerate(rows):
+        f = row.split(",")
+        try:
+            if len(f) != width:
+                raise ValueError(f"line {lineno[k]}: {len(f)} fields, the header has {width}")
+            int(f[0]), int(f[1]), [float(v) for v in f[2:-2]], int(f[-2]), float(f[-1])
+        except ValueError as exc:
+            return k, exc
+    return len(rows), None
 
 
 def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     """Read a panel written by :func:`panel_to_csv`.
 
     Rejects, naming the line or the traj_id and t, a row with the wrong field
-    count, an arm outside [0, treatment_arity), a ``nan`` or infinite covariate
-    or outcome, and times other than 1..T once each.
+    count, a non-integral traj_id, t or arm, an arm outside [0,
+    treatment_arity), a ``nan`` or infinite covariate or outcome, and times
+    other than 1..T once each.  Faults of one line report the earliest such
+    line; a missing time or a first time other than 1 the smallest traj_id.
     """
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["traj_id", "t"] or header[-2:] != ["a", "y"]:
             raise ValueError(f"unrecognized panel CSV header: {header}")
-        d = len(header) - 4
-        rows = {}
-        for lineno, line in enumerate(fh, start=2):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != len(header):
-                raise ValueError(f"line {lineno}: {len(parts)} fields, the header "
-                                 f"has {len(header)}")
-            tid, t = int(parts[0]), int(parts[1])
-            x = [float(v) for v in parts[2:2 + d]]
-            a, y = int(parts[2 + d]), float(parts[3 + d])
-            if not 0 <= a < treatment_arity:
-                raise ValueError(f"traj_id {tid}, t {t}: arm {a} outside "
-                                 f"[0, {treatment_arity})")
-            if not (math.isfinite(y) and all(map(math.isfinite, x))):
-                raise ValueError(f"traj_id {tid}, t {t}: non-finite covariate or "
-                                 f"outcome on line {lineno}")
-            recs = rows.setdefault(tid, {})
-            if t in recs:
-                raise ValueError(f"traj_id {tid}, t {t}: repeated on line {lineno}")
-            recs[t] = (x, a, y)
-    trajs = []
-    for tid in sorted(rows):
-        times = sorted(rows[tid])
-        if times[0] != 1:
-            raise ValueError(f"traj_id {tid}: times start at t {times[0]}, not 1")
-        missing = sorted(set(range(1, times[-1] + 1)).difference(times))
-        if missing:
-            raise ValueError(f"traj_id {tid}, t {missing[0]}: missing")
-        recs = [rows[tid][t] for t in times]
-        X = np.array([r[0] for r in recs])
-        A = np.array([r[1] for r in recs], dtype=int)
-        Y = np.array([r[2] for r in recs])
-        trajs.append(Trajectory(X, A, Y))
-    return Panel(tuple(trajs), treatment_arity)
+        lines = fh.read().split("\n")
+    fault = None
+    try:
+        body = _parse_csv_rows(lines, len(header) - 4)
+    except ValueError:      # parse up to the first malformed line, check those first
+        rows, lineno = _numbered(lines)
+        stop, fault = _first_malformed(rows, lineno, len(header))
+        body = _parse_csv_rows(rows[:stop], len(header) - 4)
+    tid, t, a = body["tid"], body["t"], body["a"]
+    order = np.lexsort((t, tid))         # stable: a repeat sorts after its first line
+    repeated = np.zeros(tid.size, dtype=bool)
+    repeated[order[1:][(np.diff(tid[order]) == 0) & (np.diff(t[order]) == 0)]] = True
+    bad_arm, bad_val = _bad_rows(body["x"], a, body["y"], treatment_arity)
+    for k in np.flatnonzero(bad_arm | bad_val | repeated)[:1]:
+        lineno = _numbered(lines)[1]
+        why = (f"arm {a[k]} outside [0, {treatment_arity})" if bad_arm[k] else
+               f"non-finite covariate or outcome on line {lineno[k]}" if bad_val[k] else
+               f"repeated on line {lineno[k]}")
+        raise ValueError(f"traj_id {tid[k]}, t {t[k]}: {why}")
+    if fault is not None:
+        raise fault
+    tid, t = tid[order], t[order]
+    first = np.append(True, tid[1:] != tid[:-1])[: tid.size]
+    for k in np.flatnonzero(np.where(first, t != 1, t != np.append(0, t[:-1]) + 1))[:1]:
+        raise ValueError(f"traj_id {tid[k]}: times start at t {t[k]}, not 1" if first[k]
+                         else f"traj_id {tid[k]}, t {t[k - 1] + 1}: missing")
+    return Panel.__new__(Panel)._fill(body["x"][order], a[order], body["y"][order],
+                                      np.append(np.flatnonzero(first), tid.size),
+                                      treatment_arity)

@@ -3,10 +3,13 @@
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import tvcate
 from tvcate.harness import (ExperimentConfig, ExperimentResult, ResultRow,
                             config_to_dict, config_to_text,
                             config_with_overrides, default_sweep_config,
@@ -305,3 +308,26 @@ class TestSpearman:
             spearman([1, 2], [1, 2, 3])
         with pytest.raises(ValueError, match="equal-length"):
             spearman([1], [2])
+
+
+class TestBlasThreadCount:
+    """The thread half of the README's reproducibility contract: RMSEs at one
+    and two OpenBLAS threads agree to a relative 1e-12."""
+
+    @staticmethod
+    def rmses(tmp_path, threads):
+        src = os.path.dirname(os.path.dirname(tvcate.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        out = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-m", "tvcate.cli", "run", "--fast",
+                        "--taus=0,1", "--seeds=0", "--out", str(out)],
+                       env=env, check=True, capture_output=True, text=True)
+        rows = json.loads((out / "results.json").read_text())["rows"]
+        return {(r["learner"], r["tau"], r["seed"]): r["rmse"] for r in rows}
+
+    def test_one_and_two_threads_agree(self, tmp_path):
+        one, two = self.rmses(tmp_path, 1), self.rmses(tmp_path, 2)
+        assert len(one) == 12 and one.keys() == two.keys()
+        for key, rmse in one.items():
+            assert two[key] == pytest.approx(rmse, rel=1e-12, abs=0), key

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import tvcate
 from tvcate.learners import (
     ClassifierSpec,
     FittedClassifier,
@@ -8,6 +14,7 @@ from tvcate.learners import (
     RegressorSpec,
     fit_classifier,
     fit_regressor,
+    predict_many,
 )
 
 
@@ -87,6 +94,52 @@ class TestRidgeRandomFeatures:
         model = fit_regressor(RegressorSpec(feature_count=4, seed=0), X, np.zeros(10))
         with pytest.raises(ValueError, match="width"):
             model.predict(np.zeros((2, 2)))
+
+
+class TestPredictMany:
+    @staticmethod
+    def models(seeds, n=60):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(n, 3))
+        return [fit_regressor(RegressorSpec(feature_count=16, seed=seed), X,
+                              rng.normal(size=n), rng.uniform(0.5, 1.0, n))
+                for seed in seeds]
+
+    @pytest.mark.parametrize("rows", [1, 7, 4096, 4097, 2 * 4096 + 1])
+    def test_each_prediction_has_the_bits_of_predict(self, rows):
+        # seeds 0, 0, 1: the first two share one map, the third has its own
+        models = self.models([0, 0, 1]) + [fit_regressor(
+            RegressorSpec(kind="lookup-table"), np.zeros((2, 3)), np.array([1.0, 3.0]))]
+        X = np.random.default_rng(9).normal(size=(rows, 3))
+        for model, out in zip(models, predict_many(models, X)):
+            assert np.array_equal(out, model.predict(X))
+        single = predict_many(models, X[0])
+        assert [float(v) for v in single] == [float(m.predict(X[0])) for m in models]
+
+    def test_width_mismatch_errors(self):
+        with pytest.raises(ValueError, match="width"):
+            predict_many(self.models([0]), np.zeros((2, 2)))
+
+    def test_blocks_reproduce_one_whole_map_product_on_one_thread(self):
+        # predictions are centered and multiplied in 4096-row blocks; on one
+        # BLAS thread that must equal the product over the whole map
+        script = textwrap.dedent("""
+            import numpy as np
+            from tvcate.learners import RegressorSpec, _cosine_features, fit_regressor
+            rng = np.random.default_rng(10)
+            model = fit_regressor(RegressorSpec(seed=3), rng.normal(size=(300, 19)),
+                                  rng.normal(size=300))
+            p = model.params
+            for rows in (4097, 2 * 4096 + 1, 3 * 4096 + 2, 20003):
+                X = rng.normal(size=(rows, 19))
+                phi = _cosine_features(X, p["W"], p["b"])
+                phi -= p["phi_mean"]
+                assert np.array_equal(model.predict(X), p["intercept"] + phi @ p["beta"])
+            """)
+        src = os.path.dirname(os.path.dirname(tvcate.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestLookupTable:

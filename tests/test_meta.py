@@ -449,6 +449,26 @@ class TestFitMeta:
         assert np.array_equal(ha, nz.delta_features("a", feats)
                               - nz.delta_features("b", feats))
 
+    @pytest.mark.parametrize("kind", ["PI-RA", "PI-HA"])
+    def test_plug_in_pair_maps_once_with_unchanged_bits(self, kind, tmp_path):
+        # the two arms' models share one (W, b); the contrast must keep the
+        # bits of two separate predictions, on more rows than one 4096-row block
+        d1 = make_d1()
+        panel = simulate_panel(d1, 400, seed=21)
+        pair = benchmark_pair(1)
+        nz = fit_nuisances(panel, pair, need=("response", "history"))
+        feats = build_row_table(simulate_panel(d1, 1500, seed=22), 1, nz.codec).features(0)
+        model = fit_meta(kind, panel, pair, nz)
+        save_cate_model(model, tmp_path / "model.json")
+        for m in (model, load_cate_model(tmp_path / "model.json")):
+            arms = (m.nuisances.history_models if kind == "PI-HA" else
+                    {arm: m.nuisances.response_models[arm][0] for arm in ("a", "b")})
+            assert np.array_equal(arms["a"].params["W"], arms["b"].params["W"])
+            assert np.array_equal(m.predict(feats),
+                                  arms["a"].predict(feats) - arms["b"].predict(feats))
+            m.target = "capo"
+            assert np.array_equal(m.predict(feats), arms["a"].predict(feats))
+
     def test_identical_arms_give_zero_effect(self):
         d1 = make_d1()
         panel = simulate_panel(d1, 300, seed=9)

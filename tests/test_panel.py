@@ -47,8 +47,67 @@ class TestValidatePanel:
 
     def test_covariate_dim_mismatch(self):
         trs = (Trajectory([[0.0]], [0], [1.0]), Trajectory([[0.0, 1.0]], [0], [1.0]))
-        report = validate_panel(Panel(trs, treatment_arity=2))
-        assert any("covariate dimension" in msg for msg in report)
+        with pytest.raises(ValueError, match=r"trajectory 1: covariate dimension 2 != 1"):
+            Panel(trs, treatment_arity=2)
+
+
+class TestFlatStoreBoundaries:
+    """What each panel constructor rejects, and that a built panel cannot change."""
+
+    @pytest.mark.parametrize("column,value", [("X", np.nan), ("X", np.inf),
+                                              ("Y", -np.inf), ("Y", np.nan)])
+    def test_from_arrays_rejects_non_finite(self, column, value):
+        arrays = {"X": np.zeros((3, 4, 2)), "A": np.zeros((3, 4), dtype=int),
+                  "Y": np.zeros((3, 4))}
+        arrays[column][2, 1] = value
+        arrays[column][2, 3] = value      # only the earliest is named
+        with pytest.raises(ValueError, match=r"^trajectory 2, t 2: non-finite "
+                                             r"covariate or outcome$"):
+            panel_from_arrays(arrays["X"], arrays["A"], arrays["Y"])
+
+    @pytest.mark.parametrize("arm", [-1, 2, 7])
+    def test_from_arrays_rejects_arm_outside_arity(self, arm):
+        A = np.zeros((3, 4), dtype=int)
+        A[1, 3] = arm
+        with pytest.raises(ValueError, match=rf"^trajectory 1, t 4: arm {arm} "
+                                             r"outside \[0, 2\)$"):
+            panel_from_arrays(np.zeros((3, 4)), A, np.zeros((3, 4)))
+
+    def test_from_arrays_rejects_mismatched_shapes(self):
+        with pytest.raises(ValueError, match=r"do not share \(n, T\)"):
+            panel_from_arrays(np.zeros((3, 4)), np.zeros((3, 3), dtype=int),
+                              np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("x_shape", [(4, 3), (4, 3, 2)])
+    def test_caller_mutation_leaves_panel_unchanged(self, x_shape):
+        rng = np.random.default_rng(12)
+        X, A, Y = rng.normal(size=x_shape), rng.integers(0, 2, (4, 3)), rng.normal(size=(4, 3))
+        panel = panel_from_arrays(X, A, Y)
+        before = [arr.copy() for arr in (panel.X, panel.A, panel.Y)]
+        X += 1.0
+        A[:] = 1 - A
+        Y *= -1.0
+        for got, want in zip((panel.X, panel.A, panel.Y), before):
+            np.testing.assert_array_equal(got, want)
+
+    def test_columns_and_views_are_read_only(self):
+        panel = random_panel(np.random.default_rng(13), n=4, d=2, arity=3)
+        arrays = [panel.X, panel.A, panel.Y, panel.offsets]
+        for tr in panel.trajectories:
+            arrays += [tr.covariates, tr.treatments, tr.outcomes]
+            assert np.shares_memory(tr.covariates, panel.X)     # a view, not a copy
+        arrays += random_panel(np.random.default_rng(14), n=3, lengths=[4, 4, 4]).dense()
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = 0
+        with pytest.raises(AttributeError):
+            panel.X = np.zeros_like(panel.X)
+
+    def test_panel_rejects_length_mismatch(self):
+        trs = (Trajectory([[0.0]], [0], [1.0]), Trajectory([[0.0], [1.0]], [0, 1], [1.0]))
+        with pytest.raises(ValueError, match=r"^trajectory 1: length mismatch between "
+                                             r"covariates, treatments, and outcomes$"):
+            Panel(trs, treatment_arity=2)
 
 
 class TestEncodeHistory:
@@ -115,19 +174,6 @@ class TestEncodeHistory:
             np.testing.assert_array_equal(x, tr.covariates[:t])
             np.testing.assert_array_equal(a, tr.treatments[:t - 1])
             np.testing.assert_array_equal(y, tr.outcomes[:t - 1])
-
-    def test_windowed_scheme_keeps_recent_steps(self):
-        full = FeatureCodec(max_len=5, cov_dim=1, treatment_arity=2)
-        win = FeatureCodec(max_len=5, cov_dim=1, treatment_arity=2, scheme="windowed:2")
-        tr = Trajectory(np.arange(5.0), [0, 1, 1, 0, 1], np.arange(5.0) * 2)
-        vec = encode_history(HistoryView(tr, 4), win)
-        assert vec.shape[0] == win.width < full.width
-        # x slots hold the last two covariates X_3, X_4
-        np.testing.assert_array_equal(vec[:2], [2.0, 3.0])
-        # past-treatment slot holds A_3; past-outcome slot holds Y_3
-        assert vec[2] == 1.0 and vec[3] == 4.0
-        # time index keeps the true t
-        assert vec[-1] == 4.0
 
 
 class TestPooledRows:

@@ -1,0 +1,157 @@
+"""Property tests of the flat panel store on random ragged panels.
+
+Panels have 1-6 trajectories of lengths 1-6, covariate width 1 or 2 and
+treatment arity 2 or 3, with any finite float64 values.
+"""
+
+import os
+import re
+import tempfile
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
+
+from tvcate.nuisance import build_row_table
+from tvcate.panel import (HistoryView, Panel, Trajectory, encode_history,
+                          panel_from_csv, panel_to_csv)
+
+SETTINGS = settings(max_examples=60, deadline=None)
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def ragged_panels(draw):
+    d = draw(st.sampled_from([1, 2]))
+    arity = draw(st.integers(2, 3))
+    lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
+    trajs = [Trajectory(draw(arrays(float, (T, d), elements=FINITE)),
+                        draw(arrays(int, T, elements=st.integers(0, arity - 1))),
+                        draw(arrays(float, T, elements=FINITE)))
+             for T in lengths]
+    return Panel(trajs, arity)
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def csv_lines(panel):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        panel_to_csv(panel, path)
+        with open(path) as fh:
+            return fh.read().splitlines()
+
+
+def read_lines(lines, arity):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "panel.csv")
+        with open(path, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        return panel_from_csv(path, treatment_arity=arity)
+
+
+def rejects(lines, arity, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        read_lines(lines, arity)
+
+
+def position(panel, row):
+    """(trajectory, t) of flat row ``row``."""
+    i = int(np.searchsorted(panel.offsets, row, side="right")) - 1
+    return i, row - int(panel.offsets[i]) + 1
+
+
+@SETTINGS
+@given(ragged_panels())
+def test_csv_round_trip_is_bit_exact(panel):
+    back = read_lines(csv_lines(panel), panel.treatment_arity)
+    for name in ("X", "A", "Y", "offsets"):
+        assert same_bits(getattr(back, name), getattr(panel, name)), name
+
+
+@pytest.mark.parametrize("fault", ["drop", "repeat", "fields", "arm", "non-finite",
+                                   "start"])
+@SETTINGS
+@given(panel=ragged_panels(), data=st.data())
+def test_each_single_csv_fault_is_rejected(fault, panel, data):
+    lines, m, d = csv_lines(panel), panel.treatment_arity, panel.covariate_dim
+    header, body = lines[:1], lines[1:]
+    r = data.draw(st.integers(0, len(body) - 1), label="row")
+    i, t = position(panel, r)
+    fields = body[r].split(",")
+    if fault == "drop":
+        assume(t < panel.lengths()[i])          # dropping a last row is valid
+        message = (f"traj_id {i}: times start at t 2, not 1" if t == 1
+                   else f"traj_id {i}, t {t}: missing")
+        rejects(header + body[:r] + body[r + 1:], m, message)
+    elif fault == "repeat":
+        q = data.draw(st.integers(r + 1, len(body)), label="copy at")
+        rejects(header + body[:q] + [body[r]] + body[q:], m,
+                f"traj_id {i}, t {t}: repeated on line {q + 2}")
+    elif fault == "fields":
+        fields = fields[:-1] if data.draw(st.booleans()) else fields + ["0"]
+        body[r] = ",".join(fields)
+        rejects(header + body, m,
+                f"line {r + 2}: {len(fields)} fields, the header has {d + 4}")
+    elif fault == "arm":
+        arm = data.draw(st.sampled_from([-1, m, m + 3]), label="arm")
+        body[r] = ",".join(fields[:-2] + [str(arm), fields[-1]])
+        rejects(header + body, m, f"traj_id {i}, t {t}: arm {arm} outside [0, {m})")
+    elif fault == "non-finite":
+        column = data.draw(st.sampled_from(list(range(2, 2 + d)) + [-1]), label="column")
+        fields[column] = data.draw(st.sampled_from(["nan", "inf", "-inf"]))
+        body[r] = ",".join(fields)
+        rejects(header + body, m, f"traj_id {i}, t {t}: non-finite covariate or "
+                                  f"outcome on line {r + 2}")
+    else:
+        shift = data.draw(st.integers(1, 3), label="shift")
+        for k in range(panel.offsets[i], panel.offsets[i + 1]):
+            tid, s, rest = body[k].split(",", 2)
+            body[k] = f"{tid},{int(s) + shift},{rest}"
+        rejects(header + body, m, f"traj_id {i}: times start at t {1 + shift}, not 1")
+
+
+@SETTINGS
+@given(ragged_panels(), st.data())
+def test_row_table_matches_per_trajectory_reference(panel, data):
+    tau = data.draw(st.integers(0, int(panel.lengths().min()) - 1), label="tau")
+    table = build_row_table(panel, tau)
+    views = panel.trajectories
+    rows = [(i, t) for i, tr in enumerate(views) for t in range(1, tr.length - tau + 1)]
+    np.testing.assert_array_equal(table.traj_id, [i for i, _ in rows])
+    np.testing.assert_array_equal(table.t, [t for _, t in rows])
+    for j in range(tau + 1):
+        feats = table.features(j)
+        for r, (i, t) in enumerate(rows):
+            tr, s = views[i], t + j
+            assert table.x_tail[r, j] == tr.covariates[s - 1, 0]
+            assert table.a_obs[r, j] == tr.treatments[s - 1]
+            assert table.aprev_tail[r, j] == (tr.treatments[s - 2] if s >= 2 else 0)
+            assert table.yprev_tail[r, j] == (tr.outcomes[s - 2] if s >= 2 else 0)
+            assert same_bits(feats[r], encode_history(HistoryView(tr, s), table.codec))
+    for r, (i, t) in enumerate(rows):
+        assert table.y_term[r] == views[i].outcomes[t + tau - 1]
+
+
+@SETTINGS
+@given(ragged_panels(), st.data())
+def test_subset_and_blocks_agree_with_source_views(panel, data):
+    views = panel.trajectories
+    idx = data.draw(st.lists(st.integers(-panel.n, panel.n - 1), max_size=8), label="idx")
+    sub = panel.subset(idx)
+    assert sub.n == len(idx) and sub.treatment_arity == panel.treatment_arity
+    for tr, k in zip(sub.trajectories, idx):
+        for name in ("covariates", "treatments", "outcomes"):
+            assert same_bits(getattr(tr, name), getattr(views[k], name))
+    seen = []
+    for block_idx, X, A, Y in panel.dense_blocks():
+        seen.extend(block_idx)
+        for k, i in enumerate(block_idx):
+            assert same_bits(X[k], views[i].covariates)
+            assert same_bits(A[k], views[i].treatments)
+            assert same_bits(Y[k], views[i].outcomes)
+    assert sorted(seen) == list(range(panel.n))
