@@ -10,9 +10,12 @@ assembled in a fixed order.  Measured wall times are the one intentionally
 non-reproducible quantity, so the ``walltime_s`` column (``fit_meta`` plus
 prediction, not the nuisance fits) is written as ``0.0`` unless
 ``record_walltime`` is switched on.  The learners of one horizon share a
-nuisance set, which evaluates each fitted model once per row table source:
-later learners reuse the evaluations the first one paid for, so the
-per-learner times depend on the learner order.  Without a split plan, one
+nuisance set, which evaluates each fitted model once per row table source
+and holds the uniform-weight second-stage design: the first uniform second
+stage of a horizon (RA, IPW or DR in the default order) pays for the
+feature map and gram of the training rows, and later learners reuse the
+evaluations and the design the first ones paid for, so the per-learner
+times depend strongly on the learner order.  Without a split plan, one
 propensity fit serves every horizon of a seed.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
@@ -376,8 +379,6 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
     # whatever tau, so one fit serves every horizon; with one, its "pi" fold
     # depends on tau and each horizon fits its own
     share_pi = "propensity" in need and not cfg.split_enabled
-    if share_pi:
-        need = tuple(n for n in need if n != "propensity")
     propensity_model = None
     rows: List[ResultRow] = []
     with warnings.catch_warnings(record=True) as caught:
@@ -395,13 +396,11 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                 nuisances = fit_nuisances(
                     train, pair, regressor_spec=regressor,
                     classifier_spec=classifier, split=split,
-                    clip_eps=cfg.clip_eps, need=need)
+                    clip_eps=cfg.clip_eps, need=need,
+                    propensity_model=propensity_model)
             except Exception as exc:
                 raise RuntimeError(f"nuisance fit failed at tau={tau} "
                                    f"seed={seed}: {exc}") from exc
-            if share_pi:
-                nuisances = dataclasses.replace(
-                    nuisances, propensity_model=propensity_model)
             table = build_row_table(test, tau, nuisances.codec)
             keep = np.ones(table.t.size, dtype=bool)
             if cfg.eval_t is not None:
@@ -423,6 +422,9 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                     walltime_s=elapsed if cfg.record_walltime else 0.0,
                     clip_fraction=float(
                         model.diagnostics.get("clip_fraction", 0.0))))
+            # the set may hold this horizon's second-stage map: free it (a
+            # plug-in model refers to the set) before the next horizon's fits
+            nuisances = model = None
     notes = sorted({str(w.message) for w in caught})
     return rows, notes
 

@@ -14,7 +14,11 @@ with the same contract could be swapped in.  The built-in regressors are
   with weights normalized to unit mass (making the fit invariant to weight
   rescaling and ridge_lambda comparable across sample sizes).  Heavy
   regularization therefore shrinks predictions toward the weighted target
-  mean rather than toward zero.
+  mean rather than toward zero.  The system itself, the centered map of the
+  rows, the gram matrix and its factors, is a :class:`RidgeDesign`; callers
+  that fit several targets on one row set with one weight vector (the
+  uniform-weight second stages of a horizon) keep one design and pay only a
+  right-hand side and a solve per fit, with the bits of separate fits.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 The classifier is multinomial logistic regression (optional random cosine
@@ -86,6 +90,11 @@ def random_cosine_map(in_dim: int, feature_count: int, bandwidth: float, seed):
     W = rng.normal(0.0, 1.0 / bandwidth, size=(in_dim, feature_count))
     b = rng.uniform(0.0, 2.0 * np.pi, size=feature_count)
     return W, b
+
+
+def cosine_map_key(spec: RegressorSpec, in_dim: int) -> tuple:
+    """The values that fix a ridge spec's (W, b): (in_dim, features, bandwidth, seed)."""
+    return in_dim, spec.feature_count, spec.bandwidth, spec.seed
 
 
 def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -168,6 +177,15 @@ class FittedRegressor:
 _PREDICT_BLOCK_ROWS = 4096
 
 
+def _blocks(n):
+    """[lo, hi) row blocks of a map: starts at multiples of
+    ``_PREDICT_BLOCK_ROWS``, the last block holding at least two rows.  On one
+    BLAS thread the block products then carry the bits of one product over the
+    whole map."""
+    edges = list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
+    return zip(edges, edges[1:])
+
+
 def _shares_map(m1: FittedRegressor, m2: FittedRegressor) -> bool:
     return (m1.spec.kind == m2.spec.kind == "ridge-random-features"
             and np.array_equal(m1.params["W"], m2.params["W"])
@@ -178,16 +196,12 @@ def _predict_ridge(models, features) -> list:
     """Predictions of ridge models that draw one (W, b), mapping the rows once.
 
     Each model centers the map with its own ``phi_mean`` and multiplies by its
-    own ``beta``, block by block, so extra models cost one block, not one
-    N x F map.  Blocks start at multiples of ``_PREDICT_BLOCK_ROWS`` and the
-    last holds at least two rows: on one BLAS thread the block products then
-    carry the bits of one product over the whole map.
+    own ``beta``, block by block (:func:`_blocks`), so extra models cost one
+    block, not one N x F map.
     """
     phi = _cosine_features(features, models[0].params["W"], models[0].params["b"])
-    n = phi.shape[0]
-    outs = [np.empty(n) for _ in models]
-    edges = list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
-    for lo, hi in zip(edges, edges[1:]):
+    outs = [np.empty(phi.shape[0]) for _ in models]
+    for lo, hi in _blocks(phi.shape[0]):
         block = phi[lo:hi]
         for k, model in enumerate(models):      # the last model centers in place
             last = k == len(models) - 1
@@ -246,45 +260,97 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None,
     w = _normalized_weights(weight, n)
 
     if spec.kind == "ridge-random-features":
-        params = _fit_ridge_rff(spec, X, y, w)
-    else:
-        params = _fit_lookup(X, y, w)
-    return FittedRegressor(spec, X.shape[1], n, params, codec)
+        return RidgeDesign(spec, X, w).fit(spec, y, codec)
+    return FittedRegressor(spec, X.shape[1], n, _fit_lookup(X, y, w), codec)
 
 
-def _fit_ridge_rff(spec, X, y, w):
-    W, b = random_cosine_map(X.shape[1], spec.feature_count, spec.bandwidth, spec.seed)
-    phi = _cosine_features(X, W, b)
-    phi_mean = w @ phi
-    y_mean = float(w @ y)
-    phi -= phi_mean
-    gram = (phi * w[:, None]).T @ phi
-    rhs = phi.T @ (w * (y - y_mean))
-    lam = spec.ridge_lambda
-    if lam == "auto":
-        lam = _gcv_lambda(gram, rhs, float(w @ (y - y_mean) ** 2), len(y))
+class RidgeDesign:
+    """The weighted ridge system of one row set under one cosine map.
+
+    Built once, it holds the centered map phi - mean_w(phi) of the rows, that
+    weighted mean, the gram matrix, and on demand one Cholesky factor per
+    penalty and the eigendecomposition "auto" penalties search.  Each
+    :meth:`fit` then costs one right-hand side and one solve, and returns the
+    bits ``fit_regressor`` returns for the same rows, weights and target.
+    ``w`` is the normalized weight vector; None means uniform.  The held map
+    is N x F: :meth:`release` drops it, after which only fitted models remain
+    usable.
+    """
+
+    def __init__(self, spec: RegressorSpec, X: np.ndarray, w=None):
+        n = X.shape[0]
+        self.w = np.full(n, 1.0 / n) if w is None else w
+        self.in_dim = X.shape[1]
+        self.map = cosine_map_key(spec, self.in_dim)
+        self.W, self.b = random_cosine_map(*self.map)
+        phi = _cosine_features(X, self.W, self.b)
+        self.phi_mean = self.w @ phi
+        phi -= self.phi_mean
+        self.gram = (phi * self.w[:, None]).T @ phi
+        self.phi = phi
+        for shared in (self.W, self.b, self.phi_mean):   # every fit's model holds them
+            shared.flags.writeable = False
+        self._factors = {}
+        self._eigh = None
+
+    def fit(self, spec: RegressorSpec, target, codec=None) -> FittedRegressor:
+        """Fit ``spec``'s penalty to ``target`` on the design's rows."""
+        if cosine_map_key(spec, self.in_dim) != self.map:
+            raise ValueError("spec draws another cosine map than the design's")
+        w, n = self.w, self.w.size
+        y = np.asarray(target, dtype=float)
+        if y.shape != (n,):
+            raise ValueError("target must be one value per row")
+        y_mean = float(w @ y)
+        rhs = self.phi.T @ (w * (y - y_mean))
+        lam = spec.ridge_lambda
+        if lam == "auto":
+            if self._eigh is None:
+                d, V = linalg.eigh(self.gram)
+                self._eigh = np.maximum(d, 0.0), V
+            lam = _gcv_lambda(*self._eigh, rhs, float(w @ (y - y_mean) ** 2), n)
+        if lam not in self._factors:
+            self._factors[lam] = _cholesky(self.gram, lam)
+        beta = linalg.cho_solve(self._factors[lam], rhs)
+        return FittedRegressor(spec, self.in_dim, n, {
+            "W": self.W, "b": self.b, "beta": beta, "phi_mean": self.phi_mean,
+            "intercept": y_mean, "ridge_lambda_used": float(lam)}, codec)
+
+    def predict(self, model: FittedRegressor) -> np.ndarray:
+        """``model.predict`` at the design's rows, for a model it fitted.
+
+        Multiplies the held centered map by beta in ``_predict_ridge``'s
+        blocks, so the result has the bits of mapping the rows again.
+        """
+        if model.params["phi_mean"] is not self.phi_mean:
+            raise ValueError("model was not fitted on this design")
+        out = np.empty(self.w.size)
+        for lo, hi in _blocks(self.w.size):
+            out[lo:hi] = self.phi[lo:hi] @ model.params["beta"]
+        return model.params["intercept"] + out
+
+    def release(self) -> None:
+        self.phi = None
+
+
+def _cholesky(gram, lam):
     if lam > 0:
         gram = gram.copy()
         gram[np.diag_indices_from(gram)] += lam
-        beta = linalg.cho_solve(linalg.cho_factor(gram), rhs)
-    else:
-        try:
-            beta = linalg.cho_solve(linalg.cho_factor(gram), rhs)
-        except linalg.LinAlgError as exc:
-            raise ValueError("singular system with ridge_lambda=0; regularize or "
-                             "drop collinear features") from exc
-    return {"W": W, "b": b, "beta": beta, "phi_mean": phi_mean, "intercept": y_mean,
-            "ridge_lambda_used": float(lam)}
+        return linalg.cho_factor(gram)
+    try:
+        return linalg.cho_factor(gram)
+    except linalg.LinAlgError as exc:
+        raise ValueError("singular system with ridge_lambda=0; regularize or "
+                         "drop collinear features") from exc
 
 
-def _gcv_lambda(gram, rhs, weighted_yy, n_rows):
+def _gcv_lambda(d, V, rhs, weighted_yy, n_rows):
     """Pick the ridge penalty minimizing generalized cross-validation.
 
-    Works in the eigenbasis of the (weighted, centered) gram matrix, so the
-    whole grid costs one eigendecomposition.
+    Works in the eigenbasis (d, V) of the (weighted, centered) gram matrix,
+    eigenvalues floored at 0, so the whole grid costs one eigendecomposition.
     """
-    d, V = linalg.eigh(gram)
-    d = np.maximum(d, 0.0)
     c = V.T @ rhs
     best_lam, best_gcv = RIDGE_LAMBDA_GRID[0], np.inf
     for lam in RIDGE_LAMBDA_GRID:

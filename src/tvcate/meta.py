@@ -29,9 +29,11 @@ import numpy as np
 
 from .learners import FittedRegressor, RegressorSpec, fit_regressor, predict_many
 from .nuisance import (
+    BUNDLE_FORMAT_VERSION,
     NuisanceSet,
     RowTable,
     build_row_table,
+    check_bundle,
     nuisances_from_dict,
     nuisances_to_dict,
 )
@@ -224,6 +226,10 @@ class VModel:
     model: FittedRegressor
     v_floor: float = 1.0
 
+    def __post_init__(self):
+        if self.v_floor <= 0:
+            raise ValueError("v_floor must be > 0")
+
     def predict(self, features) -> np.ndarray:
         return np.maximum(self.model.predict(features), self.v_floor)
 
@@ -239,8 +245,6 @@ class VModel:
 def fit_v_model(rows: PseudoRows, spec: RegressorSpec = DEFAULT_V_SPEC,
                 v_floor: float = 1.0) -> VModel:
     """Regress the realized variance statistic V on history features."""
-    if v_floor <= 0:
-        raise ValueError("v_floor must be > 0")
     model = fit_regressor(spec, rows.features, rows.v_realized)
     return VModel(model, v_floor)
 
@@ -296,6 +300,9 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     pseudo-outcome fold of the nuisance split plan; the inverse-variance kind
     additionally fits (or, in "realized" mode, directly inverts) the variance
     statistic and reweights rows by stabilized 1/V-hat with empirical mean 1.
+    Uniform-weight ridge fits (RA, IPW, DR, the variance model) solve on the
+    set's held :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design`;
+    IVW-DR releases it before its weighted fit maps the rows again.
     Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
     """
     if kind not in LEARNER_KINDS:
@@ -335,26 +342,51 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     weight = None
     if kind == "IVW-DR":
         if weights_mode == "estimated":
-            model.v_model = fit_v_model(rows, v_spec, v_floor)
-            v_hat = model.v_model.predict(rows.features)
+            design = _held_design(nuisances, v_spec, table, rows)
+            if design is None:
+                model.v_model = fit_v_model(rows, v_spec, v_floor)
+                v_hat = model.v_model.predict(rows.features)
+            else:
+                model.v_model = VModel(design.fit(v_spec, rows.v_realized), v_floor)
+                v_hat = np.maximum(design.predict(model.v_model.model), v_floor)
         else:
             v_hat = np.maximum(rows.v_realized, v_floor)
+        # the weighted fit below maps these rows again: never beside a held map
+        nuisances.release_design()
         inv = 1.0 / v_hat
         weight = inv / inv.mean()          # stabilized: empirical mean 1
         diagnostics["weights"] = {
             "min": float(weight.min()), "max": float(weight.max()),
             "mean": float(weight.mean()), "sd": float(weight.std()),
         }
-    model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
-                                       weight, codec=codec)
+    design = None if weight is not None else _held_design(
+        nuisances, second_stage_spec, table, rows)
+    if design is None:
+        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
+                                           weight, codec=codec)
+    else:
+        model.second_stage = design.fit(second_stage_spec, rows.value, codec)
     model.diagnostics = diagnostics
     return model
 
 
+def _held_design(nuisances: NuisanceSet, spec: RegressorSpec, table: RowTable,
+                 rows: PseudoRows):
+    """The set's uniform-weight design of the second-stage rows, for ridge specs."""
+    if spec.kind != "ridge-random-features":
+        return None
+    return nuisances.second_stage_design(spec, table, rows.features)
+
+
 # -- bundles -----------------------------------------------------------------
+
+_MODEL_KEYS = ("kind", "target", "pair", "tau", "codec", "weights_mode", "diagnostics",
+               "nuisances", "second_stage", "v_model")
+
 
 def cate_model_to_dict(model: CateModel) -> dict:
     state = {
+        "format_version": BUNDLE_FORMAT_VERSION,
         "kind": model.kind,
         "target": model.target,
         "pair": {"a_seq": list(model.pair.a_seq), "b_seq": list(model.pair.b_seq)},
@@ -372,6 +404,7 @@ def cate_model_to_dict(model: CateModel) -> dict:
 
 
 def cate_model_from_dict(state: dict) -> CateModel:
+    check_bundle(state, "model", _MODEL_KEYS)
     pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
     return CateModel(
         kind=state["kind"],

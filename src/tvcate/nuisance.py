@@ -27,10 +27,13 @@ from .learners import (
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
+    RidgeDesign,
+    cosine_map_key,
     fit_classifier,
     fit_regressor,
+    predict_many,
 )
-from .panel import FeatureCodec, InterventionPair, Panel, encode_block
+from .panel import FeatureCodec, InterventionPair, Panel, encode_block, validate_panel
 
 __all__ = [
     "RowTable",
@@ -200,19 +203,36 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
         table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
+    models, _ = _fit_responses(table, (a_seq,), spec, split)
+    return models[0]
 
-    models: list[Optional[FittedRegressor]] = [None] * (tau + 1)
-    target = table.y_term
+
+def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan):
+    """:func:`fit_response_iterative` for several sequences, level by level.
+
+    Each level's next targets, the level-j models' predictions at H_{t+j},
+    come from one ``predict_many`` over the sequences, so the sequences map
+    ``table.features(j)`` once.  Returns the models per sequence (by level)
+    and those predictions per sequence as ``{j: array}`` for j >= 1: they are
+    the mu-hat of ``table`` at level j.
+    """
+    tau = table.tau
+    models = [[None] * (tau + 1) for _ in seqs]
+    preds = [{} for _ in seqs]
+    targets = [table.y_term] * len(seqs)
     for j in range(tau, -1, -1):
-        mask = table.traj_mask(split.fold(f"mu_{j}")) & (table.a_obs[:, j] == a_seq[j])
-        _restrict(mask, f"response level {j} (arm {a_seq[j]}) -> no rows with "
-                        f"A_(t+{j}) = {a_seq[j]} in its fold")
-        models[j] = fit_regressor(spec, table.features(j)[mask], target[mask],
-                                  table.base_weight[mask], codec=table.codec)
+        fold = table.traj_mask(split.fold(f"mu_{j}"))
+        for s, seq in enumerate(seqs):
+            mask = fold & (table.a_obs[:, j] == seq[j])
+            _restrict(mask, f"response level {j} (arm {seq[j]}) -> no rows with "
+                            f"A_(t+{j}) = {seq[j]} in its fold")
+            models[s][j] = fit_regressor(spec, table.features(j)[mask], targets[s][mask],
+                                         table.base_weight[mask], codec=table.codec)
         if j > 0:
-            # next iteration's target: this model's predictions at H_{t+j}
-            target = models[j].predict(table.features(j))
-    return models
+            targets = predict_many([m[j] for m in models], table.features(j))
+            for s, target in enumerate(targets):
+                preds[s][j] = target
+    return models, preds
 
 
 def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
@@ -281,13 +301,27 @@ class NuisanceSet:
     used verbatim (no clipping), and the response override may be a scalar
     or a nested mapping ``{arm: {level_offset: value}}``.
 
-    Fitted models are evaluated once per row-table source: the first ``mu``
-    query for an (arm, level) and the first ``propensity`` query for a level
-    store the model's output, the response predictions or the whole class
-    probability matrix, and later queries on any table built from the same
-    ``table.panel`` object, ``table.tau`` and ``table.codec`` return it.  The
-    key is (id of the panel, tau, codec, level), plus the arm for mu-hat; each
-    entry also holds the panel, so its id cannot be reused while stored.
+    Fitted models are evaluated once per row-table source.  The store keys
+    every entry by (id of ``table.panel``, ``table.tau``, ``table.codec``)
+    plus what it holds, and each entry also holds the panel, so its id cannot
+    be reused while stored.  A later query on any table built from the same
+    source is answered from the store.  It holds:
+
+    * mu-hat per (arm, level), paired: a miss evaluates both arms' level-j
+      models with one ``predict_many`` (they draw one cosine map) and stores
+      both.  :func:`fit_nuisances` stores the training table's levels
+      j >= 1 at fit time, since the backward fit computes them as targets.
+    * the whole class-probability matrix per propensity level (clipped per
+      call).
+    * at most one second-stage design (:meth:`second_stage_design`), keyed
+      also by its cosine map (in_dim, features, bandwidth, seed): the
+      uniform-weight ridge system of the table's second-stage rows, with
+      their N x F centered map.  Every uniform-weight fit on those rows (RA,
+      IPW, DR, the IVW variance model) reuses it.  :meth:`release_design`
+      frees it; the IVW-DR fit does so before mapping the rows again for its
+      weighted fit, and building a design for another source or map
+      replaces it.  Otherwise a set kept alive keeps its design and map.
+
     Stored arrays are read-only.  Oracle and override answers are never
     stored, and the store is no constructor argument: ``replace()`` and
     :meth:`corrupted` return a set whose store starts empty.
@@ -318,14 +352,19 @@ class NuisanceSet:
                 raise ValueError("oracle mode needs a DGP with closed-form response "
                                  "surfaces (response_form)")
 
-    def _stored(self, key: tuple, table: RowTable, evaluate) -> np.ndarray:
+    def _key(self, table: RowTable, *key) -> tuple:
+        return (id(table.panel), table.tau, table.codec) + key
+
+    def _put(self, table: RowTable, key: tuple, value) -> None:
+        if isinstance(value, np.ndarray):
+            value.flags.writeable = False
+        self._store[self._key(table, *key)] = (table.panel, value)   # the panel pins its id
+
+    def _stored(self, key: tuple, table: RowTable, evaluate):
         """``evaluate()`` on the first query for key on the table's source."""
-        key = (id(table.panel), table.tau, table.codec) + key
-        if key not in self._store:
-            out = evaluate()
-            out.flags.writeable = False
-            self._store[key] = (table.panel, out)    # the panel pins its id
-        return self._store[key][1]
+        if self._key(table, *key) not in self._store:
+            self._put(table, key, evaluate())
+        return self._store[self._key(table, *key)][1]
 
     def _seq(self, arm: str):
         return {"a": self.pair.a_seq, "b": self.pair.b_seq}[arm]
@@ -350,9 +389,16 @@ class NuisanceSet:
             return np.asarray(form.capo(table.x_tail[:, j], self.tau - j,
                                         self._seq(arm)[-1], self.dgp.x_sd))
         self._need_response(arm)
-        model = self.response_models[arm][j]
-        return self._stored(("mu", arm, j), table,
-                            lambda: model.predict(table.features(j)))
+        if self._key(table, "mu", arm, j) not in self._store:
+            # the arms' level-j models draw one map: evaluate them together
+            arms = [arm] + [other for other in self.response_models
+                            if other != arm and self.response_models[other][j] is not None
+                            and self._key(table, "mu", other, j) not in self._store]
+            outs = predict_many([self.response_models[x][j] for x in arms],
+                                table.features(j))
+            for x, out in zip(arms, outs):
+                self._put(table, ("mu", x, j), out)
+        return self._store[self._key(table, "mu", arm, j)][1]
 
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
@@ -382,6 +428,27 @@ class NuisanceSet:
             raw = proba[:, int(a_value)]
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), raw
 
+    # -- second-stage design ----------------------------------------------
+    def second_stage_design(self, spec: RegressorSpec, table: RowTable,
+                            features: np.ndarray) -> RidgeDesign:
+        """The uniform-weight ridge design of the table's second-stage rows.
+
+        ``features`` are those rows: ``table.features(0)``, restricted to the
+        "po" fold when the split plan is enabled.  The first call for a
+        source and cosine map builds the design, releasing any other held
+        one; later calls return it.
+        """
+        key = ("design",) + cosine_map_key(spec, features.shape[1])
+        if self._key(table, *key) not in self._store:
+            self.release_design()             # hold at most one N x F map
+            self._put(table, key, RidgeDesign(spec, features))
+        return self._store[self._key(table, *key)][1]
+
+    def release_design(self) -> None:
+        """Drop the held second-stage design and free its N x F map."""
+        for key in [k for k in self._store if k[3] == "design"]:
+            self._store.pop(key)[1].release()
+
     # -- history adjustments ----------------------------------------------
     def delta_features(self, arm: str, feats: np.ndarray) -> np.ndarray:
         if self.oracle_mode:
@@ -404,8 +471,21 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                   split: Optional[SplitPlan] = None, clip_eps: float = 0.01,
                   codec: Optional[FeatureCodec] = None,
                   need: Sequence[str] = ("response", "propensity", "history"),
-                  table: Optional[RowTable] = None) -> NuisanceSet:
-    """Fit the full nuisance collection for one intervention pair."""
+                  table: Optional[RowTable] = None,
+                  propensity_model: Optional[FittedClassifier] = None) -> NuisanceSet:
+    """Fit the full nuisance collection for one intervention pair.
+
+    A panel that fails :func:`~tvcate.panel.validate_panel` is rejected with
+    its messages, which name the trajectory.  ``propensity_model`` hands in a
+    classifier fitted elsewhere, used in place of fitting one (without a
+    split, one fit serves every horizon of a panel).  The two arms' response
+    models are fitted level by level; their level-j predictions at H_{t+j}
+    (j >= 1), the next level's targets, are stored as the set's mu-hat on
+    the training table.
+    """
+    problems = validate_panel(panel)
+    if problems:
+        raise ValueError("invalid panel: " + "; ".join(problems))
     tau = pair.tau
     if codec is None:
         codec = default_codec(panel)
@@ -416,23 +496,23 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
 
     response_models = None
     if "response" in need:
-        response_models = {"a": fit_response_iterative(panel, pair.a_seq, tau,
-                                                       regressor_spec, split, table=table)}
-        if pair.b_seq == pair.a_seq:
-            response_models["b"] = response_models["a"]
-        else:
-            response_models["b"] = fit_response_iterative(panel, pair.b_seq, tau,
-                                                          regressor_spec, split, table=table)
-    propensity_model = None
-    if "propensity" in need:
+        seqs = (pair.a_seq,) if pair.b_seq == pair.a_seq else (pair.a_seq, pair.b_seq)
+        models, preds = _fit_responses(table, seqs, regressor_spec, split)
+        response_models = {"a": models[0], "b": models[-1]}
+    if propensity_model is None and "propensity" in need:
         propensity_model = fit_propensities(panel, classifier_spec, split, codec, tau)
     history_models = None
     if "history" in need:
         history_models = fit_history_adjustment(panel, pair, tau, regressor_spec,
                                                 split, table=table)
-    return NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,
-                       response_models=response_models, propensity_model=propensity_model,
-                       history_models=history_models)
+    ns = NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,
+                     response_models=response_models, propensity_model=propensity_model,
+                     history_models=history_models)
+    if response_models is not None:
+        for arm, s in (("a", 0), ("b", len(seqs) - 1)):
+            for j, mu in preds[s].items():
+                ns._put(table, ("mu", arm, j), mu)
+    return ns
 
 
 def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
@@ -450,6 +530,29 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
 
 
 # -- bundle serialization ----------------------------------------------------
+
+#: layout version written into nuisance and model bundles
+BUNDLE_FORMAT_VERSION = 1
+
+_NUISANCE_KEYS = ("oracle_mode", "pair", "tau", "clip_eps", "codec", "split")
+_FITTED_KEYS = ("response_models", "propensity_model", "history_models")
+
+
+def check_bundle(state, what: str, required) -> None:
+    """Raise ValueError for a bundle of an unknown version or lacking a key.
+
+    Bundles written before the version key existed load as version 1.
+    """
+    if not isinstance(state, dict):
+        raise ValueError(f"{what} bundle must be a JSON object")
+    version = state.get("format_version", 1)
+    if version != BUNDLE_FORMAT_VERSION:
+        raise ValueError(f"{what} bundle has unknown format_version {version!r}; "
+                         f"this version reads {BUNDLE_FORMAT_VERSION}")
+    for key in required:
+        if key not in state:
+            raise ValueError(f"{what} bundle lacks the required key {key!r}")
+
 
 def _split_to_dict(split: SplitPlan) -> dict:
     return {"enabled": split.enabled, "tau": split.tau,
@@ -483,11 +586,14 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
         "clip_eps": ns.clip_eps,
         "codec": ns.codec.__dict__,
         "split": _split_to_dict(ns.split),
+        "format_version": BUNDLE_FORMAT_VERSION,
     })
     return state
 
 
 def nuisances_from_dict(state: dict) -> NuisanceSet:
+    check_bundle(state, "nuisance", _NUISANCE_KEYS)
+    check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
     pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
     codec = FeatureCodec(**state["codec"])
     split = _split_from_dict(state["split"])

@@ -12,6 +12,7 @@ from tvcate.learners import (
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
+    RidgeDesign,
     fit_classifier,
     fit_regressor,
     predict_many,
@@ -140,6 +141,44 @@ class TestPredictMany:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+class TestRidgeDesign:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fits_have_the_bits_of_fit_regressor(self, weighted):
+        # 5000 rows: predictions on the held map span two 4096-row blocks
+        rng = np.random.default_rng(11)
+        X = rng.normal(size=(5000, 3))
+        w = rng.uniform(0.5, 2.0, 5000) if weighted else None
+        design = RidgeDesign(RegressorSpec(feature_count=32, seed=2), X,
+                             None if w is None else w / w.sum())
+        # repeated penalties reuse the stored factor and eigendecomposition
+        for lam in (1e-2, "auto", 1e-4, 1e-2, "auto", 0.0):
+            spec = RegressorSpec(feature_count=32, seed=2, ridge_lambda=lam)
+            y = rng.normal(size=5000)
+            got, want = design.fit(spec, y), fit_regressor(spec, X, y, w)
+            assert got.params.keys() == want.params.keys()
+            for key, value in want.params.items():
+                assert np.array_equal(got.params[key], value), key
+            assert np.array_equal(design.predict(got), want.predict(X))
+
+    def test_zero_lambda_singular_system_raises_on_every_fit(self):
+        spec = RegressorSpec(feature_count=16, ridge_lambda=0.0, seed=0)
+        design = RidgeDesign(spec, np.ones((5, 1)))
+        for _ in range(2):
+            with pytest.raises(ValueError, match="regularize or drop collinear features"):
+                design.fit(spec, np.arange(5.0))
+
+    def test_foreign_specs_and_models_rejected(self):
+        X = np.random.default_rng(12).normal(size=(40, 2))
+        design = RidgeDesign(RegressorSpec(feature_count=8), X)
+        with pytest.raises(ValueError, match="another cosine map"):
+            design.fit(RegressorSpec(feature_count=8, seed=1), np.zeros(40))
+        with pytest.raises(ValueError, match="one value per row"):
+            design.fit(RegressorSpec(feature_count=8), np.zeros(39))
+        other = fit_regressor(RegressorSpec(feature_count=8), X, np.zeros(40))
+        with pytest.raises(ValueError, match="not fitted on this design"):
+            design.predict(other)
 
 
 class TestLookupTable:

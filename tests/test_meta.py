@@ -1,12 +1,14 @@
 """Tests for the meta-learners: pseudo-outcome hand values, algebraic
 identities, inverse-variance weighting, model fitting, and serialization."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from tvcate.dgp import (get_dgp, make_d1, make_d2, make_d3, benchmark_pair,
                         oracle_history_adjustment, simulate_panel)
-from tvcate.learners import RegressorSpec
+from tvcate.learners import ClassifierSpec, RegressorSpec
 from tvcate.meta import (
     DEFAULT_SECOND_STAGE,
     LEARNER_KINDS,
@@ -605,6 +607,33 @@ class TestSerialization:
             model = fit_meta(kind, panel, pair, nz)
             old = cate_model_from_dict(with_old_spec_keys(cate_model_to_dict(model)))
             assert np.array_equal(model.predict(feats), old.predict(feats))
+
+    def test_format_version(self):
+        d1 = make_d1()
+        panel = simulate_panel(d1, 200, seed=32)
+        pair = benchmark_pair(1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            nz = fit_nuisances(panel, pair, regressor_spec=RegressorSpec(feature_count=16),
+                               classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
+        feats = build_row_table(panel, 1, nz.codec).features(0)
+        for kind in ("PI-RA", "DR"):
+            model = fit_meta(kind, panel, pair, nz)
+            state = cate_model_to_dict(model)
+            assert state["format_version"] == 1
+            legacy = {k: v for k, v in state.items() if k != "format_version"}
+            if state["nuisances"] is not None:
+                legacy["nuisances"] = {k: v for k, v in state["nuisances"].items()
+                                       if k != "format_version"}
+            assert np.array_equal(cate_model_from_dict(legacy).predict(feats),
+                                  model.predict(feats))
+            with pytest.raises(ValueError, match="unknown format_version 'x'"):
+                cate_model_from_dict({**state, "format_version": "x"})
+            broken = {k: v for k, v in state.items() if k != "second_stage"}
+            with pytest.raises(ValueError, match="lacks the required key 'second_stage'"):
+                cate_model_from_dict(broken)
+        with pytest.raises(ValueError, match="model bundle lacks the required key 'kind'"):
+            cate_model_from_dict({"pair": {}})
 
     def test_default_second_stage_is_heavier_than_nuisance_default(self):
         assert DEFAULT_SECOND_STAGE.ridge_lambda > RegressorSpec().ridge_lambda

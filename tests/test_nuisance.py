@@ -397,6 +397,19 @@ class TestNuisanceSetOracle:
             oracle_nuisances(make_d1(), benchmark_pair(0), clip_eps=0.7)
 
 
+class TestFitBoundary:
+    def test_invalid_panel_rejected_naming_the_trajectory(self):
+        panel = simulate_panel(make_d1(), 12, seed=34)
+        trajectories = list(panel.trajectories)
+        tr = trajectories[7]
+        Y = tr.outcomes.copy()
+        Y[2] = np.nan
+        trajectories[7] = Trajectory(tr.covariates, tr.treatments, Y)
+        bad = Panel(tuple(trajectories), treatment_arity=2)    # accepted as built
+        with pytest.raises(ValueError, match="trajectory 7: non-finite outcome"):
+            fit_nuisances(bad, benchmark_pair(1))
+
+
 class TestBundleSerialization:
     def test_fitted_round_trip(self, tmp_path):
         panel = simulate_panel(make_d2(), 400, seed=29)
@@ -434,3 +447,29 @@ class TestBundleSerialization:
         old = nuisances_from_dict({**nuisances_to_dict(ns), "oracle_history_mc": 4000})
         assert old.oracle_mode
         assert np.array_equal(ns.mu("a", 0, table), old.mu("a", 0, table))
+
+    def test_format_version(self):
+        panel = simulate_panel(make_d1(), 200, seed=33)
+        table = build_row_table(panel, 1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            fitted = fit_nuisances(panel, benchmark_pair(1),
+                                   regressor_spec=RegressorSpec(feature_count=16),
+                                   classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
+        for ns in (fitted, oracle_nuisances(make_d1(), benchmark_pair(1))):
+            state = nuisances_to_dict(ns)
+            assert state["format_version"] == 1
+            # bundles written before the version key load as they did
+            legacy = {k: v for k, v in state.items() if k != "format_version"}
+            assert np.array_equal(nuisances_from_dict(legacy).mu("b", 0, table),
+                                  ns.mu("b", 0, table))
+            with pytest.raises(ValueError, match="unknown format_version 2"):
+                nuisances_from_dict({**state, "format_version": 2})
+            for key in ("pair", "split", "dgp" if ns.oracle_mode else "history_models"):
+                broken = {k: v for k, v in state.items() if k != key}
+                with pytest.raises(ValueError, match=f"lacks the required key '{key}'"):
+                    nuisances_from_dict(broken)
+        with pytest.raises(ValueError, match="required key 'oracle_mode'"):
+            nuisances_from_dict({})
+        with pytest.raises(ValueError, match="must be a JSON object"):
+            nuisances_from_dict([])

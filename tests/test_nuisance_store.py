@@ -1,21 +1,26 @@
 """Tests for the stored nuisance evaluations of a NuisanceSet.
 
 A fitted set evaluates each model once per (row-table source, level) and
-returns the stored array afterwards; these tests pin what counts as the same
-source, what is never stored, and that sharing changes no result bit.
+returns the stored array afterwards, and holds one uniform-weight
+second-stage design; these tests pin what counts as the same source, what is
+never stored, how many maps a seed job computes and holds, and that sharing
+changes no result bit.
 """
 
+import collections
 import dataclasses
 import warnings
+import weakref
 
 import numpy as np
 import pytest
 
+from tvcate import harness as harness_module
+from tvcate import learners as learners_module
 from tvcate import nuisance as nuisance_module
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.harness import ExperimentConfig, _seed_job
-from tvcate.learners import (ClassifierSpec, FittedClassifier, FittedRegressor,
-                             RegressorSpec)
+from tvcate.learners import ClassifierSpec, FittedClassifier, RegressorSpec, RidgeDesign
 from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
                              oracle_nuisances)
@@ -43,18 +48,19 @@ def panels():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of FittedRegressor.predict and FittedClassifier.predict_proba."""
-    counts = {"predict": 0, "predict_proba": 0}
+    """Counts of the set's ``predict_many`` calls (each evaluates both arms'
+    level-j response models) and of FittedClassifier.predict_proba."""
+    counts = {"predict_many": 0, "predict_proba": 0}
 
-    def counting(cls, name):
-        original = getattr(cls, name)
+    def counting(owner, name):
+        original = getattr(owner, name)
 
-        def wrapper(self, *args, **kwargs):
+        def wrapper(*args, **kwargs):
             counts[name] += 1
-            return original(self, *args, **kwargs)
-        monkeypatch.setattr(cls, name, wrapper)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(owner, name, wrapper)
 
-    counting(FittedRegressor, "predict")
+    counting(nuisance_module, "predict_many")
     counting(FittedClassifier, "predict_proba")
     return counts
 
@@ -96,6 +102,136 @@ class TestSharedSetChangesNoBit:
         assert notes == sorted({n for _, job_notes in per_tau for n in job_notes})
 
 
+ORDERS = {
+    "default": LEARNER_KINDS,
+    "reversed": LEARNER_KINDS[::-1],
+    "IVW-DR first": ("IVW-DR",) + tuple(k for k in LEARNER_KINDS if k != "IVW-DR"),
+    "RA alone": ("RA",),
+}
+
+
+@pytest.fixture(scope="module")
+def alone(panels):
+    """Each learner's test predictions from a freshly fitted set used alone."""
+    train, test = panels
+    feats = build_row_table(test, 1).features(0)
+    return {kind: fit_meta(kind, train, PAIR, tiny_fit(train),
+                           second_stage_spec=SECOND_STAGE).predict(feats)
+            for kind in LEARNER_KINDS}
+
+
+class TestLearnerOrders:
+    @pytest.mark.parametrize("order", ORDERS.values(), ids=ORDERS.keys())
+    def test_every_learner_equals_its_fresh_set_alone(self, panels, alone, order):
+        train, test = panels
+        feats = build_row_table(test, 1).features(0)
+        shared = tiny_fit(train)
+        for kind in order:
+            got = fit_meta(kind, train, PAIR, shared,
+                           second_stage_spec=SECOND_STAGE).predict(feats)
+            assert np.array_equal(got, alone[kind]), kind
+
+
+def held_maps(ns):
+    return [entry for _, entry in ns._store.values()
+            if isinstance(entry, RidgeDesign) and entry.phi is not None]
+
+
+@pytest.fixture
+def one_map_at_a_time(monkeypatch):
+    """Fails any ridge fit that maps rows while another design holds its map."""
+    live = weakref.WeakSet()
+
+    class Tracked(RidgeDesign):
+        def __init__(self, *args, **kwargs):
+            assert not [d for d in live if d.phi is not None]
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+    monkeypatch.setattr(learners_module, "RidgeDesign", Tracked)
+    monkeypatch.setattr(nuisance_module, "RidgeDesign", Tracked)
+
+
+class TestHeldDesign:
+    def test_at_most_one_map_and_none_after_ivw_dr(self, panels, one_map_at_a_time):
+        train, _ = panels
+        ns = tiny_fit(train)
+        for kind in ("RA", "IPW", "DR"):
+            fit_meta(kind, train, PAIR, ns, second_stage_spec=SECOND_STAGE)
+            assert len(held_maps(ns)) == 1
+        design = held_maps(ns)[0]
+        # the variance model draws another map here, so it replaces the design
+        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE)
+        assert held_maps(ns) == [] and design.phi is None
+        # with a shared map the variance model reuses the second stage's design
+        shared_map = dataclasses.replace(SECOND_STAGE, feature_count=256)
+        fit_meta("DR", train, PAIR, ns, second_stage_spec=shared_map)
+        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=shared_map)
+        assert held_maps(ns) == []
+
+    def test_seed_job_drops_each_horizons_design(self, one_map_at_a_time):
+        # IPW never releases its design, and the plug-in model refers to the
+        # set; the next horizon's fits must still find no held map
+        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1),
+                               learners=("IPW", "PI-RA"), regressor_features=32,
+                               second_stage_features=32, classifier_l2=1e-2)
+        _seed_job(cfg, 0)
+
+    def test_seed_job_map_rows(self, monkeypatch):
+        # d1, 500 training trajectories of length 5: the tau = 0 and tau = 1
+        # training tables hold 2500 and 2000 rows; the variance model and
+        # the second stages share one 256-feature map
+        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1),
+                               regressor_features=32, second_stage_features=256,
+                               classifier_l2=1e-2)
+        maps = collections.Counter()
+        original = learners_module._cosine_features
+
+        def counting(X, W, b):
+            maps[W.shape[1], X.shape[0]] += 1
+            return original(X, W, b)
+        monkeypatch.setattr(learners_module, "_cosine_features", counting)
+        _seed_job(cfg, 0)
+        assert sum(rows * n for (_, rows), n in maps.items()) == 38_990
+        # whole training tables: the paired mu-hat of level 0 (and, at tau 1,
+        # the paired level-1 targets); the held design; IVW-DR's weighted fit
+        assert {k: n for k, n in maps.items() if k[1] in (2000, 2500)} == {
+            (32, 2500): 1, (256, 2500): 2,
+            (32, 2000): 2, (256, 2000): 2,
+            (64, 2500): 2, (64, 2000): 2}       # classifier: fit, 3 levels
+
+    def test_zero_lambda_singular_second_stage_raises(self):
+        # 4 trajectories of 5 rows against 64 features: a singular gram
+        d1, pair = make_d1(), benchmark_pair(0)
+        panel = simulate_panel(d1, 4, seed=3)
+        ns = oracle_nuisances(d1, pair)
+        spec = RegressorSpec(feature_count=64, ridge_lambda=0.0)
+        for kind in ("DR", "IPW"):          # IPW reuses the design DR built
+            with pytest.raises(ValueError, match="singular system with ridge_lambda=0"):
+                fit_meta(kind, panel, pair, ns, second_stage_spec=spec)
+        assert len(held_maps(ns)) == 1
+
+    def test_fit_time_mu_survives_the_shared_classifier(self, monkeypatch):
+        sets = []
+        original = harness_module.fit_nuisances
+
+        def recording(*args, **kwargs):
+            ns = original(*args, **kwargs)
+            sets.append((ns, dict(ns._store)))
+            return ns
+        monkeypatch.setattr(harness_module, "fit_nuisances", recording)
+        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(1, 2),
+                               learners=("DR",), regressor_features=32,
+                               second_stage_features=32, classifier_l2=1e-2)
+        _seed_job(cfg, 0)
+        (first, at_fit), (second, _) = sets
+        assert first.propensity_model is second.propensity_model
+        mu_keys = [k for k in at_fit if k[3] == "mu"]
+        assert sorted(k[4:] for k in mu_keys) == [("a", 1), ("b", 1)]
+        for key in mu_keys:
+            assert first._store[key][1] is at_fit[key][1]
+
+
 class TestStoreContract:
     def test_second_table_from_the_same_source_reuses(self, panels, calls):
         train, _ = panels
@@ -103,13 +239,14 @@ class TestStoreContract:
         first = build_row_table(train, 1, ns.codec)
         second = build_row_table(train, 1, ns.codec)
         before = dict(calls)
+        # level 1 was stored by the fit; one paired call evaluates level 0
         query_all(ns, first)
-        assert calls["predict"] - before["predict"] == 4
+        assert calls["predict_many"] - before["predict_many"] == 1
         assert calls["predict_proba"] - before["predict_proba"] == 2
         mu = ns.mu("a", 1, first)
         _, raw = ns.propensity(1, 0, first)
         query_all(ns, second)
-        assert calls["predict"] - before["predict"] == 4
+        assert calls["predict_many"] - before["predict_many"] == 1
         assert calls["predict_proba"] - before["predict_proba"] == 2
         assert ns.mu("a", 1, second) is mu
         assert np.shares_memory(ns.propensity(1, 0, second)[1], raw)
@@ -125,7 +262,7 @@ class TestStoreContract:
         for table in sources:
             before = dict(calls)
             query_all(ns, table)
-            assert calls["predict"] - before["predict"] == 4
+            assert calls["predict_many"] - before["predict_many"] == 2   # one per level
             assert calls["predict_proba"] - before["predict_proba"] == 2
             mu = ns.mu("b", 0, table)
             want = ns.response_models["b"][0].predict(table.features(0))
@@ -150,7 +287,7 @@ class TestStoreContract:
         before = dict(calls)
         plain = ns.corrupted()
         assert np.array_equal(plain.mu("a", 0, table), ns.mu("a", 0, table))
-        assert calls["predict"] - before["predict"] == 1
+        assert calls["predict_many"] - before["predict_many"] == 1
 
     def test_stored_arrays_are_read_only(self, panels):
         train, _ = panels
