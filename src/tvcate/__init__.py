@@ -3,7 +3,7 @@
 The package provides a trajectory data model with deterministic history
 encoding, structural-equation simulators with Monte-Carlo ground-truth
 oracles, weighted base learners, nuisance estimation (iterative
-G-computation, propensities, history adjustment), six CATE/CAPO
+G-computation, propensities, history adjustment), six CATE
 meta-learners, and a reproducible benchmark harness with verification
 suites.
 """
@@ -42,11 +42,9 @@ from .dgp import (
     get_dgp,
     simulate_panel,
     benchmark_pair,
-    oracle_cate,
     oracle_response,
     oracle_propensity,
     oracle_history_adjustment,
-    derive_rng,
 )
 from .nuisance import (
     SplitPlan,

@@ -31,7 +31,7 @@ import argparse
 import json
 import re
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
@@ -181,10 +181,10 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    model = load_cate_model(args.model)
-    panel = panel_from_csv(args.panel, treatment_arity=args.arity)
     if (args.truth is None) == (args.dgp is None):
         raise SystemExit("pass exactly one of --truth or --dgp")
+    model = load_cate_model(args.model)
+    panel = panel_from_csv(args.panel, treatment_arity=args.arity)
     if args.truth is not None:
         truth = float(args.truth)
     else:

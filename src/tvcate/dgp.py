@@ -14,7 +14,8 @@ treatment is the configurable ``a0`` convention and the previous outcome
 is 0.
 
 Ground truth comes from two independent routes: Monte-Carlo rollouts
-(``oracle_response``, ``oracle_cate``, ``oracle_history_adjustment``) that
+(``oracle_response`` for response surfaces, whose arm difference is the
+CATE, and ``oracle_history_adjustment`` for path-conditioned means) that
 work for any DGP of this form, and closed-form response surfaces
 (:class:`ChainResponseForm`) available when the confounder chain is linear
 and the outcome mean is additively separable, which covers every shipped
@@ -24,8 +25,7 @@ enumeration for brute-force comparisons.
 
 from __future__ import annotations
 
-import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -50,22 +50,8 @@ __all__ = [
     "simulate_panel",
     "oracle_propensity",
     "oracle_response",
-    "oracle_cate",
     "oracle_history_adjustment",
-    "derive_rng",
 ]
-
-
-def derive_rng(seed, *tags) -> np.random.Generator:
-    """Independent RNG stream derived from a master seed and a tag path.
-
-    String tags are mapped through CRC-32 so the derivation is stable across
-    processes and platforms.
-    """
-    key = [int(seed) & 0xFFFFFFFF]
-    for tag in tags:
-        key.append(zlib.crc32(tag.encode()) if isinstance(tag, str) else int(tag) & 0xFFFFFFFF)
-    return np.random.default_rng(key)
 
 
 @dataclass(frozen=True)
@@ -369,26 +355,6 @@ def oracle_response(dgp: StructuralDGP, h: HistoryView, a_suffix, n_mc: int = 40
     return _mc_stats(y, antithetic)
 
 
-def oracle_cate(dgp: StructuralDGP, h: HistoryView, pair: InterventionPair,
-                n_mc: int = 4000, seed=0, antithetic: bool = True) -> MCEstimate:
-    """CATE estimate using common random numbers across the two arms."""
-    if h.t + pair.tau > dgp.horizon:
-        raise ValueError("intervention pair runs past the DGP horizon")
-    x_l, _, y_prev = _history_tail(dgp, h)
-    if pair.tau == 0:
-        xv, yv = np.array([x_l]), np.array([y_prev])
-        diff = float(dgp.f_y(xv, np.array([float(pair.a_seq[0])]), yv)[0]
-                     - dgp.f_y(xv, np.array([float(pair.b_seq[0])]), yv)[0])
-        return MCEstimate(diff, 0.0, 0)
-    m = n_mc + (n_mc % 2) if antithetic else n_mc
-    rng = np.random.default_rng(seed)
-    eps_x, eps_y = _draw_noise(dgp, pair.tau + 1, m, rng, antithetic)
-    x0, yp = np.full(m, x_l), np.full(m, y_prev)
-    y_a = _rollout_fixed(dgp, x0, yp, pair.a_seq, eps_x, eps_y)
-    y_b = _rollout_fixed(dgp, x0, yp, pair.b_seq, eps_x, eps_y)
-    return _mc_stats(y_a - y_b, antithetic)
-
-
 def oracle_history_adjustment(dgp: StructuralDGP, h: HistoryView, a_suffix,
                               n_mc: int = 20000, seed=0) -> MCEstimate:
     """Path-conditioned mean E[Y_terminal | H_l = h, observed arms = a_suffix].
@@ -498,14 +464,6 @@ class DiscreteDGP:
                                 + q * self.y2(1.0, a_suffix[1]))
             return out
         raise ValueError("level must be 0 or 1")
-
-    def mc_response(self, x1: float, a_suffix, n_mc: int = 20000, seed=0) -> MCEstimate:
-        """Monte-Carlo counterpart of enumerate_response at level 0."""
-        a_suffix = tuple(int(v) for v in a_suffix)
-        rng = np.random.default_rng(seed)
-        x2 = (rng.uniform(size=n_mc) < float(self.trans_prob(x1, a_suffix[0]))).astype(float)
-        y = self.y2(x2, a_suffix[1])
-        return MCEstimate(float(y.mean()), float(y.std(ddof=1) / np.sqrt(n_mc)), n_mc)
 
 
 def make_mini_discrete() -> DiscreteDGP:

@@ -87,7 +87,8 @@ class ExperimentConfig:
         Experiments need a generator with closed-form effects, so the
         discrete enumeration generator is not runnable here.
     taus : tuple of int
-        Horizons to evaluate; each uses its preregistered intervention pair.
+        Horizons to evaluate, without repeats; each uses its preregistered
+        intervention pair.
     n_train, n_test : int
         Trajectories simulated for fitting and for evaluation.
     seeds : tuple of int
@@ -113,7 +114,8 @@ class ExperimentConfig:
     eval_t : int or None
         Evaluate at one fixed decision time instead of pooling all valid t.
     gammas : tuple of float
-        Overlap-knob grid for :func:`overlap_sweep` (ignored by plain runs).
+        Overlap-knob grid for :func:`overlap_sweep`, without repeats
+        (ignored by plain runs).
     fast : bool
         Shrink both sample sizes tenfold for quick smoke runs.
     record_walltime : bool
@@ -155,6 +157,8 @@ class ExperimentConfig:
             raise ValueError("seeds must be a non-empty tuple without repeats")
         if not self.taus or any(t < 0 for t in self.taus):
             raise ValueError("taus must be a non-empty tuple of horizons >= 0")
+        if len(set(self.taus)) != len(self.taus):
+            raise ValueError("taus must not repeat")
         if not self.learners:
             raise ValueError("learners must name at least one learner kind")
         for kind in self.learners:
@@ -171,6 +175,8 @@ class ExperimentConfig:
             raise ValueError("eval_t counts decision times from 1")
         if not self.gammas:
             raise ValueError("gammas must be a non-empty tuple")
+        if len(set(self.gammas)) != len(self.gammas):
+            raise ValueError("gammas must not repeat")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
 
@@ -348,11 +354,11 @@ def _needed_nuisances(learners: Sequence[str]) -> Tuple[str, ...]:
     for kind in learners:
         if kind == "PI-HA":
             need.add("history")
-        elif kind in ("PI-RA", "RA"):
+        elif kind == "PI-RA":
             need.add("response")
         elif kind == "IPW":
             need.add("propensity")
-        else:  # DR, IVW-DR
+        else:  # RA, DR, IVW-DR; every second stage's rows carry ivw_realized
             need.update(("response", "propensity"))
     return tuple(n for n in ("response", "propensity", "history") if n in need)
 

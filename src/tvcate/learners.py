@@ -27,7 +27,7 @@ features) fitted by L-BFGS on the weighted cross-entropy.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -128,7 +128,6 @@ class FittedRegressor:
     in_dim: int
     n_rows: int
     params: dict
-    codec: object = None
 
     def predict(self, features) -> np.ndarray:
         return predict_many([self], features)[0]
@@ -239,8 +238,7 @@ def predict_many(models, features) -> list:
     return [out[0] if squeeze else out for out in outs]
 
 
-def fit_regressor(spec: RegressorSpec, features, target, weight=None,
-                  codec=None) -> FittedRegressor:
+def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedRegressor:
     """Fit a weighted regressor on rows (features, target, weight).
 
     Weights are normalized to unit mass internally, so only their relative
@@ -260,8 +258,8 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None,
     w = _normalized_weights(weight, n)
 
     if spec.kind == "ridge-random-features":
-        return RidgeDesign(spec, X, w).fit(spec, y, codec)
-    return FittedRegressor(spec, X.shape[1], n, _fit_lookup(X, y, w), codec)
+        return RidgeDesign(spec, X, w).fit(spec, y)
+    return FittedRegressor(spec, X.shape[1], n, _fit_lookup(X, y, w))
 
 
 class RidgeDesign:
@@ -293,7 +291,7 @@ class RidgeDesign:
         self._factors = {}
         self._eigh = None
 
-    def fit(self, spec: RegressorSpec, target, codec=None) -> FittedRegressor:
+    def fit(self, spec: RegressorSpec, target) -> FittedRegressor:
         """Fit ``spec``'s penalty to ``target`` on the design's rows."""
         if cosine_map_key(spec, self.in_dim) != self.map:
             raise ValueError("spec draws another cosine map than the design's")
@@ -314,7 +312,7 @@ class RidgeDesign:
         beta = linalg.cho_solve(self._factors[lam], rhs)
         return FittedRegressor(spec, self.in_dim, n, {
             "W": self.W, "b": self.b, "beta": beta, "phi_mean": self.phi_mean,
-            "intercept": y_mean, "ridge_lambda_used": float(lam)}, codec)
+            "intercept": y_mean, "ridge_lambda_used": float(lam)})
 
     def predict(self, model: FittedRegressor) -> np.ndarray:
         """``model.predict`` at the design's rows, for a model it fitted.
@@ -441,7 +439,6 @@ class FittedClassifier:
     n_classes: int
     n_rows: int
     params: dict
-    codec: object = None
 
     def _features(self, X):
         if self.spec.use_random_features:
@@ -485,7 +482,7 @@ class FittedClassifier:
 
 
 def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
-                   n_classes: Optional[int] = None, codec=None) -> FittedClassifier:
+                   n_classes: Optional[int] = None) -> FittedClassifier:
     """Fit multinomial logistic regression by weighted cross-entropy.
 
     Raises if fewer than two classes are present or if L-BFGS fails to reach
@@ -521,7 +518,7 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
         l2 = _holdout_l2(spec, phi, labels, w, K)
     params["theta"] = _solve_logistic(spec, phi, labels, w, l2, K)
     params["l2_used"] = float(l2)
-    return FittedClassifier(spec, X.shape[1], K, n, params, codec)
+    return FittedClassifier(spec, X.shape[1], K, n, params)
 
 
 def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):

@@ -1,11 +1,11 @@
-"""Meta-learners for treatment-effect estimation over pooled history rows.
+"""Meta-learners for the CATE contrast of an intervention pair over pooled
+history rows.
 
-Six learner kinds share one interface:
+Six learner kinds share one interface; each estimates E[Y(a) - Y(b) | H_t]:
 
 * ``PI-HA`` — plug-in difference of history-adjustment regressions.
 * ``PI-RA`` — plug-in difference of iterative regression-adjustment surfaces.
-* ``RA`` — second-stage regression on regression-adjustment pseudo-outcomes
-  (contrast-only: it has no single-arm form).
+* ``RA`` — second-stage regression on regression-adjustment pseudo-outcomes.
 * ``IPW`` — second-stage regression on inverse-propensity-weighted
   pseudo-outcomes.
 * ``DR`` — second-stage regression on doubly robust pseudo-outcomes that
@@ -23,7 +23,7 @@ predicts from encoded histories H_t, the rows of ``RowTable.features(0)``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -174,8 +174,6 @@ class PseudoRows:
     features: np.ndarray
     value: np.ndarray
     v_realized: np.ndarray
-    traj_id: np.ndarray
-    t: np.ndarray
     clip_fraction: float = 0.0
 
     def __post_init__(self):
@@ -186,15 +184,16 @@ class PseudoRows:
 
 
 def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair,
-                      kind: str, target: str = "cate",
-                      row_mask: Optional[np.ndarray] = None) -> PseudoRows:
-    """Construct the pseudo-outcome rows a second-stage learner trains on."""
+                      kind: str, row_mask: Optional[np.ndarray] = None) -> PseudoRows:
+    """Construct the contrast pseudo-outcome rows a second-stage learner trains on.
+
+    Every kind also carries the pair's realized variance statistic
+    (:func:`ivw_realized`), so every kind queries the propensities.
+    """
     if kind not in ("RA", "IPW", "DR", "IVW-DR"):
         raise ValueError(f"no pseudo-outcomes for learner kind {kind!r}")
     nclip = nquery = 0
     if kind == "RA":
-        if target != "cate":
-            raise ValueError("the regression-adjustment learner is contrast-only")
         value = pseudo_ra(table, nuisances, pair)
     else:
         if kind == "IPW":
@@ -204,17 +203,14 @@ def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: Interventio
             va, ca, qa = _dr_arm(nuisances, table, pair.a_seq, "a")
             vb, cb, qb = _dr_arm(nuisances, table, pair.b_seq, "b")
         nclip, nquery = ca + cb, qa + qb
-        value = va - vb if target == "cate" else va
-    v_a, v_ab = ivw_realized(table, nuisances, pair)
-    v = v_ab if target == "cate" else v_a
+        value = va - vb
+    _, v = ivw_realized(table, nuisances, pair)
     if row_mask is None:
         row_mask = np.ones(table.n_rows, dtype=bool)
     return PseudoRows(
         features=table.features(0)[row_mask],
         value=np.asarray(value)[row_mask],
         v_realized=np.asarray(v)[row_mask],
-        traj_id=table.traj_id[row_mask],
-        t=table.t[row_mask],
         clip_fraction=0.0 if nquery == 0 else nclip / nquery,
     )
 
@@ -242,47 +238,42 @@ class VModel:
                       float(state["v_floor"]))
 
 
-def fit_v_model(rows: PseudoRows, spec: RegressorSpec = DEFAULT_V_SPEC,
-                v_floor: float = 1.0) -> VModel:
-    """Regress the realized variance statistic V on history features."""
-    model = fit_regressor(spec, rows.features, rows.v_realized)
-    return VModel(model, v_floor)
+def fit_v_model(rows: PseudoRows) -> VModel:
+    """Regress the realized variance statistic V on history features.
+
+    The fit is ``DEFAULT_V_SPEC`` (ridge, GCV-chosen penalty); predictions
+    are floored at 1.0.
+    """
+    return VModel(fit_regressor(DEFAULT_V_SPEC, rows.features, rows.v_realized))
 
 
 @dataclass
 class CateModel:
-    """A fitted treatment-effect estimator with a uniform predict interface.
+    """A fitted CATE estimator with a uniform predict interface.
 
-    Plug-in kinds close over the fitted nuisance models; second-stage kinds
-    carry a fitted regressor.  Both predict from encoded histories H_t.
-    ``target`` selects between the contrast of the two arms ("cate") and the
-    single-arm response ("capo").
+    Plug-in kinds close over the fitted nuisance models and predict the
+    difference of the two arms' surfaces; second-stage kinds carry a fitted
+    regressor of the contrast pseudo-outcome.  Both predict from encoded
+    histories H_t.  IVW-DR also keeps its variance model.
     """
 
     kind: str
-    target: str
     pair: InterventionPair
     tau: int
     codec: FeatureCodec
     nuisances: Optional[NuisanceSet] = None
     second_stage: Optional[FittedRegressor] = None
     v_model: Optional[VModel] = None
-    weights_mode: str = "estimated"
     diagnostics: dict = field(default_factory=dict)
 
     def predict(self, features) -> np.ndarray:
-        """Predict the target at encoded histories (rows of ``features(0)``)."""
+        """Predict the CATE at encoded histories (rows of ``features(0)``)."""
         if self.kind not in ("PI-HA", "PI-RA"):
             return self.second_stage.predict(features)
         if self.kind == "PI-HA":
-            if self.target == "capo":
-                return self.nuisances.delta_features("a", features)
             pair = [self.nuisances.history_models[arm] for arm in ("a", "b")]
         else:
-            models = self.nuisances.response_models
-            if self.target == "capo":
-                return models["a"][0].predict(features)
-            pair = [models[arm][0] for arm in ("a", "b")]
+            pair = [self.nuisances.response_models[arm][0] for arm in ("a", "b")]
         # the two arms' models draw one (W, b): map the rows once
         out_a, out_b = predict_many(pair, features)
         return out_a - out_b
@@ -290,35 +281,29 @@ class CateModel:
 
 def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
              nuisances: NuisanceSet,
-             second_stage_spec: Optional[RegressorSpec] = None,
-             weights_mode: str = "estimated", *, target: str = "cate",
-             v_spec: RegressorSpec = DEFAULT_V_SPEC, v_floor: float = 1.0,
+             second_stage_spec: Optional[RegressorSpec] = None, *,
              table: Optional[RowTable] = None) -> CateModel:
-    """Fit one meta-learner for the intervention pair on pooled panel rows.
+    """Fit one CATE meta-learner for the intervention pair on pooled panel rows.
 
-    Second-stage kinds regress their pseudo-outcomes on encoded H_t over the
-    pseudo-outcome fold of the nuisance split plan; the inverse-variance kind
-    additionally fits (or, in "realized" mode, directly inverts) the variance
-    statistic and reweights rows by stabilized 1/V-hat with empirical mean 1.
-    Uniform-weight ridge fits (RA, IPW, DR, the variance model) solve on the
-    set's held :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design`;
-    IVW-DR releases it before its weighted fit maps the rows again.
+    Second-stage kinds regress their contrast pseudo-outcomes on encoded H_t
+    over the pseudo-outcome fold of the nuisance split plan; IVW-DR also
+    regresses the realized variance statistic on H_t (ridge, GCV penalty,
+    predictions floored at 1.0) and reweights rows by stabilized 1/V-hat
+    with empirical mean 1.  Every ridge fit solves on the set's held
+    :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design` except IVW-DR's
+    weighted fit, which releases the design and maps the rows again.
+    ``table`` may hand in the training panel's row table for ``pair.tau``.
     Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
     """
     if kind not in LEARNER_KINDS:
         raise ValueError(f"unknown learner kind {kind!r}; choose from {LEARNER_KINDS}")
-    if target not in ("cate", "capo"):
-        raise ValueError("target must be 'cate' or 'capo'")
     if pair.tau != nuisances.pair.tau or pair != nuisances.pair:
         raise ValueError("nuisance set was built for a different intervention pair")
     if second_stage_spec is None:
         second_stage_spec = DEFAULT_SECOND_STAGE
-    if weights_mode not in ("estimated", "realized"):
-        raise ValueError("weights_mode must be 'estimated' or 'realized'")
     tau = pair.tau
     codec = nuisances.codec
-    model = CateModel(kind=kind, target=target, pair=pair, tau=tau, codec=codec,
-                      weights_mode=weights_mode)
+    model = CateModel(kind=kind, pair=pair, tau=tau, codec=codec)
 
     if kind in ("PI-HA", "PI-RA"):
         family = "history" if kind == "PI-HA" else "response"
@@ -335,22 +320,15 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     po_mask = (table.traj_mask(nuisances.split.fold("po"))
                if nuisances.split.enabled else None)
     rows = build_pseudo_rows(table, nuisances, pair, kind if kind != "IVW-DR" else "DR",
-                             target=target, row_mask=po_mask)
+                             row_mask=po_mask)
     diagnostics = {"n_pseudo_rows": int(rows.value.size),
                    "clip_fraction": rows.clip_fraction}
 
     weight = None
     if kind == "IVW-DR":
-        if weights_mode == "estimated":
-            design = _held_design(nuisances, v_spec, table, rows)
-            if design is None:
-                model.v_model = fit_v_model(rows, v_spec, v_floor)
-                v_hat = model.v_model.predict(rows.features)
-            else:
-                model.v_model = VModel(design.fit(v_spec, rows.v_realized), v_floor)
-                v_hat = np.maximum(design.predict(model.v_model.model), v_floor)
-        else:
-            v_hat = np.maximum(rows.v_realized, v_floor)
+        design = nuisances.second_stage_design(DEFAULT_V_SPEC, table, rows.features)
+        model.v_model = VModel(design.fit(DEFAULT_V_SPEC, rows.v_realized))
+        v_hat = np.maximum(design.predict(model.v_model.model), model.v_model.v_floor)
         # the weighted fit below maps these rows again: never beside a held map
         nuisances.release_design()
         inv = 1.0 / v_hat
@@ -359,23 +337,14 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
             "min": float(weight.min()), "max": float(weight.max()),
             "mean": float(weight.mean()), "sd": float(weight.std()),
         }
-    design = None if weight is not None else _held_design(
-        nuisances, second_stage_spec, table, rows)
-    if design is None:
-        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
-                                           weight, codec=codec)
+    if weight is None and second_stage_spec.kind == "ridge-random-features":
+        design = nuisances.second_stage_design(second_stage_spec, table, rows.features)
+        model.second_stage = design.fit(second_stage_spec, rows.value)
     else:
-        model.second_stage = design.fit(second_stage_spec, rows.value, codec)
+        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
+                                           weight)
     model.diagnostics = diagnostics
     return model
-
-
-def _held_design(nuisances: NuisanceSet, spec: RegressorSpec, table: RowTable,
-                 rows: PseudoRows):
-    """The set's uniform-weight design of the second-stage rows, for ridge specs."""
-    if spec.kind != "ridge-random-features":
-        return None
-    return nuisances.second_stage_design(spec, table, rows.features)
 
 
 # -- bundles -----------------------------------------------------------------
@@ -385,14 +354,16 @@ _MODEL_KEYS = ("kind", "target", "pair", "tau", "codec", "weights_mode", "diagno
 
 
 def cate_model_to_dict(model: CateModel) -> dict:
+    # format 1 keeps "target" and "weights_mode" keys; every model is a CATE
+    # model with estimated IVW weights
     state = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "kind": model.kind,
-        "target": model.target,
+        "target": "cate",
         "pair": {"a_seq": list(model.pair.a_seq), "b_seq": list(model.pair.b_seq)},
         "tau": model.tau,
         "codec": model.codec.__dict__,
-        "weights_mode": model.weights_mode,
+        "weights_mode": "estimated",
         "diagnostics": model.diagnostics,
         "nuisances": None if model.nuisances is None
         else nuisances_to_dict(model.nuisances),
@@ -404,15 +375,17 @@ def cate_model_to_dict(model: CateModel) -> dict:
 
 
 def cate_model_from_dict(state: dict) -> CateModel:
+    """Load a model bundle; ``weights_mode`` is read and ignored."""
     check_bundle(state, "model", _MODEL_KEYS)
+    if state["target"] != "cate":
+        raise ValueError(f"model bundle has target {state['target']!r}; "
+                         "only 'cate' models load")
     pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
     return CateModel(
         kind=state["kind"],
-        target=state["target"],
         pair=pair,
         tau=int(state["tau"]),
         codec=FeatureCodec(**state["codec"]),
-        weights_mode=state["weights_mode"],
         diagnostics=state["diagnostics"],
         nuisances=None if state["nuisances"] is None
         else nuisances_from_dict(state["nuisances"]),

@@ -40,7 +40,6 @@ __all__ = [
     "SplitPlan",
     "NuisanceSet",
     "build_row_table",
-    "propensity_training_rows",
     "make_split",
     "fit_history_adjustment",
     "fit_response_iterative",
@@ -126,16 +125,18 @@ def build_row_table(panel: Panel, tau: int,
     return RowTable(panel, tau, codec)
 
 
-def propensity_training_rows(panel: Panel, codec: FeatureCodec):
-    """(features, labels, times) over every (trajectory, time) position."""
-    feats, labels, times = [], [], []
-    for idx, X, A, Y in panel.dense_blocks():
-        T = X.shape[1]
-        for s in range(1, T + 1):
+def _propensity_training_rows(panel: Panel, codec: FeatureCodec):
+    """(features, labels) over every (trajectory, time) position."""
+    feats, labels = [], []
+    for _, X, A, Y in panel.dense_blocks():
+        for s in range(1, X.shape[1] + 1):
             feats.append(encode_block(X, A, Y, s, codec))
             labels.append(A[:, s - 1])
-            times.append(np.full(idx.size, s, dtype=int))
-    return np.concatenate(feats), np.concatenate(labels), np.concatenate(times)
+    return np.concatenate(feats), np.concatenate(labels)
+
+
+def _fold_names(tau: int) -> list[str]:
+    return [f"mu_{j}" for j in range(tau + 1)] + ["pi", "po"]
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,13 @@ class SplitPlan:
 
     @property
     def fold_names(self) -> list[str]:
-        return [f"mu_{j}" for j in range(self.tau + 1)] + ["pi", "po"]
+        return _fold_names(self.tau)
 
 
 def make_split(panel: Panel, tau: int, enabled: bool, seed=0) -> SplitPlan:
     """Random disjoint partition into tau+3 folds (or the trivial full-set plan)."""
     n = panel.n
-    names = [f"mu_{j}" for j in range(tau + 1)] + ["pi", "po"]
+    names = _fold_names(tau)
     if not enabled:
         full = np.arange(n)
         return SplitPlan(False, tau, {name: full for name in names})
@@ -227,7 +228,7 @@ def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan)
             _restrict(mask, f"response level {j} (arm {seq[j]}) -> no rows with "
                             f"A_(t+{j}) = {seq[j]} in its fold")
             models[s][j] = fit_regressor(spec, table.features(j)[mask], targets[s][mask],
-                                         table.base_weight[mask], codec=table.codec)
+                                         table.base_weight[mask])
         if j > 0:
             targets = predict_many([m[j] for m in models], table.features(j))
             for s, target in enumerate(targets):
@@ -260,7 +261,7 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
                              f"arms {seq} (low overlap)")
         _restrict(mask, f"history adjustment (arms {seq}) -> unreachable")
         out[key] = fit_regressor(spec, table.features(0)[mask], table.y_term[mask],
-                                 table.base_weight[mask], codec=table.codec)
+                                 table.base_weight[mask])
         if key == "a" and pair.a_seq == pair.b_seq:
             out["b"] = out["a"]
             break
@@ -269,23 +270,20 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
 
 def fit_propensities(panel: Panel, spec: ClassifierSpec,
                      split: Optional[SplitPlan] = None,
-                     codec: Optional[FeatureCodec] = None,
-                     tau: int = 0) -> FittedClassifier:
+                     codec: Optional[FeatureCodec] = None) -> FittedClassifier:
     """Single time-pooled treatment classifier over encoded histories.
 
     Histories are encoded with the time index included, so one model covers
-    every time step.
+    every time step.  With an enabled split plan it trains on the "pi" fold,
+    otherwise on every trajectory.
     """
     if codec is None:
         codec = default_codec(panel)
     if not codec.include_time_index:
         raise ValueError("propensity codec must include the time index")
-    if split is None:
-        split = make_split(panel, tau, enabled=False)
-    sub = panel.subset(split.fold("pi")) if split.enabled else panel
-    feats, labels, _ = propensity_training_rows(sub, codec)
-    return fit_classifier(spec, feats, labels, n_classes=panel.treatment_arity,
-                          codec=codec)
+    sub = panel.subset(split.fold("pi")) if split is not None and split.enabled else panel
+    feats, labels = _propensity_training_rows(sub, codec)
+    return fit_classifier(spec, feats, labels, n_classes=panel.treatment_arity)
 
 
 @dataclass(frozen=True)
@@ -500,7 +498,7 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
         models, preds = _fit_responses(table, seqs, regressor_spec, split)
         response_models = {"a": models[0], "b": models[-1]}
     if propensity_model is None and "propensity" in need:
-        propensity_model = fit_propensities(panel, classifier_spec, split, codec, tau)
+        propensity_model = fit_propensities(panel, classifier_spec, split, codec)
     history_models = None
     if "history" in need:
         history_models = fit_history_adjustment(panel, pair, tau, regressor_spec,
@@ -522,9 +520,7 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
         codec = FeatureCodec(max_len=dgp.horizon, cov_dim=1,
                              treatment_arity=dgp.treatment_arity)
     split = SplitPlan(False, pair.tau, {name: np.arange(0)
-                                        for name in
-                                        [f"mu_{j}" for j in range(pair.tau + 1)]
-                                        + ["pi", "po"]})
+                                        for name in _fold_names(pair.tau)})
     return NuisanceSet(pair=pair, tau=pair.tau, codec=codec, clip_eps=clip_eps,
                        split=split, oracle_mode=True, dgp=dgp)
 

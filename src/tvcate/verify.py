@@ -44,7 +44,6 @@ from .dgp import (
 from .learners import RegressorSpec
 from .meta import (
     PseudoRows,
-    build_pseudo_rows,
     fit_meta,
     fit_v_model,
     ivw_realized,
@@ -285,8 +284,7 @@ def _suite_static_reduction(budget, seed):
     codec = default_codec(train)
     table = build_row_table(train, 0, codec)
     v, _ = _mini_realized_v(mini, table)
-    rows = PseudoRows(table.features(0), np.zeros(table.n_rows), v,
-                      table.traj_id, table.t)
+    rows = PseudoRows(table.features(0), np.zeros(table.n_rows), v)
     vm = fit_v_model(rows)
     test = mini.simulate(1000, seed=[seed, 42])
     ttab = build_row_table(test, 0, codec)

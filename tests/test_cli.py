@@ -104,6 +104,10 @@ class TestFitTrainEvaluate:
         with pytest.raises(SystemExit, match="exactly one"):
             run_cli("evaluate", "--model", str(model), "--panel", str(test),
                     "--truth", "0.5", "--dgp", "d2")
+        # checked before the model and the panel are read
+        missing = str(tmp_path / "missing.json")
+        with pytest.raises(SystemExit, match="exactly one"):
+            run_cli("evaluate", "--model", missing, "--panel", missing)
 
     def test_evaluate_fixed_time_filter(self, tmp_path, panels, capsys):
         train, test = panels

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import tvcate
-from tvcate.harness import (ExperimentConfig, ExperimentResult, ResultRow,
+from tvcate.harness import (_seed_job, ExperimentConfig, ExperimentResult, ResultRow,
                             config_to_dict, config_to_text,
                             config_with_overrides, default_sweep_config,
                             emit_results, emit_sweep, format_results_csv,
@@ -43,6 +43,8 @@ class TestConfigValidation:
         (dict(eval_t=0), "eval_t"),
         (dict(gammas=()), "gammas"),
         (dict(workers=0), "workers"),
+        (dict(taus=(0, 0)), "taus must not repeat"),
+        (dict(gammas=(2.0, 2.0)), "gammas must not repeat"),
     ])
     def test_rejects_bad_fields(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -173,6 +175,24 @@ class TestRunExperiment:
         cfg = ExperimentConfig(fast=True, seeds=(2,), taus=(2,))
         with pytest.raises(RuntimeError, match=r"tau=2 seed=2"):
             run_experiment(cfg)
+
+
+SINGLE = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1))
+
+
+@pytest.fixture(scope="module")
+def six_learner_rows():
+    rows, _ = _seed_job(SINGLE, 0)
+    return rows
+
+
+class TestSingleLearnerJobs:
+    """A job fits only the nuisances its learners need, with unchanged bits."""
+
+    @pytest.mark.parametrize("kind", tvcate.LEARNER_KINDS)
+    def test_row_equals_the_six_learner_job(self, kind, six_learner_rows):
+        rows, _ = _seed_job(dataclasses.replace(SINGLE, learners=(kind,)), 0)
+        assert rows == [row for row in six_learner_rows if row.learner == kind]
 
 
 def _handmade_result():

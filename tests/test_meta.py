@@ -13,6 +13,7 @@ from tvcate.meta import (
     DEFAULT_SECOND_STAGE,
     LEARNER_KINDS,
     PseudoRows,
+    VModel,
     build_pseudo_rows,
     cate_model_from_dict,
     cate_model_to_dict,
@@ -281,27 +282,6 @@ class TestBuildPseudoRows:
         with pytest.raises(ValueError, match="no pseudo-outcomes"):
             build_pseudo_rows(table, nz, pair, "PI-HA")
 
-    def test_ra_is_contrast_only(self):
-        d1 = make_d1()
-        panel = simulate_panel(d1, 50, seed=0)
-        pair = benchmark_pair(1)
-        nz = oracle_nuisances(d1, pair)
-        table = build_row_table(panel, 1, nz.codec)
-        with pytest.raises(ValueError, match="contrast-only"):
-            build_pseudo_rows(table, nz, pair, "RA", target="capo")
-
-    def test_capo_target_returns_single_arm_values(self):
-        d1 = make_d1()
-        panel = simulate_panel(d1, 80, seed=2)
-        pair = benchmark_pair(1)
-        nz = oracle_nuisances(d1, pair)
-        table = build_row_table(panel, 1, nz.codec)
-        rows = build_pseudo_rows(table, nz, pair, "DR", target="capo")
-        a_vals, _, _ = pseudo_dr(table, nz, pair)
-        v_a, _ = ivw_realized(table, nz, pair)
-        assert np.array_equal(rows.value, a_vals)
-        assert np.array_equal(rows.v_realized, v_a)
-
     def test_row_mask_subsets_rows(self):
         d1 = make_d1()
         panel = simulate_panel(d1, 80, seed=2)
@@ -312,7 +292,7 @@ class TestBuildPseudoRows:
         mask = table.traj_id % 2 == 0
         part = build_pseudo_rows(table, nz, pair, "DR", row_mask=mask)
         assert np.array_equal(part.value, full.value[mask])
-        assert np.array_equal(part.traj_id, full.traj_id[mask])
+        assert np.array_equal(part.v_realized, full.v_realized[mask])
         assert np.array_equal(part.features, full.features[mask])
 
     def test_clip_fraction_counts_clipped_queries(self):
@@ -331,11 +311,9 @@ class TestBuildPseudoRows:
     def test_value_validation(self):
         good = np.zeros(3)
         with pytest.raises(ValueError, match="non-finite"):
-            PseudoRows(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]), good,
-                       np.arange(3), np.ones(3, dtype=int))
+            PseudoRows(np.zeros((3, 2)), np.array([0.0, np.nan, 1.0]), good)
         with pytest.raises(ValueError, match="negative realized variance"):
-            PseudoRows(np.zeros((3, 2)), good, np.array([1.0, -0.5, 2.0]),
-                       np.arange(3), np.ones(3, dtype=int))
+            PseudoRows(np.zeros((3, 2)), good, np.array([1.0, -0.5, 2.0]))
 
 
 class TestVModel:
@@ -357,7 +335,7 @@ class TestVModel:
         nz = override_nuisances(panel, pair, propensity=0.5)
         table = build_row_table(panel, 0, default_codec(panel))
         rows = build_pseudo_rows(table, nz, pair, "IPW")
-        vm = fit_v_model(rows, v_floor=10.0)
+        vm = VModel(fit_v_model(rows).model, 10.0)
         assert np.all(vm.predict(rows.features) == 10.0)
 
     def test_floor_must_be_positive(self):
@@ -367,8 +345,9 @@ class TestVModel:
         nz = override_nuisances(panel, pair, propensity=0.5)
         table = build_row_table(panel, 0, default_codec(panel))
         rows = build_pseudo_rows(table, nz, pair, "IPW")
+        model = fit_v_model(rows).model
         with pytest.raises(ValueError, match="v_floor"):
-            fit_v_model(rows, v_floor=0.0)
+            VModel(model, 0.0)
 
 
 class TestFitMeta:
@@ -389,10 +368,6 @@ class TestFitMeta:
         _, panel, pair, nz = self.fitted_setup()
         with pytest.raises(ValueError, match="unknown learner kind"):
             fit_meta("DML", panel, pair, nz)
-        with pytest.raises(ValueError, match="target"):
-            fit_meta("DR", panel, pair, nz, target="ate")
-        with pytest.raises(ValueError, match="weights_mode"):
-            fit_meta("IVW-DR", panel, pair, nz, weights_mode="none")
         other = InterventionPair((1, 1), (0, 0))
         with pytest.raises(ValueError, match="different intervention pair"):
             fit_meta("DR", panel, other, nz)
@@ -468,8 +443,6 @@ class TestFitMeta:
             assert np.array_equal(arms["a"].params["W"], arms["b"].params["W"])
             assert np.array_equal(m.predict(feats),
                                   arms["a"].predict(feats) - arms["b"].predict(feats))
-            m.target = "capo"
-            assert np.array_equal(m.predict(feats), arms["a"].predict(feats))
 
     def test_identical_arms_give_zero_effect(self):
         d1 = make_d1()
@@ -504,26 +477,22 @@ class TestFitMeta:
         assert stats["min"] <= stats["max"]
         assert model.v_model is not None
 
-    def test_realized_weights_mode(self):
-        _, panel, pair, nz = self.fitted_setup(n=500)
-        model = fit_meta("IVW-DR", panel, pair, nz, weights_mode="realized")
-        assert model.v_model is None
-        assert model.diagnostics["weights"]["mean"] == pytest.approx(1.0, abs=1e-12)
-
     def test_constant_variance_realized_ivw_equals_dr(self):
-        # with a constant injected propensity at horizon 0, V is constant, the
-        # stabilized weights are exactly 1, and the weighted second stage
-        # coincides with the unweighted one
+        # with a constant injected propensity at horizon 0 the realized V is
+        # 4 on every row, the fitted V-hat is 4 up to rounding, the stabilized
+        # weights are 1 up to rounding, and the weighted second stage agrees
+        # with the unweighted one to rounding
         d2 = make_d2()
         panel = simulate_panel(d2, 400, seed=17)
         pair = benchmark_pair(0)
         nz = override_nuisances(panel, pair, propensity=0.5,
                                 response={"a": 0.75, "b": 0.25})
         dr = fit_meta("DR", panel, pair, nz)
-        ivw = fit_meta("IVW-DR", panel, pair, nz, weights_mode="realized")
+        ivw = fit_meta("IVW-DR", panel, pair, nz)
         table = build_row_table(panel, 0, nz.codec)
         feats = table.features(0)
-        assert np.array_equal(dr.predict(feats), ivw.predict(feats))
+        np.testing.assert_allclose(ivw.predict(feats), dr.predict(feats), rtol=1e-12,
+                                   atol=0.0)
 
     def test_clip_fraction_reported(self):
         d1, panel, pair, _ = self.fitted_setup(n=200)
@@ -634,6 +603,22 @@ class TestSerialization:
                 cate_model_from_dict(broken)
         with pytest.raises(ValueError, match="model bundle lacks the required key 'kind'"):
             cate_model_from_dict({"pair": {}})
+
+    def test_target_and_weights_mode_are_fixed_format_keys(self):
+        # every model is a CATE model: a bundle of another target must not
+        # load and predict a contrast; weights_mode never affected prediction
+        d1 = make_d1()
+        panel = simulate_panel(d1, 200, seed=33)
+        pair = benchmark_pair(1)
+        nz = oracle_nuisances(d1, pair)
+        model = fit_meta("IVW-DR", panel, pair, nz)
+        state = cate_model_to_dict(model)
+        assert (state["target"], state["weights_mode"]) == ("cate", "estimated")
+        feats = build_row_table(panel, 1, nz.codec).features(0)
+        realized = cate_model_from_dict({**state, "weights_mode": "realized"})
+        assert np.array_equal(realized.predict(feats), model.predict(feats))
+        with pytest.raises(ValueError, match="target 'capo'"):
+            cate_model_from_dict({**state, "target": "capo"})
 
     def test_default_second_stage_is_heavier_than_nuisance_default(self):
         assert DEFAULT_SECOND_STAGE.ridge_lambda > RegressorSpec().ridge_lambda

@@ -297,7 +297,7 @@ class TestClippedPropensity:
 
     @staticmethod
     def fitted_set(panel, model, clip_eps):
-        return NuisanceSet(pair=benchmark_pair(1), tau=1, codec=model.codec,
+        return NuisanceSet(pair=benchmark_pair(1), tau=1, codec=default_codec(panel),
                            clip_eps=clip_eps, split=make_split(panel, 1, enabled=False),
                            propensity_model=model)
 
@@ -305,7 +305,7 @@ class TestClippedPropensity:
         d1 = make_d1()
         panel = simulate_panel(d1, 2000, seed=17)
         model = fit_propensities(panel, ClassifierSpec())
-        table = build_row_table(panel, 1, model.codec)
+        table = build_row_table(panel, 1, default_codec(panel))
         clipped, raw = self.fitted_set(panel, model, 0.05).propensity(1, 0, table)
         assert np.array_equal(raw, model.predict_proba(table.features(1))[:, 0])
         assert np.any(raw < 0.05)

@@ -1,7 +1,9 @@
-"""Property tests of the flat panel store on random ragged panels.
+"""Property tests of the flat panel store on random ragged panels, and of
+pseudo-outcome identities on random simulated panels.
 
-Panels have 1-6 trajectories of lengths 1-6, covariate width 1 or 2 and
-treatment arity 2 or 3, with any finite float64 values.
+Ragged panels have 1-6 trajectories of lengths 1-6, covariate width 1 or 2
+and treatment arity 2 or 3, with any finite float64 values.  Simulated
+panels hold 1-40 trajectories of the d1 or d2 generator.
 """
 
 import os
@@ -13,9 +15,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from tvcate.nuisance import build_row_table
-from tvcate.panel import (HistoryView, Panel, Trajectory, encode_history,
-                          panel_from_csv, panel_to_csv)
+from tvcate.dgp import benchmark_pair, get_dgp, simulate_panel
+from tvcate.meta import ivw_realized, pseudo_dr, pseudo_ipw
+from tvcate.nuisance import build_row_table, default_codec, oracle_nuisances
+from tvcate.panel import (HistoryView, Panel, Trajectory, decode_history, encode_block,
+                          encode_history, panel_from_csv, panel_to_csv)
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -31,6 +35,15 @@ def ragged_panels(draw):
                         draw(arrays(float, T, elements=FINITE)))
              for T in lengths]
     return Panel(trajs, arity)
+
+
+@st.composite
+def simulated_panels(draw, taus=(0, 1, 2)):
+    """(generator, panel, tau) for a d1 or d2 panel and a benchmark horizon."""
+    dgp = get_dgp(draw(st.sampled_from(["d1", "d2"])))
+    n = draw(st.integers(1, 40))
+    panel = simulate_panel(dgp, n, seed=draw(st.integers(0, 2**32 - 1)))
+    return dgp, panel, draw(st.sampled_from(taus))
 
 
 def same_bits(a, b):
@@ -155,3 +168,41 @@ def test_subset_and_blocks_agree_with_source_views(panel, data):
             assert same_bits(A[k], views[i].treatments)
             assert same_bits(Y[k], views[i].outcomes)
     assert sorted(seen) == list(range(panel.n))
+
+
+@SETTINGS
+@given(ragged_panels())
+def test_decode_history_inverts_encode_block_at_every_time(panel):
+    codec = default_codec(panel)
+    for idx, X, A, Y in panel.dense_blocks():
+        for t in range(1, X.shape[1] + 1):
+            for k, vec in enumerate(encode_block(X, A, Y, t, codec)):
+                x, a, y, s = decode_history(vec, codec)
+                assert s == t
+                assert same_bits(x, X[k, :t])
+                np.testing.assert_array_equal(a, A[k, :t - 1])
+                assert same_bits(y, Y[k, :t - 1])
+
+
+@SETTINGS
+@given(simulated_panels())
+def test_dr_equals_ipw_when_every_response_is_zero(case):
+    # each DR correction term is mu-hat times a finite factor, so it vanishes
+    dgp, panel, tau = case
+    pair = benchmark_pair(tau)
+    table = build_row_table(panel, tau)
+    nz = oracle_nuisances(dgp, pair).corrupted(response=0.0)
+    for dr, ipw in zip(pseudo_dr(table, nz, pair), pseudo_ipw(table, nz, pair)):
+        assert np.array_equal(dr, ipw)
+
+
+@SETTINGS
+@given(simulated_panels(taus=(0,)))
+def test_pair_variance_statistic_is_four_at_half_propensity(case):
+    # at tau = 0 every binary row follows exactly one arm, with 1/0.5^2 = 4
+    dgp, panel, tau = case
+    pair = benchmark_pair(tau)
+    table = build_row_table(panel, tau)
+    nz = oracle_nuisances(dgp, pair).corrupted(propensity=0.5)
+    _, v_pair = ivw_realized(table, nz, pair)
+    assert np.array_equal(v_pair, np.full(table.n_rows, 4.0))
