@@ -10,13 +10,16 @@ assembled in a fixed order.  Measured wall times are the one intentionally
 non-reproducible quantity, so the ``walltime_s`` column (``fit_meta`` plus
 prediction, not the nuisance fits) is written as ``0.0`` unless
 ``record_walltime`` is switched on.  The learners of one horizon share a
-nuisance set, which evaluates each fitted model once per row table source
-and holds the uniform-weight second-stage design: the first uniform second
-stage of a horizon (RA, IPW or DR in the default order) pays for the
-feature map and gram of the training rows, and later learners reuse the
-evaluations and the design the first ones paid for, so the per-learner
-times depend strongly on the learner order.  Without a split plan, one
-propensity fit serves every horizon of a seed.
+nuisance set.  Its fit stores the training table's response evaluations
+at every level; it evaluates every other fitted model once per row table
+source, and holds the raw second-stage feature map beside the
+uniform-weight design built from it: the first uniform second stage of a
+horizon (RA, IPW or DR in the default order) pays for the map and gram
+of the training rows, later learners reuse the evaluations and the
+design the first ones paid for, and IVW-DR's weighted fit gathers its
+rows from the held map, so the per-learner times depend strongly on the
+learner order.  Without a split plan, one propensity fit serves every
+horizon of a seed.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 :func:`parse_config_text`); every field can also be overridden from a
@@ -48,7 +51,6 @@ from itertools import repeat
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-import scipy.stats
 
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .learners import ClassifierSpec, RegressorSpec
@@ -179,6 +181,24 @@ class ExperimentConfig:
             raise ValueError("gammas must not repeat")
         if self.workers < 1:
             raise ValueError("workers must be >= 1")
+        # each spec checks its own fields; name the config field at fault
+        for name, spec, param in _SPEC_FIELDS:
+            try:
+                spec(**{param: getattr(self, name)})
+            except (TypeError, ValueError) as exc:
+                raise ValueError(f"{name}: {exc}") from exc
+
+
+#: config fields that only fill a spec: (field, spec class, spec parameter)
+_SPEC_FIELDS = (
+    ("regressor_features", RegressorSpec, "feature_count"),
+    ("regressor_bandwidth", RegressorSpec, "bandwidth"),
+    ("regressor_ridge", RegressorSpec, "ridge_lambda"),
+    ("classifier_l2", ClassifierSpec, "l2"),
+    ("second_stage_features", RegressorSpec, "feature_count"),
+    ("second_stage_bandwidth", RegressorSpec, "bandwidth"),
+    ("second_stage_ridge", RegressorSpec, "ridge_lambda"),
+)
 
 
 def default_sweep_config() -> ExperimentConfig:
@@ -218,7 +238,7 @@ def _value_to_str(value) -> str:
     if isinstance(value, tuple):
         return ",".join(_value_to_str(v) for v in value)
     if isinstance(value, float):
-        return f"{value:g}"
+        return repr(value)                # reads back to the same float
     return str(value)
 
 
@@ -452,8 +472,13 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
     return ExperimentResult(cfg, tuple(rows), tuple(advisories))
 
 
+def _sweep_dgp(gamma: float) -> str:
+    """The generator name of a sweep point; ``repr`` keeps every digit of gamma."""
+    return f"d3:gamma={gamma!r}"
+
+
 def _sweep_job(cfg: ExperimentConfig, gamma: float, seed: int):
-    point = dataclasses.replace(cfg, dgp=f"d3:gamma={gamma:g}")
+    point = dataclasses.replace(cfg, dgp=_sweep_dgp(gamma))
     rows, notes = _seed_job(point, seed)
     return [dataclasses.replace(r, gamma=gamma) for r in rows], notes
 
@@ -465,7 +490,7 @@ def overlap_sweep(cfg: ExperimentConfig) -> ExperimentResult:
                          "dgp=d3 (the gamma grid comes from the config)")
     if len(cfg.taus) != 1:
         raise ValueError("the overlap sweep uses a single tau")
-    _validate_horizons(cfg, _experiment_dgp(f"d3:gamma={cfg.gammas[0]:g}"))
+    _validate_horizons(cfg, _experiment_dgp(_sweep_dgp(cfg.gammas[0])))
     jobs = [(gamma, seed) for gamma in cfg.gammas for seed in cfg.seeds]
     if cfg.workers > 1:
         with ProcessPoolExecutor(max_workers=min(cfg.workers,
@@ -643,4 +668,5 @@ def spearman(x, y) -> float:
     y = np.asarray(y, dtype=float)
     if x.shape != y.shape or x.ndim != 1 or x.size < 2:
         raise ValueError("spearman needs two equal-length 1-D arrays, n >= 2")
+    import scipy.stats          # its only user; importing it costs half of `import tvcate`
     return float(scipy.stats.spearmanr(x, y).statistic)

@@ -18,7 +18,13 @@ with the same contract could be swapped in.  The built-in regressors are
   rows, the gram matrix and its factors, is a :class:`RidgeDesign`; callers
   that fit several targets on one row set with one weight vector (the
   uniform-weight second stages of a horizon) keep one design and pay only a
-  right-hand side and a solve per fit, with the bits of separate fits.
+  right-hand side and a solve per fit, with the bits of separate fits.  A
+  :class:`CosineMap` holds the raw map of one row set: designs on any subset
+  of those rows and weights gather from it, and predictions at the rows
+  multiply it, so a row set that several fits and predictions share is
+  mapped once.  Designs fill their gram matrix in column blocks
+  (:func:`_gram`), so building one next to a held map adds the design and a
+  narrow buffer, not a second N x F temporary.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 The classifier is multinomial logistic regression (optional random cosine
@@ -191,21 +197,21 @@ def _shares_map(m1: FittedRegressor, m2: FittedRegressor) -> bool:
             and np.array_equal(m1.params["b"], m2.params["b"]))
 
 
-def _predict_ridge(models, features) -> list:
-    """Predictions of ridge models that draw one (W, b), mapping the rows once.
+def _predict_mapped(models, phi, in_place: bool) -> list:
+    """Predictions of ridge models at the rows of their raw map ``phi``.
 
     Each model centers the map with its own ``phi_mean`` and multiplies by its
     own ``beta``, block by block (:func:`_blocks`), so extra models cost one
-    block, not one N x F map.
+    block, not one N x F map.  With ``in_place`` the last model centers the
+    map itself, which the caller then gives up.
     """
-    phi = _cosine_features(features, models[0].params["W"], models[0].params["b"])
     outs = [np.empty(phi.shape[0]) for _ in models]
     for lo, hi in _blocks(phi.shape[0]):
         block = phi[lo:hi]
-        for k, model in enumerate(models):      # the last model centers in place
-            last = k == len(models) - 1
+        for k, model in enumerate(models):
+            own = in_place and k == len(models) - 1
             centered = np.subtract(block, model.params["phi_mean"],
-                                   out=block if last else None)
+                                   out=block if own else None)
             outs[k][lo:hi] = centered @ model.params["beta"]
     return [model.params["intercept"] + out for model, out in zip(models, outs)]
 
@@ -233,7 +239,9 @@ def predict_many(models, features) -> list:
             continue
         group = [j for j in range(k, len(models))
                  if outs[j] is None and _shares_map(model, models[j])]
-        for j, out in zip(group, _predict_ridge([models[j] for j in group], features)):
+        phi = _cosine_features(features, model.params["W"], model.params["b"])
+        for j, out in zip(group, _predict_mapped([models[j] for j in group], phi,
+                                                 in_place=True)):
             outs[j] = out
     return [out[0] if squeeze else out for out in outs]
 
@@ -262,6 +270,83 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedR
     return FittedRegressor(spec, X.shape[1], n, _fit_lookup(X, y, w))
 
 
+#: columns of the map per block when a gram matrix is filled (:func:`_gram`)
+_GRAM_BLOCK_COLS = 64
+
+
+def _gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The weighted gram matrix ``(phi * w[:, None]).T @ phi``.
+
+    When the feature count is a multiple of ``_GRAM_BLOCK_COLS`` (the
+    package's 64, 128 and 256 features), the rows are filled 64 columns of
+    phi at a time through one N x 64 buffer, so no N x F temporary is built.
+    On one OpenBLAS 0.3 thread those block products carry the bits of the
+    one product (checked for 64 to 512 features at row counts from 3 to
+    30,000); at other counts they need not, so those take the one product.
+    """
+    n, F = phi.shape
+    step = _GRAM_BLOCK_COLS if F % _GRAM_BLOCK_COLS == 0 else F
+    gram = np.empty((F, F))
+    buf = np.empty((n, step))
+    for lo in range(0, F, step):
+        np.multiply(phi[:, lo:lo + step], w[:, None], out=buf)
+        gram[lo:lo + step] = buf.T @ phi
+    return gram
+
+
+class CosineMap:
+    """The raw cosine map of one row set under a ridge spec's (W, b).
+
+    Computed once, it serves every fit on a subset of those rows
+    (:meth:`fit`, or a :class:`RidgeDesign` built on it, which gathers its
+    rows into its own copy) and every prediction at them (:meth:`predict`),
+    each with the bits of mapping those rows again.  (With OpenBLAS 0.3 on
+    one thread that holds up to 192 features and at multiples of 8 above;
+    at other counts a row of ``X @ W`` can take other last bits depending on
+    the number of rows in the product.)  The map is N x F: :meth:`release`
+    drops it.
+    """
+
+    def __init__(self, spec: RegressorSpec, X):
+        X = np.asarray(X, dtype=float)
+        self.in_dim = X.shape[1]
+        self.key = cosine_map_key(spec, self.in_dim)
+        self.W, self.b = random_cosine_map(*self.key)
+        for shared in (self.W, self.b):       # every fit's model holds them
+            shared.flags.writeable = False
+        self.phi = _cosine_features(X, self.W, self.b)
+        self.n_rows = X.shape[0]
+
+    def gather(self, rows=None) -> np.ndarray:
+        """The held map, or a copy of its ``rows`` (a boolean mask)."""
+        if self.phi is None:
+            raise ValueError("the cosine map was released")
+        return self.phi if rows is None else self.phi[rows]
+
+    def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
+        """``fit_regressor(spec, X[rows], target, weight)`` from the held map.
+
+        ``rows`` is a boolean mask over the mapped rows (all when None);
+        ``target`` and ``weight`` hold one value per selected row.
+        """
+        n = self.n_rows if rows is None else int(np.count_nonzero(rows))
+        if n < 1:
+            raise ValueError("need at least one training row")
+        return RidgeDesign(spec, self, _normalized_weights(weight, n), rows).fit(spec, target)
+
+    def predict(self, models) -> list:
+        """``predict_many(models, X)`` for ridge models drawing this map."""
+        for model in models:
+            if not (model.spec.kind == "ridge-random-features"
+                    and np.array_equal(model.params["W"], self.W)
+                    and np.array_equal(model.params["b"], self.b)):
+                raise ValueError("model draws another cosine map than the map's")
+        return _predict_mapped(models, self.gather(), in_place=False)
+
+    def release(self) -> None:
+        self.phi = None
+
+
 class RidgeDesign:
     """The weighted ridge system of one row set under one cosine map.
 
@@ -270,29 +355,47 @@ class RidgeDesign:
     penalty and the eigendecomposition "auto" penalties search.  Each
     :meth:`fit` then costs one right-hand side and one solve, and returns the
     bits ``fit_regressor`` returns for the same rows, weights and target.
-    ``w`` is the normalized weight vector; None means uniform.  The held map
-    is N x F: :meth:`release` drops it, after which only fitted models remain
-    usable.
+    ``X`` is the rows' features, mapped here and centered in place, or a held
+    :class:`CosineMap` of them: the design then gathers ``rows`` (a boolean
+    mask, all rows when None) into its own copy and leaves the map as it is.
+    ``w`` is the normalized weight vector of the design's rows; None means
+    uniform.  The gram is filled in column blocks (:func:`_gram`), so at the
+    package's feature counts a design built next to a held map costs the
+    design and a narrow buffer.  The
+    centered map is N x F: :meth:`release` drops it, after which only fitted
+    models remain usable.
     """
 
-    def __init__(self, spec: RegressorSpec, X: np.ndarray, w=None):
-        n = X.shape[0]
+    def __init__(self, spec: RegressorSpec, X, w=None, rows=None):
+        if isinstance(X, CosineMap):
+            if X.key != cosine_map_key(spec, X.in_dim):
+                raise ValueError("spec draws another cosine map than the held map's")
+            source = X
+            phi = X.gather().copy() if rows is None else X.gather(rows)
+        else:
+            source = CosineMap(spec, X)
+            phi, source.phi = source.phi, None    # one use: centered in place
+        n = phi.shape[0]
         self.w = np.full(n, 1.0 / n) if w is None else w
-        self.in_dim = X.shape[1]
-        self.map = cosine_map_key(spec, self.in_dim)
-        self.W, self.b = random_cosine_map(*self.map)
-        phi = _cosine_features(X, self.W, self.b)
+        self.in_dim, self.map = source.in_dim, source.key
+        self.W, self.b = source.W, source.b
         self.phi_mean = self.w @ phi
         phi -= self.phi_mean
-        self.gram = (phi * self.w[:, None]).T @ phi
+        self.gram = _gram(phi, self.w)
         self.phi = phi
-        for shared in (self.W, self.b, self.phi_mean):   # every fit's model holds them
-            shared.flags.writeable = False
+        self.phi_mean.flags.writeable = False   # every fit's model holds it
         self._factors = {}
         self._eigh = None
 
+    def _held(self) -> np.ndarray:
+        if self.phi is None:
+            raise ValueError("the design was released; its fitted models remain "
+                             "usable, but it cannot fit or predict")
+        return self.phi
+
     def fit(self, spec: RegressorSpec, target) -> FittedRegressor:
         """Fit ``spec``'s penalty to ``target`` on the design's rows."""
+        phi = self._held()
         if cosine_map_key(spec, self.in_dim) != self.map:
             raise ValueError("spec draws another cosine map than the design's")
         w, n = self.w, self.w.size
@@ -300,7 +403,7 @@ class RidgeDesign:
         if y.shape != (n,):
             raise ValueError("target must be one value per row")
         y_mean = float(w @ y)
-        rhs = self.phi.T @ (w * (y - y_mean))
+        rhs = phi.T @ (w * (y - y_mean))
         lam = spec.ridge_lambda
         if lam == "auto":
             if self._eigh is None:
@@ -317,14 +420,15 @@ class RidgeDesign:
     def predict(self, model: FittedRegressor) -> np.ndarray:
         """``model.predict`` at the design's rows, for a model it fitted.
 
-        Multiplies the held centered map by beta in ``_predict_ridge``'s
+        Multiplies the held centered map by beta in :func:`_predict_mapped`'s
         blocks, so the result has the bits of mapping the rows again.
         """
+        phi = self._held()
         if model.params["phi_mean"] is not self.phi_mean:
             raise ValueError("model was not fitted on this design")
         out = np.empty(self.w.size)
         for lo, hi in _blocks(self.w.size):
-            out[lo:hi] = self.phi[lo:hi] @ model.params["beta"]
+            out[lo:hi] = phi[lo:hi] @ model.params["beta"]
         return model.params["intercept"] + out
 
     def release(self) -> None:

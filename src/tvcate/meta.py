@@ -27,7 +27,8 @@ from typing import Optional
 
 import numpy as np
 
-from .learners import FittedRegressor, RegressorSpec, fit_regressor, predict_many
+from .learners import (CosineMap, FittedRegressor, RegressorSpec, fit_regressor,
+                       predict_many)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
@@ -289,9 +290,14 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     over the pseudo-outcome fold of the nuisance split plan; IVW-DR also
     regresses the realized variance statistic on H_t (ridge, GCV penalty,
     predictions floored at 1.0) and reweights rows by stabilized 1/V-hat
-    with empirical mean 1.  Every ridge fit solves on the set's held
-    :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design` except IVW-DR's
-    weighted fit, which releases the design and maps the rows again.
+    with empirical mean 1.  Every uniform-weight ridge fit (RA, IPW, DR and
+    the variance model) solves on the set's held
+    :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design`.  IVW-DR's
+    weighted fit releases that design and builds its own from the raw map
+    held beside it, so the rows are mapped once per horizon when the
+    variance model and the second stage draw one cosine map (the harness
+    specs do); otherwise it maps them with the second stage's map.  After
+    IVW-DR the set holds no map.
     ``table`` may hand in the training panel's row table for ``pair.tau``.
     Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
     """
@@ -324,25 +330,31 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     diagnostics = {"n_pseudo_rows": int(rows.value.size),
                    "clip_fraction": rows.clip_fraction}
 
-    weight = None
+    weight, raw = None, None
+    ridge = second_stage_spec.kind == "ridge-random-features"
     if kind == "IVW-DR":
         design = nuisances.second_stage_design(DEFAULT_V_SPEC, table, rows.features)
         model.v_model = VModel(design.fit(DEFAULT_V_SPEC, rows.v_realized))
         v_hat = np.maximum(design.predict(model.v_model.model), model.v_model.v_floor)
-        # the weighted fit below maps these rows again: never beside a held map
-        nuisances.release_design()
+        # keep only the raw map, for the weighted fit below: never two designs
+        raw = nuisances.release_design(keep_map_of=second_stage_spec if ridge else None)
         inv = 1.0 / v_hat
         weight = inv / inv.mean()          # stabilized: empirical mean 1
         diagnostics["weights"] = {
             "min": float(weight.min()), "max": float(weight.max()),
             "mean": float(weight.mean()), "sd": float(weight.std()),
         }
-    if weight is None and second_stage_spec.kind == "ridge-random-features":
+    if not ridge:
+        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
+                                           weight)
+    elif weight is None:
         design = nuisances.second_stage_design(second_stage_spec, table, rows.features)
         model.second_stage = design.fit(second_stage_spec, rows.value)
     else:
-        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
-                                           weight)
+        if raw is None:                    # the variance model drew another map
+            raw = CosineMap(second_stage_spec, rows.features)
+        model.second_stage = raw.fit(second_stage_spec, rows.value, weight)
+        raw.release()
     model.diagnostics = diagnostics
     return model
 

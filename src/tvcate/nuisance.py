@@ -24,6 +24,7 @@ from scipy.special import expit
 
 from .learners import (
     ClassifierSpec,
+    CosineMap,
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
@@ -204,36 +205,57 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
         table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
-    models, _ = _fit_responses(table, (a_seq,), spec, split)
+    models, _, _ = _fit_responses(table, (a_seq,), spec, split)
     return models[0]
 
 
-def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan):
+def _fit_masked(spec: RegressorSpec, table: RowTable, j: int, mask, target,
+                raw: Optional[CosineMap] = None) -> FittedRegressor:
+    """``fit_regressor`` on the masked rows of ``table.features(j)``.
+
+    With ``raw``, the cosine map of all of those rows, the fit gathers its
+    rows from it instead of mapping them again.
+    """
+    if raw is None:
+        return fit_regressor(spec, table.features(j)[mask], target[mask],
+                             table.base_weight[mask])
+    return raw.fit(spec, target[mask], table.base_weight[mask], rows=mask)
+
+
+def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
+                   level0: bool = False):
     """:func:`fit_response_iterative` for several sequences, level by level.
 
-    Each level's next targets, the level-j models' predictions at H_{t+j},
-    come from one ``predict_many`` over the sequences, so the sequences map
-    ``table.features(j)`` once.  Returns the models per sequence (by level)
-    and those predictions per sequence as ``{j: array}`` for j >= 1: they are
-    the mu-hat of ``table`` at level j.
+    A ridge spec maps ``table.features(j)`` once per level j >= 1, and with
+    ``level0`` also at level 0: every sequence's level-j fit gathers its rows
+    from that map, and the level-j models' predictions at H_{t+j} (the next
+    level's targets) multiply it.  Returns the models per sequence (by
+    level), those predictions per sequence as ``{j: array}`` (they are the
+    mu-hat of ``table`` at level j; level 0 only with ``level0``), and the
+    level-0 map (None unless ``level0`` and a ridge spec).
     """
     tau = table.tau
     models = [[None] * (tau + 1) for _ in seqs]
     preds = [{} for _ in seqs]
     targets = [table.y_term] * len(seqs)
     for j in range(tau, -1, -1):
+        shared = spec.kind == "ridge-random-features" and (j > 0 or level0)
+        raw = CosineMap(spec, table.features(j)) if shared else None
         fold = table.traj_mask(split.fold(f"mu_{j}"))
         for s, seq in enumerate(seqs):
             mask = fold & (table.a_obs[:, j] == seq[j])
             _restrict(mask, f"response level {j} (arm {seq[j]}) -> no rows with "
                             f"A_(t+{j}) = {seq[j]} in its fold")
-            models[s][j] = fit_regressor(spec, table.features(j)[mask], targets[s][mask],
-                                         table.base_weight[mask])
-        if j > 0:
-            targets = predict_many([m[j] for m in models], table.features(j))
+            models[s][j] = _fit_masked(spec, table, j, mask, targets[s], raw)
+        if j > 0 or shared:
+            level = [m[j] for m in models]
+            targets = (raw.predict(level) if shared
+                       else predict_many(level, table.features(j)))
             for s, target in enumerate(targets):
                 preds[s][j] = target
-    return models, preds
+        if j > 0 and shared:
+            raw.release()
+    return models, preds, raw
 
 
 def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
@@ -252,6 +274,20 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
         table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
+    return _fit_history(table, pair, spec, split)
+
+
+def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
+                 split: SplitPlan, level0: Optional[CosineMap] = None,
+                 responses: Optional[dict] = None) -> dict:
+    """:func:`fit_history_adjustment` on a table.
+
+    The fits gather their rows from ``level0``, the cosine map of
+    ``table.features(0)``, when given.  ``responses`` hands in the level-0
+    response models of a tau = 0 table fitted with the same spec and split:
+    they were fitted on the same rows, targets and weights, so they are
+    returned in place of refitting.
+    """
     fold_mask = table.traj_mask(split.fold("mu_0"))
     out = {}
     for key, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
@@ -260,8 +296,8 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
             raise ValueError(f"intervention path unobserved: no rows with observed "
                              f"arms {seq} (low overlap)")
         _restrict(mask, f"history adjustment (arms {seq}) -> unreachable")
-        out[key] = fit_regressor(spec, table.features(0)[mask], table.y_term[mask],
-                                 table.base_weight[mask])
+        out[key] = (responses[key][0] if responses is not None
+                    else _fit_masked(spec, table, 0, mask, table.y_term, level0))
         if key == "a" and pair.a_seq == pair.b_seq:
             out["b"] = out["a"]
             break
@@ -308,17 +344,20 @@ class NuisanceSet:
     * mu-hat per (arm, level), paired: a miss evaluates both arms' level-j
       models with one ``predict_many`` (they draw one cosine map) and stores
       both.  :func:`fit_nuisances` stores the training table's levels
-      j >= 1 at fit time, since the backward fit computes them as targets.
+      0..tau at fit time, since the backward fit computes them from the
+      cosine map it fits each level on.
     * the whole class-probability matrix per propensity level (clipped per
       call).
-    * at most one second-stage design (:meth:`second_stage_design`), keyed
-      also by its cosine map (in_dim, features, bandwidth, seed): the
-      uniform-weight ridge system of the table's second-stage rows, with
-      their N x F centered map.  Every uniform-weight fit on those rows (RA,
-      IPW, DR, the IVW variance model) reuses it.  :meth:`release_design`
-      frees it; the IVW-DR fit does so before mapping the rows again for its
-      weighted fit, and building a design for another source or map
-      replaces it.  Otherwise a set kept alive keeps its design and map.
+    * at most one second-stage entry (:meth:`second_stage_design`), keyed
+      also by its cosine map (in_dim, features, bandwidth, seed): the raw
+      N x F map of the table's second-stage rows, and beside it the
+      uniform-weight ridge design built from it, with its own centered
+      copy.  Every uniform-weight fit on those rows (RA, IPW, DR, the IVW
+      variance model) reuses the design; the IVW-DR weighted fit gathers
+      its rows from the raw map after :meth:`release_design` drops the
+      design, and leaves the set holding no map.  Building a design for
+      another source or map replaces the entry.  Otherwise a set kept alive
+      keeps its map and design.
 
     Stored arrays are read-only.  Oracle and override answers are never
     stored, and the store is no constructor argument: ``replace()`` and
@@ -433,19 +472,35 @@ class NuisanceSet:
 
         ``features`` are those rows: ``table.features(0)``, restricted to the
         "po" fold when the split plan is enabled.  The first call for a
-        source and cosine map builds the design, releasing any other held
-        one; later calls return it.
+        source and cosine map maps the rows, releasing any other held map,
+        and holds the raw map beside the design built from it; later calls
+        return the design.
         """
         key = ("design",) + cosine_map_key(spec, features.shape[1])
         if self._key(table, *key) not in self._store:
-            self.release_design()             # hold at most one N x F map
-            self._put(table, key, RidgeDesign(spec, features))
-        return self._store[self._key(table, *key)][1]
+            self.release_design()             # hold one raw map and its design
+            raw = CosineMap(spec, features)
+            self._put(table, key, (raw, RidgeDesign(spec, raw)))
+        return self._store[self._key(table, *key)][1][1]
 
-    def release_design(self) -> None:
-        """Drop the held second-stage design and free its N x F map."""
+    def release_design(self, keep_map_of: Optional[RegressorSpec] = None
+                       ) -> Optional[CosineMap]:
+        """Drop the held second-stage design and free its raw map.
+
+        With ``keep_map_of``, a held raw map drawn by that spec's cosine map
+        is returned instead of freed, for the caller to use once; otherwise
+        the result is None.  Either way the set holds no map afterwards.
+        """
+        kept = None
         for key in [k for k in self._store if k[3] == "design"]:
-            self._store.pop(key)[1].release()
+            raw, design = self._store.pop(key)[1]
+            design.release()
+            if keep_map_of is not None and raw.key == cosine_map_key(keep_map_of,
+                                                                     raw.in_dim):
+                kept = raw
+            else:
+                raw.release()
+        return kept
 
     # -- history adjustments ----------------------------------------------
     def delta_features(self, arm: str, feats: np.ndarray) -> np.ndarray:
@@ -477,9 +532,11 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
     its messages, which name the trajectory.  ``propensity_model`` hands in a
     classifier fitted elsewhere, used in place of fitting one (without a
     split, one fit serves every horizon of a panel).  The two arms' response
-    models are fitted level by level; their level-j predictions at H_{t+j}
-    (j >= 1), the next level's targets, are stored as the set's mu-hat on
-    the training table.
+    models are fitted level by level on one cosine map of each level's rows;
+    their predictions at H_{t+j} for every level j, the next level's targets
+    and level 0's mu-hat, are stored as the set's mu-hat on the training
+    table.  The history adjustments gather their rows from the level-0 map,
+    and at tau = 0 are the level-0 response models themselves.
     """
     problems = validate_panel(panel)
     if problems:
@@ -492,17 +549,20 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
     if table is None:
         table = build_row_table(panel, tau, codec)
 
-    response_models = None
+    response_models, level0 = None, None
     if "response" in need:
         seqs = (pair.a_seq,) if pair.b_seq == pair.a_seq else (pair.a_seq, pair.b_seq)
-        models, preds = _fit_responses(table, seqs, regressor_spec, split)
+        models, preds, level0 = _fit_responses(table, seqs, regressor_spec, split,
+                                               level0=True)
         response_models = {"a": models[0], "b": models[-1]}
-    if propensity_model is None and "propensity" in need:
-        propensity_model = fit_propensities(panel, classifier_spec, split, codec)
     history_models = None
     if "history" in need:
-        history_models = fit_history_adjustment(panel, pair, tau, regressor_spec,
-                                                split, table=table)
+        # at tau = 0 the history adjustments are the level-0 response fits
+        history_models = _fit_history(table, pair, regressor_spec, split, level0,
+                                      response_models if tau == 0 else None)
+    level0 = None                     # free the level-0 map before the classifier
+    if propensity_model is None and "propensity" in need:
+        propensity_model = fit_propensities(panel, classifier_spec, split, codec)
     ns = NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,
                      response_models=response_models, propensity_model=propensity_model,
                      history_models=history_models)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import tvcate
+from tvcate import harness as harness_module
 from tvcate.harness import (_seed_job, ExperimentConfig, ExperimentResult, ResultRow,
                             config_to_dict, config_to_text,
                             config_with_overrides, default_sweep_config,
@@ -45,6 +46,10 @@ class TestConfigValidation:
         (dict(workers=0), "workers"),
         (dict(taus=(0, 0)), "taus must not repeat"),
         (dict(gammas=(2.0, 2.0)), "gammas must not repeat"),
+        (dict(regressor_features=0), "regressor_features: feature_count"),
+        (dict(second_stage_bandwidth=-1), "second_stage_bandwidth: bandwidth"),
+        (dict(regressor_ridge=-1), "regressor_ridge: ridge_lambda"),
+        (dict(classifier_l2=-0.5), "classifier_l2: l2"),
     ])
     def test_rejects_bad_fields(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
@@ -57,6 +62,9 @@ class TestConfigSerialization:
         default_sweep_config(),
         ExperimentConfig(eval_t=2, classifier_l2=0.5, fast=True,
                          output_dir="out", gammas=(0.0, 1.5)),
+        # every digit survives: six significant digits would merge the gammas
+        ExperimentConfig(clip_eps=0.0123456789, regressor_bandwidth=1.23456789,
+                         classifier_l2=1e-7 / 3, gammas=(2.0, 2.0000001)),
     ])
     def test_text_round_trip(self, cfg):
         text = config_to_text(cfg)
@@ -284,6 +292,19 @@ class TestOverlapSweep:
         parallel = overlap_sweep(dataclasses.replace(SWEEP_TINY, workers=2))
         assert parallel.rows == base.rows
 
+    def test_each_gamma_runs_its_own_generator(self, monkeypatch):
+        points = []
+
+        def recording(cfg, seed):
+            points.append(cfg.dgp)
+            return [], []
+        monkeypatch.setattr(harness_module, "_seed_job", recording)
+        for gamma in (2.0, 2.0000001):
+            harness_module._sweep_job(SWEEP_TINY, gamma, 0)
+        logits = [harness_module._experiment_dgp(name).f_a(1.0, 0.0, 0.0)
+                  for name in points]
+        assert logits == [2.0 * 0.75, 2.0000001 * 0.75]
+
     def test_requires_d3_family(self):
         with pytest.raises(ValueError, match="d3"):
             overlap_sweep(dataclasses.replace(SWEEP_TINY, dgp="d1"))
@@ -312,6 +333,15 @@ class TestOverlapSweep:
 
 
 class TestSpearman:
+    def test_import_tvcate_leaves_scipy_stats_unloaded(self):
+        # spearman imports scipy.stats itself, on first use
+        src = os.path.dirname(os.path.dirname(tvcate.__file__))
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c",
+                        "import sys, tvcate; assert 'scipy.stats' not in sys.modules"],
+                       env=env, check=True)
+
     def test_perfect_monotone(self):
         assert spearman([0, 2, 4, 6, 8], [1, 5, 7, 20, 21]) == \
             pytest.approx(1.0)

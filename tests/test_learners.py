@@ -9,6 +9,7 @@ import pytest
 import tvcate
 from tvcate.learners import (
     ClassifierSpec,
+    CosineMap,
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
@@ -179,6 +180,80 @@ class TestRidgeDesign:
         other = fit_regressor(RegressorSpec(feature_count=8), X, np.zeros(40))
         with pytest.raises(ValueError, match="not fitted on this design"):
             design.predict(other)
+
+
+    def test_released_design_raises(self):
+        X = np.random.default_rng(13).normal(size=(40, 2))
+        spec = RegressorSpec(feature_count=8)
+        design = RidgeDesign(spec, X)
+        model = design.fit(spec, np.arange(40.0))
+        design.release()
+        with pytest.raises(ValueError, match="design was released"):
+            design.fit(spec, np.arange(40.0))
+        with pytest.raises(ValueError, match="design was released"):
+            design.predict(model)
+        assert model.predict(X).shape == (40,)      # its models stay usable
+
+
+def params_equal(got, want):
+    return got.params.keys() == want.params.keys() and all(
+        np.array_equal(got.params[key], value) for key, value in want.params.items())
+
+
+class TestCosineMap:
+    @pytest.mark.parametrize("weighted", [False, True])
+    def test_fits_and_predictions_have_the_bits_of_mapping_again(self, weighted):
+        # 9000 rows: predictions span three 4096-row blocks
+        rng = np.random.default_rng(14)
+        X = rng.normal(size=(9000, 4))
+        rows = rng.uniform(size=9000) < 0.7
+        y = rng.normal(size=9000)
+        w = rng.uniform(0.5, 2.0, 9000) if weighted else None
+        raw = CosineMap(RegressorSpec(seed=4), X)
+        before = raw.phi.copy()
+        models = []
+        for lam, subset in ((1e-2, rows), ("auto", None), (1e-4, ~rows)):
+            spec = RegressorSpec(seed=4, ridge_lambda=lam)
+            pick = slice(None) if subset is None else subset
+            got = raw.fit(spec, y[pick], None if w is None else w[pick], rows=subset)
+            assert params_equal(got, fit_regressor(spec, X[pick], y[pick],
+                                                   None if w is None else w[pick]))
+            models.append(got)
+        for got, want in zip(raw.predict(models), predict_many(models, X)):
+            assert np.array_equal(got, want)
+        assert np.array_equal(raw.phi, before)       # fits and predictions copy
+        raw.release()
+        with pytest.raises(ValueError, match="cosine map was released"):
+            raw.predict(models)
+
+    def test_foreign_specs_and_models_rejected(self):
+        X = np.random.default_rng(15).normal(size=(40, 2))
+        raw = CosineMap(RegressorSpec(feature_count=8), X)
+        with pytest.raises(ValueError, match="another cosine map"):
+            raw.fit(RegressorSpec(feature_count=8, bandwidth=2.0), np.zeros(40))
+        other = fit_regressor(RegressorSpec(feature_count=8, seed=1), X, np.zeros(40))
+        with pytest.raises(ValueError, match="another cosine map"):
+            raw.predict([other])
+
+    def test_column_blocked_gram_has_the_bits_of_one_product_on_one_thread(self):
+        # multiples of 64 features are filled 64 columns at a time through
+        # one buffer; 300 features take the one product
+        script = textwrap.dedent("""
+            import numpy as np
+            from tvcate.learners import _gram
+            rng = np.random.default_rng(16)
+            for rows in (3, 60, 701, 4097, 9001):
+                for features in (8, 64, 128, 256, 300, 512):
+                    phi = rng.normal(size=(rows, features))
+                    for w in (np.full(rows, 1.0 / rows), rng.uniform(0.1, 3.0, rows)):
+                        w = w / w.sum()
+                        want = (phi * w[:, None]).T @ phi
+                        assert np.array_equal(_gram(phi, w), want), (rows, features)
+            """)
+        src = os.path.dirname(os.path.dirname(tvcate.__file__))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 class TestLookupTable:

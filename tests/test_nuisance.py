@@ -397,6 +397,41 @@ class TestNuisanceSetOracle:
             oracle_nuisances(make_d1(), benchmark_pair(0), clip_eps=0.7)
 
 
+def params_equal(got, want):
+    return got.params.keys() == want.params.keys() and all(
+        np.array_equal(got.params[key], value) for key, value in want.params.items())
+
+
+class TestOneMapPerLevel:
+    """fit_nuisances maps each level's rows once; every fit and mu-hat keeps
+    the bits of fitting and predicting on separately mapped rows."""
+
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    def test_fits_and_fit_time_mu_have_the_bits_of_separate_maps(self, tau):
+        panel = simulate_panel(make_d2(), 400, seed=41)     # every path observed
+        pair = benchmark_pair(tau)
+        spec = RegressorSpec(feature_count=128, bandwidth=1.5, ridge_lambda=1e-2)
+        table = build_row_table(panel, tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ns = fit_nuisances(panel, pair, regressor_spec=spec, table=table,
+                               need=("response", "history"))
+            history = fit_history_adjustment(panel, pair, tau, spec, table=table)
+        for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
+            target = table.y_term
+            for j in range(tau, -1, -1):
+                mask = table.a_obs[:, j] == seq[j]
+                want = fit_regressor(spec, table.features(j)[mask], target[mask],
+                                     table.base_weight[mask])
+                assert params_equal(ns.response_models[arm][j], want)
+                target = want.predict(table.features(j))
+                assert ns._key(table, "mu", arm, j) in ns._store   # stored at fit
+                assert np.array_equal(ns.mu(arm, j, table), target)
+            assert params_equal(ns.history_models[arm], history[arm])
+            # at tau = 0 the history adjustment is the level-0 response fit
+            assert (ns.history_models[arm] is ns.response_models[arm][0]) == (tau == 0)
+
+
 class TestFitBoundary:
     def test_invalid_panel_rejected_naming_the_trajectory(self):
         panel = simulate_panel(make_d1(), 12, seed=34)

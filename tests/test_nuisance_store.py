@@ -1,10 +1,10 @@
 """Tests for the stored nuisance evaluations of a NuisanceSet.
 
 A fitted set evaluates each model once per (row-table source, level) and
-returns the stored array afterwards, and holds one uniform-weight
-second-stage design; these tests pin what counts as the same source, what is
-never stored, how many maps a seed job computes and holds, and that sharing
-changes no result bit.
+returns the stored array afterwards, and holds one raw second-stage map with
+the uniform-weight design built from it; these tests pin what counts as the
+same source, what is never stored, how many maps a seed job computes and
+holds, and that sharing changes no result bit.
 """
 
 import collections
@@ -17,10 +17,12 @@ import pytest
 
 from tvcate import harness as harness_module
 from tvcate import learners as learners_module
+from tvcate import meta as meta_module
 from tvcate import nuisance as nuisance_module
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.harness import ExperimentConfig, _seed_job
-from tvcate.learners import ClassifierSpec, FittedClassifier, RegressorSpec, RidgeDesign
+from tvcate.learners import (ClassifierSpec, CosineMap, FittedClassifier, RegressorSpec,
+                             RidgeDesign)
 from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
                              oracle_nuisances)
@@ -132,42 +134,75 @@ class TestLearnerOrders:
             assert np.array_equal(got, alone[kind]), kind
 
 
-def held_maps(ns):
-    return [entry for _, entry in ns._store.values()
-            if isinstance(entry, RidgeDesign) and entry.phi is not None]
+def held(ns):
+    """The set's second-stage entries that still hold arrays: (raw map, design)."""
+    return [entry for _, entry in ns._store.values() if isinstance(entry, tuple)
+            and (entry[0].phi is not None or entry[1].phi is not None)]
 
 
 @pytest.fixture
 def one_map_at_a_time(monkeypatch):
-    """Fails any ridge fit that maps rows while another design holds its map."""
+    """Fails any cosine map or ridge design built while more than one other
+    N x F array is alive: a design is built beside the one raw map it gathers
+    from, and a map beside nothing but at most one other map."""
     live = weakref.WeakSet()
 
-    class Tracked(RidgeDesign):
+    def check():
+        assert len([d for d in live if d.phi is not None]) <= 1
+
+    class TrackedMap(CosineMap):
         def __init__(self, *args, **kwargs):
-            assert not [d for d in live if d.phi is not None]
+            check()
             super().__init__(*args, **kwargs)
             live.add(self)
 
-    monkeypatch.setattr(learners_module, "RidgeDesign", Tracked)
-    monkeypatch.setattr(nuisance_module, "RidgeDesign", Tracked)
+    class TrackedDesign(RidgeDesign):
+        def __init__(self, *args, **kwargs):
+            check()
+            super().__init__(*args, **kwargs)
+            live.add(self)
+
+    for module in (learners_module, nuisance_module, meta_module):
+        monkeypatch.setattr(module, "CosineMap", TrackedMap, raising=False)
+    monkeypatch.setattr(learners_module, "RidgeDesign", TrackedDesign)
+    monkeypatch.setattr(nuisance_module, "RidgeDesign", TrackedDesign)
+
+
+@pytest.fixture
+def map_rows(monkeypatch):
+    """Rows mapped by ``_cosine_features``, counted by (features, rows)."""
+    maps = collections.Counter()
+    original = learners_module._cosine_features
+
+    def counting(X, W, b):
+        maps[W.shape[1], X.shape[0]] += 1
+        return original(X, W, b)
+    monkeypatch.setattr(learners_module, "_cosine_features", counting)
+    return maps
 
 
 class TestHeldDesign:
-    def test_at_most_one_map_and_none_after_ivw_dr(self, panels, one_map_at_a_time):
+    def test_at_most_one_map_and_none_after_ivw_dr(self, panels, map_rows,
+                                                    one_map_at_a_time):
         train, _ = panels
         ns = tiny_fit(train)
         for kind in ("RA", "IPW", "DR"):
             fit_meta(kind, train, PAIR, ns, second_stage_spec=SECOND_STAGE)
-            assert len(held_maps(ns)) == 1
-        design = held_maps(ns)[0]
-        # the variance model draws another map here, so it replaces the design
+            (raw, design), = held(ns)
+            assert raw.phi is not None and design.phi is not None
+        # the variance model draws another map here, so it replaces the entry,
+        # and the weighted fit maps the rows with the second stage's map
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE)
-        assert held_maps(ns) == [] and design.phi is None
-        # with a shared map the variance model reuses the second stage's design
+        assert held(ns) == [] and raw.phi is None and design.phi is None
+        # with a shared map the variance model reuses the second stage's
+        # design and the weighted fit gathers from its raw map: no row is mapped
         shared_map = dataclasses.replace(SECOND_STAGE, feature_count=256)
         fit_meta("DR", train, PAIR, ns, second_stage_spec=shared_map)
+        (raw, design), = held(ns)
+        map_rows.clear()
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=shared_map)
-        assert held_maps(ns) == []
+        assert not map_rows
+        assert held(ns) == [] and raw.phi is None and design.phi is None
 
     def test_seed_job_drops_each_horizons_design(self, one_map_at_a_time):
         # IPW never releases its design, and the plug-in model refers to the
@@ -177,27 +212,24 @@ class TestHeldDesign:
                                second_stage_features=32, classifier_l2=1e-2)
         _seed_job(cfg, 0)
 
-    def test_seed_job_map_rows(self, monkeypatch):
+    def test_seed_job_map_rows(self, map_rows):
         # d1, 500 training trajectories of length 5: the tau = 0 and tau = 1
         # training tables hold 2500 and 2000 rows; the variance model and
         # the second stages share one 256-feature map
         cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1),
                                regressor_features=32, second_stage_features=256,
                                classifier_l2=1e-2)
-        maps = collections.Counter()
-        original = learners_module._cosine_features
-
-        def counting(X, W, b):
-            maps[W.shape[1], X.shape[0]] += 1
-            return original(X, W, b)
-        monkeypatch.setattr(learners_module, "_cosine_features", counting)
         _seed_job(cfg, 0)
-        assert sum(rows * n for (_, rows), n in maps.items()) == 38_990
-        # whole training tables: the paired mu-hat of level 0 (and, at tau 1,
-        # the paired level-1 targets); the held design; IVW-DR's weighted fit
-        assert {k: n for k, n in maps.items() if k[1] in (2000, 2500)} == {
-            (32, 2500): 1, (256, 2500): 2,
-            (32, 2000): 2, (256, 2000): 2,
+        # per tau: the tables above, the classifier (plus its fit's 2500 rows
+        # once), and the 500 and 400 test rows, mapped once per second stage
+        # and once per plug-in arm pair
+        assert sum(rows * n for (_, rows), n in map_rows.items()) == 25_400
+        # whole training tables: one response map per level, which the fits,
+        # the next level's targets, mu-hat and the history adjustments share;
+        # one second-stage map, which IVW-DR's weighted fit gathers from too
+        assert {k: n for k, n in map_rows.items() if k[1] in (2000, 2500)} == {
+            (32, 2500): 1, (256, 2500): 1,
+            (32, 2000): 2, (256, 2000): 1,
             (64, 2500): 2, (64, 2000): 2}       # classifier: fit, 3 levels
 
     def test_zero_lambda_singular_second_stage_raises(self):
@@ -209,7 +241,7 @@ class TestHeldDesign:
         for kind in ("DR", "IPW"):          # IPW reuses the design DR built
             with pytest.raises(ValueError, match="singular system with ridge_lambda=0"):
                 fit_meta(kind, panel, pair, ns, second_stage_spec=spec)
-        assert len(held_maps(ns)) == 1
+        assert len(held(ns)) == 1
 
     def test_fit_time_mu_survives_the_shared_classifier(self, monkeypatch):
         sets = []
@@ -227,7 +259,7 @@ class TestHeldDesign:
         (first, at_fit), (second, _) = sets
         assert first.propensity_model is second.propensity_model
         mu_keys = [k for k in at_fit if k[3] == "mu"]
-        assert sorted(k[4:] for k in mu_keys) == [("a", 1), ("b", 1)]
+        assert sorted(k[4:] for k in mu_keys) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
         for key in mu_keys:
             assert first._store[key][1] is at_fit[key][1]
 
@@ -239,14 +271,14 @@ class TestStoreContract:
         first = build_row_table(train, 1, ns.codec)
         second = build_row_table(train, 1, ns.codec)
         before = dict(calls)
-        # level 1 was stored by the fit; one paired call evaluates level 0
+        # the fit stored both levels: no paired call evaluates either
         query_all(ns, first)
-        assert calls["predict_many"] - before["predict_many"] == 1
+        assert calls["predict_many"] - before["predict_many"] == 0
         assert calls["predict_proba"] - before["predict_proba"] == 2
         mu = ns.mu("a", 1, first)
         _, raw = ns.propensity(1, 0, first)
         query_all(ns, second)
-        assert calls["predict_many"] - before["predict_many"] == 1
+        assert calls["predict_many"] - before["predict_many"] == 0
         assert calls["predict_proba"] - before["predict_proba"] == 2
         assert ns.mu("a", 1, second) is mu
         assert np.shares_memory(ns.propensity(1, 0, second)[1], raw)
