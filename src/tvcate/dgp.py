@@ -187,7 +187,7 @@ def make_d3(gamma: float) -> StructuralDGP:
     knob = OverlapKnob(float(gamma))
     g = knob.gamma
     return StructuralDGP(
-        name=f"d3:gamma={g:g}",
+        name=f"d3:gamma={g!r}",           # every digit: get_dgp(name) is this generator
         f_x=lambda x, a, y: 0.5 * x,
         f_a=lambda x, a_prev, y_prev: g * (0.5 * x - 0.5 * (a_prev - 0.5)),
         f_y=lambda x, a, y_prev: np.cos(x) + 0.5 * (a - 0.5),

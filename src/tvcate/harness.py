@@ -7,19 +7,19 @@ hyper-parameters.  Given the same config and BLAS thread count,
 result files on every run and under every ``workers`` setting, because all
 randomness flows through seeds derived from the config and rows are
 assembled in a fixed order.  Measured wall times are the one intentionally
-non-reproducible quantity, so the ``walltime_s`` column (``fit_meta`` plus
-prediction, not the nuisance fits) is written as ``0.0`` unless
-``record_walltime`` is switched on.  The learners of one horizon share a
-nuisance set.  Its fit stores the training table's response evaluations
-at every level; it evaluates every other fitted model once per row table
-source, and holds the raw second-stage feature map beside the
-uniform-weight design built from it: the first uniform second stage of a
-horizon (RA, IPW or DR in the default order) pays for the map and gram
-of the training rows, later learners reuse the evaluations and the
-design the first ones paid for, and IVW-DR's weighted fit gathers its
-rows from the held map, so the per-learner times depend strongly on the
-learner order.  Without a split plan, one propensity fit serves every
-horizon of a seed.
+non-reproducible quantity, so the ``walltime_s`` column (a learner's
+``fit_meta`` plus its test prediction) is written as ``0.0`` unless
+``record_walltime`` is switched on.  A seed job runs in phases, so that at
+most one cosine map of the training positions is held at a time: the
+propensity classifier (without a split, one fit and one evaluation at every
+position serve every horizon); every horizon's nuisances, from one
+regressor map of the training positions; every horizon's learners, from
+one second-stage map, which holds the design each horizon's uniform-weight
+second stages share; and the test predictions, from one map of the test
+positions per spec.  The timed parts exclude those maps and the nuisance
+fits; a learner's time includes the design when it is its horizon's first
+uniform second stage (RA in the default order), so the per-learner times
+depend on the learner order.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 :func:`parse_config_text`); every field can also be overridden from a
@@ -40,6 +40,7 @@ decision time; the ``eval_t`` field restricts it to one fixed time instead.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 import os
@@ -53,10 +54,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
-from .learners import ClassifierSpec, RegressorSpec
+from .learners import ClassifierSpec, CosineMap, RegressorSpec
 from .meta import LEARNER_KINDS, fit_meta
-from .nuisance import (build_row_table, fit_nuisances, fit_propensities,
-                       make_split)
+from .nuisance import (build_row_table, default_codec, fit_nuisances,
+                       fit_propensities, make_split, propensities_at_positions)
 
 __all__ = [
     "OUTPUT_DIR_ENV", "RESULT_FIELDS", "SWEEP_FIELDS", "ExperimentConfig",
@@ -395,68 +396,93 @@ def _validate_horizons(cfg: ExperimentConfig, dgp: StructuralDGP) -> None:
         del pair
 
 
+@contextlib.contextmanager
+def _failing(what: str, tau: int, seed: int):
+    """Re-raise any error as a RuntimeError naming the stage, tau and seed."""
+    try:
+        yield
+    except Exception as exc:
+        raise RuntimeError(f"{what} failed at tau={tau} seed={seed}: {exc}") from exc
+
+
 def _seed_job(cfg: ExperimentConfig, seed: int):
-    """Fit and evaluate every (tau, learner) cell for one seed."""
+    """Fit and evaluate every (tau, learner) cell for one seed, in phases."""
     dgp = _experiment_dgp(cfg.dgp)
     n_train, n_test = _effective_sizes(cfg)
     regressor, classifier, second_stage = _specs(cfg)
     need = _needed_nuisances(cfg.learners)
-    # without a split the propensity model trains on every (trajectory, time)
-    # whatever tau, so one fit serves every horizon; with one, its "pi" fold
-    # depends on tau and each horizon fits its own
-    share_pi = "propensity" in need and not cfg.split_enabled
-    propensity_model = None
+    pairs = {tau: benchmark_pair(tau) for tau in cfg.taus}
+    spec_of = {kind: regressor if kind in ("PI-HA", "PI-RA") else second_stage
+               for kind in cfg.learners}
+    models, seconds = {}, {}                      # by (tau, kind)
     rows: List[ResultRow] = []
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         train = simulate_panel(dgp, n_train, seed=[seed, 10])
         test = simulate_panel(dgp, n_test, seed=[seed, 11])
+        codec = default_codec(train)
+        # without a split the propensity model trains on every (trajectory,
+        # time) whatever tau, so one fit serves every horizon; with one, its
+        # "pi" fold depends on tau and each horizon fits its own
+        shared = {}
+        with _failing("nuisance fit", cfg.taus[0], seed):
+            if "propensity" in need and not cfg.split_enabled:
+                model = shared["propensity_model"] = fit_propensities(train, classifier)
+                shared["propensities"] = propensities_at_positions(model, train, codec)
+            if "response" in need or "history" in need:
+                shared["response_map"] = CosineMap(regressor, train.encoded(codec))
+        nuisances = {}
         for tau in cfg.taus:
-            pair = benchmark_pair(tau)
-            truth = dgp.response_form.cate(pair)
             split = make_split(train, tau, enabled=cfg.split_enabled,
                                seed=[seed, 12])
-            try:
-                if share_pi and propensity_model is None:
-                    propensity_model = fit_propensities(train, classifier)
-                nuisances = fit_nuisances(
-                    train, pair, regressor_spec=regressor,
+            with _failing("nuisance fit", tau, seed):
+                nuisances[tau] = fit_nuisances(
+                    train, pairs[tau], regressor_spec=regressor,
                     classifier_spec=classifier, split=split,
-                    clip_eps=cfg.clip_eps, need=need,
-                    propensity_model=propensity_model)
-            except Exception as exc:
-                raise RuntimeError(f"nuisance fit failed at tau={tau} "
-                                   f"seed={seed}: {exc}") from exc
-            table = build_row_table(test, tau, nuisances.codec)
-            keep = np.ones(table.t.size, dtype=bool)
-            if cfg.eval_t is not None:
-                keep = table.t == cfg.eval_t
-            feats = table.features(0)[keep]
+                    clip_eps=cfg.clip_eps, need=need, **shared)
+        shared = None
+        stage_map = (CosineMap(second_stage, train.encoded(codec))
+                     if second_stage in spec_of.values() else None)
+        for tau in cfg.taus:
             for kind in cfg.learners:
                 start = time.perf_counter()
-                try:
-                    model = fit_meta(kind, train, pair, nuisances,
-                                     second_stage_spec=second_stage)
-                    preds = model.predict(feats)
-                except Exception as exc:
-                    raise RuntimeError(f"learner {kind!r} failed at tau={tau}"
-                                       f" seed={seed}: {exc}") from exc
-                elapsed = time.perf_counter() - start
+                with _failing(f"learner {kind!r}", tau, seed):
+                    models[tau, kind] = fit_meta(kind, train, pairs[tau], nuisances[tau],
+                                                 second_stage_spec=second_stage,
+                                                 positions=stage_map)
+                seconds[tau, kind] = time.perf_counter() - start
+        stage_map = None
+        test_maps = {spec: CosineMap(spec, test.encoded(codec))
+                     for spec in set(spec_of.values())}
+        for tau in cfg.taus:
+            truth = dgp.response_form.cate(pairs[tau])
+            table = build_row_table(test, tau, codec)
+            at = table.positions(0)        # H_t; at one decision time with eval_t
+            if cfg.eval_t is not None:
+                at = at[table.t == cfg.eval_t]
+            for kind in cfg.learners:
+                model = models[tau, kind]
+                start = time.perf_counter()
+                with _failing(f"learner {kind!r}", tau, seed):
+                    preds = model.predict(test_maps[spec_of[kind]], at)
+                seconds[tau, kind] += time.perf_counter() - start
                 rows.append(ResultRow(
                     learner=kind, tau=tau, seed=seed,
                     rmse=float(np.sqrt(np.mean((preds - truth) ** 2))),
-                    walltime_s=elapsed if cfg.record_walltime else 0.0,
+                    walltime_s=seconds[tau, kind] if cfg.record_walltime else 0.0,
                     clip_fraction=float(
                         model.diagnostics.get("clip_fraction", 0.0))))
-            # the set may hold this horizon's second-stage map: free it (a
-            # plug-in model refers to the set) before the next horizon's fits
-            nuisances = model = None
     notes = sorted({str(w.message) for w in caught})
     return rows, notes
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full seed grid and return rows in a fixed, seed-free order."""
+    """Run the full seed grid and return rows in a fixed, seed-free order.
+
+    Runs no :func:`~tvcate.panel.validate_panel` up front: every panel
+    comes from ``simulate_panel`` (``fit_nuisances`` still checks the
+    training panel).
+    """
     dgp = _experiment_dgp(cfg.dgp)
     _validate_horizons(cfg, dgp)
     if cfg.workers > 1:
@@ -484,7 +510,11 @@ def _sweep_job(cfg: ExperimentConfig, gamma: float, seed: int):
 
 
 def overlap_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the gamma grid x seed grid at the single sweep horizon."""
+    """Run the gamma grid x seed grid at the single sweep horizon.
+
+    Like :func:`run_experiment`, runs no ``validate_panel`` of its own: every
+    panel comes from ``simulate_panel``.
+    """
     if cfg.dgp.split(":", 1)[0] != "d3":
         raise ValueError("the overlap sweep runs on the d3 family; set "
                          "dgp=d3 (the gamma grid comes from the config)")

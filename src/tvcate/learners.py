@@ -14,17 +14,13 @@ with the same contract could be swapped in.  The built-in regressors are
   with weights normalized to unit mass (making the fit invariant to weight
   rescaling and ridge_lambda comparable across sample sizes).  Heavy
   regularization therefore shrinks predictions toward the weighted target
-  mean rather than toward zero.  The system itself, the centered map of the
-  rows, the gram matrix and its factors, is a :class:`RidgeDesign`; callers
-  that fit several targets on one row set with one weight vector (the
-  uniform-weight second stages of a horizon) keep one design and pay only a
-  right-hand side and a solve per fit, with the bits of separate fits.  A
-  :class:`CosineMap` holds the raw map of one row set: designs on any subset
-  of those rows and weights gather from it, and predictions at the rows
-  multiply it, so a row set that several fits and predictions share is
-  mapped once.  Designs fill their gram matrix in column blocks
-  (:func:`_gram`), so building one next to a held map adds the design and a
-  narrow buffer, not a second N x F temporary.
+  mean rather than toward zero.  One row set's system, its centered map,
+  gram matrix and factors, is a :class:`RidgeDesign`: several targets on
+  one row set cost a solve each, with the bits of separate fits.  A
+  :class:`CosineMap` maps a matrix of rows once (in the package, a panel's
+  encoded positions), and fits and predictions gather from it by row
+  index.  Grams are filled in column blocks (:func:`_gram`), so a design
+  built beside a map adds no second N x F temporary.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 The classifier is multinomial logistic regression (optional random cosine
@@ -57,6 +53,14 @@ RIDGE_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 
+def _validate_count(value, name):
+    # bool is an int subclass: reject it along with floats and strings
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1")
+
+
 def _validate_penalty(value, name):
     if isinstance(value, str):
         if value != "auto":
@@ -83,8 +87,7 @@ class RegressorSpec:
     def __post_init__(self):
         if self.kind not in REGRESSOR_KINDS:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
-        if self.feature_count < 1:
-            raise ValueError("feature_count must be >= 1")
+        _validate_count(self.feature_count, "feature_count")
         if self.bandwidth <= 0:
             raise ValueError("bandwidth must be > 0")
         _validate_penalty(self.ridge_lambda, "ridge_lambda")
@@ -191,29 +194,33 @@ def _blocks(n):
     return zip(edges, edges[1:])
 
 
-def _shares_map(m1: FittedRegressor, m2: FittedRegressor) -> bool:
-    return (m1.spec.kind == m2.spec.kind == "ridge-random-features"
-            and np.array_equal(m1.params["W"], m2.params["W"])
-            and np.array_equal(m1.params["b"], m2.params["b"]))
+def _draws(model: FittedRegressor, W, b) -> bool:
+    """Whether ``model`` is a ridge model on the cosine map (W, b)."""
+    return (model.spec.kind == "ridge-random-features" and np.array_equal(model.params["W"], W)
+            and np.array_equal(model.params["b"], b))
 
 
-def _predict_mapped(models, phi, in_place: bool) -> list:
-    """Predictions of ridge models at the rows of their raw map ``phi``.
-
-    Each model centers the map with its own ``phi_mean`` and multiplies by its
-    own ``beta``, block by block (:func:`_blocks`), so extra models cost one
-    block, not one N x F map.  With ``in_place`` the last model centers the
-    map itself, which the caller then gives up.
-    """
-    outs = [np.empty(phi.shape[0]) for _ in models]
-    for lo, hi in _blocks(phi.shape[0]):
-        block = phi[lo:hi]
+def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
+    """Predictions of ridge models at ``rows`` (indices, all when None) of
+    their raw map ``phi``, block by block (:func:`_blocks`): each model
+    centers a block by its own ``phi_mean`` and multiplies by its ``beta``,
+    so extra models cost a block, not an N x F map.  Gathered rows share one
+    block buffer, which the last model centers in place, as it does a block
+    of ``phi`` with ``in_place``."""
+    n = phi.shape[0] if rows is None else rows.size
+    outs = [np.empty(n) for _ in models]
+    buf = None if rows is None else np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), phi.shape[1]))
+    for lo, hi in _blocks(n):
+        block = phi[lo:hi] if rows is None else np.take(phi, rows[lo:hi], axis=0,
+                                                        out=buf[:hi - lo], mode="clip")
         for k, model in enumerate(models):
-            own = in_place and k == len(models) - 1
+            own = (in_place or rows is not None) and k == len(models) - 1
             centered = np.subtract(block, model.params["phi_mean"],
                                    out=block if own else None)
             outs[k][lo:hi] = centered @ model.params["beta"]
-    return [model.params["intercept"] + out for model, out in zip(models, outs)]
+    for model, out in zip(models, outs):
+        out += model.params["intercept"]
+    return outs
 
 
 def predict_many(models, features) -> list:
@@ -238,7 +245,7 @@ def predict_many(models, features) -> list:
             outs[k] = model._predict_lookup(features)
             continue
         group = [j for j in range(k, len(models))
-                 if outs[j] is None and _shares_map(model, models[j])]
+                 if outs[j] is None and _draws(models[j], model.params["W"], model.params["b"])]
         phi = _cosine_features(features, model.params["W"], model.params["b"])
         for j, out in zip(group, _predict_mapped([models[j] for j in group], phi,
                                                  in_place=True)):
@@ -295,16 +302,13 @@ def _gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
 
 
 class CosineMap:
-    """The raw cosine map of one row set under a ridge spec's (W, b).
+    """The raw cosine map of a matrix of rows under a ridge spec's (W, b).
 
-    Computed once, it serves every fit on a subset of those rows
-    (:meth:`fit`, or a :class:`RidgeDesign` built on it, which gathers its
-    rows into its own copy) and every prediction at them (:meth:`predict`),
-    each with the bits of mapping those rows again.  (With OpenBLAS 0.3 on
-    one thread that holds up to 192 features and at multiples of 8 above;
-    at other counts a row of ``X @ W`` can take other last bits depending on
-    the number of rows in the product.)  The map is N x F: :meth:`release`
-    drops it.
+    Fits and predictions take ``rows``, indices into the mapped rows (all
+    when None), with the bits of mapping those rows again (on one OpenBLAS
+    0.3 thread, up to 192 features and at multiples of 8 above).  It holds
+    the uniform-weight design :meth:`design` built last; a weighted
+    :meth:`fit` drops it first, so at most one is held.
     """
 
     def __init__(self, spec: RegressorSpec, X):
@@ -316,54 +320,47 @@ class CosineMap:
             shared.flags.writeable = False
         self.phi = _cosine_features(X, self.W, self.b)
         self.n_rows = X.shape[0]
+        self._design = None                   # (rows, the uniform design of rows)
 
-    def gather(self, rows=None) -> np.ndarray:
-        """The held map, or a copy of its ``rows`` (a boolean mask)."""
-        if self.phi is None:
-            raise ValueError("the cosine map was released")
-        return self.phi if rows is None else self.phi[rows]
+    def _index(self, rows) -> np.ndarray:
+        return np.arange(self.n_rows)[slice(None) if rows is None else rows]
+
+    def design(self, spec: RegressorSpec, rows=None) -> "RidgeDesign":
+        """The uniform-weight design of ``rows``, built on the first call for
+        those rows and held until a call for other rows or a :meth:`fit`."""
+        rows = self._index(rows)
+        if self._design is None or not np.array_equal(self._design[0], rows):
+            self._design = None               # never two designs
+            self._design = (rows, RidgeDesign(spec, self, None, rows))
+        return self._design[1]
 
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
-        """``fit_regressor(spec, X[rows], target, weight)`` from the held map.
-
-        ``rows`` is a boolean mask over the mapped rows (all when None);
-        ``target`` and ``weight`` hold one value per selected row.
-        """
-        n = self.n_rows if rows is None else int(np.count_nonzero(rows))
-        if n < 1:
+        """``fit_regressor(spec, X[rows], target, weight)`` from the map;
+        ``target`` and ``weight`` hold one value per selected row."""
+        rows = self._index(rows)
+        if rows.size < 1:
             raise ValueError("need at least one training row")
-        return RidgeDesign(spec, self, _normalized_weights(weight, n), rows).fit(spec, target)
+        self._design = None                   # never two designs
+        w = _normalized_weights(weight, rows.size)
+        return RidgeDesign(spec, self, w, rows).fit(spec, target)
 
-    def predict(self, models) -> list:
-        """``predict_many(models, X)`` for ridge models drawing this map."""
-        for model in models:
-            if not (model.spec.kind == "ridge-random-features"
-                    and np.array_equal(model.params["W"], self.W)
-                    and np.array_equal(model.params["b"], self.b)):
-                raise ValueError("model draws another cosine map than the map's")
-        return _predict_mapped(models, self.gather(), in_place=False)
-
-    def release(self) -> None:
-        self.phi = None
+    def predict(self, models, rows=None) -> list:
+        """``predict_many(models, X[rows])`` for ridge models drawing this map."""
+        if not all(_draws(model, self.W, self.b) for model in models):
+            raise ValueError("model draws another cosine map than the map's")
+        return _predict_mapped(models, self.phi, None if rows is None else self._index(rows))
 
 
 class RidgeDesign:
     """The weighted ridge system of one row set under one cosine map.
 
-    Built once, it holds the centered map phi - mean_w(phi) of the rows, that
-    weighted mean, the gram matrix, and on demand one Cholesky factor per
-    penalty and the eigendecomposition "auto" penalties search.  Each
-    :meth:`fit` then costs one right-hand side and one solve, and returns the
-    bits ``fit_regressor`` returns for the same rows, weights and target.
-    ``X`` is the rows' features, mapped here and centered in place, or a held
-    :class:`CosineMap` of them: the design then gathers ``rows`` (a boolean
-    mask, all rows when None) into its own copy and leaves the map as it is.
-    ``w`` is the normalized weight vector of the design's rows; None means
-    uniform.  The gram is filled in column blocks (:func:`_gram`), so at the
-    package's feature counts a design built next to a held map costs the
-    design and a narrow buffer.  The
-    centered map is N x F: :meth:`release` drops it, after which only fitted
-    models remain usable.
+    It holds the centered map phi - mean_w(phi) of the rows, that mean, the
+    gram matrix, and on demand a Cholesky factor per penalty and the
+    eigendecomposition "auto" penalties search, so each :meth:`fit` costs a
+    right-hand side and a solve, with the bits ``fit_regressor`` returns.
+    ``X`` is the rows' features, or a :class:`CosineMap` from which the
+    design copies ``rows`` (all when None); ``w`` their normalized weights,
+    None meaning uniform.
     """
 
     def __init__(self, spec: RegressorSpec, X, w=None, rows=None):
@@ -371,10 +368,10 @@ class RidgeDesign:
             if X.key != cosine_map_key(spec, X.in_dim):
                 raise ValueError("spec draws another cosine map than the held map's")
             source = X
-            phi = X.gather().copy() if rows is None else X.gather(rows)
+            phi = X.phi.copy() if rows is None else X.phi[rows]
         else:
             source = CosineMap(spec, X)
-            phi, source.phi = source.phi, None    # one use: centered in place
+            phi = source.phi                  # one use: centered in place
         n = phi.shape[0]
         self.w = np.full(n, 1.0 / n) if w is None else w
         self.in_dim, self.map = source.in_dim, source.key
@@ -387,15 +384,8 @@ class RidgeDesign:
         self._factors = {}
         self._eigh = None
 
-    def _held(self) -> np.ndarray:
-        if self.phi is None:
-            raise ValueError("the design was released; its fitted models remain "
-                             "usable, but it cannot fit or predict")
-        return self.phi
-
     def fit(self, spec: RegressorSpec, target) -> FittedRegressor:
         """Fit ``spec``'s penalty to ``target`` on the design's rows."""
-        phi = self._held()
         if cosine_map_key(spec, self.in_dim) != self.map:
             raise ValueError("spec draws another cosine map than the design's")
         w, n = self.w, self.w.size
@@ -403,7 +393,7 @@ class RidgeDesign:
         if y.shape != (n,):
             raise ValueError("target must be one value per row")
         y_mean = float(w @ y)
-        rhs = phi.T @ (w * (y - y_mean))
+        rhs = self.phi.T @ (w * (y - y_mean))
         lam = spec.ridge_lambda
         if lam == "auto":
             if self._eigh is None:
@@ -416,23 +406,6 @@ class RidgeDesign:
         return FittedRegressor(spec, self.in_dim, n, {
             "W": self.W, "b": self.b, "beta": beta, "phi_mean": self.phi_mean,
             "intercept": y_mean, "ridge_lambda_used": float(lam)})
-
-    def predict(self, model: FittedRegressor) -> np.ndarray:
-        """``model.predict`` at the design's rows, for a model it fitted.
-
-        Multiplies the held centered map by beta in :func:`_predict_mapped`'s
-        blocks, so the result has the bits of mapping the rows again.
-        """
-        phi = self._held()
-        if model.params["phi_mean"] is not self.phi_mean:
-            raise ValueError("model was not fitted on this design")
-        out = np.empty(self.w.size)
-        for lo, hi in _blocks(self.w.size):
-            out[lo:hi] = phi[lo:hi] @ model.params["beta"]
-        return model.params["intercept"] + out
-
-    def release(self) -> None:
-        self.phi = None
 
 
 def _cholesky(gram, lam):
@@ -504,8 +477,8 @@ class ClassifierSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.feature_count < 1 or self.max_iter < 1:
-            raise ValueError("feature_count and max_iter must be >= 1")
+        _validate_count(self.feature_count, "feature_count")
+        _validate_count(self.max_iter, "max_iter")
         if self.bandwidth <= 0 or self.tol <= 0:
             raise ValueError("bandwidth and tol must be > 0")
         _validate_penalty(self.l2, "l2")

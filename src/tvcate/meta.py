@@ -17,7 +17,8 @@ Six learner kinds share one interface; each estimates E[Y(a) - Y(b) | H_t]:
 Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
 RowTable`; every propensity enters through the nuisance set's clipping, and
 the fraction of clipped queries is reported per learner.  Every learner
-predicts from encoded histories H_t, the rows of ``RowTable.features(0)``.
+predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
+or from rows of a cosine map of a panel's encoded positions.
 """
 
 from __future__ import annotations
@@ -27,8 +28,8 @@ from typing import Optional
 
 import numpy as np
 
-from .learners import (CosineMap, FittedRegressor, RegressorSpec, fit_regressor,
-                       predict_many)
+from .learners import (CosineMap, FittedRegressor, RegressorSpec, cosine_map_key,
+                       fit_regressor, predict_many)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
@@ -267,37 +268,39 @@ class CateModel:
     v_model: Optional[VModel] = None
     diagnostics: dict = field(default_factory=dict)
 
-    def predict(self, features) -> np.ndarray:
-        """Predict the CATE at encoded histories (rows of ``features(0)``)."""
-        if self.kind not in ("PI-HA", "PI-RA"):
-            return self.second_stage.predict(features)
+    def predict(self, features, rows=None) -> np.ndarray:
+        """Predict the CATE at encoded histories (rows of ``features(0)``).
+
+        ``features`` may instead be a :class:`~tvcate.learners.CosineMap` of
+        encoded positions under the models' cosine map, and ``rows`` the
+        positions to predict at (all when None).
+        """
         if self.kind == "PI-HA":
-            pair = [self.nuisances.history_models[arm] for arm in ("a", "b")]
+            models = [self.nuisances.history_models[arm] for arm in ("a", "b")]
+        elif self.kind == "PI-RA":
+            models = [self.nuisances.response_models[arm][0] for arm in ("a", "b")]
         else:
-            pair = [self.nuisances.response_models[arm][0] for arm in ("a", "b")]
-        # the two arms' models draw one (W, b): map the rows once
-        out_a, out_b = predict_many(pair, features)
-        return out_a - out_b
+            models = [self.second_stage]
+        outs = (features.predict(models, rows) if isinstance(features, CosineMap)
+                else predict_many(models, features))
+        return outs[0] if len(outs) == 1 else outs[0] - outs[1]
 
 
 def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
              nuisances: NuisanceSet,
              second_stage_spec: Optional[RegressorSpec] = None, *,
-             table: Optional[RowTable] = None) -> CateModel:
+             table: Optional[RowTable] = None,
+             positions: Optional[CosineMap] = None) -> CateModel:
     """Fit one CATE meta-learner for the intervention pair on pooled panel rows.
 
     Second-stage kinds regress their contrast pseudo-outcomes on encoded H_t
     over the pseudo-outcome fold of the nuisance split plan; IVW-DR also
     regresses the realized variance statistic on H_t (ridge, GCV penalty,
     predictions floored at 1.0) and reweights rows by stabilized 1/V-hat
-    with empirical mean 1.  Every uniform-weight ridge fit (RA, IPW, DR and
-    the variance model) solves on the set's held
-    :meth:`~tvcate.nuisance.NuisanceSet.second_stage_design`.  IVW-DR's
-    weighted fit releases that design and builds its own from the raw map
-    held beside it, so the rows are mapped once per horizon when the
-    variance model and the second stage draw one cosine map (the harness
-    specs do); otherwise it maps them with the second stage's map.  After
-    IVW-DR the set holds no map.
+    with empirical mean 1.  ``positions`` may hand in the cosine map of
+    ``panel.encoded(nuisances.codec)``: fits drawing its map gather from it,
+    and the uniform-weight ones share the design it holds for the rows.
+    Otherwise the pseudo rows are mapped here, once per map.
     ``table`` may hand in the training panel's row table for ``pair.tau``.
     Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
     """
@@ -322,6 +325,7 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
 
     if table is None:
         table = build_row_table(panel, tau, codec)
+    nuisances = nuisances.at(table)        # one evaluation per model, then gathers
     # a disabled split plan trains every stage on all trajectories
     po_mask = (table.traj_mask(nuisances.split.fold("po"))
                if nuisances.split.enabled else None)
@@ -330,31 +334,39 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     diagnostics = {"n_pseudo_rows": int(rows.value.size),
                    "clip_fraction": rows.clip_fraction}
 
-    weight, raw = None, None
-    ridge = second_stage_spec.kind == "ridge-random-features"
+    at = table.positions(0) if po_mask is None else table.positions(0)[po_mask]
+    if positions is None and kind == "IVW-DR" and cosine_map_key(
+            DEFAULT_V_SPEC, codec.width) == cosine_map_key(second_stage_spec, codec.width):
+        # the variance model and the weighted fit share one map of the rows
+        positions, at = CosineMap(DEFAULT_V_SPEC, rows.features), None
+
+    def mapped(spec):
+        if positions is not None and positions.key == cosine_map_key(spec, codec.width):
+            return positions, at
+        return CosineMap(spec, rows.features), None
+
+    weight = None
     if kind == "IVW-DR":
-        design = nuisances.second_stage_design(DEFAULT_V_SPEC, table, rows.features)
-        model.v_model = VModel(design.fit(DEFAULT_V_SPEC, rows.v_realized))
-        v_hat = np.maximum(design.predict(model.v_model.model), model.v_model.v_floor)
-        # keep only the raw map, for the weighted fit below: never two designs
-        raw = nuisances.release_design(keep_map_of=second_stage_spec if ridge else None)
+        raw, rows_at = mapped(DEFAULT_V_SPEC)
+        model.v_model = VModel(raw.design(DEFAULT_V_SPEC, rows_at).fit(
+            DEFAULT_V_SPEC, rows.v_realized))
+        v_hat = np.maximum(raw.predict([model.v_model.model], rows_at)[0],
+                           model.v_model.v_floor)
+        raw = None                         # the weighted fit drops its design
         inv = 1.0 / v_hat
         weight = inv / inv.mean()          # stabilized: empirical mean 1
         diagnostics["weights"] = {
             "min": float(weight.min()), "max": float(weight.max()),
             "mean": float(weight.mean()), "sd": float(weight.std()),
         }
-    if not ridge:
+    if second_stage_spec.kind != "ridge-random-features":
         model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
                                            weight)
-    elif weight is None:
-        design = nuisances.second_stage_design(second_stage_spec, table, rows.features)
-        model.second_stage = design.fit(second_stage_spec, rows.value)
     else:
-        if raw is None:                    # the variance model drew another map
-            raw = CosineMap(second_stage_spec, rows.features)
-        model.second_stage = raw.fit(second_stage_spec, rows.value, weight)
-        raw.release()
+        raw, rows_at = mapped(second_stage_spec)
+        model.second_stage = (raw.design(second_stage_spec, rows_at).fit(
+            second_stage_spec, rows.value) if weight is None
+            else raw.fit(second_stage_spec, rows.value, weight, rows_at))
     model.diagnostics = diagnostics
     return model
 

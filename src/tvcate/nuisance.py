@@ -9,7 +9,10 @@ from fit quality.
 Row bookkeeping lives in :class:`RowTable`: one row per (trajectory i,
 time t) with 1 <= t <= T_i - tau, carrying for every level offset
 j in {0..tau} the encoded history H_{t+j}, the observed treatment A_{t+j},
-and the raw frontier values needed by oracle queries.
+and the raw frontier values needed by oracle queries.  Row (i, t) at level
+j is the panel position (i, t + j), so every encoded history is a gather of
+the panel's encoded positions, and every fit and prediction on a ridge spec
+gathers from one cosine map of those positions.
 """
 
 from __future__ import annotations
@@ -28,13 +31,11 @@ from .learners import (
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
-    RidgeDesign,
-    cosine_map_key,
     fit_classifier,
     fit_regressor,
     predict_many,
 )
-from .panel import FeatureCodec, InterventionPair, Panel, encode_block, validate_panel
+from .panel import FeatureCodec, InterventionPair, Panel, validate_panel
 
 __all__ = [
     "RowTable",
@@ -64,7 +65,8 @@ def default_codec(panel: Panel) -> FeatureCodec:
 class RowTable:
     """Pooled (trajectory, t) rows with per-level-offset views (see module docs).
 
-    Encoded features are built lazily per offset and cached; raw frontier
+    Encoded features are gathers of the panel's encoded positions
+    (:meth:`~tvcate.panel.Panel.encoded`) at :meth:`positions`; raw frontier
     arrays (x, previous a/y, absolute time) are always available.  Rows are
     ordered by (trajectory position, t).
     """
@@ -85,8 +87,8 @@ class RowTable:
         n_t = lengths - tau
         self.traj_id = np.repeat(np.arange(panel.n), n_t)
         self.n_rows = self.traj_id.size
-        self._first = np.cumsum(n_t) - n_t
-        self.t = np.arange(self.n_rows) - self._first[self.traj_id] + 1
+        first = np.cumsum(n_t) - n_t
+        self.t = np.arange(self.n_rows) - first[self.traj_id] + 1
         K = tau + 1
         self.time_abs = self.t[:, None] + np.arange(K)[None, :]
         # raw per-offset columns gathered from the panel's flat rows
@@ -99,21 +101,18 @@ class RowTable:
         self.y_term = panel.Y[src[:, -1]]
 
         self.base_weight = np.full(self.n_rows, 1.0 / self.n_rows)
-        self._feat_cache: dict[int, np.ndarray] = {}
+
+    def positions(self, j: int) -> np.ndarray:
+        """The panel row of position (i, t + j) for every row (i, t)."""
+        return self.panel.offsets[self.traj_id] + self.t + (j - 1)
 
     def features(self, j: int) -> np.ndarray:
-        """Encoded H_{t+j} for every row (cached)."""
+        """Encoded H_{t+j} for every row: a gather of the encoded positions."""
         if not 0 <= j <= self.tau:
             raise ValueError(f"offset {j} outside 0..{self.tau}")
-        if j not in self._feat_cache:
-            out = np.empty((self.n_rows, self.codec.width))
-            for idx, X, A, Y in self.panel.dense_blocks():
-                T = X.shape[1]
-                for t in range(1, T - self.tau + 1):
-                    out[self._first[idx] + (t - 1)] = encode_block(X, A, Y, t + j,
-                                                                   self.codec)
-            self._feat_cache[j] = out
-        return self._feat_cache[j]
+        if self.panel.lengths().max() - self.tau + j > self.codec.max_len:
+            raise ValueError("history exceeds codec capacity")
+        return self.panel.encoded(self.codec)[self.positions(j)]
 
     def traj_mask(self, fold_ids: np.ndarray) -> np.ndarray:
         return np.isin(self.traj_id, fold_ids)
@@ -126,14 +125,16 @@ def build_row_table(panel: Panel, tau: int,
     return RowTable(panel, tau, codec)
 
 
-def _propensity_training_rows(panel: Panel, codec: FeatureCodec):
-    """(features, labels) over every (trajectory, time) position."""
-    feats, labels = [], []
-    for _, X, A, Y in panel.dense_blocks():
-        for s in range(1, X.shape[1] + 1):
-            feats.append(encode_block(X, A, Y, s, codec))
-            labels.append(A[:, s - 1])
-    return np.concatenate(feats), np.concatenate(labels)
+def _classifier_positions(panel: Panel, ids=None) -> np.ndarray:
+    """Panel rows of the trajectories ``ids`` (all when None), in the order the
+    propensity classifier trains on them: by trajectory length, then time."""
+    lengths = panel.lengths()
+    ids = np.arange(panel.n) if ids is None else np.asarray(ids)
+    blocks = []
+    for T in np.unique(lengths[ids]):
+        starts = panel.offsets[ids[lengths[ids] == T]]
+        blocks.append((np.arange(T)[:, None] + starts[None, :]).ravel())
+    return np.concatenate(blocks)
 
 
 def _fold_names(tau: int) -> list[str]:
@@ -205,57 +206,51 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
         table = build_row_table(panel, tau, codec)
     if split is None:
         split = make_split(panel, tau, enabled=False)
-    models, _, _ = _fit_responses(table, (a_seq,), spec, split)
+    models, _ = _fit_responses(table, (a_seq,), spec, split)
     return models[0]
 
 
 def _fit_masked(spec: RegressorSpec, table: RowTable, j: int, mask, target,
                 raw: Optional[CosineMap] = None) -> FittedRegressor:
-    """``fit_regressor`` on the masked rows of ``table.features(j)``.
-
-    With ``raw``, the cosine map of all of those rows, the fit gathers its
-    rows from it instead of mapping them again.
-    """
+    """``fit_regressor`` on the masked rows of ``table.features(j)``, gathered
+    from ``raw``, the cosine map of the table's panel positions, if given."""
     if raw is None:
         return fit_regressor(spec, table.features(j)[mask], target[mask],
                              table.base_weight[mask])
-    return raw.fit(spec, target[mask], table.base_weight[mask], rows=mask)
+    return raw.fit(spec, target[mask], table.base_weight[mask],
+                   rows=table.positions(j)[mask])
 
 
 def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
-                   level0: bool = False):
+                   raw: Optional[CosineMap] = None, level0: bool = False):
     """:func:`fit_response_iterative` for several sequences, level by level.
 
-    A ridge spec maps ``table.features(j)`` once per level j >= 1, and with
-    ``level0`` also at level 0: every sequence's level-j fit gathers its rows
-    from that map, and the level-j models' predictions at H_{t+j} (the next
-    level's targets) multiply it.  Returns the models per sequence (by
-    level), those predictions per sequence as ``{j: array}`` (they are the
-    mu-hat of ``table`` at level j; level 0 only with ``level0``), and the
-    level-0 map (None unless ``level0`` and a ridge spec).
+    A ridge spec's fits and predictions gather from ``raw``, the cosine map
+    of the table's panel positions (mapped here when None).  Returns the
+    models per sequence by level, and their predictions at H_{t+j} (the
+    next level's targets and the mu-hat of ``table``) as ``{j: array}``,
+    level 0 only with ``level0``.
     """
     tau = table.tau
+    if raw is None and spec.kind == "ridge-random-features":
+        raw = CosineMap(spec, table.panel.encoded(table.codec))
     models = [[None] * (tau + 1) for _ in seqs]
     preds = [{} for _ in seqs]
     targets = [table.y_term] * len(seqs)
     for j in range(tau, -1, -1):
-        shared = spec.kind == "ridge-random-features" and (j > 0 or level0)
-        raw = CosineMap(spec, table.features(j)) if shared else None
         fold = table.traj_mask(split.fold(f"mu_{j}"))
         for s, seq in enumerate(seqs):
             mask = fold & (table.a_obs[:, j] == seq[j])
             _restrict(mask, f"response level {j} (arm {seq[j]}) -> no rows with "
                             f"A_(t+{j}) = {seq[j]} in its fold")
             models[s][j] = _fit_masked(spec, table, j, mask, targets[s], raw)
-        if j > 0 or shared:
+        if j > 0 or level0:
             level = [m[j] for m in models]
-            targets = (raw.predict(level) if shared
-                       else predict_many(level, table.features(j)))
+            targets = (predict_many(level, table.features(j)) if raw is None
+                       else raw.predict(level, table.positions(j)))
             for s, target in enumerate(targets):
                 preds[s][j] = target
-        if j > 0 and shared:
-            raw.release()
-    return models, preds, raw
+    return models, preds
 
 
 def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
@@ -278,12 +273,12 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
 
 
 def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
-                 split: SplitPlan, level0: Optional[CosineMap] = None,
+                 split: SplitPlan, raw: Optional[CosineMap] = None,
                  responses: Optional[dict] = None) -> dict:
     """:func:`fit_history_adjustment` on a table.
 
-    The fits gather their rows from ``level0``, the cosine map of
-    ``table.features(0)``, when given.  ``responses`` hands in the level-0
+    The fits gather their rows from ``raw``, the cosine map of the table's
+    panel positions, when given.  ``responses`` hands in the level-0
     response models of a tau = 0 table fitted with the same spec and split:
     they were fitted on the same rows, targets and weights, so they are
     returned in place of refitting.
@@ -297,7 +292,7 @@ def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
                              f"arms {seq} (low overlap)")
         _restrict(mask, f"history adjustment (arms {seq}) -> unreachable")
         out[key] = (responses[key][0] if responses is not None
-                    else _fit_masked(spec, table, 0, mask, table.y_term, level0))
+                    else _fit_masked(spec, table, 0, mask, table.y_term, raw))
         if key == "a" and pair.a_seq == pair.b_seq:
             out["b"] = out["a"]
             break
@@ -317,9 +312,38 @@ def fit_propensities(panel: Panel, spec: ClassifierSpec,
         codec = default_codec(panel)
     if not codec.include_time_index:
         raise ValueError("propensity codec must include the time index")
-    sub = panel.subset(split.fold("pi")) if split is not None and split.enabled else panel
-    feats, labels = _propensity_training_rows(sub, codec)
-    return fit_classifier(spec, feats, labels, n_classes=panel.treatment_arity)
+    if panel.lengths().max() > codec.max_len:
+        raise ValueError("history exceeds codec capacity")
+    ids = split.fold("pi") if split is not None and split.enabled else None
+    rows = _classifier_positions(panel, ids)
+    return fit_classifier(spec, panel.encoded(codec)[rows], panel.A[rows],
+                          n_classes=panel.treatment_arity)
+
+
+def propensities_at_positions(model: FittedClassifier, panel: Panel,
+                              codec: FeatureCodec) -> np.ndarray:
+    """Class probabilities at every panel row, from one ``predict_proba`` in
+    the classifier's training order (without a split, its training matrix)."""
+    rows = _classifier_positions(panel)
+    proba = np.empty((rows.size, model.n_classes))
+    proba[rows] = model.predict_proba(panel.encoded(codec)[rows])
+    proba.flags.writeable = False
+    return proba
+
+
+@dataclass(frozen=True)
+class FittedValues:
+    """Values of ``models`` on ``panel`` under ``codec`` (see :class:`NuisanceSet`)."""
+
+    panel: Panel
+    codec: FeatureCodec
+    models: object
+    values: object
+
+
+def _serves(held: Optional[FittedValues], table: RowTable, models) -> bool:
+    return (held is not None and table.panel is held.panel and table.codec == held.codec
+            and models is held.models)
 
 
 @dataclass(frozen=True)
@@ -335,33 +359,12 @@ class NuisanceSet:
     used verbatim (no clipping), and the response override may be a scalar
     or a nested mapping ``{arm: {level_offset: value}}``.
 
-    Fitted models are evaluated once per row-table source.  The store keys
-    every entry by (id of ``table.panel``, ``table.tau``, ``table.codec``)
-    plus what it holds, and each entry also holds the panel, so its id cannot
-    be reused while stored.  A later query on any table built from the same
-    source is answered from the store.  It holds:
-
-    * mu-hat per (arm, level), paired: a miss evaluates both arms' level-j
-      models with one ``predict_many`` (they draw one cosine map) and stores
-      both.  :func:`fit_nuisances` stores the training table's levels
-      0..tau at fit time, since the backward fit computes them from the
-      cosine map it fits each level on.
-    * the whole class-probability matrix per propensity level (clipped per
-      call).
-    * at most one second-stage entry (:meth:`second_stage_design`), keyed
-      also by its cosine map (in_dim, features, bandwidth, seed): the raw
-      N x F map of the table's second-stage rows, and beside it the
-      uniform-weight ridge design built from it, with its own centered
-      copy.  Every uniform-weight fit on those rows (RA, IPW, DR, the IVW
-      variance model) reuses the design; the IVW-DR weighted fit gathers
-      its rows from the raw map after :meth:`release_design` drops the
-      design, and leaves the set holding no map.  Building a design for
-      another source or map replaces the entry.  Otherwise a set kept alive
-      keeps its map and design.
-
-    Stored arrays are read-only.  Oracle and override answers are never
-    stored, and the store is no constructor argument: ``replace()`` and
-    :meth:`corrupted` return a set whose store starts empty.
+    A fitted set keeps its models' values on one panel (:meth:`at`; the
+    training panel from :func:`fit_nuisances`): ``mu_values``, mu-hat per
+    (arm, level) at that tau table's rows, and ``pi_values``, the class
+    probabilities at every position.  Queries on tables of that panel gather
+    from them; any other query, or one after ``replace()`` swapped the
+    models they came from, evaluates the models afresh.
     """
 
     pair: InterventionPair
@@ -376,8 +379,8 @@ class NuisanceSet:
     dgp: object = None
     override_propensity: Optional[float] = None
     override_response: object = None
-    _store: dict = field(default_factory=dict, init=False, compare=False,
-                         repr=False)
+    mu_values: Optional[FittedValues] = field(default=None, compare=False, repr=False)
+    pi_values: Optional[FittedValues] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         if not 0.0 < self.clip_eps < 0.5:
@@ -388,20 +391,6 @@ class NuisanceSet:
             if getattr(self.dgp, "response_form", None) is None:
                 raise ValueError("oracle mode needs a DGP with closed-form response "
                                  "surfaces (response_form)")
-
-    def _key(self, table: RowTable, *key) -> tuple:
-        return (id(table.panel), table.tau, table.codec) + key
-
-    def _put(self, table: RowTable, key: tuple, value) -> None:
-        if isinstance(value, np.ndarray):
-            value.flags.writeable = False
-        self._store[self._key(table, *key)] = (table.panel, value)   # the panel pins its id
-
-    def _stored(self, key: tuple, table: RowTable, evaluate):
-        """``evaluate()`` on the first query for key on the table's source."""
-        if self._key(table, *key) not in self._store:
-            self._put(table, key, evaluate())
-        return self._store[self._key(table, *key)][1]
 
     def _seq(self, arm: str):
         return {"a": self.pair.a_seq, "b": self.pair.b_seq}[arm]
@@ -426,16 +415,9 @@ class NuisanceSet:
             return np.asarray(form.capo(table.x_tail[:, j], self.tau - j,
                                         self._seq(arm)[-1], self.dgp.x_sd))
         self._need_response(arm)
-        if self._key(table, "mu", arm, j) not in self._store:
-            # the arms' level-j models draw one map: evaluate them together
-            arms = [arm] + [other for other in self.response_models
-                            if other != arm and self.response_models[other][j] is not None
-                            and self._key(table, "mu", other, j) not in self._store]
-            outs = predict_many([self.response_models[x][j] for x in arms],
-                                table.features(j))
-            for x, out in zip(arms, outs):
-                self._put(table, ("mu", x, j), out)
-        return self._store[self._key(table, "mu", arm, j)][1]
+        if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
+            return self.mu_values.values[arm, j]
+        return self.response_models[arm][j].predict(table.features(j))
 
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
@@ -456,51 +438,33 @@ class NuisanceSet:
             a_prev[first] = float(self.dgp.a0)
             p1 = expit(self.dgp.f_a(table.x_tail[:, j], a_prev, table.yprev_tail[:, j]))
             raw = p1 if a_value == 1 else 1.0 - p1
+        elif self.propensity_model is None:
+            raise ValueError("missing propensity model")
+        elif _serves(self.pi_values, table, self.propensity_model):
+            raw = self.pi_values.values[table.positions(j), int(a_value)]
         else:
-            if self.propensity_model is None:
-                raise ValueError("missing propensity model")
-            model = self.propensity_model
-            proba = self._stored(("pi", j), table,
-                                 lambda: model.predict_proba(table.features(j)))
-            raw = proba[:, int(a_value)]
+            raw = self.propensity_model.predict_proba(table.features(j))[:, int(a_value)]
         return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), raw
 
-    # -- second-stage design ----------------------------------------------
-    def second_stage_design(self, spec: RegressorSpec, table: RowTable,
-                            features: np.ndarray) -> RidgeDesign:
-        """The uniform-weight ridge design of the table's second-stage rows.
-
-        ``features`` are those rows: ``table.features(0)``, restricted to the
-        "po" fold when the split plan is enabled.  The first call for a
-        source and cosine map maps the rows, releasing any other held map,
-        and holds the raw map beside the design built from it; later calls
-        return the design.
-        """
-        key = ("design",) + cosine_map_key(spec, features.shape[1])
-        if self._key(table, *key) not in self._store:
-            self.release_design()             # hold one raw map and its design
-            raw = CosineMap(spec, features)
-            self._put(table, key, (raw, RidgeDesign(spec, raw)))
-        return self._store[self._key(table, *key)][1][1]
-
-    def release_design(self, keep_map_of: Optional[RegressorSpec] = None
-                       ) -> Optional[CosineMap]:
-        """Drop the held second-stage design and free its raw map.
-
-        With ``keep_map_of``, a held raw map drawn by that spec's cosine map
-        is returned instead of freed, for the caller to use once; otherwise
-        the result is None.  Either way the set holds no map afterwards.
-        """
-        kept = None
-        for key in [k for k in self._store if k[3] == "design"]:
-            raw, design = self._store.pop(key)[1]
-            design.release()
-            if keep_map_of is not None and raw.key == cosine_map_key(keep_map_of,
-                                                                     raw.in_dim):
-                kept = raw
-            else:
-                raw.release()
-        return kept
+    def at(self, table: RowTable) -> "NuisanceSet":
+        """The set, or a copy that also holds its fitted models' values on the
+        table's panel: pi-hat from one ``predict_proba`` at every position,
+        mu-hat from one map per level shared by both arms."""
+        changes, model, models = {}, self.propensity_model, self.response_models
+        if model is not None and not _serves(self.pi_values, table, model):
+            changes["pi_values"] = FittedValues(table.panel, table.codec, model,
+                                                propensities_at_positions(
+                                                    model, table.panel, table.codec))
+        if (models is not None and table.tau == self.tau and None not in sum(models.values(), [])
+                and not _serves(self.mu_values, table, models)):
+            mu = {}
+            for j in range(self.tau + 1):
+                level = predict_many([models[arm][j] for arm in models], table.features(j))
+                for arm, values in zip(models, level):
+                    values.flags.writeable = False
+                    mu[arm, j] = values
+            changes["mu_values"] = FittedValues(table.panel, table.codec, models, mu)
+        return replace(self, **changes) if changes else self
 
     # -- history adjustments ----------------------------------------------
     def delta_features(self, arm: str, feats: np.ndarray) -> np.ndarray:
@@ -525,18 +489,19 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                   codec: Optional[FeatureCodec] = None,
                   need: Sequence[str] = ("response", "propensity", "history"),
                   table: Optional[RowTable] = None,
-                  propensity_model: Optional[FittedClassifier] = None) -> NuisanceSet:
+                  propensity_model: Optional[FittedClassifier] = None,
+                  propensities: Optional[np.ndarray] = None,
+                  response_map: Optional[CosineMap] = None) -> NuisanceSet:
     """Fit the full nuisance collection for one intervention pair.
 
     A panel that fails :func:`~tvcate.panel.validate_panel` is rejected with
     its messages, which name the trajectory.  ``propensity_model`` hands in a
-    classifier fitted elsewhere, used in place of fitting one (without a
-    split, one fit serves every horizon of a panel).  The two arms' response
-    models are fitted level by level on one cosine map of each level's rows;
-    their predictions at H_{t+j} for every level j, the next level's targets
-    and level 0's mu-hat, are stored as the set's mu-hat on the training
-    table.  The history adjustments gather their rows from the level-0 map,
-    and at tau = 0 are the level-0 response models themselves.
+    classifier fitted elsewhere (without a split, one fit serves every
+    horizon) and ``propensities`` its :func:`propensities_at_positions` on
+    the panel; ``response_map`` the cosine map of the panel's positions
+    under the regressor spec, from which every response fit, mu-hat and
+    history fit gathers (mapped here when None).  At tau = 0 the history
+    adjustments are the level-0 response models.
     """
     problems = validate_panel(panel)
     if problems:
@@ -549,28 +514,34 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
     if table is None:
         table = build_row_table(panel, tau, codec)
 
-    response_models, level0 = None, None
+    if response_map is None and regressor_spec.kind == "ridge-random-features" and (
+            "response" in need or "history" in need):
+        response_map = CosineMap(regressor_spec, table.panel.encoded(table.codec))
+    response_models = mu_values = None
     if "response" in need:
         seqs = (pair.a_seq,) if pair.b_seq == pair.a_seq else (pair.a_seq, pair.b_seq)
-        models, preds, level0 = _fit_responses(table, seqs, regressor_spec, split,
-                                               level0=True)
+        models, preds = _fit_responses(table, seqs, regressor_spec, split,
+                                       response_map, level0=True)
         response_models = {"a": models[0], "b": models[-1]}
+        mu = {(arm, j): values for arm, s in (("a", 0), ("b", len(seqs) - 1))
+              for j, values in preds[s].items()}
+        for values in mu.values():
+            values.flags.writeable = False
+        mu_values = FittedValues(table.panel, table.codec, response_models, mu)
     history_models = None
     if "history" in need:
-        # at tau = 0 the history adjustments are the level-0 response fits
-        history_models = _fit_history(table, pair, regressor_spec, split, level0,
+        history_models = _fit_history(table, pair, regressor_spec, split, response_map,
                                       response_models if tau == 0 else None)
-    level0 = None                     # free the level-0 map before the classifier
+    response_map = None               # free a map made here before the classifier
     if propensity_model is None and "propensity" in need:
-        propensity_model = fit_propensities(panel, classifier_spec, split, codec)
-    ns = NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,
-                     response_models=response_models, propensity_model=propensity_model,
-                     history_models=history_models)
-    if response_models is not None:
-        for arm, s in (("a", 0), ("b", len(seqs) - 1)):
-            for j, mu in preds[s].items():
-                ns._put(table, ("mu", arm, j), mu)
-    return ns
+        propensity_model, propensities = fit_propensities(panel, classifier_spec, split,
+                                                          codec), None
+    pi_values = (None if propensities is None
+                 else FittedValues(panel, codec, propensity_model, propensities))
+    return NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,
+                       response_models=response_models, propensity_model=propensity_model,
+                       history_models=history_models, mu_values=mu_values,
+                       pi_values=pi_values).at(table)
 
 
 def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,

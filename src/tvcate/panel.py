@@ -13,7 +13,8 @@ regressors and classifiers can consume them.
 A :class:`Panel` is stored flat: read-only arrays ``X (R, d)``, ``A (R,)``
 and ``Y (R,)`` hold the rows of all trajectories end to end, and
 ``offsets (n+1,)`` bounds them (trajectory i is rows
-``offsets[i]:offsets[i+1]``).  ``Panel.trajectories`` builds n read-only
+``offsets[i]:offsets[i+1]``); row ``offsets[i] + s - 1`` is position (i, s),
+whose H_s :meth:`Panel.encoded` holds.  ``Panel.trajectories`` builds n read-only
 :class:`Trajectory` views on every access: O(n) objects, meant for oracles
 and tests, not hot paths.  What each constructor rejects:
 
@@ -120,6 +121,7 @@ class Panel:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "treatment_arity", treatment_arity)
+        object.__setattr__(self, "_encoded", {})
         return self
 
     def __setattr__(self, name, value):
@@ -170,6 +172,18 @@ class Panel:
             else:
                 rows = self.offsets[idx][:, None] + np.arange(T)
                 yield idx, self.X[rows], self.A[rows], self.Y[rows]
+
+    def encoded(self, codec: "FeatureCodec") -> np.ndarray:
+        """Read-only H_s of trajectory i at row ``offsets[i] + s - 1`` (NaN past
+        ``codec.max_len``), encoded on the first call per codec and kept."""
+        if codec not in self._encoded:
+            out = np.full((self.X.shape[0], codec.width), np.nan)
+            for idx, X, A, Y in self.dense_blocks():
+                for s in range(1, min(X.shape[1], codec.max_len) + 1):
+                    out[self.offsets[idx] + s - 1] = encode_block(X, A, Y, s, codec)
+            out.flags.writeable = False
+            self._encoded[codec] = out
+        return self._encoded[codec]
 
     def subset(self, indices) -> "Panel":
         """Panel restricted to the given trajectory positions (one gather)."""

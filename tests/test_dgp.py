@@ -18,6 +18,7 @@ from tvcate.dgp import (
     simulate_panel,
 )
 from tvcate.panel import HistoryView, InterventionPair, Trajectory, validate_panel
+from tvcate.harness import default_sweep_config
 
 
 def history(x_vals, a_vals=(), y_vals=(), pad_to=5):
@@ -73,9 +74,15 @@ class TestRegistry:
     def test_known_names(self):
         assert get_dgp("d1").name == "d1"
         assert get_dgp("d2").name == "d2"
-        assert get_dgp("d3:gamma=4").name == "d3:gamma=4"
+        assert get_dgp("d3:gamma=4").name == "d3:gamma=4.0"
         assert get_dgp("mini-discrete").name == "mini-discrete"
         assert get_dgp("linear-chain").name == "linear-chain"
+
+    @pytest.mark.parametrize("gamma", default_sweep_config().gammas + (2.0000001,))
+    def test_d3_name_looks_up_the_same_generator(self, gamma):
+        d = make_d3(gamma)
+        assert get_dgp(d.name).name == d.name
+        assert get_dgp(d.name).f_a(1.0, 0.0, 0.0) == d.f_a(1.0, 0.0, 0.0)
 
     def test_gamma_is_parsed(self):
         dgp = get_dgp("d3:gamma=8")

@@ -50,6 +50,9 @@ class TestConfigValidation:
         (dict(second_stage_bandwidth=-1), "second_stage_bandwidth: bandwidth"),
         (dict(regressor_ridge=-1), "regressor_ridge: ridge_lambda"),
         (dict(classifier_l2=-0.5), "classifier_l2: l2"),
+        (dict(regressor_features=2.5), "regressor_features: feature_count must be an integer"),
+        (dict(second_stage_features=True),
+         "second_stage_features: feature_count must be an integer"),
     ])
     def test_rejects_bad_fields(self, kwargs, match):
         with pytest.raises(ValueError, match=match):

@@ -147,11 +147,12 @@ class TestPredictMany:
 class TestRidgeDesign:
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fits_have_the_bits_of_fit_regressor(self, weighted):
-        # 5000 rows: predictions on the held map span two 4096-row blocks
+        # 5000 rows: predictions from the map span two 4096-row blocks
         rng = np.random.default_rng(11)
         X = rng.normal(size=(5000, 3))
         w = rng.uniform(0.5, 2.0, 5000) if weighted else None
-        design = RidgeDesign(RegressorSpec(feature_count=32, seed=2), X,
+        raw = CosineMap(RegressorSpec(feature_count=32, seed=2), X)
+        design = RidgeDesign(RegressorSpec(feature_count=32, seed=2), raw,
                              None if w is None else w / w.sum())
         # repeated penalties reuse the stored factor and eigendecomposition
         for lam in (1e-2, "auto", 1e-4, 1e-2, "auto", 0.0):
@@ -161,7 +162,7 @@ class TestRidgeDesign:
             assert got.params.keys() == want.params.keys()
             for key, value in want.params.items():
                 assert np.array_equal(got.params[key], value), key
-            assert np.array_equal(design.predict(got), want.predict(X))
+            assert np.array_equal(raw.predict([got])[0], want.predict(X))
 
     def test_zero_lambda_singular_system_raises_on_every_fit(self):
         spec = RegressorSpec(feature_count=16, ridge_lambda=0.0, seed=0)
@@ -177,22 +178,7 @@ class TestRidgeDesign:
             design.fit(RegressorSpec(feature_count=8, seed=1), np.zeros(40))
         with pytest.raises(ValueError, match="one value per row"):
             design.fit(RegressorSpec(feature_count=8), np.zeros(39))
-        other = fit_regressor(RegressorSpec(feature_count=8), X, np.zeros(40))
-        with pytest.raises(ValueError, match="not fitted on this design"):
-            design.predict(other)
 
-
-    def test_released_design_raises(self):
-        X = np.random.default_rng(13).normal(size=(40, 2))
-        spec = RegressorSpec(feature_count=8)
-        design = RidgeDesign(spec, X)
-        model = design.fit(spec, np.arange(40.0))
-        design.release()
-        with pytest.raises(ValueError, match="design was released"):
-            design.fit(spec, np.arange(40.0))
-        with pytest.raises(ValueError, match="design was released"):
-            design.predict(model)
-        assert model.predict(X).shape == (40,)      # its models stay usable
 
 
 def params_equal(got, want):
@@ -212,7 +198,7 @@ class TestCosineMap:
         raw = CosineMap(RegressorSpec(seed=4), X)
         before = raw.phi.copy()
         models = []
-        for lam, subset in ((1e-2, rows), ("auto", None), (1e-4, ~rows)):
+        for lam, subset in ((1e-2, rows), ("auto", None), (1e-4, np.flatnonzero(~rows))):
             spec = RegressorSpec(seed=4, ridge_lambda=lam)
             pick = slice(None) if subset is None else subset
             got = raw.fit(spec, y[pick], None if w is None else w[pick], rows=subset)
@@ -221,10 +207,26 @@ class TestCosineMap:
             models.append(got)
         for got, want in zip(raw.predict(models), predict_many(models, X)):
             assert np.array_equal(got, want)
+        # predictions at gathered rows, in any order and with repeats
+        at = rng.integers(0, 9000, size=5000)
+        for got, want in zip(raw.predict(models, at), predict_many(models, X[at])):
+            assert np.array_equal(got, want)
         assert np.array_equal(raw.phi, before)       # fits and predictions copy
-        raw.release()
-        with pytest.raises(ValueError, match="cosine map was released"):
-            raw.predict(models)
+
+    def test_design_is_held_per_row_set_and_dropped_by_a_fit(self):
+        rng = np.random.default_rng(17)
+        X = rng.normal(size=(300, 3))
+        spec = RegressorSpec(feature_count=32, ridge_lambda=1e-2)
+        raw = CosineMap(spec, X)
+        at = np.flatnonzero(rng.uniform(size=300) < 0.5)
+        design = raw.design(spec, at)
+        assert raw.design(spec, at.copy()) is design
+        y = rng.normal(size=at.size)
+        assert params_equal(design.fit(spec, y), fit_regressor(spec, X[at], y))
+        assert raw.design(spec) is not design        # other rows replace it
+        whole = raw.design(spec)
+        raw.fit(spec, y, rng.uniform(0.5, 2.0, at.size), rows=at)
+        assert raw.design(spec) is not whole         # a weighted fit dropped it
 
     def test_foreign_specs_and_models_rejected(self):
         X = np.random.default_rng(15).normal(size=(40, 2))
@@ -254,6 +256,22 @@ class TestCosineMap:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+class TestSpecCounts:
+    @pytest.mark.parametrize("make,field", [
+        (lambda v: RegressorSpec(feature_count=v), "feature_count"),
+        (lambda v: ClassifierSpec(feature_count=v), "feature_count"),
+        (lambda v: ClassifierSpec(max_iter=v), "max_iter"),
+    ])
+    @pytest.mark.parametrize("value", [2.5, 3.0, True, "8"])
+    def test_non_integer_counts_rejected_naming_the_field(self, make, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            make(value)
+
+    def test_numpy_integers_accepted(self):
+        assert RegressorSpec(feature_count=np.int64(16)).feature_count == 16
+        assert ClassifierSpec(feature_count=np.int32(8), max_iter=np.int64(5)).max_iter == 5
 
 
 class TestLookupTable:

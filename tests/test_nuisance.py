@@ -425,7 +425,7 @@ class TestOneMapPerLevel:
                                      table.base_weight[mask])
                 assert params_equal(ns.response_models[arm][j], want)
                 target = want.predict(table.features(j))
-                assert ns._key(table, "mu", arm, j) in ns._store   # stored at fit
+                assert ns.mu(arm, j, table) is ns.mu_values.values[arm, j]   # kept at fit
                 assert np.array_equal(ns.mu(arm, j, table), target)
             assert params_equal(ns.history_models[arm], history[arm])
             # at tau = 0 the history adjustment is the level-0 response fit

@@ -1,10 +1,11 @@
-"""Tests for the stored nuisance evaluations of a NuisanceSet.
+"""Tests for the position maps and the fitted values of a NuisanceSet.
 
-A fitted set evaluates each model once per (row-table source, level) and
-returns the stored array afterwards, and holds one raw second-stage map with
-the uniform-weight design built from it; these tests pin what counts as the
-same source, what is never stored, how many maps a seed job computes and
-holds, and that sharing changes no result bit.
+Every row a seed job touches is a panel position: a fitted set keeps its
+models' values on the training panel (mu-hat at the training table's rows,
+class probabilities at every position), and every fit and prediction on a
+ridge spec gathers from one cosine map of a panel's positions.  These tests
+pin which queries the fitted values answer, how many rows a seed job maps
+and how many maps it holds, and that the gathers change no result bit.
 """
 
 import collections
@@ -17,15 +18,16 @@ import pytest
 
 from tvcate import harness as harness_module
 from tvcate import learners as learners_module
-from tvcate import meta as meta_module
 from tvcate import nuisance as nuisance_module
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.harness import ExperimentConfig, _seed_job
-from tvcate.learners import (ClassifierSpec, CosineMap, FittedClassifier, RegressorSpec,
-                             RidgeDesign)
+from tvcate.learners import (ClassifierSpec, CosineMap, FittedClassifier,
+                             FittedRegressor, RegressorSpec, RidgeDesign,
+                             random_cosine_map)
 from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
-                             oracle_nuisances)
+                             load_nuisances, oracle_nuisances, save_nuisances)
+from tvcate.panel import FeatureCodec, encode_block
 
 PAIR = benchmark_pair(1)
 SECOND_STAGE = RegressorSpec(feature_count=32, ridge_lambda=1.0)
@@ -50,9 +52,8 @@ def panels():
 
 @pytest.fixture
 def calls(monkeypatch):
-    """Counts of the set's ``predict_many`` calls (each evaluates both arms'
-    level-j response models) and of FittedClassifier.predict_proba."""
-    counts = {"predict_many": 0, "predict_proba": 0}
+    """Counts of FittedRegressor.predict and FittedClassifier.predict_proba."""
+    counts = {"predict": 0, "predict_proba": 0}
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -62,7 +63,7 @@ def calls(monkeypatch):
             return original(*args, **kwargs)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counting(nuisance_module, "predict_many")
+    counting(FittedRegressor, "predict")
     counting(FittedClassifier, "predict_proba")
     return counts
 
@@ -85,7 +86,7 @@ class TestSharedSetChangesNoBit:
         for other in LEARNER_KINDS:
             if other != kind:
                 fit_meta(other, train, PAIR, shared, second_stage_spec=SECOND_STAGE)
-        assert shared._store                   # the others did store evaluations
+        assert shared.mu_values is not None and shared.pi_values is not None
         got = fit_meta(kind, train, PAIR, shared,
                        second_stage_spec=SECOND_STAGE).predict(feats)
         alone = fit_meta(kind, train, PAIR, tiny_fit(train),
@@ -133,39 +134,85 @@ class TestLearnerOrders:
                            second_stage_spec=SECOND_STAGE).predict(feats)
             assert np.array_equal(got, alone[kind]), kind
 
+    @pytest.mark.parametrize("features", [32, 256])
+    def test_position_maps_change_no_bit(self, panels, features):
+        # the harness path: the second stages gather from one map of the
+        # training positions (at 256 features the variance model shares it),
+        # and the predictions from one map of the test positions per spec
+        train, test = panels
+        spec = dataclasses.replace(SECOND_STAGE, feature_count=features)
+        shared = tiny_fit(train)
+        positions = CosineMap(spec, train.encoded(shared.codec))
+        table = build_row_table(test, 1, shared.codec)
+        test_maps = {spec: CosineMap(spec, test.encoded(shared.codec))}
+        for kind in ORDERS["reversed"]:
+            model = fit_meta(kind, train, PAIR, shared, second_stage_spec=spec,
+                             positions=positions)
+            want = fit_meta(kind, train, PAIR, tiny_fit(train),
+                            second_stage_spec=spec).predict(table.features(0))
+            drawn = (shared.response_models["a"][0].spec
+                     if kind in ("PI-HA", "PI-RA") else spec)
+            if drawn not in test_maps:
+                test_maps[drawn] = CosineMap(drawn, test.encoded(shared.codec))
+            got = model.predict(test_maps[drawn], table.positions(0))
+            assert np.array_equal(got, want), kind
 
-def held(ns):
-    """The set's second-stage entries that still hold arrays: (raw map, design)."""
-    return [entry for _, entry in ns._store.values() if isinstance(entry, tuple)
-            and (entry[0].phi is not None or entry[1].phi is not None)]
+
+class TestPositionArrays:
+    """Every encoded history, mu-hat and pi-hat of a fitted set on its
+    training panel is a gather with the bits of the per-table path: encoding
+    the table's rows, and evaluating the models at them."""
+
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    def test_gathers_have_the_bits_of_the_per_table_path(self, panels, tau):
+        train, _ = panels                   # d1: every trajectory has length 5
+        pair = benchmark_pair(tau)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ns = fit_nuisances(train, pair,
+                               regressor_spec=RegressorSpec(bandwidth=1.5,
+                                                            ridge_lambda=1e-2),
+                               classifier_spec=ClassifierSpec(l2=1e-2), clip_eps=0.03,
+                               need=("response", "propensity"))
+        table = build_row_table(train, tau, ns.codec)
+        X, A, Y = train.dense()
+        T = X.shape[1]
+        for j in range(tau + 1):
+            encoded = np.empty((table.n_rows, ns.codec.width))
+            for t in range(1, T - tau + 1):
+                encoded[t - 1::T - tau] = encode_block(X, A, Y, t + j, ns.codec)
+            assert np.array_equal(table.features(j), encoded)
+            for arm in ("a", "b"):
+                want = ns.response_models[arm][j].predict(encoded)
+                assert np.array_equal(ns.mu(arm, j, table), want)
+            proba = ns.propensity_model.predict_proba(encoded)
+            for a_value in (0, 1):
+                assert np.array_equal(ns.propensity(j, a_value, table)[1],
+                                      proba[:, a_value])
 
 
 @pytest.fixture
 def one_map_at_a_time(monkeypatch):
-    """Fails any cosine map or ridge design built while more than one other
-    N x F array is alive: a design is built beside the one raw map it gathers
-    from, and a map beside nothing but at most one other map."""
-    live = weakref.WeakSet()
+    """Fails any cosine map of at least ``limit[0]`` rows built while another
+    such map is alive, and any ridge design built beside another: a seed job
+    holds one map of the training positions, and that map one design."""
+    maps, designs, limit = weakref.WeakSet(), weakref.WeakSet(), [1]
+    map_init, design_init = CosineMap.__init__, RidgeDesign.__init__
 
-    def check():
-        assert len([d for d in live if d.phi is not None]) <= 1
+    def tracked_map(self, *args, **kwargs):
+        map_init(self, *args, **kwargs)
+        if self.n_rows >= limit[0]:
+            assert not [m for m in maps if m.n_rows >= limit[0]]
+        maps.add(self)
 
-    class TrackedMap(CosineMap):
-        def __init__(self, *args, **kwargs):
-            check()
-            super().__init__(*args, **kwargs)
-            live.add(self)
+    def tracked_design(self, *args, **kwargs):
+        assert not list(designs)
+        design_init(self, *args, **kwargs)
+        designs.add(self)
 
-    class TrackedDesign(RidgeDesign):
-        def __init__(self, *args, **kwargs):
-            check()
-            super().__init__(*args, **kwargs)
-            live.add(self)
-
-    for module in (learners_module, nuisance_module, meta_module):
-        monkeypatch.setattr(module, "CosineMap", TrackedMap, raising=False)
-    monkeypatch.setattr(learners_module, "RidgeDesign", TrackedDesign)
-    monkeypatch.setattr(nuisance_module, "RidgeDesign", TrackedDesign)
+    monkeypatch.setattr(CosineMap, "__init__", tracked_map)
+    monkeypatch.setattr(RidgeDesign, "__init__", tracked_design)
+    return limit
 
 
 @pytest.fixture
@@ -186,51 +233,63 @@ class TestHeldDesign:
                                                     one_map_at_a_time):
         train, _ = panels
         ns = tiny_fit(train)
-        for kind in ("RA", "IPW", "DR"):
-            fit_meta(kind, train, PAIR, ns, second_stage_spec=SECOND_STAGE)
-            (raw, design), = held(ns)
-            assert raw.phi is not None and design.phi is not None
-        # the variance model draws another map here, so it replaces the entry,
-        # and the weighted fit maps the rows with the second stage's map
-        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE)
-        assert held(ns) == [] and raw.phi is None and design.phi is None
-        # with a shared map the variance model reuses the second stage's
-        # design and the weighted fit gathers from its raw map: no row is mapped
-        shared_map = dataclasses.replace(SECOND_STAGE, feature_count=256)
-        fit_meta("DR", train, PAIR, ns, second_stage_spec=shared_map)
-        (raw, design), = held(ns)
+        one_map_at_a_time[0] = train.X.shape[0]
+        # with a map the variance model shares, the uniform fits share one
+        # held design, IVW-DR's weighted fit drops it, and no row is mapped
+        spec = dataclasses.replace(SECOND_STAGE, feature_count=256)
+        positions = CosineMap(spec, train.encoded(ns.codec))
         map_rows.clear()
-        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=shared_map)
-        assert not map_rows
-        assert held(ns) == [] and raw.phi is None and design.phi is None
+        designs = set()
+        for kind in ("RA", "IPW", "DR"):
+            fit_meta(kind, train, PAIR, ns, second_stage_spec=spec, positions=positions)
+            designs.add(id(positions._design[1]))
+        assert len(designs) == 1
+        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=spec, positions=positions)
+        assert positions._design is None and not map_rows
+        # the variance model draws another map here: it maps the pseudo rows
+        # once, and the weighted fit gathers from the handed-in map
+        positions = None
+        positions = CosineMap(SECOND_STAGE, train.encoded(ns.codec))
+        map_rows.clear()
+        fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE,
+                 positions=positions)
+        assert positions._design is None
+        assert map_rows == {(256, build_row_table(train, 1).n_rows): 1}
 
     def test_seed_job_drops_each_horizons_design(self, one_map_at_a_time):
-        # IPW never releases its design, and the plug-in model refers to the
-        # set; the next horizon's fits must still find no held map
+        # IPW never drops its design, and the plug-in model refers to the
+        # set; no two maps of the training positions or designs coexist
         cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1),
                                learners=("IPW", "PI-RA"), regressor_features=32,
                                second_stage_features=32, classifier_l2=1e-2)
+        one_map_at_a_time[0] = 2500          # the training positions
         _seed_job(cfg, 0)
 
-    def test_seed_job_map_rows(self, map_rows):
-        # d1, 500 training trajectories of length 5: the tau = 0 and tau = 1
-        # training tables hold 2500 and 2000 rows; the variance model and
-        # the second stages share one 256-feature map
-        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1),
-                               regressor_features=32, second_stage_features=256,
+    def test_seed_job_map_rows(self, monkeypatch):
+        # d1 with 500 training and 100 test trajectories of length 5: 2500
+        # training and 500 test positions, each mapped once per map for
+        # every tau and learner; the classifier maps its training rows to
+        # fit and once more to evaluate every position
+        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1, 2),
                                classifier_l2=1e-2)
+        names = {}
+        for name, features, bandwidth in (
+                ("classifier", 64, 2.0),
+                ("regressor", cfg.regressor_features, cfg.regressor_bandwidth),
+                ("second stage", cfg.second_stage_features, cfg.second_stage_bandwidth)):
+            W, _ = random_cosine_map(FeatureCodec(max_len=5).width, features, bandwidth, 0)
+            names[W.tobytes()] = name
+        counts = collections.Counter()
+        original = learners_module._cosine_features
+
+        def counting(X, W, b):
+            counts[names[W.tobytes()], X.shape[0]] += 1
+            return original(X, W, b)
+        monkeypatch.setattr(learners_module, "_cosine_features", counting)
         _seed_job(cfg, 0)
-        # per tau: the tables above, the classifier (plus its fit's 2500 rows
-        # once), and the 500 and 400 test rows, mapped once per second stage
-        # and once per plug-in arm pair
-        assert sum(rows * n for (_, rows), n in map_rows.items()) == 25_400
-        # whole training tables: one response map per level, which the fits,
-        # the next level's targets, mu-hat and the history adjustments share;
-        # one second-stage map, which IVW-DR's weighted fit gathers from too
-        assert {k: n for k, n in map_rows.items() if k[1] in (2000, 2500)} == {
-            (32, 2500): 1, (256, 2500): 1,
-            (32, 2000): 2, (256, 2000): 1,
-            (64, 2500): 2, (64, 2000): 2}       # classifier: fit, 3 levels
+        assert counts == {("classifier", 2500): 2,
+                          ("regressor", 2500): 1, ("regressor", 500): 1,
+                          ("second stage", 2500): 1, ("second stage", 500): 1}
 
     def test_zero_lambda_singular_second_stage_raises(self):
         # 4 trajectories of 5 rows against 64 features: a singular gram
@@ -238,10 +297,13 @@ class TestHeldDesign:
         panel = simulate_panel(d1, 4, seed=3)
         ns = oracle_nuisances(d1, pair)
         spec = RegressorSpec(feature_count=64, ridge_lambda=0.0)
+        positions = CosineMap(spec, panel.encoded(ns.codec))
         for kind in ("DR", "IPW"):          # IPW reuses the design DR built
-            with pytest.raises(ValueError, match="singular system with ridge_lambda=0"):
-                fit_meta(kind, panel, pair, ns, second_stage_spec=spec)
-        assert len(held(ns)) == 1
+            for held in (None, positions):
+                with pytest.raises(ValueError, match="singular system with ridge_lambda=0"):
+                    fit_meta(kind, panel, pair, ns, second_stage_spec=spec,
+                             positions=held)
+        assert positions._design is not None
 
     def test_fit_time_mu_survives_the_shared_classifier(self, monkeypatch):
         sets = []
@@ -249,7 +311,7 @@ class TestHeldDesign:
 
         def recording(*args, **kwargs):
             ns = original(*args, **kwargs)
-            sets.append((ns, dict(ns._store)))
+            sets.append((ns, dict(ns.mu_values.values)))
             return ns
         monkeypatch.setattr(harness_module, "fit_nuisances", recording)
         cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(1, 2),
@@ -258,10 +320,10 @@ class TestHeldDesign:
         _seed_job(cfg, 0)
         (first, at_fit), (second, _) = sets
         assert first.propensity_model is second.propensity_model
-        mu_keys = [k for k in at_fit if k[3] == "mu"]
-        assert sorted(k[4:] for k in mu_keys) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
-        for key in mu_keys:
-            assert first._store[key][1] is at_fit[key][1]
+        assert first.pi_values.values is second.pi_values.values   # one evaluation
+        assert sorted(at_fit) == [("a", 0), ("a", 1), ("b", 0), ("b", 1)]
+        for key, values in at_fit.items():
+            assert first.mu_values.values[key] is values
 
 
 class TestStoreContract:
@@ -271,17 +333,13 @@ class TestStoreContract:
         first = build_row_table(train, 1, ns.codec)
         second = build_row_table(train, 1, ns.codec)
         before = dict(calls)
-        # the fit stored both levels: no paired call evaluates either
+        # the fit kept mu-hat at both levels and pi-hat at every position
         query_all(ns, first)
-        assert calls["predict_many"] - before["predict_many"] == 0
-        assert calls["predict_proba"] - before["predict_proba"] == 2
-        mu = ns.mu("a", 1, first)
-        _, raw = ns.propensity(1, 0, first)
         query_all(ns, second)
-        assert calls["predict_many"] - before["predict_many"] == 0
-        assert calls["predict_proba"] - before["predict_proba"] == 2
-        assert ns.mu("a", 1, second) is mu
-        assert np.shares_memory(ns.propensity(1, 0, second)[1], raw)
+        assert calls == before
+        assert ns.mu("a", 1, second) is ns.mu("a", 1, first)
+        assert np.array_equal(ns.propensity(1, 0, second)[1],
+                              ns.pi_values.values[second.positions(1), 0])
 
     def test_other_sources_evaluate_afresh(self, panels, calls):
         train, test = panels
@@ -294,20 +352,36 @@ class TestStoreContract:
         for table in sources:
             before = dict(calls)
             query_all(ns, table)
-            assert calls["predict_many"] - before["predict_many"] == 2   # one per level
-            assert calls["predict_proba"] - before["predict_proba"] == 2
+            assert calls["predict"] - before["predict"] == 4     # one per query
+            assert calls["predict_proba"] - before["predict_proba"] == 4
             mu = ns.mu("b", 0, table)
             want = ns.response_models["b"][0].predict(table.features(0))
             assert np.array_equal(mu, want)
+
+    def test_loaded_set_evaluates_each_model_once(self, panels, calls, tmp_path):
+        # a bundle carries no values: fit_meta evaluates the classifier once at
+        # every position and each level's two response models once, with the
+        # bits of the fitted set
+        train, test = panels
+        ns = tiny_fit(train)
+        save_nuisances(ns, tmp_path / "n.json")
+        loaded = load_nuisances(tmp_path / "n.json")
+        feats = build_row_table(test, 1).features(0)
+        before = dict(calls)
+        got = fit_meta("DR", train, PAIR, loaded, second_stage_spec=SECOND_STAGE)
+        assert calls["predict_proba"] - before["predict_proba"] == 1
+        assert calls["predict"] - before["predict"] == 0      # paired per level
+        want = fit_meta("DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE)
+        assert np.array_equal(got.predict(feats), want.predict(feats))
 
     def test_replaced_and_corrupted_sets_start_empty(self, panels, calls):
         train, test = panels
         ns = tiny_fit(train)
         table = build_row_table(train, 1, ns.codec)
         query_all(ns, table)
+        # the values came from the replaced model: the new one is evaluated
         other = fit_propensities(test, ClassifierSpec(feature_count=16, seed=5))
         swapped = dataclasses.replace(ns, propensity_model=other)
-        assert not swapped._store
         want = other.predict_proba(table.features(0))[:, 1]
         assert np.array_equal(swapped.propensity(0, 1, table)[1], want)
         assert not np.array_equal(ns.propensity(0, 1, table)[1], want)
@@ -318,28 +392,28 @@ class TestStoreContract:
         assert np.all(bad.mu("a", 0, table) == 0.0)
         before = dict(calls)
         plain = ns.corrupted()
-        assert np.array_equal(plain.mu("a", 0, table), ns.mu("a", 0, table))
-        assert calls["predict_many"] - before["predict_many"] == 1
+        assert plain.mu("a", 0, table) is ns.mu("a", 0, table)
+        assert calls == before
 
     def test_stored_arrays_are_read_only(self, panels):
         train, _ = panels
         ns = tiny_fit(train)
         table = build_row_table(train, 1, ns.codec)
         mu = ns.mu("a", 0, table)
-        clipped, raw = ns.propensity(1, 1, table)
-        for stored in (mu, raw):
+        for stored in (mu, ns.pi_values.values, train.encoded(ns.codec)):
             assert not stored.flags.writeable
             with pytest.raises(ValueError, match="read-only"):
                 stored[0] = 0.0
-        clipped[0] = 0.0          # the clipped copy is the caller's own
+        clipped, raw = ns.propensity(1, 1, table)
+        clipped[0] = raw[0] = 0.0      # gathers are the caller's own
 
     def test_oracle_and_override_queries_store_nothing(self, panels):
         train, _ = panels
         table = build_row_table(train, 1)
-        for ns in (oracle_nuisances(make_d1(), PAIR),
-                   tiny_fit(train).corrupted(propensity=0.4, response=1.0)):
+        oracle = oracle_nuisances(make_d1(), PAIR)
+        assert oracle.mu_values is None and oracle.pi_values is None
+        for ns in (oracle, tiny_fit(train).corrupted(propensity=0.4, response=1.0)):
             query_all(ns, table)
-            assert not ns._store
             first, second = ns.mu("a", 1, table), ns.mu("a", 1, table)
             assert first is not second and first.flags.writeable
             assert ns.propensity(0, 1, table)[1].flags.writeable
@@ -347,8 +421,9 @@ class TestStoreContract:
 
 class TestPropensityFitsPerSeedJob:
     @pytest.mark.parametrize("split_enabled,fits", [(False, 1), (True, 2)])
-    def test_classifier_fits(self, monkeypatch, split_enabled, fits):
-        # the "pi" fold of a split plan depends on tau, so each tau refits
+    def test_classifier_fits(self, monkeypatch, calls, split_enabled, fits):
+        # the "pi" fold of a split plan depends on tau, so each tau refits;
+        # each fit is evaluated once, at every position of the panel
         count = []
         original = nuisance_module.fit_classifier
 
@@ -360,4 +435,4 @@ class TestPropensityFitsPerSeedJob:
                                learners=("IPW",), split_enabled=split_enabled,
                                second_stage_features=32, classifier_l2=1e-2)
         _seed_job(cfg, 0)
-        assert len(count) == fits
+        assert len(count) == calls["predict_proba"] == fits
