@@ -17,7 +17,6 @@ from .panel import (
     validate_panel,
     encode_history,
     encode_block,
-    decode_history,
     panel_from_arrays,
     panel_to_csv,
     panel_from_csv,

@@ -16,10 +16,12 @@ position serve every horizon); every horizon's nuisances, from one
 regressor map of the training positions; every horizon's learners, from
 one second-stage map, which holds the design each horizon's uniform-weight
 second stages share; and the test predictions, from one map of the test
-positions per spec.  The timed parts exclude those maps and the nuisance
-fits; a learner's time includes the design when it is its horizon's first
-uniform second stage (RA in the default order), so the per-learner times
-depend on the learner order.
+positions per spec.  Without a split, every response level and uniform
+second stage takes its gram from (time, arm) group sums that each training
+map makes once.  The timed parts exclude those maps and the nuisance fits;
+a learner's time includes the design (and the sums) when it is its
+horizon's first uniform second stage (RA in the default order), so the
+per-learner times depend on the learner order.
 
 Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 :func:`parse_config_text`); every field can also be overridden from a
@@ -57,7 +59,8 @@ from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .learners import ClassifierSpec, CosineMap, RegressorSpec
 from .meta import LEARNER_KINDS, fit_meta
 from .nuisance import (build_row_table, default_codec, fit_nuisances,
-                       fit_propensities, make_split, propensities_at_positions)
+                       fit_propensities, make_split, position_groups,
+                       propensities_at_positions)
 
 __all__ = [
     "OUTPUT_DIR_ENV", "RESULT_FIELDS", "SWEEP_FIELDS", "ExperimentConfig",
@@ -430,7 +433,8 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                 model = shared["propensity_model"] = fit_propensities(train, classifier)
                 shared["propensities"] = propensities_at_positions(model, train, codec)
             if "response" in need or "history" in need:
-                shared["response_map"] = CosineMap(regressor, train.encoded(codec))
+                shared["response_map"] = CosineMap(regressor, train.encoded(codec),
+                                                   position_groups(train))
         nuisances = {}
         for tau in cfg.taus:
             split = make_split(train, tau, enabled=cfg.split_enabled,
@@ -441,7 +445,7 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                     classifier_spec=classifier, split=split,
                     clip_eps=cfg.clip_eps, need=need, **shared)
         shared = None
-        stage_map = (CosineMap(second_stage, train.encoded(codec))
+        stage_map = (CosineMap(second_stage, train.encoded(codec), position_groups(train))
                      if second_stage in spec_of.values() else None)
         for tau in cfg.taus:
             for kind in cfg.learners:

@@ -14,13 +14,13 @@ with the same contract could be swapped in.  The built-in regressors are
   with weights normalized to unit mass (making the fit invariant to weight
   rescaling and ridge_lambda comparable across sample sizes).  Heavy
   regularization therefore shrinks predictions toward the weighted target
-  mean rather than toward zero.  One row set's system, its centered map,
-  gram matrix and factors, is a :class:`RidgeDesign`: several targets on
-  one row set cost a solve each, with the bits of separate fits.  A
+  mean rather than toward zero.  One row set's system, its weighted mean
+  map, gram matrix and factors, is a :class:`RidgeDesign`: several targets
+  on one row set cost a solve each, with the bits of separate fits.  A
   :class:`CosineMap` maps a matrix of rows once (in the package, a panel's
   encoded positions), and fits and predictions gather from it by row
-  index.  Grams are filled in column blocks (:func:`_gram`), so a design
-  built beside a map adds no second N x F temporary.
+  index.  A gram is sum w phi phi^T - m m^T, from the map's per-group sums
+  or from the gathered rows (:class:`RidgeDesign`), never from a copy.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 The classifier is multinomial logistic regression (optional random cosine
@@ -181,17 +181,22 @@ class FittedRegressor:
         return FittedRegressor(spec, int(state["in_dim"]), int(state["n_rows"]), params)
 
 
-#: rows per block when a cosine map is centered and multiplied by beta
+#: rows per block when a cosine map is read (predictions, grams, right-hand sides)
 _PREDICT_BLOCK_ROWS = 4096
 
 
-def _blocks(n):
-    """[lo, hi) row blocks of a map: starts at multiples of
-    ``_PREDICT_BLOCK_ROWS``, the last block holding at least two rows.  On one
-    BLAS thread the block products then carry the bits of one product over the
-    whole map."""
+def _row_blocks(phi, rows=None):
+    """``(lo, hi, block)`` over ``rows`` (indices, all when None) of the map
+    ``phi``: blocks start at multiples of ``_PREDICT_BLOCK_ROWS`` and the last
+    holds at least two rows, so on one BLAS thread block products of
+    predictions carry the bits of one product.  Blocks are views of ``phi``,
+    or rows gathered into one buffer that the next block overwrites."""
+    n = phi.shape[0] if rows is None else rows.size
     edges = list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
-    return zip(edges, edges[1:])
+    buf = None if rows is None else np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), phi.shape[1]))
+    for lo, hi in zip(edges, edges[1:]):
+        yield lo, hi, (phi[lo:hi] if rows is None else
+                       np.take(phi, rows[lo:hi], axis=0, out=buf[:hi - lo], mode="clip"))
 
 
 def _draws(model: FittedRegressor, W, b) -> bool:
@@ -202,17 +207,14 @@ def _draws(model: FittedRegressor, W, b) -> bool:
 
 def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
     """Predictions of ridge models at ``rows`` (indices, all when None) of
-    their raw map ``phi``, block by block (:func:`_blocks`): each model
+    their raw map ``phi``, block by block (:func:`_row_blocks`): each model
     centers a block by its own ``phi_mean`` and multiplies by its ``beta``,
-    so extra models cost a block, not an N x F map.  Gathered rows share one
-    block buffer, which the last model centers in place, as it does a block
-    of ``phi`` with ``in_place``."""
+    so extra models cost a block, not an N x F map.  The last model centers
+    a gathered block in place, as it does a block of ``phi`` with
+    ``in_place``."""
     n = phi.shape[0] if rows is None else rows.size
     outs = [np.empty(n) for _ in models]
-    buf = None if rows is None else np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), phi.shape[1]))
-    for lo, hi in _blocks(n):
-        block = phi[lo:hi] if rows is None else np.take(phi, rows[lo:hi], axis=0,
-                                                        out=buf[:hi - lo], mode="clip")
+    for lo, hi, block in _row_blocks(phi, rows):
         for k, model in enumerate(models):
             own = (in_place or rows is not None) and k == len(models) - 1
             centered = np.subtract(block, model.params["phi_mean"],
@@ -282,7 +284,7 @@ _GRAM_BLOCK_COLS = 64
 
 
 def _gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The weighted gram matrix ``(phi * w[:, None]).T @ phi``.
+    """The weighted raw gram matrix ``(phi * w[:, None]).T @ phi``.
 
     When the feature count is a multiple of ``_GRAM_BLOCK_COLS`` (the
     package's 64, 128 and 256 features), the rows are filled 64 columns of
@@ -301,17 +303,29 @@ def _gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
     return gram
 
 
+def _raw_sums(phi: np.ndarray, rows, w: np.ndarray):
+    """``(sum w phi phi^T, sum w phi)`` over ``rows`` of ``phi``, block by block."""
+    F = phi.shape[1]
+    gram, total = np.zeros((F, F)), np.zeros(F)
+    for lo, hi, block in _row_blocks(phi, rows):
+        gram += _gram(block, w[lo:hi])
+        total += w[lo:hi] @ block
+    return gram, total
+
+
 class CosineMap:
     """The raw cosine map of a matrix of rows under a ridge spec's (W, b).
 
     Fits and predictions take ``rows``, indices into the mapped rows (all
     when None), with the bits of mapping those rows again (on one OpenBLAS
-    0.3 thread, up to 192 features and at multiples of 8 above).  It holds
+    0.3 thread, up to 192 features and at multiples of 8 above).  ``groups``
+    labels each row with an integer >= 0 (on a panel, its time and arm); the
+    map sums each group's raw gram and column sums once.  It holds
     the uniform-weight design :meth:`design` built last; a weighted
     :meth:`fit` drops it first, so at most one is held.
     """
 
-    def __init__(self, spec: RegressorSpec, X):
+    def __init__(self, spec: RegressorSpec, X, groups=None):
         X = np.asarray(X, dtype=float)
         self.in_dim = X.shape[1]
         self.key = cosine_map_key(spec, self.in_dim)
@@ -320,10 +334,34 @@ class CosineMap:
             shared.flags.writeable = False
         self.phi = _cosine_features(X, self.W, self.b)
         self.n_rows = X.shape[0]
+        self.groups = None if groups is None else np.asarray(groups, dtype=np.intp)
+        if self.groups is not None and self.groups.shape != (self.n_rows,):
+            raise ValueError("groups must be one label per mapped row")
+        self._sums = None                     # per group: raw gram, column sums, rows, summed
         self._design = None                   # (rows, the uniform design of rows)
 
     def _index(self, rows) -> np.ndarray:
         return np.arange(self.n_rows)[slice(None) if rows is None else rows]
+
+    def _group_means(self, rows):
+        """(mean phi phi^T, mean phi) over ``rows`` from group sums (each made at
+        its first use), or None when ``rows`` is no union of the map's groups."""
+        if self.groups is None:
+            return None
+        if self._sums is None:
+            counts, F = np.bincount(self.groups), self.phi.shape[1]
+            self._sums = (np.empty((counts.size, F, F)), np.empty((counts.size, F)),
+                          counts, np.zeros(counts.size, dtype=bool))
+        grams, totals, counts, summed = self._sums
+        taken = np.bincount(self.groups[rows], minlength=counts.size)
+        hit = taken > 0
+        if np.any(taken[hit] != counts[hit]) or np.unique(rows).size != rows.size:
+            return None
+        for g in np.flatnonzero(hit & ~summed):
+            idx = np.flatnonzero(self.groups == g)
+            grams[g], totals[g] = _raw_sums(self.phi, idx, np.ones(idx.size))
+            summed[g] = True
+        return grams[hit].sum(axis=0) / rows.size, totals[hit].sum(axis=0) / rows.size
 
     def design(self, spec: RegressorSpec, rows=None) -> "RidgeDesign":
         """The uniform-weight design of ``rows``, built on the first call for
@@ -335,13 +373,13 @@ class CosineMap:
         return self._design[1]
 
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
-        """``fit_regressor(spec, X[rows], target, weight)`` from the map;
-        ``target`` and ``weight`` hold one value per selected row."""
+        """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
+        unless the gram is from group sums); one target and weight per row."""
         rows = self._index(rows)
         if rows.size < 1:
             raise ValueError("need at least one training row")
         self._design = None                   # never two designs
-        w = _normalized_weights(weight, rows.size)
+        w = None if weight is None else _normalized_weights(weight, rows.size)
         return RidgeDesign(spec, self, w, rows).fit(spec, target)
 
     def predict(self, models, rows=None) -> list:
@@ -354,13 +392,14 @@ class CosineMap:
 class RidgeDesign:
     """The weighted ridge system of one row set under one cosine map.
 
-    It holds the centered map phi - mean_w(phi) of the rows, that mean, the
-    gram matrix, and on demand a Cholesky factor per penalty and the
+    It holds the weighted mean map m of the rows, the gram sum w phi phi^T -
+    m m^T, and on demand a Cholesky factor per penalty and the
     eigendecomposition "auto" penalties search, so each :meth:`fit` costs a
-    right-hand side and a solve, with the bits ``fit_regressor`` returns.
-    ``X`` is the rows' features, or a :class:`CosineMap` from which the
-    design copies ``rows`` (all when None); ``w`` their normalized weights,
-    None meaning uniform.
+    right-hand side and a solve.  ``X`` is the rows' features, or a
+    :class:`CosineMap` whose ``rows`` (all when None) the design reads; ``w``
+    their normalized weights, None meaning uniform.  Uniform rows that are a
+    union of the map's groups take the gram from group sums; other rows are
+    gathered in blocks, with ``fit_regressor``'s bits, and never copied.
     """
 
     def __init__(self, spec: RegressorSpec, X, w=None, rows=None):
@@ -368,21 +407,30 @@ class RidgeDesign:
             if X.key != cosine_map_key(spec, X.in_dim):
                 raise ValueError("spec draws another cosine map than the held map's")
             source = X
-            phi = X.phi.copy() if rows is None else X.phi[rows]
         else:
             source = CosineMap(spec, X)
-            phi = source.phi                  # one use: centered in place
-        n = phi.shape[0]
+        n = source.n_rows if rows is None else rows.size
+        means = source._group_means(source._index(rows)) if w is None else None
         self.w = np.full(n, 1.0 / n) if w is None else w
         self.in_dim, self.map = source.in_dim, source.key
         self.W, self.b = source.W, source.b
-        self.phi_mean = self.w @ phi
-        phi -= self.phi_mean
-        self.gram = _gram(phi, self.w)
-        self.phi = phi
+        self._phi, self._rows, self._from_sums = source.phi, rows, means is not None
+        # weights of unit mass: the weighted sums are the means
+        self.gram, self.phi_mean = means or _raw_sums(self._phi, rows, self.w)
+        self.gram -= np.outer(self.phi_mean, self.phi_mean)
         self.phi_mean.flags.writeable = False   # every fit's model holds it
         self._factors = {}
         self._eigh = None
+
+    def _rhs(self, v: np.ndarray) -> np.ndarray:
+        """``phi[rows]^T v``: one product over the whole map when the gram
+        came from group sums (faster than gathering 15,000 of 25,000 rows),
+        else summed over the gathered row blocks, as the gram was."""
+        if self._from_sums:
+            full = np.zeros(self._phi.shape[0])
+            full[slice(None) if self._rows is None else self._rows] = v
+            return self._phi.T @ full
+        return sum(block.T @ v[lo:hi] for lo, hi, block in _row_blocks(self._phi, self._rows))
 
     def fit(self, spec: RegressorSpec, target) -> FittedRegressor:
         """Fit ``spec``'s penalty to ``target`` on the design's rows."""
@@ -393,7 +441,7 @@ class RidgeDesign:
         if y.shape != (n,):
             raise ValueError("target must be one value per row")
         y_mean = float(w @ y)
-        rhs = self.phi.T @ (w * (y - y_mean))
+        rhs = self._rhs(w * (y - y_mean))   # centering phi adds nothing: sum w(y - ȳ) = 0
         lam = spec.ridge_lambda
         if lam == "auto":
             if self._eigh is None:

@@ -100,8 +100,6 @@ class RowTable:
         self.a_obs = panel.A[src]
         self.y_term = panel.Y[src[:, -1]]
 
-        self.base_weight = np.full(self.n_rows, 1.0 / self.n_rows)
-
     def positions(self, j: int) -> np.ndarray:
         """The panel row of position (i, t + j) for every row (i, t)."""
         return self.panel.offsets[self.traj_id] + self.t + (j - 1)
@@ -123,6 +121,13 @@ def build_row_table(panel: Panel, tau: int,
     if codec is None:
         codec = default_codec(panel)
     return RowTable(panel, tau, codec)
+
+
+def position_groups(panel: Panel) -> np.ndarray:
+    """Each panel row's label ``time_index * arity + A``: a response level's
+    rows and a second stage's rows are unions of these (time, arm) groups."""
+    time_index = np.arange(panel.A.size) - np.repeat(panel.offsets[:-1], panel.lengths())
+    return time_index * panel.treatment_arity + panel.A
 
 
 def _classifier_positions(panel: Panel, ids=None) -> np.ndarray:
@@ -212,13 +217,11 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
 
 def _fit_masked(spec: RegressorSpec, table: RowTable, j: int, mask, target,
                 raw: Optional[CosineMap] = None) -> FittedRegressor:
-    """``fit_regressor`` on the masked rows of ``table.features(j)``, gathered
-    from ``raw``, the cosine map of the table's panel positions, if given."""
+    """``fit_regressor`` on the masked rows of ``table.features(j)``, uniformly
+    weighted, from ``raw``, the cosine map of the table's panel positions, if given."""
     if raw is None:
-        return fit_regressor(spec, table.features(j)[mask], target[mask],
-                             table.base_weight[mask])
-    return raw.fit(spec, target[mask], table.base_weight[mask],
-                   rows=table.positions(j)[mask])
+        return fit_regressor(spec, table.features(j)[mask], target[mask])
+    return raw.fit(spec, target[mask], rows=table.positions(j)[mask])
 
 
 def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
@@ -233,7 +236,7 @@ def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
     """
     tau = table.tau
     if raw is None and spec.kind == "ridge-random-features":
-        raw = CosineMap(spec, table.panel.encoded(table.codec))
+        raw = CosineMap(spec, table.panel.encoded(table.codec), position_groups(table.panel))
     models = [[None] * (tau + 1) for _ in seqs]
     preds = [{} for _ in seqs]
     targets = [table.y_term] * len(seqs)
@@ -500,8 +503,9 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
     horizon) and ``propensities`` its :func:`propensities_at_positions` on
     the panel; ``response_map`` the cosine map of the panel's positions
     under the regressor spec, from which every response fit, mu-hat and
-    history fit gathers (mapped here when None).  At tau = 0 the history
-    adjustments are the level-0 response models.
+    history fit reads (mapped here when None, grouped by
+    :func:`position_groups`).  At tau = 0 the history adjustments are the
+    level-0 response models.
     """
     problems = validate_panel(panel)
     if problems:
@@ -516,7 +520,8 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
 
     if response_map is None and regressor_spec.kind == "ridge-random-features" and (
             "response" in need or "history" in need):
-        response_map = CosineMap(regressor_spec, table.panel.encoded(table.codec))
+        response_map = CosineMap(regressor_spec, table.panel.encoded(table.codec),
+                                 position_groups(table.panel))
     response_models = mu_values = None
     if "response" in need:
         seqs = (pair.a_seq,) if pair.b_seq == pair.a_seq else (pair.a_seq, pair.b_seq)

@@ -258,6 +258,83 @@ class TestCosineMap:
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
+def gram_rows(monkeypatch):
+    """Rows through ``learners._gram``, as a one-element list."""
+    from tvcate import learners
+    rows, original = [0], learners._gram
+
+    def counting(phi, w):
+        rows[0] += phi.shape[0]
+        return original(phi, w)
+    monkeypatch.setattr(learners, "_gram", counting)
+    return rows
+
+
+class TestGroupedMap:
+    @pytest.mark.parametrize("features", [64, 256])
+    def test_grouped_gram_matches_the_two_pass_centered_gram(self, features):
+        rng = np.random.default_rng(18)
+        X = rng.normal(size=(3000, 4))
+        groups = rng.integers(0, 6, size=3000)
+        rows = np.flatnonzero(np.isin(groups, (0, 2, 3)))
+        for bandwidth in (1.0, 10.0, 100.0, 1000.0):
+            spec = RegressorSpec(feature_count=features, bandwidth=bandwidth)
+            raw = CosineMap(spec, X, groups)
+            design = raw.design(spec, rows)
+            phi = raw.phi[rows]
+            centered = phi - phi.mean(axis=0)
+            want = centered.T @ centered / rows.size
+            assert np.max(np.abs(design.gram - want)) <= 1e-14, bandwidth
+            np.testing.assert_allclose(design.phi_mean, phi.mean(axis=0), rtol=0, atol=1e-15)
+
+    def test_unions_of_groups_take_the_sums_and_other_rows_gather(self, monkeypatch):
+        rng = np.random.default_rng(19)
+        X = rng.normal(size=(2000, 3))
+        groups = rng.integers(0, 5, size=2000)
+        y = rng.normal(size=2000)
+        spec = RegressorSpec(feature_count=64, ridge_lambda=1e-3)
+        raw = CosineMap(spec, X, groups)
+        rows = gram_rows(monkeypatch)
+        union = np.flatnonzero(groups != 1)[::-1]           # any order
+        fitted = raw.fit(spec, y[union], rows=union)
+        assert rows[0] == union.size                        # its groups' sums
+        raw.fit(spec, y[union], rows=union)
+        assert raw.fit(spec, y, rows=None) and rows[0] == 2000   # each group once
+        want = fit_regressor(spec, X[union], y[union])
+        assert fitted.params["ridge_lambda_used"] == want.params["ridge_lambda_used"]
+        for key in ("beta", "phi_mean", "intercept"):
+            np.testing.assert_allclose(fitted.params[key], want.params[key], rtol=1e-9)
+        # one row of a group missing, or a row repeated in place of another:
+        # the design gathers its rows, with the bits of fit_regressor on them
+        short = union[1:]
+        repeated = np.append(short, short[0])
+        for subset in (short, repeated):
+            before = rows[0]
+            got = raw.fit(spec, y[subset], rows=subset)
+            assert rows[0] - before == subset.size
+            assert params_equal(got, fit_regressor(spec, X[subset], y[subset]))
+
+    def test_designs_hold_no_copy_of_their_rows(self):
+        rng = np.random.default_rng(20)
+        X = rng.normal(size=(900, 2))
+        groups = rng.integers(0, 3, size=900)
+        spec = RegressorSpec(feature_count=64)
+        raw = CosineMap(spec, X, groups)
+        gathered = np.flatnonzero(rng.uniform(size=900) < 0.5)
+        for design in (raw.design(spec, np.flatnonzero(groups == 0)),
+                       raw.design(spec, gathered),
+                       RidgeDesign(spec, raw, np.full(900, 1 / 900)), RidgeDesign(spec, X)):
+            big = [value for value in vars(design).values()
+                   if isinstance(value, np.ndarray) and value.ndim == 2 and len(value) > 64]
+            # only the map's own phi, which the right-hand sides read
+            assert len(big) == 1 and big[0] is design._phi and big[0].shape == (900, 64)
+        assert raw.design(spec, gathered)._phi is raw.phi
+
+    def test_group_labels_are_one_per_row(self):
+        with pytest.raises(ValueError, match="one label per mapped row"):
+            CosineMap(RegressorSpec(feature_count=8), np.zeros((5, 2)), np.zeros(4))
+
+
 class TestSpecCounts:
     @pytest.mark.parametrize("make,field", [
         (lambda v: RegressorSpec(feature_count=v), "feature_count"),

@@ -23,10 +23,11 @@ from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.harness import ExperimentConfig, _seed_job
 from tvcate.learners import (ClassifierSpec, CosineMap, FittedClassifier,
                              FittedRegressor, RegressorSpec, RidgeDesign,
-                             random_cosine_map)
+                             fit_regressor, random_cosine_map)
 from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
-                             load_nuisances, oracle_nuisances, save_nuisances)
+                             load_nuisances, make_split, oracle_nuisances,
+                             save_nuisances)
 from tvcate.panel import FeatureCodec, encode_block
 
 PAIR = benchmark_pair(1)
@@ -290,6 +291,58 @@ class TestHeldDesign:
         assert counts == {("classifier", 2500): 2,
                           ("regressor", 2500): 1, ("regressor", 500): 1,
                           ("second stage", 2500): 1, ("second stage", 500): 1}
+
+    def test_seed_job_gram_rows(self, monkeypatch):
+        # every uniform row set of the job is a union of (time, arm) groups of
+        # the training positions: each of the two maps sums its groups once,
+        # and only IVW-DR's weighted fits and the history-path fits at
+        # tau >= 1 fill grams from their rows
+        cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1, 2),
+                               classifier_l2=1e-2)
+        train = simulate_panel(make_d1(), cfg.n_train, seed=[0, 10])
+        T = train.lengths().max()
+        weighted = sum(train.n * (T - tau) for tau in cfg.taus)
+        history = 0
+        for tau in cfg.taus[1:]:
+            table, pair = build_row_table(train, tau), benchmark_pair(tau)
+            seqs = {pair.a_seq, pair.b_seq}
+            history += sum(int(np.all(table.a_obs == np.asarray(seq), axis=1).sum())
+                           for seq in seqs)
+        rows = [0]
+        original = learners_module._gram
+
+        def counting(phi, w):
+            rows[0] += phi.shape[0]
+            return original(phi, w)
+        monkeypatch.setattr(learners_module, "_gram", counting)
+        _seed_job(cfg, 0)
+        assert rows[0] == 2 * train.A.size + weighted + history
+
+    def test_split_fits_gather_with_the_bits_of_fit_regressor(self, panels):
+        # fold masks are no unions of (time, arm) groups: every fit gathers
+        # its rows from the grouped map
+        train, _ = panels
+        spec = RegressorSpec(feature_count=64, bandwidth=1.5, ridge_lambda=1e-2)
+        split = make_split(train, 1, enabled=True, seed=5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            ns = fit_nuisances(train, PAIR, regressor_spec=spec, split=split,
+                               need=("response", "history"))
+        table = build_row_table(train, 1)
+        for arm, seq in (("a", PAIR.a_seq), ("b", PAIR.b_seq)):
+            target = table.y_term
+            for j in (1, 0):
+                mask = table.traj_mask(split.fold(f"mu_{j}")) & (table.a_obs[:, j] == seq[j])
+                got = ns.response_models[arm][j]
+                want = fit_regressor(spec, table.features(j)[mask], target[mask])
+                assert all(np.array_equal(got.params[key], value)
+                           for key, value in want.params.items())
+                target = got.predict(table.features(j))
+            mask = (table.traj_mask(split.fold("mu_0"))
+                    & np.all(table.a_obs == np.asarray(seq), axis=1))
+            want = fit_regressor(spec, table.features(0)[mask], table.y_term[mask])
+            assert all(np.array_equal(ns.history_models[arm].params[key], value)
+                       for key, value in want.params.items())
 
     def test_zero_lambda_singular_second_stage_raises(self):
         # 4 trajectories of 5 rows against 64 features: a singular gram

@@ -7,7 +7,6 @@ from tvcate.panel import (
     InterventionPair,
     Panel,
     Trajectory,
-    decode_history,
     encode_block,
     encode_history,
     panel_from_arrays,
@@ -15,7 +14,10 @@ from tvcate.panel import (
     panel_to_csv,
     validate_panel,
 )
+from tvcate.learners import _normalized_weights
 from tvcate.nuisance import build_row_table
+
+from helpers import decode_history
 
 
 def random_panel(rng, n=6, lengths=None, d=2, arity=3):
@@ -198,8 +200,11 @@ class TestPooledRows:
         panel = random_panel(rng, n=5, lengths=[5, 4, 3, 5, 2], d=2, arity=2)
         table = build_row_table(panel, tau=1)
         expected_rows = sum(T - 1 for T in [5, 4, 3, 5, 2])
-        assert table.base_weight.shape[0] == expected_rows
-        np.testing.assert_allclose(table.base_weight, 1 / expected_rows)
+        assert table.n_rows == expected_rows
+        # the response and history fits weight their rows uniformly
+        weight = _normalized_weights(None, table.n_rows)
+        np.testing.assert_allclose(weight, 1 / expected_rows)
+        assert weight.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_target_is_future_outcome(self):
         panel = panel_from_arrays(np.zeros((1, 4)), np.zeros((1, 4), dtype=int),

@@ -18,8 +18,10 @@ from hypothesis.extra.numpy import arrays
 from tvcate.dgp import benchmark_pair, get_dgp, simulate_panel
 from tvcate.meta import ivw_realized, pseudo_dr, pseudo_ipw
 from tvcate.nuisance import build_row_table, default_codec, oracle_nuisances
-from tvcate.panel import (HistoryView, Panel, Trajectory, decode_history, encode_block,
-                          encode_history, panel_from_csv, panel_to_csv)
+from tvcate.panel import (HistoryView, Panel, Trajectory, encode_block, encode_history,
+                          panel_from_csv, panel_to_csv)
+
+from helpers import decode_history
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
