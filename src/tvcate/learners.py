@@ -25,10 +25,19 @@ with the same contract could be swapped in.  The built-in regressors are
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted by L-BFGS on the weighted cross-entropy.
+
+A fitted model's ``to_dict`` is its part of a bundle.  Format 2 stores a
+cosine map as its ``map_sha256``, the SHA-256 of ``W.tobytes() +
+b.tobytes()`` (float64, C order), and not W and b: they are a function of
+(in_dim, feature_count, bandwidth, seed), so ``from_dict`` draws them again
+and raises ``ValueError`` naming the model if the digest differs (NumPy
+does not promise one ``Generator.normal`` stream across versions).  Format
+1 stored W and b, and loads from them.
 """
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -51,6 +60,9 @@ REGRESSOR_KINDS = ("ridge-random-features", "lookup-table")
 # grids used when a regularization strength is set to "auto"
 RIDGE_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
+
+#: layout version written into nuisance and model bundles
+BUNDLE_FORMAT_VERSION = 2
 
 
 def _validate_count(value, name):
@@ -98,6 +110,47 @@ def random_cosine_map(in_dim: int, feature_count: int, bandwidth: float, seed):
     rng = np.random.default_rng(seed)
     W = rng.normal(0.0, 1.0 / bandwidth, size=(in_dim, feature_count))
     b = rng.uniform(0.0, 2.0 * np.pi, size=feature_count)
+    return W, b
+
+
+def map_digest(W: np.ndarray, b: np.ndarray) -> str:
+    """SHA-256 (hex) of a cosine map's W then b, float64 in C order."""
+    return hashlib.sha256(np.ascontiguousarray(W, dtype=float).tobytes()
+                          + np.ascontiguousarray(b, dtype=float).tobytes()).hexdigest()
+
+
+def require_keys(state, keys, what: str) -> None:
+    """Raise ValueError unless ``state`` is a dict holding every key."""
+    if not isinstance(state, dict):
+        raise ValueError(f"{what} must be a JSON object")
+    for key in keys:
+        if key not in state:
+            raise ValueError(f"{what} lacks the required key {key!r}")
+
+
+def _bundled_array(raw: dict, key: str, shape: tuple, where: str) -> np.ndarray:
+    try:
+        value = np.array(raw[key], dtype=float)
+    except (TypeError, ValueError):
+        value = None
+    if value is None or value.shape != shape:
+        raise ValueError(f"{where}: params.{key} is not an array of shape {shape}")
+    return value
+
+
+def _bundled_map(raw: dict, in_dim: int, spec, where: str, version: int):
+    """The (W, b) of a bundled model on a regressor or classifier ``spec``:
+    stored in format 1; in format 2 drawn from the spec and checked against
+    the stored digest."""
+    require_keys(raw, ("W", "b") if version == 1 else ("map_sha256",), f"{where}: params")
+    if version == 1:
+        return (_bundled_array(raw, "W", (in_dim, spec.feature_count), where),
+                _bundled_array(raw, "b", (spec.feature_count,), where))
+    W, b = random_cosine_map(in_dim, spec.feature_count, spec.bandwidth, spec.seed)
+    if map_digest(W, b) != raw["map_sha256"]:
+        raise ValueError(f"{where}: the cosine map drawn from its spec does not match "
+                         "params.map_sha256 (was the bundle written under another "
+                         "NumPy random stream?)")
     return W, b
 
 
@@ -151,12 +204,13 @@ class FittedRegressor:
         return out
 
     def to_dict(self) -> dict:
-        state = {"spec": self.spec.__dict__, "in_dim": self.in_dim, "n_rows": self.n_rows}
+        state = {"spec": dict(self.spec.__dict__), "in_dim": self.in_dim, "n_rows": self.n_rows}
         if self.spec.kind == "ridge-random-features":
-            state["params"] = {k: self.params[k].tolist() if isinstance(self.params[k], np.ndarray)
-                               else self.params[k]
-                               for k in ("W", "b", "beta", "phi_mean", "intercept",
-                                         "ridge_lambda_used")}
+            state["params"] = {"map_sha256": map_digest(self.params["W"], self.params["b"]),
+                               "beta": self.params["beta"].tolist(),
+                               "phi_mean": self.params["phi_mean"].tolist(),
+                               "intercept": self.params["intercept"],
+                               "ridge_lambda_used": self.params["ridge_lambda_used"]}
         else:
             state["params"] = {"keys": [list(map(float, np.frombuffer(kb)))
                                         for kb in self.params["table"]],
@@ -165,20 +219,30 @@ class FittedRegressor:
         return state
 
     @staticmethod
-    def from_dict(state: dict) -> "FittedRegressor":
+    def from_dict(state: dict, where: str = "regressor",
+                  version: int = BUNDLE_FORMAT_VERSION) -> "FittedRegressor":
+        """Load ``to_dict``'s state, of bundle format ``version``; a missing
+        key, a mis-shaped array or a digest mismatch raises ValueError naming
+        ``where``."""
+        require_keys(state, ("spec", "in_dim", "n_rows", "params"), where)
         # bundles written while a kNN kind existed carry its neighbor count "k"
         spec = RegressorSpec(**{key: v for key, v in state["spec"].items() if key != "k"})
-        raw = state["params"]
+        in_dim, raw = int(state["in_dim"]), state["params"]
         if spec.kind == "ridge-random-features":
-            params = {"W": np.array(raw["W"]), "b": np.array(raw["b"]),
-                      "beta": np.array(raw["beta"]), "phi_mean": np.array(raw["phi_mean"]),
+            require_keys(raw, ("beta", "phi_mean", "intercept", "ridge_lambda_used"),
+                         f"{where}: params")
+            F = spec.feature_count
+            W, b = _bundled_map(raw, in_dim, spec, where, version)
+            params = {"W": W, "b": b, "beta": _bundled_array(raw, "beta", (F,), where),
+                      "phi_mean": _bundled_array(raw, "phi_mean", (F,), where),
                       "intercept": float(raw["intercept"]),
                       "ridge_lambda_used": float(raw["ridge_lambda_used"])}
         else:
+            require_keys(raw, ("keys", "values", "default"), f"{where}: params")
             table = {np.array(k, dtype=float).tobytes(): float(v)
                      for k, v in zip(raw["keys"], raw["values"])}
             params = {"table": table, "default": float(raw["default"])}
-        return FittedRegressor(spec, int(state["in_dim"]), int(state["n_rows"]), params)
+        return FittedRegressor(spec, in_dim, int(state["n_rows"]), params)
 
 
 #: rows per block when a cosine map is read (predictions, grams, right-hand sides)
@@ -589,21 +653,24 @@ class FittedClassifier:
         params = {"theta": self.params["theta"].tolist(),
                   "l2_used": self.params["l2_used"]}
         if self.spec.use_random_features:
-            params["W"] = self.params["W"].tolist()
-            params["b"] = self.params["b"].tolist()
-        return {"spec": self.spec.__dict__, "in_dim": self.in_dim,
+            params["map_sha256"] = map_digest(self.params["W"], self.params["b"])
+        return {"spec": dict(self.spec.__dict__), "in_dim": self.in_dim,
                 "n_classes": self.n_classes, "n_rows": self.n_rows, "params": params}
 
     @staticmethod
-    def from_dict(state: dict) -> "FittedClassifier":
+    def from_dict(state: dict, where: str = "classifier",
+                  version: int = BUNDLE_FORMAT_VERSION) -> "FittedClassifier":
+        """Load ``to_dict``'s state (see :meth:`FittedRegressor.from_dict`)."""
+        require_keys(state, ("spec", "in_dim", "n_classes", "n_rows", "params"), where)
         spec = ClassifierSpec(**state["spec"])
-        params = {"theta": np.array(state["params"]["theta"]),
-                  "l2_used": float(state["params"]["l2_used"])}
+        in_dim, n_classes, raw = int(state["in_dim"]), int(state["n_classes"]), state["params"]
+        require_keys(raw, ("theta", "l2_used"), f"{where}: params")
+        width = (spec.feature_count if spec.use_random_features else in_dim) + 1
+        params = {"theta": _bundled_array(raw, "theta", (width, n_classes), where),
+                  "l2_used": float(raw["l2_used"])}
         if spec.use_random_features:
-            params["W"] = np.array(state["params"]["W"])
-            params["b"] = np.array(state["params"]["b"])
-        return FittedClassifier(spec, int(state["in_dim"]), int(state["n_classes"]),
-                                int(state["n_rows"]), params)
+            params["W"], params["b"] = _bundled_map(raw, in_dim, spec, where, version)
+        return FittedClassifier(spec, in_dim, n_classes, int(state["n_rows"]), params)
 
 
 def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,

@@ -19,6 +19,12 @@ RowTable`; every propensity enters through the nuisance set's clipping, and
 the fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
 or from rows of a cosine map of a panel's encoded positions.
+
+A model bundle (format 2) holds the models a learner predicts from: a
+plug-in kind's two arm models, or a second stage and, for IVW-DR, its
+variance model; each stores its cosine map as a digest
+(:mod:`tvcate.learners`).  Format-1 bundles, which embedded a plug-in's
+whole nuisance bundle, still load.
 """
 
 from __future__ import annotations
@@ -29,15 +35,13 @@ from typing import Optional
 import numpy as np
 
 from .learners import (CosineMap, FittedRegressor, RegressorSpec, cosine_map_key,
-                       fit_regressor, predict_many)
+                       fit_regressor, predict_many, require_keys)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
     RowTable,
     build_row_table,
     check_bundle,
-    nuisances_from_dict,
-    nuisances_to_dict,
 )
 from .panel import FeatureCodec, InterventionPair, Panel
 
@@ -235,8 +239,9 @@ class VModel:
         return {"model": self.model.to_dict(), "v_floor": self.v_floor}
 
     @staticmethod
-    def from_dict(state: dict) -> "VModel":
-        return VModel(FittedRegressor.from_dict(state["model"]),
+    def from_dict(state: dict, version: int = BUNDLE_FORMAT_VERSION) -> "VModel":
+        require_keys(state, ("model", "v_floor"), "v_model")
+        return VModel(FittedRegressor.from_dict(state["model"], "v_model.model", version),
                       float(state["v_floor"]))
 
 
@@ -253,17 +258,18 @@ def fit_v_model(rows: PseudoRows) -> VModel:
 class CateModel:
     """A fitted CATE estimator with a uniform predict interface.
 
-    Plug-in kinds close over the fitted nuisance models and predict the
-    difference of the two arms' surfaces; second-stage kinds carry a fitted
-    regressor of the contrast pseudo-outcome.  Both predict from encoded
-    histories H_t.  IVW-DR also keeps its variance model.
+    Plug-in kinds hold their two arms' nuisance models, ``arm_models``
+    ``{"a", "b"}`` (PI-HA the history adjustments, PI-RA the level-0
+    response surfaces), and predict their difference; second-stage kinds
+    carry a fitted regressor of the contrast pseudo-outcome.  Both predict
+    from encoded histories H_t.  IVW-DR also keeps its variance model.
     """
 
     kind: str
     pair: InterventionPair
     tau: int
     codec: FeatureCodec
-    nuisances: Optional[NuisanceSet] = None
+    arm_models: Optional[dict] = None
     second_stage: Optional[FittedRegressor] = None
     v_model: Optional[VModel] = None
     diagnostics: dict = field(default_factory=dict)
@@ -275,12 +281,8 @@ class CateModel:
         encoded positions under the models' cosine map, and ``rows`` the
         positions to predict at (all when None).
         """
-        if self.kind == "PI-HA":
-            models = [self.nuisances.history_models[arm] for arm in ("a", "b")]
-        elif self.kind == "PI-RA":
-            models = [self.nuisances.response_models[arm][0] for arm in ("a", "b")]
-        else:
-            models = [self.second_stage]
+        models = ([self.arm_models[arm] for arm in ("a", "b")]
+                  if self.kind in ("PI-HA", "PI-RA") else [self.second_stage])
         outs = (features.predict(models, rows) if isinstance(features, CosineMap)
                 else predict_many(models, features))
         return outs[0] if len(outs) == 1 else outs[0] - outs[1]
@@ -302,7 +304,8 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     and the uniform-weight ones share the design it holds for the rows.
     Otherwise the pseudo rows are mapped here, once per map.
     ``table`` may hand in the training panel's row table for ``pair.tau``.
-    Plug-in kinds close over fitted nuisance models; oracle sets are rejected.
+    Plug-in kinds keep their two arms' fitted nuisance models; oracle sets
+    are rejected.
     """
     if kind not in LEARNER_KINDS:
         raise ValueError(f"unknown learner kind {kind!r}; choose from {LEARNER_KINDS}")
@@ -319,7 +322,8 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
         if nuisances.oracle_mode or getattr(nuisances, f"{family}_models") is None:
             raise ValueError(f"{kind} needs fitted {family} models to predict on encoded "
                              "rows; oracle surfaces need full histories")
-        model.nuisances = nuisances
+        model.arm_models = (dict(nuisances.history_models) if kind == "PI-HA" else
+                            {arm: nuisances.response_models[arm][0] for arm in ("a", "b")})
         model.diagnostics = {"plug_in": True}
         return model
 
@@ -374,23 +378,26 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
 # -- bundles -----------------------------------------------------------------
 
 _MODEL_KEYS = ("kind", "target", "pair", "tau", "codec", "weights_mode", "diagnostics",
-               "nuisances", "second_stage", "v_model")
+               "second_stage", "v_model")
+#: where a plug-in bundle keeps its arm models: format 1 embedded the whole
+#: nuisance bundle, format 2 holds the two models
+_PLUG_IN_KEY = {1: "nuisances", 2: "arm_models"}
 
 
 def cate_model_to_dict(model: CateModel) -> dict:
-    # format 1 keeps "target" and "weights_mode" keys; every model is a CATE
-    # model with estimated IVW weights
+    # "target" and "weights_mode" are fixed keys: every model is a CATE model
+    # with estimated IVW weights
     state = {
         "format_version": BUNDLE_FORMAT_VERSION,
         "kind": model.kind,
         "target": "cate",
         "pair": {"a_seq": list(model.pair.a_seq), "b_seq": list(model.pair.b_seq)},
         "tau": model.tau,
-        "codec": model.codec.__dict__,
+        "codec": dict(model.codec.__dict__),
         "weights_mode": "estimated",
         "diagnostics": model.diagnostics,
-        "nuisances": None if model.nuisances is None
-        else nuisances_to_dict(model.nuisances),
+        "arm_models": None if model.arm_models is None
+        else {arm: m.to_dict() for arm, m in model.arm_models.items()},
         "second_stage": None if model.second_stage is None
         else model.second_stage.to_dict(),
         "v_model": None if model.v_model is None else model.v_model.to_dict(),
@@ -398,24 +405,45 @@ def cate_model_to_dict(model: CateModel) -> dict:
     return state
 
 
+def _arm_model_states(state: dict, version: int):
+    """``{arm: (where, regressor state)}`` of a plug-in bundle, or None."""
+    held = state[_PLUG_IN_KEY[version]]
+    if held is None:
+        return None
+    if version == 2:
+        return {arm: (f"arm_models.{arm}", d) for arm, d in held.items()}
+    # format 1: read the two models the kind predicts from out of the
+    # embedded nuisance bundle
+    family = "history_models" if state["kind"] == "PI-HA" else "response_models"
+    check_bundle(held, "nuisance", (family,))
+    if family == "history_models":
+        return {arm: (f"nuisances.history_models.{arm}", d)
+                for arm, d in held[family].items()}
+    return {arm: (f"nuisances.response_models.{arm}[0]", levels[0])
+            for arm, levels in held[family].items()}
+
+
 def cate_model_from_dict(state: dict) -> CateModel:
     """Load a model bundle; ``weights_mode`` is read and ignored."""
-    check_bundle(state, "model", _MODEL_KEYS)
+    version = check_bundle(state, "model", _MODEL_KEYS)
+    check_bundle(state, "model", (_PLUG_IN_KEY[version],))
     if state["target"] != "cate":
         raise ValueError(f"model bundle has target {state['target']!r}; "
                          "only 'cate' models load")
     pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
+    arms = _arm_model_states(state, version)
     return CateModel(
         kind=state["kind"],
         pair=pair,
         tau=int(state["tau"]),
         codec=FeatureCodec(**state["codec"]),
         diagnostics=state["diagnostics"],
-        nuisances=None if state["nuisances"] is None
-        else nuisances_from_dict(state["nuisances"]),
+        arm_models=None if arms is None else
+        {arm: FittedRegressor.from_dict(d, where, version) for arm, (where, d) in arms.items()},
         second_stage=None if state["second_stage"] is None
-        else FittedRegressor.from_dict(state["second_stage"]),
-        v_model=None if state["v_model"] is None else VModel.from_dict(state["v_model"]),
+        else FittedRegressor.from_dict(state["second_stage"], "second_stage", version),
+        v_model=None if state["v_model"] is None
+        else VModel.from_dict(state["v_model"], version),
     )
 
 

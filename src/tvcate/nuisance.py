@@ -13,6 +13,13 @@ and the raw frontier values needed by oracle queries.  Row (i, t) at level
 j is the panel position (i, t + j), so every encoded history is a gather of
 the panel's encoded positions, and every fit and prediction on a ridge spec
 gathers from one cosine map of those positions.
+
+A nuisance bundle (format 2) stores each fitted model with its cosine map
+as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
+trajectory count; an enabled plan keeps its folds.  Loading checks the
+format version, every key and array shape, and that each arm has tau + 1
+response levels, and raises ``ValueError`` naming the model and field.
+Format-1 bundles still load.
 """
 
 from __future__ import annotations
@@ -26,6 +33,7 @@ import numpy as np
 from scipy.special import expit
 
 from .learners import (
+    BUNDLE_FORMAT_VERSION,
     ClassifierSpec,
     CosineMap,
     FittedClassifier,
@@ -34,6 +42,7 @@ from .learners import (
     fit_classifier,
     fit_regressor,
     predict_many,
+    require_keys,
 )
 from .panel import FeatureCodec, InterventionPair, Panel, validate_panel
 
@@ -563,37 +572,45 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
 
 # -- bundle serialization ----------------------------------------------------
 
-#: layout version written into nuisance and model bundles
-BUNDLE_FORMAT_VERSION = 1
+#: bundle format versions that load (format 1 stored every cosine map's W and b)
+READABLE_FORMAT_VERSIONS = (1, BUNDLE_FORMAT_VERSION)
 
 _NUISANCE_KEYS = ("oracle_mode", "pair", "tau", "clip_eps", "codec", "split")
 _FITTED_KEYS = ("response_models", "propensity_model", "history_models")
 
 
-def check_bundle(state, what: str, required) -> None:
-    """Raise ValueError for a bundle of an unknown version or lacking a key.
-
-    Bundles written before the version key existed load as version 1.
+def check_bundle(state, what: str, required) -> int:
+    """The bundle's format version; raise ValueError for an unknown version
+    or a missing key.  Bundles written before the version key existed load
+    as version 1.
     """
-    if not isinstance(state, dict):
-        raise ValueError(f"{what} bundle must be a JSON object")
+    require_keys(state, (), f"{what} bundle")
     version = state.get("format_version", 1)
-    if version != BUNDLE_FORMAT_VERSION:
+    if version not in READABLE_FORMAT_VERSIONS:
         raise ValueError(f"{what} bundle has unknown format_version {version!r}; "
-                         f"this version reads {BUNDLE_FORMAT_VERSION}")
-    for key in required:
-        if key not in state:
-            raise ValueError(f"{what} bundle lacks the required key {key!r}")
+                         f"this version reads {READABLE_FORMAT_VERSIONS}")
+    require_keys(state, required, f"{what} bundle")
+    return version
 
 
 def _split_to_dict(split: SplitPlan) -> dict:
-    return {"enabled": split.enabled, "tau": split.tau,
+    if not split.enabled:              # every fold is the full id set
+        return {"enabled": False, "tau": split.tau,
+                "trajectories": int(split.fold("po").size)}
+    return {"enabled": True, "tau": split.tau,
             "folds": {k: v.tolist() for k, v in split.folds.items()}}
 
 
-def _split_from_dict(state: dict) -> SplitPlan:
-    return SplitPlan(bool(state["enabled"]), int(state["tau"]),
-                     {k: np.array(v, dtype=int) for k, v in state["folds"].items()})
+def _split_from_dict(state: dict, version: int) -> SplitPlan:
+    require_keys(state, ("enabled", "tau"), "split")
+    enabled, tau = bool(state["enabled"]), int(state["tau"])
+    if enabled or version == 1:
+        require_keys(state, ("folds",), "split")
+        return SplitPlan(enabled, tau,
+                         {k: np.array(v, dtype=int) for k, v in state["folds"].items()})
+    require_keys(state, ("trajectories",), "split")
+    full = np.arange(int(state["trajectories"]))
+    return SplitPlan(False, tau, {name: full for name in _fold_names(tau)})
 
 
 def nuisances_to_dict(ns: NuisanceSet) -> dict:
@@ -616,7 +633,7 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
         "pair": {"a_seq": list(ns.pair.a_seq), "b_seq": list(ns.pair.b_seq)},
         "tau": ns.tau,
         "clip_eps": ns.clip_eps,
-        "codec": ns.codec.__dict__,
+        "codec": dict(ns.codec.__dict__),
         "split": _split_to_dict(ns.split),
         "format_version": BUNDLE_FORMAT_VERSION,
     })
@@ -624,12 +641,13 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
 
 
 def nuisances_from_dict(state: dict) -> NuisanceSet:
-    check_bundle(state, "nuisance", _NUISANCE_KEYS)
+    version = check_bundle(state, "nuisance", _NUISANCE_KEYS)
     check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
     pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
     codec = FeatureCodec(**state["codec"])
-    split = _split_from_dict(state["split"])
-    common = dict(pair=pair, tau=int(state["tau"]), codec=codec,
+    split = _split_from_dict(state["split"], version)
+    tau = int(state["tau"])
+    common = dict(pair=pair, tau=tau, codec=codec,
                   clip_eps=float(state["clip_eps"]), split=split)
     if state["oracle_mode"]:
         from .dgp import get_dgp
@@ -639,13 +657,20 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
     rm = state["response_models"]
     pm = state["propensity_model"]
     hm = state["history_models"]
+    for arm, models in (rm or {}).items():
+        if len(models) != tau + 1:
+            raise ValueError(f"response_models.{arm}: {len(models)} levels, "
+                             f"tau {tau} needs {tau + 1}")
     return NuisanceSet(
         response_models=None if rm is None else
-            {arm: [FittedRegressor.from_dict(d) for d in models]
+            {arm: [FittedRegressor.from_dict(d, f"response_models.{arm}[{j}]", version)
+                   for j, d in enumerate(models)]
              for arm, models in rm.items()},
-        propensity_model=None if pm is None else FittedClassifier.from_dict(pm),
+        propensity_model=None if pm is None
+            else FittedClassifier.from_dict(pm, "propensity_model", version),
         history_models=None if hm is None else
-            {arm: FittedRegressor.from_dict(d) for arm, d in hm.items()},
+            {arm: FittedRegressor.from_dict(d, f"history_models.{arm}", version)
+             for arm, d in hm.items()},
         **common)
 
 

@@ -1,0 +1,247 @@
+"""Bundle format 2 and the format-1 bundles that still load.
+
+``tests/data/format1`` holds bundles written in format 1 (see its
+``make_fixtures.py``) with the predictions their writer made on
+``test-panel.csv``.
+"""
+
+import dataclasses
+import json
+import pathlib
+import warnings
+
+import numpy as np
+import pytest
+
+from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
+from tvcate.learners import (ClassifierSpec, FittedClassifier, FittedRegressor, RegressorSpec,
+                             fit_classifier, fit_regressor)
+from tvcate.meta import (LEARNER_KINDS, cate_model_from_dict, cate_model_to_dict, fit_meta,
+                         load_cate_model, save_cate_model)
+from tvcate.nuisance import (build_row_table, fit_nuisances, load_nuisances, make_split,
+                             nuisances_from_dict, nuisances_to_dict, oracle_nuisances,
+                             save_nuisances)
+from tvcate.panel import panel_from_csv
+
+FORMAT1 = pathlib.Path(__file__).parent / "data" / "format1"
+SPECS = dict(regressor_spec=RegressorSpec(feature_count=16),
+             classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
+SECOND_STAGE = RegressorSpec(feature_count=16, ridge_lambda=1e-2)
+
+
+def nuisance_predictions(ns, table):
+    return {"mu": {arm: [ns.mu(arm, j, table).tolist() for j in range(ns.tau + 1)]
+                   for arm in ("a", "b")},
+            "pi": [ns.propensity(j, 1, table)[1].tolist() for j in range(ns.tau + 1)],
+            "delta": {arm: ns.delta_features(arm, table.features(0)).tolist()
+                      for arm in ("a", "b")}}
+
+
+def param_keys(state):
+    """The keys of every model's ``params`` anywhere in a JSON state."""
+    if isinstance(state, list):
+        return set().union(*map(param_keys, state))
+    if not isinstance(state, dict):
+        return set()
+    own = set(state["params"]) if isinstance(state.get("params"), dict) else set()
+    return own.union(*map(param_keys, state.values()))
+
+
+def regressor_count(state):
+    """Ridge or lookup regressors anywhere in a JSON state."""
+    if isinstance(state, list):
+        return sum(map(regressor_count, state))
+    if not isinstance(state, dict):
+        return 0
+    own = "ridge_lambda" in state.get("spec", {})
+    return own + sum(map(regressor_count, state.values()))
+
+
+@pytest.fixture(scope="module")
+def fitted():
+    dgp = dataclasses.replace(make_d1(), horizon=3)
+    train = simulate_panel(dgp, 120, seed=51)
+    test = simulate_panel(dgp, 30, seed=52)
+    pair = benchmark_pair(1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        ns = fit_nuisances(train, pair, **SPECS)
+        models = {kind: fit_meta(kind, train, pair, ns, SECOND_STAGE) for kind in LEARNER_KINDS}
+    return train, test, pair, ns, models
+
+
+class TestFormat1Fixtures:
+    @pytest.fixture(scope="class")
+    def expected(self):
+        with open(FORMAT1 / "predictions.json") as fh:
+            return json.load(fh)
+
+    @pytest.fixture(scope="class")
+    def test_panel(self):
+        return panel_from_csv(FORMAT1 / "test-panel.csv")
+
+    @pytest.mark.parametrize("name", ["nuisances-nosplit", "nuisances-split"])
+    def test_nuisance_bundle_predicts_as_written(self, name, expected, test_panel):
+        ns = load_nuisances(FORMAT1 / f"{name}.json")
+        assert ns.split.enabled == (name == "nuisances-split")
+        table = build_row_table(test_panel, 1, ns.codec)
+        assert nuisance_predictions(ns, table) == expected[name]
+
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    def test_model_bundle_predicts_as_written(self, kind, expected, test_panel):
+        model = load_cate_model(FORMAT1 / f"model-{kind}.json")
+        feats = build_row_table(test_panel, 1, model.codec).features(0)
+        assert model.predict(feats).tolist() == expected[f"model-{kind}"]
+
+    def test_resaved_as_format_2_predicts_as_written(self, expected, test_panel, tmp_path):
+        for kind in ("PI-HA", "IVW-DR"):
+            save_cate_model(load_cate_model(FORMAT1 / f"model-{kind}.json"), tmp_path / "m.json")
+            model = load_cate_model(tmp_path / "m.json")
+            feats = build_row_table(test_panel, 1, model.codec).features(0)
+            assert model.predict(feats).tolist() == expected[f"model-{kind}"]
+
+    def test_truncated_map_raises_naming_the_model(self):
+        state = json.loads((FORMAT1 / "nuisances-nosplit.json").read_text())
+        state["response_models"]["b"][1]["params"]["W"].pop()
+        with pytest.raises(ValueError, match=r"response_models\.b\[1\]: params\.W"):
+            nuisances_from_dict(state)
+        state = json.loads((FORMAT1 / "model-PI-RA.json").read_text())
+        state["nuisances"]["response_models"]["a"][0]["params"]["b"].pop()
+        with pytest.raises(ValueError, match=r"nuisances\.response_models\.a\[0\]: params\.b"):
+            cate_model_from_dict(state)
+
+
+class TestFormat2:
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    def test_learner_round_trips_with_equal_bits(self, kind, fitted, tmp_path):
+        _, test, _, ns, models = fitted
+        path = tmp_path / f"model-{kind}.json"
+        save_cate_model(models[kind], path)
+        loaded = load_cate_model(path)
+        feats = build_row_table(test, 1, ns.codec).features(0)
+        assert np.array_equal(loaded.predict(feats), models[kind].predict(feats))
+        assert loaded.diagnostics == json.loads(json.dumps(models[kind].diagnostics))
+
+    @pytest.mark.parametrize("enabled", [False, True])
+    def test_nuisances_round_trip_with_equal_bits(self, enabled, fitted, tmp_path):
+        train, test, pair, ns, _ = fitted
+        if enabled:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                ns = fit_nuisances(train, pair, split=make_split(train, 1, True, seed=3),
+                                   **SPECS)
+        save_nuisances(ns, tmp_path / "ns.json")
+        back = load_nuisances(tmp_path / "ns.json")
+        table = build_row_table(test, 1, ns.codec)
+        assert nuisance_predictions(back, table) == nuisance_predictions(ns, table)
+        assert back.split.enabled == enabled
+        assert back.split.folds.keys() == ns.split.folds.keys()
+        for name in ns.split.folds:
+            assert np.array_equal(back.split.fold(name), ns.split.fold(name))
+
+    def test_disabled_split_is_written_as_its_trajectory_count(self, fitted):
+        train, _, _, ns, _ = fitted
+        assert nuisances_to_dict(ns)["split"] == {"enabled": False, "tau": 1,
+                                                  "trajectories": train.n}
+
+    def test_no_bundle_holds_a_map(self, fitted):
+        _, _, _, ns, models = fitted
+        states = [nuisances_to_dict(ns)] + [cate_model_to_dict(m) for m in models.values()]
+        for state in states:
+            keys = param_keys(json.loads(json.dumps(state)))
+            assert "beta" in keys and not {"W", "b"} & keys
+        assert "map_sha256" in states[0]["propensity_model"]["params"]
+
+    @pytest.mark.parametrize("kind", ["PI-RA", "PI-HA"])
+    def test_plug_in_bundle_holds_two_regressors(self, kind, fitted):
+        state = cate_model_to_dict(fitted[4][kind])
+        assert regressor_count(state) == 2
+        assert state["arm_models"].keys() == {"a", "b"}
+        assert state["second_stage"] is None and "nuisances" not in state
+
+    def test_tampered_digest_raises_naming_the_model(self, fitted):
+        _, _, _, ns, models = fitted
+        state = nuisances_to_dict(ns)
+        state["response_models"]["a"][1]["params"]["map_sha256"] = "0" * 64
+        with pytest.raises(ValueError, match=r"response_models\.a\[1\]: the cosine map"):
+            nuisances_from_dict(state)
+        state = nuisances_to_dict(ns)
+        state["propensity_model"]["params"]["map_sha256"] = "0" * 64
+        with pytest.raises(ValueError, match="propensity_model: the cosine map"):
+            nuisances_from_dict(state)
+        state = cate_model_to_dict(models["PI-HA"])
+        state["arm_models"]["b"]["spec"]["seed"] = 1
+        with pytest.raises(ValueError, match=r"arm_models\.b: the cosine map"):
+            cate_model_from_dict(state)
+        state = cate_model_to_dict(models["IVW-DR"])
+        state["v_model"]["model"]["params"]["map_sha256"] = "0" * 64
+        with pytest.raises(ValueError, match=r"v_model\.model: the cosine map"):
+            cate_model_from_dict(state)
+
+    def test_stripped_version_raises_value_error(self, fitted):
+        _, _, _, ns, models = fitted
+        for state, load in ((nuisances_to_dict(ns), nuisances_from_dict),
+                            (cate_model_to_dict(models["DR"]), cate_model_from_dict),
+                            (cate_model_to_dict(models["PI-RA"]), cate_model_from_dict)):
+            del state["format_version"]
+            with pytest.raises(ValueError):
+                load(state)
+
+
+class TestLoadChecks:
+    def test_missing_param_names_model_and_field(self, fitted):
+        state = nuisances_to_dict(fitted[3])
+        del state["history_models"]["b"]["params"]["beta"]
+        with pytest.raises(ValueError, match="history_models.b: params lacks the required "
+                                             "key 'beta'"):
+            nuisances_from_dict(state)
+        state = cate_model_to_dict(fitted[4]["DR"])
+        del state["second_stage"]["in_dim"]
+        with pytest.raises(ValueError, match="second_stage lacks the required key 'in_dim'"):
+            cate_model_from_dict(state)
+
+    def test_shapes_must_match_in_dim_and_feature_count(self, fitted):
+        state = nuisances_to_dict(fitted[3])
+        state["response_models"]["a"][0]["params"]["phi_mean"].pop()
+        with pytest.raises(ValueError, match=r"response_models\.a\[0\]: params\.phi_mean "
+                                             r"is not an array of shape \(16,\)"):
+            nuisances_from_dict(state)
+        state = nuisances_to_dict(fitted[3])
+        state["propensity_model"]["params"]["theta"].pop()
+        with pytest.raises(ValueError, match=r"propensity_model: params\.theta"):
+            nuisances_from_dict(state)
+
+    def test_each_arm_needs_tau_plus_one_levels(self, fitted):
+        state = nuisances_to_dict(fitted[3])
+        state["response_models"]["a"] = state["response_models"]["a"][:1]
+        with pytest.raises(ValueError, match="response_models.a: 1 levels, tau 1 needs 2"):
+            nuisances_from_dict(state)
+
+    def test_split_keys_are_checked(self, fitted):
+        state = nuisances_to_dict(fitted[3])
+        del state["split"]["trajectories"]
+        with pytest.raises(ValueError, match="split lacks the required key 'trajectories'"):
+            nuisances_from_dict(state)
+
+
+class TestUnmappedModels:
+    def test_plain_classifier_and_lookup_regressor_keep_their_params(self):
+        rng = np.random.default_rng(4)
+        X = rng.normal(size=(80, 2))
+        labels = (X[:, 0] > 0).astype(int)
+        clf = fit_classifier(ClassifierSpec(use_random_features=False, l2=1e-2), X, labels)
+        assert clf.to_dict()["params"].keys() == {"theta", "l2_used"}
+        back = FittedClassifier.from_dict(clf.to_dict())
+        assert np.array_equal(back.predict_proba(X), clf.predict_proba(X))
+        cells = rng.integers(0, 3, size=(40, 2)).astype(float)
+        table = fit_regressor(RegressorSpec(kind="lookup-table"), cells, rng.normal(size=40))
+        assert table.to_dict()["params"].keys() == {"keys", "values", "default"}
+        assert np.array_equal(FittedRegressor.from_dict(table.to_dict()).predict(cells),
+                              table.predict(cells))
+
+    def test_oracle_bundle_round_trips(self):
+        ns = oracle_nuisances(make_d1(), benchmark_pair(1))
+        state = nuisances_to_dict(ns)
+        assert state["split"] == {"enabled": False, "tau": 1, "trajectories": 0}
+        back = nuisances_from_dict(json.loads(json.dumps(state)))
+        assert back.oracle_mode and back.split.fold("po").size == 0

@@ -438,8 +438,7 @@ class TestFitMeta:
         model = fit_meta(kind, panel, pair, nz)
         save_cate_model(model, tmp_path / "model.json")
         for m in (model, load_cate_model(tmp_path / "model.json")):
-            arms = (m.nuisances.history_models if kind == "PI-HA" else
-                    {arm: m.nuisances.response_models[arm][0] for arm in ("a", "b")})
+            arms = m.arm_models
             assert np.array_equal(arms["a"].params["W"], arms["b"].params["W"])
             assert np.array_equal(m.predict(feats),
                                   arms["a"].predict(feats) - arms["b"].predict(feats))
@@ -585,19 +584,19 @@ class TestSerialization:
             warnings.simplefilter("ignore")
             nz = fit_nuisances(panel, pair, regressor_spec=RegressorSpec(feature_count=16),
                                classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
-        feats = build_row_table(panel, 1, nz.codec).features(0)
         for kind in ("PI-RA", "DR"):
             model = fit_meta(kind, panel, pair, nz)
             state = cate_model_to_dict(model)
-            assert state["format_version"] == 1
+            assert state["format_version"] == 2
+            # a bundle without the version key is read as format 1, which a
+            # format-2 state is not: it raises instead of loading other bits
             legacy = {k: v for k, v in state.items() if k != "format_version"}
-            if state["nuisances"] is not None:
-                legacy["nuisances"] = {k: v for k, v in state["nuisances"].items()
-                                       if k != "format_version"}
-            assert np.array_equal(cate_model_from_dict(legacy).predict(feats),
-                                  model.predict(feats))
+            with pytest.raises(ValueError):
+                cate_model_from_dict(legacy)
             with pytest.raises(ValueError, match="unknown format_version 'x'"):
                 cate_model_from_dict({**state, "format_version": "x"})
+            with pytest.raises(ValueError, match="unknown format_version 3"):
+                cate_model_from_dict({**state, "format_version": 3})
             broken = {k: v for k, v in state.items() if k != "second_stage"}
             with pytest.raises(ValueError, match="lacks the required key 'second_stage'"):
                 cate_model_from_dict(broken)

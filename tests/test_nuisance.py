@@ -496,7 +496,6 @@ class TestBundleSerialization:
 
     def test_format_version(self):
         panel = simulate_panel(make_d1(), 200, seed=33)
-        table = build_row_table(panel, 1)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
             fitted = fit_nuisances(panel, benchmark_pair(1),
@@ -504,13 +503,14 @@ class TestBundleSerialization:
                                    classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
         for ns in (fitted, oracle_nuisances(make_d1(), benchmark_pair(1))):
             state = nuisances_to_dict(ns)
-            assert state["format_version"] == 1
-            # bundles written before the version key load as they did
+            assert state["format_version"] == 2
+            # a bundle without the version key is read as format 1, which a
+            # format-2 state is not: it raises instead of loading other bits
             legacy = {k: v for k, v in state.items() if k != "format_version"}
-            assert np.array_equal(nuisances_from_dict(legacy).mu("b", 0, table),
-                                  ns.mu("b", 0, table))
-            with pytest.raises(ValueError, match="unknown format_version 2"):
-                nuisances_from_dict({**state, "format_version": 2})
+            with pytest.raises(ValueError):
+                nuisances_from_dict(legacy)
+            with pytest.raises(ValueError, match="unknown format_version 3"):
+                nuisances_from_dict({**state, "format_version": 3})
             for key in ("pair", "split", "dgp" if ns.oracle_mode else "history_models"):
                 broken = {k: v for k, v in state.items() if k != key}
                 with pytest.raises(ValueError, match=f"lacks the required key '{key}'"):
