@@ -1,11 +1,10 @@
 """Meta-learners for conditional average treatment effects over discrete time.
 
 The package provides a trajectory data model with deterministic history
-encoding, structural-equation simulators with Monte-Carlo ground-truth
-oracles, weighted base learners, nuisance estimation (iterative
-G-computation, propensities, history adjustment), six CATE
-meta-learners, and a reproducible benchmark harness with verification
-suites.
+encoding, structural-equation simulators with closed-form ground truth,
+weighted base learners, nuisance estimation (iterative G-computation,
+propensities, history adjustment), six CATE meta-learners, and a
+reproducible benchmark harness with verification suites.
 """
 
 from .panel import (
@@ -41,9 +40,6 @@ from .dgp import (
     get_dgp,
     simulate_panel,
     benchmark_pair,
-    oracle_response,
-    oracle_propensity,
-    oracle_history_adjustment,
 )
 from .nuisance import (
     SplitPlan,

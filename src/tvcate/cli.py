@@ -23,6 +23,9 @@ verify
 ``run`` and ``sweep`` read an optional ``key = value`` config file; every
 config field can be overridden on the command line as ``--key=value``
 (for example ``--n_train=1000 --learners=DR,IVW-DR``).
+
+A subcommand that raises ``ValueError`` (a bad input) or ``RuntimeError``
+(a failing seed job) exits with status 1 and its message on one line.
 """
 
 from __future__ import annotations
@@ -338,19 +341,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args, extras = parser.parse_known_args(argv)
     if extras and args.command not in ("run", "sweep"):
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "fit":
-        return _cmd_fit(args)
-    if args.command == "train":
-        return _cmd_train(args)
-    if args.command == "evaluate":
-        return _cmd_evaluate(args)
-    if args.command == "run":
-        return _cmd_run(args, extras)
-    if args.command == "sweep":
-        return _cmd_sweep(args, extras)
-    return _cmd_verify(args)
+    commands = {"simulate": _cmd_simulate, "fit": _cmd_fit, "train": _cmd_train,
+                "evaluate": _cmd_evaluate, "verify": _cmd_verify,
+                "run": lambda a: _cmd_run(a, extras),
+                "sweep": lambda a: _cmd_sweep(a, extras)}
+    try:
+        return commands[args.command](args)
+    except (ValueError, RuntimeError) as exc:
+        # a failing input or seed job is one line on stderr, exit status 1
+        raise SystemExit(f"tvcate {args.command}: {exc}") from exc
 
 
 if __name__ == "__main__":

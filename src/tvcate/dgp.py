@@ -1,4 +1,4 @@
-"""Structural-equation simulators and ground-truth oracles.
+"""Structural-equation simulators with closed-form ground truth.
 
 A :class:`StructuralDGP` generates trajectories by
 
@@ -7,20 +7,18 @@ A :class:`StructuralDGP` generates trajectories by
     Y_t = f_y(X_t, A_t, Y_{t-1}) + eps_y
     X_{t+1} = f_x(X_t, A_t, Y_t) + eps_x
 
-with Gaussian noises.  The structural functions receive only the most recent
+with Gaussian noises of standard deviations ``x_noise_std`` and
+``y_noise_std``.  The structural functions receive only the most recent
 covariate, treatment, and outcome (the shipped families depend on nothing
 older); the engine models scalar confounders.  At t = 1 the previous
 treatment is the configurable ``a0`` convention and the previous outcome
 is 0.
 
-Ground truth comes from two independent routes: Monte-Carlo rollouts
-(``oracle_response`` for response surfaces, whose arm difference is the
-CATE, and ``oracle_history_adjustment`` for path-conditioned means) that
-work for any DGP of this form, and closed-form response surfaces
-(:class:`ChainResponseForm`) available when the confounder chain is linear
-and the outcome mean is additively separable, which covers every shipped
-dataset.  A small all-discrete DGP (:class:`DiscreteDGP`) supports exact
-enumeration for brute-force comparisons.
+Ground truth is closed-form: exact propensities from ``f_a``, and response
+surfaces and effects (:class:`ChainResponseForm`) for every shipped
+generator, whose confounder chain is linear and whose outcome mean is
+additively separable.  A small all-discrete DGP (:class:`DiscreteDGP`)
+supports exact enumeration for brute-force comparisons.
 """
 
 from __future__ import annotations
@@ -31,13 +29,11 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .panel import HistoryView, InterventionPair, Panel, panel_from_arrays
+from .panel import InterventionPair, Panel, panel_from_arrays
 
 __all__ = [
     "StructuralDGP",
-    "OverlapKnob",
     "ChainResponseForm",
-    "MCEstimate",
     "DiscreteDGP",
     "make_d1",
     "make_d2",
@@ -48,19 +44,7 @@ __all__ = [
     "benchmark_pair",
     "BENCHMARK_PAIRS",
     "simulate_panel",
-    "oracle_propensity",
-    "oracle_response",
-    "oracle_history_adjustment",
 ]
-
-
-@dataclass(frozen=True)
-class MCEstimate:
-    """Monte-Carlo estimate with its standard error (se=0 marks exact values)."""
-
-    value: float
-    se: float
-    n_mc: int
 
 
 @dataclass(frozen=True)
@@ -124,38 +108,13 @@ class StructuralDGP:
     y_noise_std: float = 0.3
     a0: int = 0
     treatment_arity: int = 2
-    noise_as_variance: bool = False
     response_form: Optional[ChainResponseForm] = None
-    default_n_train: int = 5000
 
     def __post_init__(self):
         if self.x1_std <= 0 or self.x_noise_std <= 0 or self.y_noise_std <= 0:
             raise ValueError("noise scales must be > 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
-
-    @property
-    def x_sd(self) -> float:
-        return np.sqrt(self.x_noise_std) if self.noise_as_variance else self.x_noise_std
-
-    @property
-    def y_sd(self) -> float:
-        return np.sqrt(self.y_noise_std) if self.noise_as_variance else self.y_noise_std
-
-    @property
-    def x1_sd(self) -> float:
-        return np.sqrt(self.x1_std) if self.noise_as_variance else self.x1_std
-
-
-@dataclass(frozen=True)
-class OverlapKnob:
-    """Logit scale gamma >= 0; larger gamma pushes propensities toward {0,1}."""
-
-    gamma: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.gamma) or self.gamma < 0:
-            raise ValueError("gamma must be finite and >= 0")
 
 
 def make_d1() -> StructuralDGP:
@@ -166,7 +125,6 @@ def make_d1() -> StructuralDGP:
         f_a=lambda x, a_prev, y_prev: 4.0 * np.cos(0.5 * x - 0.5 * (a_prev - 0.5)),
         f_y=lambda x, a, y_prev: np.cos(x) + 0.5 * (a - 0.5),
         response_form=ChainResponseForm(x_coef=0.5, outcome_kind="cos", omega=1.0),
-        default_n_train=5000,
     )
 
 
@@ -178,27 +136,26 @@ def make_d2() -> StructuralDGP:
         f_a=lambda x, a_prev, y_prev: 0.5 * x - 0.5 * (a_prev - 0.5),
         f_y=lambda x, a, y_prev: np.cos(5.0 * x) + 0.5 * (a - 0.5),
         response_form=ChainResponseForm(x_coef=0.5, outcome_kind="cos", omega=5.0),
-        default_n_train=10000,
     )
 
 
 def make_d3(gamma: float) -> StructuralDGP:
-    """Overlap-controlled linear logit gamma*(0.5*X - 0.5*(A_prev - 0.5))."""
-    knob = OverlapKnob(float(gamma))
-    g = knob.gamma
+    """Overlap-controlled linear logit gamma*(0.5*X - 0.5*(A_prev - 0.5));
+    a larger gamma >= 0 pushes propensities toward {0, 1}."""
+    g = float(gamma)
+    if not np.isfinite(g) or g < 0:
+        raise ValueError("gamma must be finite and >= 0")
     return StructuralDGP(
         name=f"d3:gamma={g!r}",           # every digit: get_dgp(name) is this generator
         f_x=lambda x, a, y: 0.5 * x,
         f_a=lambda x, a_prev, y_prev: g * (0.5 * x - 0.5 * (a_prev - 0.5)),
         f_y=lambda x, a, y_prev: np.cos(x) + 0.5 * (a - 0.5),
         response_form=ChainResponseForm(x_coef=0.5, outcome_kind="cos", omega=1.0),
-        default_n_train=5000,
     )
 
 
 def make_linear_chain(noise_std: float = 0.5, logit_scale: float = 0.4,
-                      logit_intercept: float = 0.1, treat_coef: float = 1.0,
-                      horizon: int = 5) -> StructuralDGP:
+                      logit_intercept: float = 0.1, treat_coef: float = 1.0) -> StructuralDGP:
     """Verification DGP with constant conditional variances.
 
     The confounder is a unit-coefficient random walk (X_{t+1} = X_t + eps)
@@ -218,7 +175,6 @@ def make_linear_chain(noise_std: float = 0.5, logit_scale: float = 0.4,
         y_noise_std=noise_std,
         response_form=ChainResponseForm(x_coef=1.0, outcome_kind="linear", omega=1.0,
                                         treat_coef=treat_coef, treat_center=0.0),
-        default_n_train=5000,
     )
 
 
@@ -254,7 +210,7 @@ def simulate_panel(dgp: StructuralDGP, n: int, seed, x1=None) -> Panel:
     A = np.empty((n, T), dtype=int)
     Y = np.empty((n, T))
     if x1 is None:
-        X[:, 0] = rng.normal(0.0, dgp.x1_sd, size=n)
+        X[:, 0] = rng.normal(0.0, dgp.x1_std, size=n)
     else:
         X[:, 0] = np.broadcast_to(np.asarray(x1, dtype=float), (n,))
     a_prev = np.full(n, float(dgp.a0))
@@ -263,133 +219,12 @@ def simulate_panel(dgp: StructuralDGP, n: int, seed, x1=None) -> Panel:
         p1 = expit(dgp.f_a(X[:, t], a_prev, y_prev))
         A[:, t] = rng.uniform(size=n) < p1
         a_t = A[:, t].astype(float)
-        Y[:, t] = dgp.f_y(X[:, t], a_t, y_prev) + rng.normal(0.0, dgp.y_sd, size=n)
+        Y[:, t] = dgp.f_y(X[:, t], a_t, y_prev) + rng.normal(0.0, dgp.y_noise_std, size=n)
         if t < T - 1:
-            X[:, t + 1] = dgp.f_x(X[:, t], a_t, Y[:, t]) + rng.normal(0.0, dgp.x_sd, size=n)
+            X[:, t + 1] = dgp.f_x(X[:, t], a_t, Y[:, t]) + rng.normal(0.0, dgp.x_noise_std, size=n)
         a_prev = a_t
         y_prev = Y[:, t]
     return panel_from_arrays(X, A, Y, dgp.treatment_arity)
-
-
-def _history_tail(dgp: StructuralDGP, h: HistoryView):
-    """(x_l, a_prev, y_prev) at the history's frontier, applying the t=1 conventions."""
-    x_l = float(h.x_prefix[-1, 0])
-    if h.t > 1:
-        a_prev = float(h.a_prefix[-1])
-        y_prev = float(h.y_prefix[-1])
-    else:
-        a_prev = float(dgp.a0)
-        y_prev = 0.0
-    return x_l, a_prev, y_prev
-
-
-def oracle_propensity(dgp: StructuralDGP, h: HistoryView, a: int = 1) -> float:
-    """Exact propensity P(A_t = a | H_t = h) from the structural logit."""
-    x_l, a_prev, y_prev = _history_tail(dgp, h)
-    p1 = float(expit(dgp.f_a(np.array([x_l]), np.array([a_prev]), np.array([y_prev]))[0]))
-    return p1 if a == 1 else 1.0 - p1
-
-
-def _draw_noise(dgp: StructuralDGP, steps: int, m: int, rng, antithetic: bool):
-    eps_y = rng.normal(0.0, dgp.y_sd, size=(steps, m))
-    eps_x = rng.normal(0.0, dgp.x_sd, size=(max(steps - 1, 0), m))
-    if antithetic:
-        half = m // 2
-        eps_y[:, half:] = -eps_y[:, :half]
-        if steps > 1:
-            eps_x[:, half:] = -eps_x[:, :half]
-    return eps_x, eps_y
-
-
-def _rollout_fixed(dgp: StructuralDGP, x0, y_prev0, a_suffix, eps_x, eps_y):
-    """Terminal outcome draws when treatments are pinned to a_suffix."""
-    m = x0.shape[0]
-    x = x0.copy()
-    y_prev = y_prev0.copy()
-    for k, a_k in enumerate(a_suffix):
-        a = np.full(m, float(a_k))
-        y = dgp.f_y(x, a, y_prev) + eps_y[k]
-        if k < len(a_suffix) - 1:
-            x = dgp.f_x(x, a, y) + eps_x[k]
-            y_prev = y
-    return y
-
-
-def _mc_stats(values, antithetic: bool) -> MCEstimate:
-    m = values.shape[0]
-    if antithetic:
-        half = m // 2
-        pair_means = 0.5 * (values[:half] + values[half:])
-        se = pair_means.std(ddof=1) / np.sqrt(half) if half > 1 else np.inf
-        return MCEstimate(float(pair_means.mean()), float(se), m)
-    se = values.std(ddof=1) / np.sqrt(m) if m > 1 else np.inf
-    return MCEstimate(float(values.mean()), float(se), m)
-
-
-def oracle_response(dgp: StructuralDGP, h: HistoryView, a_suffix, n_mc: int = 4000,
-                    seed=0, antithetic: bool = True) -> MCEstimate:
-    """Monte-Carlo estimate of the response surface mu at history h.
-
-    a_suffix pins the treatments from the history's time l through the
-    terminal step l + len(a_suffix) - 1 <= horizon.  A suffix of length 1
-    needs no rollout (the outcome noise is mean-zero) and is returned
-    exactly with se = 0.  Antithetic noise pairs are used by default; the
-    standard error then comes from the pair means.
-    """
-    a_suffix = tuple(int(v) for v in a_suffix)
-    if len(a_suffix) < 1:
-        raise ValueError("a_suffix must contain at least one arm")
-    if h.t + len(a_suffix) - 1 > dgp.horizon:
-        raise ValueError("intervention suffix runs past the DGP horizon")
-    if n_mc < 1:
-        raise ValueError("n_mc must be >= 1")
-    x_l, _, y_prev = _history_tail(dgp, h)
-    if len(a_suffix) == 1:
-        value = float(dgp.f_y(np.array([x_l]), np.array([float(a_suffix[0])]),
-                              np.array([y_prev]))[0])
-        return MCEstimate(value, 0.0, 0)
-    m = n_mc + (n_mc % 2) if antithetic else n_mc
-    rng = np.random.default_rng(seed)
-    eps_x, eps_y = _draw_noise(dgp, len(a_suffix), m, rng, antithetic)
-    y = _rollout_fixed(dgp, np.full(m, x_l), np.full(m, y_prev), a_suffix, eps_x, eps_y)
-    return _mc_stats(y, antithetic)
-
-
-def oracle_history_adjustment(dgp: StructuralDGP, h: HistoryView, a_suffix,
-                              n_mc: int = 20000, seed=0) -> MCEstimate:
-    """Path-conditioned mean E[Y_terminal | H_l = h, observed arms = a_suffix].
-
-    Unlike the response surface, this conditions on the *observational*
-    treatment process having followed a_suffix, so rollouts sample
-    treatments from the propensities and only matching paths are kept
-    (rejection sampling; no antithetic pairing, the acceptance indicator
-    would break it).
-    """
-    a_suffix = tuple(int(v) for v in a_suffix)
-    if h.t + len(a_suffix) - 1 > dgp.horizon:
-        raise ValueError("intervention suffix runs past the DGP horizon")
-    x_l, a_prev0, y_prev0 = _history_tail(dgp, h)
-    rng = np.random.default_rng(seed)
-    m = n_mc
-    x = np.full(m, x_l)
-    a_prev = np.full(m, a_prev0)
-    y_prev = np.full(m, y_prev0)
-    alive = np.ones(m, dtype=bool)
-    y = np.zeros(m)
-    for k, a_k in enumerate(a_suffix):
-        p1 = expit(dgp.f_a(x, a_prev, y_prev))
-        a = (rng.uniform(size=m) < p1).astype(float)
-        alive &= (a == float(a_k))
-        y = dgp.f_y(x, a, y_prev) + rng.normal(0.0, dgp.y_sd, size=m)
-        if k < len(a_suffix) - 1:
-            x = dgp.f_x(x, a, y) + rng.normal(0.0, dgp.x_sd, size=m)
-        a_prev, y_prev = a, y
-    n_acc = int(alive.sum())
-    if n_acc == 0:
-        raise ValueError("no rollouts matched the treatment path; raise n_mc")
-    kept = y[alive]
-    se = kept.std(ddof=1) / np.sqrt(n_acc) if n_acc > 1 else np.inf
-    return MCEstimate(float(kept.mean()), float(se), n_acc)
 
 
 @dataclass(frozen=True)
@@ -416,7 +251,6 @@ class DiscreteDGP:
     y_a: float = 0.15
     horizon: int = 2
     treatment_arity: int = 2
-    default_n_train: int = 50000
     name: str = "mini-discrete"
 
     def propensity1(self, x, a_prev):

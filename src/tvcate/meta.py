@@ -299,10 +299,10 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     over the pseudo-outcome fold of the nuisance split plan; IVW-DR also
     regresses the realized variance statistic on H_t (ridge, GCV penalty,
     predictions floored at 1.0) and reweights rows by stabilized 1/V-hat
-    with empirical mean 1.  ``positions`` may hand in the cosine map of
-    ``panel.encoded(nuisances.codec)``: fits drawing its map gather from it,
-    and the uniform-weight ones share the design it holds for the rows.
-    Otherwise the pseudo rows are mapped here, once per map.
+    with empirical mean 1.  Ridge fits gather their rows from a cosine map of
+    ``panel.encoded(nuisances.codec)``: ``positions`` when it draws the
+    spec's map, otherwise one mapped here once per map; the uniform-weight
+    fits on one map share the design it holds for the rows.
     ``table`` may hand in the training panel's row table for ``pair.tau``.
     Plug-in kinds keep their two arms' fitted nuisance models; oracle sets
     are rejected.
@@ -339,24 +339,24 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
                    "clip_fraction": rows.clip_fraction}
 
     at = table.positions(0) if po_mask is None else table.positions(0)[po_mask]
-    if positions is None and kind == "IVW-DR" and cosine_map_key(
-            DEFAULT_V_SPEC, codec.width) == cosine_map_key(second_stage_spec, codec.width):
-        # the variance model and the weighted fit share one map of the rows
-        positions, at = CosineMap(DEFAULT_V_SPEC, rows.features), None
+    held = {}
 
     def mapped(spec):
-        if positions is not None and positions.key == cosine_map_key(spec, codec.width):
-            return positions, at
-        return CosineMap(spec, rows.features), None
+        key = cosine_map_key(spec, codec.width)
+        if key not in held:
+            held.clear()                   # hold one map at a time
+            held[key] = (positions if positions is not None and positions.key == key
+                         else CosineMap(spec, table.panel.encoded(codec)))
+        return held[key]
 
     weight = None
     if kind == "IVW-DR":
-        raw, rows_at = mapped(DEFAULT_V_SPEC)
-        model.v_model = VModel(raw.design(DEFAULT_V_SPEC, rows_at).fit(
+        raw = mapped(DEFAULT_V_SPEC)
+        model.v_model = VModel(raw.design(DEFAULT_V_SPEC, at).fit(
             DEFAULT_V_SPEC, rows.v_realized))
-        v_hat = np.maximum(raw.predict([model.v_model.model], rows_at)[0],
+        v_hat = np.maximum(raw.predict([model.v_model.model], at)[0],
                            model.v_model.v_floor)
-        raw = None                         # the weighted fit drops its design
+        raw = None                         # the next map frees this one
         inv = 1.0 / v_hat
         weight = inv / inv.mean()          # stabilized: empirical mean 1
         diagnostics["weights"] = {
@@ -367,10 +367,10 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
         model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
                                            weight)
     else:
-        raw, rows_at = mapped(second_stage_spec)
-        model.second_stage = (raw.design(second_stage_spec, rows_at).fit(
+        raw = mapped(second_stage_spec)
+        model.second_stage = (raw.design(second_stage_spec, at).fit(
             second_stage_spec, rows.value) if weight is None
-            else raw.fit(second_stage_spec, rows.value, weight, rows_at))
+            else raw.fit(second_stage_spec, rows.value, weight, at))
     model.diagnostics = diagnostics
     return model
 

@@ -171,10 +171,6 @@ class SplitPlan:
     def fold(self, name: str) -> np.ndarray:
         return self.folds[name]
 
-    @property
-    def fold_names(self) -> list[str]:
-        return _fold_names(self.tau)
-
 
 def make_split(panel: Panel, tau: int, enabled: bool, seed=0) -> SplitPlan:
     """Random disjoint partition into tau+3 folds (or the trivial full-set plan)."""
@@ -363,9 +359,8 @@ class NuisanceSet:
     """All nuisances behind one query interface (fitted or oracle).
 
     In oracle mode, response-surface queries evaluate the DGP's closed-form
-    surfaces and propensity queries evaluate the exact structural logits, so
-    each query reproduces the simulator oracles bit for bit (then the same
-    clipping is applied on top).  ``override_propensity`` and
+    surfaces and propensity queries the exact structural logits (then the
+    same clipping is applied on top).  ``override_propensity`` and
     ``override_response`` are deliberate-corruption hooks for double-
     robustness experiments and identity checks: an overridden propensity is
     used verbatim (no clipping), and the response override may be a scalar
@@ -425,7 +420,7 @@ class NuisanceSet:
         if self.oracle_mode:
             form = self.dgp.response_form
             return np.asarray(form.capo(table.x_tail[:, j], self.tau - j,
-                                        self._seq(arm)[-1], self.dgp.x_sd))
+                                        self._seq(arm)[-1], self.dgp.x_noise_std))
         self._need_response(arm)
         if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
             return self.mu_values.values[arm, j]
@@ -477,15 +472,6 @@ class NuisanceSet:
                     mu[arm, j] = values
             changes["mu_values"] = FittedValues(table.panel, table.codec, models, mu)
         return replace(self, **changes) if changes else self
-
-    # -- history adjustments ----------------------------------------------
-    def delta_features(self, arm: str, feats: np.ndarray) -> np.ndarray:
-        if self.oracle_mode:
-            raise ValueError("oracle history adjustment needs full histories, "
-                             "not encoded features")
-        if self.history_models is None or arm not in self.history_models:
-            raise ValueError(f"missing history-adjustment model for arm {arm!r}")
-        return self.history_models[arm].predict(feats)
 
     # -- corruption hooks ---------------------------------------------------
     def corrupted(self, propensity: Optional[float] = None,

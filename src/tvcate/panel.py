@@ -15,8 +15,8 @@ and ``Y (R,)`` hold the rows of all trajectories end to end, and
 ``offsets (n+1,)`` bounds them (trajectory i is rows
 ``offsets[i]:offsets[i+1]``); row ``offsets[i] + s - 1`` is position (i, s),
 whose H_s :meth:`Panel.encoded` holds.  ``Panel.trajectories`` builds n read-only
-:class:`Trajectory` views on every access: O(n) objects, meant for oracles
-and tests, not hot paths.  What each constructor rejects:
+:class:`Trajectory` views on every access: O(n) objects, meant for tests,
+not hot paths.  What each constructor rejects:
 
 * ``Panel(trajectories, treatment_arity)``: mixed covariate widths, and
   trajectories whose covariates, treatments and outcomes differ in length.
@@ -183,15 +183,6 @@ class Panel:
             out.flags.writeable = False
             self._encoded[codec] = out
         return self._encoded[codec]
-
-    def subset(self, indices) -> "Panel":
-        """Panel restricted to the given trajectory positions (one gather)."""
-        idx = np.arange(self.n)[np.asarray(indices, dtype=int)]
-        lengths = self.lengths()[idx]
-        offsets = np.cumsum(np.append(0, lengths))
-        rows = np.repeat(self.offsets[idx] - offsets[:-1], lengths) + np.arange(offsets[-1])
-        return Panel.__new__(Panel)._fill(self.X[rows], self.A[rows], self.Y[rows],
-                                          offsets, self.treatment_arity)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,21 @@
-"""Helpers the tests share that the package does not need."""
+"""Helpers the tests share that the package does not need.
+
+Besides an encoding inverse, these are Monte-Carlo reference values for the
+structural generators: ``oracle_response`` (a response surface, whose arm
+difference is the CATE), ``oracle_history_adjustment`` (a path-conditioned
+mean) and ``oracle_propensity``.  They work for any
+:class:`~tvcate.dgp.StructuralDGP`, so tests can check the closed forms the
+package reads (:class:`~tvcate.dgp.ChainResponseForm`) against an
+independent route.
+"""
+
+from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import expit
 
-from tvcate.panel import FeatureCodec
+from tvcate.dgp import StructuralDGP
+from tvcate.panel import FeatureCodec, HistoryView
 
 
 def decode_history(vec: np.ndarray, codec: FeatureCodec):
@@ -30,3 +43,132 @@ def decode_history(vec: np.ndarray, codec: FeatureCodec):
     y = vec[off: off + (t - 1)].copy()
     return x, a, y, t
 
+
+@dataclass(frozen=True)
+class MCEstimate:
+    """Monte-Carlo estimate with its standard error (se=0 marks exact values)."""
+
+    value: float
+    se: float
+    n_mc: int
+
+
+def _history_tail(dgp: StructuralDGP, h: HistoryView):
+    """(x_l, a_prev, y_prev) at the history's frontier, applying the t=1 conventions."""
+    x_l = float(h.x_prefix[-1, 0])
+    if h.t > 1:
+        a_prev = float(h.a_prefix[-1])
+        y_prev = float(h.y_prefix[-1])
+    else:
+        a_prev = float(dgp.a0)
+        y_prev = 0.0
+    return x_l, a_prev, y_prev
+
+
+def oracle_propensity(dgp: StructuralDGP, h: HistoryView, a: int = 1) -> float:
+    """Exact propensity P(A_t = a | H_t = h) from the structural logit."""
+    x_l, a_prev, y_prev = _history_tail(dgp, h)
+    p1 = float(expit(dgp.f_a(np.array([x_l]), np.array([a_prev]), np.array([y_prev]))[0]))
+    return p1 if a == 1 else 1.0 - p1
+
+
+def _draw_noise(dgp: StructuralDGP, steps: int, m: int, rng, antithetic: bool):
+    eps_y = rng.normal(0.0, dgp.y_noise_std, size=(steps, m))
+    eps_x = rng.normal(0.0, dgp.x_noise_std, size=(max(steps - 1, 0), m))
+    if antithetic:
+        half = m // 2
+        eps_y[:, half:] = -eps_y[:, :half]
+        if steps > 1:
+            eps_x[:, half:] = -eps_x[:, :half]
+    return eps_x, eps_y
+
+
+def _rollout_fixed(dgp: StructuralDGP, x0, y_prev0, a_suffix, eps_x, eps_y):
+    """Terminal outcome draws when treatments are pinned to a_suffix."""
+    m = x0.shape[0]
+    x = x0.copy()
+    y_prev = y_prev0.copy()
+    for k, a_k in enumerate(a_suffix):
+        a = np.full(m, float(a_k))
+        y = dgp.f_y(x, a, y_prev) + eps_y[k]
+        if k < len(a_suffix) - 1:
+            x = dgp.f_x(x, a, y) + eps_x[k]
+            y_prev = y
+    return y
+
+
+def _mc_stats(values, antithetic: bool) -> MCEstimate:
+    m = values.shape[0]
+    if antithetic:
+        half = m // 2
+        pair_means = 0.5 * (values[:half] + values[half:])
+        se = pair_means.std(ddof=1) / np.sqrt(half) if half > 1 else np.inf
+        return MCEstimate(float(pair_means.mean()), float(se), m)
+    se = values.std(ddof=1) / np.sqrt(m) if m > 1 else np.inf
+    return MCEstimate(float(values.mean()), float(se), m)
+
+
+def oracle_response(dgp: StructuralDGP, h: HistoryView, a_suffix, n_mc: int = 4000,
+                    seed=0, antithetic: bool = True) -> MCEstimate:
+    """Monte-Carlo estimate of the response surface mu at history h.
+
+    a_suffix pins the treatments from the history's time l through the
+    terminal step l + len(a_suffix) - 1 <= horizon.  A suffix of length 1
+    needs no rollout (the outcome noise is mean-zero) and is returned
+    exactly with se = 0.  Antithetic noise pairs are used by default; the
+    standard error then comes from the pair means.
+    """
+    a_suffix = tuple(int(v) for v in a_suffix)
+    if len(a_suffix) < 1:
+        raise ValueError("a_suffix must contain at least one arm")
+    if h.t + len(a_suffix) - 1 > dgp.horizon:
+        raise ValueError("intervention suffix runs past the DGP horizon")
+    if n_mc < 1:
+        raise ValueError("n_mc must be >= 1")
+    x_l, _, y_prev = _history_tail(dgp, h)
+    if len(a_suffix) == 1:
+        value = float(dgp.f_y(np.array([x_l]), np.array([float(a_suffix[0])]),
+                              np.array([y_prev]))[0])
+        return MCEstimate(value, 0.0, 0)
+    m = n_mc + (n_mc % 2) if antithetic else n_mc
+    rng = np.random.default_rng(seed)
+    eps_x, eps_y = _draw_noise(dgp, len(a_suffix), m, rng, antithetic)
+    y = _rollout_fixed(dgp, np.full(m, x_l), np.full(m, y_prev), a_suffix, eps_x, eps_y)
+    return _mc_stats(y, antithetic)
+
+
+def oracle_history_adjustment(dgp: StructuralDGP, h: HistoryView, a_suffix,
+                              n_mc: int = 20000, seed=0) -> MCEstimate:
+    """Path-conditioned mean E[Y_terminal | H_l = h, observed arms = a_suffix].
+
+    Unlike the response surface, this conditions on the *observational*
+    treatment process having followed a_suffix, so rollouts sample
+    treatments from the propensities and only matching paths are kept
+    (rejection sampling; no antithetic pairing, the acceptance indicator
+    would break it).
+    """
+    a_suffix = tuple(int(v) for v in a_suffix)
+    if h.t + len(a_suffix) - 1 > dgp.horizon:
+        raise ValueError("intervention suffix runs past the DGP horizon")
+    x_l, a_prev0, y_prev0 = _history_tail(dgp, h)
+    rng = np.random.default_rng(seed)
+    m = n_mc
+    x = np.full(m, x_l)
+    a_prev = np.full(m, a_prev0)
+    y_prev = np.full(m, y_prev0)
+    alive = np.ones(m, dtype=bool)
+    y = np.zeros(m)
+    for k, a_k in enumerate(a_suffix):
+        p1 = expit(dgp.f_a(x, a_prev, y_prev))
+        a = (rng.uniform(size=m) < p1).astype(float)
+        alive &= (a == float(a_k))
+        y = dgp.f_y(x, a, y_prev) + rng.normal(0.0, dgp.y_noise_std, size=m)
+        if k < len(a_suffix) - 1:
+            x = dgp.f_x(x, a, y) + rng.normal(0.0, dgp.x_noise_std, size=m)
+        a_prev, y_prev = a, y
+    n_acc = int(alive.sum())
+    if n_acc == 0:
+        raise ValueError("no rollouts matched the treatment path; raise n_mc")
+    kept = y[alive]
+    se = kept.std(ddof=1) / np.sqrt(n_acc) if n_acc > 1 else np.inf
+    return MCEstimate(float(kept.mean()), float(se), n_acc)

@@ -33,7 +33,7 @@ def nuisance_predictions(ns, table):
     return {"mu": {arm: [ns.mu(arm, j, table).tolist() for j in range(ns.tau + 1)]
                    for arm in ("a", "b")},
             "pi": [ns.propensity(j, 1, table)[1].tolist() for j in range(ns.tau + 1)],
-            "delta": {arm: ns.delta_features(arm, table.features(0)).tolist()
+            "delta": {arm: ns.history_models[arm].predict(table.features(0)).tolist()
                       for arm in ("a", "b")}}
 
 

@@ -175,8 +175,24 @@ class TestRunAndSweep:
         assert "(x10)" in capsys.readouterr().out
 
     def test_run_rejects_unknown_override(self, tmp_path):
-        with pytest.raises(ValueError, match="unknown config key"):
+        with pytest.raises(SystemExit, match="unknown config key"):
             run_cli("run", "--out", str(tmp_path), "--n_teach=5")
+
+    def test_failing_seed_job_exits_with_one_line(self, tmp_path):
+        # 500 fast-mode d1 trajectories leave the tau = 2 path (0, 0, 1)
+        # unobserved at seed 2: a one-line exit, no traceback
+        with pytest.raises(SystemExit) as info:
+            run_cli("run", "--fast", "--taus=2", "--seeds=2", "--learners=PI-HA",
+                    "--out", str(tmp_path))
+        message = str(info.value)
+        assert "tau=2 seed=2" in message and "(0, 0, 1)" in message
+        assert "\n" not in message
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvcate.cli", "run", "--fast", "--taus=2",
+             "--seeds=2", "--learners=PI-HA", "--out", str(tmp_path)],
+            capture_output=True, text=True)
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr and "tau=2 seed=2" in proc.stderr
 
     def test_run_rejects_malformed_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="--key=value"):

@@ -11,14 +11,13 @@ from tvcate.dgp import (
     make_d3,
     make_linear_chain,
     make_mini_discrete,
-    oracle_history_adjustment,
-    oracle_propensity,
-    oracle_response,
     benchmark_pair,
     simulate_panel,
 )
 from tvcate.panel import HistoryView, InterventionPair, Trajectory, validate_panel
 from tvcate.harness import default_sweep_config
+
+from helpers import oracle_history_adjustment, oracle_propensity, oracle_response
 
 
 def history(x_vals, a_vals=(), y_vals=(), pad_to=5):
@@ -56,18 +55,16 @@ class TestFactories:
         with pytest.raises(ValueError, match="gamma"):
             make_d3(-1.0)
 
-    def test_default_training_sizes(self):
-        assert make_d1().default_n_train == 5000
-        assert make_d2().default_n_train == 10000
-        assert make_d3(2.0).default_n_train == 5000
-
-    def test_noise_scales_read_as_standard_deviations_with_variance_toggle(self):
+    def test_noise_scales_read_as_standard_deviations(self):
+        # d1: X_1 ~ N(0, 1), Y_1 = cos(X_1) + 0.5 (A_1 - 0.5) + N(0, 0.3^2),
+        # X_2 = 0.5 X_1 + N(0, 0.5^2); the sample sds are within 3 % at n = 20000
         d1 = make_d1()
-        assert d1.x_sd == 0.5 and d1.y_sd == 0.3
-        from dataclasses import replace
-        alt = replace(d1, noise_as_variance=True)
-        assert alt.x_sd == pytest.approx(np.sqrt(0.5))
-        assert alt.y_sd == pytest.approx(np.sqrt(0.3))
+        assert (d1.x1_std, d1.x_noise_std, d1.y_noise_std) == (1.0, 0.5, 0.3)
+        X, A, Y = simulate_panel(d1, 20000, seed=3).dense()
+        x1, x2 = X[:, 0, 0], X[:, 1, 0]
+        assert x1.std() == pytest.approx(1.0, rel=0.03)
+        assert (Y[:, 0] - d1.f_y(x1, A[:, 0], 0.0)).std() == pytest.approx(0.3, rel=0.03)
+        assert (x2 - 0.5 * x1).std() == pytest.approx(0.5, rel=0.03)
 
 
 class TestRegistry:
@@ -96,6 +93,12 @@ class TestRegistry:
     def test_d3_without_gamma_errors(self):
         with pytest.raises(ValueError, match="bad parameters"):
             get_dgp("d3")
+
+    def test_linear_chain_horizon_errors(self):
+        # the linear chain has the default horizon 5 and takes no horizon
+        assert get_dgp("linear-chain").horizon == 5
+        with pytest.raises(ValueError, match="bad parameters for DGP 'linear-chain'"):
+            get_dgp("linear-chain:horizon=3")
 
 
 class TestSimulatePanel:
@@ -168,14 +171,14 @@ class TestOracleResponse:
         for x, suffix, seed in [(0.3, (0, 1), 1), (-1.2, (1, 0, 1), 2), (0.0, (0, 0), 3)]:
             h = history([x])
             est = oracle_response(dgp, h, suffix, n_mc=200000, seed=seed)
-            exact = dgp.response_form.capo(x, len(suffix) - 1, suffix[-1], dgp.x_sd)
+            exact = dgp.response_form.capo(x, len(suffix) - 1, suffix[-1], dgp.x_noise_std)
             assert abs(est.value - float(exact)) <= 3 * est.se + 1e-12
 
     def test_mc_matches_closed_form_on_d2(self):
         dgp = make_d2()
         h = history([0.7])
         est = oracle_response(dgp, h, (1, 0), n_mc=400000, seed=4)
-        exact = dgp.response_form.capo(0.7, 1, 0, dgp.x_sd)
+        exact = dgp.response_form.capo(0.7, 1, 0, dgp.x_noise_std)
         assert abs(est.value - float(exact)) <= 3 * est.se + 1e-12
 
     def test_suffix_past_horizon_errors(self):

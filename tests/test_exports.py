@@ -1,8 +1,10 @@
 """Every public name the package advertises resolves, so deleting a
-function cannot leave a stale export behind."""
+function cannot leave a stale export behind, and the package-level names
+are pinned, so adding or dropping one is a reviewed edit."""
 
 import ast
 import importlib
+import inspect
 import pathlib
 import pkgutil
 
@@ -11,6 +13,27 @@ import pytest
 import tvcate
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tvcate.__path__))
+
+#: the 72 public names ``import tvcate`` provides, sorted
+PACKAGE_NAMES = [
+    "CateModel", "ChainResponseForm", "CheckResult", "ClassifierSpec",
+    "DiscreteDGP", "ExperimentConfig", "ExperimentResult", "FeatureCodec",
+    "FittedClassifier", "FittedRegressor", "HistoryView", "InterventionPair",
+    "LEARNER_KINDS", "NuisanceSet", "Panel", "PseudoRows", "RegressorSpec",
+    "ResultRow", "RowTable", "SUITE_NAMES", "SplitPlan", "StructuralDGP",
+    "SuiteReport", "Trajectory", "VModel", "benchmark_pair", "build_pseudo_rows",
+    "build_row_table", "config_to_text", "config_with_overrides", "default_codec",
+    "default_sweep_config", "emit_results", "emit_sweep", "encode_block",
+    "encode_history", "fit_classifier", "fit_history_adjustment", "fit_meta",
+    "fit_nuisances", "fit_propensities", "fit_regressor", "fit_response_iterative",
+    "fit_v_model", "format_report", "get_dgp", "ivw_realized", "load_cate_model",
+    "load_nuisances", "make_d1", "make_d2", "make_d3", "make_linear_chain",
+    "make_mini_discrete", "make_split", "oracle_nuisances", "overlap_sweep",
+    "panel_from_arrays", "panel_from_csv", "panel_to_csv", "parse_config_text",
+    "pseudo_dr", "pseudo_ipw", "pseudo_ra", "run_experiment", "run_suite",
+    "save_cate_model", "save_nuisances", "simulate_panel", "spearman", "summarize",
+    "validate_panel",
+]
 
 
 @pytest.mark.parametrize("name", MODULES)
@@ -28,3 +51,9 @@ def test_package_imports_resolve():
     for module, attr in imported:
         source = importlib.import_module(f"tvcate.{module}")
         assert hasattr(source, attr) and getattr(tvcate, attr) is getattr(source, attr)
+
+
+def test_package_names_are_pinned():
+    names = sorted(name for name in vars(tvcate) if not name.startswith("_")
+                   and not inspect.ismodule(getattr(tvcate, name)))
+    assert names == PACKAGE_NAMES

@@ -6,9 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from tvcate.dgp import (get_dgp, make_d1, make_d2, make_d3, benchmark_pair,
-                        oracle_history_adjustment, simulate_panel)
-from tvcate.learners import ClassifierSpec, RegressorSpec
+from tvcate.dgp import get_dgp, make_d1, make_d2, make_d3, benchmark_pair, simulate_panel
+from tvcate.learners import ClassifierSpec, CosineMap, RegressorSpec
 from tvcate.meta import (
     DEFAULT_SECOND_STAGE,
     LEARNER_KINDS,
@@ -35,6 +34,8 @@ from tvcate.nuisance import (
     oracle_nuisances,
 )
 from tvcate.panel import HistoryView, InterventionPair, panel_from_arrays
+
+from helpers import oracle_history_adjustment
 
 
 def tiny_panel(A, Y, arity=2):
@@ -423,8 +424,8 @@ class TestFitMeta:
         mu = nz.response_models
         assert np.array_equal(ra, mu["a"][0].predict(feats) - mu["b"][0].predict(feats))
         ha = fit_meta("PI-HA", panel, pair, nz).predict(feats)
-        assert np.array_equal(ha, nz.delta_features("a", feats)
-                              - nz.delta_features("b", feats))
+        hm = nz.history_models
+        assert np.array_equal(ha, hm["a"].predict(feats) - hm["b"].predict(feats))
 
     @pytest.mark.parametrize("kind", ["PI-RA", "PI-HA"])
     def test_plug_in_pair_maps_once_with_unchanged_bits(self, kind, tmp_path):
@@ -515,6 +516,28 @@ class TestFitMeta:
         first = fit_meta("IVW-DR", panel, pair, nz).predict(feats)
         second = fit_meta("IVW-DR", panel, pair, nz).predict(feats)
         assert np.array_equal(first, second)
+        # without a map, fit_meta maps the training positions itself, with
+        # the bits of a handed-in map of them: also when the variance model
+        # draws another map (128 features) and under a split plan
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            split_nz = self.fitted_setup(n=300, oracle=False)[3]
+        narrow = RegressorSpec(feature_count=128, ridge_lambda=1e-2)
+        cases = [(nz, kind, DEFAULT_SECOND_STAGE) for kind in ("RA", "IPW", "DR", "IVW-DR")]
+        cases += [(nz, "IVW-DR", narrow), (split_nz, "DR", DEFAULT_SECOND_STAGE),
+                  (split_nz, "IVW-DR", narrow)]
+        for ns, kind, spec in cases:
+            given = fit_meta(kind, panel, pair, ns, spec,
+                             positions=CosineMap(spec, panel.encoded(ns.codec)))
+            alone = fit_meta(kind, panel, pair, ns, spec)
+            models = [(given.second_stage, alone.second_stage)]
+            if kind == "IVW-DR":
+                models.append((given.v_model.model, alone.v_model.model))
+            for got, want in models:
+                assert got.params.keys() == want.params.keys()
+                assert all(np.array_equal(got.params[k], v) for k, v in want.params.items())
+            assert given.diagnostics == alone.diagnostics
+            assert np.array_equal(given.predict(feats), alone.predict(feats))
 
     def test_every_kind_fits_and_predicts(self):
         d1 = make_d1()

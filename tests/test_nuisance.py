@@ -13,11 +13,11 @@ from tvcate.dgp import (
     make_d2,
     make_d3,
     make_mini_discrete,
-    oracle_history_adjustment,
     benchmark_pair,
     simulate_panel,
 )
 from tvcate.learners import ClassifierSpec, RegressorSpec, fit_regressor
+from tvcate.meta import fit_meta
 from tvcate.nuisance import (
     NuisanceSet,
     build_row_table,
@@ -41,6 +41,8 @@ from tvcate.panel import (
     encode_history,
     panel_from_arrays,
 )
+
+from helpers import oracle_history_adjustment
 
 TUNED_D1_SPEC = RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2)
 
@@ -99,13 +101,13 @@ class TestMakeSplit:
         panel = simulate_panel(make_d1(), 12, seed=0)
         plan = make_split(panel, 2, enabled=False)
         assert not plan.enabled
-        for name in plan.fold_names:
+        for name in plan.folds:
             assert np.array_equal(plan.fold(name), np.arange(12))
 
     def test_enabled_partitions_disjointly(self):
         panel = simulate_panel(make_d1(), 23, seed=0)
         plan = make_split(panel, 1, enabled=True, seed=4)
-        parts = [plan.fold(name) for name in plan.fold_names]
+        parts = [plan.fold(name) for name in plan.folds]
         assert len(parts) == 4
         merged = np.concatenate(parts)
         assert np.array_equal(np.sort(merged), np.arange(23))
@@ -116,8 +118,8 @@ class TestMakeSplit:
         a = make_split(panel, 1, enabled=True, seed=7)
         b = make_split(panel, 1, enabled=True, seed=7)
         c = make_split(panel, 1, enabled=True, seed=8)
-        assert all(np.array_equal(a.fold(n), b.fold(n)) for n in a.fold_names)
-        assert any(not np.array_equal(a.fold(n), c.fold(n)) for n in a.fold_names)
+        assert all(np.array_equal(a.fold(n), b.fold(n)) for n in a.folds)
+        assert any(not np.array_equal(a.fold(n), c.fold(n)) for n in a.folds)
 
     def test_too_few_trajectories(self):
         panel = simulate_panel(make_d1(), 3, seed=0)
@@ -328,7 +330,7 @@ class TestNuisanceSetOracle:
         ons = oracle_nuisances(d1, pair)
         for j in (0, 1, 2):
             want = d1.response_form.capo(table.x_tail[:, j], 2 - j, pair.a_seq[-1],
-                                         d1.x_sd)
+                                         d1.x_noise_std)
             assert np.array_equal(ons.mu("a", j, table), want)
 
     def test_propensity_delegates_exactly(self):
@@ -345,14 +347,13 @@ class TestNuisanceSetOracle:
         assert np.array_equal(clipped, np.clip(want_raw, 0.01, 0.99))
 
     def test_history_adjustment_is_deterministic(self):
-        # the oracle set answers encoded rows only, which cannot carry a full
-        # history; the history-adjustment oracle itself is seeded and exact
+        # the oracle set has no history surfaces for encoded rows, which cannot
+        # carry a full history; the Monte-Carlo oracle itself is seeded and exact
         d1 = make_d1()
         pair = benchmark_pair(1)
         panel = simulate_panel(d1, 5, seed=25)
-        table = build_row_table(panel, 1)
         with pytest.raises(ValueError, match="full histories"):
-            oracle_nuisances(d1, pair).delta_features("a", table.features(0))
+            fit_meta("PI-HA", panel, pair, oracle_nuisances(d1, pair))
         histories = [HistoryView(traj, 2) for traj in panel.trajectories[:3]]
 
         def values():
@@ -386,8 +387,8 @@ class TestNuisanceSetOracle:
         table = build_row_table(panel, 0)
         with pytest.raises(ValueError, match="missing response"):
             ns.mu("a", 0, table)
-        with pytest.raises(ValueError, match="missing history"):
-            ns.delta_features("a", table.features(0))
+        with pytest.raises(ValueError, match="fitted history models"):
+            fit_meta("PI-HA", panel, pair, ns)
 
     def test_clip_eps_validation(self):
         with pytest.raises(ValueError, match="clip_eps"):
@@ -475,8 +476,9 @@ class TestBundleSerialization:
         assert np.array_equal(ns.propensity(0, 1, table)[1],
                               back.propensity(0, 1, table)[1])
         feats = table.features(0)
-        assert np.array_equal(ns.delta_features("a", feats),
-                              back.delta_features("a", feats))
+        for arm in ("a", "b"):
+            assert np.array_equal(ns.history_models[arm].predict(feats),
+                                  back.history_models[arm].predict(feats))
 
     def test_oracle_round_trip(self, tmp_path):
         ns = oracle_nuisances(make_d1(), benchmark_pair(1))

@@ -28,7 +28,7 @@ from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
                              load_nuisances, make_split, oracle_nuisances,
                              save_nuisances)
-from tvcate.panel import FeatureCodec, encode_block
+from tvcate.panel import FeatureCodec, Panel, encode_block
 
 PAIR = benchmark_pair(1)
 SECOND_STAGE = RegressorSpec(feature_count=32, ridge_lambda=1.0)
@@ -230,11 +230,12 @@ def map_rows(monkeypatch):
 
 
 class TestHeldDesign:
-    def test_at_most_one_map_and_none_after_ivw_dr(self, panels, map_rows,
-                                                    one_map_at_a_time):
+    def test_one_map_per_key_and_no_design_after_ivw_dr(self, panels, map_rows,
+                                                        one_map_at_a_time):
         train, _ = panels
         ns = tiny_fit(train)
-        one_map_at_a_time[0] = train.X.shape[0]
+        n_positions = train.X.shape[0]
+        one_map_at_a_time[0] = n_positions
         # with a map the variance model shares, the uniform fits share one
         # held design, IVW-DR's weighted fit drops it, and no row is mapped
         spec = dataclasses.replace(SECOND_STAGE, feature_count=256)
@@ -247,15 +248,27 @@ class TestHeldDesign:
         assert len(designs) == 1
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=spec, positions=positions)
         assert positions._design is None and not map_rows
-        # the variance model draws another map here: it maps the pseudo rows
-        # once, and the weighted fit gathers from the handed-in map
         positions = None
+        # without a map, IVW-DR maps the training positions once per map, one
+        # map at a time: once when the variance model shares the second
+        # stage's map (256 features), once per map when it does not
+        for features, want in ((256, {(256, n_positions): 1}),
+                               (32, {(256, n_positions): 1, (32, n_positions): 1})):
+            map_rows.clear()
+            fit_meta("IVW-DR", train, PAIR, ns,
+                     second_stage_spec=dataclasses.replace(SECOND_STAGE,
+                                                           feature_count=features))
+            assert map_rows == want
+        # with a map the variance model does not draw, it maps the training
+        # positions beside the handed-in map, which the weighted fit gathers
+        # from once the variance model's map is gone
+        one_map_at_a_time[0] = n_positions + 1
         positions = CosineMap(SECOND_STAGE, train.encoded(ns.codec))
         map_rows.clear()
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE,
                  positions=positions)
         assert positions._design is None
-        assert map_rows == {(256, build_row_table(train, 1).n_rows): 1}
+        assert map_rows == {(256, n_positions): 1}
 
     def test_seed_job_drops_each_horizons_design(self, one_map_at_a_time):
         # IPW never drops its design, and the plug-in model refers to the
@@ -398,7 +411,7 @@ class TestStoreContract:
         train, test = panels
         ns = tiny_fit(train)
         query_all(ns, build_row_table(train, 1, ns.codec))
-        sources = [build_row_table(train.subset(np.arange(train.n)), 1, ns.codec),
+        sources = [build_row_table(Panel(train.trajectories), 1, ns.codec),
                    build_row_table(test, 1, ns.codec),
                    build_row_table(train, 1, dataclasses.replace(ns.codec,
                                                                  time_scale=2.0))]

