@@ -14,7 +14,7 @@ CLI equivalent:  tvcate sweep --fast --display-x10
 import argparse
 
 from tvcate import overlap_sweep, spearman, summarize
-from tvcate.harness import default_sweep_config, format_sweep_table
+from tvcate.harness import default_sweep_config, format_summary_table
 
 
 def main():
@@ -31,7 +31,7 @@ def main():
 
     sweep = overlap_sweep(cfg)
     print()
-    print(format_sweep_table(sweep, scale=10.0))
+    print(format_summary_table(sweep, scale=10.0))
     print()
 
     summary = summarize(sweep)

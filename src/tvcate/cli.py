@@ -24,8 +24,9 @@ verify
 config field can be overridden on the command line as ``--key=value``
 (for example ``--n_train=1000 --learners=DR,IVW-DR``).
 
-A subcommand that raises ``ValueError`` (a bad input) or ``RuntimeError``
-(a failing seed job) exits with status 1 and its message on one line.
+A subcommand that raises ``ValueError`` (a bad input), ``OSError`` (a file
+it cannot read or write, named in the message) or ``RuntimeError`` (a
+failing seed job) exits with status 1 and its message on one line.
 """
 
 from __future__ import annotations
@@ -41,8 +42,8 @@ import numpy as np
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .harness import (ExperimentConfig, config_with_overrides,
                       default_sweep_config, emit_results, emit_sweep,
-                      format_summary_table, format_sweep_table,
-                      overlap_sweep, parse_config_text, run_experiment)
+                      format_summary_table, overlap_sweep,
+                      parse_config_text, run_experiment)
 from .learners import ClassifierSpec, RegressorSpec
 from .meta import (LEARNER_KINDS, fit_meta, load_cate_model, save_cate_model)
 from .nuisance import (build_row_table, fit_nuisances, load_nuisances,
@@ -221,26 +222,16 @@ def _print_advisories(advisories: Sequence[str]) -> None:
         print(f"advisory: {note}", file=sys.stderr)
 
 
-def _cmd_run(args, extras: Sequence[str]) -> int:
-    cfg = _load_config(args, ExperimentConfig(), extras)
-    result = run_experiment(cfg)
-    paths = emit_results(result, stem=args.stem)
+def _cmd_experiment(args, extras: Sequence[str], base: ExperimentConfig,
+                    run, emit) -> int:
+    """``run`` (an experiment or a sweep) from ``base`` and the flags; write
+    its files with ``emit`` and print its summary."""
+    result = run(_load_config(args, base, extras))
+    paths = emit(result, stem=args.stem)
     _print_advisories(result.advisories)
-    print(format_summary_table(result, scale=10.0 if args.display_x10
-                               else 1.0))
-    for name in ("csv", "json", "summary"):
-        print(f"wrote {paths[name]}")
-    return 0
-
-
-def _cmd_sweep(args, extras: Sequence[str]) -> int:
-    cfg = _load_config(args, default_sweep_config(), extras)
-    sweep = overlap_sweep(cfg)
-    paths = emit_sweep(sweep, stem=args.stem)
-    _print_advisories(sweep.advisories)
-    print(format_sweep_table(sweep, scale=10.0 if args.display_x10 else 1.0))
-    for name in ("csv", "json"):
-        print(f"wrote {paths[name]}")
+    print(format_summary_table(result, scale=10.0 if args.display_x10 else 1.0))
+    for path in paths.values():
+        print(f"wrote {path}")
     return 0
 
 
@@ -343,12 +334,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         parser.error(f"unrecognized arguments: {' '.join(extras)}")
     commands = {"simulate": _cmd_simulate, "fit": _cmd_fit, "train": _cmd_train,
                 "evaluate": _cmd_evaluate, "verify": _cmd_verify,
-                "run": lambda a: _cmd_run(a, extras),
-                "sweep": lambda a: _cmd_sweep(a, extras)}
+                "run": lambda a: _cmd_experiment(a, extras, ExperimentConfig(),
+                                                 run_experiment, emit_results),
+                "sweep": lambda a: _cmd_experiment(a, extras, default_sweep_config(),
+                                                   overlap_sweep, emit_sweep)}
     try:
         return commands[args.command](args)
-    except (ValueError, RuntimeError) as exc:
-        # a failing input or seed job is one line on stderr, exit status 1
+    except (ValueError, OSError, RuntimeError) as exc:
+        # a failing input, file or seed job is one line on stderr, exit status 1
         raise SystemExit(f"tvcate {args.command}: {exc}") from exc
 
 

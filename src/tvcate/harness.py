@@ -10,15 +10,16 @@ assembled in a fixed order.  Measured wall times are the one intentionally
 non-reproducible quantity, so the ``walltime_s`` column (a learner's
 ``fit_meta`` plus its test prediction) is written as ``0.0`` unless
 ``record_walltime`` is switched on.  A seed job runs in phases, so that at
-most one cosine map of the training positions is held at a time: the
+most one row map of the training positions is held at a time: the
 propensity classifier (without a split, one fit and one evaluation at every
 position serve every horizon); every horizon's nuisances, from one
 regressor map of the training positions; every horizon's learners, from
-one second-stage map, which holds the design each horizon's uniform-weight
-second stages share; and the test predictions, from one map of the test
-positions per spec.  Without a split, every response level and uniform
-second stage takes its gram from (time, arm) group sums that each training
-map makes once.  The timed parts exclude those maps and the nuisance fits;
+one second-stage map, on which a horizon's uniform-weight second stages
+reuse the design of the first (a map keeps the design of its last uniform
+fit for fits of the same rows); and the test predictions, from one map of
+the test positions per spec.  Without a split, every response level and
+uniform second stage takes its gram from (time, arm) group sums that each
+training map makes once.  The timed parts exclude those maps and the nuisance fits;
 a learner's time includes the design (and the sums) when it is its
 horizon's first uniform second stage (RA in the default order), so the
 per-learner times depend on the learner order.
@@ -56,10 +57,10 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
-from .learners import ClassifierSpec, CosineMap, RegressorSpec
+from .learners import ClassifierSpec, RegressorSpec, RowMap
 from .meta import LEARNER_KINDS, fit_meta
 from .nuisance import (build_row_table, default_codec, fit_nuisances,
-                       fit_propensities, make_split, position_groups,
+                       fit_propensities, make_split, position_map,
                        propensities_at_positions)
 
 __all__ = [
@@ -67,7 +68,7 @@ __all__ = [
     "ResultRow", "ExperimentResult", "default_sweep_config", "config_to_dict",
     "config_to_text", "parse_config_text", "config_with_overrides",
     "run_experiment", "overlap_sweep", "summarize", "format_results_csv",
-    "format_summary_csv", "format_summary_table", "format_sweep_table",
+    "format_summary_csv", "format_summary_table",
     "results_to_json_dict", "sweep_to_json_dict",
     "emit_results", "emit_sweep", "resolve_output_dir", "spearman",
 ]
@@ -433,8 +434,7 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                 model = shared["propensity_model"] = fit_propensities(train, classifier)
                 shared["propensities"] = propensities_at_positions(model, train, codec)
             if "response" in need or "history" in need:
-                shared["response_map"] = CosineMap(regressor, train.encoded(codec),
-                                                   position_groups(train))
+                shared["response_map"] = position_map(regressor, train, codec)
         nuisances = {}
         for tau in cfg.taus:
             split = make_split(train, tau, enabled=cfg.split_enabled,
@@ -445,7 +445,7 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                     classifier_spec=classifier, split=split,
                     clip_eps=cfg.clip_eps, need=need, **shared)
         shared = None
-        stage_map = (CosineMap(second_stage, train.encoded(codec), position_groups(train))
+        stage_map = (position_map(second_stage, train, codec)
                      if second_stage in spec_of.values() else None)
         for tau in cfg.taus:
             for kind in cfg.learners:
@@ -456,7 +456,7 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
                                                  positions=stage_map)
                 seconds[tau, kind] = time.perf_counter() - start
         stage_map = None
-        test_maps = {spec: CosineMap(spec, test.encoded(codec))
+        test_maps = {spec: RowMap(spec, test.encoded(codec))
                      for spec in set(spec_of.values())}
         for tau in cfg.taus:
             truth = dgp.response_form.cate(pairs[tau])
@@ -584,21 +584,25 @@ def _row_dict(result: ExperimentResult, row: ResultRow) -> Dict[str, object]:
     return {name: getattr(row, name) for name in _fields(result)}
 
 
+def _csv(records: Sequence[Dict[str, object]], header: Sequence[str]) -> str:
+    """CSV of ``records`` under ``header``, reals at 17 significant digits."""
+    lines = [",".join(header)]
+    for record in records:
+        lines.append(",".join(_real(v) if isinstance(v, float) else str(v)
+                              for v in record.values()))
+    return "\n".join(lines) + "\n"
+
+
 def format_results_csv(result: ExperimentResult) -> str:
     """Row-level CSV of a run (``RESULT_FIELDS``) or a sweep (``SWEEP_FIELDS``)."""
-    lines = [",".join(_fields(result))]
-    for r in result.rows:
-        lines.append(",".join(_real(v) if isinstance(v, float) else str(v)
-                              for v in _row_dict(result, r).values()))
-    return "\n".join(lines) + "\n"
+    return _csv([_row_dict(result, r) for r in result.rows], _fields(result))
 
 
 def format_summary_csv(result: ExperimentResult) -> str:
-    lines = ["learner,tau,mean_rmse,sd_rmse"]
-    for row in summarize(result):
-        lines.append(f"{row['learner']},{row['tau']},"
-                     f"{_real(row['mean_rmse'])},{_real(row['sd_rmse'])}")
-    return "\n".join(lines) + "\n"
+    """Summary CSV: :func:`summarize`'s cell keys (``learner,tau`` for a
+    run, ``gamma,learner`` for a sweep), then ``mean_rmse,sd_rmse``."""
+    summary = summarize(result)
+    return _csv(summary, summary[0])
 
 
 def results_to_json_dict(result: ExperimentResult) -> Dict[str, object]:
@@ -628,29 +632,22 @@ def sweep_to_json_dict(sweep: ExperimentResult) -> Dict[str, object]:
     }
 
 
+#: summary-table format of each cell key: (header, value)
+_CELL_FORMATS = {"gamma": ("{:>6}", "{:>6g}"), "learner": ("{:10}", "{:10}"),
+                 "tau": ("{:>3}", "{:>3}")}
+
+
 def format_summary_table(result: ExperimentResult, scale: float = 1.0) -> str:
-    """Human-readable summary; ``scale=10`` matches tables reported x10."""
+    """Human-readable summary of a run or a sweep, one line per
+    :func:`summarize` cell; ``scale=10`` matches tables reported x10."""
     suffix = "" if scale == 1.0 else f" (x{scale:g})"
-    header = f"{'learner':10} {'tau':>3}  {'mean_rmse' + suffix:>16} " \
-             f"{'sd_rmse' + suffix:>16}"
-    lines = [header]
-    for row in summarize(result):
-        lines.append(f"{row['learner']:10} {row['tau']:>3}  "
-                     f"{row['mean_rmse'] * scale:16.4f} "
-                     f"{row['sd_rmse'] * scale:16.4f}")
-    return "\n".join(lines)
-
-
-def format_sweep_table(sweep: ExperimentResult, scale: float = 1.0) -> str:
-    """Human-readable sweep summary; ``scale=10`` for x10 display."""
-    suffix = "" if scale == 1.0 else f" (x{scale:g})"
-    header = f"{'gamma':>6} {'learner':10}  {'mean_rmse' + suffix:>16} " \
-             f"{'sd_rmse' + suffix:>16}"
-    lines = [header]
-    for row in summarize(sweep):
-        lines.append(f"{row['gamma']:>6g} {row['learner']:10}  "
-                     f"{row['mean_rmse'] * scale:16.4f} "
-                     f"{row['sd_rmse'] * scale:16.4f}")
+    summary = summarize(result)
+    keys = [key for key in summary[0] if key in _CELL_FORMATS]
+    lines = [" ".join(_CELL_FORMATS[key][0].format(key) for key in keys)
+             + f"  {'mean_rmse' + suffix:>16} {'sd_rmse' + suffix:>16}"]
+    for row in summary:
+        lines.append(" ".join(_CELL_FORMATS[key][1].format(row[key]) for key in keys)
+                     + f"  {row['mean_rmse'] * scale:16.4f} {row['sd_rmse'] * scale:16.4f}")
     return "\n".join(lines)
 
 

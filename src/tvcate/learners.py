@@ -17,11 +17,15 @@ with the same contract could be swapped in.  The built-in regressors are
   mean rather than toward zero.  One row set's system, its weighted mean
   map, gram matrix and factors, is a :class:`RidgeDesign`: several targets
   on one row set cost a solve each, with the bits of separate fits.  A
-  :class:`CosineMap` maps a matrix of rows once (in the package, a panel's
-  encoded positions), and fits and predictions gather from it by row
-  index.  A gram is sum w phi phi^T - m m^T, from the map's per-group sums
-  or from the gathered rows (:class:`RidgeDesign`), never from a copy.
+  gram is sum w phi phi^T - m m^T, from a map's per-group sums or from
+  the rows read in blocks, never from a copy.
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
+
+Every fit and prediction of either kind reads a :class:`RowMap`: a matrix
+of rows mapped once as the spec reads them (in the package, a panel's
+encoded positions), from which fits and predictions take rows by index.
+:func:`fit_regressor` maps its rows and fits them all.  Only this module
+tells the kinds apart.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted by L-BFGS on the weighted cross-entropy.
@@ -105,6 +109,10 @@ class RegressorSpec:
         _validate_penalty(self.ridge_lambda, "ridge_lambda")
 
 
+#: the exact-match cell-mean regressor for discrete features
+LOOKUP_TABLE = RegressorSpec(kind="lookup-table")
+
+
 def random_cosine_map(in_dim: int, feature_count: int, bandwidth: float, seed):
     """Draw the (W, b) parameters of the random cosine feature map."""
     rng = np.random.default_rng(seed)
@@ -154,8 +162,12 @@ def _bundled_map(raw: dict, in_dim: int, spec, where: str, version: int):
     return W, b
 
 
-def cosine_map_key(spec: RegressorSpec, in_dim: int) -> tuple:
-    """The values that fix a ridge spec's (W, b): (in_dim, features, bandwidth, seed)."""
+def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
+    """What fixes the row map of ``spec`` on ``in_dim``-wide rows: a ridge
+    spec's (in_dim, features, bandwidth, seed), which draw its (W, b), or
+    ("lookup-table", in_dim) for a lookup table, which reads the rows."""
+    if spec.kind == "lookup-table":
+        return spec.kind, in_dim
     return in_dim, spec.feature_count, spec.bandwidth, spec.seed
 
 
@@ -320,27 +332,15 @@ def predict_many(models, features) -> list:
 
 
 def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedRegressor:
-    """Fit a weighted regressor on rows (features, target, weight).
+    """Fit a weighted regressor on rows (features, target, weight): the fit
+    of a :class:`RowMap` of the rows.
 
     Weights are normalized to unit mass internally, so only their relative
     sizes matter.  For the ridge kind the returned model is the exact
     minimizer of the weighted-centered objective documented in the module
     docstring; a singular system with ridge_lambda = 0 raises.
     """
-    X = np.asarray(features, dtype=float)
-    y = np.asarray(target, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None]
-    n = X.shape[0]
-    if n < 1:
-        raise ValueError("need at least one training row")
-    if y.shape != (n,):
-        raise ValueError("target must be one value per row")
-    w = _normalized_weights(weight, n)
-
-    if spec.kind == "ridge-random-features":
-        return RidgeDesign(spec, X, w).fit(spec, y)
-    return FittedRegressor(spec, X.shape[1], n, _fit_lookup(X, y, w))
+    return RowMap(spec, features).fit(spec, target, weight)
 
 
 #: columns of the map per block when a gram matrix is filled (:func:`_gram`)
@@ -377,41 +377,54 @@ def _raw_sums(phi: np.ndarray, rows, w: np.ndarray):
     return gram, total
 
 
-class CosineMap:
-    """The raw cosine map of a matrix of rows under a ridge spec's (W, b).
+class RowMap:
+    """A matrix of rows as a regressor spec reads them: under a ridge spec
+    ``phi`` is the raw cosine map of the rows under its (W, b), under a
+    lookup-table spec the rows themselves.
 
     Fits and predictions take ``rows``, indices into the mapped rows (all
     when None), with the bits of mapping those rows again (on one OpenBLAS
     0.3 thread, up to 192 features and at multiples of 8 above).  ``groups``
-    labels each row with an integer >= 0 (on a panel, its time and arm); the
-    map sums each group's raw gram and column sums once.  It holds
-    the uniform-weight design :meth:`design` built last; a weighted
-    :meth:`fit` drops it first, so at most one is held.
+    labels each row with an integer >= 0 (on a panel, its time and arm); a
+    ridge map sums each group's raw gram and column sums once.  A ridge map
+    holds the design of its last uniform-weight :meth:`fit`, which later
+    uniform fits of the same rows reuse; a weighted fit drops it first, so
+    at most one is held.
     """
 
     def __init__(self, spec: RegressorSpec, X, groups=None):
         X = np.asarray(X, dtype=float)
-        self.in_dim = X.shape[1]
-        self.key = cosine_map_key(spec, self.in_dim)
-        self.W, self.b = random_cosine_map(*self.key)
-        for shared in (self.W, self.b):       # every fit's model holds them
-            shared.flags.writeable = False
-        self.phi = _cosine_features(X, self.W, self.b)
-        self.n_rows = X.shape[0]
+        if X.ndim == 1:
+            X = X[:, None]
+        self.n_rows, self.in_dim = X.shape
+        self.key = map_key(spec, self.in_dim)
+        if spec.kind == "lookup-table":
+            self.W = self.b = None
+            self.phi = X
+        else:
+            self.W, self.b = random_cosine_map(*self.key)
+            for shared in (self.W, self.b):   # every fit's model holds them
+                shared.flags.writeable = False
+            self.phi = _cosine_features(X, self.W, self.b)
         self.groups = None if groups is None else np.asarray(groups, dtype=np.intp)
         if self.groups is not None and self.groups.shape != (self.n_rows,):
             raise ValueError("groups must be one label per mapped row")
         self._sums = None                     # per group: raw gram, column sums, rows, summed
-        self._design = None                   # (rows, the uniform design of rows)
+        self._design = None                   # the design of the last uniform fit
 
     def _index(self, rows) -> np.ndarray:
         return np.arange(self.n_rows)[slice(None) if rows is None else rows]
 
+    def _take(self, rows) -> np.ndarray:
+        return self.phi if rows is None else self.phi[rows]
+
     def _group_means(self, rows):
-        """(mean phi phi^T, mean phi) over ``rows`` from group sums (each made at
-        its first use), or None when ``rows`` is no union of the map's groups."""
+        """(mean phi phi^T, mean phi) over ``rows`` (all when None) from group
+        sums (each made at its first use), or None when ``rows`` is no union
+        of the map's groups."""
         if self.groups is None:
             return None
+        rows = self._index(rows)
         if self._sums is None:
             counts, F = np.bincount(self.groups), self.phi.shape[1]
             self._sums = (np.empty((counts.size, F, F)), np.empty((counts.size, F)),
@@ -427,58 +440,62 @@ class CosineMap:
             summed[g] = True
         return grams[hit].sum(axis=0) / rows.size, totals[hit].sum(axis=0) / rows.size
 
-    def design(self, spec: RegressorSpec, rows=None) -> "RidgeDesign":
-        """The uniform-weight design of ``rows``, built on the first call for
-        those rows and held until a call for other rows or a :meth:`fit`."""
-        rows = self._index(rows)
-        if self._design is None or not np.array_equal(self._design[0], rows):
-            self._design = None               # never two designs
-            self._design = (rows, RidgeDesign(spec, self, None, rows))
-        return self._design[1]
-
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
         """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
         unless the gram is from group sums); one target and weight per row."""
-        rows = self._index(rows)
-        if rows.size < 1:
+        if map_key(spec, self.in_dim) != self.key:
+            raise ValueError("spec reads another row map than the map's")
+        rows = None if rows is None else self._index(rows)
+        n = self.n_rows if rows is None else rows.size
+        if n < 1:
             raise ValueError("need at least one training row")
-        self._design = None                   # never two designs
-        w = None if weight is None else _normalized_weights(weight, rows.size)
-        return RidgeDesign(spec, self, w, rows).fit(spec, target)
+        y = np.asarray(target, dtype=float)
+        if y.shape != (n,):
+            raise ValueError("target must be one value per row")
+        if self.W is None:
+            return FittedRegressor(spec, self.in_dim, n, _fit_lookup(
+                self._take(rows), y, _normalized_weights(weight, n)))
+        if weight is not None:
+            self._design = None               # never two designs
+            return RidgeDesign(self, _normalized_weights(weight, n), rows).fit(spec, y)
+        # rows of None (all) equal only None
+        if self._design is None or not np.array_equal(self._design.rows, rows):
+            self._design = None
+            self._design = RidgeDesign(self, None, rows)
+        return self._design.fit(spec, y)
 
     def predict(self, models, rows=None) -> list:
-        """``predict_many(models, X[rows])`` for ridge models drawing this map."""
-        if not all(_draws(model, self.W, self.b) for model in models):
-            raise ValueError("model draws another cosine map than the map's")
-        return _predict_mapped(models, self.phi, None if rows is None else self._index(rows))
+        """``predict_many(models, X[rows])`` for models that read this map."""
+        reads = ((lambda m: map_key(m.spec, m.in_dim) == self.key) if self.W is None
+                 else (lambda m: _draws(m, self.W, self.b)))
+        if not all(reads(model) for model in models):
+            raise ValueError("model reads another row map than the map's")
+        rows = None if rows is None else self._index(rows)
+        if self.W is None:
+            X = self._take(rows)
+            return [model._predict_lookup(X) for model in models]
+        return _predict_mapped(models, self.phi, rows)
 
 
 class RidgeDesign:
-    """The weighted ridge system of one row set under one cosine map.
+    """The weighted ridge system of one row set of a ridge :class:`RowMap`.
 
     It holds the weighted mean map m of the rows, the gram sum w phi phi^T -
     m m^T, and on demand a Cholesky factor per penalty and the
     eigendecomposition "auto" penalties search, so each :meth:`fit` costs a
-    right-hand side and a solve.  ``X`` is the rows' features, or a
-    :class:`CosineMap` whose ``rows`` (all when None) the design reads; ``w``
-    their normalized weights, None meaning uniform.  Uniform rows that are a
-    union of the map's groups take the gram from group sums; other rows are
-    gathered in blocks, with ``fit_regressor``'s bits, and never copied.
+    right-hand side and a solve.  ``rows`` are the map's rows the design
+    reads (all when None, as views of the map), ``w`` their normalized
+    weights, None meaning uniform.  Uniform rows that are a union of the
+    map's groups take the gram from group sums; other rows are read in
+    blocks, with ``fit_regressor``'s bits, and never copied.
     """
 
-    def __init__(self, spec: RegressorSpec, X, w=None, rows=None):
-        if isinstance(X, CosineMap):
-            if X.key != cosine_map_key(spec, X.in_dim):
-                raise ValueError("spec draws another cosine map than the held map's")
-            source = X
-        else:
-            source = CosineMap(spec, X)
+    def __init__(self, source: RowMap, w=None, rows=None):
         n = source.n_rows if rows is None else rows.size
-        means = source._group_means(source._index(rows)) if w is None else None
+        means = source._group_means(rows) if w is None else None
         self.w = np.full(n, 1.0 / n) if w is None else w
-        self.in_dim, self.map = source.in_dim, source.key
-        self.W, self.b = source.W, source.b
-        self._phi, self._rows, self._from_sums = source.phi, rows, means is not None
+        self.in_dim, self.W, self.b = source.in_dim, source.W, source.b
+        self._phi, self.rows, self._from_sums = source.phi, rows, means is not None
         # weights of unit mass: the weighted sums are the means
         self.gram, self.phi_mean = means or _raw_sums(self._phi, rows, self.w)
         self.gram -= np.outer(self.phi_mean, self.phi_mean)
@@ -489,21 +506,16 @@ class RidgeDesign:
     def _rhs(self, v: np.ndarray) -> np.ndarray:
         """``phi[rows]^T v``: one product over the whole map when the gram
         came from group sums (faster than gathering 15,000 of 25,000 rows),
-        else summed over the gathered row blocks, as the gram was."""
+        else summed over the row blocks, as the gram was."""
         if self._from_sums:
             full = np.zeros(self._phi.shape[0])
-            full[slice(None) if self._rows is None else self._rows] = v
+            full[slice(None) if self.rows is None else self.rows] = v
             return self._phi.T @ full
-        return sum(block.T @ v[lo:hi] for lo, hi, block in _row_blocks(self._phi, self._rows))
+        return sum(block.T @ v[lo:hi] for lo, hi, block in _row_blocks(self._phi, self.rows))
 
-    def fit(self, spec: RegressorSpec, target) -> FittedRegressor:
-        """Fit ``spec``'s penalty to ``target`` on the design's rows."""
-        if cosine_map_key(spec, self.in_dim) != self.map:
-            raise ValueError("spec draws another cosine map than the design's")
+    def fit(self, spec: RegressorSpec, y: np.ndarray) -> FittedRegressor:
+        """Fit ``spec``'s penalty to the target ``y`` (one value per row)."""
         w, n = self.w, self.w.size
-        y = np.asarray(target, dtype=float)
-        if y.shape != (n,):
-            raise ValueError("target must be one value per row")
         y_mean = float(w @ y)
         rhs = self._rhs(w * (y - y_mean))   # centering phi adds nothing: sum w(y - ȳ) = 0
         lam = spec.ridge_lambda

@@ -18,7 +18,7 @@ Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
 RowTable`; every propensity enters through the nuisance set's clipping, and
 the fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
-or from rows of a cosine map of a panel's encoded positions.
+or from rows of a row map of a panel's encoded positions.
 
 A model bundle (format 2) holds the models a learner predicts from: a
 plug-in kind's two arm models, or a second stage and, for IVW-DR, its
@@ -34,8 +34,8 @@ from typing import Optional
 
 import numpy as np
 
-from .learners import (CosineMap, FittedRegressor, RegressorSpec, cosine_map_key,
-                       fit_regressor, predict_many, require_keys)
+from .learners import (FittedRegressor, RegressorSpec, RowMap, fit_regressor, map_key,
+                       predict_many, require_keys)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
@@ -277,13 +277,13 @@ class CateModel:
     def predict(self, features, rows=None) -> np.ndarray:
         """Predict the CATE at encoded histories (rows of ``features(0)``).
 
-        ``features`` may instead be a :class:`~tvcate.learners.CosineMap` of
-        encoded positions under the models' cosine map, and ``rows`` the
-        positions to predict at (all when None).
+        ``features`` may instead be a :class:`~tvcate.learners.RowMap` of
+        encoded positions that the models read, and ``rows`` the positions
+        to predict at (all when None).
         """
         models = ([self.arm_models[arm] for arm in ("a", "b")]
                   if self.kind in ("PI-HA", "PI-RA") else [self.second_stage])
-        outs = (features.predict(models, rows) if isinstance(features, CosineMap)
+        outs = (features.predict(models, rows) if isinstance(features, RowMap)
                 else predict_many(models, features))
         return outs[0] if len(outs) == 1 else outs[0] - outs[1]
 
@@ -291,19 +291,18 @@ class CateModel:
 def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
              nuisances: NuisanceSet,
              second_stage_spec: Optional[RegressorSpec] = None, *,
-             table: Optional[RowTable] = None,
-             positions: Optional[CosineMap] = None) -> CateModel:
+             positions: Optional[RowMap] = None) -> CateModel:
     """Fit one CATE meta-learner for the intervention pair on pooled panel rows.
 
     Second-stage kinds regress their contrast pseudo-outcomes on encoded H_t
     over the pseudo-outcome fold of the nuisance split plan; IVW-DR also
     regresses the realized variance statistic on H_t (ridge, GCV penalty,
     predictions floored at 1.0) and reweights rows by stabilized 1/V-hat
-    with empirical mean 1.  Ridge fits gather their rows from a cosine map of
-    ``panel.encoded(nuisances.codec)``: ``positions`` when it draws the
-    spec's map, otherwise one mapped here once per map; the uniform-weight
-    fits on one map share the design it holds for the rows.
-    ``table`` may hand in the training panel's row table for ``pair.tau``.
+    with empirical mean 1.  Each fit reads the pseudo-outcome rows from a
+    row map: ``positions``, a map of ``panel.encoded(nuisances.codec)``,
+    when it reads the spec's map (its uniform-weight fits of one row set
+    share the design the map holds), otherwise a map of the rows' encoded
+    histories alone.
     Plug-in kinds keep their two arms' fitted nuisance models; oracle sets
     are rejected.
     """
@@ -327,8 +326,7 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
         model.diagnostics = {"plug_in": True}
         return model
 
-    if table is None:
-        table = build_row_table(panel, tau, codec)
+    table = build_row_table(panel, tau, codec)
     nuisances = nuisances.at(table)        # one evaluation per model, then gathers
     # a disabled split plan trains every stage on all trajectories
     po_mask = (table.traj_mask(nuisances.split.fold("po"))
@@ -342,19 +340,19 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     held = {}
 
     def mapped(spec):
-        key = cosine_map_key(spec, codec.width)
+        """A map that reads the rows for ``spec``, and their indices in it."""
+        key = map_key(spec, codec.width)
         if key not in held:
             held.clear()                   # hold one map at a time
-            held[key] = (positions if positions is not None and positions.key == key
-                         else CosineMap(spec, table.panel.encoded(codec)))
+            held[key] = ((positions, at) if positions is not None and positions.key == key
+                         else (RowMap(spec, rows.features), None))
         return held[key]
 
     weight = None
     if kind == "IVW-DR":
-        raw = mapped(DEFAULT_V_SPEC)
-        model.v_model = VModel(raw.design(DEFAULT_V_SPEC, at).fit(
-            DEFAULT_V_SPEC, rows.v_realized))
-        v_hat = np.maximum(raw.predict([model.v_model.model], at)[0],
+        raw, on = mapped(DEFAULT_V_SPEC)
+        model.v_model = VModel(raw.fit(DEFAULT_V_SPEC, rows.v_realized, rows=on))
+        v_hat = np.maximum(raw.predict([model.v_model.model], on)[0],
                            model.v_model.v_floor)
         raw = None                         # the next map frees this one
         inv = 1.0 / v_hat
@@ -363,14 +361,8 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
             "min": float(weight.min()), "max": float(weight.max()),
             "mean": float(weight.mean()), "sd": float(weight.std()),
         }
-    if second_stage_spec.kind != "ridge-random-features":
-        model.second_stage = fit_regressor(second_stage_spec, rows.features, rows.value,
-                                           weight)
-    else:
-        raw = mapped(second_stage_spec)
-        model.second_stage = (raw.design(second_stage_spec, at).fit(
-            second_stage_spec, rows.value) if weight is None
-            else raw.fit(second_stage_spec, rows.value, weight, at))
+    raw, on = mapped(second_stage_spec)
+    model.second_stage = raw.fit(second_stage_spec, rows.value, weight, on)
     model.diagnostics = diagnostics
     return model
 

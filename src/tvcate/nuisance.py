@@ -11,8 +11,8 @@ time t) with 1 <= t <= T_i - tau, carrying for every level offset
 j in {0..tau} the encoded history H_{t+j}, the observed treatment A_{t+j},
 and the raw frontier values needed by oracle queries.  Row (i, t) at level
 j is the panel position (i, t + j), so every encoded history is a gather of
-the panel's encoded positions, and every fit and prediction on a ridge spec
-gathers from one cosine map of those positions.
+the panel's encoded positions, and every regressor fit and prediction
+reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
@@ -35,12 +35,11 @@ from scipy.special import expit
 from .learners import (
     BUNDLE_FORMAT_VERSION,
     ClassifierSpec,
-    CosineMap,
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
+    RowMap,
     fit_classifier,
-    fit_regressor,
     predict_many,
     require_keys,
 )
@@ -139,6 +138,12 @@ def position_groups(panel: Panel) -> np.ndarray:
     return time_index * panel.treatment_arity + panel.A
 
 
+def position_map(spec: RegressorSpec, panel: Panel, codec: FeatureCodec) -> RowMap:
+    """The row map of every encoded panel position under ``spec``, grouped
+    by :func:`position_groups`."""
+    return RowMap(spec, panel.encoded(codec), position_groups(panel))
+
+
 def _classifier_positions(panel: Panel, ids=None) -> np.ndarray:
     """Panel rows of the trajectories ``ids`` (all when None), in the order the
     propensity classifier trains on them: by trajectory length, then time."""
@@ -199,7 +204,6 @@ def _restrict(mask: np.ndarray, what: str):
 
 def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
                            split: Optional[SplitPlan] = None,
-                           codec: Optional[FeatureCodec] = None,
                            table: Optional[RowTable] = None) -> list[FittedRegressor]:
     """Backward iterative G-computation for one intervention sequence.
 
@@ -207,41 +211,31 @@ def fit_response_iterative(panel: Panel, a_seq, tau: int, spec: RegressorSpec,
     with A_{t+tau} = a_tau; every earlier level j regresses the level-(j+1)
     model's predictions at H_{t+j+1} on H_{t+j} over rows with A_{t+j} = a_j.
     With a split plan, level j trains only on trajectories in fold mu_j.
-    Returns the tau+1 fitted models ordered by level offset 0..tau.
+    ``table`` may hand in the panel's row table for ``tau``.  Returns the
+    tau+1 fitted models ordered by level offset 0..tau.
     """
     a_seq = tuple(int(v) for v in a_seq)
     if len(a_seq) != tau + 1:
         raise ValueError("a_seq must have length tau+1")
     if table is None:
-        table = build_row_table(panel, tau, codec)
+        table = build_row_table(panel, tau)
     if split is None:
         split = make_split(panel, tau, enabled=False)
-    models, _ = _fit_responses(table, (a_seq,), spec, split)
+    models, _ = _fit_responses(table, (a_seq,), spec, split,
+                               position_map(spec, table.panel, table.codec))
     return models[0]
 
 
-def _fit_masked(spec: RegressorSpec, table: RowTable, j: int, mask, target,
-                raw: Optional[CosineMap] = None) -> FittedRegressor:
-    """``fit_regressor`` on the masked rows of ``table.features(j)``, uniformly
-    weighted, from ``raw``, the cosine map of the table's panel positions, if given."""
-    if raw is None:
-        return fit_regressor(spec, table.features(j)[mask], target[mask])
-    return raw.fit(spec, target[mask], rows=table.positions(j)[mask])
-
-
 def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
-                   raw: Optional[CosineMap] = None, level0: bool = False):
+                   raw: RowMap, level0: bool = False):
     """:func:`fit_response_iterative` for several sequences, level by level.
 
-    A ridge spec's fits and predictions gather from ``raw``, the cosine map
-    of the table's panel positions (mapped here when None).  Returns the
-    models per sequence by level, and their predictions at H_{t+j} (the
-    next level's targets and the mu-hat of ``table``) as ``{j: array}``,
-    level 0 only with ``level0``.
+    Every fit and prediction reads ``raw``, the row map of the table's
+    panel positions.  Returns the models per sequence by level, and their
+    predictions at H_{t+j} (the next level's targets and the mu-hat of
+    ``table``) as ``{j: array}``, level 0 only with ``level0``.
     """
     tau = table.tau
-    if raw is None and spec.kind == "ridge-random-features":
-        raw = CosineMap(spec, table.panel.encoded(table.codec), position_groups(table.panel))
     models = [[None] * (tau + 1) for _ in seqs]
     preds = [{} for _ in seqs]
     targets = [table.y_term] * len(seqs)
@@ -251,20 +245,16 @@ def _fit_responses(table: RowTable, seqs, spec: RegressorSpec, split: SplitPlan,
             mask = fold & (table.a_obs[:, j] == seq[j])
             _restrict(mask, f"response level {j} (arm {seq[j]}) -> no rows with "
                             f"A_(t+{j}) = {seq[j]} in its fold")
-            models[s][j] = _fit_masked(spec, table, j, mask, targets[s], raw)
+            models[s][j] = raw.fit(spec, targets[s][mask], rows=table.positions(j)[mask])
         if j > 0 or level0:
-            level = [m[j] for m in models]
-            targets = (predict_many(level, table.features(j)) if raw is None
-                       else raw.predict(level, table.positions(j)))
+            targets = raw.predict([m[j] for m in models], table.positions(j))
             for s, target in enumerate(targets):
                 preds[s][j] = target
     return models, preds
 
 
 def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
-                           spec: RegressorSpec, split: Optional[SplitPlan] = None,
-                           codec: Optional[FeatureCodec] = None,
-                           table: Optional[RowTable] = None) -> dict:
+                           spec: RegressorSpec, split: Optional[SplitPlan] = None) -> dict:
     """Direct regressions E[Y_{t+tau} | H_t, observed arms = sequence].
 
     One regressor per intervention sequence, fitted on rows whose observed
@@ -273,23 +263,21 @@ def fit_history_adjustment(panel: Panel, pair: InterventionPair, tau: int,
     """
     if pair.tau != tau:
         raise ValueError("pair horizon does not match tau")
-    if table is None:
-        table = build_row_table(panel, tau, codec)
+    table = build_row_table(panel, tau)
     if split is None:
         split = make_split(panel, tau, enabled=False)
-    return _fit_history(table, pair, spec, split)
+    return _fit_history(table, pair, spec, split, position_map(spec, panel, table.codec))
 
 
 def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
-                 split: SplitPlan, raw: Optional[CosineMap] = None,
-                 responses: Optional[dict] = None) -> dict:
+                 split: SplitPlan, raw: RowMap, responses: Optional[dict] = None) -> dict:
     """:func:`fit_history_adjustment` on a table.
 
-    The fits gather their rows from ``raw``, the cosine map of the table's
-    panel positions, when given.  ``responses`` hands in the level-0
-    response models of a tau = 0 table fitted with the same spec and split:
-    they were fitted on the same rows, targets and weights, so they are
-    returned in place of refitting.
+    The fits read their rows from ``raw``, the row map of the table's panel
+    positions.  ``responses`` hands in the level-0 response models of a tau
+    = 0 table fitted with the same spec and split: they were fitted on the
+    same rows, targets and weights, so they are returned in place of
+    refitting.
     """
     fold_mask = table.traj_mask(split.fold("mu_0"))
     out = {}
@@ -300,7 +288,7 @@ def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
                              f"arms {seq} (low overlap)")
         _restrict(mask, f"history adjustment (arms {seq}) -> unreachable")
         out[key] = (responses[key][0] if responses is not None
-                    else _fit_masked(spec, table, 0, mask, table.y_term, raw))
+                    else raw.fit(spec, table.y_term[mask], rows=table.positions(0)[mask]))
         if key == "a" and pair.a_seq == pair.b_seq:
             out["b"] = out["a"]
             break
@@ -308,23 +296,16 @@ def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
 
 
 def fit_propensities(panel: Panel, spec: ClassifierSpec,
-                     split: Optional[SplitPlan] = None,
-                     codec: Optional[FeatureCodec] = None) -> FittedClassifier:
+                     split: Optional[SplitPlan] = None) -> FittedClassifier:
     """Single time-pooled treatment classifier over encoded histories.
 
-    Histories are encoded with the time index included, so one model covers
-    every time step.  With an enabled split plan it trains on the "pi" fold,
-    otherwise on every trajectory.
+    Histories are encoded under :func:`default_codec`, which includes the
+    time index, so one model covers every time step.  With an enabled split
+    plan it trains on the "pi" fold, otherwise on every trajectory.
     """
-    if codec is None:
-        codec = default_codec(panel)
-    if not codec.include_time_index:
-        raise ValueError("propensity codec must include the time index")
-    if panel.lengths().max() > codec.max_len:
-        raise ValueError("history exceeds codec capacity")
     ids = split.fold("pi") if split is not None and split.enabled else None
     rows = _classifier_positions(panel, ids)
-    return fit_classifier(spec, panel.encoded(codec)[rows], panel.A[rows],
+    return fit_classifier(spec, panel.encoded(default_codec(panel))[rows], panel.A[rows],
                           n_classes=panel.treatment_arity)
 
 
@@ -484,39 +465,33 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                   regressor_spec: RegressorSpec = RegressorSpec(),
                   classifier_spec: ClassifierSpec = ClassifierSpec(),
                   split: Optional[SplitPlan] = None, clip_eps: float = 0.01,
-                  codec: Optional[FeatureCodec] = None,
                   need: Sequence[str] = ("response", "propensity", "history"),
-                  table: Optional[RowTable] = None,
                   propensity_model: Optional[FittedClassifier] = None,
                   propensities: Optional[np.ndarray] = None,
-                  response_map: Optional[CosineMap] = None) -> NuisanceSet:
+                  response_map: Optional[RowMap] = None) -> NuisanceSet:
     """Fit the full nuisance collection for one intervention pair.
 
     A panel that fails :func:`~tvcate.panel.validate_panel` is rejected with
     its messages, which name the trajectory.  ``propensity_model`` hands in a
     classifier fitted elsewhere (without a split, one fit serves every
     horizon) and ``propensities`` its :func:`propensities_at_positions` on
-    the panel; ``response_map`` the cosine map of the panel's positions
-    under the regressor spec, from which every response fit, mu-hat and
-    history fit reads (mapped here when None, grouped by
-    :func:`position_groups`).  At tau = 0 the history adjustments are the
-    level-0 response models.
+    the panel; ``response_map`` the row map of the panel's positions under
+    the regressor spec, from which every response fit, mu-hat and history
+    fit reads (mapped here when None, grouped by :func:`position_groups`).
+    Histories are encoded under :func:`default_codec`.  At tau = 0 the
+    history adjustments are the level-0 response models.
     """
     problems = validate_panel(panel)
     if problems:
         raise ValueError("invalid panel: " + "; ".join(problems))
     tau = pair.tau
-    if codec is None:
-        codec = default_codec(panel)
+    codec = default_codec(panel)
     if split is None:
         split = make_split(panel, tau, enabled=False)
-    if table is None:
-        table = build_row_table(panel, tau, codec)
+    table = build_row_table(panel, tau, codec)
 
-    if response_map is None and regressor_spec.kind == "ridge-random-features" and (
-            "response" in need or "history" in need):
-        response_map = CosineMap(regressor_spec, table.panel.encoded(table.codec),
-                                 position_groups(table.panel))
+    if response_map is None and ("response" in need or "history" in need):
+        response_map = position_map(regressor_spec, panel, codec)
     response_models = mu_values = None
     if "response" in need:
         seqs = (pair.a_seq,) if pair.b_seq == pair.a_seq else (pair.a_seq, pair.b_seq)
@@ -534,8 +509,7 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                                       response_models if tau == 0 else None)
     response_map = None               # free a map made here before the classifier
     if propensity_model is None and "propensity" in need:
-        propensity_model, propensities = fit_propensities(panel, classifier_spec, split,
-                                                          codec), None
+        propensity_model, propensities = fit_propensities(panel, classifier_spec, split), None
     pi_values = (None if propensities is None
                  else FittedValues(panel, codec, propensity_model, propensities))
     return NuisanceSet(pair=pair, tau=tau, codec=codec, clip_eps=clip_eps, split=split,

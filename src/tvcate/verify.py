@@ -41,7 +41,7 @@ from .dgp import (
     benchmark_pair,
     simulate_panel,
 )
-from .learners import RegressorSpec
+from .learners import LOOKUP_TABLE
 from .meta import (
     PseudoRows,
     fit_meta,
@@ -222,7 +222,6 @@ def _suite_gcomp_bruteforce(budget, seed):
     dgp = make_mini_discrete()
     panel = dgp.simulate(budget, seed=[seed, 21])
     codec = default_codec(panel)
-    spec = RegressorSpec(kind="lookup-table")
     table = build_row_table(panel, 1, codec)
     from .panel import HistoryView
     reps = {}
@@ -230,8 +229,7 @@ def _suite_gcomp_bruteforce(budget, seed):
         reps.setdefault(float(traj.covariates[0, 0]), HistoryView(traj, 1))
     checks = []
     for suffix in ((0, 1), (1, 0)):
-        models = fit_response_iterative(panel, suffix, 1, spec, codec=codec,
-                                        table=table)
+        models = fit_response_iterative(panel, suffix, 1, LOOKUP_TABLE, table=table)
         exact0 = dgp.enumerate_response(suffix, 0)
         err0 = max(abs(float(models[0].predict(encode_history(reps[x1], codec)))
                        - exact0[x1]) for x1 in (0.0, 1.0))

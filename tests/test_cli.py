@@ -194,6 +194,22 @@ class TestRunAndSweep:
         assert proc.returncode == 1
         assert "Traceback" not in proc.stderr and "tau=2 seed=2" in proc.stderr
 
+    @pytest.mark.parametrize("command,flag", [
+        (["train", "--learner", "DR", "--tau", "0"], "--nuisances"),
+        (["run"], "--config")])
+    def test_missing_file_exits_with_one_line(self, tmp_path, command, flag):
+        missing = str(tmp_path / "missing.json")
+        argv = [*command, flag, missing, "--out", str(tmp_path / "out")]
+        if command[0] == "train":
+            run_cli("simulate", "--n", "20", "--out", str(tmp_path / "panel.csv"))
+            argv += ["--panel", str(tmp_path / "panel.csv")]
+        proc = subprocess.run([sys.executable, "-m", "tvcate.cli", *argv],
+                              capture_output=True, text=True)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        message = proc.stderr.strip()
+        assert message.startswith(f"tvcate {command[0]}: ") and missing in message
+        assert "\n" not in message
+
     def test_run_rejects_malformed_flag(self, tmp_path):
         with pytest.raises(SystemExit, match="--key=value"):
             run_cli("run", "--out", str(tmp_path), "--fastish")

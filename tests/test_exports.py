@@ -1,6 +1,8 @@
 """Every public name the package advertises resolves, so deleting a
 function cannot leave a stale export behind, and the package-level names
-are pinned, so adding or dropping one is a reviewed edit."""
+are pinned, so adding or dropping one is a reviewed edit.  So are the
+parameters of the fit functions, and the one module that tells regressor
+kinds apart."""
 
 import ast
 import importlib
@@ -57,3 +59,30 @@ def test_package_names_are_pinned():
     names = sorted(name for name in vars(tvcate) if not name.startswith("_")
                    and not inspect.ismodule(getattr(tvcate, name)))
     assert names == PACKAGE_NAMES
+
+
+#: the parameter names of the fit functions, in order
+FIT_PARAMETERS = {
+    "fit_regressor": ["spec", "features", "target", "weight"],
+    "fit_nuisances": ["panel", "pair", "regressor_spec", "classifier_spec", "split",
+                      "clip_eps", "need", "propensity_model", "propensities",
+                      "response_map"],
+    "fit_propensities": ["panel", "spec", "split"],
+    "fit_response_iterative": ["panel", "a_seq", "tau", "spec", "split", "table"],
+    "fit_history_adjustment": ["panel", "pair", "tau", "spec", "split"],
+    "fit_meta": ["kind", "panel", "pair", "nuisances", "second_stage_spec", "positions"],
+}
+
+
+@pytest.mark.parametrize("name", sorted(FIT_PARAMETERS))
+def test_fit_parameters_are_pinned(name):
+    assert list(inspect.signature(getattr(tvcate, name)).parameters) == FIT_PARAMETERS[name]
+
+
+def test_only_learners_names_the_regressor_kinds():
+    # every other module fits and predicts through row maps, whatever the kind
+    kinds = ("ridge-random-features", "lookup-table")
+    src = pathlib.Path(tvcate.__file__).parent
+    naming = sorted(path.name for path in src.glob("*.py")
+                    if any(kind in path.read_text() for kind in kinds))
+    assert naming == ["learners.py"]

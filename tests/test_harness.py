@@ -266,6 +266,23 @@ class TestEmit:
         assert "gamma" not in payload["rows"][0]
         assert "gamma" not in payload["summary"][0]
 
+    def test_emit_results_summarizes_a_sweep(self, tmp_path):
+        cfg = dataclasses.replace(default_sweep_config(), seeds=(0, 1), gammas=(0.0, 4.0),
+                                  learners=("DR",))
+        sweep = ExperimentResult(cfg, tuple(
+            ResultRow("DR", 1, seed, 0.1 * (seed + 1) + gamma, 0.0, 0.0, gamma=gamma)
+            for gamma in cfg.gammas for seed in cfg.seeds))
+        paths = emit_results(sweep, str(tmp_path))
+        assert sorted(os.listdir(tmp_path)) == [
+            "results.csv", "results.json", "results_summary.csv"]
+        lines = open(paths["summary"]).read().splitlines()
+        assert lines[0] == "gamma,learner,mean_rmse,sd_rmse"
+        assert [line.split(",")[:2] for line in lines[1:]] == [["0", "DR"], ["4", "DR"]]
+        assert float(lines[2].split(",")[2]) == pytest.approx(4.15)
+        table = format_summary_table(sweep, scale=10.0).splitlines()
+        assert table[0].split()[:2] == ["gamma", "learner"]
+        assert table[2].split()[:3] == ["4", "DR", "41.5000"]
+
     def test_output_dir_resolution(self, monkeypatch):
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
         assert resolve_output_dir(ExperimentConfig()) == "results"

@@ -8,12 +8,13 @@ import pytest
 
 import tvcate
 from tvcate.learners import (
+    LOOKUP_TABLE,
     ClassifierSpec,
-    CosineMap,
     FittedClassifier,
     FittedRegressor,
     RegressorSpec,
     RidgeDesign,
+    RowMap,
     fit_classifier,
     fit_regressor,
     predict_many,
@@ -151,9 +152,8 @@ class TestRidgeDesign:
         rng = np.random.default_rng(11)
         X = rng.normal(size=(5000, 3))
         w = rng.uniform(0.5, 2.0, 5000) if weighted else None
-        raw = CosineMap(RegressorSpec(feature_count=32, seed=2), X)
-        design = RidgeDesign(RegressorSpec(feature_count=32, seed=2), raw,
-                             None if w is None else w / w.sum())
+        raw = RowMap(RegressorSpec(feature_count=32, seed=2), X)
+        design = RidgeDesign(raw, None if w is None else w / w.sum())
         # repeated penalties reuse the stored factor and eigendecomposition
         for lam in (1e-2, "auto", 1e-4, 1e-2, "auto", 0.0):
             spec = RegressorSpec(feature_count=32, seed=2, ridge_lambda=lam)
@@ -165,19 +165,25 @@ class TestRidgeDesign:
             assert np.array_equal(raw.predict([got])[0], want.predict(X))
 
     def test_zero_lambda_singular_system_raises_on_every_fit(self):
+        # the second fit reuses the held design, whose factor never formed
         spec = RegressorSpec(feature_count=16, ridge_lambda=0.0, seed=0)
-        design = RidgeDesign(spec, np.ones((5, 1)))
+        raw = RowMap(spec, np.ones((5, 1)))
         for _ in range(2):
             with pytest.raises(ValueError, match="regularize or drop collinear features"):
-                design.fit(spec, np.arange(5.0))
+                raw.fit(spec, np.arange(5.0))
+        assert raw._design is not None
 
     def test_foreign_specs_and_models_rejected(self):
+        # a held design serves only its map's specs and one target per row
         X = np.random.default_rng(12).normal(size=(40, 2))
-        design = RidgeDesign(RegressorSpec(feature_count=8), X)
-        with pytest.raises(ValueError, match="another cosine map"):
-            design.fit(RegressorSpec(feature_count=8, seed=1), np.zeros(40))
-        with pytest.raises(ValueError, match="one value per row"):
-            design.fit(RegressorSpec(feature_count=8), np.zeros(39))
+        spec = RegressorSpec(feature_count=8)
+        raw = RowMap(spec, X)
+        raw.fit(spec, np.zeros(40))
+        for rows in (None, np.arange(40)):
+            with pytest.raises(ValueError, match="another row map"):
+                raw.fit(RegressorSpec(feature_count=8, seed=1), np.zeros(40), rows=rows)
+            with pytest.raises(ValueError, match="one value per row"):
+                raw.fit(spec, np.zeros(39), rows=rows)
 
 
 
@@ -187,6 +193,8 @@ def params_equal(got, want):
 
 
 class TestCosineMap:
+    """A :class:`RowMap` under ridge specs: the raw cosine map of its rows."""
+
     @pytest.mark.parametrize("weighted", [False, True])
     def test_fits_and_predictions_have_the_bits_of_mapping_again(self, weighted):
         # 9000 rows: predictions span three 4096-row blocks
@@ -195,7 +203,7 @@ class TestCosineMap:
         rows = rng.uniform(size=9000) < 0.7
         y = rng.normal(size=9000)
         w = rng.uniform(0.5, 2.0, 9000) if weighted else None
-        raw = CosineMap(RegressorSpec(seed=4), X)
+        raw = RowMap(RegressorSpec(seed=4), X)
         before = raw.phi.copy()
         models = []
         for lam, subset in ((1e-2, rows), ("auto", None), (1e-4, np.flatnonzero(~rows))):
@@ -213,29 +221,47 @@ class TestCosineMap:
             assert np.array_equal(got, want)
         assert np.array_equal(raw.phi, before)       # fits and predictions copy
 
-    def test_design_is_held_per_row_set_and_dropped_by_a_fit(self):
+    def test_design_is_held_per_row_set_and_dropped_by_a_fit(self, monkeypatch):
+        # uniform fits of equal rows share one design; other rows, or a
+        # weighted fit in between, build a new one
+        built = design_inits(monkeypatch)
         rng = np.random.default_rng(17)
         X = rng.normal(size=(300, 3))
-        spec = RegressorSpec(feature_count=32, ridge_lambda=1e-2)
-        raw = CosineMap(spec, X)
+        raw = RowMap(RegressorSpec(feature_count=32), X)
         at = np.flatnonzero(rng.uniform(size=300) < 0.5)
-        design = raw.design(spec, at)
-        assert raw.design(spec, at.copy()) is design
-        y = rng.normal(size=at.size)
-        assert params_equal(design.fit(spec, y), fit_regressor(spec, X[at], y))
-        assert raw.design(spec) is not design        # other rows replace it
-        whole = raw.design(spec)
-        raw.fit(spec, y, rng.uniform(0.5, 2.0, at.size), rows=at)
-        assert raw.design(spec) is not whole         # a weighted fit dropped it
+        y = rng.normal(size=300)
+        new = []
+        for lam, rows in ((1e-2, at), ("auto", at.copy()), (1e-2, None), (1e-4, None),
+                          (1e-2, at)):
+            spec = RegressorSpec(feature_count=32, ridge_lambda=lam)
+            pick = slice(None) if rows is None else rows
+            want = fit_regressor(spec, X[pick], y[pick])
+            before = built[0]
+            assert params_equal(raw.fit(spec, y[pick], rows=rows), want)
+            new.append(built[0] - before)
+        assert new == [1, 0, 1, 0, 1]
+        held, before = raw._design, built[0]
+        spec = RegressorSpec(feature_count=32)
+        raw.fit(spec, y[at], rng.uniform(0.5, 2.0, at.size), rows=at)
+        assert raw._design is None                    # a weighted fit dropped it
+        raw.fit(spec, y[at], rows=at)
+        assert raw._design is not held and built[0] - before == 2
 
     def test_foreign_specs_and_models_rejected(self):
         X = np.random.default_rng(15).normal(size=(40, 2))
-        raw = CosineMap(RegressorSpec(feature_count=8), X)
-        with pytest.raises(ValueError, match="another cosine map"):
-            raw.fit(RegressorSpec(feature_count=8, bandwidth=2.0), np.zeros(40))
+        raw = RowMap(RegressorSpec(feature_count=8), X)
+        for spec in (RegressorSpec(feature_count=8, bandwidth=2.0), LOOKUP_TABLE):
+            with pytest.raises(ValueError, match="another row map"):
+                raw.fit(spec, np.zeros(40))
+        cells = RowMap(LOOKUP_TABLE, X)
+        with pytest.raises(ValueError, match="another row map"):
+            cells.fit(RegressorSpec(feature_count=8), np.zeros(40))
         other = fit_regressor(RegressorSpec(feature_count=8, seed=1), X, np.zeros(40))
-        with pytest.raises(ValueError, match="another cosine map"):
-            raw.predict([other])
+        lookup = fit_regressor(LOOKUP_TABLE, X, np.zeros(40))
+        for held, model in ((raw, other), (raw, lookup), (cells, other),
+                            (RowMap(LOOKUP_TABLE, X[:, :1]), lookup)):
+            with pytest.raises(ValueError, match="another row map"):
+                held.predict([model])
 
     def test_column_blocked_gram_has_the_bits_of_one_product_on_one_thread(self):
         # multiples of 64 features are filled 64 columns at a time through
@@ -256,6 +282,17 @@ class TestCosineMap:
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
         subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+
+def design_inits(monkeypatch):
+    """Designs built (``RidgeDesign.__init__`` calls), as a one-element list."""
+    built, original = [0], RidgeDesign.__init__
+
+    def counting(self, *args, **kwargs):
+        built[0] += 1
+        original(self, *args, **kwargs)
+    monkeypatch.setattr(RidgeDesign, "__init__", counting)
+    return built
 
 
 def gram_rows(monkeypatch):
@@ -279,8 +316,9 @@ class TestGroupedMap:
         rows = np.flatnonzero(np.isin(groups, (0, 2, 3)))
         for bandwidth in (1.0, 10.0, 100.0, 1000.0):
             spec = RegressorSpec(feature_count=features, bandwidth=bandwidth)
-            raw = CosineMap(spec, X, groups)
-            design = raw.design(spec, rows)
+            raw = RowMap(spec, X, groups)
+            raw.fit(spec, np.zeros(rows.size), rows=rows)
+            design = raw._design
             phi = raw.phi[rows]
             centered = phi - phi.mean(axis=0)
             want = centered.T @ centered / rows.size
@@ -293,7 +331,7 @@ class TestGroupedMap:
         groups = rng.integers(0, 5, size=2000)
         y = rng.normal(size=2000)
         spec = RegressorSpec(feature_count=64, ridge_lambda=1e-3)
-        raw = CosineMap(spec, X, groups)
+        raw = RowMap(spec, X, groups)
         rows = gram_rows(monkeypatch)
         union = np.flatnonzero(groups != 1)[::-1]           # any order
         fitted = raw.fit(spec, y[union], rows=union)
@@ -319,20 +357,22 @@ class TestGroupedMap:
         X = rng.normal(size=(900, 2))
         groups = rng.integers(0, 3, size=900)
         spec = RegressorSpec(feature_count=64)
-        raw = CosineMap(spec, X, groups)
+        raw = RowMap(spec, X, groups)
         gathered = np.flatnonzero(rng.uniform(size=900) < 0.5)
-        for design in (raw.design(spec, np.flatnonzero(groups == 0)),
-                       raw.design(spec, gathered),
-                       RidgeDesign(spec, raw, np.full(900, 1 / 900)), RidgeDesign(spec, X)):
+        for design in (RidgeDesign(raw, None, np.flatnonzero(groups == 0)),
+                       RidgeDesign(raw, None, gathered),
+                       RidgeDesign(raw, np.full(900, 1 / 900)),
+                       RidgeDesign(RowMap(spec, X))):
             big = [value for value in vars(design).values()
                    if isinstance(value, np.ndarray) and value.ndim == 2 and len(value) > 64]
             # only the map's own phi, which the right-hand sides read
             assert len(big) == 1 and big[0] is design._phi and big[0].shape == (900, 64)
-        assert raw.design(spec, gathered)._phi is raw.phi
+        raw.fit(spec, np.zeros(gathered.size), rows=gathered)
+        assert raw._design._phi is raw.phi
 
     def test_group_labels_are_one_per_row(self):
         with pytest.raises(ValueError, match="one label per mapped row"):
-            CosineMap(RegressorSpec(feature_count=8), np.zeros((5, 2)), np.zeros(4))
+            RowMap(RegressorSpec(feature_count=8), np.zeros((5, 2)), np.zeros(4))
 
 
 class TestSpecCounts:
@@ -352,6 +392,21 @@ class TestSpecCounts:
 
 
 class TestLookupTable:
+    def test_row_map_holds_the_rows_themselves(self):
+        rng = np.random.default_rng(21)
+        X = rng.integers(0, 3, size=(500, 2)).astype(float)
+        y, w = rng.normal(size=500), rng.uniform(0.5, 2.0, 500)
+        cells = RowMap(LOOKUP_TABLE, X)
+        assert cells.phi is not None and np.array_equal(cells.phi, X)
+        at = np.flatnonzero(rng.uniform(size=500) < 0.6)
+        for weight, rows in ((None, None), (w, None), (None, at), (w[at], at)):
+            pick = slice(None) if rows is None else rows
+            got = cells.fit(LOOKUP_TABLE, y[pick], weight, rows)
+            want = fit_regressor(LOOKUP_TABLE, X[pick], y[pick], weight)
+            assert got.params == want.params and got.n_rows == want.n_rows
+            assert np.array_equal(cells.predict([got], at)[0], want.predict(X[at]))
+        assert cells._design is None
+
     def test_weighted_mean_of_matching_rows(self):
         X = np.array([[0.0, 1.0], [0.0, 1.0], [1.0, 0.0]])
         y = np.array([2.0, 4.0, 9.0])

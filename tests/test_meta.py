@@ -6,8 +6,9 @@ import warnings
 import numpy as np
 import pytest
 
+from tvcate import learners
 from tvcate.dgp import get_dgp, make_d1, make_d2, make_d3, benchmark_pair, simulate_panel
-from tvcate.learners import ClassifierSpec, CosineMap, RegressorSpec
+from tvcate.learners import ClassifierSpec, RegressorSpec, RowMap
 from tvcate.meta import (
     DEFAULT_SECOND_STAGE,
     LEARNER_KINDS,
@@ -509,27 +510,41 @@ class TestFitMeta:
             rmse = np.sqrt(np.mean((preds - 0.5) ** 2))
             assert rmse <= 0.1, f"{kind} RMSE {rmse:.3f}"
 
-    def test_refit_is_deterministic(self):
+    def test_refit_is_deterministic(self, monkeypatch):
         d1, panel, pair, nz = self.fitted_setup(n=300)
         table = build_row_table(panel, 1, nz.codec)
         feats = table.features(0)
         first = fit_meta("IVW-DR", panel, pair, nz).predict(feats)
         second = fit_meta("IVW-DR", panel, pair, nz).predict(feats)
         assert np.array_equal(first, second)
-        # without a map, fit_meta maps the training positions itself, with
-        # the bits of a handed-in map of them: also when the variance model
-        # draws another map (128 features) and under a split plan
+        # without a map, fit_meta maps its pseudo-outcome rows itself, with
+        # the bits of a handed-in map of the training positions: also when
+        # the variance model draws another map (128 features) and under a
+        # split plan, where it maps only the pseudo-outcome fold's rows
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            split_nz = self.fitted_setup(n=300, oracle=False)[3]
+            split_nz = fit_nuisances(panel, pair,
+                                     split=make_split(panel, 1, enabled=True, seed=0),
+                                     need=("response", "propensity"))
         narrow = RegressorSpec(feature_count=128, ridge_lambda=1e-2)
         cases = [(nz, kind, DEFAULT_SECOND_STAGE) for kind in ("RA", "IPW", "DR", "IVW-DR")]
         cases += [(nz, "IVW-DR", narrow), (split_nz, "DR", DEFAULT_SECOND_STAGE),
                   (split_nz, "IVW-DR", narrow)]
+        mapped, original = [0], learners._cosine_features
+
+        def counting(X, W, b):
+            mapped[0] += X.shape[0]
+            return original(X, W, b)
+        monkeypatch.setattr(learners, "_cosine_features", counting)
         for ns, kind, spec in cases:
             given = fit_meta(kind, panel, pair, ns, spec,
-                             positions=CosineMap(spec, panel.encoded(ns.codec)))
+                             positions=RowMap(spec, panel.encoded(ns.codec)))
+            mapped[0] = 0
             alone = fit_meta(kind, panel, pair, ns, spec)
+            maps = 2 if spec is narrow else 1
+            assert mapped[0] == maps * alone.diagnostics["n_pseudo_rows"]
+            if ns is split_nz:
+                assert mapped[0] < maps * panel.X.shape[0] // 4
             models = [(given.second_stage, alone.second_stage)]
             if kind == "IVW-DR":
                 models.append((given.v_model.model, alone.v_model.model))

@@ -16,8 +16,9 @@ from tvcate.dgp import (
     benchmark_pair,
     simulate_panel,
 )
-from tvcate.learners import ClassifierSpec, RegressorSpec, fit_regressor
-from tvcate.meta import fit_meta
+from tvcate.learners import (LOOKUP_TABLE, ClassifierSpec, RegressorSpec, RidgeDesign,
+                             fit_regressor)
+from tvcate.meta import LEARNER_KINDS, build_pseudo_rows, fit_meta
 from tvcate.nuisance import (
     NuisanceSet,
     build_row_table,
@@ -31,6 +32,7 @@ from tvcate.nuisance import (
     nuisances_from_dict,
     nuisances_to_dict,
     oracle_nuisances,
+    position_map,
     save_nuisances,
 )
 from tvcate.panel import (
@@ -147,7 +149,7 @@ class TestFitResponseIterative:
         for traj in panel.trajectories:
             reps.setdefault(float(traj.covariates[0, 0]), HistoryView(traj, 1))
         for suffix in ((0, 1), (1, 0)):
-            models = fit_response_iterative(panel, suffix, 1, spec, codec=codec)
+            models = fit_response_iterative(panel, suffix, 1, spec)
             exact0 = dgp.enumerate_response(suffix, 0)
             for x1 in (0.0, 1.0):
                 got = float(models[0].predict(encode_history(reps[x1], codec)))
@@ -282,14 +284,6 @@ class TestFitPropensities:
         with pytest.raises(ValueError, match="single-class"):
             fit_propensities(panel, ClassifierSpec())
 
-    def test_codec_must_carry_time_index(self):
-        panel = simulate_panel(make_d2(), 50, seed=0)
-        codec = default_codec(panel)
-        from dataclasses import replace
-        with pytest.raises(ValueError, match="time index"):
-            fit_propensities(panel, ClassifierSpec(), codec=replace(codec,
-                                                                    include_time_index=False))
-
 
 class TestClippedPropensity:
     """A fitted propensity model's queries through NuisanceSet clipping."""
@@ -423,9 +417,8 @@ class TestOneMapPerLevel:
         table = build_row_table(panel, tau)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            ns = fit_nuisances(panel, pair, regressor_spec=spec, table=table,
-                               need=("response", "history"))
-            history = fit_history_adjustment(panel, pair, tau, spec, table=table)
+            ns = fit_nuisances(panel, pair, regressor_spec=spec, need=("response", "history"))
+            history = fit_history_adjustment(panel, pair, tau, spec)
         for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
             target = table.y_term
             for j in range(tau, -1, -1):
@@ -442,6 +435,70 @@ class TestOneMapPerLevel:
             assert (params_equal if tau > 0 else params_close)(ns.history_models[arm],
                                                                  history[arm])
             assert (ns.history_models[arm] is ns.response_models[arm][0]) == (tau == 0)
+
+    def test_equal_rows_share_one_design(self, monkeypatch):
+        # at tau = 2 both arms fix A_(t+1) = 0, so level 1's two fits read
+        # the same rows and share one design: 5 designs for 6 fits, each fit
+        # with the bits of a fit on a fresh map
+        panel = simulate_panel(make_d2(), 400, seed=41)
+        pair = benchmark_pair(2)
+        assert pair.a_seq[1] == pair.b_seq[1] and pair.a_seq[0] != pair.b_seq[0]
+        spec = RegressorSpec(feature_count=64, bandwidth=1.5, ridge_lambda=1e-2)
+        built, original = [0], RidgeDesign.__init__
+
+        def counting(self, *args, **kwargs):
+            built[0] += 1
+            original(self, *args, **kwargs)
+        monkeypatch.setattr(RidgeDesign, "__init__", counting)
+        ns = fit_nuisances(panel, pair, regressor_spec=spec, need=("response",))
+        assert built[0] == 5
+        table = build_row_table(panel, 2)
+        for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
+            target = table.y_term
+            for j in (2, 1, 0):
+                mask = table.a_obs[:, j] == seq[j]
+                fresh = position_map(spec, panel, table.codec)
+                want = fresh.fit(spec, target[mask], rows=table.positions(j)[mask])
+                assert params_equal(ns.response_models[arm][j], want)
+                target = want.predict(table.features(j))
+
+
+class TestLookupTableSpecs:
+    """Under lookup-table specs every fit reads the rows themselves: the
+    nuisances and learners are the models of ``fit_regressor`` on the
+    gathered rows of the table."""
+
+    def test_nuisances_and_learners_match_fits_on_gathered_rows(self):
+        panel = make_mini_discrete().simulate(2000, seed=4)
+        pair = benchmark_pair(1)
+        ns = fit_nuisances(panel, pair, regressor_spec=LOOKUP_TABLE,
+                           classifier_spec=ClassifierSpec(feature_count=16))
+        table = build_row_table(panel, 1)
+        for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
+            target = table.y_term
+            for j in (1, 0):
+                mask = table.a_obs[:, j] == seq[j]
+                want = fit_regressor(LOOKUP_TABLE, table.features(j)[mask], target[mask])
+                assert ns.response_models[arm][j].params == want.params
+                target = want.predict(table.features(j))
+            mask = np.all(table.a_obs == np.asarray(seq), axis=1)
+            want = fit_regressor(LOOKUP_TABLE, table.features(0)[mask], table.y_term[mask])
+            assert ns.history_models[arm].params == want.params
+        for kind in LEARNER_KINDS:
+            model = fit_meta(kind, panel, pair, ns, LOOKUP_TABLE)
+            if kind == "PI-HA":
+                assert model.arm_models == ns.history_models
+                continue
+            if kind == "PI-RA":
+                assert model.arm_models == {arm: ns.response_models[arm][0] for arm in "ab"}
+                continue
+            rows = build_pseudo_rows(table, ns, pair, "DR" if kind == "IVW-DR" else kind)
+            weight = None
+            if kind == "IVW-DR":
+                inv = 1.0 / model.v_model.predict(rows.features)
+                weight = inv / inv.mean()
+            want = fit_regressor(LOOKUP_TABLE, rows.features, rows.value, weight)
+            assert model.second_stage.params == want.params, kind
 
 
 class TestFitBoundary:

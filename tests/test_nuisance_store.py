@@ -2,8 +2,8 @@
 
 Every row a seed job touches is a panel position: a fitted set keeps its
 models' values on the training panel (mu-hat at the training table's rows,
-class probabilities at every position), and every fit and prediction on a
-ridge spec gathers from one cosine map of a panel's positions.  These tests
+class probabilities at every position), and every regressor fit and
+prediction reads one row map of a panel's positions.  These tests
 pin which queries the fitted values answer, how many rows a seed job maps
 and how many maps it holds, and that the gathers change no result bit.
 """
@@ -21,9 +21,9 @@ from tvcate import learners as learners_module
 from tvcate import nuisance as nuisance_module
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.harness import ExperimentConfig, _seed_job
-from tvcate.learners import (ClassifierSpec, CosineMap, FittedClassifier,
-                             FittedRegressor, RegressorSpec, RidgeDesign,
-                             fit_regressor, random_cosine_map)
+from tvcate.learners import (ClassifierSpec, FittedClassifier, FittedRegressor,
+                             RegressorSpec, RidgeDesign, RowMap, fit_regressor,
+                             random_cosine_map)
 from tvcate.meta import LEARNER_KINDS, fit_meta
 from tvcate.nuisance import (build_row_table, fit_nuisances, fit_propensities,
                              load_nuisances, make_split, oracle_nuisances,
@@ -143,9 +143,9 @@ class TestLearnerOrders:
         train, test = panels
         spec = dataclasses.replace(SECOND_STAGE, feature_count=features)
         shared = tiny_fit(train)
-        positions = CosineMap(spec, train.encoded(shared.codec))
+        positions = RowMap(spec, train.encoded(shared.codec))
         table = build_row_table(test, 1, shared.codec)
-        test_maps = {spec: CosineMap(spec, test.encoded(shared.codec))}
+        test_maps = {spec: RowMap(spec, test.encoded(shared.codec))}
         for kind in ORDERS["reversed"]:
             model = fit_meta(kind, train, PAIR, shared, second_stage_spec=spec,
                              positions=positions)
@@ -154,7 +154,7 @@ class TestLearnerOrders:
             drawn = (shared.response_models["a"][0].spec
                      if kind in ("PI-HA", "PI-RA") else spec)
             if drawn not in test_maps:
-                test_maps[drawn] = CosineMap(drawn, test.encoded(shared.codec))
+                test_maps[drawn] = RowMap(drawn, test.encoded(shared.codec))
             got = model.predict(test_maps[drawn], table.positions(0))
             assert np.array_equal(got, want), kind
 
@@ -198,7 +198,7 @@ def one_map_at_a_time(monkeypatch):
     such map is alive, and any ridge design built beside another: a seed job
     holds one map of the training positions, and that map one design."""
     maps, designs, limit = weakref.WeakSet(), weakref.WeakSet(), [1]
-    map_init, design_init = CosineMap.__init__, RidgeDesign.__init__
+    map_init, design_init = RowMap.__init__, RidgeDesign.__init__
 
     def tracked_map(self, *args, **kwargs):
         map_init(self, *args, **kwargs)
@@ -211,7 +211,7 @@ def one_map_at_a_time(monkeypatch):
         design_init(self, *args, **kwargs)
         designs.add(self)
 
-    monkeypatch.setattr(CosineMap, "__init__", tracked_map)
+    monkeypatch.setattr(RowMap, "__init__", tracked_map)
     monkeypatch.setattr(RidgeDesign, "__init__", tracked_design)
     return limit
 
@@ -234,41 +234,40 @@ class TestHeldDesign:
                                                         one_map_at_a_time):
         train, _ = panels
         ns = tiny_fit(train)
-        n_positions = train.X.shape[0]
+        n_positions, n_rows = train.X.shape[0], build_row_table(train, 1).n_rows
         one_map_at_a_time[0] = n_positions
         # with a map the variance model shares, the uniform fits share one
         # held design, IVW-DR's weighted fit drops it, and no row is mapped
         spec = dataclasses.replace(SECOND_STAGE, feature_count=256)
-        positions = CosineMap(spec, train.encoded(ns.codec))
+        positions = RowMap(spec, train.encoded(ns.codec))
         map_rows.clear()
         designs = set()
         for kind in ("RA", "IPW", "DR"):
             fit_meta(kind, train, PAIR, ns, second_stage_spec=spec, positions=positions)
-            designs.add(id(positions._design[1]))
+            designs.add(id(positions._design))
         assert len(designs) == 1
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=spec, positions=positions)
         assert positions._design is None and not map_rows
         positions = None
-        # without a map, IVW-DR maps the training positions once per map, one
-        # map at a time: once when the variance model shares the second
+        # without a map, IVW-DR maps its pseudo-outcome rows once per map,
+        # one map at a time: once when the variance model shares the second
         # stage's map (256 features), once per map when it does not
-        for features, want in ((256, {(256, n_positions): 1}),
-                               (32, {(256, n_positions): 1, (32, n_positions): 1})):
+        for features, want in ((256, {(256, n_rows): 1}),
+                               (32, {(256, n_rows): 1, (32, n_rows): 1})):
             map_rows.clear()
             fit_meta("IVW-DR", train, PAIR, ns,
                      second_stage_spec=dataclasses.replace(SECOND_STAGE,
                                                            feature_count=features))
             assert map_rows == want
-        # with a map the variance model does not draw, it maps the training
-        # positions beside the handed-in map, which the weighted fit gathers
-        # from once the variance model's map is gone
-        one_map_at_a_time[0] = n_positions + 1
-        positions = CosineMap(SECOND_STAGE, train.encoded(ns.codec))
+        # with a map the variance model does not draw, it maps the
+        # pseudo-outcome rows beside the handed-in map, which the weighted
+        # fit gathers from once the variance model's map is gone
+        positions = RowMap(SECOND_STAGE, train.encoded(ns.codec))
         map_rows.clear()
         fit_meta("IVW-DR", train, PAIR, ns, second_stage_spec=SECOND_STAGE,
                  positions=positions)
         assert positions._design is None
-        assert map_rows == {(256, n_positions): 1}
+        assert map_rows == {(256, n_rows): 1}
 
     def test_seed_job_drops_each_horizons_design(self, one_map_at_a_time):
         # IPW never drops its design, and the plug-in model refers to the
@@ -363,7 +362,7 @@ class TestHeldDesign:
         panel = simulate_panel(d1, 4, seed=3)
         ns = oracle_nuisances(d1, pair)
         spec = RegressorSpec(feature_count=64, ridge_lambda=0.0)
-        positions = CosineMap(spec, panel.encoded(ns.codec))
+        positions = RowMap(spec, panel.encoded(ns.codec))
         for kind in ("DR", "IPW"):          # IPW reuses the design DR built
             for held in (None, positions):
                 with pytest.raises(ValueError, match="singular system with ridge_lambda=0"):
