@@ -198,12 +198,13 @@ def _cmd_evaluate(args) -> int:
                              "effect; pass --truth instead")
         truth = dgp.response_form.cate(model.pair)
     table = build_row_table(panel, model.tau, model.codec)
-    keep = np.ones(table.t.size, dtype=bool)
+    features = table.features(0)
     if args.eval_t is not None:
         keep = table.t == args.eval_t
         if not keep.any():
             raise SystemExit(f"no rows at decision time t={args.eval_t}")
-    preds = model.predict(table.features(0)[keep])
+        features = features[keep]
+    preds = model.predict(features)
     rmse = float(np.sqrt(np.mean((preds - truth) ** 2)))
     scale = 10.0 if args.display_x10 else 1.0
     label = " (x10)" if args.display_x10 else ""

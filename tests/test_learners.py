@@ -1,7 +1,9 @@
+import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -99,6 +101,53 @@ class TestRidgeRandomFeatures:
             model.predict(np.zeros((2, 2)))
 
 
+def run_on_one_thread(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on one OpenBLAS thread and
+    return what it prints."""
+    src = os.path.dirname(os.path.dirname(tvcate.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          check=True, stdout=subprocess.PIPE, text=True).stdout
+
+
+#: row counts around the 4096-row blocks of predictions
+PREDICT_ROWS = (1, 2, 7, 4096, 4097, 8193, 20000)
+
+
+@pytest.fixture(scope="module")
+def whole_map_mismatches():
+    """Per row count, the (features, model) pairs whose ``predict_many``
+    differs on one BLAS thread from the one whole-map product."""
+    script = """
+        import json
+        import numpy as np
+        from tvcate.learners import (RegressorSpec, _cosine_features, fit_regressor,
+                                     predict_many)
+        rng = np.random.default_rng(10)
+        train = rng.normal(size=(300, 19))
+        bad = {}
+        # 200 features: a multiple of 8 above 192, mapped in blocks; 300 is
+        # no multiple of 8, where blocks of X @ W can change bits on 19-wide rows
+        for features in (64, 128, 200, 256, 300):
+            # the first two models share one map, the third draws its own
+            models = [fit_regressor(RegressorSpec(feature_count=features, seed=seed), train,
+                                    rng.normal(size=300), weight)
+                      for seed, weight in ((3, None), (3, rng.uniform(0.5, 2.0, 300)),
+                                           (4, None))]
+            for rows in ROWS:
+                X = rng.normal(size=(rows, 19))
+                for k, (model, got) in enumerate(zip(models, predict_many(models, X))):
+                    p = model.params
+                    phi = _cosine_features(X, p["W"], p["b"])
+                    if not np.array_equal(got, (phi - p["phi_mean"]) @ p["beta"]
+                                          + p["intercept"]):
+                        bad.setdefault(rows, []).append([features, k])
+        print(json.dumps(bad))
+        """.replace("ROWS", repr(PREDICT_ROWS))
+    return {int(rows): pairs for rows, pairs in json.loads(run_on_one_thread(script)).items()}
+
+
 class TestPredictMany:
     @staticmethod
     def models(seeds, n=60):
@@ -108,8 +157,10 @@ class TestPredictMany:
                               rng.normal(size=n), rng.uniform(0.5, 1.0, n))
                 for seed in seeds]
 
-    @pytest.mark.parametrize("rows", [1, 7, 4096, 4097, 2 * 4096 + 1])
-    def test_each_prediction_has_the_bits_of_predict(self, rows):
+    @pytest.mark.parametrize("rows", PREDICT_ROWS)
+    def test_each_prediction_has_the_bits_of_predict(self, rows, whole_map_mismatches):
+        # on one BLAS thread, block by block, the bits of the whole-map product
+        assert whole_map_mismatches.get(rows, []) == []
         # seeds 0, 0, 1: the first two share one map, the third has its own
         models = self.models([0, 0, 1]) + [fit_regressor(
             RegressorSpec(kind="lookup-table"), np.zeros((2, 3)), np.array([1.0, 3.0]))]
@@ -126,7 +177,7 @@ class TestPredictMany:
     def test_blocks_reproduce_one_whole_map_product_on_one_thread(self):
         # predictions are centered and multiplied in 4096-row blocks; on one
         # BLAS thread that must equal the product over the whole map
-        script = textwrap.dedent("""
+        run_on_one_thread("""
             import numpy as np
             from tvcate.learners import RegressorSpec, _cosine_features, fit_regressor
             rng = np.random.default_rng(10)
@@ -139,10 +190,27 @@ class TestPredictMany:
                 phi -= p["phi_mean"]
                 assert np.array_equal(model.predict(X), p["intercept"] + phi @ p["beta"])
             """)
-        src = os.path.dirname(os.path.dirname(tvcate.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_peak_memory_does_not_grow_with_the_rows(self):
+        # two models on one 256-feature map: a block of the map and one
+        # centered copy of it at most, whatever the row count
+        rng = np.random.default_rng(13)
+        train = rng.normal(size=(300, 19))
+        models = [fit_regressor(RegressorSpec(seed=5), train, rng.normal(size=300), weight)
+                  for weight in (None, rng.uniform(0.5, 2.0, 300))]
+        peaks = []
+        for rows in (10_000, 40_000):
+            X = rng.normal(size=(rows, 19))
+            tracemalloc.start()
+            try:
+                outs = predict_many(models, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - sum(out.nbytes for out in outs))
+        two_blocks = 2 * 4097 * 256 * 8              # about 17 MB
+        assert max(peaks) <= two_blocks + 2 ** 20
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 20
 
 
 class TestRidgeDesign:
@@ -266,7 +334,7 @@ class TestCosineMap:
     def test_column_blocked_gram_has_the_bits_of_one_product_on_one_thread(self):
         # multiples of 64 features are filled 64 columns at a time through
         # one buffer; 300 features take the one product
-        script = textwrap.dedent("""
+        run_on_one_thread("""
             import numpy as np
             from tvcate.learners import _gram
             rng = np.random.default_rng(16)
@@ -278,10 +346,6 @@ class TestCosineMap:
                         want = (phi * w[:, None]).T @ phi
                         assert np.array_equal(_gram(phi, w), want), (rows, features)
             """)
-        src = os.path.dirname(os.path.dirname(tvcate.__file__))
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-                   PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        subprocess.run([sys.executable, "-c", script], env=env, check=True)
 
 
 def design_inits(monkeypatch):
