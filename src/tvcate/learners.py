@@ -28,7 +28,9 @@ encoded positions), from which fits and predictions take rows by index.
 tells the kinds apart.
 
 The classifier is multinomial logistic regression (optional random cosine
-features) fitted by L-BFGS on the weighted cross-entropy.
+features) fitted on the weighted cross-entropy: with two classes by Newton's
+method on one parameter vector (``trust-exact``, exact Hessian), with more
+by L-BFGS on one column per class.
 
 A fitted model's ``to_dict`` is its part of a bundle.  Format 2 stores a
 cosine map as its ``map_sha256``, the SHA-256 of ``W.tobytes() +
@@ -42,11 +44,11 @@ does not promise one ``Generator.normal`` stream across versions).  Format
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg, optimize, special
 
 __all__ = [
     "RegressorSpec",
@@ -611,6 +613,12 @@ class ClassifierSpec:
     the penalty is chosen from a fixed grid by held-out log-loss at fit
     time, which adapts between strongly driven and near-random assignment
     mechanisms.
+
+    ``tol`` and ``max_iter`` bound each solve.  With two classes Newton's
+    method stops when the Euclidean norm of its gradient falls below
+    ``tol`` and takes at most ``max_iter`` trust-region steps; with more,
+    L-BFGS stops when the largest entry of its projected gradient is at most
+    ``tol`` and runs at most ``max_iter`` iterations.
     """
 
     use_random_features: bool = True
@@ -652,30 +660,91 @@ def _nll_and_grad(theta_flat, phi, labels, w, l2, n_classes):
     return nll, grad.ravel()
 
 
+def _binary_nll_and_grad(beta, phi, y, w, l2):
+    """:func:`_nll_and_grad` of two classes at theta = [-beta / 2, beta / 2],
+    as a function of beta: the weighted cross-entropy of P(class 1) =
+    expit(phi beta) for the 0/1 labels ``y``, plus (l2 / 4) ||beta||^2 off
+    the intercept, and its gradient (the softmax gradient's second column)."""
+    z = phi @ beta
+    nll = float(w @ (np.logaddexp(0.0, z) - y * z))
+    grad = phi.T @ (w * (special.expit(z) - y))
+    nll += 0.25 * l2 * float(beta[:-1] @ beta[:-1])
+    grad[:-1] += 0.5 * l2 * beta[:-1]
+    return nll, grad
+
+
+def _binary_hessian(beta, phi, y, w, l2):
+    """The exact Hessian of :func:`_binary_nll_and_grad`: A^T A for
+    A = phi sqrt(w p (1 - p)), one symmetric product (BLAS syrk), plus l2 / 2
+    on the diagonal off the intercept."""
+    z = phi @ beta
+    A = phi * np.sqrt(w * special.expit(z) * special.expit(-z))[:, None]
+    H = A.T @ A
+    off = np.arange(beta.size - 1)
+    H[off, off] += 0.5 * l2
+    return H
+
+
+def _design(X, W, b) -> np.ndarray:
+    """The classifier's rows [phi(X), 1]: the cosine map of ``X`` under
+    (W, b), or ``X`` itself when W is None, and the intercept's column of
+    ones.  The map is made one :func:`_block_edges` block at a time, the
+    blocks :meth:`FittedClassifier.predict_proba` maps, so a prediction at
+    the training rows has the bits of the fit's design."""
+    n = X.shape[0]
+    F = X.shape[1] if W is None else W.shape[1]
+    out = np.empty((n, F + 1))
+    out[:, F] = 1.0
+    edges = _block_edges(n)
+    for lo, hi in zip(edges, edges[1:]):
+        out[lo:hi, :F] = X[lo:hi] if W is None else _cosine_features(X[lo:hi], W, b)
+    return out
+
+
+def _probabilities(design_of, n: int, theta: np.ndarray) -> np.ndarray:
+    """Class probabilities of ``n`` rows, clipped to [eps, 1 - eps] and
+    renormalized; ``design_of(lo, hi)`` gives the design rows of one
+    :func:`_block_edges` block, which is multiplied by ``theta`` alone."""
+    edges = _block_edges(n)
+    P = np.empty((n, theta.shape[1]))
+    for lo, hi in zip(edges, edges[1:]):
+        P[lo:hi] = _softmax(design_of(lo, hi) @ theta)
+    np.clip(P, _PROB_EPS, 1.0 - _PROB_EPS, out=P)
+    P /= P.sum(axis=1, keepdims=True)
+    return P
+
+
+def _rows_digest(X: np.ndarray) -> bytes:
+    """SHA-256 of the rows' float64 bytes in C order."""
+    return hashlib.sha256(np.ascontiguousarray(X, dtype=float).data).digest()
+
+
 @dataclass(frozen=True)
 class FittedClassifier:
-    """Immutable fitted classifier; probabilities are clipped only at evaluation."""
+    """Immutable fitted classifier; probabilities are clipped only at evaluation.
+
+    A model that :func:`fit_classifier` returns holds ``fitted_rows``: a
+    digest of its training rows and its probabilities there, evaluated from
+    the fit's own map.  Bundles do not store them.
+    """
 
     spec: ClassifierSpec
     in_dim: int
     n_classes: int
     n_rows: int
     params: dict
-
-    def _features(self, X):
-        if self.spec.use_random_features:
-            phi = _cosine_features(X, self.params["W"], self.params["b"])
-        else:
-            phi = X
-        return np.hstack([phi, np.ones((phi.shape[0], 1))])
+    fitted_rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def predict_proba(self, features) -> np.ndarray:
-        """Class probabilities at ``features``, from one product of the whole
-        N x (F + 1) map.  Unlike :func:`predict_many` this is not blocked:
-        on one OpenBLAS 0.3 thread, 4096-row blocks (:func:`_block_edges`)
-        of its product with ``theta`` change the last bits of most rows (85 %
-        of rows of a two-class, 64-feature map at 10,000 to 100,000 rows, by
-        up to 4.4e-16), which moves the fits that read them."""
+        """Class probabilities at ``features``.
+
+        The map is made and multiplied by ``theta`` one 4096-row block at a
+        time (:func:`_block_edges`), so the peak memory of a prediction is
+        about two blocks of the map whatever the row count.  At rows of the
+        same bytes as the training rows it returns the probabilities the fit
+        evaluated from its map, in the same blocks, so they have the bits of
+        mapping those rows again.
+        """
         features = np.asarray(features, dtype=float)
         squeeze = features.ndim == 1
         if squeeze:
@@ -683,9 +752,13 @@ class FittedClassifier:
         if features.shape[1] != self.in_dim:
             raise ValueError(f"feature width {features.shape[1]} does not match "
                              f"training width {self.in_dim}")
-        P = _softmax(self._features(features) @ self.params["theta"])
-        P = np.clip(P, _PROB_EPS, 1.0 - _PROB_EPS)
-        P /= P.sum(axis=1, keepdims=True)
+        if (self.fitted_rows is not None and features.shape[0] == self.n_rows
+                and _rows_digest(features) == self.fitted_rows[0]):
+            P = self.fitted_rows[1].copy()
+        else:
+            W, b = self.params.get("W"), self.params.get("b")
+            P = _probabilities(lambda lo, hi: _design(features[lo:hi], W, b),
+                               features.shape[0], self.params["theta"])
         return P[0] if squeeze else P
 
     def to_dict(self) -> dict:
@@ -716,9 +789,11 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
                    n_classes: Optional[int] = None) -> FittedClassifier:
     """Fit multinomial logistic regression by weighted cross-entropy.
 
-    Raises if fewer than two classes are present or if L-BFGS fails to reach
-    the gradient tolerance within max_iter (the error reports the final
-    gradient norm).
+    Two classes are solved by Newton's method with the exact Hessian, more
+    by L-BFGS (see :func:`_solve_logistic`).  Raises if fewer than two
+    classes are present or if the solver stops short of ``spec.tol`` within
+    ``spec.max_iter`` steps with a gradient max-norm above 1e-5 (the error
+    reports it).
     """
     X = np.asarray(features, dtype=float)
     if X.ndim == 1:
@@ -735,36 +810,56 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
         raise ValueError("label exceeds n_classes")
     w = _normalized_weights(weight, n)
 
-    params = {}
+    params, W, b = {}, None, None
     if spec.use_random_features:
         W, b = random_cosine_map(X.shape[1], spec.feature_count, spec.bandwidth, spec.seed)
         params["W"], params["b"] = W, b
-        phi = _cosine_features(X, W, b)
-    else:
-        phi = X
-    phi = np.hstack([phi, np.ones((n, 1))])
+    phi = _design(X, W, b)
 
     l2 = spec.l2
     if l2 == "auto":
         l2 = _holdout_l2(spec, phi, labels, w, K)
-    params["theta"] = _solve_logistic(spec, phi, labels, w, l2, K)
+    theta = params["theta"] = _solve_logistic(spec, phi, labels, w, l2, K)
     params["l2_used"] = float(l2)
-    return FittedClassifier(spec, X.shape[1], K, n, params)
+    proba = _probabilities(lambda lo, hi: phi[lo:hi], n, theta)
+    proba.flags.writeable = False
+    return FittedClassifier(spec, X.shape[1], K, n, params, (_rows_digest(X), proba))
 
 
 def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
+    """The (F + 1) x K parameters minimizing :func:`_nll_and_grad`, from
+    ``theta0`` (zeros when None).
+
+    Two classes take Newton's method (scipy's ``trust-exact`` with
+    :func:`_binary_hessian`) on beta = theta[:, 1] - theta[:, 0] and return
+    [-beta / 2, beta / 2].  The two-class softmax objective sees theta
+    through beta and the penalty, which is least when each row of theta sums
+    to zero (the unpenalized intercept row is set so too), so that is its
+    optimum.  More classes take L-BFGS.
+    """
+    width = phi.shape[1]
     if theta0 is None:
-        theta0 = np.zeros(phi.shape[1] * n_classes)
-    res = optimize.minimize(
-        _nll_and_grad, theta0, args=(phi, labels, w, l2, n_classes),
-        method="L-BFGS-B", jac=True,
-        options={"maxiter": spec.max_iter, "gtol": spec.tol, "ftol": 0.0},
-    )
+        theta0 = np.zeros((width, n_classes))
+    if n_classes == 2:
+        res = optimize.minimize(
+            _binary_nll_and_grad, theta0[:, 1] - theta0[:, 0],
+            args=(phi, (labels == 1).astype(float), w, l2),
+            method="trust-exact", jac=True, hess=_binary_hessian,
+            options={"maxiter": spec.max_iter, "gtol": spec.tol},
+        )
+        theta = np.column_stack([-0.5 * res.x, 0.5 * res.x])
+    else:
+        res = optimize.minimize(
+            _nll_and_grad, theta0.ravel(), args=(phi, labels, w, l2, n_classes),
+            method="L-BFGS-B", jac=True,
+            options={"maxiter": spec.max_iter, "gtol": spec.tol, "ftol": 0.0},
+        )
+        theta = res.x.reshape(width, n_classes)
     gnorm = float(np.max(np.abs(res.jac)))
     if not res.success and gnorm > 1e-5:
         raise ValueError(f"classifier failed to converge within {spec.max_iter} "
                          f"iterations; final gradient max-norm {gnorm:.3e}")
-    return res.x.reshape(phi.shape[1], n_classes)
+    return theta
 
 
 def _holdout_l2(spec, phi, labels, w, n_classes):
@@ -791,8 +886,7 @@ def _holdout_l2(spec, phi, labels, w, n_classes):
     w_va = w[va] / w[va].sum()
     row_losses, theta = [], None
     for l2 in CLASSIFIER_L2_GRID:       # warm-start along the grid
-        theta = _solve_logistic(spec, phi[tr], labels[tr], w_tr, l2, n_classes,
-                                theta0=None if theta is None else theta.ravel())
+        theta = _solve_logistic(spec, phi[tr], labels[tr], w_tr, l2, n_classes, theta)
         P = _softmax(phi[va] @ theta)
         row_losses.append(-np.log(np.maximum(P[np.arange(va.size), labels[va]],
                                              _PROB_EPS)))

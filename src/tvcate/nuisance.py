@@ -312,7 +312,9 @@ def fit_propensities(panel: Panel, spec: ClassifierSpec,
 def propensities_at_positions(model: FittedClassifier, panel: Panel,
                               codec: FeatureCodec) -> np.ndarray:
     """Class probabilities at every panel row, from one ``predict_proba`` in
-    the classifier's training order (without a split, its training matrix)."""
+    the classifier's training order.  Without a split these are its training
+    rows, so the model returns the probabilities its fit evaluated and maps
+    nothing again."""
     rows = _classifier_positions(panel)
     proba = np.empty((rows.size, model.n_classes))
     proba[rows] = model.predict_proba(panel.encoded(codec)[rows])

@@ -4,6 +4,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -578,3 +579,121 @@ class TestClassifier:
         lo = model.predict_proba(np.array([-2.0]))
         hi = model.predict_proba(np.array([2.0]))
         assert lo[1] < 0.2 and hi[1] > 0.8
+
+    @staticmethod
+    def signal(n, seed):
+        """``n`` rows of 2 inputs and labels drawn with P(1) = expit(1.5 x0 - x1)."""
+        rng = np.random.default_rng(seed)
+        X = rng.normal(size=(n, 2))
+        return X, (rng.uniform(size=n) < sigmoid(1.5 * X[:, 0] - X[:, 1])).astype(int)
+
+    @pytest.mark.parametrize("spec", [ClassifierSpec(feature_count=16, l2=1e-3, seed=1),
+                                      ClassifierSpec(feature_count=16, seed=1),
+                                      ClassifierSpec(use_random_features=False, l2=0.0)])
+    def test_two_class_fit_is_the_softmax_optimum(self, spec):
+        # the Newton solve on one vector lands on the optimum of the
+        # two-column softmax objective, with rows of theta summing to zero
+        from tvcate.learners import _design, _nll_and_grad
+
+        X, labels = self.signal(3000, 12)
+        w = np.random.default_rng(13).uniform(0.5, 2.0, 3000)
+        model = fit_classifier(spec, X, labels, w)
+        theta = model.params["theta"]
+        assert np.all(theta.sum(axis=1) == 0.0)
+        phi = _design(X, model.params.get("W"), model.params.get("b"))
+        _, grad = _nll_and_grad(theta.ravel(), phi, labels, w / w.sum(),
+                                model.params["l2_used"], 2)
+        assert np.abs(grad).max() <= 1e-6
+
+    def test_two_class_loss_and_hessian_match_the_softmax_and_finite_differences(self):
+        from tvcate.learners import _binary_hessian, _binary_nll_and_grad, _nll_and_grad
+
+        rng = np.random.default_rng(14)
+        n, p = 40, 5
+        phi = np.hstack([rng.normal(size=(n, p - 1)), np.ones((n, 1))])
+        labels = rng.integers(0, 2, n)
+        y = labels.astype(float)
+        w = rng.uniform(0.2, 1.0, n)
+        w /= w.sum()
+        beta = rng.normal(size=p)
+        nll, grad = _binary_nll_and_grad(beta, phi, y, w, 1e-2)
+        soft_nll, soft_grad = _nll_and_grad(np.column_stack([-beta / 2, beta / 2]).ravel(),
+                                            phi, labels, w, 1e-2, 2)
+        np.testing.assert_allclose(nll, soft_nll, rtol=1e-12)
+        np.testing.assert_allclose(grad, soft_grad.reshape(p, 2)[:, 1], rtol=1e-10, atol=1e-15)
+        hess = _binary_hessian(beta, phi, y, w, 1e-2)
+        eps = 1e-6
+        fd = np.empty((p, p))
+        for j in range(p):
+            up, dn = beta.copy(), beta.copy()
+            up[j] += eps
+            dn[j] -= eps
+            fd[:, j] = (_binary_nll_and_grad(up, phi, y, w, 1e-2)[1]
+                        - _binary_nll_and_grad(dn, phi, y, w, 1e-2)[1]) / (2 * eps)
+        np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_solver_that_stops_short_raises(self, n_classes):
+        X, labels = self.signal(2000, 15)
+        if n_classes == 3:
+            labels = labels + (X[:, 1] > 1.0)
+        with pytest.raises(ValueError, match="failed to converge within 1 iterations; "
+                                             "final gradient max-norm"):
+            fit_classifier(ClassifierSpec(use_random_features=False, l2=1e-3, max_iter=1),
+                           X, labels, n_classes=n_classes)
+
+    @pytest.mark.parametrize("spec", [ClassifierSpec(use_random_features=False, l2=0.0),
+                                      ClassifierSpec(feature_count=16, l2=0.0)])
+    def test_separated_data_without_penalty_raises_no_warning(self, spec):
+        # the logits grow without bound; the loss and its derivatives must
+        # neither overflow nor warn (a warning would reach a run's advisories)
+        x = np.linspace(-2, 2, 400)[:, None]
+        labels = (x[:, 0] > 0).astype(int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = fit_classifier(spec, x, labels)
+            p1 = model.predict_proba(x)[:, 1]
+        assert np.all(p1[labels == 1] > 0.5) and np.all(p1[labels == 0] < 0.5)
+
+    def test_training_rows_are_evaluated_from_the_fits_map(self, monkeypatch):
+        # predict_proba at rows of the training bytes returns what the fit
+        # evaluated from its own map, maps nothing, and has the bits of a
+        # bundled copy mapping them again; other rows are mapped
+        from tvcate import learners
+
+        X, labels = self.signal(9000, 16)
+        model = fit_classifier(ClassifierSpec(l2=1e-2, seed=2), X, labels)
+        clone = FittedClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
+        mapped, original = [], learners._cosine_features
+
+        def counting(X, W, b):
+            mapped.append(X.shape[0])
+            return original(X, W, b)
+        monkeypatch.setattr(learners, "_cosine_features", counting)
+        proba = model.predict_proba(X.copy())
+        assert mapped == []
+        assert np.array_equal(proba, clone.predict_proba(X))
+        assert mapped == [4096, 4096, 808]
+        moved = X.copy()
+        moved[-1, 0] += 1e-9
+        model.predict_proba(moved)
+        assert mapped[3:] == [4096, 4096, 808]
+
+    def test_peak_memory_does_not_grow_with_the_rows(self):
+        # a block of the 64-feature map and the block of design rows it is
+        # copied into at most, whatever the row count
+        X, labels = self.signal(500, 17)
+        model = fit_classifier(ClassifierSpec(l2=1e-2), X, labels)
+        peaks = []
+        for rows in (10_000, 40_000):
+            grid = np.random.default_rng(rows).normal(size=(rows, 2))
+            tracemalloc.start()
+            try:
+                proba = model.predict_proba(grid)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - proba.nbytes)
+        two_blocks = 2 * 4097 * 65 * 8               # about 4.3 MB
+        assert max(peaks) <= two_blocks + 2 ** 20
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 20

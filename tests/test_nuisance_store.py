@@ -281,8 +281,8 @@ class TestHeldDesign:
     def test_seed_job_map_rows(self, monkeypatch):
         # d1 with 500 training and 100 test trajectories of length 5: 2500
         # training and 500 test positions, each mapped once per map for
-        # every tau and learner; the classifier maps its training rows to
-        # fit and once more to evaluate every position
+        # every tau and learner; the classifier maps its training rows once,
+        # to fit, and evaluates every position from that map
         cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1, 2),
                                classifier_l2=1e-2)
         names = {}
@@ -300,7 +300,7 @@ class TestHeldDesign:
             return original(X, W, b)
         monkeypatch.setattr(learners_module, "_cosine_features", counting)
         _seed_job(cfg, 0)
-        assert counts == {("classifier", 2500): 2,
+        assert counts == {("classifier", 2500): 1,
                           ("regressor", 2500): 1, ("regressor", 500): 1,
                           ("second stage", 2500): 1, ("second stage", 500): 1}
 
