@@ -91,24 +91,38 @@ def _arm(text: Optional[str], tau: int, default: Sequence[int]) -> tuple:
 
 def _pair_from_args(args) -> InterventionPair:
     default = benchmark_pair(args.tau)
-    if args.arm_a is None and args.arm_b is None:
-        return default
     return InterventionPair(_arm(args.arm_a, args.tau, default.a_seq),
                             _arm(args.arm_b, args.tau, default.b_seq))
 
 
-def _nuisance_kwargs(args) -> dict:
+def _nuisances_from_flags(args, panel, pair):
+    """The nuisance flags' split and fit on ``panel`` (``fit`` and ``train``)."""
     regressor = RegressorSpec(feature_count=args.regressor_features,
                               bandwidth=args.regressor_bandwidth,
                               ridge_lambda=args.regressor_ridge)
     l2 = "auto" if args.classifier_l2 == "auto" else float(args.classifier_l2)
     classifier = ClassifierSpec(use_random_features=not args.classifier_plain,
                                 l2=l2)
-    return {"regressor_spec": regressor, "classifier_spec": classifier,
-            "clip_eps": args.clip_eps}
+    split = make_split(panel, args.tau, enabled=args.split, seed=args.split_seed)
+    return fit_nuisances(panel, pair, regressor_spec=regressor,
+                         classifier_spec=classifier, split=split,
+                         clip_eps=args.clip_eps)
 
 
-def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
+def _add_panel_flags(parser: argparse.ArgumentParser, role: str) -> None:
+    parser.add_argument("--panel", required=True, help=f"{role} panel CSV")
+    parser.add_argument("--arity", type=int, default=2,
+                        help="number of treatment arms in the panel")
+
+
+def _add_fit_flags(parser: argparse.ArgumentParser) -> None:
+    """The intervention pair and the nuisance fit (``fit`` and ``train``)."""
+    parser.add_argument("--tau", type=int, required=True,
+                        help="steps ahead; determines the intervention pair")
+    parser.add_argument("--arm-a", default=None,
+                        help="comma-separated arms for the first sequence")
+    parser.add_argument("--arm-b", default=None,
+                        help="comma-separated arms for the second sequence")
     parser.add_argument("--regressor-features", type=int, default=256,
                         help="random-feature count for response regressions")
     parser.add_argument("--regressor-bandwidth", type=float, default=1.5,
@@ -125,15 +139,6 @@ def _add_nuisance_flags(parser: argparse.ArgumentParser) -> None:
                         help="cross-fit nuisances on disjoint folds")
     parser.add_argument("--split-seed", type=int, default=0,
                         help="seed for the fold assignment")
-
-
-def _add_pair_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--tau", type=int, required=True,
-                        help="steps ahead; determines the intervention pair")
-    parser.add_argument("--arm-a", default=None,
-                        help="comma-separated arms for the first sequence")
-    parser.add_argument("--arm-b", default=None,
-                        help="comma-separated arms for the second sequence")
 
 
 def _cmd_simulate(args) -> int:
@@ -153,10 +158,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_fit(args) -> int:
     panel = panel_from_csv(args.panel, treatment_arity=args.arity)
     pair = _pair_from_args(args)
-    split = make_split(panel, args.tau, enabled=args.split,
-                       seed=args.split_seed)
-    nuisances = fit_nuisances(panel, pair, split=split,
-                              **_nuisance_kwargs(args))
+    nuisances = _nuisances_from_flags(args, panel, pair)
     save_nuisances(nuisances, args.out)
     print(f"fit nuisances for pair {pair.a_seq} vs {pair.b_seq} "
           f"on {panel.n} trajectories; saved to {args.out}")
@@ -166,13 +168,8 @@ def _cmd_fit(args) -> int:
 def _cmd_train(args) -> int:
     panel = panel_from_csv(args.panel, treatment_arity=args.arity)
     pair = _pair_from_args(args)
-    if args.nuisances is not None:
-        nuisances = load_nuisances(args.nuisances)
-    else:
-        split = make_split(panel, args.tau, enabled=args.split,
-                           seed=args.split_seed)
-        nuisances = fit_nuisances(panel, pair, split=split,
-                                  **_nuisance_kwargs(args))
+    nuisances = (load_nuisances(args.nuisances) if args.nuisances is not None
+                 else _nuisances_from_flags(args, panel, pair))
     second_stage = RegressorSpec(feature_count=args.second_stage_features,
                                  bandwidth=args.second_stage_bandwidth,
                                  ridge_lambda=args.second_stage_ridge)
@@ -218,18 +215,14 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
-def _print_advisories(advisories: Sequence[str]) -> None:
-    for note in advisories:
-        print(f"advisory: {note}", file=sys.stderr)
-
-
 def _cmd_experiment(args, extras: Sequence[str], base: ExperimentConfig,
                     run, emit) -> int:
     """``run`` (an experiment or a sweep) from ``base`` and the flags; write
     its files with ``emit`` and print its summary."""
     result = run(_load_config(args, base, extras))
     paths = emit(result, stem=args.stem)
-    _print_advisories(result.advisories)
+    for note in result.advisories:
+        print(f"advisory: {note}", file=sys.stderr)
     print(format_summary_table(result, scale=10.0 if args.display_x10 else 1.0))
     for path in paths.values():
         print(f"wrote {path}")
@@ -266,20 +259,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output CSV path")
 
     p = sub.add_parser("fit", help="fit nuisances and save a bundle")
-    p.add_argument("--panel", required=True, help="training panel CSV")
-    p.add_argument("--arity", type=int, default=2,
-                   help="number of treatment arms in the panel")
-    _add_pair_flags(p)
-    _add_nuisance_flags(p)
+    _add_panel_flags(p, "training")
+    _add_fit_flags(p)
     p.add_argument("--out", required=True, help="output bundle path (JSON)")
 
     p = sub.add_parser("train", help="fit one learner and save a model")
-    p.add_argument("--panel", required=True, help="training panel CSV")
-    p.add_argument("--arity", type=int, default=2,
-                   help="number of treatment arms in the panel")
+    _add_panel_flags(p, "training")
     p.add_argument("--learner", required=True, choices=list(LEARNER_KINDS))
-    _add_pair_flags(p)
-    _add_nuisance_flags(p)
+    _add_fit_flags(p)
     p.add_argument("--nuisances", default=None,
                    help="reuse a saved nuisance bundle instead of refitting")
     p.add_argument("--second-stage-features", type=int, default=256)
@@ -289,9 +276,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("evaluate", help="score a saved model on a panel")
     p.add_argument("--model", required=True, help="saved model bundle")
-    p.add_argument("--panel", required=True, help="test panel CSV")
-    p.add_argument("--arity", type=int, default=2,
-                   help="number of treatment arms in the panel")
+    _add_panel_flags(p, "test")
     p.add_argument("--truth", type=float, default=None,
                    help="constant true effect to score against")
     p.add_argument("--dgp", default=None,

@@ -30,12 +30,16 @@ Configs travel as flat ``key = value`` text files (:func:`config_to_text`,
 default output directory is taken from the ``TVCATE_OUTPUT_DIR`` environment
 variable when a config leaves ``output_dir`` empty.
 
-Both experiment kinds return an :class:`ExperimentResult`, whose
-:class:`ResultRow` entries carry a ``gamma`` in a sweep only.  Result files
-per experiment: a row-level CSV (``learner,tau,seed,rmse,walltime_s,
-clip_fraction``, reals at 17 significant digits), a JSON mirror of the same
-rows plus the config, and a per-(learner, tau) summary CSV with mean and
-standard deviation of RMSE across seeds.  The overlap sweep prepends a
+Both experiment kinds go through one job runner: a run is a grid of one
+point, the config's generator, and a sweep has one d3 point per gamma; every
+point is checked before any job starts.  Both return an
+:class:`ExperimentResult`, whose :class:`ResultRow` entries carry a ``gamma``
+in a sweep only, and both write through one writer that formats every file
+before it writes the first.  Result files per experiment: a row-level CSV
+(``learner,tau,seed,rmse,walltime_s,clip_fraction``, reals at 17 significant
+digits), a JSON mirror of the same rows plus the config, and a
+per-(learner, tau) summary CSV with mean and standard deviation of RMSE
+across seeds.  The overlap sweep prepends a
 ``gamma`` column and emits a plot-data JSON with per-gamma mean curves.
 Evaluation predicts on the encoded test histories pooled over every valid
 decision time; the ``eval_t`` field restricts it to one fixed time instead.
@@ -58,7 +62,7 @@ import numpy as np
 
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
 from .learners import ClassifierSpec, RegressorSpec, RowMap
-from .meta import LEARNER_KINDS, fit_meta
+from .meta import LEARNER_KINDS, LEARNER_NUISANCES, PLUG_IN_KINDS, fit_meta
 from .nuisance import (build_row_table, default_codec, fit_nuisances,
                        fit_propensities, make_split, position_map,
                        propensities_at_positions)
@@ -225,14 +229,6 @@ def default_sweep_config() -> ExperimentConfig:
 # config serialization
 
 _CONFIG_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
-_INT_TUPLES = ("taus", "seeds")
-_FLOAT_TUPLES = ("gammas",)
-_STR_TUPLES = ("learners",)
-_BOOLS = ("classifier_cosine", "split_enabled", "fast", "record_walltime")
-_INTS = ("n_train", "n_test", "regressor_features", "second_stage_features",
-         "workers")
-_FLOATS = ("regressor_bandwidth", "regressor_ridge", "second_stage_bandwidth",
-           "second_stage_ridge", "clip_eps")
 
 
 def _value_to_str(value) -> str:
@@ -247,34 +243,35 @@ def _value_to_str(value) -> str:
     return str(value)
 
 
+def _parse_value(kind: type, raw: str):
+    """One value of type ``kind``, the type of a field's default."""
+    if kind is bool:
+        low = raw.lower()
+        if low in ("true", "1", "yes"):
+            return True
+        if low in ("false", "0", "no"):
+            return False
+        raise ValueError(f"expected a boolean, got {raw!r}")
+    if kind is str:
+        return raw.strip()
+    return kind(raw)                      # int or float: their errors name the text
+
+
 def _coerce_field(name: str, raw: str):
     raw = raw.strip()
     if name not in _CONFIG_FIELDS:
         raise ValueError(f"unknown config key {name!r}; valid keys: "
                          + ", ".join(sorted(_CONFIG_FIELDS)))
+    default = _CONFIG_FIELDS[name].default
     try:
-        if name in _INT_TUPLES:
-            return tuple(int(v) for v in raw.split(",") if v.strip() != "")
-        if name in _FLOAT_TUPLES:
-            return tuple(float(v) for v in raw.split(",") if v.strip() != "")
-        if name in _STR_TUPLES:
-            return tuple(v.strip() for v in raw.split(",") if v.strip() != "")
-        if name in _BOOLS:
-            low = raw.lower()
-            if low in ("true", "1", "yes"):
-                return True
-            if low in ("false", "0", "no"):
-                return False
-            raise ValueError(f"expected a boolean, got {raw!r}")
-        if name in _INTS:
-            return int(raw)
-        if name in _FLOATS:
-            return float(raw)
         if name == "eval_t":
             return None if raw.lower() in ("none", "") else int(raw)
         if name == "classifier_l2":
             return "auto" if raw.lower() == "auto" else float(raw)
-        return raw  # dgp, output_dir
+        if isinstance(default, tuple):    # comma-separated, typed by the first entry
+            return tuple(_parse_value(type(default[0]), v)
+                         for v in raw.split(",") if v.strip() != "")
+        return _parse_value(type(default), raw)
     except ValueError as exc:
         raise ValueError(f"bad value for config key {name!r}: {exc}") from exc
 
@@ -374,30 +371,16 @@ def _specs(cfg: ExperimentConfig):
     return regressor, classifier, second_stage
 
 
-def _needed_nuisances(learners: Sequence[str]) -> Tuple[str, ...]:
-    need = set()
-    for kind in learners:
-        if kind == "PI-HA":
-            need.add("history")
-        elif kind == "PI-RA":
-            need.add("response")
-        elif kind == "IPW":
-            need.add("propensity")
-        else:  # RA, DR, IVW-DR; every second stage's rows carry ivw_realized
-            need.update(("response", "propensity"))
-    return tuple(n for n in ("response", "propensity", "history") if n in need)
-
-
-def _validate_horizons(cfg: ExperimentConfig, dgp: StructuralDGP) -> None:
+def _validate_horizons(cfg: ExperimentConfig) -> None:
+    dgp = _experiment_dgp(cfg.dgp)
     for tau in cfg.taus:
-        pair = benchmark_pair(tau)  # raises for horizons without a pair
+        benchmark_pair(tau)         # raises for horizons without a pair
         if tau >= dgp.horizon:
             raise ValueError(f"tau={tau} needs horizon > {tau}, generator "
                              f"{dgp.name!r} has horizon {dgp.horizon}")
         if cfg.eval_t is not None and cfg.eval_t > dgp.horizon - tau:
             raise ValueError(f"eval_t={cfg.eval_t} is past the last valid "
                              f"decision time {dgp.horizon - tau} for tau={tau}")
-        del pair
 
 
 @contextlib.contextmanager
@@ -414,9 +397,9 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
     dgp = _experiment_dgp(cfg.dgp)
     n_train, n_test = _effective_sizes(cfg)
     regressor, classifier, second_stage = _specs(cfg)
-    need = _needed_nuisances(cfg.learners)
+    need = {family for kind in cfg.learners for family in LEARNER_NUISANCES[kind]}
     pairs = {tau: benchmark_pair(tau) for tau in cfg.taus}
-    spec_of = {kind: regressor if kind in ("PI-HA", "PI-RA") else second_stage
+    spec_of = {kind: regressor if kind in PLUG_IN_KINDS else second_stage
                for kind in cfg.learners}
     models, seconds = {}, {}                      # by (tau, kind)
     rows: List[ResultRow] = []
@@ -480,66 +463,53 @@ def _seed_job(cfg: ExperimentConfig, seed: int):
     return rows, notes
 
 
-def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the full seed grid and return rows in a fixed, seed-free order.
+def _point(cfg: ExperimentConfig, gamma: Optional[float]) -> ExperimentConfig:
+    """One sweep point's config (``repr`` keeps gamma's digits); None is a run's."""
+    return cfg if gamma is None else dataclasses.replace(cfg, dgp=f"d3:gamma={gamma!r}")
 
-    Runs no :func:`~tvcate.panel.validate_panel` up front: every panel
-    comes from ``simulate_panel`` (``fit_nuisances`` still checks the
-    training panel).
+
+def _sweep_job(cfg: ExperimentConfig, gamma: Optional[float], seed: int):
+    """:func:`_seed_job` at one sweep point, its rows carrying ``gamma``."""
+    rows, notes = _seed_job(_point(cfg, gamma), seed)
+    return [dataclasses.replace(r, gamma=gamma) for r in rows], notes
+
+
+def _run(cfg: ExperimentConfig, gammas: Tuple[Optional[float], ...]) -> ExperimentResult:
+    """Every (point, seed) job, rows in a fixed, seed-free order.
+
+    Every point's generator and horizons are checked before any job starts.
+    Runs no :func:`~tvcate.panel.validate_panel` up front: every panel comes
+    from ``simulate_panel`` (``fit_nuisances`` still checks the training
+    panel).
     """
-    dgp = _experiment_dgp(cfg.dgp)
-    _validate_horizons(cfg, dgp)
+    for gamma in gammas:
+        _validate_horizons(_point(cfg, gamma))
+    jobs = [(gamma, seed) for gamma in gammas for seed in cfg.seeds]
     if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers,
-                                                 len(cfg.seeds))) as pool:
-            outputs = list(pool.map(_seed_job, repeat(cfg), cfg.seeds))
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
+            outputs = list(pool.map(_sweep_job, repeat(cfg), *zip(*jobs)))
     else:
-        outputs = [_seed_job(cfg, seed) for seed in cfg.seeds]
+        outputs = [_sweep_job(cfg, gamma, seed) for gamma, seed in jobs]
     rows = [row for job_rows, _ in outputs for row in job_rows]
-    rows.sort(key=lambda r: (cfg.learners.index(r.learner), r.tau,
-                             cfg.seeds.index(r.seed)))
+    rows.sort(key=lambda r: (gammas.index(r.gamma), cfg.learners.index(r.learner),
+                             r.tau, cfg.seeds.index(r.seed)))
     advisories = sorted({note for _, notes in outputs for note in notes})
     return ExperimentResult(cfg, tuple(rows), tuple(advisories))
 
 
-def _sweep_dgp(gamma: float) -> str:
-    """The generator name of a sweep point; ``repr`` keeps every digit of gamma."""
-    return f"d3:gamma={gamma!r}"
-
-
-def _sweep_job(cfg: ExperimentConfig, gamma: float, seed: int):
-    point = dataclasses.replace(cfg, dgp=_sweep_dgp(gamma))
-    rows, notes = _seed_job(point, seed)
-    return [dataclasses.replace(r, gamma=gamma) for r in rows], notes
+def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
+    """Run the full seed grid and return rows in a fixed, seed-free order."""
+    return _run(cfg, (None,))
 
 
 def overlap_sweep(cfg: ExperimentConfig) -> ExperimentResult:
-    """Run the gamma grid x seed grid at the single sweep horizon.
-
-    Like :func:`run_experiment`, runs no ``validate_panel`` of its own: every
-    panel comes from ``simulate_panel``.
-    """
+    """Run the gamma grid x seed grid at the single sweep horizon."""
     if cfg.dgp.split(":", 1)[0] != "d3":
         raise ValueError("the overlap sweep runs on the d3 family; set "
                          "dgp=d3 (the gamma grid comes from the config)")
     if len(cfg.taus) != 1:
         raise ValueError("the overlap sweep uses a single tau")
-    _validate_horizons(cfg, _experiment_dgp(_sweep_dgp(cfg.gammas[0])))
-    jobs = [(gamma, seed) for gamma in cfg.gammas for seed in cfg.seeds]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=min(cfg.workers,
-                                                 len(jobs))) as pool:
-            outputs = list(pool.map(_sweep_job, repeat(cfg),
-                                    (g for g, _ in jobs),
-                                    (s for _, s in jobs)))
-    else:
-        outputs = [_sweep_job(cfg, gamma, seed) for gamma, seed in jobs]
-    rows = [row for job_rows, _ in outputs for row in job_rows]
-    rows.sort(key=lambda r: (cfg.gammas.index(r.gamma),
-                             cfg.learners.index(r.learner), r.tau,
-                             cfg.seeds.index(r.seed)))
-    advisories = sorted({note for _, notes in outputs for note in notes})
-    return ExperimentResult(cfg, tuple(rows), tuple(advisories))
+    return _run(cfg, cfg.gammas)
 
 
 # --------------------------------------------------------------------------
@@ -617,19 +587,13 @@ def results_to_json_dict(result: ExperimentResult) -> Dict[str, object]:
 
 def sweep_to_json_dict(sweep: ExperimentResult) -> Dict[str, object]:
     """Sweep rows plus per-gamma mean curves ready for plotting."""
-    curves = {}
-    for kind in sweep.config.learners:
-        rows = [r for r in summarize(sweep) if r["learner"] == kind]
-        curves[kind] = {"mean_rmse": [r["mean_rmse"] for r in rows],
-                        "sd_rmse": [r["sd_rmse"] for r in rows]}
-    return {
-        "config": config_to_dict(sweep.config),
-        "gamma_grid": list(sweep.config.gammas),
-        "tau": sweep.config.taus[0],
-        "curves": curves,
-        "rows": [_row_dict(sweep, r) for r in sweep.rows],
-        "advisories": list(sweep.advisories),
-    }
+    payload = results_to_json_dict(sweep)
+    summary = payload.pop("summary")
+    curves = {kind: {stat: [r[stat] for r in summary if r["learner"] == kind]
+                     for stat in ("mean_rmse", "sd_rmse")}
+              for kind in sweep.config.learners}
+    return {**payload, "gamma_grid": list(sweep.config.gammas),
+            "tau": sweep.config.taus[0], "curves": curves}
 
 
 #: summary-table format of each cell key: (header, value)
@@ -660,37 +624,36 @@ def _json_text(payload: Dict[str, object]) -> str:
     return json.dumps(payload, indent=2, sort_keys=True) + "\n"
 
 
-def _write(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(text)
+def _emit(result: ExperimentResult, output_dir: Optional[str],
+          files: Dict[str, Tuple[str, str]]) -> Dict[str, str]:
+    """Write ``{key: (file name, text)}`` into ``output_dir`` (the config's
+    when None) and return ``{key: path}``.  Callers format every text
+    before the call, so a failing formatter writes no file."""
+    outdir = output_dir if output_dir is not None else resolve_output_dir(result.config)
+    os.makedirs(outdir, exist_ok=True)
+    paths = {}
+    for key, (name, text) in files.items():
+        paths[key] = os.path.join(outdir, name)
+        with open(paths[key], "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+    return paths
 
 
 def emit_results(result: ExperimentResult, output_dir: Optional[str] = None,
                  stem: str = "results") -> Dict[str, str]:
     """Write ``<stem>.csv``, ``<stem>.json`` and ``<stem>_summary.csv``."""
-    outdir = output_dir if output_dir is not None \
-        else resolve_output_dir(result.config)
-    os.makedirs(outdir, exist_ok=True)
-    paths = {"csv": os.path.join(outdir, f"{stem}.csv"),
-             "json": os.path.join(outdir, f"{stem}.json"),
-             "summary": os.path.join(outdir, f"{stem}_summary.csv")}
-    _write(paths["csv"], format_results_csv(result))
-    _write(paths["json"], _json_text(results_to_json_dict(result)))
-    _write(paths["summary"], format_summary_csv(result))
-    return paths
+    return _emit(result, output_dir, {
+        "csv": (f"{stem}.csv", format_results_csv(result)),
+        "json": (f"{stem}.json", _json_text(results_to_json_dict(result))),
+        "summary": (f"{stem}_summary.csv", format_summary_csv(result))})
 
 
 def emit_sweep(sweep: ExperimentResult, output_dir: Optional[str] = None,
                stem: str = "sweep") -> Dict[str, str]:
     """Write ``<stem>.csv`` and the plot-data ``<stem>.json``."""
-    outdir = output_dir if output_dir is not None \
-        else resolve_output_dir(sweep.config)
-    os.makedirs(outdir, exist_ok=True)
-    paths = {"csv": os.path.join(outdir, f"{stem}.csv"),
-             "json": os.path.join(outdir, f"{stem}.json")}
-    _write(paths["csv"], format_results_csv(sweep))
-    _write(paths["json"], _json_text(sweep_to_json_dict(sweep)))
-    return paths
+    return _emit(sweep, output_dir, {
+        "csv": (f"{stem}.csv", format_results_csv(sweep)),
+        "json": (f"{stem}.json", _json_text(sweep_to_json_dict(sweep)))})
 
 
 def spearman(x, y) -> float:

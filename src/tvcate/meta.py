@@ -29,6 +29,7 @@ whole nuisance bundle, still load.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -41,6 +42,7 @@ from .nuisance import (
     NuisanceSet,
     RowTable,
     build_row_table,
+    bundle_pair,
     check_bundle,
 )
 from .panel import FeatureCodec, InterventionPair, Panel
@@ -65,6 +67,13 @@ __all__ = [
 ]
 
 LEARNER_KINDS = ("PI-HA", "PI-RA", "RA", "IPW", "DR", "IVW-DR")
+#: kinds that predict the difference of their two arms' nuisance models; the
+#: others regress a contrast pseudo-outcome in a second stage
+PLUG_IN_KINDS = ("PI-HA", "PI-RA")
+#: the nuisance families each kind reads; every second stage's rows carry
+#: :func:`ivw_realized`, so every second stage reads the propensities
+LEARNER_NUISANCES = {"PI-HA": ("history",), "PI-RA": ("response",), "IPW": ("propensity",),
+                     **dict.fromkeys(("RA", "DR", "IVW-DR"), ("response", "propensity"))}
 
 # second-stage fits see noisy pseudo-outcomes, so their default penalty is
 # heavier than the nuisance-stage default
@@ -94,9 +103,16 @@ def _arm_terms(nuisances: NuisanceSet, table: RowTable, seq):
     return ind, pi, ratio, prefix, cum[:, -1], clipped_queries, n * K
 
 
-def _ipw_arm(nuisances, table, seq):
-    *_, full, nclip, nquery = _arm_terms(nuisances, table, seq)
-    return full * table.y_term, nclip, nquery
+def _arm_value(nuisances, table, seq, arm=None):
+    """One arm's IPW pseudo-outcome, plus DR's response terms when ``arm``
+    ("a" or "b") names the arm's mu-hat; also the clip and query counts."""
+    ind, pi, ratio, prefix, full, nclip, nquery = _arm_terms(nuisances, table, seq)
+    value = full * table.y_term
+    if arm is not None:
+        for k in range(nuisances.tau + 1):
+            mu_k = nuisances.mu(arm, k, table)
+            value = value + mu_k * (1.0 - ratio[:, k]) * prefix[:, k]
+    return value, nclip, nquery
 
 
 def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -105,18 +121,9 @@ def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
     Each value is the product over levels of 1{A = a}/pi-hat times the
     terminal outcome; clipping upstream bounds every factor.
     """
-    a_vals, _, _ = _ipw_arm(nuisances, table, pair.a_seq)
-    b_vals, _, _ = _ipw_arm(nuisances, table, pair.b_seq)
+    a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq)
+    b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq)
     return a_vals, b_vals, a_vals - b_vals
-
-
-def _dr_arm(nuisances, table, seq, arm):
-    ind, pi, ratio, prefix, full, nclip, nquery = _arm_terms(nuisances, table, seq)
-    value = full * table.y_term
-    for k in range(nuisances.tau + 1):
-        mu_k = nuisances.mu(arm, k, table)
-        value = value + mu_k * (1.0 - ratio[:, k]) * prefix[:, k]
-    return value, nclip, nquery
 
 
 def pseudo_dr(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -126,8 +133,8 @@ def pseudo_dr(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
     times the inverse-propensity product of the strictly earlier levels
     (empty product = 1).
     """
-    a_vals, _, _ = _dr_arm(nuisances, table, pair.a_seq, "a")
-    b_vals, _, _ = _dr_arm(nuisances, table, pair.b_seq, "b")
+    a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq, "a")
+    b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq, "b")
     return a_vals, b_vals, a_vals - b_vals
 
 
@@ -196,18 +203,15 @@ def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: Interventio
     Every kind also carries the pair's realized variance statistic
     (:func:`ivw_realized`), so every kind queries the propensities.
     """
-    if kind not in ("RA", "IPW", "DR", "IVW-DR"):
+    if kind not in LEARNER_KINDS or kind in PLUG_IN_KINDS:
         raise ValueError(f"no pseudo-outcomes for learner kind {kind!r}")
     nclip = nquery = 0
     if kind == "RA":
         value = pseudo_ra(table, nuisances, pair)
     else:
-        if kind == "IPW":
-            va, ca, qa = _ipw_arm(nuisances, table, pair.a_seq)
-            vb, cb, qb = _ipw_arm(nuisances, table, pair.b_seq)
-        else:
-            va, ca, qa = _dr_arm(nuisances, table, pair.a_seq, "a")
-            vb, cb, qb = _dr_arm(nuisances, table, pair.b_seq, "b")
+        dr = kind != "IPW"
+        va, ca, qa = _arm_value(nuisances, table, pair.a_seq, "a" if dr else None)
+        vb, cb, qb = _arm_value(nuisances, table, pair.b_seq, "b" if dr else None)
         nclip, nquery = ca + cb, qa + qb
         value = va - vb
     _, v = ivw_realized(table, nuisances, pair)
@@ -282,7 +286,7 @@ class CateModel:
         to predict at (all when None).
         """
         models = ([self.arm_models[arm] for arm in ("a", "b")]
-                  if self.kind in ("PI-HA", "PI-RA") else [self.second_stage])
+                  if self.kind in PLUG_IN_KINDS else [self.second_stage])
         outs = (features.predict(models, rows) if isinstance(features, RowMap)
                 else predict_many(models, features))
         return outs[0] if len(outs) == 1 else outs[0] - outs[1]
@@ -316,8 +320,8 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
     codec = nuisances.codec
     model = CateModel(kind=kind, pair=pair, tau=tau, codec=codec)
 
-    if kind in ("PI-HA", "PI-RA"):
-        family = "history" if kind == "PI-HA" else "response"
+    if kind in PLUG_IN_KINDS:
+        family, = LEARNER_NUISANCES[kind]
         if nuisances.oracle_mode or getattr(nuisances, f"{family}_models") is None:
             raise ValueError(f"{kind} needs fitted {family} models to predict on encoded "
                              "rows; oracle surfaces need full histories")
@@ -379,7 +383,7 @@ _PLUG_IN_KEY = {1: "nuisances", 2: "arm_models"}
 def cate_model_to_dict(model: CateModel) -> dict:
     # "target" and "weights_mode" are fixed keys: every model is a CATE model
     # with estimated IVW weights
-    state = {
+    return {
         "format_version": BUNDLE_FORMAT_VERSION,
         "kind": model.kind,
         "target": "cate",
@@ -394,7 +398,6 @@ def cate_model_to_dict(model: CateModel) -> dict:
         else model.second_stage.to_dict(),
         "v_model": None if model.v_model is None else model.v_model.to_dict(),
     }
-    return state
 
 
 def _arm_model_states(state: dict, version: int):
@@ -406,28 +409,39 @@ def _arm_model_states(state: dict, version: int):
         return {arm: (f"arm_models.{arm}", d) for arm, d in held.items()}
     # format 1: read the two models the kind predicts from out of the
     # embedded nuisance bundle
-    family = "history_models" if state["kind"] == "PI-HA" else "response_models"
+    family = f"{LEARNER_NUISANCES[state['kind']][0]}_models"
     check_bundle(held, "nuisance", (family,))
+    models = held[family] or {}           # none: the caller names the missing models
     if family == "history_models":
-        return {arm: (f"nuisances.history_models.{arm}", d)
-                for arm, d in held[family].items()}
+        return {arm: (f"nuisances.history_models.{arm}", d) for arm, d in models.items()}
     return {arm: (f"nuisances.response_models.{arm}[0]", levels[0])
-            for arm, levels in held[family].items()}
+            for arm, levels in models.items()}
 
 
 def cate_model_from_dict(state: dict) -> CateModel:
-    """Load a model bundle; ``weights_mode`` is read and ignored."""
+    """Load a model bundle whose ``kind`` holds the models it predicts
+    from; ``weights_mode`` is read and ignored."""
     version = check_bundle(state, "model", _MODEL_KEYS)
     check_bundle(state, "model", (_PLUG_IN_KEY[version],))
     if state["target"] != "cate":
         raise ValueError(f"model bundle has target {state['target']!r}; "
                          "only 'cate' models load")
-    pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
+    kind = state["kind"]
+    if kind not in LEARNER_KINDS:
+        raise ValueError(f"model bundle has kind {kind!r}; choose from {LEARNER_KINDS}")
+    pair, tau = bundle_pair(state, "model")
     arms = _arm_model_states(state, version)
+    if kind in PLUG_IN_KINDS and (arms is None or set(arms) != {"a", "b"}):
+        raise ValueError(f"model bundle of kind {kind!r} needs "
+                         f"{_PLUG_IN_KEY[version]} for arms 'a' and 'b'")
+    if kind not in PLUG_IN_KINDS and state["second_stage"] is None:
+        raise ValueError(f"model bundle of kind {kind!r} needs second_stage")
+    if kind == "IVW-DR" and state["v_model"] is None:
+        raise ValueError(f"model bundle of kind {kind!r} needs v_model")
     return CateModel(
-        kind=state["kind"],
+        kind=kind,
         pair=pair,
-        tau=int(state["tau"]),
+        tau=tau,
         codec=FeatureCodec(**state["codec"]),
         diagnostics=state["diagnostics"],
         arm_models=None if arms is None else
@@ -440,12 +454,10 @@ def cate_model_from_dict(state: dict) -> CateModel:
 
 
 def save_cate_model(model: CateModel, path) -> None:
-    import json
     with open(path, "w") as fh:
         json.dump(cate_model_to_dict(model), fh)
 
 
 def load_cate_model(path) -> CateModel:
-    import json
     with open(path) as fh:
         return cate_model_from_dict(json.load(fh))

@@ -17,9 +17,9 @@ reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
 trajectory count; an enabled plan keeps its folds.  Loading checks the
-format version, every key and array shape, and that each arm has tau + 1
-response levels, and raises ``ValueError`` naming the model and field.
-Format-1 bundles still load.
+format version, every key and array shape, and that the pair and each
+arm's response models have tau + 1 levels, and raises ``ValueError``
+naming the model and field.  Format-1 bundles still load.
 """
 
 from __future__ import annotations
@@ -555,6 +555,17 @@ def check_bundle(state, what: str, required) -> int:
     return version
 
 
+def bundle_pair(state, what: str):
+    """A bundle's intervention pair and horizon; raise ValueError when the
+    pair's length is not ``tau + 1``."""
+    pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
+    tau = int(state["tau"])
+    if pair.tau != tau:
+        raise ValueError(f"{what} bundle pair has {pair.tau + 1} levels per arm, "
+                         f"tau {tau} needs {tau + 1}")
+    return pair, tau
+
+
 def _split_to_dict(split: SplitPlan) -> dict:
     if not split.enabled:              # every fold is the full id set
         return {"enabled": False, "tau": split.tau,
@@ -605,10 +616,9 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
 def nuisances_from_dict(state: dict) -> NuisanceSet:
     version = check_bundle(state, "nuisance", _NUISANCE_KEYS)
     check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
-    pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
+    pair, tau = bundle_pair(state, "nuisance")
     codec = FeatureCodec(**state["codec"])
     split = _split_from_dict(state["split"], version)
-    tau = int(state["tau"])
     common = dict(pair=pair, tau=tau, codec=codec,
                   clip_eps=float(state["clip_eps"]), split=split)
     if state["oracle_mode"]:

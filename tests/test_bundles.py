@@ -110,6 +110,12 @@ class TestFormat1Fixtures:
         with pytest.raises(ValueError, match=r"nuisances\.response_models\.a\[0\]: params\.b"):
             cate_model_from_dict(state)
 
+    def test_plug_in_without_its_models_raises(self):
+        state = json.loads((FORMAT1 / "model-PI-HA.json").read_text())
+        state["nuisances"]["history_models"] = None
+        with pytest.raises(ValueError, match="kind 'PI-HA' needs nuisances for arms"):
+            cate_model_from_dict(state)
+
 
 class TestFormat2:
     @pytest.mark.parametrize("kind", LEARNER_KINDS)
@@ -222,6 +228,28 @@ class TestLoadChecks:
         del state["split"]["trajectories"]
         with pytest.raises(ValueError, match="split lacks the required key 'trajectories'"):
             nuisances_from_dict(state)
+
+    def test_pair_must_match_tau(self, fitted):
+        state = nuisances_to_dict(fitted[3])
+        state["pair"] = {"a_seq": [1], "b_seq": [0]}
+        with pytest.raises(ValueError, match="pair has 1 levels per arm, tau 1 needs 2"):
+            nuisances_from_dict(state)
+
+    @pytest.mark.parametrize("source,edit,match", [
+        ("PI-RA", lambda s: s.update(kind="XYZ"), "kind 'XYZ'; choose from"),
+        ("DR", lambda s: s.update(kind="PI-RA"), "kind 'PI-RA' needs arm_models"),
+        ("PI-HA", lambda s: s["arm_models"].pop("b"), "kind 'PI-HA' needs arm_models"),
+        ("PI-RA", lambda s: s.update(kind="DR"), "kind 'DR' needs second_stage"),
+        ("DR", lambda s: s.update(kind="IVW-DR"), "kind 'IVW-DR' needs v_model"),
+        ("DR", lambda s: s.update(tau=0), "pair has 2 levels per arm, tau 0 needs 1"),
+    ])
+    def test_kind_must_hold_its_models(self, source, edit, match, fitted, tmp_path):
+        state = cate_model_to_dict(fitted[4][source])
+        edit(state)
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(state))
+        with pytest.raises(ValueError, match=match):
+            load_cate_model(path)
 
 
 class TestUnmappedModels:

@@ -121,6 +121,21 @@ class TestFitTrainEvaluate:
             run_cli("evaluate", "--model", str(model), "--panel", str(test),
                     "--truth", "0.5", "--eval-t", "9")
 
+    def test_bundle_whose_kind_lacks_its_models_exits_with_one_line(self, tmp_path, panels):
+        train, test = panels
+        model = tmp_path / "m.json"
+        run_cli("train", "--panel", str(train), "--learner", "PI-RA",
+                "--tau", "0", "--out", str(model))
+        state = json.loads(model.read_text())
+        state["kind"] = "DR"
+        model.write_text(json.dumps(state))
+        proc = subprocess.run(
+            [sys.executable, "-m", "tvcate.cli", "evaluate", "--model", str(model),
+             "--panel", str(test), "--truth", "0.5"], capture_output=True, text=True)
+        assert proc.returncode == 1 and "Traceback" not in proc.stderr
+        assert proc.stderr.strip() == ("tvcate evaluate: model bundle of kind 'DR' "
+                                       "needs second_stage")
+
     def test_custom_arm_length_checked(self, panels, tmp_path):
         train, _ = panels
         with pytest.raises(SystemExit, match="fixes 2 arms"):

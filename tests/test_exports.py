@@ -1,8 +1,9 @@
 """Every public name the package advertises resolves, so deleting a
 function cannot leave a stale export behind, and the package-level names
 are pinned, so adding or dropping one is a reviewed edit.  So are the
-parameters of the fit functions, and the one module that tells regressor
-kinds apart."""
+parameters of the fit functions, the one module that tells regressor kinds
+apart, the one module that names the plug-in learners, and the one process
+pool."""
 
 import ast
 import importlib
@@ -86,3 +87,17 @@ def test_only_learners_names_the_regressor_kinds():
     naming = sorted(path.name for path in src.glob("*.py")
                     if any(kind in path.read_text() for kind in kinds))
     assert naming == ["learners.py"]
+
+
+def test_only_meta_names_the_plug_in_kinds():
+    # every other module reads meta.PLUG_IN_KINDS and meta.LEARNER_NUISANCES
+    src = pathlib.Path(tvcate.__file__).parent
+    naming = sorted(path.name for path in src.glob("*.py")
+                    if any(kind in path.read_text() for kind in ("PI-HA", "PI-RA")))
+    assert naming == ["meta.py"]
+
+
+def test_runs_and_sweeps_share_one_process_pool():
+    src = pathlib.Path(tvcate.__file__).parent
+    pools = sum(path.read_text().count("ProcessPoolExecutor(") for path in src.glob("*.py"))
+    assert pools == 1

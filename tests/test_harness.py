@@ -59,7 +59,21 @@ class TestConfigValidation:
             ExperimentConfig(**kwargs)
 
 
+#: every field away from its default, so each one parses by its own type
+EVERY_FIELD_SET = ExperimentConfig(
+    dgp="d2", taus=(2, 1), n_train=700, n_test=90, seeds=(4, 9),
+    learners=("IVW-DR", "RA"), regressor_features=32, regressor_bandwidth=0.75,
+    regressor_ridge=0.5, classifier_cosine=False, classifier_l2=0.25,
+    second_stage_features=48, second_stage_bandwidth=2.5, second_stage_ridge=3.0,
+    clip_eps=0.2, split_enabled=True, eval_t=3, gammas=(1.0, 3.5), fast=True,
+    record_walltime=True, workers=3, output_dir="elsewhere")
+
+
 class TestConfigSerialization:
+    def test_every_field_is_set(self):
+        assert [f.name for f in dataclasses.fields(ExperimentConfig)
+                if getattr(EVERY_FIELD_SET, f.name) == f.default] == []
+
     @pytest.mark.parametrize("cfg", [
         ExperimentConfig(),
         default_sweep_config(),
@@ -68,11 +82,13 @@ class TestConfigSerialization:
         # every digit survives: six significant digits would merge the gammas
         ExperimentConfig(clip_eps=0.0123456789, regressor_bandwidth=1.23456789,
                          classifier_l2=1e-7 / 3, gammas=(2.0, 2.0000001)),
+        EVERY_FIELD_SET,
     ])
     def test_text_round_trip(self, cfg):
         text = config_to_text(cfg)
         rebuilt = config_with_overrides(None, parse_config_text(text))
         assert rebuilt == cfg
+        assert repr(rebuilt) == repr(cfg)     # 3 == 3.0 == True, but not their reprs
 
     def test_parse_skips_comments_and_blanks(self):
         items = parse_config_text("# a comment\n\nn_train = 7 # inline\n")
@@ -283,6 +299,16 @@ class TestEmit:
         assert table[0].split()[:2] == ["gamma", "learner"]
         assert table[2].split()[:3] == ["4", "DR", "41.5000"]
 
+    def test_failing_formatter_writes_no_file(self, tmp_path, monkeypatch):
+        def failing(result):
+            raise RuntimeError("summary failed")
+        monkeypatch.setattr(harness_module, "format_summary_csv", failing)
+        cfg = dataclasses.replace(TINY, seeds=(0,), taus=(0,), learners=("DR",))
+        result = ExperimentResult(cfg, (ResultRow("DR", 0, 0, 0.1, 0.0, 0.0),))
+        with pytest.raises(RuntimeError, match="summary failed"):
+            emit_results(result, str(tmp_path))
+        assert os.listdir(tmp_path) == []
+
     def test_output_dir_resolution(self, monkeypatch):
         monkeypatch.delenv(OUTPUT_DIR_ENV, raising=False)
         assert resolve_output_dir(ExperimentConfig()) == "results"
@@ -324,6 +350,14 @@ class TestOverlapSweep:
         logits = [harness_module._experiment_dgp(name).f_a(1.0, 0.0, 0.0)
                   for name in points]
         assert logits == [2.0 * 0.75, 2.0000001 * 0.75]
+
+    def test_bad_point_raises_before_any_job(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(harness_module, "_seed_job",
+                            lambda cfg, seed: calls.append(seed) or ([], []))
+        with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+            overlap_sweep(dataclasses.replace(SWEEP_TINY, gammas=(0.0, -1.0)))
+        assert calls == []
 
     def test_requires_d3_family(self):
         with pytest.raises(ValueError, match="d3"):
