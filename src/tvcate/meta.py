@@ -15,8 +15,11 @@ Six learner kinds share one interface; each estimates E[Y(a) - Y(b) | H_t]:
   E[V | H_t] of the pseudo-outcome variance.
 
 Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
-RowTable`; every propensity enters through the nuisance set's clipping, and
-the fraction of clipped queries is reported per learner.  Every learner
+RowTable` and runs one level at a time: each level's propensities give one
+(N,) ratio 1{A_k = a_k}/pi-hat_k, a running product of the ratios gives the
+inverse-propensity weights, and products and sums run in level order.
+Every propensity enters through the nuisance set's clipping, and the
+fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
 or from rows of a row map of a panel's encoded positions.
 
@@ -31,6 +34,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import reduce
+from itertools import accumulate
+from operator import add, mul
 from typing import Optional
 
 import numpy as np
@@ -81,38 +87,30 @@ DEFAULT_SECOND_STAGE = RegressorSpec(ridge_lambda=1e-2)
 DEFAULT_V_SPEC = RegressorSpec(ridge_lambda="auto")
 
 
-def _arm_terms(nuisances: NuisanceSet, table: RowTable, seq):
-    """Per-level indicators and clipped inverse-propensity machinery for one arm.
-
-    Returns (indicator (N,K), clipped pi (N,K), ratio (N,K), prefix products
-    (N,K) with the empty product 1, full product (N,), clip count, query count).
-    """
-    K = nuisances.tau + 1
-    n = table.n_rows
-    ind = np.empty((n, K))
-    pi = np.empty((n, K))
-    clipped_queries = 0
-    for k in range(K):
-        cl, raw = nuisances.propensity(k, seq[k], table)
-        pi[:, k] = cl
-        ind[:, k] = table.a_obs[:, k] == seq[k]
-        clipped_queries += int(np.count_nonzero(cl != raw))
-    ratio = ind / pi
-    cum = np.cumprod(ratio, axis=1)
-    prefix = np.concatenate([np.ones((n, 1)), cum[:, :-1]], axis=1)
-    return ind, pi, ratio, prefix, cum[:, -1], clipped_queries, n * K
+def _level(nuisances: NuisanceSet, table: RowTable, seq, k: int, squared=False):
+    """One arm's level-k weight 1{A_k = a_k}/pi-hat_k (over pi-hat_k^2 when
+    ``squared``), an (N,) array, and the count of its clipped pi-hat."""
+    cl, raw = nuisances.propensity(k, seq[k], table)
+    return ((table.a_obs[:, k] == seq[k]) / (cl ** 2 if squared else cl),
+            int(np.count_nonzero(cl != raw)))
 
 
 def _arm_value(nuisances, table, seq, arm=None):
     """One arm's IPW pseudo-outcome, plus DR's response terms when ``arm``
-    ("a" or "b") names the arm's mu-hat; also the clip and query counts."""
-    ind, pi, ratio, prefix, full, nclip, nquery = _arm_terms(nuisances, table, seq)
-    value = full * table.y_term
+    ("a" or "b") names the arm's mu-hat; also the clip and query counts.
+
+    Only the per-level ratios 1{A_k = a_k}/pi-hat_k and one running product
+    are held; products and sums run in level order.
+    """
+    levels = [_level(nuisances, table, seq, k) for k in range(nuisances.tau + 1)]
+    ratios = [ratio for ratio, _ in levels]
+    value = reduce(mul, ratios) * table.y_term
     if arm is not None:
-        for k in range(nuisances.tau + 1):
-            mu_k = nuisances.mu(arm, k, table)
-            value = value + mu_k * (1.0 - ratio[:, k]) * prefix[:, k]
-    return value, nclip, nquery
+        # the product of the strictly earlier levels' ratios, 1 at level 0
+        prefixes = accumulate(ratios, mul, initial=1.0)
+        for k, (ratio, prefix) in enumerate(zip(ratios, prefixes)):
+            value += nuisances.mu(arm, k, table) * (1.0 - ratio) * prefix
+    return value, sum(nclip for _, nclip in levels), table.n_rows * len(levels)
 
 
 def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -174,8 +172,9 @@ def ivw_realized(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair
     """
     out = []
     for seq in (pair.a_seq, pair.b_seq):
-        ind, pi, *_ = _arm_terms(nuisances, table, seq)
-        out.append(np.cumprod(ind / pi ** 2, axis=1).sum(axis=1))
+        weights = (_level(nuisances, table, seq, k, squared=True)[0]
+                   for k in range(nuisances.tau + 1))
+        out.append(reduce(add, accumulate(weights, mul)))
     v_a, v_b = out
     return v_a, v_a + v_b
 
@@ -215,14 +214,10 @@ def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: Interventio
         nclip, nquery = ca + cb, qa + qb
         value = va - vb
     _, v = ivw_realized(table, nuisances, pair)
-    if row_mask is None:
-        row_mask = np.ones(table.n_rows, dtype=bool)
-    return PseudoRows(
-        features=table.features(0)[row_mask],
-        value=np.asarray(value)[row_mask],
-        v_realized=np.asarray(v)[row_mask],
-        clip_fraction=0.0 if nquery == 0 else nclip / nquery,
-    )
+    columns = (table.features(0), np.asarray(value), np.asarray(v))
+    if row_mask is not None:
+        columns = (c[row_mask] for c in columns)
+    return PseudoRows(*columns, clip_fraction=0.0 if nquery == 0 else nclip / nquery)
 
 
 @dataclass(frozen=True)

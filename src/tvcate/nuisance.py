@@ -7,11 +7,13 @@ and exact propensities), so estimator identities can be tested in isolation
 from fit quality.
 
 Row bookkeeping lives in :class:`RowTable`: one row per (trajectory i,
-time t) with 1 <= t <= T_i - tau, carrying for every level offset
-j in {0..tau} the encoded history H_{t+j}, the observed treatment A_{t+j},
-and the raw frontier values needed by oracle queries.  Row (i, t) at level
-j is the panel position (i, t + j), so every encoded history is a gather of
-the panel's encoded positions, and every regressor fit and prediction
+time t) with 1 <= t <= T_i - tau.  It holds the row index, the observed
+treatments A_{t..t+tau} and the terminal outcome Y_{t+tau}; everything
+else is gathered from the panel one level offset j in {0..tau} at a time.
+Row (i, t) at level j is the panel position (i, t + j), so the encoded
+history H_{t+j} is a gather of the panel's encoded positions, and the raw
+frontier values oracle queries read (X_{t+j}, A_{t+j-1}, Y_{t+j-1}) are
+gathers of the panel's flat rows.  Every regressor fit and prediction
 reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
@@ -74,9 +76,12 @@ class RowTable:
     """Pooled (trajectory, t) rows with per-level-offset views (see module docs).
 
     Encoded features are gathers of the panel's encoded positions
-    (:meth:`~tvcate.panel.Panel.encoded`) at :meth:`positions`; raw frontier
-    arrays (x, previous a/y, absolute time) are always available.  Rows are
-    ordered by (trajectory position, t).
+    (:meth:`~tvcate.panel.Panel.encoded`) at :meth:`positions`, and raw
+    frontier values (x, previous a/y) gathers of its flat rows
+    (:meth:`frontier`), one level per call.  ``x_tail``, ``aprev_tail``,
+    ``yprev_tail`` and ``time_abs`` stack every level into an (N, tau + 1)
+    array on each access; no query reads them, they remain for callers that
+    compare whole tables.  Rows are ordered by (trajectory position, t).
     """
 
     def __init__(self, panel: Panel, tau: int, codec: FeatureCodec):
@@ -97,20 +102,41 @@ class RowTable:
         self.n_rows = self.traj_id.size
         first = np.cumsum(n_t) - n_t
         self.t = np.arange(self.n_rows) - first[self.traj_id] + 1
-        K = tau + 1
-        self.time_abs = self.t[:, None] + np.arange(K)[None, :]
-        # raw per-offset columns gathered from the panel's flat rows
-        src = panel.offsets[self.traj_id][:, None] + self.time_abs - 1
-        has_prev = self.time_abs >= 2
-        self.x_tail = panel.X[src, 0]
-        self.aprev_tail = np.where(has_prev, panel.A[src - 1], 0).astype(float)
-        self.yprev_tail = np.where(has_prev, panel.Y[src - 1], 0.0)
-        self.a_obs = panel.A[src]
-        self.y_term = panel.Y[src[:, -1]]
+        at = self.positions(0)
+        self.a_obs = np.empty((self.n_rows, tau + 1), dtype=panel.A.dtype)
+        for j in range(tau + 1):
+            self.a_obs[:, j] = panel.A[at + j]
+        self.y_term = panel.Y[at + tau]
 
     def positions(self, j: int) -> np.ndarray:
         """The panel row of position (i, t + j) for every row (i, t)."""
         return self.panel.offsets[self.traj_id] + self.t + (j - 1)
+
+    def frontier(self, j: int, names=("x", "a_prev", "y_prev")) -> tuple:
+        """Raw frontier values of H_{t+j} for every row, one array per name:
+        ``"x"`` the first covariate X_{t+j}, ``"a_prev"`` (as float) and
+        ``"y_prev"`` the treatment and outcome at t + j - 1, both 0 at
+        absolute time 1."""
+        if not 0 <= j <= self.tau:
+            raise ValueError(f"offset {j} outside 0..{self.tau}")
+        at = self.positions(j)
+        first = self.t == 1 - j            # absolute time t + j is 1
+        out = []
+        for name in names:
+            if name == "x":
+                out.append(self.panel.X[at, 0])
+            else:
+                prev = {"a_prev": self.panel.A, "y_prev": self.panel.Y}[name][at - 1]
+                out.append(np.where(first, 0, prev).astype(float, copy=False))
+        return tuple(out)
+
+    def _stacked(self, name: str) -> np.ndarray:
+        return np.stack([self.frontier(j, (name,))[0] for j in range(self.tau + 1)], axis=1)
+
+    x_tail = property(lambda self: self._stacked("x"))
+    aprev_tail = property(lambda self: self._stacked("a_prev"))
+    yprev_tail = property(lambda self: self._stacked("y_prev"))
+    time_abs = property(lambda self: self.t[:, None] + np.arange(self.tau + 1)[None, :])
 
     def features(self, j: int) -> np.ndarray:
         """Encoded H_{t+j} for every row: a gather of the encoded positions."""
@@ -402,8 +428,9 @@ class NuisanceSet:
             return np.full(table.n_rows, self._response_override(arm, j))
         if self.oracle_mode:
             form = self.dgp.response_form
-            return np.asarray(form.capo(table.x_tail[:, j], self.tau - j,
-                                        self._seq(arm)[-1], self.dgp.x_noise_std))
+            x, = table.frontier(j, ("x",))
+            return np.asarray(form.capo(x, self.tau - j, self._seq(arm)[-1],
+                                        self.dgp.x_noise_std))
         self._need_response(arm)
         if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
             return self.mu_values.values[arm, j]
@@ -423,10 +450,9 @@ class NuisanceSet:
                           if a_value == 1 else 1.0 - self.override_propensity)
             return raw.copy(), raw      # injected values are used verbatim
         if self.oracle_mode:
-            a_prev = table.aprev_tail[:, j].copy()
-            first = table.time_abs[:, j] == 1
-            a_prev[first] = float(self.dgp.a0)
-            p1 = expit(self.dgp.f_a(table.x_tail[:, j], a_prev, table.yprev_tail[:, j]))
+            x, a_prev, y_prev = table.frontier(j)
+            a_prev[table.t == 1 - j] = float(self.dgp.a0)    # absolute time 1
+            p1 = expit(self.dgp.f_a(x, a_prev, y_prev))
             raw = p1 if a_value == 1 else 1.0 - p1
         elif self.propensity_model is None:
             raise ValueError("missing propensity model")

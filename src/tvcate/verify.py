@@ -239,7 +239,7 @@ def _suite_gcomp_bruteforce(budget, seed):
         exact1 = dgp.enumerate_response(suffix, 1)
         on_arm = table.a_obs[:, 1] == suffix[1]
         pred1 = models[1].predict(table.features(1)[on_arm])
-        truth1 = np.vectorize(exact1.get)(table.x_tail[on_arm, 1])
+        truth1 = np.vectorize(exact1.get)(table.frontier(1, ("x",))[0][on_arm])
         checks.append(CheckResult.compare(
             f"arms {suffix} level 1: max abs error vs enumeration",
             np.max(np.abs(pred1 - truth1)), 0.02,
@@ -249,9 +249,8 @@ def _suite_gcomp_bruteforce(budget, seed):
 
 def _mini_realized_v(dgp, table):
     """Realized V and the exact propensity for the discrete generator, tau=0."""
-    a_prev = table.aprev_tail[:, 0].copy()
-    a_prev[table.time_abs[:, 0] == 1] = 0.0
-    pi1 = dgp.propensity1(table.x_tail[:, 0], a_prev)
+    x, a_prev = table.frontier(0, ("x", "a_prev"))
+    pi1 = dgp.propensity1(x, a_prev)        # a_prev is 0 at absolute time 1
     ind1 = table.a_obs[:, 0] == 1
     v = np.where(ind1, 1.0 / pi1 ** 2, 1.0 / (1.0 - pi1) ** 2)
     return v, pi1

@@ -1,6 +1,7 @@
 """Tests for the meta-learners: pseudo-outcome hand values, algebraic
 identities, inverse-variance weighting, model fitting, and serialization."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -272,6 +273,98 @@ class TestPseudoIdentities:
         table = build_row_table(panel, 0)
         _, v_ab = ivw_realized(table, nz, pair)
         assert np.array_equal(v_ab, [4.0, 4.0, 4.0])
+
+
+def matrix_pseudo(table, nz, pair):
+    """Per arm, the IPW and DR pseudo-outcomes, the realized V and the clip
+    count built from (N, tau + 1) indicator, pi-hat, ratio and prefix
+    matrices: the reference the level-by-level arithmetic must match."""
+    n, K = table.n_rows, pair.tau + 1
+    out = {}
+    for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
+        ind, pi, nclip = np.empty((n, K)), np.empty((n, K)), 0
+        for k in range(K):
+            cl, raw = nz.propensity(k, seq[k], table)
+            pi[:, k] = cl
+            ind[:, k] = table.a_obs[:, k] == seq[k]
+            nclip += int(np.count_nonzero(cl != raw))
+        ratio = ind / pi
+        cum = np.cumprod(ratio, axis=1)
+        prefix = np.concatenate([np.ones((n, 1)), cum[:, :-1]], axis=1)
+        ipw = dr = cum[:, -1] * table.y_term
+        for k in range(K):
+            dr = dr + nz.mu(arm, k, table) * (1.0 - ratio[:, k]) * prefix[:, k]
+        v = np.cumprod(ind / pi ** 2, axis=1).sum(axis=1)
+        out[arm] = ipw, dr, v, nclip
+    return out
+
+
+def same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+@pytest.fixture(scope="module")
+def d1_sets():
+    """{tau: (panel, pair, {name: nuisance set})} on one d1 panel per tau."""
+    d1 = make_d1()
+    sets = {}
+    for tau in (0, 1, 2):
+        panel = simulate_panel(d1, 300, seed=[61, tau])
+        pair = benchmark_pair(tau)
+        oracle = oracle_nuisances(d1, pair)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)   # small response levels
+            fitted = fit_nuisances(panel, pair, need=("response", "propensity"))
+        sets[tau] = panel, pair, {
+            "oracle": oracle, "propensity 0.5": oracle.corrupted(propensity=0.5),
+            "response 0": oracle.corrupted(response=0.0), "fitted": fitted}
+    return sets
+
+
+class TestPseudoBitsPinned:
+    @pytest.mark.parametrize("name", ["oracle", "propensity 0.5", "response 0", "fitted"])
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    def test_level_loop_has_the_bits_of_the_matrix_formulas(self, d1_sets, tau, name):
+        panel, pair, sets = d1_sets[tau]
+        nz = sets[name]
+        table = build_row_table(panel, tau, nz.codec)
+        ref = matrix_pseudo(table, nz, pair)
+        (ipw_a, dr_a, v_a, clip_a), (ipw_b, dr_b, v_b, clip_b) = ref["a"], ref["b"]
+        for got, want in ((pseudo_ipw(table, nz, pair), (ipw_a, ipw_b, ipw_a - ipw_b)),
+                          (pseudo_dr(table, nz, pair), (dr_a, dr_b, dr_a - dr_b)),
+                          (ivw_realized(table, nz, pair), (v_a, v_a + v_b))):
+            assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
+        clip = (clip_a + clip_b) / (2 * table.n_rows * (tau + 1))
+        mask = table.traj_id % 3 == 0
+        for kind, value, clip_fraction in (("IPW", ipw_a - ipw_b, clip),
+                                           ("DR", dr_a - dr_b, clip),
+                                           ("RA", pseudo_ra(table, nz, pair), 0.0)):
+            for row_mask in (None, mask):
+                rows = build_pseudo_rows(table, nz, pair, kind, row_mask=row_mask)
+                at = slice(None) if row_mask is None else row_mask
+                assert same_bits(rows.features, table.features(0)[at])
+                assert same_bits(rows.value, value[at])
+                assert same_bits(rows.v_realized, (v_a + v_b)[at])
+                assert rows.clip_fraction == clip_fraction
+
+    def test_dr_peak_memory_per_row(self):
+        # tau = 2 on oracle nuisances: the three outputs, one arm's three
+        # level ratios and the temporaries of one level's terms measure
+        # 80 bytes a row; the (N, 3) indicator, pi-hat, ratio, cumprod and
+        # prefix matrices this replaced peaked at 168
+        d1 = make_d1()
+        pair = benchmark_pair(2)
+        table = build_row_table(simulate_panel(d1, 6000, seed=62), 2)
+        nz = oracle_nuisances(d1, pair)
+        tracemalloc.start()
+        try:
+            pseudo_dr(table, nz, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 88 * table.n_rows
 
 
 class TestBuildPseudoRows:

@@ -21,6 +21,7 @@ from tvcate.learners import (LOOKUP_TABLE, ClassifierSpec, RegressorSpec, RidgeD
 from tvcate.meta import LEARNER_KINDS, build_pseudo_rows, fit_meta
 from tvcate.nuisance import (
     NuisanceSet,
+    RowTable,
     build_row_table,
     default_codec,
     fit_history_adjustment,
@@ -43,6 +44,7 @@ from tvcate.panel import (
     encode_history,
     panel_from_arrays,
 )
+from tvcate.verify import SUITE_NAMES, run_suite
 
 from helpers import oracle_history_adjustment
 
@@ -96,6 +98,43 @@ class TestRowTable:
         table = build_row_table(hand_panel(), 1)
         with pytest.raises(ValueError, match="offset"):
             table.features(2)
+        with pytest.raises(ValueError, match="offset"):
+            table.frontier(2)
+
+    def test_frontier_is_one_level_of_the_stacked_columns(self):
+        table = build_row_table(hand_panel(), 1)
+        x, a_prev, y_prev = table.frontier(1)
+        assert np.array_equal(x, [2, 3, -2, -3])
+        assert np.array_equal(a_prev, [1, 0, 0, 1]) and a_prev.dtype == float
+        assert np.array_equal(y_prev, [0.5, 1.5, -0.5, -1.5])
+        table = build_row_table(simulate_panel(make_d2(), 30, seed=5), 2)
+        stacked = (table.yprev_tail, table.x_tail, table.aprev_tail)
+        for j in range(3):
+            got = table.frontier(j, ("y_prev", "x", "a_prev"))
+            assert [g.tobytes() for g in got] == [s[:, j].tobytes() for s in stacked]
+
+    def test_library_reads_the_frontier_one_level_at_a_time(self, monkeypatch):
+        def refuse(self, *args):
+            raise AssertionError("stacked (N, tau + 1) frontier column built")
+        monkeypatch.setattr(RowTable, "_stacked", refuse)
+        monkeypatch.setattr(RowTable, "time_abs", property(refuse))
+        d1 = make_d1()
+        pair = benchmark_pair(2)
+        table = build_row_table(simulate_panel(d1, 50, seed=7), 2)
+        nz = oracle_nuisances(d1, pair)
+        for kind in ("RA", "IPW", "DR"):
+            build_pseudo_rows(table, nz, pair, kind)
+        for suite in SUITE_NAMES:
+            run_suite(suite, budget=2000)
+
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    def test_holds_its_row_index_arms_and_outcome_only(self, tau):
+        # traj_id, t and y_term at 8 bytes a row and a_obs at 8 per level;
+        # a table that also held the (N, tau + 1) frontier columns and
+        # absolute times held 8 * (3 + 5 * (tau + 1)) bytes a row
+        table = build_row_table(simulate_panel(make_d1(), 400, seed=6), tau)
+        held = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
+        assert held <= 8 * (3 + (tau + 1)) * table.n_rows
 
 
 class TestMakeSplit:
