@@ -1,15 +1,19 @@
+import hashlib
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
 import textwrap
 import tracemalloc
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 import tvcate
+from tvcate import learners
 from tvcate.learners import (
     LOOKUP_TABLE,
     ClassifierSpec,
@@ -212,6 +216,112 @@ class TestPredictMany:
         two_blocks = 2 * 4097 * 256 * 8              # about 17 MB
         assert max(peaks) <= two_blocks + 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 2 ** 20
+
+
+def inline_map(X, W, b):
+    """The cosine map made in one piece in the calling thread."""
+    Z = X @ W
+    Z += b
+    np.cos(Z, out=Z)
+    Z *= np.sqrt(2.0 / W.shape[1])
+    return Z
+
+
+class TestChunkedCosineMap:
+    """The elementwise half of a cosine map runs in row chunks over the CPUs
+    and must keep the bits of the map made in one piece."""
+
+    @pytest.mark.parametrize("cpus", [None, 1, 3])
+    @pytest.mark.parametrize("features", [64, 256, 300])
+    @pytest.mark.parametrize("rows", [1, 2, 255, 4096, 4097, 25_000])
+    def test_map_has_the_bits_of_the_inline_form(self, rows, features, cpus, monkeypatch):
+        # None: this machine's CPUs; 1 and 3 stand in for other machines
+        if cpus is not None:
+            monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        rng = np.random.default_rng(rows + features)
+        X = rng.normal(size=(rows, 5))
+        W, b = learners.random_cosine_map(5, features, 1.5, 7)
+        chunks = learners._map_chunks(rows, features)
+        assert chunks == (1 if rows * features < 2 ** 16
+                          else min(cpus or learners._usable_cpus(), rows))
+        assert np.array_equal(learners._cosine_features(X, W, b), inline_map(X, W, b))
+
+    def test_concurrent_callers_share_one_pool_and_keep_the_bits(self, monkeypatch):
+        # more calling threads than CPUs, switching often, starting with no
+        # pool: every map keeps its bits and the callers make one pool
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
+        monkeypatch.setattr(learners, "_pool", None)
+        rng = np.random.default_rng(29)
+        W, b = learners.random_cosine_map(5, 256, 1.0, 11)
+        inputs = [rng.normal(size=(3000 + 7 * k, 5)) for k in range(8)]
+        pools = set()
+
+        def map_one(X):
+            Z = learners._cosine_features(X, W, b)
+            pools.add(id(learners._pool))
+            return np.array_equal(Z, inline_map(X, W, b))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as callers:
+                done = [callers.submit(map_one, X) for X in inputs for _ in range(3)]
+                assert all(future.result(timeout=60) for future in done)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(pools) == 1
+        learners._pool.shutdown()
+
+    def test_forked_child_maps_with_the_parents_bits(self, monkeypatch):
+        # the parent's pool is made before the fork; the child holds its
+        # object but none of its threads, so it must make its own
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(23)
+        X = rng.normal(size=(25_000, 5))
+        W, b = learners.random_cosine_map(5, 256, 1.0, 3)
+        want = hashlib.sha256(learners._cosine_features(X, W, b)).hexdigest()
+        assert learners._pool is not None
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: theirs.send(
+            hashlib.sha256(learners._cosine_features(X, W, b)).hexdigest()))
+        child.start()
+        try:
+            assert ours.poll(60), "the forked child's map did not finish in 60 s"
+            assert ours.recv() == want
+        finally:
+            child.join(10)
+            if child.is_alive():
+                child.kill()
+                child.join()
+        assert child.exitcode == 0
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_process_has_the_bits_of_every_cpu(self):
+        # a fit on a RowMap and a predict_many in a process pinned to one CPU
+        # (its own affinity only), against the same in a process on all CPUs
+        script = """
+            import hashlib, os
+            import numpy as np
+            from tvcate import learners
+            from tvcate.learners import RegressorSpec, RowMap, predict_many
+            if PIN:
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            rng = np.random.default_rng(21)
+            spec = RegressorSpec(seed=4)
+            model = RowMap(spec, rng.normal(size=(5000, 7))).fit(spec, rng.normal(size=5000))
+            digest = hashlib.sha256()
+            for key in ("phi_mean", "beta", "intercept"):
+                digest.update(np.asarray(model.params[key], dtype=float).tobytes())
+            for out in predict_many([model], rng.normal(size=(20000, 7))):
+                digest.update(out.tobytes())
+            print(learners._map_chunks(20000, 256), digest.hexdigest())
+            """
+        pinned, free = (run_on_one_thread(script.replace("PIN", repr(pin))).split()
+                        for pin in (True, False))
+        assert pinned[0] == "1"
+        assert int(free[0]) == min(len(os.sched_getaffinity(0)), 20000)
+        assert pinned[1] == free[1]
 
 
 class TestRidgeDesign:
