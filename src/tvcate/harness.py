@@ -8,12 +8,11 @@ result files on every run, under every ``workers`` setting and for any
 number of CPUs the process may use, because all randomness flows through
 seeds derived from the config, rows are assembled in a fixed order, and the
 cosine maps' chunks over CPUs are elementwise (see :mod:`tvcate.learners`).
-Worker processes map in one chunk each, as they already share the CPUs.
 Measured wall times are the one intentionally non-reproducible quantity,
 so the ``walltime_s`` column (a learner's ``fit_meta`` plus its test
 prediction) is written as ``0.0`` unless ``record_walltime`` is switched
-on.  A seed job runs in phases, so that at
-most one row map of the training positions is held at a time: the
+on.  A seed job runs in phases, so that at most one row map of the
+training positions is held at a time: the
 propensity classifier (without a split, one fit and one evaluation at every
 position serve every horizon); every horizon's nuisances, from one
 regressor map of the training positions; every horizon's learners, from
@@ -64,7 +63,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .dgp import StructuralDGP, get_dgp, benchmark_pair, simulate_panel
-from .learners import ClassifierSpec, RegressorSpec, RowMap, _map_in_one_chunk
+from .learners import ClassifierSpec, RegressorSpec, RowMap
 from .meta import LEARNER_KINDS, LEARNER_NUISANCES, PLUG_IN_KINDS, fit_meta
 from .nuisance import (build_row_table, default_codec, fit_nuisances,
                        fit_propensities, make_split, position_map,
@@ -489,9 +488,7 @@ def _run(cfg: ExperimentConfig, gammas: Tuple[Optional[float], ...]) -> Experime
         _validate_horizons(_point(cfg, gamma))
     jobs = [(gamma, seed) for gamma in gammas for seed in cfg.seeds]
     if cfg.workers > 1:
-        # each worker maps in one chunk: the workers already share the CPUs
-        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs)),
-                                 initializer=_map_in_one_chunk) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.workers, len(jobs))) as pool:
             outputs = list(pool.map(_sweep_job, repeat(cfg), *zip(*jobs)))
     else:
         outputs = [_sweep_job(cfg, gamma, seed) for gamma, seed in jobs]

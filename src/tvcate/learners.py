@@ -30,9 +30,10 @@ tells the kinds apart.
 A cosine map is made in two parts (:func:`_cosine_features`): the product
 ``X @ W``, one BLAS call in the calling thread, then the shift, ``cos`` and
 scale, elementwise in place on contiguous row chunks of the product, one
-per CPU the process may use, on a private thread pool.  Each element gets
-the same bits in any chunk, so every map, fit and prediction is the same
-for any CPU count, and no BLAS or LAPACK call ever runs on a pool thread.
+per CPU the process may use, on threads started for that map and joined
+before it returns.  Each element gets the same bits in any chunk, so every
+map, fit and prediction is the same for any CPU count, and no BLAS or
+LAPACK call ever runs on a map thread.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -53,7 +54,6 @@ from __future__ import annotations
 import hashlib
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -183,30 +183,10 @@ def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
     return in_dim, spec.feature_count, spec.bandwidth, spec.seed
 
 
-#: cosine maps of fewer elements than this run their elementwise part inline
-_PARALLEL_MIN_ELEMENTS = 1 << 16
-
-_one_chunk = False                    # set by _map_in_one_chunk
-_pool = None                          # the map threads, made at their first use
-_pool_lock = threading.Lock()
-
-
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads
-    global _pool, _pool_lock
-    _pool, _pool_lock = None, threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
-def _map_in_one_chunk() -> None:
-    """Make every later cosine map of this process in one chunk: the
-    initializer of the harness's worker processes, which already share the
-    CPUs, so ``workers=k`` runs k ``cos`` loops at a time, not k per CPU."""
-    global _one_chunk
-    _one_chunk = True
+#: cosine maps of fewer elements than this run their elementwise part inline:
+#: a map thread's start and join cost about as much as the ``cos`` of 2^14
+#: elements, so chunking smaller maps over two CPUs makes them slower
+_PARALLEL_MIN_ELEMENTS = 1 << 14
 
 
 def _usable_cpus() -> int:
@@ -219,19 +199,10 @@ def _usable_cpus() -> int:
 def _map_chunks(rows: int, features: int) -> int:
     """Row chunks of a ``rows`` x ``features`` map's elementwise part: one
     per CPU this process may use, or one below ``_PARALLEL_MIN_ELEMENTS``
-    elements or after :func:`_map_in_one_chunk`."""
-    if _one_chunk or rows * features < _PARALLEL_MIN_ELEMENTS:
+    elements."""
+    if rows * features < _PARALLEL_MIN_ELEMENTS:
         return 1
     return min(_usable_cpus(), rows)
-
-
-def _map_pool() -> ThreadPoolExecutor:
-    global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(max(_usable_cpus() - 1, 1),
-                                       thread_name_prefix="tvcate-map")
-        return _pool
 
 
 def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
@@ -244,20 +215,33 @@ def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The raw map sqrt(2/F) * cos(X W + b), built in place in one N x F
     array: ``X @ W`` in the calling thread, then the elementwise rest on
     :func:`_map_chunks` contiguous row chunks, the first in the calling
-    thread and the others on the pool (NumPy's loops release the GIL).  An
-    elementwise operation gives each element the same bits in any chunk, so
-    the map does not depend on the CPU count; BLAS never runs on the pool."""
+    thread and each other on a thread of its own, joined before the return
+    (NumPy's loops release the GIL).  An elementwise operation gives each
+    element the same bits in any chunk, so the map does not depend on the
+    CPU count; BLAS never runs off the calling thread."""
     Z = X @ W
     scale = np.sqrt(2.0 / W.shape[1])
     chunks = _map_chunks(*Z.shape)
     edges = [Z.shape[0] * k // chunks for k in range(chunks + 1)]
-    pending = [_map_pool().submit(_shift_cos_scale, Z[lo:hi], b, scale)
-               for lo, hi in zip(edges[1:-1], edges[2:])]
+    errors = []
+
+    def chunk(lo, hi):
+        try:
+            _shift_cos_scale(Z[lo:hi], b, scale)
+        except BaseException as exc:          # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=chunk, args=span, name="tvcate-map")
+               for span in zip(edges[1:-1], edges[2:])]
+    for thread in threads:
+        thread.start()
     try:
         _shift_cos_scale(Z[:edges[1]], b, scale)
     finally:
-        for done in pending:
-            done.result()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[0]
     return Z
 
 

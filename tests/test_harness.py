@@ -11,7 +11,6 @@ import pytest
 
 import tvcate
 from tvcate import harness as harness_module
-from tvcate import learners as learners_module
 from tvcate.harness import (_seed_job, ExperimentConfig, ExperimentResult, ResultRow,
                             config_to_dict, config_to_text,
                             config_with_overrides, default_sweep_config,
@@ -23,12 +22,6 @@ from tvcate.harness import (_seed_job, ExperimentConfig, ExperimentResult, Resul
 
 TINY = ExperimentConfig(n_train=300, n_test=150, seeds=(0, 1), taus=(0, 1),
                         learners=("PI-RA", "DR"))
-
-
-def report_map_chunks(cfg, gamma, seed):
-    """A stand-in seed job whose one advisory is the chunk count of a
-    4096 x 256 cosine map in the process that runs it."""
-    return [], [str(learners_module._map_chunks(4096, 256))]
 
 
 class TestConfigValidation:
@@ -151,13 +144,6 @@ class TestRunExperiment:
         parallel = run_experiment(dataclasses.replace(TINY, workers=2))
         assert parallel.rows == run_experiment(TINY).rows
         assert parallel.advisories == run_experiment(TINY).advisories
-
-    def test_worker_processes_map_in_one_chunk(self, monkeypatch):
-        # worker processes share the CPUs, so none cuts its maps over them
-        monkeypatch.setattr(harness_module, "_sweep_job", report_map_chunks)
-        here = str(learners_module._map_chunks(4096, 256))
-        assert run_experiment(TINY).advisories == (here,)
-        assert run_experiment(dataclasses.replace(TINY, workers=2)).advisories == ("1",)
 
     def test_walltime_zero_unless_recorded(self):
         result = run_experiment(TINY)

@@ -5,9 +5,9 @@ import os
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -242,45 +242,33 @@ class TestChunkedCosineMap:
         X = rng.normal(size=(rows, 5))
         W, b = learners.random_cosine_map(5, features, 1.5, 7)
         chunks = learners._map_chunks(rows, features)
-        assert chunks == (1 if rows * features < 2 ** 16
+        assert chunks == (1 if rows * features < 2 ** 14
                           else min(cpus or learners._usable_cpus(), rows))
         assert np.array_equal(learners._cosine_features(X, W, b), inline_map(X, W, b))
 
-    def test_concurrent_callers_share_one_pool_and_keep_the_bits(self, monkeypatch):
-        # more calling threads than CPUs, switching often, starting with no
-        # pool: every map keeps its bits and the callers make one pool
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
-        monkeypatch.setattr(learners, "_pool", None)
-        rng = np.random.default_rng(29)
-        W, b = learners.random_cosine_map(5, 256, 1.0, 11)
-        inputs = [rng.normal(size=(3000 + 7 * k, 5)) for k in range(8)]
-        pools = set()
-
-        def map_one(X):
-            Z = learners._cosine_features(X, W, b)
-            pools.add(id(learners._pool))
-            return np.array_equal(Z, inline_map(X, W, b))
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(6) as callers:
-                done = [callers.submit(map_one, X) for X in inputs for _ in range(3)]
-                assert all(future.result(timeout=60) for future in done)
-        finally:
-            sys.setswitchinterval(interval)
-        assert len(pools) == 1
-        learners._pool.shutdown()
+    def test_chunk_error_is_raised_in_the_caller(self, monkeypatch):
+        # an inf in the last row makes the last chunk's cos warn; as an
+        # error, it must reach the caller from the chunk's thread
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        X = np.random.default_rng(31).normal(size=(4096, 5))
+        X[-1] = [np.inf, 0.0, 0.0, 0.0, 0.0]
+        W, b = learners.random_cosine_map(5, 256, 1.0, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(RuntimeWarning):
+                learners._cosine_features(X, W, b)
 
     def test_forked_child_maps_with_the_parents_bits(self, monkeypatch):
-        # the parent's pool is made before the fork; the child holds its
-        # object but none of its threads, so it must make its own
+        # as the harness's worker processes are: a chunked map in the parent,
+        # then one in a child forked after it, which must finish and agree;
+        # no map thread outlives its map, so the fork copies none of them
         monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
         rng = np.random.default_rng(23)
         X = rng.normal(size=(25_000, 5))
         W, b = learners.random_cosine_map(5, 256, 1.0, 3)
+        threads = threading.active_count()
         want = hashlib.sha256(learners._cosine_features(X, W, b)).hexdigest()
-        assert learners._pool is not None
+        assert threading.active_count() == threads
         ctx = multiprocessing.get_context("fork")
         ours, theirs = ctx.Pipe(duplex=False)
         child = ctx.Process(target=lambda: theirs.send(
