@@ -18,7 +18,8 @@ with the same contract could be swapped in.  The built-in regressors are
   map, gram matrix and factors, is a :class:`RidgeDesign`: several targets
   on one row set cost a solve each, with the bits of separate fits.  A
   gram is sum w phi phi^T - m m^T, from a map's per-group sums or from
-  the rows read in blocks, never from a copy.
+  the rows read in blocks, never from a copy; each block's sum w phi phi^T
+  is one symmetric product B^T B of B = sqrt(w) phi (BLAS ``syrk``).
 * ``lookup-table`` — exact-match cell means for discrete feature vectors.
 
 Every fit and prediction of either kind reads a :class:`RowMap`: a matrix
@@ -431,38 +432,28 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedR
     return RowMap(spec, features).fit(spec, target, weight)
 
 
-#: columns of the map per block when a gram matrix is filled (:func:`_gram`)
-_GRAM_BLOCK_COLS = 64
+def _gram(phi: np.ndarray, w) -> np.ndarray:
+    """The raw gram ``sum_i w_i phi_i phi_i^T`` (``w`` None: weights of one) as
+    one product ``B.T @ B`` of ``B = sqrt(w)[:, None] * phi``, which NumPy hands
+    to BLAS ``syrk`` (one triangle, mirrored).  B is written over a writeable
+    ``phi`` (a block :func:`_row_blocks` gathered), else into a new block."""
+    if w is not None:
+        phi = np.multiply(phi, np.sqrt(w)[:, None], out=phi if phi.flags.writeable else None)
+    return phi.T @ phi
 
 
-def _gram(phi: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The weighted raw gram matrix ``(phi * w[:, None]).T @ phi``.
-
-    When the feature count is a multiple of ``_GRAM_BLOCK_COLS`` (the
-    package's 64, 128 and 256 features), the rows are filled 64 columns of
-    phi at a time through one N x 64 buffer, so no N x F temporary is built.
-    On one OpenBLAS 0.3 thread those block products carry the bits of the
-    one product (checked for 64 to 512 features at row counts from 3 to
-    30,000); at other counts they need not, so those take the one product.
-    """
-    n, F = phi.shape
-    step = _GRAM_BLOCK_COLS if F % _GRAM_BLOCK_COLS == 0 else F
-    gram = np.empty((F, F))
-    buf = np.empty((n, step))
-    for lo in range(0, F, step):
-        np.multiply(phi[:, lo:lo + step], w[:, None], out=buf)
-        gram[lo:lo + step] = buf.T @ phi
-    return gram
-
-
-def _raw_sums(phi: np.ndarray, rows, w: np.ndarray):
-    """``(sum w phi phi^T, sum w phi)`` over ``rows`` of ``phi``, block by block."""
+def _raw_sums(phi: np.ndarray, rows, w=None, v=None):
+    """``(sum w phi phi^T, sum w phi, phi^T v)`` over ``rows`` of ``phi`` (all when
+    None; ``w`` None: weights of one; ``v`` None: no ``phi^T v``) in one pass of
+    row blocks, each block's sums taken before :func:`_gram` scales it."""
     F = phi.shape[1]
-    gram, total = np.zeros((F, F)), np.zeros(F)
+    gram, total, rhs = np.zeros((F, F)), np.zeros(F), None if v is None else np.zeros(F)
     for lo, hi, block in _row_blocks(phi, rows):
-        gram += _gram(block, w[lo:hi])
-        total += w[lo:hi] @ block
-    return gram, total
+        total += block.sum(axis=0) if w is None else w[lo:hi] @ block
+        if v is not None:
+            rhs += block.T @ v[lo:hi]
+        gram += _gram(block, None if w is None else w[lo:hi])
+    return gram, total, rhs
 
 
 class RowMap:
@@ -494,9 +485,9 @@ class RowMap:
             self.phi = X
         else:
             self.W, self.b = random_cosine_map(*self.key)
-            for shared in (self.W, self.b):   # every fit's model holds them
-                shared.flags.writeable = False
             self.phi = _cosine_features(X, self.W, self.b)
+            for shared in (self.W, self.b, self.phi):   # _gram scales no view of phi
+                shared.flags.writeable = False
         self.groups = None if groups is None else np.asarray(groups, dtype=np.intp)
         if self.groups is not None and self.groups.shape != (self.n_rows,):
             raise ValueError("groups must be one label per mapped row")
@@ -527,7 +518,7 @@ class RowMap:
             return None
         for g in np.flatnonzero(hit & ~summed):
             idx = np.flatnonzero(self.groups == g)
-            grams[g], totals[g] = _raw_sums(self.phi, idx, np.ones(idx.size))
+            grams[g], totals[g], _ = _raw_sums(self.phi, idx)
             summed[g] = True
         return grams[hit].sum(axis=0) / rows.size, totals[hit].sum(axis=0) / rows.size
 
@@ -548,11 +539,11 @@ class RowMap:
                 self._take(rows), y, _normalized_weights(weight, n)))
         if weight is not None:
             self._design = None               # never two designs
-            return RidgeDesign(self, _normalized_weights(weight, n), rows).fit(spec, y)
+            return RidgeDesign(self, _normalized_weights(weight, n), rows, y).fit(spec, y)
         # rows of None (all) equal only None
         if self._design is None or not np.array_equal(self._design.rows, rows):
             self._design = None
-            self._design = RidgeDesign(self, None, rows)
+            self._design = RidgeDesign(self, None, rows, y)
         return self._design.fit(spec, y)
 
     def predict(self, models, rows=None) -> list:
@@ -578,17 +569,23 @@ class RidgeDesign:
     reads (all when None, as views of the map), ``w`` their normalized
     weights, None meaning uniform.  Uniform rows that are a union of the
     map's groups take the gram from group sums; other rows are read in
-    blocks, with ``fit_regressor``'s bits, and never copied.
+    blocks, with ``fit_regressor``'s bits, and never copied; that pass also
+    makes the right-hand side of ``y``, the target of the first fit.
     """
 
-    def __init__(self, source: RowMap, w=None, rows=None):
+    def __init__(self, source: RowMap, w=None, rows=None, y=None):
         n = source.n_rows if rows is None else rows.size
         means = source._group_means(rows) if w is None else None
         self.w = np.full(n, 1.0 / n) if w is None else w
         self.in_dim, self.W, self.b = source.in_dim, source.W, source.b
         self._phi, self.rows, self._from_sums = source.phi, rows, means is not None
+        self._first = None, None              # the first fit's y, its right-hand side
+        if means is None:
+            v = None if y is None else self.w * (y - float(self.w @ y))
+            *means, rhs = _raw_sums(self._phi, rows, self.w, v)
+            self._first = y, rhs
         # weights of unit mass: the weighted sums are the means
-        self.gram, self.phi_mean = means or _raw_sums(self._phi, rows, self.w)
+        self.gram, self.phi_mean = means
         self.gram -= np.outer(self.phi_mean, self.phi_mean)
         self.phi_mean.flags.writeable = False   # every fit's model holds it
         self._factors = {}
@@ -608,7 +605,9 @@ class RidgeDesign:
         """Fit ``spec``'s penalty to the target ``y`` (one value per row)."""
         w, n = self.w, self.w.size
         y_mean = float(w @ y)
-        rhs = self._rhs(w * (y - y_mean))   # centering phi adds nothing: sum w(y - ȳ) = 0
+        first, self._first = self._first, (None, None)
+        # centering phi adds nothing: sum w(y - ȳ) = 0
+        rhs = first[1] if first[0] is y else self._rhs(w * (y - y_mean))
         lam = spec.ridge_lambda
         if lam == "auto":
             if self._eigh is None:

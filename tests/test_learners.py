@@ -331,6 +331,43 @@ class TestRidgeDesign:
                 assert np.array_equal(got.params[key], value), key
             assert np.array_equal(raw.predict([got])[0], want.predict(X))
 
+    def test_fits_gather_their_rows_once(self, monkeypatch):
+        # 9000 gathered rows are three blocks: the pass that fills a new
+        # design's gram also makes its first right-hand side
+        rng = np.random.default_rng(22)
+        X = rng.normal(size=(12000, 3))
+        at = np.sort(rng.choice(12000, size=9000, replace=False))
+        y, w = rng.normal(size=9000), rng.uniform(0.5, 2.0, 9000)
+        spec = RegressorSpec(feature_count=64, ridge_lambda=1e-3)
+        raw = RowMap(spec, X)
+        blocks = gathered_blocks(monkeypatch)
+        weighted = raw.fit(spec, y, w, rows=at)
+        assert blocks == [4096, 4096, 808]
+        assert params_equal(weighted, fit_regressor(spec, X[at], y, w))
+        del blocks[:]
+        raw.fit(spec, y, rows=at)                    # a new uniform design
+        assert blocks == [4096, 4096, 808]
+        raw.fit(spec, -y, rows=at)                   # held: the right-hand side only
+        assert blocks == [4096, 4096, 808] * 2
+
+    @pytest.mark.parametrize("gathered", [False, True])
+    def test_raw_sums_peak_memory_is_a_block_and_the_gram(self, gathered):
+        # weighted sums over 20,000 x 256: one block buffer (gathered rows
+        # are scaled in place, views of the map into a block of their own)
+        # and the F x F gram, never an N x F temporary
+        rng = np.random.default_rng(23)
+        raw = RowMap(RegressorSpec(), rng.normal(size=(20_000, 3)))
+        rows = np.sort(rng.choice(20_000, size=15_000, replace=False)) if gathered else None
+        n = 20_000 if rows is None else rows.size
+        w, v = rng.uniform(0.1, 3.0, n), rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            learners._raw_sums(raw.phi, rows, w / w.sum(), v)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4097 * 256 * 8 + 256 * 256 * 8 + 2 ** 20   # the map is 41 MB
+
     def test_zero_lambda_singular_system_raises_on_every_fit(self):
         # the second fit reuses the held design, whose factor never formed
         spec = RegressorSpec(feature_count=16, ridge_lambda=0.0, seed=0)
@@ -430,9 +467,11 @@ class TestCosineMap:
             with pytest.raises(ValueError, match="another row map"):
                 held.predict([model])
 
-    def test_column_blocked_gram_has_the_bits_of_one_product_on_one_thread(self):
-        # multiples of 64 features are filled 64 columns at a time through
-        # one buffer; 300 features take the one product
+    def test_gram_is_one_symmetric_product_of_sqrt_w_phi(self):
+        # B.T @ B for B = sqrt(w) phi (B = phi for unit weights), whether phi
+        # is read-only (a view of a map) or a gathered block scaled in place;
+        # exactly symmetric, and within 1e-12 of the general product
+        # (phi * w).T @ phi, relative to its largest entry
         run_on_one_thread("""
             import numpy as np
             from tvcate.learners import _gram
@@ -440,10 +479,20 @@ class TestCosineMap:
             for rows in (3, 60, 701, 4097, 9001):
                 for features in (8, 64, 128, 256, 300, 512):
                     phi = rng.normal(size=(rows, features))
+                    phi.flags.writeable = False
+                    ones = _gram(phi, None)
+                    assert np.array_equal(ones, phi.T @ phi), (rows, features)
+                    assert np.array_equal(_gram(phi, np.ones(rows)), ones)
+                    assert np.array_equal(ones, ones.T)
                     for w in (np.full(rows, 1.0 / rows), rng.uniform(0.1, 3.0, rows)):
                         w = w / w.sum()
-                        want = (phi * w[:, None]).T @ phi
-                        assert np.array_equal(_gram(phi, w), want), (rows, features)
+                        B = np.sqrt(w)[:, None] * phi
+                        gram = _gram(phi, w)
+                        assert np.array_equal(gram, B.T @ B), (rows, features)
+                        assert np.array_equal(_gram(phi.copy(), w), gram)
+                        assert np.array_equal(gram, gram.T)
+                        old = (phi * w[:, None]).T @ phi
+                        assert np.max(np.abs(gram - old)) <= 1e-12 * np.max(np.abs(old))
             """)
 
 
@@ -456,6 +505,19 @@ def design_inits(monkeypatch):
         original(self, *args, **kwargs)
     monkeypatch.setattr(RidgeDesign, "__init__", counting)
     return built
+
+
+def gathered_blocks(monkeypatch):
+    """Rows of each block ``learners._row_blocks`` gathers, as a list."""
+    blocks, original = [], learners._row_blocks
+
+    def counting(phi, rows=None):
+        for lo, hi, block in original(phi, rows):
+            if rows is not None:
+                blocks.append(hi - lo)
+            yield lo, hi, block
+    monkeypatch.setattr(learners, "_row_blocks", counting)
+    return blocks
 
 
 def gram_rows(monkeypatch):
