@@ -74,7 +74,8 @@ class ChainResponseForm:
         """mu at a history whose covariate is x, steps_ahead before the end.
 
         steps_ahead = 0 is the terminal level (a_final plays the role of the
-        final intervention arm in both cases).
+        final intervention arm in both cases).  Oracle queries call it per
+        row block, on several threads at once: it must be row-wise.
         """
         x = np.asarray(x, dtype=float)
         m = int(steps_ahead)
@@ -96,7 +97,9 @@ class ChainResponseForm:
 
 @dataclass(frozen=True)
 class StructuralDGP:
-    """Order-1 structural-equation model over T discrete steps (see module docs)."""
+    """Order-1 structural-equation model over T discrete steps (see module
+    docs).  Oracle queries call the logit ``f_a`` per row block, on several
+    threads at once: it must be row-wise, each output from its row alone."""
 
     name: str
     f_x: Callable

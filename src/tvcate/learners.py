@@ -28,13 +28,14 @@ encoded positions), from which fits and predictions take rows by index.
 :func:`fit_regressor` maps its rows and fits them all.  Only this module
 tells the kinds apart.
 
-A cosine map is made in two parts (:func:`_cosine_features`): the product
-``X @ W``, one BLAS call in the calling thread, then the shift, ``cos`` and
-scale, elementwise in place on contiguous row chunks of the product, one
-per CPU the process may use, on threads started for that map and joined
-before it returns.  Each element gets the same bits in any chunk, so every
-map, fit and prediction is the same for any CPU count, and no BLAS or
-LAPACK call ever runs on a map thread.
+Row-wise work runs on every CPU the process may use through one runner,
+:func:`_run_spans`, on threads started per call and joined before it
+returns: the shift, ``cos`` and scale of a cosine map, one chunk per CPU
+after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks, the
+nuisance queries and pseudo-outcome arithmetic of large tables
+(:func:`_table_blocks`).  Each element gets the same bits in any span, so
+no result depends on the CPU count; BLAS, LAPACK and public functions run
+in the calling thread only.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -188,6 +189,9 @@ def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
 #: a map thread's start and join cost about as much as the ``cos`` of 2^14
 #: elements, so chunking smaller maps over two CPUs makes them slower
 _PARALLEL_MIN_ELEMENTS = 1 << 14
+#: rows of a table block (:func:`_table_blocks`), and the fewest rows of a
+#: table split into blocks: on two CPUs, smaller tables run slower split
+_TABLE_BLOCK_ROWS, _TABLE_MIN_ROWS = 1 << 16, 3 << 15
 
 
 def _usable_cpus() -> int:
@@ -195,6 +199,55 @@ def _usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:            # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _run_spans(work, edges) -> list:
+    """``work(span)`` for each slice between consecutive ``edges``, in order,
+    in P shares on P usable CPUs: every P-th span from the first in the
+    calling thread, each other share on a thread started for this call and
+    joined before the return.  An error in any span is raised in the caller."""
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    shares = max(min(_usable_cpus(), len(spans)), 1)
+    results, errors = [None] * len(spans), []
+
+    def share(first):
+        try:
+            for k in range(first, len(spans), shares):
+                results[k] = work(spans[k])
+        except BaseException as exc:          # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=share, args=(first,), name="tvcate-block")
+               for first in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _table_blocks(n_rows: int, work) -> list:
+    """:func:`_run_spans` over the ``_TABLE_BLOCK_ROWS``-row blocks of a table
+    of at least ``_TABLE_MIN_ROWS`` rows; a smaller table is one span."""
+    step = _TABLE_BLOCK_ROWS if n_rows >= _TABLE_MIN_ROWS else n_rows + 1
+    return _run_spans(work, list(range(0, n_rows, step)) + [n_rows])
+
+
+def _table_array(n_rows: int, work) -> np.ndarray:
+    """The float array whose values at rows ``work(rows)`` returns, copied
+    block by block (:func:`_table_blocks`); a table of one span returns
+    ``work``'s own, with the memory of one whole evaluation."""
+    if n_rows < _TABLE_MIN_ROWS:
+        return work(slice(0, n_rows))
+    out = np.empty(n_rows)
+
+    def fill(rows):
+        out[rows] = work(rows)
+    _table_blocks(n_rows, fill)
+    return out
 
 
 def _map_chunks(rows: int, features: int) -> int:
@@ -215,34 +268,15 @@ def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
 def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The raw map sqrt(2/F) * cos(X W + b), built in place in one N x F
     array: ``X @ W`` in the calling thread, then the elementwise rest on
-    :func:`_map_chunks` contiguous row chunks, the first in the calling
-    thread and each other on a thread of its own, joined before the return
-    (NumPy's loops release the GIL).  An elementwise operation gives each
-    element the same bits in any chunk, so the map does not depend on the
-    CPU count; BLAS never runs off the calling thread."""
+    :func:`_map_chunks` contiguous row chunks, one per CPU
+    (:func:`_run_spans`).  An elementwise operation gives each element the
+    same bits in any chunk, so the map does not depend on the CPU count;
+    BLAS never runs off the calling thread."""
     Z = X @ W
     scale = np.sqrt(2.0 / W.shape[1])
     chunks = _map_chunks(*Z.shape)
-    edges = [Z.shape[0] * k // chunks for k in range(chunks + 1)]
-    errors = []
-
-    def chunk(lo, hi):
-        try:
-            _shift_cos_scale(Z[lo:hi], b, scale)
-        except BaseException as exc:          # raised again in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=chunk, args=span, name="tvcate-map")
-               for span in zip(edges[1:-1], edges[2:])]
-    for thread in threads:
-        thread.start()
-    try:
-        _shift_cos_scale(Z[:edges[1]], b, scale)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[0]
+    _run_spans(lambda rows: _shift_cos_scale(Z[rows], b, scale),
+               [Z.shape[0] * k // chunks for k in range(chunks + 1)])
     return Z
 
 
@@ -951,12 +985,13 @@ def _holdout_l2(spec, phi, labels, w, n_classes):
         return fallback
     w_tr = w[tr] / w[tr].sum()
     w_va = w[va] / w[va].sum()
+    # gathered once; phi[va] is gathered per grid point, not held through the solves
+    phi_tr, labels_tr, labels_va = phi[tr], labels[tr], labels[va]
     row_losses, theta = [], None
     for l2 in CLASSIFIER_L2_GRID:       # warm-start along the grid
-        theta = _solve_logistic(spec, phi[tr], labels[tr], w_tr, l2, n_classes, theta)
+        theta = _solve_logistic(spec, phi_tr, labels_tr, w_tr, l2, n_classes, theta)
         P = _softmax(phi[va] @ theta)
-        row_losses.append(-np.log(np.maximum(P[np.arange(va.size), labels[va]],
-                                             _PROB_EPS)))
+        row_losses.append(-np.log(np.maximum(P[np.arange(va.size), labels_va], _PROB_EPS)))
     means = [float(w_va @ rl) for rl in row_losses]
     best = int(np.argmin(means))
     for i in range(len(CLASSIFIER_L2_GRID) - 1, best, -1):

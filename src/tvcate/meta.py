@@ -41,8 +41,8 @@ from typing import Optional
 
 import numpy as np
 
-from .learners import (FittedRegressor, RegressorSpec, RowMap, fit_regressor, map_key,
-                       predict_many, require_keys)
+from .learners import (FittedRegressor, RegressorSpec, RowMap, _table_array, _table_blocks,
+                       fit_regressor, map_key, predict_many, require_keys)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
@@ -91,25 +91,31 @@ def _level(nuisances: NuisanceSet, table: RowTable, seq, k: int, squared=False):
     """One arm's level-k weight 1{A_k = a_k}/pi-hat_k (over pi-hat_k^2 when
     ``squared``), an (N,) array, and the count of its clipped pi-hat."""
     cl, raw = nuisances.propensity(k, seq[k], table)
-    return ((table.a_obs[:, k] == seq[k]) / (cl ** 2 if squared else cl),
-            int(np.count_nonzero(cl != raw)))
+    ratio = _table_array(table.n_rows, lambda rows: (table.a_obs[rows, k] == seq[k])
+                         / (cl[rows] ** 2 if squared else cl[rows]))
+    return ratio, sum(_table_blocks(table.n_rows,
+                                    lambda rows: int(np.count_nonzero(cl[rows] != raw[rows]))))
 
 
 def _arm_value(nuisances, table, seq, arm=None):
     """One arm's IPW pseudo-outcome, plus DR's response terms when ``arm``
     ("a" or "b") names the arm's mu-hat; also the clip and query counts.
 
-    Only the per-level ratios 1{A_k = a_k}/pi-hat_k and one running product
-    are held; products and sums run in level order.
+    Only the per-level ratios 1{A_k = a_k}/pi-hat_k, the value and one
+    mu-hat are held; products and sums run in level order, block by block.
     """
     levels = [_level(nuisances, table, seq, k) for k in range(nuisances.tau + 1)]
     ratios = [ratio for ratio, _ in levels]
-    value = reduce(mul, ratios) * table.y_term
-    if arm is not None:
-        # the product of the strictly earlier levels' ratios, 1 at level 0
-        prefixes = accumulate(ratios, mul, initial=1.0)
-        for k, (ratio, prefix) in enumerate(zip(ratios, prefixes)):
-            value += nuisances.mu(arm, k, table) * (1.0 - ratio) * prefix
+    value = _table_array(table.n_rows,
+                         lambda rows: reduce(mul, (r[rows] for r in ratios)) * table.y_term[rows])
+    for k in range(len(ratios) if arm is not None else 0):
+        mu = nuisances.mu(arm, k, table)
+
+        def response_term(rows):
+            # the product of the strictly earlier levels' ratios, 1 at level 0
+            prefix = reduce(mul, (r[rows] for r in ratios[:k]), 1.0)
+            value[rows] += mu[rows] * (1.0 - ratios[k][rows]) * prefix
+        _table_blocks(table.n_rows, response_term)
     return value, sum(nclip for _, nclip in levels), table.n_rows * len(levels)
 
 
@@ -121,7 +127,7 @@ def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
     """
     a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq)
     b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq)
-    return a_vals, b_vals, a_vals - b_vals
+    return a_vals, b_vals, _table_array(table.n_rows, lambda rows: a_vals[rows] - b_vals[rows])
 
 
 def pseudo_dr(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -133,7 +139,7 @@ def pseudo_dr(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
     """
     a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq, "a")
     b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq, "b")
-    return a_vals, b_vals, a_vals - b_vals
+    return a_vals, b_vals, _table_array(table.n_rows, lambda rows: a_vals[rows] - b_vals[rows])
 
 
 def pseudo_ra(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -155,13 +161,15 @@ def pseudo_ra(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
     else:
         cont_a = nuisances.mu("a", 1, table)
         cont_b = nuisances.mu("b", 1, table)
-    ind_a = table.a_obs[:, 0] == a0
-    ind_b = table.a_obs[:, 0] == b0
-    neither = ~(ind_a | ind_b)
-    value = np.where(ind_a, cont_a - mu_b0, 0.0)
-    value = value + np.where(ind_b & ~ind_a, mu_a0 - cont_b, 0.0)
-    value = value + np.where(neither, mu_a0 - mu_b0, 0.0)
-    return value
+
+    def block(rows):
+        ind_a = table.a_obs[rows, 0] == a0
+        ind_b = table.a_obs[rows, 0] == b0
+        neither = ~(ind_a | ind_b)
+        value = np.where(ind_a, cont_a[rows] - mu_b0[rows], 0.0)
+        value = value + np.where(ind_b & ~ind_a, mu_a0[rows] - cont_b[rows], 0.0)
+        return value + np.where(neither, mu_a0[rows] - mu_b0[rows], 0.0)
+    return _table_array(table.n_rows, block)
 
 
 def ivw_realized(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -170,13 +178,13 @@ def ivw_realized(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair
     V per arm is the sum over levels k of the product over earlier-or-equal
     levels of 1{A = a}/pi-hat^2; the pair statistic is the sum of both arms.
     """
-    out = []
+    v = []
     for seq in (pair.a_seq, pair.b_seq):
-        weights = (_level(nuisances, table, seq, k, squared=True)[0]
-                   for k in range(nuisances.tau + 1))
-        out.append(reduce(add, accumulate(weights, mul)))
-    v_a, v_b = out
-    return v_a, v_a + v_b
+        weights = [_level(nuisances, table, seq, k, squared=True)[0]
+                   for k in range(nuisances.tau + 1)]
+        v.append(_table_array(table.n_rows, lambda rows: reduce(
+            add, accumulate((w[rows] for w in weights), mul))))
+    return v[0], _table_array(table.n_rows, lambda rows: v[0][rows] + v[1][rows])
 
 
 @dataclass(frozen=True)
@@ -212,7 +220,7 @@ def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: Interventio
         va, ca, qa = _arm_value(nuisances, table, pair.a_seq, "a" if dr else None)
         vb, cb, qb = _arm_value(nuisances, table, pair.b_seq, "b" if dr else None)
         nclip, nquery = ca + cb, qa + qb
-        value = va - vb
+        value = _table_array(table.n_rows, lambda rows: va[rows] - vb[rows])
     _, v = ivw_realized(table, nuisances, pair)
     columns = (table.features(0), np.asarray(value), np.asarray(v))
     if row_mask is not None:

@@ -16,6 +16,10 @@ frontier values oracle queries read (X_{t+j}, A_{t+j-1}, Y_{t+j-1}) are
 gathers of the panel's flat rows.  Every regressor fit and prediction
 reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
+An oracle, injected or held-value query is one call per (level, arm,
+table) that fills its rows in row blocks over the usable CPUs, with the
+bits of one whole evaluation (:mod:`tvcate.learners`); predictions are not.
+
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
 trajectory count; an enabled plan keeps its folds.  Loading checks the
@@ -41,6 +45,7 @@ from .learners import (
     FittedRegressor,
     RegressorSpec,
     RowMap,
+    _table_array,
     fit_classifier,
     predict_many,
     require_keys,
@@ -108,19 +113,19 @@ class RowTable:
             self.a_obs[:, j] = panel.A[at + j]
         self.y_term = panel.Y[at + tau]
 
-    def positions(self, j: int) -> np.ndarray:
-        """The panel row of position (i, t + j) for every row (i, t)."""
-        return self.panel.offsets[self.traj_id] + self.t + (j - 1)
+    def positions(self, j: int, rows=slice(None)) -> np.ndarray:
+        """The panel row of position (i, t + j) for every row (i, t) in ``rows``."""
+        return self.panel.offsets[self.traj_id[rows]] + self.t[rows] + (j - 1)
 
-    def frontier(self, j: int, names=("x", "a_prev", "y_prev")) -> tuple:
-        """Raw frontier values of H_{t+j} for every row, one array per name:
-        ``"x"`` the first covariate X_{t+j}, ``"a_prev"`` (as float) and
-        ``"y_prev"`` the treatment and outcome at t + j - 1, both 0 at
-        absolute time 1."""
+    def frontier(self, j: int, names=("x", "a_prev", "y_prev"), rows=slice(None)) -> tuple:
+        """Raw frontier values of H_{t+j} for every row (or ``rows``), one
+        array per name: ``"x"`` the first covariate X_{t+j}, ``"a_prev"`` (as
+        float) and ``"y_prev"`` the treatment and outcome at t + j - 1, both 0
+        at absolute time 1."""
         if not 0 <= j <= self.tau:
             raise ValueError(f"offset {j} outside 0..{self.tau}")
-        at = self.positions(j)
-        first = self.t == 1 - j            # absolute time t + j is 1
+        at = self.positions(j, rows)
+        first = self.t[rows] == 1 - j      # absolute time t + j is 1
         out = []
         for name in names:
             if name == "x":
@@ -424,17 +429,20 @@ class NuisanceSet:
         """mu-hat for arm at level offset j, for every row of the table."""
         if not 0 <= j <= self.tau:
             raise ValueError(f"level offset {j} outside 0..{self.tau}")
-        if self.override_response is not None:
-            return np.full(table.n_rows, self._response_override(arm, j))
-        if self.oracle_mode:
-            form = self.dgp.response_form
-            x, = table.frontier(j, ("x",))
-            return np.asarray(form.capo(x, self.tau - j, self._seq(arm)[-1],
-                                        self.dgp.x_noise_std))
-        self._need_response(arm)
-        if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
-            return self.mu_values.values[arm, j]
-        return self.response_models[arm][j].predict(table.features(j))
+        if self.override_response is None and not self.oracle_mode:
+            self._need_response(arm)
+            if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
+                return self.mu_values.values[arm, j]
+            return self.response_models[arm][j].predict(table.features(j))
+        value = None if self.override_response is None else self._response_override(arm, j)
+
+        def block(rows):
+            if value is not None:
+                return np.full(table.t[rows].shape, value)
+            x, = table.frontier(j, ("x",), rows)
+            return np.asarray(self.dgp.response_form.capo(x, self.tau - j, self._seq(arm)[-1],
+                                                          self.dgp.x_noise_std))
+        return _table_array(table.n_rows, block)
 
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
@@ -445,22 +453,27 @@ class NuisanceSet:
     # -- propensities ------------------------------------------------------
     def propensity(self, j: int, a_value: int, table: RowTable):
         """(clipped, raw) estimated P(A_{t+j} = a_value | H_{t+j}) per row."""
-        if self.override_propensity is not None:
-            raw = np.full(table.n_rows, self.override_propensity
-                          if a_value == 1 else 1.0 - self.override_propensity)
-            return raw.copy(), raw      # injected values are used verbatim
-        if self.oracle_mode:
-            x, a_prev, y_prev = table.frontier(j)
-            a_prev[table.t == 1 - j] = float(self.dgp.a0)    # absolute time 1
-            p1 = expit(self.dgp.f_a(x, a_prev, y_prev))
-            raw = p1 if a_value == 1 else 1.0 - p1
-        elif self.propensity_model is None:
-            raise ValueError("missing propensity model")
-        elif _serves(self.pi_values, table, self.propensity_model):
-            raw = self.pi_values.values[table.positions(j), int(a_value)]
-        else:
-            raw = self.propensity_model.predict_proba(table.features(j))[:, int(a_value)]
-        return np.clip(raw, self.clip_eps, 1.0 - self.clip_eps), raw
+        p, lo, hi = self.override_propensity, self.clip_eps, 1.0 - self.clip_eps
+        if p is None and not self.oracle_mode:
+            if self.propensity_model is None:
+                raise ValueError("missing propensity model")
+            if not _serves(self.pi_values, table, self.propensity_model):
+                raw = self.propensity_model.predict_proba(table.features(j))[:, int(a_value)]
+                return np.clip(raw, lo, hi), raw
+        if p is not None:               # injected values are used verbatim
+            p, lo, hi = p if a_value == 1 else 1.0 - p, None, None
+
+        def block(rows):
+            if p is not None:
+                return np.full(table.t[rows].shape, p)
+            if self.oracle_mode:
+                x, a_prev, y_prev = table.frontier(j, rows=rows)
+                a_prev[table.t[rows] == 1 - j] = float(self.dgp.a0)    # absolute time 1
+                p1 = expit(self.dgp.f_a(x, a_prev, y_prev))
+                return p1 if a_value == 1 else 1.0 - p1
+            return self.pi_values.values[table.positions(j, rows), int(a_value)]
+        raw = _table_array(table.n_rows, block)
+        return _table_array(table.n_rows, lambda rows: np.clip(raw[rows], lo, hi)), raw
 
     def at(self, table: RowTable) -> "NuisanceSet":
         """The set, or a copy that also holds its fitted models' values on the

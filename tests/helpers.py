@@ -1,6 +1,7 @@
 """Helpers the tests share that the package does not need.
 
-Besides an encoding inverse, these are Monte-Carlo reference values for the
+Besides an encoding inverse and a fresh-interpreter runner, these are
+Monte-Carlo reference values for the
 structural generators: ``oracle_response`` (a response surface, whose arm
 difference is the CATE), ``oracle_history_adjustment`` (a path-conditioned
 mean) and ``oracle_propensity``.  They work for any
@@ -9,13 +10,28 @@ package reads (:class:`~tvcate.dgp.ChainResponseForm`) against an
 independent route.
 """
 
+import os
+import subprocess
+import sys
+import textwrap
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+import tvcate
 from tvcate.dgp import StructuralDGP
 from tvcate.panel import FeatureCodec, HistoryView
+
+
+def run_on_one_thread(script: str) -> str:
+    """Run ``script`` in a fresh interpreter on one OpenBLAS thread and
+    return what it prints."""
+    src = os.path.dirname(os.path.dirname(tvcate.__file__))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
+                          check=True, stdout=subprocess.PIPE, text=True, timeout=600).stdout
 
 
 def decode_history(vec: np.ndarray, codec: FeatureCodec):

@@ -2,9 +2,6 @@ import hashlib
 import json
 import multiprocessing
 import os
-import subprocess
-import sys
-import textwrap
 import threading
 import tracemalloc
 import warnings
@@ -12,7 +9,6 @@ import warnings
 import numpy as np
 import pytest
 
-import tvcate
 from tvcate import learners
 from tvcate.learners import (
     LOOKUP_TABLE,
@@ -26,6 +22,8 @@ from tvcate.learners import (
     fit_regressor,
     predict_many,
 )
+
+from helpers import run_on_one_thread
 
 
 def sigmoid(z):
@@ -104,16 +102,6 @@ class TestRidgeRandomFeatures:
         model = fit_regressor(RegressorSpec(feature_count=4, seed=0), X, np.zeros(10))
         with pytest.raises(ValueError, match="width"):
             model.predict(np.zeros((2, 2)))
-
-
-def run_on_one_thread(script: str) -> str:
-    """Run ``script`` in a fresh interpreter on one OpenBLAS thread and
-    return what it prints."""
-    src = os.path.dirname(os.path.dirname(tvcate.__file__))
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
-               PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
-                          check=True, stdout=subprocess.PIPE, text=True).stdout
 
 
 #: row counts around the 4096-row blocks of predictions
