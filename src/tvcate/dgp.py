@@ -24,11 +24,13 @@ supports exact enumeration for brute-force comparisons.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import expit
 
+from .learners import _table_blocks, _validate_count
 from .panel import InterventionPair, Panel, panel_from_arrays
 
 __all__ = [
@@ -98,8 +100,10 @@ class ChainResponseForm:
 @dataclass(frozen=True)
 class StructuralDGP:
     """Order-1 structural-equation model over T discrete steps (see module
-    docs).  Oracle queries call the logit ``f_a`` per row block, on several
-    threads at once: it must be row-wise, each output from its row alone."""
+    docs).  :func:`simulate_panel` calls ``f_a``, ``f_x`` and ``f_y`` per
+    block of trajectories, and oracle queries call ``f_a`` per row block,
+    on several threads at once: each must be row-wise, each output from
+    its row alone."""
 
     name: str
     f_x: Callable
@@ -200,33 +204,54 @@ def simulate_panel(dgp: StructuralDGP, n: int, seed, x1=None) -> Panel:
     """Simulate n trajectories of length dgp.horizon; deterministic given seed.
 
     Draw order is fixed: X_1, then per step the treatment uniforms, the
-    outcome noise, and (except at the last step) the next confounder noise.
-    When ``x1`` is given (scalar or length-n array) the first covariate is
-    pinned to it instead of drawn, so every trajectory starts from a known
-    history; the X_1 draw is skipped entirely.
+    outcome noise, and (except at the last step) the next confounder noise,
+    each drawn whole in the calling thread.  After each draw, the arithmetic
+    that needs it (A_t, Y_t or X_{t+1}) runs row-wise over blocks of
+    trajectories (:func:`~tvcate.learners._table_blocks`), with the bits of
+    one whole evaluation.  When ``x1`` is given (scalar or length-n array)
+    the first covariate is pinned to it instead of drawn, so every
+    trajectory starts from a known history; the X_1 draw is skipped
+    entirely.  A non-integer or non-positive ``n`` and an ``x1`` of another
+    length raise ``ValueError`` naming the field.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _validate_count(n, "n")
+    if x1 is not None:
+        try:
+            x1 = np.asarray(x1, dtype=float)
+        except (TypeError, ValueError):
+            raise ValueError(f"x1 must be real, got {x1!r}") from None
+        if x1.ndim > 1 or x1.size not in (1, n):
+            raise ValueError(f"x1 must be a scalar or one value per trajectory ({n}), "
+                             f"got shape {x1.shape}")
     rng = np.random.default_rng(seed)
     T = dgp.horizon
     X = np.empty((n, T))
     A = np.empty((n, T), dtype=int)
     Y = np.empty((n, T))
-    if x1 is None:
-        X[:, 0] = rng.normal(0.0, dgp.x1_std, size=n)
-    else:
-        X[:, 0] = np.broadcast_to(np.asarray(x1, dtype=float), (n,))
-    a_prev = np.full(n, float(dgp.a0))
-    y_prev = np.zeros(n)
+    X[:, 0] = rng.normal(0.0, dgp.x1_std, size=n) if x1 is None else x1
+
+    # the previous treatment (as float) and outcome of ``rows``: a0 and 0 at t = 1
+    def a_prev(t, rows):
+        return (np.full(rows.stop - rows.start, float(dgp.a0)) if t == 0
+                else A[rows, t - 1].astype(float))
+
+    def y_prev(t, rows):
+        return np.zeros(rows.stop - rows.start) if t == 0 else Y[rows, t - 1]
+
+    def treat(t, u, rows):
+        A[rows, t] = u[rows] < expit(dgp.f_a(X[rows, t], a_prev(t, rows), y_prev(t, rows)))
+
+    def respond(t, e, rows):
+        Y[rows, t] = dgp.f_y(X[rows, t], A[rows, t].astype(float), y_prev(t, rows)) + e[rows]
+
+    def advance(t, e, rows):
+        X[rows, t + 1] = dgp.f_x(X[rows, t], A[rows, t].astype(float), Y[rows, t]) + e[rows]
+
     for t in range(T):
-        p1 = expit(dgp.f_a(X[:, t], a_prev, y_prev))
-        A[:, t] = rng.uniform(size=n) < p1
-        a_t = A[:, t].astype(float)
-        Y[:, t] = dgp.f_y(X[:, t], a_t, y_prev) + rng.normal(0.0, dgp.y_noise_std, size=n)
+        _table_blocks(n, partial(treat, t, rng.uniform(size=n)))
+        _table_blocks(n, partial(respond, t, rng.normal(0.0, dgp.y_noise_std, size=n)))
         if t < T - 1:
-            X[:, t + 1] = dgp.f_x(X[:, t], a_t, Y[:, t]) + rng.normal(0.0, dgp.x_noise_std, size=n)
-        a_prev = a_t
-        y_prev = Y[:, t]
+            _table_blocks(n, partial(advance, t, rng.normal(0.0, dgp.x_noise_std, size=n)))
     return panel_from_arrays(X, A, Y, dgp.treatment_arity)
 
 

@@ -31,9 +31,11 @@ tells the kinds apart.
 Row-wise work runs on every CPU the process may use through one runner,
 :func:`_run_spans`, on threads started per call and joined before it
 returns: the shift, ``cos`` and scale of a cosine map, one chunk per CPU
-after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks, the
-nuisance queries and pseudo-outcome arithmetic of large tables
-(:func:`_table_blocks`).  Each element gets the same bits in any span, so
+after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks
+(:func:`_table_blocks`), the arithmetic of large simulations between
+their noise draws and their panels' copies and checks, and the row
+indices, nuisance queries and pseudo-outcome arithmetic of large
+tables.  Each element gets the same bits in any span, so
 no result depends on the CPU count; BLAS, LAPACK and public functions run
 in the calling thread only.
 
@@ -189,8 +191,9 @@ def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
 #: a map thread's start and join cost about as much as the ``cos`` of 2^14
 #: elements, so chunking smaller maps over two CPUs makes them slower
 _PARALLEL_MIN_ELEMENTS = 1 << 14
-#: rows of a table block (:func:`_table_blocks`), and the fewest rows of a
-#: table split into blocks: on two CPUs, smaller tables run slower split
+#: rows of a table block (:func:`_table_blocks`; a simulation's rows are its
+#: trajectories), and the fewest rows of a table split into blocks: on two
+#: CPUs, smaller tables run slower split
 _TABLE_BLOCK_ROWS, _TABLE_MIN_ROWS = 1 << 16, 3 << 15
 
 

@@ -16,9 +16,10 @@ frontier values oracle queries read (X_{t+j}, A_{t+j-1}, Y_{t+j-1}) are
 gathers of the panel's flat rows.  Every regressor fit and prediction
 reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
-An oracle, injected or held-value query is one call per (level, arm,
-table) that fills its rows in row blocks over the usable CPUs, with the
-bits of one whole evaluation (:mod:`tvcate.learners`); predictions are not.
+A table fills its row index, arms and outcome, and an oracle, injected
+or held-value query (one call per level, arm and table) fills its rows,
+in row blocks over the usable CPUs, with the bits of one whole
+evaluation (:mod:`tvcate.learners`); predictions are not.
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
@@ -46,6 +47,7 @@ from .learners import (
     RegressorSpec,
     RowMap,
     _table_array,
+    _table_blocks,
     fit_classifier,
     predict_many,
     require_keys,
@@ -106,12 +108,17 @@ class RowTable:
         self.traj_id = np.repeat(np.arange(panel.n), n_t)
         self.n_rows = self.traj_id.size
         first = np.cumsum(n_t) - n_t
-        self.t = np.arange(self.n_rows) - first[self.traj_id] + 1
-        at = self.positions(0)
+        self.t = np.empty(self.n_rows, dtype=int)
         self.a_obs = np.empty((self.n_rows, tau + 1), dtype=panel.A.dtype)
-        for j in range(tau + 1):
-            self.a_obs[:, j] = panel.A[at + j]
-        self.y_term = panel.Y[at + tau]
+        self.y_term = np.empty(self.n_rows, dtype=panel.Y.dtype)
+
+        def fill(rows):
+            self.t[rows] = np.arange(rows.start, rows.stop) - first[self.traj_id[rows]] + 1
+            at = self.positions(0, rows)
+            for j in range(tau + 1):
+                self.a_obs[rows, j] = panel.A[at + j]
+            self.y_term[rows] = panel.Y[at + tau]
+        _table_blocks(self.n_rows, fill)
 
     def positions(self, j: int, rows=slice(None)) -> np.ndarray:
         """The panel row of position (i, t + j) for every row (i, t) in ``rows``."""

@@ -21,7 +21,7 @@ not hot paths.  What each constructor rejects:
 * ``Panel(trajectories, treatment_arity)``: mixed covariate widths, and
   trajectories whose covariates, treatments and outcomes differ in length.
   Values are left to :func:`validate_panel`, which reports and does not raise.
-* :func:`panel_from_arrays`, which copies its inputs once: also non-finite
+* :func:`panel_from_arrays`, which copies its inputs: also non-finite
   covariates or outcomes and arms outside [0, treatment_arity).
 * :func:`panel_from_csv`: also wrong field counts, a non-integral traj_id,
   t or arm, and times other than 1..T once each.
@@ -33,6 +33,8 @@ from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
 import numpy as np
+
+from .learners import _table_blocks
 
 __all__ = [
     "Trajectory",
@@ -353,20 +355,29 @@ def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
     """Build a Panel from private copies of X (n,T,d) or (n,T), A (n,T), Y (n,T).
 
     Rejects a non-finite covariate or outcome and an arm outside
-    [0, treatment_arity), naming the trajectory index and t.
+    [0, treatment_arity), naming the first such trajectory index and t.
+    The copies and checks run over blocks of trajectories
+    (:func:`~tvcate.learners._table_blocks`).
     """
-    X = np.array(X, dtype=float, order="C")
+    X, A, Y = np.asarray(X, dtype=float), np.asarray(A, dtype=int), np.asarray(Y, dtype=float)
     if X.ndim == 2:
         X = X[:, :, None]
-    A = np.array(A, dtype=int, order="C")
-    Y = np.array(Y, dtype=float, order="C")
     if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != X.shape[:2]:
         raise ValueError(f"X {X.shape}, A {A.shape} and Y {Y.shape} do not share (n, T)")
     n, T, d = X.shape
-    X, A, Y = X.reshape(n * T, d), A.reshape(-1), Y.reshape(-1)
-    bad_arm, bad_val = _bad_rows(X, A, Y, treatment_arity)
-    for r in np.flatnonzero(bad_arm | bad_val)[:1]:
-        why = (f"arm {A[r]} outside [0, {treatment_arity})" if bad_arm[r]
+    out = np.empty((n * T, d)), np.empty(n * T, dtype=int), np.empty(n * T)
+
+    def copy(rows):
+        """Copy trajectories ``rows``; the first bad flat row among them, if any."""
+        flat = slice(rows.start * T, rows.stop * T)
+        for dst, src in zip(out, (X, A, Y)):
+            dst[flat] = src[rows].reshape(dst[flat].shape)
+        bad_arm, bad_val = _bad_rows(*(dst[flat] for dst in out), treatment_arity)
+        return flat.start + np.flatnonzero(bad_arm | bad_val)[:1]
+    bad = [r for found in _table_blocks(n, copy) for r in found]
+    X, A, Y = out
+    for r in bad[:1]:
+        why = (f"arm {A[r]} outside [0, {treatment_arity})" if not 0 <= A[r] < treatment_arity
                else "non-finite covariate or outcome")
         raise ValueError(f"trajectory {r // T}, t {r % T + 1}: {why}")
     return Panel.__new__(Panel)._fill(X, A, Y, np.arange(n + 1) * T, treatment_arity)
@@ -380,13 +391,14 @@ def panel_to_csv(panel: Panel, path) -> None:
     """
     tid = np.repeat(np.arange(panel.n), panel.lengths())
     t = np.arange(tid.size) - panel.offsets[tid] + 1
-    lines = ["traj_id,t," + ",".join(f"x_{j + 1}" for j in range(panel.covariate_dim))
-             + ",a,y"]
-    lines += [f"{i},{s},{','.join(f'{v:.17g}' for v in x)},{a},{y:.17g}" for i, s, x, a, y in
-              zip(tid.tolist(), t.tolist(), panel.X.tolist(), panel.A.tolist(),
-                  panel.Y.tolist())]
+    header = "traj_id,t," + ",".join(f"x_{j + 1}" for j in range(panel.covariate_dim)) + ",a,y"
+    real = "{:.17g}".format
+    # formatted column by column, then joined row by row (no covariate: one empty field)
+    xs = [map(real, col.tolist()) for col in panel.X.T] or [[""] * tid.size]
+    rows = zip(map(str, tid.tolist()), map(str, t.tolist()), *xs,
+               map(str, panel.A.tolist()), map(real, panel.Y.tolist()))
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
 
 
 def _parse_csv_rows(lines, d):

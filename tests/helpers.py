@@ -1,25 +1,31 @@
 """Helpers the tests share that the package does not need.
 
-Besides an encoding inverse and a fresh-interpreter runner, these are
-Monte-Carlo reference values for the
-structural generators: ``oracle_response`` (a response surface, whose arm
-difference is the CATE), ``oracle_history_adjustment`` (a path-conditioned
-mean) and ``oracle_propensity``.  They work for any
+Most are Monte-Carlo reference values for the structural generators:
+``oracle_response`` (a response surface, whose arm difference is the
+CATE), ``oracle_history_adjustment`` (a path-conditioned mean) and
+``oracle_propensity``.  They work for any
 :class:`~tvcate.dgp.StructuralDGP`, so tests can check the closed forms the
 package reads (:class:`~tvcate.dgp.ChainResponseForm`) against an
-independent route.
+independent route.  The rest: an encoding inverse; a fresh-interpreter
+runner, and a suite's report from one pinned to one CPU and from one on
+all CPUs; ``same_bits``; ``recording``, a generator that records the
+threads its structural functions run on; and ``small_blocks``, which
+splits every table and simulation into 97-row blocks.
 """
 
+import dataclasses
 import os
 import subprocess
 import sys
 import textwrap
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 import tvcate
+from tvcate import learners
 from tvcate.dgp import StructuralDGP
 from tvcate.panel import FeatureCodec, HistoryView
 
@@ -32,6 +38,51 @@ def run_on_one_thread(script: str) -> str:
                PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     return subprocess.run([sys.executable, "-c", textwrap.dedent(script)], env=env,
                           check=True, stdout=subprocess.PIPE, text=True, timeout=600).stdout
+
+
+def suite_report_pinned_and_free(suite: str, budget) -> tuple:
+    """What a fresh interpreter pinned to one CPU (its own affinity only)
+    and one on all CPUs print for ``run_suite(suite, budget)``: each a pair
+    of its usable CPU count and the report without its wall time, followed
+    by the statistics' ``repr``."""
+    script = f"""
+        import os, re
+        from tvcate import learners
+        from tvcate.verify import format_report, run_suite
+        if PIN:
+            os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
+        report = run_suite({suite!r}, budget={budget!r})
+        print(learners._usable_cpus())
+        print(re.sub(r", [0-9.]+s\\)", ")", format_report(report)))
+        print([repr(c.statistic) for c in report.checks])
+        """
+    return tuple(run_on_one_thread(script.replace("PIN", repr(pin))).split("\n", 1)
+                 for pin in (True, False))
+
+
+def same_bits(got, want):
+    """Equal dtype, shape and bytes."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.shape == want.shape and \
+        got.tobytes() == want.tobytes()
+
+
+def recording(dgp, name, record):
+    """``dgp`` whose structural function ``name`` calls ``record`` with the
+    thread it runs on, then returns the original's values."""
+    original = getattr(dgp, name)
+
+    def f(*args):
+        record(threading.current_thread())
+        return original(*args)
+    return dataclasses.replace(dgp, **{name: f})
+
+
+def small_blocks(monkeypatch, cpus):
+    """Split every table and simulation into 97-row blocks over ``cpus`` CPUs."""
+    monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 97)
+    monkeypatch.setattr(learners, "_TABLE_MIN_ROWS", 1)
+    monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
 
 
 def decode_history(vec: np.ndarray, codec: FeatureCodec):

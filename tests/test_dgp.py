@@ -1,7 +1,13 @@
+import dataclasses
+import os
+import sys
+import threading
+
 import numpy as np
 import pytest
 from scipy.special import expit
 
+from tvcate import learners
 from tvcate.dgp import (
     ChainResponseForm,
     DiscreteDGP,
@@ -16,8 +22,11 @@ from tvcate.dgp import (
 )
 from tvcate.panel import HistoryView, InterventionPair, Trajectory, validate_panel
 from tvcate.harness import default_sweep_config
+from tvcate.nuisance import build_row_table
+from tvcate.verify import DEFAULT_BUDGETS
 
-from helpers import oracle_history_adjustment, oracle_propensity, oracle_response
+from helpers import (oracle_history_adjustment, oracle_propensity, oracle_response, recording,
+                     same_bits, small_blocks, suite_report_pinned_and_free)
 
 
 def history(x_vals, a_vals=(), y_vals=(), pad_to=5):
@@ -133,6 +142,130 @@ class TestSimulatePanel:
         a1 = np.array([tr.treatments[0] for tr in panel.trajectories])
         se = np.sqrt(target * (1 - target) / n)
         assert abs(a1.mean() - target) <= 3 * se
+
+
+class TestSimulateBoundary:
+    @pytest.mark.parametrize("n", [2.5, "10", True, None, 0, -3])
+    def test_bad_n_is_rejected_naming_the_field(self, n):
+        with pytest.raises(ValueError, match=r"^n must be"):
+            simulate_panel(make_d1(), n, seed=0)
+
+    def test_numpy_integer_n_is_an_integer(self):
+        want = simulate_panel(make_d1(), 7, seed=3)
+        for n in (np.int64(7), np.int32(7), np.uint8(7)):
+            got = simulate_panel(make_d1(), n, seed=3)
+            assert got.n == 7 and same_bits(got.X, want.X) and same_bits(got.Y, want.Y)
+
+    @pytest.mark.parametrize("x1", [np.zeros(3), np.zeros((5, 1)), [[0.1]], np.zeros(6), "abc",
+                                    object()])
+    def test_bad_x1_is_rejected_naming_the_field(self, x1):
+        with pytest.raises(ValueError, match=r"^x1 must be"):
+            simulate_panel(make_linear_chain(), 5, seed=0, x1=x1)
+
+    @pytest.mark.parametrize("x1", [0.3, np.float32(0.3), [0.3], np.full(5, 0.3),
+                                    np.linspace(-1.0, 1.0, 5)])
+    def test_x1_pins_every_first_covariate(self, x1):
+        panel = simulate_panel(make_linear_chain(), 5, seed=0, x1=x1)
+        want = np.broadcast_to(np.asarray(x1, dtype=float), (5,))
+        assert same_bits(panel.dense()[0][:, 0, 0], want)
+
+
+#: generators (and x1 pins) whose simulations the block tests compare
+SIMULATED = {
+    "d1": (make_d1(), None),
+    "d2": (make_d2(), None),
+    "d3 gamma 8": (make_d3(8.0), None),
+    "linear chain, x1 pinned": (make_linear_chain(), 0.3),
+    "linear chain, x1 per trajectory": (make_linear_chain(), np.linspace(-2.0, 2.0, 300)),
+    "horizon 1": (dataclasses.replace(make_d2(), horizon=1), None),
+}
+
+
+class TestSimulateBlocks:
+    """A simulation of at least ``learners._TABLE_MIN_ROWS`` trajectories runs
+    its arithmetic in trajectory blocks on every usable CPU, with the bits
+    of one block."""
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("name", list(SIMULATED))
+    def test_blocks_have_the_bits_of_one_block(self, name, cpus, monkeypatch):
+        dgp, x1 = SIMULATED[name]
+        want = simulate_panel(dgp, 300, seed=[8, 1], x1=x1)
+        small_blocks(monkeypatch, cpus)
+        got = simulate_panel(dgp, 300, seed=[8, 1], x1=x1)
+        for field in ("X", "A", "Y", "offsets"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+
+    def test_more_threads_than_cores_keep_every_block(self, monkeypatch):
+        # eight shares of 7-row blocks, switching threads every microsecond:
+        # a block written twice, lost or mixed up changes the bits of the
+        # panel or of its row table
+        want = simulate_panel(make_d2(), 300, seed=12)
+        tables = [build_row_table(want, tau) for tau in (0, 2)]
+        small_blocks(monkeypatch, 8)
+        monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 7)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = simulate_panel(make_d2(), 300, seed=12)
+            got_tables = [build_row_table(got, tau) for tau in (0, 2)]
+        finally:
+            sys.setswitchinterval(interval)
+        for field in ("X", "A", "Y"):
+            assert same_bits(getattr(got, field), getattr(want, field)), field
+        for g, w in zip(got_tables, tables):
+            for name in ("traj_id", "t", "a_obs", "y_term"):
+                assert same_bits(getattr(g, name), getattr(w, name)), name
+
+    def test_block_error_is_raised_in_the_caller(self, monkeypatch):
+        caller = threading.current_thread()
+
+        def record(thread):
+            if thread is not caller:
+                raise FloatingPointError("an outcome block on a started thread")
+        small_blocks(monkeypatch, 2)
+        with pytest.raises(FloatingPointError, match="started thread"):
+            simulate_panel(recording(make_d1(), "f_y", record), 300, seed=5)
+
+    @pytest.mark.parametrize("cpus", [None, 2, 3])
+    def test_nan_outcome_names_the_first_trajectory_and_time(self, cpus, monkeypatch):
+        # the outcome is NaN where 100 < X_t < 300.  d1 halves X_t each step
+        # (noise sd 0.5), so trajectory 150, pinned at X_1 = 1000, is NaN
+        # from t 3 (X_3 ~ 250) and trajectory 200, pinned at 200, from t 1:
+        # the first is in the second 97-row block, the next in the third
+        d1 = make_d1()
+        nan_y = dataclasses.replace(d1, f_y=lambda x, a, y: np.where(
+            (x > 100) & (x < 300), np.nan, d1.f_y(x, a, y)))
+        x1 = np.zeros(300)
+        x1[[150, 200]] = 1000.0, 200.0
+        if cpus is not None:
+            small_blocks(monkeypatch, cpus)
+        with pytest.raises(ValueError, match=r"^trajectory 150, t 3: non-finite "
+                                             r"covariate or outcome$"):
+            simulate_panel(nan_y, 300, seed=9, x1=x1)
+
+    def test_no_thread_outlives_a_call(self, monkeypatch):
+        small_blocks(monkeypatch, 3)
+        seen = set()
+        before = threading.enumerate()
+        simulate_panel(recording(make_d1(), "f_x", seen.add), 300, seed=6)
+        # the caller and started threads ran blocks, and none of them is left
+        assert threading.current_thread() in seen and len(seen) > 1
+        assert threading.enumerate() == before
+        assert not any(t.is_alive() for t in seen - {threading.current_thread()})
+
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_process_writes_the_ipw_report_of_every_cpu(self):
+        # the ipw-unbiased suite at its default budget: two 10^5-trajectory
+        # panels, each simulated in two blocks
+        budget = DEFAULT_BUDGETS["ipw-unbiased"]
+        assert learners._TABLE_MIN_ROWS <= budget < 2 * learners._TABLE_BLOCK_ROWS
+        pinned, free = suite_report_pinned_and_free("ipw-unbiased", budget)
+        assert pinned[0] == "1"
+        assert int(free[0]) == len(os.sched_getaffinity(0))
+        assert f"suite ipw-unbiased: PASS (budget {budget}, seed 0)" in pinned[1]
+        assert pinned[1] == free[1]
 
 
 class TestOraclePropensity:

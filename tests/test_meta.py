@@ -41,7 +41,8 @@ from tvcate.nuisance import (
 )
 from tvcate.panel import HistoryView, InterventionPair, panel_from_arrays
 
-from helpers import oracle_history_adjustment, run_on_one_thread
+from helpers import (oracle_history_adjustment, recording, same_bits, small_blocks,
+                     suite_report_pinned_and_free)
 
 
 def tiny_panel(A, Y, arity=2):
@@ -303,12 +304,6 @@ def matrix_pseudo(table, nz, pair):
     return out
 
 
-def same_bits(got, want):
-    got, want = np.asarray(got), np.asarray(want)
-    return got.dtype == want.dtype and got.shape == want.shape and \
-        got.tobytes() == want.tobytes()
-
-
 @pytest.fixture(scope="module")
 def d1_sets():
     """{tau: (panel, pair, {name: nuisance set})} on one d1 panel per tau."""
@@ -384,23 +379,6 @@ def block_outputs(table, nz, pair):
     return out
 
 
-def recording_d1(record):
-    """d1 whose propensity logit calls ``record`` in the thread it runs on."""
-    d1 = make_d1()
-
-    def f_a(x, a_prev, y_prev):
-        record(threading.current_thread())
-        return d1.f_a(x, a_prev, y_prev)
-    return dataclasses.replace(d1, f_a=f_a)
-
-
-def small_blocks(monkeypatch, cpus):
-    """Split every table into 97-row blocks over ``cpus`` CPUs."""
-    monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 97)
-    monkeypatch.setattr(learners, "_TABLE_MIN_ROWS", 1)
-    monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
-
-
 class TestPseudoRowBlocks:
     """A table of at least ``learners._TABLE_MIN_ROWS`` rows runs its
     nuisance queries and pseudo-outcome arithmetic in blocks on every
@@ -455,8 +433,8 @@ class TestPseudoRowBlocks:
                 raise FloatingPointError("a block on a started thread")
         small_blocks(monkeypatch, 2)
         pair = benchmark_pair(1)
-        d1 = recording_d1(record)
-        table = build_row_table(simulate_panel(d1, 300, seed=5), 1)
+        d1 = recording(make_d1(), "f_a", record)   # make_d1() simulates: the same bits
+        table = build_row_table(simulate_panel(make_d1(), 300, seed=5), 1)
         with pytest.raises(FloatingPointError, match="started thread"):
             pseudo_ipw(table, oracle_nuisances(d1, pair), pair)
 
@@ -464,8 +442,8 @@ class TestPseudoRowBlocks:
         small_blocks(monkeypatch, 3)
         seen = set()
         pair = benchmark_pair(2)
-        d1 = recording_d1(seen.add)
-        table = build_row_table(simulate_panel(d1, 300, seed=6), 2)
+        d1 = recording(make_d1(), "f_a", seen.add)   # queries only, not the simulation
+        table = build_row_table(simulate_panel(make_d1(), 300, seed=6), 2)
         before = threading.enumerate()
         pseudo_dr(table, oracle_nuisances(d1, pair), pair)
         # the caller and started threads ran blocks, and none of them is left
@@ -478,19 +456,7 @@ class TestPseudoRowBlocks:
         # the double-robust suite at 25,000 trajectories: 100,000-row tables,
         # two blocks, in a process pinned to one CPU (its own affinity only)
         # and in one on all CPUs; the report without its wall time
-        script = """
-            import os, re
-            from tvcate import learners
-            from tvcate.verify import format_report, run_suite
-            if PIN:
-                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
-            report = run_suite("double-robust", budget=25000)
-            print(learners._usable_cpus())
-            print(re.sub(r", [0-9.]+s\\)", ")", format_report(report)))
-            print([repr(c.statistic) for c in report.checks])
-            """
-        pinned, free = (run_on_one_thread(script.replace("PIN", repr(pin))).split("\n", 1)
-                        for pin in (True, False))
+        pinned, free = suite_report_pinned_and_free("double-robust", 25000)
         assert pinned[0] == "1"
         assert int(free[0]) == len(os.sched_getaffinity(0))
         assert "suite double-robust: PASS (budget 25000, seed 1)" in pinned[1]

@@ -46,7 +46,7 @@ from tvcate.panel import (
 )
 from tvcate.verify import SUITE_NAMES, run_suite
 
-from helpers import oracle_history_adjustment
+from helpers import oracle_history_adjustment, same_bits, small_blocks
 
 TUNED_D1_SPEC = RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2)
 
@@ -135,6 +135,25 @@ class TestRowTable:
         table = build_row_table(simulate_panel(make_d1(), 400, seed=6), tau)
         held = sum(v.nbytes for v in vars(table).values() if isinstance(v, np.ndarray))
         assert held <= 8 * (3 + (tau + 1)) * table.n_rows
+
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_blocks_have_the_bits_and_dtypes_of_one_block(self, ragged, tau, cpus, monkeypatch):
+        # a table of at least learners._TABLE_MIN_ROWS rows fills its row
+        # index, arms and outcome in row blocks on every usable CPU
+        panel = simulate_panel(make_d1(), 300, seed=[7, tau])
+        if ragged:                 # lengths 3 to 5, so blocks start mid-trajectory
+            panel = Panel([Trajectory(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
+                                      tr.outcomes[:3 + i % 3])
+                           for i, tr in enumerate(panel.trajectories)], 2)
+        want = build_row_table(panel, tau)
+        small_blocks(monkeypatch, cpus)
+        got = build_row_table(panel, tau)
+        assert got.n_rows == want.n_rows > 3 * 97
+        for name in ("traj_id", "t", "a_obs", "y_term"):
+            assert same_bits(getattr(got, name), getattr(want, name)), name
 
 
 class TestMakeSplit:

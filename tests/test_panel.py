@@ -253,6 +253,33 @@ class TestCsvRoundTrip:
             np.testing.assert_array_equal(tr0.treatments, tr1.treatments)
             np.testing.assert_array_equal(tr0.outcomes, tr1.outcomes)
 
+    @staticmethod
+    def row_by_row(panel):
+        """The file of the row-by-row formatter the writer replaced."""
+        tid = np.repeat(np.arange(panel.n), panel.lengths())
+        t = np.arange(tid.size) - panel.offsets[tid] + 1
+        lines = ["traj_id,t," + ",".join(f"x_{j + 1}" for j in range(panel.covariate_dim))
+                 + ",a,y"]
+        lines += [f"{i},{s},{','.join(f'{v:.17g}' for v in x)},{a},{y:.17g}" for i, s, x, a, y
+                  in zip(tid.tolist(), t.tolist(), panel.X.tolist(), panel.A.tolist(),
+                         panel.Y.tolist())]
+        return ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("d", [1, 3])
+    def test_writes_the_bytes_of_the_row_by_row_formatter(self, tmp_path, d):
+        # a ragged arity-3 panel with signed zeros, subnormals and 1e+-300
+        panel = random_panel(np.random.default_rng(11), n=40, d=d, arity=3)
+        X, Y = panel.X.copy(), panel.Y.copy()
+        special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.5e-308, 0.1, 1 / 3]
+        X.flat[:len(special)] = special
+        Y[-len(special):] = special
+        panel = Panel.__new__(Panel)._fill(X, panel.A.copy(), Y, panel.offsets.copy(), 3)
+        path = tmp_path / "panel.csv"
+        panel_to_csv(panel, path)
+        assert path.read_bytes() == self.row_by_row(panel)
+        back = panel_from_csv(path, treatment_arity=3)
+        assert back.X.tobytes() == X.tobytes() and back.Y.tobytes() == Y.tobytes()
+
     def test_header_layout(self, tmp_path):
         panel = panel_from_arrays(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=int),
                                   np.zeros((1, 2)))

@@ -21,7 +21,7 @@ from tvcate.nuisance import build_row_table, default_codec, oracle_nuisances
 from tvcate.panel import (HistoryView, Panel, Trajectory, encode_block, encode_history,
                           panel_from_csv, panel_to_csv)
 
-from helpers import decode_history
+from helpers import decode_history, same_bits
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -46,11 +46,6 @@ def simulated_panels(draw, taus=(0, 1, 2)):
     n = draw(st.integers(1, 40))
     panel = simulate_panel(dgp, n, seed=draw(st.integers(0, 2**32 - 1)))
     return dgp, panel, draw(st.sampled_from(taus))
-
-
-def same_bits(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 def csv_lines(panel):
