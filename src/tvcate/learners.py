@@ -36,8 +36,12 @@ after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks
 their noise draws and their panels' copies and checks, and the row
 indices, nuisance queries and pseudo-outcome arithmetic of large
 tables.  Each element gets the same bits in any span, so
-no result depends on the CPU count; BLAS, LAPACK and public functions run
-in the calling thread only.
+no result depends on the CPU count; public functions, LAPACK and every
+BLAS product but one kind run in the calling thread only.  That kind is
+the two-class classifier's Newton pass (:class:`_BinaryLoss`): on one BLAS
+thread its fixed row blocks run their products on every CPU, and their
+sums are added in block order, so it too gives the same bits on any CPU
+count.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -55,6 +59,8 @@ does not promise one ``Generator.normal`` stream across versions).  Format
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import hashlib
 import os
 import threading
@@ -204,19 +210,53 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _run_spans(work, edges) -> list:
+#: OpenBLAS's thread-count calls, as threadpoolctl looks them up: that of
+#: NumPy's bundled ``scipy_openblas64_``, then those of plain OpenBLAS builds
+_OPENBLAS_THREAD_CALLS = ("scipy_openblas_get_num_threads64_",
+                          "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.cache
+def _blas_thread_call():
+    """The thread-count call of the OpenBLAS loaded in this process that
+    NumPy multiplies with, or None where none is found (no OpenBLAS, or no
+    ``/proc/self/maps`` listing the loaded libraries)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
+                            for line in maps if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    call = next((getattr(lib, name) for name in _OPENBLAS_THREAD_CALLS
+                 for lib in libs if hasattr(lib, name)), None)
+    if call is not None:
+        call.argtypes, call.restype = [], ctypes.c_int
+    return call
+
+
+def _blas_threads() -> int:
+    """The threads NumPy's OpenBLAS runs a product on now, or 0 when that
+    cannot be read."""
+    call = _blas_thread_call()
+    return 0 if call is None else call()
+
+
+def _run_spans(work, edges, scratch=None) -> list:
     """``work(span)`` for each slice between consecutive ``edges``, in order,
     in P shares on P usable CPUs: every P-th span from the first in the
     calling thread, each other share on a thread started for this call and
-    joined before the return.  An error in any span is raised in the caller."""
+    joined before the return.  An error in any span is raised in the caller.
+    With ``scratch``, buffers per share made by the caller, P is at most
+    ``len(scratch)`` and share j's spans run as ``work(span, scratch[j])``."""
     spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    shares = max(min(_usable_cpus(), len(spans)), 1)
+    shares = max(min(_usable_cpus() if scratch is None else len(scratch), len(spans)), 1)
     results, errors = [None] * len(spans), []
 
     def share(first):
         try:
             for k in range(first, len(spans), shares):
-                results[k] = work(spans[k])
+                results[k] = work(spans[k]) if scratch is None else work(spans[k], scratch[first])
         except BaseException as exc:          # raised again in the caller
             errors.append(exc)
 
@@ -469,27 +509,33 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedR
     return RowMap(spec, features).fit(spec, target, weight)
 
 
-def _gram(phi: np.ndarray, w) -> np.ndarray:
+def _gram(phi: np.ndarray, w, out=None) -> np.ndarray:
     """The raw gram ``sum_i w_i phi_i phi_i^T`` (``w`` None: weights of one) as
     one product ``B.T @ B`` of ``B = sqrt(w)[:, None] * phi``, which NumPy hands
-    to BLAS ``syrk`` (one triangle, mirrored).  B is written over a writeable
-    ``phi`` (a block :func:`_row_blocks` gathered), else into a new block."""
+    to BLAS ``syrk`` (one triangle, mirrored).  B is written into the first
+    rows of ``out``, else over a writeable ``phi`` (a block
+    :func:`_row_blocks` gathered), else into a new block."""
     if w is not None:
-        phi = np.multiply(phi, np.sqrt(w)[:, None], out=phi if phi.flags.writeable else None)
+        out = phi if out is None else out[:phi.shape[0]]
+        phi = np.multiply(phi, np.sqrt(w)[:, None], out=out if out.flags.writeable else None)
     return phi.T @ phi
 
 
 def _raw_sums(phi: np.ndarray, rows, w=None, v=None):
     """``(sum w phi phi^T, sum w phi, phi^T v)`` over ``rows`` of ``phi`` (all when
     None; ``w`` None: weights of one; ``v`` None: no ``phi^T v``) in one pass of
-    row blocks, each block's sums taken before :func:`_gram` scales it."""
-    F = phi.shape[1]
+    row blocks, each block's sums taken before :func:`_gram` scales it: a
+    gathered block in place, views of ``phi`` into one block buffer for the
+    call."""
+    n, F = phi.shape[0] if rows is None else rows.size, phi.shape[1]
     gram, total, rhs = np.zeros((F, F)), np.zeros(F), None if v is None else np.zeros(F)
+    views = w is not None and rows is None
+    scaled = np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), F)) if views else None
     for lo, hi, block in _row_blocks(phi, rows):
         total += block.sum(axis=0) if w is None else w[lo:hi] @ block
         if v is not None:
             rhs += block.T @ v[lo:hi]
-        gram += _gram(block, None if w is None else w[lo:hi])
+        gram += _gram(block, None if w is None else w[lo:hi], scaled)
     return gram, total, rhs
 
 
@@ -551,7 +597,11 @@ class RowMap:
         grams, totals, counts, summed = self._sums
         taken = np.bincount(self.groups[rows], minlength=counts.size)
         hit = taken > 0
-        if np.any(taken[hit] != counts[hit]) or np.unique(rows).size != rows.size:
+        if np.any(taken[hit] != counts[hit]):
+            return None
+        seen = np.zeros(self.n_rows, dtype=bool)     # a repeated row: no union of groups
+        seen[rows] = True
+        if np.count_nonzero(seen) != rows.size:
             return None
         for g in np.flatnonzero(hit & ~summed):
             idx = np.flatnonzero(self.groups == g)
@@ -722,7 +772,11 @@ class ClassifierSpec:
     method stops when the Euclidean norm of its gradient falls below
     ``tol`` and takes at most ``max_iter`` trust-region steps; with more,
     L-BFGS stops when the largest entry of its projected gradient is at most
-    ``tol`` and runs at most ``max_iter`` iterations.
+    ``tol`` and runs at most ``max_iter`` iterations.  A two-class fit gives
+    the same bits on any CPU count, but not on any BLAS thread count: on one
+    BLAS thread its loss, gradient and Hessian are sums over 4096-row blocks
+    (see :func:`_solve_logistic`), which differ from whole-row products in
+    the last bits.
     """
 
     use_random_features: bool = True
@@ -764,29 +818,81 @@ def _nll_and_grad(theta_flat, phi, labels, w, l2, n_classes):
     return nll, grad.ravel()
 
 
-def _binary_nll_and_grad(beta, phi, y, w, l2):
-    """:func:`_nll_and_grad` of two classes at theta = [-beta / 2, beta / 2],
-    as a function of beta: the weighted cross-entropy of P(class 1) =
+class _BinaryLoss:
+    """The two-class objective :func:`_solve_logistic` minimizes, as a
+    function of beta: :func:`_nll_and_grad` of two classes at theta =
+    [-beta / 2, beta / 2] (the weighted cross-entropy of P(class 1) =
     expit(phi beta) for the 0/1 labels ``y``, plus (l2 / 4) ||beta||^2 off
-    the intercept, and its gradient (the softmax gradient's second column)."""
-    z = phi @ beta
-    nll = float(w @ (np.logaddexp(0.0, z) - y * z))
-    grad = phi.T @ (w * (special.expit(z) - y))
-    nll += 0.25 * l2 * float(beta[:-1] @ beta[:-1])
-    grad[:-1] += 0.5 * l2 * beta[:-1]
-    return nll, grad
+    the intercept), its gradient, and its exact Hessian A^T A for A = phi
+    sqrt(w p (1 - p)), plus l2 / 2 on the diagonal off the intercept.
+
+    One pass makes all three at a point: per row block, ``z = block @
+    beta``, the loss and gradient sums, then A and A^T A (BLAS ``syrk``), each
+    into the block's slot; the slots are added in block order, the penalty
+    last.  The blocks (the rule is :func:`_solve_logistic`'s) and the scratch
+    of every share are fixed when the instance is made, in the calling
+    thread.  The values at the last point are kept, because the solver asks
+    for the loss and the Hessian at each point it proposes; an instance
+    serves one solve, so one ``l2``.
+    """
+
+    def __init__(self, phi, y, w, l2):
+        n, width = phi.shape
+        self.phi, self.y, self.w, self.l2 = phi, y, w, l2
+        self.edges = _block_edges(n) if _blas_threads() == 1 else [0, n]
+        blocks = len(self.edges) - 1
+        rows = max(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
+        self.scratch = [(np.empty((rows, width)), np.empty((4, rows)))
+                        for _ in range(min(_usable_cpus(), blocks))]
+        self.parts = np.empty(blocks), np.empty((blocks, width)), np.empty((blocks, width, width))
+        self.key, self.values = None, None
+
+    def _block(self, beta, span, scratch):
+        """Block ``span``'s loss, gradient and Hessian sums into its slots."""
+        k = self.edges.index(span.start)
+        block, w, y = self.phi[span], self.w[span], self.y[span]
+        A, (z, p, u, q) = scratch[0][:len(w)], scratch[1][:, :len(w)]
+        nll, grad, hess = self.parts
+        np.matmul(block, beta, out=z)
+        np.logaddexp(0.0, z, out=q)
+        q -= np.multiply(y, z, out=u)
+        nll[k] = w @ q
+        special.expit(z, out=p)
+        np.subtract(p, y, out=u)
+        u *= w
+        np.matmul(block.T, u, out=grad[k])
+        np.multiply(w, p, out=u)
+        u *= special.expit(np.negative(z, out=q), out=q)
+        np.sqrt(u, out=u)
+        np.multiply(block, u[:, None], out=A)
+        np.matmul(A.T, A, out=hess[k])
+
+    def _at(self, beta) -> tuple:
+        """(loss, gradient, Hessian) at ``beta``."""
+        key = beta.tobytes()
+        if key != self.key:
+            _run_spans(functools.partial(self._block, beta), self.edges, self.scratch)
+            nll, grad, hess = (_in_order(part) for part in self.parts)
+            nll = float(nll) + 0.25 * self.l2 * float(beta[:-1] @ beta[:-1])
+            grad[:-1] += 0.5 * self.l2 * beta[:-1]
+            off = np.arange(beta.size - 1)
+            hess[off, off] += 0.5 * self.l2
+            self.key, self.values = key, (nll, grad, hess)
+        return self.values
+
+    def loss_and_grad(self, beta):
+        return self._at(beta)[:2]
+
+    def hessian(self, beta):
+        return self._at(beta)[2]
 
 
-def _binary_hessian(beta, phi, y, w, l2):
-    """The exact Hessian of :func:`_binary_nll_and_grad`: A^T A for
-    A = phi sqrt(w p (1 - p)), one symmetric product (BLAS syrk), plus l2 / 2
-    on the diagonal off the intercept."""
-    z = phi @ beta
-    A = phi * np.sqrt(w * special.expit(z) * special.expit(-z))[:, None]
-    H = A.T @ A
-    off = np.arange(beta.size - 1)
-    H[off, off] += 0.5 * l2
-    return H
+def _in_order(parts: np.ndarray) -> np.ndarray:
+    """The sum of ``parts`` along its first axis, added one after another."""
+    total = parts[0].copy()
+    for part in parts[1:]:
+        total += part
+    return total
 
 
 def _design(X, W, b) -> np.ndarray:
@@ -893,8 +999,10 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
                    n_classes: Optional[int] = None) -> FittedClassifier:
     """Fit multinomial logistic regression by weighted cross-entropy.
 
-    Two classes are solved by Newton's method with the exact Hessian, more
-    by L-BFGS (see :func:`_solve_logistic`).  Raises if fewer than two
+    Two classes are solved by Newton's method with the exact Hessian, whose
+    loss, gradient and Hessian at each point are one pass of row blocks on
+    every CPU when BLAS runs one thread; more classes by L-BFGS (see
+    :func:`_solve_logistic`).  Raises if fewer than two
     classes are present or if the solver stops short of ``spec.tol`` within
     ``spec.max_iter`` steps with a gradient max-norm above 1e-5 (the error
     reports it).
@@ -934,21 +1042,26 @@ def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
     """The (F + 1) x K parameters minimizing :func:`_nll_and_grad`, from
     ``theta0`` (zeros when None).
 
-    Two classes take Newton's method (scipy's ``trust-exact`` with
-    :func:`_binary_hessian`) on beta = theta[:, 1] - theta[:, 0] and return
-    [-beta / 2, beta / 2].  The two-class softmax objective sees theta
-    through beta and the penalty, which is least when each row of theta sums
-    to zero (the unpenalized intercept row is set so too), so that is its
-    optimum.  More classes take L-BFGS.
+    Two classes take Newton's method (scipy's ``trust-exact``) on beta =
+    theta[:, 1] - theta[:, 0] and return [-beta / 2, beta / 2].  The
+    two-class softmax objective sees theta through beta and the penalty,
+    which is least when each row of theta sums to zero (the unpenalized
+    intercept row is set so too), so that is its optimum.  One
+    :class:`_BinaryLoss` per solve makes the loss, gradient and Hessian at
+    each point the solver proposes in one fused pass: over fixed 4096-row
+    blocks on every usable CPU when NumPy's BLAS runs one thread, so the
+    result is the same on any CPU count; over one block, with the bits of
+    whole-row products, when BLAS runs several (blocks were slower there)
+    or its thread count cannot be read.  More classes take L-BFGS.
     """
     width = phi.shape[1]
     if theta0 is None:
         theta0 = np.zeros((width, n_classes))
     if n_classes == 2:
+        loss = _BinaryLoss(phi, (labels == 1).astype(float), w, l2)
         res = optimize.minimize(
-            _binary_nll_and_grad, theta0[:, 1] - theta0[:, 0],
-            args=(phi, (labels == 1).astype(float), w, l2),
-            method="trust-exact", jac=True, hess=_binary_hessian,
+            loss.loss_and_grad, theta0[:, 1] - theta0[:, 0],
+            method="trust-exact", jac=True, hess=loss.hessian,
             options={"maxiter": spec.max_iter, "gtol": spec.tol},
         )
         theta = np.column_stack([-0.5 * res.x, 0.5 * res.x])

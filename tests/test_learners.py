@@ -1,13 +1,16 @@
+import collections
 import hashlib
 import json
 import multiprocessing
 import os
+import sys
 import threading
 import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from tvcate import learners
 from tvcate.learners import (
@@ -23,7 +26,7 @@ from tvcate.learners import (
     predict_many,
 )
 
-from helpers import run_on_one_thread
+from helpers import run_on_one_thread, small_blocks
 
 
 def sigmoid(z):
@@ -455,6 +458,18 @@ class TestCosineMap:
             with pytest.raises(ValueError, match="another row map"):
                 held.predict([model])
 
+    def test_views_are_scaled_into_the_buffer_given(self):
+        # a weighted gram of a read-only view writes B into the first rows of
+        # a caller's buffer, with the bits of scaling into a new block
+        rng = np.random.default_rng(29)
+        phi = rng.normal(size=(300, 16))
+        phi.flags.writeable = False
+        w = rng.uniform(0.1, 3.0, 300)
+        buf = np.zeros((310, 16))
+        got = learners._gram(phi, w, buf)
+        assert got.tobytes() == learners._gram(phi, w).tobytes()
+        assert np.array_equal(buf[:300], np.sqrt(w)[:, None] * phi) and not buf[300:].any()
+
     def test_gram_is_one_symmetric_product_of_sqrt_w_phi(self):
         # B.T @ B for B = sqrt(w) phi (B = phi for unit weights), whether phi
         # is read-only (a view of a map) or a gathered block scaled in place;
@@ -513,9 +528,9 @@ def gram_rows(monkeypatch):
     from tvcate import learners
     rows, original = [0], learners._gram
 
-    def counting(phi, w):
+    def counting(phi, w, out=None):
         rows[0] += phi.shape[0]
-        return original(phi, w)
+        return original(phi, w, out)
     monkeypatch.setattr(learners, "_gram", counting)
     return rows
 
@@ -582,6 +597,26 @@ class TestGroupedMap:
             assert len(big) == 1 and big[0] is design._phi and big[0].shape == (900, 64)
         raw.fit(spec, np.zeros(gathered.size), rows=gathered)
         assert raw._design._phi is raw.phi
+
+    def test_a_repeated_row_in_full_groups_falls_back_to_the_blocked_gram(self, monkeypatch):
+        # every group's count matches, but one row stands in for another of
+        # its group: no union of groups, so the design reads its rows in
+        # blocks, with the bits of fit_regressor on them
+        rng = np.random.default_rng(28)
+        X = rng.normal(size=(2000, 3))
+        groups = rng.integers(0, 5, size=2000)
+        y = rng.normal(size=2000)
+        spec = RegressorSpec(feature_count=64, ridge_lambda=1e-3)
+        raw = RowMap(spec, X, groups)
+        union = np.flatnonzero(groups != 1)
+        repeated = union.copy()
+        repeated[0] = union[groups[union] == groups[union[0]]][1]
+        assert np.array_equal(np.bincount(groups[repeated]), np.bincount(groups[union]))
+        assert raw._group_means(union) is not None and raw._group_means(repeated) is None
+        rows = gram_rows(monkeypatch)
+        got = raw.fit(spec, y[repeated], rows=repeated)
+        assert rows[0] == repeated.size
+        assert params_equal(got, fit_regressor(spec, X[repeated], y[repeated]))
 
     def test_group_labels_are_one_per_row(self):
         with pytest.raises(ValueError, match="one label per mapped row"):
@@ -754,7 +789,7 @@ class TestClassifier:
         assert np.abs(grad).max() <= 1e-6
 
     def test_two_class_loss_and_hessian_match_the_softmax_and_finite_differences(self):
-        from tvcate.learners import _binary_hessian, _binary_nll_and_grad, _nll_and_grad
+        from tvcate.learners import _BinaryLoss, _nll_and_grad
 
         rng = np.random.default_rng(14)
         n, p = 40, 5
@@ -764,20 +799,20 @@ class TestClassifier:
         w = rng.uniform(0.2, 1.0, n)
         w /= w.sum()
         beta = rng.normal(size=p)
-        nll, grad = _binary_nll_and_grad(beta, phi, y, w, 1e-2)
+        loss = _BinaryLoss(phi, y, w, 1e-2)
+        nll, grad = loss.loss_and_grad(beta)
         soft_nll, soft_grad = _nll_and_grad(np.column_stack([-beta / 2, beta / 2]).ravel(),
                                             phi, labels, w, 1e-2, 2)
         np.testing.assert_allclose(nll, soft_nll, rtol=1e-12)
         np.testing.assert_allclose(grad, soft_grad.reshape(p, 2)[:, 1], rtol=1e-10, atol=1e-15)
-        hess = _binary_hessian(beta, phi, y, w, 1e-2)
+        hess = loss.hessian(beta)
         eps = 1e-6
         fd = np.empty((p, p))
         for j in range(p):
             up, dn = beta.copy(), beta.copy()
             up[j] += eps
             dn[j] -= eps
-            fd[:, j] = (_binary_nll_and_grad(up, phi, y, w, 1e-2)[1]
-                        - _binary_nll_and_grad(dn, phi, y, w, 1e-2)[1]) / (2 * eps)
+            fd[:, j] = (loss.loss_and_grad(up)[1] - loss.loss_and_grad(dn)[1]) / (2 * eps)
         np.testing.assert_allclose(hess, fd, rtol=1e-5, atol=1e-8)
 
     @pytest.mark.parametrize("n_classes", [2, 3])
@@ -845,3 +880,199 @@ class TestClassifier:
         two_blocks = 2 * 4097 * 65 * 8               # about 4.3 MB
         assert max(peaks) <= two_blocks + 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 2 ** 20
+
+
+def whole_row_loss(beta, phi, y, w, l2):
+    """The two-class loss, gradient and Hessian as whole-row products: the
+    formulas of the separate loss-and-gradient and Hessian functions the
+    fused pass replaced, each making its own ``phi @ beta``."""
+    z = phi @ beta
+    nll = float(w @ (np.logaddexp(0.0, z) - y * z))
+    grad = phi.T @ (w * (special.expit(z) - y))
+    nll += 0.25 * l2 * float(beta[:-1] @ beta[:-1])
+    grad[:-1] += 0.5 * l2 * beta[:-1]
+    z = phi @ beta
+    A = phi * np.sqrt(w * special.expit(z) * special.expit(-z))[:, None]
+    hess = A.T @ A
+    off = np.arange(beta.size - 1)
+    hess[off, off] += 0.5 * l2
+    return nll, grad, hess
+
+
+def binary_problem(n, seed, features=64):
+    """``n`` design rows (``features`` columns and the intercept's), 0/1
+    labels, normalized weights and a point beta."""
+    rng = np.random.default_rng(seed)
+    phi = np.hstack([rng.normal(size=(n, features)), np.ones((n, 1))])
+    y = (rng.uniform(size=n) < 0.4).astype(float)
+    w = rng.uniform(0.2, 1.0, n)
+    return phi, y, w / w.sum(), rng.normal(scale=0.3, size=features + 1)
+
+
+def loss_bytes(values):
+    nll, grad, hess = values
+    return np.float64(nll).tobytes(), grad.tobytes(), hess.tobytes()
+
+
+def signal_fit(spec, n, seed):
+    X, labels = TestClassifier.signal(n, seed)
+    return fit_classifier(spec, X, labels)
+
+
+class TestNewtonPass:
+    """The two-class solve's fused pass: loss, gradient and Hessian at a
+    point in one pass of fixed row blocks on every CPU at one BLAS thread,
+    in one block otherwise."""
+
+    @pytest.mark.parametrize("blas,rows", [(0, 9000), (2, 9000), (1, 40), (1, 4097)])
+    def test_one_block_has_the_bits_of_the_whole_row_formulas(self, blas, rows, monkeypatch):
+        # 0: the count cannot be read; 2: BLAS runs its own threads; at one
+        # BLAS thread, a table of up to 4097 rows is one block
+        monkeypatch.setattr(learners, "_blas_threads", lambda: blas)
+        phi, y, w, beta = binary_problem(rows, rows)
+        loss = learners._BinaryLoss(phi, y, w, 1e-3)
+        assert loss.edges == [0, rows] and len(loss.scratch) == 1
+        assert loss_bytes(loss._at(beta)) == loss_bytes(whole_row_loss(beta, phi, y, w, 1e-3))
+
+    def test_blocks_are_the_whole_row_values_to_rounding(self, monkeypatch):
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        phi, y, w, beta = binary_problem(20_003, 30)
+        loss = learners._BinaryLoss(phi, y, w, 1e-3)
+        assert loss.edges == [0, 4096, 8192, 12288, 16384, 20_003]
+        got, want = loss._at(beta), whole_row_loss(beta, phi, y, w, 1e-3)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-13)
+        for value, whole in zip(got[1:], want[1:]):
+            assert np.abs(value - whole).max() <= 1e-13 * np.abs(whole).max()
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_blocks_have_the_bits_of_one_cpu(self, cpus, small, monkeypatch):
+        # 20,003 rows are five blocks; under small_blocks with 97-row blocks
+        # here too, 207, so every share runs many, switching threads often
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        if small:
+            monkeypatch.setattr(learners, "_PREDICT_BLOCK_ROWS", 97)
+        phi, y, w, beta = binary_problem(20_003, 31)
+        small_blocks(monkeypatch, 1)
+        want = loss_bytes(learners._BinaryLoss(phi, y, w, 1e-3)._at(beta))
+        small_blocks(monkeypatch, cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            losses = [learners._BinaryLoss(phi, y, w, 1e-3) for _ in range(3)]
+            got = [loss_bytes(loss._at(beta)) for loss in losses]
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(losses[0].scratch) == min(cpus, len(losses[0].edges) - 1)
+        assert got == [want] * 3
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_fits_have_the_bits_of_one_cpu(self, cpus, monkeypatch):
+        # the penalty grid's solves and the last, and the probabilities
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        spec = ClassifierSpec(seed=3)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        want = signal_fit(spec, 12_000, 32)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        got = signal_fit(spec, 12_000, 32)
+        assert got.params["l2_used"] == want.params["l2_used"]
+        assert got.params["theta"].tobytes() == want.params["theta"].tobytes()
+        assert got.fitted_rows[1].tobytes() == want.fitted_rows[1].tobytes()
+
+    @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
+    def test_one_cpu_process_fits_with_the_bits_of_every_cpu(self):
+        script = """
+            import hashlib, os
+            import numpy as np
+            from tvcate import learners
+            from tvcate.learners import ClassifierSpec, fit_classifier
+            if PIN:
+                os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+            rng = np.random.default_rng(33)
+            X = rng.normal(size=(12000, 2))
+            p = 1.0 / (1.0 + np.exp(X[:, 1] - 1.5 * X[:, 0]))
+            model = fit_classifier(ClassifierSpec(seed=3), X, (rng.uniform(size=12000) < p))
+            digest = hashlib.sha256(model.params["theta"].tobytes())
+            digest.update(model.predict_proba(X).tobytes())
+            print(learners._usable_cpus(), model.params["l2_used"], digest.hexdigest())
+            """
+        pinned, free = (run_on_one_thread(script.replace("PIN", repr(pin))).split()
+                        for pin in (True, False))
+        assert pinned[0] == "1" and free[0] == str(len(os.sched_getaffinity(0)))
+        assert pinned[1:] == free[1:]
+
+    def test_grid_warm_starts_are_evaluated_under_their_own_penalty(self, monkeypatch):
+        # each grid solve starts where the last one stopped: the same beta
+        # under a new l2, whose values must be evaluated afresh
+        calls, original = [], learners._BinaryLoss._at
+
+        def recording(self, beta):
+            values = original(self, beta)
+            calls.append((self, beta.copy(), loss_bytes(values)))
+            return values
+        monkeypatch.setattr(learners._BinaryLoss, "_at", recording)
+        signal_fit(ClassifierSpec(feature_count=16, seed=4), 3000, 34)
+        monkeypatch.setattr(learners._BinaryLoss, "_at", original)
+        penalties = collections.defaultdict(set)
+        for loss, beta, got in calls:
+            fresh = learners._BinaryLoss(loss.phi, loss.y, loss.w, loss.l2)
+            assert loss_bytes(fresh._at(beta)) == got
+            penalties[loss.phi.shape[0], beta.tobytes()].add(loss.l2)
+        grid = learners.CLASSIFIER_L2_GRID
+        warm = sorted(sorted(l2s) for (rows, beta), l2s in penalties.items()
+                      if len(l2s) > 1 and np.frombuffer(beta).any())
+        assert warm == [[lo, hi] for lo, hi in zip(grid, grid[1:])]
+
+    def test_block_error_is_raised_in_the_caller_and_no_thread_outlives_a_solve(
+            self, monkeypatch):
+        # 9,000 rows are three blocks, one per CPU: the second runs on a
+        # started thread
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
+        names, fail, original = set(), [False], learners._BinaryLoss._block
+
+        def block(self, beta, span, scratch):
+            names.add(threading.current_thread().name)
+            if fail[0] and span.start == 4096:
+                raise ArithmeticError("in the second block")
+            return original(self, beta, span, scratch)
+        monkeypatch.setattr(learners._BinaryLoss, "_block", block)
+        threads = threading.active_count()
+        spec = ClassifierSpec(l2=1e-2, seed=2)
+        signal_fit(spec, 9000, 35)
+        assert names == {threading.current_thread().name, "tvcate-block"}
+        assert threading.active_count() == threads
+        fail[0] = True
+        with pytest.raises(ArithmeticError, match="in the second block"):
+            signal_fit(spec, 9000, 35)
+        assert threading.active_count() == threads
+
+    def test_pass_peak_memory_is_a_few_blocks(self, monkeypatch):
+        # 40,000 x 65 design rows (20.8 MB): per CPU one 4097-row block and
+        # four 4097-long vectors, and the blocks' slots, never N x 65
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        phi, y, w, beta = binary_problem(40_000, 36)
+        tracemalloc.start()
+        try:
+            learners._BinaryLoss(phi, y, w, 1e-3)._at(beta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        scratch = 2 * 4097 * (65 + 4) * 8                   # 4.5 MB
+        slots = 9 * (1 + 65 + 65 * 65) * 8                  # 0.3 MB
+        assert peak <= scratch + slots + 2 ** 20
+
+    def test_blas_threads_are_read_from_the_loaded_library(self, monkeypatch):
+        # NumPy's OpenBLAS on Linux lists itself in the process's maps; when
+        # no count can be read, the pass takes one block
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
+        if "openblas" in blas and sys.platform.startswith("linux"):
+            assert run_on_one_thread("""
+                from tvcate import learners
+                print(learners._blas_threads())
+                """).split() == ["1"]
+        monkeypatch.setattr(learners, "_blas_thread_call", lambda: None)
+        assert learners._blas_threads() == 0
+        phi, y, w, _ = binary_problem(9000, 37)
+        assert learners._BinaryLoss(phi, y, w, 1e-3).edges == [0, 9000]

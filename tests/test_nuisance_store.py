@@ -323,9 +323,9 @@ class TestHeldDesign:
         rows = [0]
         original = learners_module._gram
 
-        def counting(phi, w):
+        def counting(phi, w, out=None):
             rows[0] += phi.shape[0]
-            return original(phi, w)
+            return original(phi, w, out)
         monkeypatch.setattr(learners_module, "_gram", counting)
         _seed_job(cfg, 0)
         assert rows[0] == 2 * train.A.size + weighted + history
