@@ -36,12 +36,15 @@ after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks
 their noise draws and their panels' copies and checks, and the row
 indices, nuisance queries and pseudo-outcome arithmetic of large
 tables.  Each element gets the same bits in any span, so
-no result depends on the CPU count; public functions, LAPACK and every
-BLAS product but one kind run in the calling thread only.  That kind is
-the two-class classifier's Newton pass (:class:`_BinaryLoss`): on one BLAS
-thread its fixed row blocks run their products on every CPU, and their
-sums are added in block order, so it too gives the same bits on any CPU
-count.
+no result depends on the CPU count.  On one BLAS thread the products of
+fixed row blocks run on every CPU too: the two-class classifier's Newton
+pass (:class:`_BinaryLoss`), and the ridge grams, right-hand sides and
+mapped predictions (:func:`_block_pass`).  Block sums are added in block
+order and each prediction block writes its own rows, so these too give
+the same bits on any CPU count; where BLAS runs threads of its own, or
+its count cannot be read, they run in the calling thread.  Public
+functions, LAPACK, ``X @ W`` and every other BLAS product run in the
+calling thread only.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -416,15 +419,47 @@ def _block_edges(n: int) -> list:
 
 
 def _row_blocks(phi, rows=None):
-    """``(lo, hi, block)`` over ``rows`` (indices, all when None) of the map
-    ``phi``, at :func:`_block_edges`.  Blocks are views of ``phi``, or rows
-    gathered into one buffer that the next block overwrites."""
-    n = phi.shape[0] if rows is None else rows.size
-    edges = _block_edges(n)
-    buf = None if rows is None else np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), phi.shape[1]))
-    for lo, hi in zip(edges, edges[1:]):
-        yield lo, hi, (phi[lo:hi] if rows is None else
-                       np.take(phi, rows[lo:hi], axis=0, out=buf[:hi - lo], mode="clip"))
+    """The row blocks of ``rows`` (indices, all when None) of the map ``phi``:
+    their edges (:func:`_block_edges`) and ``take(span, out)``, the rows of
+    block ``span``, a view of ``phi`` or gathered into the first rows of
+    ``out``."""
+    if rows is None:
+        return _block_edges(phi.shape[0]), lambda span, out: phi[span]
+    return _block_edges(rows.size), lambda span, out: np.take(
+        phi, rows[span], axis=0, out=out[:span.stop - span.start], mode="clip")
+
+
+def _shares(blocks: int) -> int:
+    """Shares of a pass over ``blocks`` row blocks: one per usable CPU, at
+    most one per block, when NumPy's BLAS runs one thread; else one, in the
+    calling thread (BLAS threads of its own, or a count that cannot be
+    read)."""
+    return max(min(_usable_cpus(), blocks), 1) if _blas_threads() == 1 else 1
+
+
+def _share_blocks(shares: int, n: int, width: int) -> np.ndarray:
+    """One ``(shares, rows, width)`` buffer: per share, room for the largest
+    :func:`_block_edges` block of ``n`` rows."""
+    return np.empty((shares, min(n, _PREDICT_BLOCK_ROWS + 1), width))
+
+
+def _block_pass(edges, shares: int, work, sums=()) -> None:
+    """``work(span, j)`` for every block ``span`` between ``edges``, share j
+    of ``shares`` (:func:`_run_spans`) taking every ``shares``-th block.
+    ``sums`` are (total, slots) pairs, slots with a first axis of ``shares``:
+    then the blocks run in rounds of ``shares``, block j of a round writing
+    its part of each sum into ``slots[j]``, and after each round the caller
+    adds the parts to ``total`` in block order, the order of one share.
+    Every buffer is the caller's: a share writes through ``out=`` only."""
+    if not sums:
+        _run_spans(work, edges, range(shares))
+        return
+    for first in range(0, len(edges) - 1, shares):
+        part = edges[first:first + shares + 1]
+        _run_spans(work, part, range(shares))
+        for total, slots in sums:
+            for slot in slots[:len(part) - 1]:
+                total += slot
 
 
 def _draws(model: FittedRegressor, W, b) -> bool:
@@ -435,19 +470,28 @@ def _draws(model: FittedRegressor, W, b) -> bool:
 
 def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
     """Predictions of ridge models at ``rows`` (indices, all when None) of
-    their raw map ``phi``, block by block (:func:`_row_blocks`): each model
-    centers a block by its own ``phi_mean`` and multiplies by its ``beta``,
-    so extra models cost a block, not an N x F map.  The last model centers
-    a gathered block in place, as it does a block of ``phi`` with
+    their raw map ``phi``, in one pass of row blocks (:func:`_row_blocks`,
+    :func:`_block_pass`): each model centers a block by its own
+    ``phi_mean`` and multiplies by its ``beta`` into its rows of its output,
+    so extra models cost a block per share, not an N x F map.  Each model
+    gathers its block again and centers it in place; a block of ``phi`` is
+    centered into the share's buffer, or in place by the last model with
     ``in_place``."""
-    n = phi.shape[0] if rows is None else rows.size
-    outs = [np.empty(n) for _ in models]
-    for lo, hi, block in _row_blocks(phi, rows):
+    edges, take = _row_blocks(phi, rows)
+    shares = _shares(len(edges) - 1)
+    outs = [np.empty(edges[-1]) for _ in models]
+    own_view = len(models) - 1 if in_place else len(models)
+    buf = (None if rows is None and own_view == 0
+           else _share_blocks(shares, edges[-1], phi.shape[1]))
+
+    def work(span, j):
         for k, model in enumerate(models):
-            own = (in_place or rows is not None) and k == len(models) - 1
+            block = take(span, None if buf is None else buf[j])
+            own = rows is not None or k == own_view
             centered = np.subtract(block, model.params["phi_mean"],
-                                   out=block if own else None)
-            outs[k][lo:hi] = centered @ model.params["beta"]
+                                   out=block if own else buf[j][:len(block)])
+            np.matmul(centered, model.params["beta"], out=outs[k][span])
+    _block_pass(edges, shares, work)
     for model, out in zip(models, outs):
         out += model.params["intercept"]
     return outs
@@ -464,9 +508,10 @@ def predict_many(models, features) -> list:
     ``(_cosine_features(X, W, b) - phi_mean) @ beta + intercept``: row
     blocks of ``X @ W`` keep them when the feature count is a multiple of 8,
     and at other counts, where they need not, the map is made in one block.
-    Only a block's elementwise ``cos`` runs off the calling thread, in row
-    chunks over the CPUs (:func:`_cosine_features`), so the bits do not
-    depend on the CPU count and every BLAS product stays in the caller.
+    A block's elementwise ``cos`` runs in row chunks over the CPUs
+    (:func:`_cosine_features`), and a map made in one piece is centered and
+    multiplied in row blocks over them (:func:`_predict_mapped`), so the
+    bits do not depend on the CPU count.
     """
     features = np.asarray(features, dtype=float)
     squeeze = features.ndim == 1
@@ -509,34 +554,57 @@ def fit_regressor(spec: RegressorSpec, features, target, weight=None) -> FittedR
     return RowMap(spec, features).fit(spec, target, weight)
 
 
-def _gram(phi: np.ndarray, w, out=None) -> np.ndarray:
+def _gram(phi: np.ndarray, w, scaled=None, out=None) -> np.ndarray:
     """The raw gram ``sum_i w_i phi_i phi_i^T`` (``w`` None: weights of one) as
     one product ``B.T @ B`` of ``B = sqrt(w)[:, None] * phi``, which NumPy hands
-    to BLAS ``syrk`` (one triangle, mirrored).  B is written into the first
-    rows of ``out``, else over a writeable ``phi`` (a block
-    :func:`_row_blocks` gathered), else into a new block."""
+    to BLAS ``syrk`` (one triangle, mirrored), into ``out`` when given.  B is
+    written into the first rows of ``scaled``, else over a writeable ``phi``
+    (a block :func:`_row_blocks` gathered), else into a new block."""
     if w is not None:
-        out = phi if out is None else out[:phi.shape[0]]
-        phi = np.multiply(phi, np.sqrt(w)[:, None], out=out if out.flags.writeable else None)
-    return phi.T @ phi
+        scaled = phi if scaled is None else scaled[:phi.shape[0]]
+        phi = np.multiply(phi, np.sqrt(w)[:, None],
+                          out=scaled if scaled.flags.writeable else None)
+    return np.matmul(phi.T, phi, out=out)
 
 
-def _raw_sums(phi: np.ndarray, rows, w=None, v=None):
+def _summing(take, views, w, v, buf, grams, totals, rhss):
+    """``work(span, j)`` of a :func:`_block_pass` that writes block ``span``'s
+    ``sum w phi phi^T``, ``sum w phi`` and ``phi^T v`` into ``grams[j]``,
+    ``totals[j]`` and ``rhss[j]`` (each None: not summed).  Gathered rows go
+    into ``buf[j]``, where :func:`_gram` scales them in place; a weighted
+    gram scales ``views`` into ``buf[j]``.  The column sums and ``phi^T v``
+    are taken before the block is scaled."""
+    def work(span, j):
+        block = take(span, None if buf is None else buf[j])
+        if rhss is not None:
+            np.matmul(block.T, v[span], out=rhss[j])
+        if grams is not None:
+            if w is None:
+                np.sum(block, axis=0, out=totals[j])
+            else:
+                np.matmul(w[span], block, out=totals[j])
+            _gram(block, None if w is None else w[span],
+                  buf[j] if views and w is not None else None, grams[j])
+    return work
+
+
+def _raw_sums(phi: np.ndarray, rows, w=None, v=None, gram: bool = True):
     """``(sum w phi phi^T, sum w phi, phi^T v)`` over ``rows`` of ``phi`` (all when
-    None; ``w`` None: weights of one; ``v`` None: no ``phi^T v``) in one pass of
-    row blocks, each block's sums taken before :func:`_gram` scales it: a
-    gathered block in place, views of ``phi`` into one block buffer for the
-    call."""
-    n, F = phi.shape[0] if rows is None else rows.size, phi.shape[1]
-    gram, total, rhs = np.zeros((F, F)), np.zeros(F), None if v is None else np.zeros(F)
-    views = w is not None and rows is None
-    scaled = np.empty((min(n, _PREDICT_BLOCK_ROWS + 1), F)) if views else None
-    for lo, hi, block in _row_blocks(phi, rows):
-        total += block.sum(axis=0) if w is None else w[lo:hi] @ block
-        if v is not None:
-            rhs += block.T @ v[lo:hi]
-        gram += _gram(block, None if w is None else w[lo:hi], scaled)
-    return gram, total, rhs
+    None; ``w`` None: weights of one; ``v`` None: no ``phi^T v``; ``gram``
+    False: ``phi^T v`` alone, the others None) in one :func:`_block_pass` of
+    row blocks on every CPU: per share one block buffer (gathered rows, or
+    the views of ``phi`` a weighted gram scales) and a slot per sum, all
+    made here."""
+    edges, take = _row_blocks(phi, rows)
+    shares, F = _shares(len(edges) - 1), phi.shape[1]
+    slots = [np.empty((shares, F, F)), np.empty((shares, F))] if gram else [None, None]
+    slots.append(None if v is None else np.empty((shares, F)))
+    sums = [None if part is None else np.zeros(part.shape[1:]) for part in slots]
+    buf = (_share_blocks(shares, edges[-1], F) if rows is not None or (gram and w is not None)
+           else None)
+    _block_pass(edges, shares, _summing(take, rows is None, w, v, buf, *slots),
+                [pair for pair in zip(sums, slots) if pair[1] is not None])
+    return tuple(sums)
 
 
 class RowMap:
@@ -552,9 +620,10 @@ class RowMap:
     and arm); a ridge map sums each group's raw gram and column sums once.
     A ridge map holds the design of its last uniform-weight :meth:`fit`,
     which later uniform fits of the same rows reuse; a weighted fit drops
-    it first, so at most one is held.  Only the map's elementwise ``cos``
-    runs off the calling thread (:func:`_cosine_features`), so the bits do
-    not depend on the CPU count; grams, solves and products stay in it.
+    it first, so at most one is held.  The map's elementwise ``cos``
+    (:func:`_cosine_features`), its group sums (the groups on every CPU)
+    and its blocked sums and predictions (:func:`_block_pass`) give the
+    same bits on any CPU count; solves stay in the calling thread.
     """
 
     def __init__(self, spec: RegressorSpec, X, groups=None):
@@ -574,7 +643,8 @@ class RowMap:
         self.groups = None if groups is None else np.asarray(groups, dtype=np.intp)
         if self.groups is not None and self.groups.shape != (self.n_rows,):
             raise ValueError("groups must be one label per mapped row")
-        self._sums = None                     # per group: raw gram, column sums, rows, summed
+        # per group: raw gram, column sums, rows, summed; the rows by group
+        self._sums = None
         self._design = None                   # the design of the last uniform fit
 
     def _index(self, rows) -> np.ndarray:
@@ -592,9 +662,12 @@ class RowMap:
         rows = self._index(rows)
         if self._sums is None:
             counts, F = np.bincount(self.groups), self.phi.shape[1]
-            self._sums = (np.empty((counts.size, F, F)), np.empty((counts.size, F)),
-                          counts, np.zeros(counts.size, dtype=bool))
-        grams, totals, counts, summed = self._sums
+            # the rows of group g, ascending: order[starts[g]:starts[g + 1]]
+            starts = np.concatenate(([0], np.cumsum(counts)))
+            self._sums = (np.zeros((counts.size, F, F)), np.zeros((counts.size, F)),
+                          counts, np.zeros(counts.size, dtype=bool),
+                          np.argsort(self.groups, kind="stable"), starts)
+        grams, totals, counts, summed, order, starts = self._sums
         taken = np.bincount(self.groups[rows], minlength=counts.size)
         hit = taken > 0
         if np.any(taken[hit] != counts[hit]):
@@ -603,11 +676,29 @@ class RowMap:
         seen[rows] = True
         if np.count_nonzero(seen) != rows.size:
             return None
-        for g in np.flatnonzero(hit & ~summed):
-            idx = np.flatnonzero(self.groups == g)
-            grams[g], totals[g], _ = _raw_sums(self.phi, idx)
-            summed[g] = True
+        todo = np.flatnonzero(hit & ~summed)
+        if todo.size:
+            self._sum_groups(todo)
+            summed[todo] = True
         return grams[hit].sum(axis=0) / rows.size, totals[hit].sum(axis=0) / rows.size
+
+    def _sum_groups(self, todo) -> None:
+        """Each group of ``todo``'s raw gram and column sums, added block by
+        block into its zeros in ``_sums``: the groups are the spans of one
+        :func:`_block_pass`, and a share sums its group's blocks in order
+        with its own gather buffer and slots, all made here."""
+        grams, totals, counts, _, order, starts = self._sums
+        shares, F = _shares(todo.size), self.phi.shape[1]
+        buf = _share_blocks(shares, int(counts[todo].max()), F)
+        slots = np.empty((shares, F, F)), np.empty((shares, F))
+
+        def group(span, j):
+            g = todo[span.start]
+            edges, take = _row_blocks(self.phi, order[starts[g]:starts[g + 1]])
+            gram, total = slots[0][j:j + 1], slots[1][j:j + 1]
+            work = _summing(take, False, None, None, buf[j:j + 1], gram, total, None)
+            _block_pass(edges, 1, work, ((grams[g], gram), (totals[g], total)))
+        _block_pass(list(range(todo.size + 1)), shares, group)
 
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
         """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
@@ -656,8 +747,9 @@ class RidgeDesign:
     reads (all when None, as views of the map), ``w`` their normalized
     weights, None meaning uniform.  Uniform rows that are a union of the
     map's groups take the gram from group sums; other rows are read in
-    blocks, with ``fit_regressor``'s bits, and never copied; that pass also
-    makes the right-hand side of ``y``, the target of the first fit.
+    row blocks on every CPU (:func:`_raw_sums`), with ``fit_regressor``'s
+    bits, and never copied; that pass also makes the right-hand side of
+    ``y``, the target of the first fit.
     """
 
     def __init__(self, source: RowMap, w=None, rows=None, y=None):
@@ -686,7 +778,7 @@ class RidgeDesign:
             full = np.zeros(self._phi.shape[0])
             full[slice(None) if self.rows is None else self.rows] = v
             return self._phi.T @ full
-        return sum(block.T @ v[lo:hi] for lo, hi, block in _row_blocks(self._phi, self.rows))
+        return _raw_sums(self._phi, self.rows, v=v, gram=False)[2]
 
     def fit(self, spec: RegressorSpec, y: np.ndarray) -> FittedRegressor:
         """Fit ``spec``'s penalty to the target ``y`` (one value per row)."""
@@ -843,7 +935,7 @@ class _BinaryLoss:
         blocks = len(self.edges) - 1
         rows = max(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
         self.scratch = [(np.empty((rows, width)), np.empty((4, rows)))
-                        for _ in range(min(_usable_cpus(), blocks))]
+                        for _ in range(_shares(blocks))]
         self.parts = np.empty(blocks), np.empty((blocks, width)), np.empty((blocks, width, width))
         self.key, self.values = None, None
 

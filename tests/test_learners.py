@@ -187,9 +187,10 @@ class TestPredictMany:
                 assert np.array_equal(model.predict(X), p["intercept"] + phi @ p["beta"])
             """)
 
-    def test_peak_memory_does_not_grow_with_the_rows(self):
+    def test_peak_memory_does_not_grow_with_the_rows(self, monkeypatch):
         # two models on one 256-feature map: a block of the map and one
-        # centered copy of it at most, whatever the row count
+        # centered copy of it at most, whatever the row count, on one CPU
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
         rng = np.random.default_rng(13)
         train = rng.normal(size=(300, 19))
         models = [fit_regressor(RegressorSpec(seed=5), train, rng.normal(size=300), weight)
@@ -333,19 +334,21 @@ class TestRidgeDesign:
         raw = RowMap(spec, X)
         blocks = gathered_blocks(monkeypatch)
         weighted = raw.fit(spec, y, w, rows=at)
-        assert blocks == [4096, 4096, 808]
+        assert block_rows(blocks) == [4096, 4096, 808]
         assert params_equal(weighted, fit_regressor(spec, X[at], y, w))
         del blocks[:]
         raw.fit(spec, y, rows=at)                    # a new uniform design
-        assert blocks == [4096, 4096, 808]
+        assert block_rows(blocks) == [4096, 4096, 808]
         raw.fit(spec, -y, rows=at)                   # held: the right-hand side only
-        assert blocks == [4096, 4096, 808] * 2
+        assert block_rows(blocks) == [4096, 4096, 808] * 2
 
     @pytest.mark.parametrize("gathered", [False, True])
-    def test_raw_sums_peak_memory_is_a_block_and_the_gram(self, gathered):
-        # weighted sums over 20,000 x 256: one block buffer (gathered rows
-        # are scaled in place, views of the map into a block of their own)
-        # and the F x F gram, never an N x F temporary
+    def test_raw_sums_peak_memory_is_a_block_and_the_gram(self, gathered, monkeypatch):
+        # weighted sums over 20,000 x 256 on one CPU: one block buffer
+        # (gathered rows are scaled in place, views of the map into a block
+        # of their own) and the F x F gram, never an N x F temporary; the
+        # two-share bound is TestBlockPass's
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
         rng = np.random.default_rng(23)
         raw = RowMap(RegressorSpec(), rng.normal(size=(20_000, 3)))
         rows = np.sort(rng.choice(20_000, size=15_000, replace=False)) if gathered else None
@@ -511,26 +514,42 @@ def design_inits(monkeypatch):
 
 
 def gathered_blocks(monkeypatch):
-    """Rows of each block ``learners._row_blocks`` gathers, as a list."""
-    blocks, original = [], learners._row_blocks
+    """The blocks ``learners._row_blocks`` gathers, as a list with one list of
+    (start, rows) per pass (per ``_row_blocks`` call), whatever thread
+    gathered each block."""
+    passes, lock, original = [], threading.Lock(), learners._row_blocks
 
     def counting(phi, rows=None):
-        for lo, hi, block in original(phi, rows):
-            if rows is not None:
-                blocks.append(hi - lo)
-            yield lo, hi, block
+        edges, take = original(phi, rows)
+        if rows is None:
+            return edges, take
+        blocks = []
+        with lock:
+            passes.append(blocks)
+
+        def recording(span, out):
+            with lock:
+                blocks.append((span.start, span.stop - span.start))
+            return take(span, out)
+        return edges, recording
     monkeypatch.setattr(learners, "_row_blocks", counting)
-    return blocks
+    return passes
+
+
+def block_rows(passes) -> list:
+    """Rows of each block :func:`gathered_blocks` saw, pass by pass and in a
+    pass by block start."""
+    return [rows for blocks in passes for _, rows in sorted(blocks)]
 
 
 def gram_rows(monkeypatch):
     """Rows through ``learners._gram``, as a one-element list."""
-    from tvcate import learners
-    rows, original = [0], learners._gram
+    rows, lock, original = [0], threading.Lock(), learners._gram
 
-    def counting(phi, w, out=None):
-        rows[0] += phi.shape[0]
-        return original(phi, w, out)
+    def counting(phi, *args):
+        with lock:
+            rows[0] += phi.shape[0]
+        return original(phi, *args)
     monkeypatch.setattr(learners, "_gram", counting)
     return rows
 
@@ -621,6 +640,211 @@ class TestGroupedMap:
     def test_group_labels_are_one_per_row(self):
         with pytest.raises(ValueError, match="one label per mapped row"):
             RowMap(RegressorSpec(feature_count=8), np.zeros((5, 2)), np.zeros(4))
+
+
+def serial_sums(phi, rows, w=None, v=None):
+    """``learners._raw_sums`` as one loop over the row blocks in the calling
+    thread, each block's sums added to zeros in block order."""
+    n, F = phi.shape[0] if rows is None else rows.size, phi.shape[1]
+    gram, total, rhs = np.zeros((F, F)), np.zeros(F), np.zeros(F)
+    edges = learners._block_edges(n)
+    for lo, hi in zip(edges, edges[1:]):
+        block = phi[lo:hi] if rows is None else phi[rows[lo:hi]]
+        total += block.sum(axis=0) if w is None else w[lo:hi] @ block
+        if v is not None:
+            rhs += block.T @ v[lo:hi]
+        B = block if w is None else np.sqrt(w[lo:hi])[:, None] * block
+        gram += B.T @ B
+    return gram, total, rhs
+
+
+def serial_predictions(models, phi, rows=None):
+    """``learners._predict_mapped`` as one loop over the row blocks in the
+    calling thread."""
+    n = phi.shape[0] if rows is None else rows.size
+    outs = [np.empty(n) for _ in models]
+    edges = learners._block_edges(n)
+    for lo, hi in zip(edges, edges[1:]):
+        block = phi[lo:hi] if rows is None else phi[rows[lo:hi]]
+        for model, out in zip(models, outs):
+            out[lo:hi] = (block - model.params["phi_mean"]) @ model.params["beta"]
+    return [out + model.params["intercept"] for model, out in zip(models, outs)]
+
+
+class RidgePasses:
+    """Every ridge row pass on one 9,000 x 64 grouped map (12 groups), as
+    bytes by name: group sums, ``_raw_sums`` weighted and uniform on views
+    and gathered rows, ``RidgeDesign._rhs`` on both, and ``_predict_mapped``
+    of one and two models on views, gathered rows and in place."""
+
+    def __init__(self, seed=40, n=9000):
+        rng = np.random.default_rng(seed)
+        self.spec = RegressorSpec(feature_count=64, bandwidth=1.5, ridge_lambda=1e-3)
+        self.X, self.groups = rng.normal(size=(n, 3)), rng.integers(0, 12, n)
+        self.at = np.sort(rng.choice(n, size=7000, replace=False))
+        self.y, self.w, self.v = rng.normal(size=n), rng.uniform(0.2, 2.0, n), rng.normal(size=n)
+        self.w /= self.w.sum()
+        raw = RowMap(self.spec, self.X)
+        self.models = [raw.fit(self.spec, self.y), raw.fit(self.spec, -self.y, self.w)]
+
+    def run(self) -> dict:
+        raw = RowMap(self.spec, self.X, self.groups)
+        raw._group_means(None)
+        got = {"group grams": raw._sums[0], "group totals": raw._sums[1]}
+        for where, rows in (("views", None), ("gathered", self.at)):
+            n = raw.n_rows if rows is None else rows.size
+            w, v = self.w[:n] / self.w[:n].sum(), self.v[:n]
+            for weights in ("uniform", "weighted"):
+                sums = learners._raw_sums(raw.phi, rows, None if weights == "uniform" else w, v)
+                got.update({f"{weights} {where} {name}": value
+                            for name, value in zip(("gram", "total", "rhs"), sums)})
+            got[f"rhs {where}"] = RidgeDesign(raw, w, rows)._rhs(v)
+            for count in (1, 2):
+                for name, out in (("", None), (" in place", raw.phi.copy())):
+                    if out is not None and rows is not None:
+                        continue
+                    outs = learners._predict_mapped(self.models[:count],
+                                                    raw.phi if out is None else out,
+                                                    rows, in_place=out is not None)
+                    got.update({f"{count} models {where}{name} {k}": o
+                                for k, o in enumerate(outs)})
+        return {name: value.tobytes() for name, value in got.items()}
+
+    def serial(self) -> dict:
+        """:meth:`run`'s values from :func:`serial_sums` and
+        :func:`serial_predictions`."""
+        phi = RowMap(self.spec, self.X).phi
+        want = {}
+        for g in range(12):
+            gram, total, _ = serial_sums(phi, np.flatnonzero(self.groups == g))
+            want.setdefault("group grams", []).append(gram)
+            want.setdefault("group totals", []).append(total)
+        want = {name: np.array(parts) for name, parts in want.items()}
+        for where, rows in (("views", None), ("gathered", self.at)):
+            n = phi.shape[0] if rows is None else rows.size
+            w, v = self.w[:n] / self.w[:n].sum(), self.v[:n]
+            for weights in ("uniform", "weighted"):
+                sums = serial_sums(phi, rows, None if weights == "uniform" else w, v)
+                want.update({f"{weights} {where} {name}": value
+                             for name, value in zip(("gram", "total", "rhs"), sums)})
+            want[f"rhs {where}"] = serial_sums(phi, rows, v=v)[2]
+            for count in (1, 2):
+                outs = serial_predictions(self.models[:count], phi, rows)
+                for name in ("",) if rows is not None else ("", " in place"):
+                    want.update({f"{count} models {where}{name} {k}": o
+                                 for k, o in enumerate(outs)})
+        return {name: value.tobytes() for name, value in want.items()}
+
+
+class TestBlockPass:
+    """Ridge grams, right-hand sides and mapped predictions run their row
+    blocks on every CPU at one BLAS thread (``learners._block_pass``), with
+    the bits of one share; in one share in the calling thread otherwise."""
+
+    @pytest.mark.parametrize("small", [False, True])
+    @pytest.mark.parametrize("cpus", [2, 3, 8])
+    def test_shares_have_the_bits_of_one_share(self, cpus, small, monkeypatch):
+        # 9,000 rows are three blocks (a group of about 750, one); under
+        # 97-row blocks 93 (a group, eight), so every share runs many
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        if small:
+            monkeypatch.setattr(learners, "_PREDICT_BLOCK_ROWS", 97)
+        passes = RidgePasses()
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        want = passes.run()
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = [passes.run() for _ in range(3)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert learners._shares(93 if small else 3) == min(cpus, 93 if small else 3)
+        for run in got:
+            assert run.keys() == want.keys()
+            assert [name for name in want if run[name] != want[name]] == []
+
+    @pytest.mark.parametrize("blas,cpus", [(0, 3), (2, 3), (1, 1), (None, 3)])
+    def test_one_share_keeps_the_serial_bits(self, blas, cpus, monkeypatch):
+        # 0: the count cannot be read; 2: BLAS runs its own threads; None:
+        # this process's own count.  Off one BLAS thread every pass is one
+        # share in the calling thread, whatever the CPUs
+        if blas is not None:
+            monkeypatch.setattr(learners, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        threads, original = set(), learners._gram
+
+        def recording(phi, *args):
+            threads.add(threading.current_thread().name)
+            return original(phi, *args)
+        monkeypatch.setattr(learners, "_gram", recording)
+        passes = RidgePasses()
+        threads.clear()
+        got, want = passes.run(), passes.serial()
+        assert learners._shares(3) == (cpus if learners._blas_threads() == 1 else 1)
+        if learners._blas_threads() != 1:
+            assert threads == {threading.current_thread().name}
+        assert got.keys() == want.keys()
+        assert [name for name in want if got[name] != want[name]] == []
+
+    @pytest.mark.parametrize("which", ["group sums", "sums", "predictions"])
+    def test_share_error_is_raised_in_the_caller_and_no_thread_outlives_a_pass(
+            self, which, monkeypatch):
+        # the block at row 4096 (the second, one block per CPU) or, of the
+        # group sums, the second group fails, on a started thread
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
+        names, original = set(), learners._row_blocks
+        passes = RidgePasses()
+        raw = RowMap(passes.spec, passes.X, passes.groups)
+        second = np.flatnonzero(passes.groups == 1)
+
+        def row_blocks(phi, rows=None):
+            edges, take = original(phi, rows)
+
+            def failing(span, out):
+                names.add(threading.current_thread().name)
+                if span.start == 4096 or (rows is not None and rows.size == second.size
+                                          and np.array_equal(rows, second)):
+                    raise ArithmeticError("in a share's block")
+                return take(span, out)
+            return edges, failing
+        monkeypatch.setattr(learners, "_row_blocks", row_blocks)
+        threads = threading.active_count()
+        run = {"group sums": lambda: raw._group_means(None),
+               "sums": lambda: learners._raw_sums(raw.phi, passes.at, None, passes.v[:7000]),
+               "predictions": lambda: learners._predict_mapped(passes.models, raw.phi)}[which]
+        with pytest.raises(ArithmeticError, match="in a share's block"):
+            run()
+        assert "tvcate-block" in names
+        assert threading.active_count() == threads
+
+    @pytest.mark.parametrize("gathered", [False, True])
+    def test_two_share_peak_memory_is_a_block_and_a_slot_per_share(self, gathered,
+                                                                   monkeypatch):
+        # weighted sums over 20,000 x 256 (the map is 41 MB) on two shares:
+        # a block buffer and a gram slot per share and the gram; predictions
+        # of two models, their outputs and a block per share; never N x F
+        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        rng = np.random.default_rng(41)
+        raw = RowMap(RegressorSpec(), rng.normal(size=(20_000, 3)))
+        rows = np.sort(rng.choice(20_000, size=15_000, replace=False)) if gathered else None
+        n = 20_000 if rows is None else rows.size
+        w, v = rng.uniform(0.1, 3.0, n), rng.normal(size=n)
+        models = [raw.fit(RegressorSpec(), rng.normal(size=20_000)) for _ in range(2)]
+        blocks, grams = 2 * 4097 * 256 * 8, 3 * 256 * 256 * 8
+        for run, bound in ((lambda: learners._raw_sums(raw.phi, rows, w / w.sum(), v),
+                            blocks + grams),
+                           (lambda: learners._predict_mapped(models, raw.phi, rows),
+                            blocks + 2 * n * 8)):
+            tracemalloc.start()
+            try:
+                run()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound + 2 ** 20
 
 
 class TestSpecCounts:

@@ -10,6 +10,7 @@ and how many maps it holds, and that the gathers change no result bit.
 
 import collections
 import dataclasses
+import threading
 import warnings
 import weakref
 
@@ -320,12 +321,13 @@ class TestHeldDesign:
             seqs = {pair.a_seq, pair.b_seq}
             history += sum(int(np.all(table.a_obs == np.asarray(seq), axis=1).sum())
                            for seq in seqs)
-        rows = [0]
+        rows, lock = [0], threading.Lock()
         original = learners_module._gram
 
-        def counting(phi, w, out=None):
-            rows[0] += phi.shape[0]
-            return original(phi, w, out)
+        def counting(phi, *args):           # on block threads too
+            with lock:
+                rows[0] += phi.shape[0]
+            return original(phi, *args)
         monkeypatch.setattr(learners_module, "_gram", counting)
         _seed_job(cfg, 0)
         assert rows[0] == 2 * train.A.size + weighted + history
