@@ -1,0 +1,164 @@
+"""Row blocks and the threads that run them, for every module of the package.
+
+Work is split over the usable CPUs by sizes alone, in three ways:
+
+* a cosine map's elementwise part (shift, ``cos``, scale) runs in one row
+  chunk per CPU from 2^14 elements (``learners._map_chunks``);
+* tables and simulations of at least 1.5 * 2^16 rows (a simulation's rows
+  are its trajectories) run their row-wise arithmetic in 2^16-row blocks
+  (:func:`_table_blocks`);
+* BLAS products over rows, the two-class classifier's Newton pass and the
+  ridge grams, right-hand sides and mapped predictions, run in 4096-row
+  blocks (:func:`_block_edges`), over the CPUs when NumPy's OpenBLAS runs
+  one thread and in the calling thread otherwise (:func:`_shares`).
+
+Smaller work is one span in the calling thread.  No edge depends on the
+CPU count, an elementwise operation gives each element the same bits in
+any span, each span writes only its own rows of an output the caller made,
+and block sums are added in block order (:func:`_in_order`), so no
+result, bundle or verify statistic depends on the number of CPUs.  Random
+draws, LAPACK, ``X @ W`` and the other BLAS products run in the calling
+thread only, and no thread outlives the call that starts it.
+"""
+
+import ctypes
+import functools
+import os
+import threading
+
+import numpy as np
+
+#: rows of a table block (:func:`_table_blocks`), and the fewest rows of a
+#: table split into blocks: on two CPUs, smaller tables run slower split
+_TABLE_BLOCK_ROWS, _TABLE_MIN_ROWS = 1 << 16, 3 << 15
+#: rows of a BLAS block (:func:`_block_edges`): fits and predictions read,
+#: make and center a map a block at a time, holding a block or two, not N x F
+_PREDICT_BLOCK_ROWS = 4096
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):      # not on every platform
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+#: OpenBLAS's thread-count calls, as threadpoolctl looks them up: that of
+#: NumPy's bundled ``scipy_openblas64_``, then those of plain OpenBLAS builds
+_OPENBLAS_THREAD_CALLS = ("scipy_openblas_get_num_threads64_",
+                          "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+
+@functools.cache
+def _blas_thread_call():
+    """The thread-count call of the OpenBLAS loaded in this process that
+    NumPy multiplies with, or None where none is found (no OpenBLAS, or no
+    ``/proc/self/maps`` listing the loaded libraries)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
+                            for line in maps if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return None
+    call = next((getattr(lib, name) for name in _OPENBLAS_THREAD_CALLS
+                 for lib in libs if hasattr(lib, name)), None)
+    if call is not None:
+        call.argtypes, call.restype = [], ctypes.c_int
+    return call
+
+
+def _blas_threads() -> int:
+    """The threads NumPy's OpenBLAS runs a product on now, or 0 when that
+    cannot be read."""
+    call = _blas_thread_call()
+    return 0 if call is None else call()
+
+
+def _run_spans(edges, shares: int, work) -> list:
+    """``work(span, j)`` for each slice between consecutive ``edges``, in order,
+    in P = min(``shares``, spans) shares: share j takes every P-th span from
+    the j-th, share 0 in the calling thread and each other on a thread
+    started and joined here.  An error in any span is raised in the caller."""
+    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+    shares = max(min(shares, len(spans)), 1)
+    results, errors = [None] * len(spans), []
+
+    def share(j):
+        try:
+            for k in range(j, len(spans), shares):
+                results[k] = work(spans[k], j)
+        except BaseException as exc:          # raised again in the caller
+            errors.append(exc)
+
+    threads = [threading.Thread(target=share, args=(j,), name="tvcate-block")
+               for j in range(1, shares)]
+    for thread in threads:
+        thread.start()
+    share(0)
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+    return results
+
+
+def _table_blocks(n_rows: int, work) -> list:
+    """``work(rows)`` over the ``_TABLE_BLOCK_ROWS``-row blocks of a table of
+    at least ``_TABLE_MIN_ROWS`` rows on every usable CPU (:func:`_run_spans`);
+    a smaller table is one span."""
+    step = _TABLE_BLOCK_ROWS if n_rows >= _TABLE_MIN_ROWS else n_rows + 1
+    return _run_spans(list(range(0, n_rows, step)) + [n_rows], _usable_cpus(),
+                      lambda rows, j: work(rows))
+
+
+def _table_array(n_rows: int, work) -> np.ndarray:
+    """The float array whose values at rows ``work(rows)`` returns, copied
+    block by block (:func:`_table_blocks`); a table of one span returns
+    ``work``'s own, with the memory of one whole evaluation."""
+    if n_rows < _TABLE_MIN_ROWS:
+        return work(slice(0, n_rows))
+    out = np.empty(n_rows)
+    _table_blocks(n_rows, lambda rows: np.copyto(out[rows], work(rows)))
+    return out
+
+
+def _block_edges(n: int) -> list:
+    """Edges of the row blocks of ``n`` rows: blocks start at multiples of
+    ``_PREDICT_BLOCK_ROWS`` and the last holds at least two rows (all ``n``
+    when fewer), so on one BLAS thread block products carry the bits of one
+    product."""
+    return list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
+
+
+def _shares(blocks: int) -> int:
+    """Shares of a pass over ``blocks`` row blocks: one per usable CPU, at
+    most one per block, when NumPy's BLAS runs one thread; else one, in the
+    calling thread (BLAS threads of its own, or a count that cannot be
+    read)."""
+    return max(min(_usable_cpus(), blocks), 1) if _blas_threads() == 1 else 1
+
+
+def _share_blocks(shares: int, n: int, width: int) -> np.ndarray:
+    """One ``(shares, rows, width)`` buffer: per share, room for the largest
+    :func:`_block_edges` block of ``n`` rows."""
+    return np.empty((shares, min(n, _PREDICT_BLOCK_ROWS + 1), width))
+
+
+def _in_order(total, parts):
+    """``total`` with each of ``parts`` added into it, one after another."""
+    for part in parts:
+        total += part
+    return total
+
+
+def _block_pass(edges, shares: int, work, sums) -> None:
+    """``work(span, j)`` for every block ``span`` between ``edges``, in rounds
+    of ``shares`` blocks (:func:`_run_spans`), block j of a round on share j
+    writing its part of each sum of ``sums``, (total, slots) pairs, into
+    ``slots[j]``; after each round the parts are added to ``total`` in block
+    order.  Every buffer is the caller's: a share writes through ``out=``."""
+    for first in range(0, len(edges) - 1, shares):
+        part = edges[first:first + shares + 1]
+        _run_spans(part, shares, work)
+        for total, slots in sums:
+            _in_order(total, slots[:len(part) - 1])

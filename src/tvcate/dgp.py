@@ -30,7 +30,8 @@ from typing import Callable, Optional
 import numpy as np
 from scipy.special import expit
 
-from .learners import _table_blocks, _validate_count
+from ._blocks import _table_blocks
+from .learners import _validate_count
 from .panel import InterventionPair, Panel, panel_from_arrays
 
 __all__ = [
@@ -207,12 +208,11 @@ def simulate_panel(dgp: StructuralDGP, n: int, seed, x1=None) -> Panel:
     outcome noise, and (except at the last step) the next confounder noise,
     each drawn whole in the calling thread.  After each draw, the arithmetic
     that needs it (A_t, Y_t or X_{t+1}) runs row-wise over blocks of
-    trajectories (:func:`~tvcate.learners._table_blocks`), with the bits of
-    one whole evaluation.  When ``x1`` is given (scalar or length-n array)
-    the first covariate is pinned to it instead of drawn, so every
-    trajectory starts from a known history; the X_1 draw is skipped
-    entirely.  A non-integer or non-positive ``n`` and an ``x1`` of another
-    length raise ``ValueError`` naming the field.
+    trajectories, with the bits of one block (:mod:`tvcate._blocks`).  When
+    ``x1`` is given (scalar or length-n array) the first covariate is pinned
+    to it instead of drawn, so every trajectory starts from a known history;
+    the X_1 draw is skipped entirely.  A non-integer or non-positive ``n``
+    and an ``x1`` of another length raise ``ValueError`` naming the field.
     """
     _validate_count(n, "n")
     if x1 is not None:

@@ -6,8 +6,8 @@ hyper-parameters.  Given the same config and BLAS thread count,
 :func:`run_experiment` and :func:`overlap_sweep` produce byte-identical
 result files on every run, under every ``workers`` setting and for any
 number of CPUs the process may use, because all randomness flows through
-seeds derived from the config, rows are assembled in a fixed order, and the
-cosine maps' chunks over CPUs are elementwise (see :mod:`tvcate.learners`).
+seeds derived from the config, rows are assembled in a fixed order, and
+work split over CPUs keeps the bits of one CPU (see :mod:`tvcate._blocks`).
 Measured wall times are the one intentionally non-reproducible quantity,
 so the ``walltime_s`` column (a learner's ``fit_meta`` plus its test
 prediction) is written as ``0.0`` unless ``record_walltime`` is switched

@@ -28,23 +28,10 @@ encoded positions), from which fits and predictions take rows by index.
 :func:`fit_regressor` maps its rows and fits them all.  Only this module
 tells the kinds apart.
 
-Row-wise work runs on every CPU the process may use through one runner,
-:func:`_run_spans`, on threads started per call and joined before it
-returns: the shift, ``cos`` and scale of a cosine map, one chunk per CPU
-after ``X @ W`` (:func:`_cosine_features`), and, in fixed row blocks
-(:func:`_table_blocks`), the arithmetic of large simulations between
-their noise draws and their panels' copies and checks, and the row
-indices, nuisance queries and pseudo-outcome arithmetic of large
-tables.  Each element gets the same bits in any span, so
-no result depends on the CPU count.  On one BLAS thread the products of
-fixed row blocks run on every CPU too: the two-class classifier's Newton
-pass (:class:`_BinaryLoss`), and the ridge grams, right-hand sides and
-mapped predictions (:func:`_block_pass`).  Block sums are added in block
-order and each prediction block writes its own rows, so these too give
-the same bits on any CPU count; where BLAS runs threads of its own, or
-its count cannot be read, they run in the calling thread.  Public
-functions, LAPACK, ``X @ W`` and every other BLAS product run in the
-calling thread only.
+The elementwise part of a cosine map, the two-class Newton pass and the
+ridge grams, right-hand sides and mapped predictions run in row blocks
+over the CPUs through :mod:`tvcate._blocks`, which states the split rules
+and why no result depends on the CPU count.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -62,16 +49,15 @@ does not promise one ``Generator.normal`` stream across versions).  Format
 
 from __future__ import annotations
 
-import ctypes
-import functools
 import hashlib
-import os
-import threading
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 from scipy import linalg, optimize, special
+
+from . import _blocks
+from ._blocks import _block_edges, _block_pass, _in_order, _run_spans, _share_blocks, _shares
 
 __all__ = [
     "RegressorSpec",
@@ -94,12 +80,12 @@ CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 BUNDLE_FORMAT_VERSION = 2
 
 
-def _validate_count(value, name):
+def _validate_count(value, name, least=1):
     # bool is an int subclass: reject it along with floats and strings
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
 
 
 def _validate_penalty(value, name):
@@ -200,109 +186,13 @@ def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
 #: a map thread's start and join cost about as much as the ``cos`` of 2^14
 #: elements, so chunking smaller maps over two CPUs makes them slower
 _PARALLEL_MIN_ELEMENTS = 1 << 14
-#: rows of a table block (:func:`_table_blocks`; a simulation's rows are its
-#: trajectories), and the fewest rows of a table split into blocks: on two
-#: CPUs, smaller tables run slower split
-_TABLE_BLOCK_ROWS, _TABLE_MIN_ROWS = 1 << 16, 3 << 15
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:            # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-#: OpenBLAS's thread-count calls, as threadpoolctl looks them up: that of
-#: NumPy's bundled ``scipy_openblas64_``, then those of plain OpenBLAS builds
-_OPENBLAS_THREAD_CALLS = ("scipy_openblas_get_num_threads64_",
-                          "openblas_get_num_threads64_", "openblas_get_num_threads")
-
-
-@functools.cache
-def _blas_thread_call():
-    """The thread-count call of the OpenBLAS loaded in this process that
-    NumPy multiplies with, or None where none is found (no OpenBLAS, or no
-    ``/proc/self/maps`` listing the loaded libraries)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
-                            for line in maps if "openblas" in line})
-        libs = [ctypes.CDLL(path) for path in paths]
-    except OSError:
-        return None
-    call = next((getattr(lib, name) for name in _OPENBLAS_THREAD_CALLS
-                 for lib in libs if hasattr(lib, name)), None)
-    if call is not None:
-        call.argtypes, call.restype = [], ctypes.c_int
-    return call
-
-
-def _blas_threads() -> int:
-    """The threads NumPy's OpenBLAS runs a product on now, or 0 when that
-    cannot be read."""
-    call = _blas_thread_call()
-    return 0 if call is None else call()
-
-
-def _run_spans(work, edges, scratch=None) -> list:
-    """``work(span)`` for each slice between consecutive ``edges``, in order,
-    in P shares on P usable CPUs: every P-th span from the first in the
-    calling thread, each other share on a thread started for this call and
-    joined before the return.  An error in any span is raised in the caller.
-    With ``scratch``, buffers per share made by the caller, P is at most
-    ``len(scratch)`` and share j's spans run as ``work(span, scratch[j])``."""
-    spans = [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-    shares = max(min(_usable_cpus() if scratch is None else len(scratch), len(spans)), 1)
-    results, errors = [None] * len(spans), []
-
-    def share(first):
-        try:
-            for k in range(first, len(spans), shares):
-                results[k] = work(spans[k]) if scratch is None else work(spans[k], scratch[first])
-        except BaseException as exc:          # raised again in the caller
-            errors.append(exc)
-
-    threads = [threading.Thread(target=share, args=(first,), name="tvcate-block")
-               for first in range(1, shares)]
-    for thread in threads:
-        thread.start()
-    share(0)
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
-    return results
-
-
-def _table_blocks(n_rows: int, work) -> list:
-    """:func:`_run_spans` over the ``_TABLE_BLOCK_ROWS``-row blocks of a table
-    of at least ``_TABLE_MIN_ROWS`` rows; a smaller table is one span."""
-    step = _TABLE_BLOCK_ROWS if n_rows >= _TABLE_MIN_ROWS else n_rows + 1
-    return _run_spans(work, list(range(0, n_rows, step)) + [n_rows])
-
-
-def _table_array(n_rows: int, work) -> np.ndarray:
-    """The float array whose values at rows ``work(rows)`` returns, copied
-    block by block (:func:`_table_blocks`); a table of one span returns
-    ``work``'s own, with the memory of one whole evaluation."""
-    if n_rows < _TABLE_MIN_ROWS:
-        return work(slice(0, n_rows))
-    out = np.empty(n_rows)
-
-    def fill(rows):
-        out[rows] = work(rows)
-    _table_blocks(n_rows, fill)
-    return out
 
 
 def _map_chunks(rows: int, features: int) -> int:
     """Row chunks of a ``rows`` x ``features`` map's elementwise part: one
     per CPU this process may use, or one below ``_PARALLEL_MIN_ELEMENTS``
     elements."""
-    if rows * features < _PARALLEL_MIN_ELEMENTS:
-        return 1
-    return min(_usable_cpus(), rows)
+    return 1 if rows * features < _PARALLEL_MIN_ELEMENTS else min(_blocks._usable_cpus(), rows)
 
 
 def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
@@ -313,16 +203,13 @@ def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
 
 def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The raw map sqrt(2/F) * cos(X W + b), built in place in one N x F
-    array: ``X @ W`` in the calling thread, then the elementwise rest on
-    :func:`_map_chunks` contiguous row chunks, one per CPU
-    (:func:`_run_spans`).  An elementwise operation gives each element the
-    same bits in any chunk, so the map does not depend on the CPU count;
-    BLAS never runs off the calling thread."""
+    array: ``X @ W`` in the calling thread, then the elementwise rest in
+    :func:`_map_chunks` row chunks over the CPUs (:func:`_run_spans`)."""
     Z = X @ W
     scale = np.sqrt(2.0 / W.shape[1])
     chunks = _map_chunks(*Z.shape)
-    _run_spans(lambda rows: _shift_cos_scale(Z[rows], b, scale),
-               [Z.shape[0] * k // chunks for k in range(chunks + 1)])
+    _run_spans([Z.shape[0] * k // chunks for k in range(chunks + 1)], chunks,
+               lambda rows, j: _shift_cos_scale(Z[rows], b, scale))
     return Z
 
 
@@ -403,21 +290,6 @@ class FittedRegressor:
         return FittedRegressor(spec, in_dim, int(state["n_rows"]), params)
 
 
-#: rows per block when a cosine map is read or made (predictions, grams,
-#: right-hand sides): fits read their map in blocks, and predictions on
-#: caller rows map, center and multiply one block at a time, so their peak
-#: memory is a block or two of the map, not N x F
-_PREDICT_BLOCK_ROWS = 4096
-
-
-def _block_edges(n: int) -> list:
-    """Edges of the row blocks of ``n`` rows: blocks start at multiples of
-    ``_PREDICT_BLOCK_ROWS`` and the last holds at least two rows (all ``n``
-    when fewer), so on one BLAS thread block products carry the bits of one
-    product."""
-    return list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
-
-
 def _row_blocks(phi, rows=None):
     """The row blocks of ``rows`` (indices, all when None) of the map ``phi``:
     their edges (:func:`_block_edges`) and ``take(span, out)``, the rows of
@@ -429,39 +301,6 @@ def _row_blocks(phi, rows=None):
         phi, rows[span], axis=0, out=out[:span.stop - span.start], mode="clip")
 
 
-def _shares(blocks: int) -> int:
-    """Shares of a pass over ``blocks`` row blocks: one per usable CPU, at
-    most one per block, when NumPy's BLAS runs one thread; else one, in the
-    calling thread (BLAS threads of its own, or a count that cannot be
-    read)."""
-    return max(min(_usable_cpus(), blocks), 1) if _blas_threads() == 1 else 1
-
-
-def _share_blocks(shares: int, n: int, width: int) -> np.ndarray:
-    """One ``(shares, rows, width)`` buffer: per share, room for the largest
-    :func:`_block_edges` block of ``n`` rows."""
-    return np.empty((shares, min(n, _PREDICT_BLOCK_ROWS + 1), width))
-
-
-def _block_pass(edges, shares: int, work, sums=()) -> None:
-    """``work(span, j)`` for every block ``span`` between ``edges``, share j
-    of ``shares`` (:func:`_run_spans`) taking every ``shares``-th block.
-    ``sums`` are (total, slots) pairs, slots with a first axis of ``shares``:
-    then the blocks run in rounds of ``shares``, block j of a round writing
-    its part of each sum into ``slots[j]``, and after each round the caller
-    adds the parts to ``total`` in block order, the order of one share.
-    Every buffer is the caller's: a share writes through ``out=`` only."""
-    if not sums:
-        _run_spans(work, edges, range(shares))
-        return
-    for first in range(0, len(edges) - 1, shares):
-        part = edges[first:first + shares + 1]
-        _run_spans(work, part, range(shares))
-        for total, slots in sums:
-            for slot in slots[:len(part) - 1]:
-                total += slot
-
-
 def _draws(model: FittedRegressor, W, b) -> bool:
     """Whether ``model`` is a ridge model on the cosine map (W, b)."""
     return (model.spec.kind == "ridge-random-features" and np.array_equal(model.params["W"], W)
@@ -471,7 +310,7 @@ def _draws(model: FittedRegressor, W, b) -> bool:
 def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
     """Predictions of ridge models at ``rows`` (indices, all when None) of
     their raw map ``phi``, in one pass of row blocks (:func:`_row_blocks`,
-    :func:`_block_pass`): each model centers a block by its own
+    :func:`_run_spans`): each model centers a block by its own
     ``phi_mean`` and multiplies by its ``beta`` into its rows of its output,
     so extra models cost a block per share, not an N x F map.  Each model
     gathers its block again and centers it in place; a block of ``phi`` is
@@ -491,7 +330,7 @@ def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
             centered = np.subtract(block, model.params["phi_mean"],
                                    out=block if own else buf[j][:len(block)])
             np.matmul(centered, model.params["beta"], out=outs[k][span])
-    _block_pass(edges, shares, work)
+    _run_spans(edges, shares, work)
     for model, out in zip(models, outs):
         out += model.params["intercept"]
     return outs
@@ -508,10 +347,7 @@ def predict_many(models, features) -> list:
     ``(_cosine_features(X, W, b) - phi_mean) @ beta + intercept``: row
     blocks of ``X @ W`` keep them when the feature count is a multiple of 8,
     and at other counts, where they need not, the map is made in one block.
-    A block's elementwise ``cos`` runs in row chunks over the CPUs
-    (:func:`_cosine_features`), and a map made in one piece is centered and
-    multiplied in row blocks over them (:func:`_predict_mapped`), so the
-    bits do not depend on the CPU count.
+    Work over the CPUs keeps these bits (:mod:`tvcate._blocks`).
     """
     features = np.asarray(features, dtype=float)
     squeeze = features.ndim == 1
@@ -620,10 +456,8 @@ class RowMap:
     and arm); a ridge map sums each group's raw gram and column sums once.
     A ridge map holds the design of its last uniform-weight :meth:`fit`,
     which later uniform fits of the same rows reuse; a weighted fit drops
-    it first, so at most one is held.  The map's elementwise ``cos``
-    (:func:`_cosine_features`), its group sums (the groups on every CPU)
-    and its blocked sums and predictions (:func:`_block_pass`) give the
-    same bits on any CPU count; solves stay in the calling thread.
+    it first, so at most one is held.  Its sums and predictions run in row
+    blocks over the CPUs (:mod:`tvcate._blocks`), its solves in the caller.
     """
 
     def __init__(self, spec: RegressorSpec, X, groups=None):
@@ -685,7 +519,7 @@ class RowMap:
     def _sum_groups(self, todo) -> None:
         """Each group of ``todo``'s raw gram and column sums, added block by
         block into its zeros in ``_sums``: the groups are the spans of one
-        :func:`_block_pass`, and a share sums its group's blocks in order
+        :func:`_run_spans`, and a share sums its group's blocks in order
         with its own gather buffer and slots, all made here."""
         grams, totals, counts, _, order, starts = self._sums
         shares, F = _shares(todo.size), self.phi.shape[1]
@@ -698,7 +532,7 @@ class RowMap:
             gram, total = slots[0][j:j + 1], slots[1][j:j + 1]
             work = _summing(take, False, None, None, buf[j:j + 1], gram, total, None)
             _block_pass(edges, 1, work, ((grams[g], gram), (totals[g], total)))
-        _block_pass(list(range(todo.size + 1)), shares, group)
+        _run_spans(list(range(todo.size + 1)), shares, group)
 
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
         """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
@@ -865,10 +699,8 @@ class ClassifierSpec:
     ``tol`` and takes at most ``max_iter`` trust-region steps; with more,
     L-BFGS stops when the largest entry of its projected gradient is at most
     ``tol`` and runs at most ``max_iter`` iterations.  A two-class fit gives
-    the same bits on any CPU count, but not on any BLAS thread count: on one
-    BLAS thread its loss, gradient and Hessian are sums over 4096-row blocks
-    (see :func:`_solve_logistic`), which differ from whole-row products in
-    the last bits.
+    the same bits on any CPU count, but not on any BLAS thread count (see
+    :func:`_solve_logistic`).
     """
 
     use_random_features: bool = True
@@ -919,19 +751,20 @@ class _BinaryLoss:
     sqrt(w p (1 - p)), plus l2 / 2 on the diagonal off the intercept.
 
     One pass makes all three at a point: per row block, ``z = block @
-    beta``, the loss and gradient sums, then A and A^T A (BLAS ``syrk``), each
-    into the block's slot; the slots are added in block order, the penalty
-    last.  The blocks (the rule is :func:`_solve_logistic`'s) and the scratch
-    of every share are fixed when the instance is made, in the calling
-    thread.  The values at the last point are kept, because the solver asks
-    for the loss and the Hessian at each point it proposes; an instance
-    serves one solve, so one ``l2``.
+    beta``, the loss and gradient sums, then A and A^T A (BLAS ``syrk``),
+    each into the block's slot; the slots are added in block order
+    (:func:`_in_order`), the penalty last.  The blocks (the rule is
+    :func:`_solve_logistic`'s) and the scratch of every share are fixed
+    when the instance is made, in the calling thread.  The values at the
+    last point are kept, because the solver asks for the loss and the
+    Hessian at each point it proposes; an instance serves one solve, so one
+    ``l2``.
     """
 
     def __init__(self, phi, y, w, l2):
         n, width = phi.shape
         self.phi, self.y, self.w, self.l2 = phi, y, w, l2
-        self.edges = _block_edges(n) if _blas_threads() == 1 else [0, n]
+        self.edges = _block_edges(n) if _blocks._blas_threads() == 1 else [0, n]
         blocks = len(self.edges) - 1
         rows = max(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
         self.scratch = [(np.empty((rows, width)), np.empty((4, rows)))
@@ -939,11 +772,12 @@ class _BinaryLoss:
         self.parts = np.empty(blocks), np.empty((blocks, width)), np.empty((blocks, width, width))
         self.key, self.values = None, None
 
-    def _block(self, beta, span, scratch):
-        """Block ``span``'s loss, gradient and Hessian sums into its slots."""
+    def _block(self, beta, span, j):
+        """Block ``span``'s loss, gradient and Hessian sums into its slots,
+        with share j's scratch."""
         k = self.edges.index(span.start)
         block, w, y = self.phi[span], self.w[span], self.y[span]
-        A, (z, p, u, q) = scratch[0][:len(w)], scratch[1][:, :len(w)]
+        A, (z, p, u, q) = self.scratch[j][0][:len(w)], self.scratch[j][1][:, :len(w)]
         nll, grad, hess = self.parts
         np.matmul(block, beta, out=z)
         np.logaddexp(0.0, z, out=q)
@@ -963,8 +797,8 @@ class _BinaryLoss:
         """(loss, gradient, Hessian) at ``beta``."""
         key = beta.tobytes()
         if key != self.key:
-            _run_spans(functools.partial(self._block, beta), self.edges, self.scratch)
-            nll, grad, hess = (_in_order(part) for part in self.parts)
+            _run_spans(self.edges, len(self.scratch), lambda span, j: self._block(beta, span, j))
+            nll, grad, hess = (_in_order(part[0].copy(), part[1:]) for part in self.parts)
             nll = float(nll) + 0.25 * self.l2 * float(beta[:-1] @ beta[:-1])
             grad[:-1] += 0.5 * self.l2 * beta[:-1]
             off = np.arange(beta.size - 1)
@@ -977,14 +811,6 @@ class _BinaryLoss:
 
     def hessian(self, beta):
         return self._at(beta)[2]
-
-
-def _in_order(parts: np.ndarray) -> np.ndarray:
-    """The sum of ``parts`` along its first axis, added one after another."""
-    total = parts[0].copy()
-    for part in parts[1:]:
-        total += part
-    return total
 
 
 def _design(X, W, b) -> np.ndarray:
@@ -1091,10 +917,8 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
                    n_classes: Optional[int] = None) -> FittedClassifier:
     """Fit multinomial logistic regression by weighted cross-entropy.
 
-    Two classes are solved by Newton's method with the exact Hessian, whose
-    loss, gradient and Hessian at each point are one pass of row blocks on
-    every CPU when BLAS runs one thread; more classes by L-BFGS (see
-    :func:`_solve_logistic`).  Raises if fewer than two
+    Two classes are solved by Newton's method with the exact Hessian, more
+    by L-BFGS (see :func:`_solve_logistic`).  Raises if fewer than two
     classes are present or if the solver stops short of ``spec.tol`` within
     ``spec.max_iter`` steps with a gradient max-norm above 1e-5 (the error
     reports it).
@@ -1140,11 +964,11 @@ def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
     which is least when each row of theta sums to zero (the unpenalized
     intercept row is set so too), so that is its optimum.  One
     :class:`_BinaryLoss` per solve makes the loss, gradient and Hessian at
-    each point the solver proposes in one fused pass: over fixed 4096-row
-    blocks on every usable CPU when NumPy's BLAS runs one thread, so the
-    result is the same on any CPU count; over one block, with the bits of
-    whole-row products, when BLAS runs several (blocks were slower there)
-    or its thread count cannot be read.  More classes take L-BFGS.
+    each point the solver proposes in one fused pass: over 4096-row blocks
+    when NumPy's BLAS runs one thread (:mod:`tvcate._blocks`); over one
+    block, with the bits of whole-row products, when BLAS runs several
+    (blocks were slower there) or its thread count cannot be read.  More
+    classes take L-BFGS.
     """
     width = phi.shape[1]
     if theta0 is None:

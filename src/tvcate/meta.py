@@ -41,8 +41,9 @@ from typing import Optional
 
 import numpy as np
 
-from .learners import (FittedRegressor, RegressorSpec, RowMap, _table_array, _table_blocks,
-                       fit_regressor, map_key, predict_many, require_keys)
+from ._blocks import _table_array, _table_blocks
+from .learners import (FittedRegressor, RegressorSpec, RowMap, fit_regressor, map_key,
+                       predict_many, require_keys)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,

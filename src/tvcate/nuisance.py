@@ -19,7 +19,7 @@ reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 A table fills its row index, arms and outcome, and an oracle, injected
 or held-value query (one call per level, arm and table) fills its rows,
 in row blocks over the usable CPUs, with the bits of one whole
-evaluation (:mod:`tvcate.learners`); predictions are not.
+evaluation (:mod:`tvcate._blocks`); predictions are not.
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
@@ -39,6 +39,7 @@ from typing import Optional, Sequence
 import numpy as np
 from scipy.special import expit
 
+from ._blocks import _table_array, _table_blocks
 from .learners import (
     BUNDLE_FORMAT_VERSION,
     ClassifierSpec,
@@ -46,8 +47,7 @@ from .learners import (
     FittedRegressor,
     RegressorSpec,
     RowMap,
-    _table_array,
-    _table_blocks,
+    _validate_count,
     fit_classifier,
     predict_many,
     require_keys,
@@ -602,14 +602,22 @@ def check_bundle(state, what: str, required) -> int:
 
 
 def bundle_pair(state, what: str):
-    """A bundle's intervention pair and horizon; raise ValueError when the
-    pair's length is not ``tau + 1``."""
-    pair = InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"]))
-    tau = int(state["tau"])
-    if pair.tau != tau:
-        raise ValueError(f"{what} bundle pair has {pair.tau + 1} levels per arm, "
-                         f"tau {tau} needs {tau + 1}")
-    return pair, tau
+    """A bundle's intervention pair and horizon; raise ValueError naming
+    ``tau``, ``pair``, ``pair.a_seq`` or ``pair.b_seq`` unless tau is an
+    integer >= 0 and the pair two lists of tau + 1 arm indices >= 0."""
+    where, tau = f"{what} bundle", state["tau"]
+    _validate_count(tau, f"{where}: tau", 0)
+    require_keys(state["pair"], ("a_seq", "b_seq"), f"{where}: pair")
+    for key in ("a_seq", "b_seq"):
+        seq = state["pair"][key]
+        if not isinstance(seq, list):
+            raise ValueError(f"{where}: pair.{key} must be a list of arm indices, got {seq!r}")
+        for arm in seq:
+            _validate_count(arm, f"{where}: pair.{key} arm", 0)
+        if len(seq) != tau + 1:
+            raise ValueError(f"{where} pair has {len(seq)} levels per arm, tau {tau} "
+                             f"needs {tau + 1}")
+    return InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"])), tau
 
 
 def _split_to_dict(split: SplitPlan) -> dict:

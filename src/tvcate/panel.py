@@ -34,7 +34,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .learners import _table_blocks
+from ._blocks import _table_blocks
 
 __all__ = [
     "Trajectory",
@@ -356,8 +356,8 @@ def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
 
     Rejects a non-finite covariate or outcome and an arm outside
     [0, treatment_arity), naming the first such trajectory index and t.
-    The copies and checks run over blocks of trajectories
-    (:func:`~tvcate.learners._table_blocks`).
+    The copies and checks run over blocks of trajectories, with the bits of
+    one block (:mod:`tvcate._blocks`).
     """
     X, A, Y = np.asarray(X, dtype=float), np.asarray(A, dtype=int), np.asarray(Y, dtype=float)
     if X.ndim == 2:

@@ -9,8 +9,8 @@ package reads (:class:`~tvcate.dgp.ChainResponseForm`) against an
 independent route.  The rest: an encoding inverse; a fresh-interpreter
 runner, and a suite's report from one pinned to one CPU and from one on
 all CPUs; ``same_bits``; ``recording``, a generator that records the
-threads its structural functions run on; and ``small_blocks``, which
-splits every table and simulation into 97-row blocks.
+threads its structural functions run on; and ``set_blocks``, which sets
+the block runners' CPU count, BLAS thread count and block sizes.
 """
 
 import dataclasses
@@ -25,7 +25,7 @@ import numpy as np
 from scipy.special import expit
 
 import tvcate
-from tvcate import learners
+from tvcate import _blocks
 from tvcate.dgp import StructuralDGP
 from tvcate.panel import FeatureCodec, HistoryView
 
@@ -47,12 +47,12 @@ def suite_report_pinned_and_free(suite: str, budget) -> tuple:
     by the statistics' ``repr``."""
     script = f"""
         import os, re
-        from tvcate import learners
+        from tvcate import _blocks
         from tvcate.verify import format_report, run_suite
         if PIN:
             os.sched_setaffinity(0, {{min(os.sched_getaffinity(0))}})
         report = run_suite({suite!r}, budget={budget!r})
-        print(learners._usable_cpus())
+        print(_blocks._usable_cpus())
         print(re.sub(r", [0-9.]+s\\)", ")", format_report(report)))
         print([repr(c.statistic) for c in report.checks])
         """
@@ -78,11 +78,21 @@ def recording(dgp, name, record):
     return dataclasses.replace(dgp, **{name: f})
 
 
-def small_blocks(monkeypatch, cpus):
-    """Split every table and simulation into 97-row blocks over ``cpus`` CPUs."""
-    monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 97)
-    monkeypatch.setattr(learners, "_TABLE_MIN_ROWS", 1)
-    monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+def set_blocks(monkeypatch, cpus=None, *, blas=None, blas_rows=None, table_rows=None):
+    """Set the block runners' knobs in :mod:`tvcate._blocks` for one test,
+    each left as it is when None: ``cpus`` usable CPUs, ``blas`` BLAS
+    threads as read (0: the count cannot be read), ``blas_rows``-row BLAS
+    blocks, and every table and simulation split into ``table_rows``-row
+    blocks."""
+    if cpus is not None:
+        monkeypatch.setattr(_blocks, "_usable_cpus", lambda: cpus)
+    if blas is not None:
+        monkeypatch.setattr(_blocks, "_blas_threads", lambda: blas)
+    if blas_rows is not None:
+        monkeypatch.setattr(_blocks, "_PREDICT_BLOCK_ROWS", blas_rows)
+    if table_rows is not None:
+        monkeypatch.setattr(_blocks, "_TABLE_BLOCK_ROWS", table_rows)
+        monkeypatch.setattr(_blocks, "_TABLE_MIN_ROWS", 1)
 
 
 def decode_history(vec: np.ndarray, codec: FeatureCodec):

@@ -8,6 +8,7 @@
 import dataclasses
 import json
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -234,6 +235,32 @@ class TestLoadChecks:
         state["pair"] = {"a_seq": [1], "b_seq": [0]}
         with pytest.raises(ValueError, match="pair has 1 levels per arm, tau 1 needs 2"):
             nuisances_from_dict(state)
+
+    @pytest.mark.parametrize("bundle", ["nuisance", "model"])
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(lambda s: s["pair"].pop("b_seq"), "pair", id="no b_seq"),
+        pytest.param(lambda s: s.update(pair=5), "pair", id="pair 5"),
+        pytest.param(lambda s: s["pair"].update(a_seq=None), "pair.a_seq", id="a_seq None"),
+        pytest.param(lambda s: s["pair"].update(a_seq="x"), "pair.a_seq", id="a_seq x"),
+        pytest.param(lambda s: s["pair"].update(b_seq=[1, 2.5]), "pair.b_seq", id="arm 2.5"),
+        pytest.param(lambda s: s["pair"].update(b_seq=[1, -1]), "pair.b_seq", id="arm -1"),
+        pytest.param(lambda s: s["pair"].update(b_seq=[True, 0]), "pair.b_seq", id="arm True"),
+        pytest.param(lambda s: s.update(tau=[1, 2]), "tau", id="tau [1, 2]"),
+        pytest.param(lambda s: s.update(tau=None), "tau", id="tau None"),
+        pytest.param(lambda s: s.update(tau=2.5), "tau", id="tau 2.5"),
+        pytest.param(lambda s: s.update(tau=True), "tau", id="tau True"),
+    ])
+    def test_pair_and_tau_of_another_kind_name_the_field(self, bundle, edit, field, fitted):
+        # a d1 tau = 1 bundle; each edit once raised KeyError or TypeError,
+        # or truncated tau 2.5 to 2 and blamed the level count
+        if bundle == "nuisance":
+            state, load = nuisances_to_dict(fitted[3]), nuisances_from_dict
+        else:
+            state, load = cate_model_to_dict(fitted[4]["DR"]), cate_model_from_dict
+        state = json.loads(json.dumps(state))
+        edit(state)
+        with pytest.raises(ValueError, match=rf"^{bundle} bundle: {re.escape(field)} "):
+            load(state)
 
     @pytest.mark.parametrize("source,edit,match", [
         ("PI-RA", lambda s: s.update(kind="XYZ"), "kind 'XYZ'; choose from"),

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
-from tvcate import learners
+from tvcate import _blocks
 from tvcate.dgp import (
     ChainResponseForm,
     DiscreteDGP,
@@ -26,7 +26,7 @@ from tvcate.nuisance import build_row_table
 from tvcate.verify import DEFAULT_BUDGETS
 
 from helpers import (oracle_history_adjustment, oracle_propensity, oracle_response, recording,
-                     same_bits, small_blocks, suite_report_pinned_and_free)
+                     same_bits, set_blocks, suite_report_pinned_and_free)
 
 
 def history(x_vals, a_vals=(), y_vals=(), pad_to=5):
@@ -182,7 +182,7 @@ SIMULATED = {
 
 
 class TestSimulateBlocks:
-    """A simulation of at least ``learners._TABLE_MIN_ROWS`` trajectories runs
+    """A simulation of at least ``_blocks._TABLE_MIN_ROWS`` trajectories runs
     its arithmetic in trajectory blocks on every usable CPU, with the bits
     of one block."""
 
@@ -191,7 +191,7 @@ class TestSimulateBlocks:
     def test_blocks_have_the_bits_of_one_block(self, name, cpus, monkeypatch):
         dgp, x1 = SIMULATED[name]
         want = simulate_panel(dgp, 300, seed=[8, 1], x1=x1)
-        small_blocks(monkeypatch, cpus)
+        set_blocks(monkeypatch, cpus, table_rows=97)
         got = simulate_panel(dgp, 300, seed=[8, 1], x1=x1)
         for field in ("X", "A", "Y", "offsets"):
             assert same_bits(getattr(got, field), getattr(want, field)), field
@@ -202,8 +202,7 @@ class TestSimulateBlocks:
         # panel or of its row table
         want = simulate_panel(make_d2(), 300, seed=12)
         tables = [build_row_table(want, tau) for tau in (0, 2)]
-        small_blocks(monkeypatch, 8)
-        monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 7)
+        set_blocks(monkeypatch, 8, table_rows=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -223,7 +222,7 @@ class TestSimulateBlocks:
         def record(thread):
             if thread is not caller:
                 raise FloatingPointError("an outcome block on a started thread")
-        small_blocks(monkeypatch, 2)
+        set_blocks(monkeypatch, 2, table_rows=97)
         with pytest.raises(FloatingPointError, match="started thread"):
             simulate_panel(recording(make_d1(), "f_y", record), 300, seed=5)
 
@@ -239,13 +238,13 @@ class TestSimulateBlocks:
         x1 = np.zeros(300)
         x1[[150, 200]] = 1000.0, 200.0
         if cpus is not None:
-            small_blocks(monkeypatch, cpus)
+            set_blocks(monkeypatch, cpus, table_rows=97)
         with pytest.raises(ValueError, match=r"^trajectory 150, t 3: non-finite "
                                              r"covariate or outcome$"):
             simulate_panel(nan_y, 300, seed=9, x1=x1)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        small_blocks(monkeypatch, 3)
+        set_blocks(monkeypatch, 3, table_rows=97)
         seen = set()
         before = threading.enumerate()
         simulate_panel(recording(make_d1(), "f_x", seen.add), 300, seed=6)
@@ -260,7 +259,7 @@ class TestSimulateBlocks:
         # the ipw-unbiased suite at its default budget: two 10^5-trajectory
         # panels, each simulated in two blocks
         budget = DEFAULT_BUDGETS["ipw-unbiased"]
-        assert learners._TABLE_MIN_ROWS <= budget < 2 * learners._TABLE_BLOCK_ROWS
+        assert _blocks._TABLE_MIN_ROWS <= budget < 2 * _blocks._TABLE_BLOCK_ROWS
         pinned, free = suite_report_pinned_and_free("ipw-unbiased", budget)
         assert pinned[0] == "1"
         assert int(free[0]) == len(os.sched_getaffinity(0))

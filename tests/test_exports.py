@@ -2,8 +2,8 @@
 function cannot leave a stale export behind, and the package-level names
 are pinned, so adding or dropping one is a reviewed edit.  So are the
 parameters of the fit functions, the one module that tells regressor kinds
-apart, the one module that names the plug-in learners, and the one process
-pool."""
+apart, the one module that names the plug-in learners, the one process
+pool and the one module of thread and block runners."""
 
 import ast
 import importlib
@@ -101,3 +101,21 @@ def test_runs_and_sweeps_share_one_process_pool():
     src = pathlib.Path(tvcate.__file__).parent
     pools = sum(path.read_text().count("ProcessPoolExecutor(") for path in src.glob("*.py"))
     assert pools == 1
+
+
+def test_block_runners_live_in_one_module():
+    # threads start in tvcate._blocks alone, and no module takes a runner
+    # from tvcate.learners, so the lowest layers do not reach up into it
+    src = pathlib.Path(tvcate.__file__).parent
+    starts = {path.name: path.read_text().count("threading.Thread(") for path in src.glob("*.py")}
+    assert {name: count for name, count in starts.items() if count} == {"_blocks.py": 1}
+    blocks = importlib.import_module("tvcate._blocks")
+    runners = {name for name in vars(blocks) if name.startswith("_") and not name.startswith("__")}
+    assert {"_run_spans", "_table_blocks", "_block_pass", "_usable_cpus"} <= runners
+    for path in src.glob("*.py"):
+        imports = [(node.module, alias.name) for node in ast.walk(ast.parse(path.read_text()))
+                   if isinstance(node, ast.ImportFrom) for alias in node.names]
+        taken = {name for module, name in imports if module == "learners"}
+        assert taken & runners == set(), path.name
+        if path.name == "panel.py":
+            assert taken == set() and (None, "learners") not in imports

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from tvcate import learners
+from tvcate import _blocks, learners
 from tvcate.learners import (
     LOOKUP_TABLE,
     ClassifierSpec,
@@ -26,7 +26,7 @@ from tvcate.learners import (
     predict_many,
 )
 
-from helpers import run_on_one_thread, small_blocks
+from helpers import run_on_one_thread, set_blocks
 
 
 def sigmoid(z):
@@ -190,7 +190,7 @@ class TestPredictMany:
     def test_peak_memory_does_not_grow_with_the_rows(self, monkeypatch):
         # two models on one 256-feature map: a block of the map and one
         # centered copy of it at most, whatever the row count, on one CPU
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        set_blocks(monkeypatch, 1)
         rng = np.random.default_rng(13)
         train = rng.normal(size=(300, 19))
         models = [fit_regressor(RegressorSpec(seed=5), train, rng.normal(size=300), weight)
@@ -229,19 +229,19 @@ class TestChunkedCosineMap:
     def test_map_has_the_bits_of_the_inline_form(self, rows, features, cpus, monkeypatch):
         # None: this machine's CPUs; 1 and 3 stand in for other machines
         if cpus is not None:
-            monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+            set_blocks(monkeypatch, cpus)
         rng = np.random.default_rng(rows + features)
         X = rng.normal(size=(rows, 5))
         W, b = learners.random_cosine_map(5, features, 1.5, 7)
         chunks = learners._map_chunks(rows, features)
         assert chunks == (1 if rows * features < 2 ** 14
-                          else min(cpus or learners._usable_cpus(), rows))
+                          else min(cpus or _blocks._usable_cpus(), rows))
         assert np.array_equal(learners._cosine_features(X, W, b), inline_map(X, W, b))
 
     def test_chunk_error_is_raised_in_the_caller(self, monkeypatch):
         # an inf in the last row makes the last chunk's cos warn; as an
         # error, it must reach the caller from the chunk's thread
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        set_blocks(monkeypatch, 2)
         X = np.random.default_rng(31).normal(size=(4096, 5))
         X[-1] = [np.inf, 0.0, 0.0, 0.0, 0.0]
         W, b = learners.random_cosine_map(5, 256, 1.0, 5)
@@ -254,7 +254,7 @@ class TestChunkedCosineMap:
         # as the harness's worker processes are: a chunked map in the parent,
         # then one in a child forked after it, which must finish and agree;
         # no map thread outlives its map, so the fork copies none of them
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        set_blocks(monkeypatch, 2)
         rng = np.random.default_rng(23)
         X = rng.normal(size=(25_000, 5))
         W, b = learners.random_cosine_map(5, 256, 1.0, 3)
@@ -348,7 +348,7 @@ class TestRidgeDesign:
         # (gathered rows are scaled in place, views of the map into a block
         # of their own) and the F x F gram, never an N x F temporary; the
         # two-share bound is TestBlockPass's
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        set_blocks(monkeypatch, 1)
         rng = np.random.default_rng(23)
         raw = RowMap(RegressorSpec(), rng.normal(size=(20_000, 3)))
         rows = np.sort(rng.choice(20_000, size=15_000, replace=False)) if gathered else None
@@ -647,7 +647,7 @@ def serial_sums(phi, rows, w=None, v=None):
     thread, each block's sums added to zeros in block order."""
     n, F = phi.shape[0] if rows is None else rows.size, phi.shape[1]
     gram, total, rhs = np.zeros((F, F)), np.zeros(F), np.zeros(F)
-    edges = learners._block_edges(n)
+    edges = _blocks._block_edges(n)
     for lo, hi in zip(edges, edges[1:]):
         block = phi[lo:hi] if rows is None else phi[rows[lo:hi]]
         total += block.sum(axis=0) if w is None else w[lo:hi] @ block
@@ -663,7 +663,7 @@ def serial_predictions(models, phi, rows=None):
     calling thread."""
     n = phi.shape[0] if rows is None else rows.size
     outs = [np.empty(n) for _ in models]
-    edges = learners._block_edges(n)
+    edges = _blocks._block_edges(n)
     for lo, hi in zip(edges, edges[1:]):
         block = phi[lo:hi] if rows is None else phi[rows[lo:hi]]
         for model, out in zip(models, outs):
@@ -738,7 +738,7 @@ class RidgePasses:
 
 class TestBlockPass:
     """Ridge grams, right-hand sides and mapped predictions run their row
-    blocks on every CPU at one BLAS thread (``learners._block_pass``), with
+    blocks on every CPU at one BLAS thread (``tvcate._blocks``), with
     the bits of one share; in one share in the calling thread otherwise."""
 
     @pytest.mark.parametrize("small", [False, True])
@@ -746,20 +746,18 @@ class TestBlockPass:
     def test_shares_have_the_bits_of_one_share(self, cpus, small, monkeypatch):
         # 9,000 rows are three blocks (a group of about 750, one); under
         # 97-row blocks 93 (a group, eight), so every share runs many
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        if small:
-            monkeypatch.setattr(learners, "_PREDICT_BLOCK_ROWS", 97)
+        set_blocks(monkeypatch, blas=1, blas_rows=97 if small else None)
         passes = RidgePasses()
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        set_blocks(monkeypatch, 1)
         want = passes.run()
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        set_blocks(monkeypatch, cpus)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             got = [passes.run() for _ in range(3)]
         finally:
             sys.setswitchinterval(interval)
-        assert learners._shares(93 if small else 3) == min(cpus, 93 if small else 3)
+        assert _blocks._shares(93 if small else 3) == min(cpus, 93 if small else 3)
         for run in got:
             assert run.keys() == want.keys()
             assert [name for name in want if run[name] != want[name]] == []
@@ -769,9 +767,7 @@ class TestBlockPass:
         # 0: the count cannot be read; 2: BLAS runs its own threads; None:
         # this process's own count.  Off one BLAS thread every pass is one
         # share in the calling thread, whatever the CPUs
-        if blas is not None:
-            monkeypatch.setattr(learners, "_blas_threads", lambda: blas)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        set_blocks(monkeypatch, cpus, blas=blas)
         threads, original = set(), learners._gram
 
         def recording(phi, *args):
@@ -781,8 +777,8 @@ class TestBlockPass:
         passes = RidgePasses()
         threads.clear()
         got, want = passes.run(), passes.serial()
-        assert learners._shares(3) == (cpus if learners._blas_threads() == 1 else 1)
-        if learners._blas_threads() != 1:
+        assert _blocks._shares(3) == (cpus if _blocks._blas_threads() == 1 else 1)
+        if _blocks._blas_threads() != 1:
             assert threads == {threading.current_thread().name}
         assert got.keys() == want.keys()
         assert [name for name in want if got[name] != want[name]] == []
@@ -792,8 +788,7 @@ class TestBlockPass:
             self, which, monkeypatch):
         # the block at row 4096 (the second, one block per CPU) or, of the
         # group sums, the second group fails, on a started thread
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
+        set_blocks(monkeypatch, 3, blas=1)
         names, original = set(), learners._row_blocks
         passes = RidgePasses()
         raw = RowMap(passes.spec, passes.X, passes.groups)
@@ -825,8 +820,7 @@ class TestBlockPass:
         # weighted sums over 20,000 x 256 (the map is 41 MB) on two shares:
         # a block buffer and a gram slot per share and the gram; predictions
         # of two models, their outputs and a block per share; never N x F
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        set_blocks(monkeypatch, 2, blas=1)
         rng = np.random.default_rng(41)
         raw = RowMap(RegressorSpec(), rng.normal(size=(20_000, 3)))
         rows = np.sort(rng.choice(20_000, size=15_000, replace=False)) if gathered else None
@@ -1152,14 +1146,14 @@ class TestNewtonPass:
     def test_one_block_has_the_bits_of_the_whole_row_formulas(self, blas, rows, monkeypatch):
         # 0: the count cannot be read; 2: BLAS runs its own threads; at one
         # BLAS thread, a table of up to 4097 rows is one block
-        monkeypatch.setattr(learners, "_blas_threads", lambda: blas)
+        set_blocks(monkeypatch, blas=blas)
         phi, y, w, beta = binary_problem(rows, rows)
         loss = learners._BinaryLoss(phi, y, w, 1e-3)
         assert loss.edges == [0, rows] and len(loss.scratch) == 1
         assert loss_bytes(loss._at(beta)) == loss_bytes(whole_row_loss(beta, phi, y, w, 1e-3))
 
     def test_blocks_are_the_whole_row_values_to_rounding(self, monkeypatch):
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        set_blocks(monkeypatch, blas=1)
         phi, y, w, beta = binary_problem(20_003, 30)
         loss = learners._BinaryLoss(phi, y, w, 1e-3)
         assert loss.edges == [0, 4096, 8192, 12288, 16384, 20_003]
@@ -1171,15 +1165,13 @@ class TestNewtonPass:
     @pytest.mark.parametrize("small", [False, True])
     @pytest.mark.parametrize("cpus", [2, 3, 8])
     def test_blocks_have_the_bits_of_one_cpu(self, cpus, small, monkeypatch):
-        # 20,003 rows are five blocks; under small_blocks with 97-row blocks
-        # here too, 207, so every share runs many, switching threads often
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        if small:
-            monkeypatch.setattr(learners, "_PREDICT_BLOCK_ROWS", 97)
+        # 20,003 rows are five blocks; in 97-row BLAS blocks (and table
+        # blocks) 207, so every share runs many, switching threads often
+        set_blocks(monkeypatch, blas=1, blas_rows=97 if small else None)
         phi, y, w, beta = binary_problem(20_003, 31)
-        small_blocks(monkeypatch, 1)
+        set_blocks(monkeypatch, 1, table_rows=97)
         want = loss_bytes(learners._BinaryLoss(phi, y, w, 1e-3)._at(beta))
-        small_blocks(monkeypatch, cpus)
+        set_blocks(monkeypatch, cpus, table_rows=97)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -1193,11 +1185,11 @@ class TestNewtonPass:
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_fits_have_the_bits_of_one_cpu(self, cpus, monkeypatch):
         # the penalty grid's solves and the last, and the probabilities
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
+        set_blocks(monkeypatch, blas=1)
         spec = ClassifierSpec(seed=3)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 1)
+        set_blocks(monkeypatch, 1)
         want = signal_fit(spec, 12_000, 32)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: cpus)
+        set_blocks(monkeypatch, cpus)
         got = signal_fit(spec, 12_000, 32)
         assert got.params["l2_used"] == want.params["l2_used"]
         assert got.params["theta"].tobytes() == want.params["theta"].tobytes()
@@ -1208,7 +1200,7 @@ class TestNewtonPass:
         script = """
             import hashlib, os
             import numpy as np
-            from tvcate import learners
+            from tvcate import _blocks
             from tvcate.learners import ClassifierSpec, fit_classifier
             if PIN:
                 os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
@@ -1218,7 +1210,7 @@ class TestNewtonPass:
             model = fit_classifier(ClassifierSpec(seed=3), X, (rng.uniform(size=12000) < p))
             digest = hashlib.sha256(model.params["theta"].tobytes())
             digest.update(model.predict_proba(X).tobytes())
-            print(learners._usable_cpus(), model.params["l2_used"], digest.hexdigest())
+            print(_blocks._usable_cpus(), model.params["l2_used"], digest.hexdigest())
             """
         pinned, free = (run_on_one_thread(script.replace("PIN", repr(pin))).split()
                         for pin in (True, False))
@@ -1251,15 +1243,14 @@ class TestNewtonPass:
             self, monkeypatch):
         # 9,000 rows are three blocks, one per CPU: the second runs on a
         # started thread
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 3)
+        set_blocks(monkeypatch, 3, blas=1)
         names, fail, original = set(), [False], learners._BinaryLoss._block
 
-        def block(self, beta, span, scratch):
+        def block(self, beta, span, j):
             names.add(threading.current_thread().name)
             if fail[0] and span.start == 4096:
                 raise ArithmeticError("in the second block")
-            return original(self, beta, span, scratch)
+            return original(self, beta, span, j)
         monkeypatch.setattr(learners._BinaryLoss, "_block", block)
         threads = threading.active_count()
         spec = ClassifierSpec(l2=1e-2, seed=2)
@@ -1274,8 +1265,7 @@ class TestNewtonPass:
     def test_pass_peak_memory_is_a_few_blocks(self, monkeypatch):
         # 40,000 x 65 design rows (20.8 MB): per CPU one 4097-row block and
         # four 4097-long vectors, and the blocks' slots, never N x 65
-        monkeypatch.setattr(learners, "_blas_threads", lambda: 1)
-        monkeypatch.setattr(learners, "_usable_cpus", lambda: 2)
+        set_blocks(monkeypatch, 2, blas=1)
         phi, y, w, beta = binary_problem(40_000, 36)
         tracemalloc.start()
         try:
@@ -1293,10 +1283,10 @@ class TestNewtonPass:
         blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
         if "openblas" in blas and sys.platform.startswith("linux"):
             assert run_on_one_thread("""
-                from tvcate import learners
-                print(learners._blas_threads())
+                from tvcate import _blocks
+                print(_blocks._blas_threads())
                 """).split() == ["1"]
-        monkeypatch.setattr(learners, "_blas_thread_call", lambda: None)
-        assert learners._blas_threads() == 0
+        monkeypatch.setattr(_blocks, "_blas_thread_call", lambda: None)
+        assert _blocks._blas_threads() == 0
         phi, y, w, _ = binary_problem(9000, 37)
         assert learners._BinaryLoss(phi, y, w, 1e-3).edges == [0, 9000]

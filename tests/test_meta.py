@@ -11,7 +11,7 @@ import warnings
 import numpy as np
 import pytest
 
-from tvcate import learners, meta
+from tvcate import _blocks, learners, meta
 from tvcate.dgp import get_dgp, make_d1, make_d2, make_d3, benchmark_pair, simulate_panel
 from tvcate.learners import ClassifierSpec, RegressorSpec, RowMap
 from tvcate.meta import (
@@ -41,7 +41,7 @@ from tvcate.nuisance import (
 )
 from tvcate.panel import HistoryView, InterventionPair, panel_from_arrays
 
-from helpers import (oracle_history_adjustment, recording, same_bits, small_blocks,
+from helpers import (oracle_history_adjustment, recording, same_bits, set_blocks,
                      suite_report_pinned_and_free)
 
 
@@ -380,7 +380,7 @@ def block_outputs(table, nz, pair):
 
 
 class TestPseudoRowBlocks:
-    """A table of at least ``learners._TABLE_MIN_ROWS`` rows runs its
+    """A table of at least ``_blocks._TABLE_MIN_ROWS`` rows runs its
     nuisance queries and pseudo-outcome arithmetic in blocks on every
     usable CPU; every output keeps the bits of the one-span path."""
 
@@ -396,9 +396,9 @@ class TestPseudoRowBlocks:
         if name == "fitted elsewhere":     # the fitted models' own predictions
             panel = simulate_panel(make_d1(), 300, seed=[62, tau])
         table = build_row_table(panel, tau, nz.codec)
-        assert table.n_rows < learners._TABLE_MIN_ROWS
+        assert table.n_rows < _blocks._TABLE_MIN_ROWS
         want = block_outputs(table, nz, pair)
-        small_blocks(monkeypatch, cpus)
+        set_blocks(monkeypatch, cpus, table_rows=97)
         got = block_outputs(table, nz, pair)
         assert got.keys() == want.keys()
         for key, values in want.items():
@@ -413,8 +413,7 @@ class TestPseudoRowBlocks:
         panel, pair, sets = d1_sets[2]
         table = build_row_table(panel, 2, sets["oracle"].codec)
         want = block_outputs(table, sets["oracle"], pair)
-        small_blocks(monkeypatch, 8)
-        monkeypatch.setattr(learners, "_TABLE_BLOCK_ROWS", 7)
+        set_blocks(monkeypatch, 8, table_rows=7)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -431,7 +430,7 @@ class TestPseudoRowBlocks:
         def record(thread):
             if thread is not caller:
                 raise FloatingPointError("a block on a started thread")
-        small_blocks(monkeypatch, 2)
+        set_blocks(monkeypatch, 2, table_rows=97)
         pair = benchmark_pair(1)
         d1 = recording(make_d1(), "f_a", record)   # make_d1() simulates: the same bits
         table = build_row_table(simulate_panel(make_d1(), 300, seed=5), 1)
@@ -439,7 +438,7 @@ class TestPseudoRowBlocks:
             pseudo_ipw(table, oracle_nuisances(d1, pair), pair)
 
     def test_no_thread_outlives_a_call(self, monkeypatch):
-        small_blocks(monkeypatch, 3)
+        set_blocks(monkeypatch, 3, table_rows=97)
         seen = set()
         pair = benchmark_pair(2)
         d1 = recording(make_d1(), "f_a", seen.add)   # queries only, not the simulation

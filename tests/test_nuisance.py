@@ -46,7 +46,7 @@ from tvcate.panel import (
 )
 from tvcate.verify import SUITE_NAMES, run_suite
 
-from helpers import oracle_history_adjustment, same_bits, small_blocks
+from helpers import oracle_history_adjustment, same_bits, set_blocks
 
 TUNED_D1_SPEC = RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2)
 
@@ -141,7 +141,7 @@ class TestRowTable:
     @pytest.mark.parametrize("tau", [0, 1, 2])
     @pytest.mark.parametrize("ragged", [False, True])
     def test_blocks_have_the_bits_and_dtypes_of_one_block(self, ragged, tau, cpus, monkeypatch):
-        # a table of at least learners._TABLE_MIN_ROWS rows fills its row
+        # a table of at least _blocks._TABLE_MIN_ROWS rows fills its row
         # index, arms and outcome in row blocks on every usable CPU
         panel = simulate_panel(make_d1(), 300, seed=[7, tau])
         if ragged:                 # lengths 3 to 5, so blocks start mid-trajectory
@@ -149,7 +149,7 @@ class TestRowTable:
                                       tr.outcomes[:3 + i % 3])
                            for i, tr in enumerate(panel.trajectories)], 2)
         want = build_row_table(panel, tau)
-        small_blocks(monkeypatch, cpus)
+        set_blocks(monkeypatch, cpus, table_rows=97)
         got = build_row_table(panel, tau)
         assert got.n_rows == want.n_rows > 3 * 97
         for name in ("traj_id", "t", "a_obs", "y_term"):
