@@ -8,17 +8,19 @@ Work is split over the usable CPUs by sizes alone, in three ways:
   are its trajectories) run their row-wise arithmetic in 2^16-row blocks
   (:func:`_table_blocks`);
 * BLAS products over rows, the two-class classifier's Newton pass and the
-  ridge grams, right-hand sides and mapped predictions, run in 4096-row
-  blocks (:func:`_block_edges`), over the CPUs when NumPy's OpenBLAS runs
-  one thread and in the calling thread otherwise (:func:`_shares`).
+  ridge grams, right-hand sides and predictions, run in 4096-row blocks
+  (:func:`_block_edges`), over the CPUs when NumPy's OpenBLAS runs one
+  thread and in the calling thread otherwise (:func:`_shares`).  A
+  prediction block is mapped, centered and multiplied on its share, and a
+  map's (time, arm) groups are dealt whole to the shares (:func:`_deal`).
 
 Smaller work is one span in the calling thread.  No edge depends on the
 CPU count, an elementwise operation gives each element the same bits in
 any span, each span writes only its own rows of an output the caller made,
 and block sums are added in block order (:func:`_in_order`), so no
 result, bundle or verify statistic depends on the number of CPUs.  Random
-draws, LAPACK, ``X @ W`` and the other BLAS products run in the calling
-thread only, and no thread outlives the call that starts it.
+draws, LAPACK and the BLAS products outside these passes run in the
+calling thread only, and no thread outlives the call that starts it.
 """
 
 import ctypes
@@ -34,6 +36,10 @@ _TABLE_BLOCK_ROWS, _TABLE_MIN_ROWS = 1 << 16, 3 << 15
 #: rows of a BLAS block (:func:`_block_edges`): fits and predictions read,
 #: make and center a map a block at a time, holding a block or two, not N x F
 _PREDICT_BLOCK_ROWS = 4096
+#: rows of a centering sub-block and the fewest of the last: on one thread
+#: OpenBLAS 0.3.31's ``gemv`` gives a sub-block of 2 rows or more the bits of
+#: its whole block's product (a lone row takes another path)
+_SUB_BLOCK_ROWS, _SUB_BLOCK_LEAST = 128, 8
 
 
 def _usable_cpus() -> int:
@@ -122,12 +128,12 @@ def _table_array(n_rows: int, work) -> np.ndarray:
     return out
 
 
-def _block_edges(n: int) -> list:
+def _block_edges(n: int, rows: int = 0, least: int = 2) -> list:
     """Edges of the row blocks of ``n`` rows: blocks start at multiples of
-    ``_PREDICT_BLOCK_ROWS`` and the last holds at least two rows (all ``n``
-    when fewer), so on one BLAS thread block products carry the bits of one
-    product."""
-    return list(range(0, max(n - 1, 1), _PREDICT_BLOCK_ROWS)) + [n]
+    ``rows`` (``_PREDICT_BLOCK_ROWS`` when 0) and the last holds at least
+    ``least`` rows (all ``n`` when fewer), so on one BLAS thread block
+    products carry the bits of one product."""
+    return list(range(0, max(n - least + 1, 1), rows or _PREDICT_BLOCK_ROWS)) + [n]
 
 
 def _shares(blocks: int) -> int:
@@ -138,10 +144,22 @@ def _shares(blocks: int) -> int:
     return max(min(_usable_cpus(), blocks), 1) if _blas_threads() == 1 else 1
 
 
-def _share_blocks(shares: int, n: int, width: int) -> np.ndarray:
+def _share_blocks(shares: int, n: int, width: int, rows: int = 0, least: int = 2) -> np.ndarray:
     """One ``(shares, rows, width)`` buffer: per share, room for the largest
     :func:`_block_edges` block of ``n`` rows."""
-    return np.empty((shares, min(n, _PREDICT_BLOCK_ROWS + 1), width))
+    return np.empty((shares, min(n, (rows or _PREDICT_BLOCK_ROWS) + least - 1), width))
+
+
+def _deal(sizes, shares: int) -> list:
+    """Per share, the indices of ``sizes`` it takes: largest first, each to
+    the least-loaded share (the first of equals), so loads differ by at
+    most the largest size."""
+    loads, dealt = [0] * shares, [[] for _ in range(shares)]
+    for i in sorted(range(len(sizes)), key=lambda i: -sizes[i]):
+        j = loads.index(min(loads))
+        dealt[j].append(i)
+        loads[j] += sizes[i]
+    return dealt
 
 
 def _in_order(total, parts):

@@ -201,13 +201,15 @@ def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
     Z *= scale
 
 
-def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray, out=None,
+                     chunks: int = 0) -> np.ndarray:
     """The raw map sqrt(2/F) * cos(X W + b), built in place in one N x F
-    array: ``X @ W`` in the calling thread, then the elementwise rest in
-    :func:`_map_chunks` row chunks over the CPUs (:func:`_run_spans`)."""
-    Z = X @ W
+    array (``out`` when given): ``X @ W`` in the calling thread, then the
+    elementwise rest in ``chunks`` row chunks over the CPUs (when 0,
+    :func:`_map_chunks`; :func:`_run_spans`)."""
+    Z = np.matmul(X, W, out=out)
     scale = np.sqrt(2.0 / W.shape[1])
-    chunks = _map_chunks(*Z.shape)
+    chunks = chunks or _map_chunks(*Z.shape)
     _run_spans([Z.shape[0] * k // chunks for k in range(chunks + 1)], chunks,
                lambda rows, j: _shift_cos_scale(Z[rows], b, scale))
     return Z
@@ -307,29 +309,34 @@ def _draws(model: FittedRegressor, W, b) -> bool:
             and np.array_equal(model.params["b"], b))
 
 
-def _predict_mapped(models, phi, rows=None, in_place: bool = False) -> list:
-    """Predictions of ridge models at ``rows`` (indices, all when None) of
-    their raw map ``phi``, in one pass of row blocks (:func:`_row_blocks`,
-    :func:`_run_spans`): each model centers a block by its own
+def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
+    """Predictions of ridge models at the rows of the raw-map blocks between
+    ``edges``, in one pass of the blocks over the shares (:func:`_run_spans`).
+    ``take(span, out)`` is block ``span``: written into ``out``, a share's
+    buffer made here, when ``fills`` (gathered or mapped rows), else a view
+    of a map.  Each block is taken once; each model centers it by its
     ``phi_mean`` and multiplies by its ``beta`` into its rows of its output,
-    so extra models cost a block per share, not an N x F map.  Each model
-    gathers its block again and centers it in place; a block of ``phi`` is
-    centered into the share's buffer, or in place by the last model with
-    ``in_place``."""
-    edges, take = _row_blocks(phi, rows)
-    shares = _shares(len(edges) - 1)
-    outs = [np.empty(edges[-1]) for _ in models]
-    own_view = len(models) - 1 if in_place else len(models)
-    buf = (None if rows is None and own_view == 0
-           else _share_blocks(shares, edges[-1], phi.shape[1]))
+    the last model of a filled block in place and every other through its
+    share's scratch, in ``_SUB_BLOCK_ROWS`` sub-blocks on one BLAS thread
+    (the block's bits) and whole blocks otherwise."""
+    shares, n = _shares(len(edges) - 1), edges[-1]
+    outs = [np.empty(n) for _ in models]
+    buf = _share_blocks(shares, n, width) if fills else None
+    sub = (_blocks._SUB_BLOCK_ROWS if _blocks._blas_threads() == 1
+           else _blocks._PREDICT_BLOCK_ROWS, _blocks._SUB_BLOCK_LEAST)
+    scratch = None if fills and len(models) == 1 else _share_blocks(shares, n, width, *sub)
 
     def work(span, j):
-        for k, model in enumerate(models):
-            block = take(span, None if buf is None else buf[j])
-            own = rows is not None or k == own_view
-            centered = np.subtract(block, model.params["phi_mean"],
-                                   out=block if own else buf[j][:len(block)])
-            np.matmul(centered, model.params["beta"], out=outs[k][span])
+        block = take(span, None if buf is None else buf[j])
+        parts = _block_edges(len(block), *sub)
+        for k, (model, out) in enumerate(zip(models, outs)):
+            mean, beta, out = model.params["phi_mean"], model.params["beta"], out[span]
+            if fills and k == len(models) - 1:
+                np.matmul(np.subtract(block, mean, out=block), beta, out=out)
+                continue
+            for lo, hi in zip(parts, parts[1:]):
+                centered = np.subtract(block[lo:hi], mean, out=scratch[j][:hi - lo])
+                np.matmul(centered, beta, out=out[lo:hi])
     _run_spans(edges, shares, work)
     for model, out in zip(models, outs):
         out += model.params["intercept"]
@@ -340,14 +347,16 @@ def predict_many(models, features) -> list:
     """Predict each fitted regressor at the same rows.
 
     Ridge models whose cosine maps have equal (W, b) share one evaluation of
-    the map.  It is made, centered and multiplied one row block at a time
-    (:func:`_block_edges`), so the peak memory of a prediction is about two
-    blocks of the map whatever the row count.  On one OpenBLAS 0.3 thread
-    every prediction has the bits of the one whole-map product
+    the map.  It is made (``X @ W``, shift, ``cos``, scale), centered and
+    multiplied one row block at a time (:func:`_block_edges`), each block
+    on one share of the CPUs (:func:`_predict_mapped`), so the peak memory
+    of a prediction is about a block of the map per CPU whatever the row
+    count.  One block, or one share (BLAS threads of its own), is mapped
+    with its ``cos`` over the CPUs.  On one OpenBLAS 0.3 thread every
+    prediction has the bits of the one whole-map product
     ``(_cosine_features(X, W, b) - phi_mean) @ beta + intercept``: row
     blocks of ``X @ W`` keep them when the feature count is a multiple of 8,
-    and at other counts, where they need not, the map is made in one block.
-    Work over the CPUs keeps these bits (:mod:`tvcate._blocks`).
+    and at other counts, where they need not, the map is made whole.
     """
     features = np.asarray(features, dtype=float)
     squeeze = features.ndim == 1
@@ -367,14 +376,16 @@ def predict_many(models, features) -> list:
             continue
         W, b = model.params["W"], model.params["b"]
         group = [j for j in range(k, len(models)) if outs[j] is None and _draws(models[j], W, b)]
-        for j in group:
-            outs[j] = np.empty(n)
-        edges = _block_edges(n) if W.shape[1] % 8 == 0 else [0, n]
-        for lo, hi in zip(edges, edges[1:]):
-            phi = _cosine_features(features[lo:hi], W, b)
-            for j, out in zip(group, _predict_mapped([models[j] for j in group], phi,
-                                                     in_place=True)):
-                outs[j][lo:hi] = out
+        F, edges = W.shape[1], _block_edges(n)
+        fills = F % 8 == 0 and len(edges) > 2       # else one whole map
+        # one share maps each block with its cos over the CPUs, several a block each
+        chunks = 0 if _shares(len(edges) - 1) == 1 else 1
+        take = ((lambda span, out: _cosine_features(features[span], W, b,
+                                                    out[:span.stop - span.start], chunks))
+                if fills else _row_blocks(_cosine_features(features, W, b))[1])
+        for j, out in zip(group, _predict_mapped([models[j] for j in group], edges, take, F,
+                                                 fills)):
+            outs[j] = out
     return [out[0] if squeeze else out for out in outs]
 
 
@@ -518,21 +529,23 @@ class RowMap:
 
     def _sum_groups(self, todo) -> None:
         """Each group of ``todo``'s raw gram and column sums, added block by
-        block into its zeros in ``_sums``: the groups are the spans of one
-        :func:`_run_spans`, and a share sums its group's blocks in order
-        with its own gather buffer and slots, all made here."""
+        block into its zeros in ``_sums``: the groups are dealt whole to the
+        shares of one :func:`_run_spans` by rows (:func:`_blocks._deal`), and a
+        share sums each of its groups' blocks in order with its own gather
+        buffer and slots, all made here."""
         grams, totals, counts, _, order, starts = self._sums
         shares, F = _shares(todo.size), self.phi.shape[1]
         buf = _share_blocks(shares, int(counts[todo].max()), F)
         slots = np.empty((shares, F, F)), np.empty((shares, F))
+        dealt = _blocks._deal(counts[todo].tolist(), shares)
 
-        def group(span, j):
-            g = todo[span.start]
-            edges, take = _row_blocks(self.phi, order[starts[g]:starts[g + 1]])
+        def share(span, j):
             gram, total = slots[0][j:j + 1], slots[1][j:j + 1]
-            work = _summing(take, False, None, None, buf[j:j + 1], gram, total, None)
-            _block_pass(edges, 1, work, ((grams[g], gram), (totals[g], total)))
-        _run_spans(list(range(todo.size + 1)), shares, group)
+            for g in todo[dealt[j]]:
+                edges, take = _row_blocks(self.phi, order[starts[g]:starts[g + 1]])
+                work = _summing(take, False, None, None, buf[j:j + 1], gram, total, None)
+                _block_pass(edges, 1, work, ((grams[g], gram), (totals[g], total)))
+        _run_spans(list(range(shares + 1)), shares, share)
 
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
         """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
@@ -568,7 +581,8 @@ class RowMap:
         if self.W is None:
             X = self._take(rows)
             return [model._predict_lookup(X) for model in models]
-        return _predict_mapped(models, self.phi, rows)
+        return _predict_mapped(models, *_row_blocks(self.phi, rows), self.phi.shape[1],
+                               rows is not None)
 
 
 class RidgeDesign:

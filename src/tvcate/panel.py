@@ -225,8 +225,12 @@ class InterventionPair:
     b_seq: tuple[int, ...]
 
     def __post_init__(self):
-        a = tuple(int(v) for v in self.a_seq)
-        b = tuple(int(v) for v in self.b_seq)
+        a, b = tuple(self.a_seq), tuple(self.b_seq)
+        for name, seq in (("a_seq", a), ("b_seq", b)):    # no bool, float or string arm
+            for k, v in enumerate(seq):
+                if isinstance(v, (bool, np.bool_)) or not isinstance(v, (int, np.integer)):
+                    raise ValueError(f"{name}[{k}] must be an integer arm, got {v!r}")
+        a, b = tuple(map(int, a)), tuple(map(int, b))
         if len(a) != len(b):
             raise ValueError("intervention sequences must share length tau+1")
         if len(a) == 0:
@@ -391,14 +395,14 @@ def panel_to_csv(panel: Panel, path) -> None:
     """
     tid = np.repeat(np.arange(panel.n), panel.lengths())
     t = np.arange(tid.size) - panel.offsets[tid] + 1
-    header = "traj_id,t," + ",".join(f"x_{j + 1}" for j in range(panel.covariate_dim)) + ",a,y"
-    real = "{:.17g}".format
-    # formatted column by column, then joined row by row (no covariate: one empty field)
-    xs = [map(real, col.tolist()) for col in panel.X.T] or [[""] * tid.size]
-    rows = zip(map(str, tid.tolist()), map(str, t.tolist()), *xs,
-               map(str, panel.A.tolist()), map(real, panel.Y.tolist()))
+    d = panel.covariate_dim
+    header = "traj_id,t," + ",".join(f"x_{j + 1}" for j in range(d)) + ",a,y"
+    # one % per row (no covariate: one empty field)
+    row = "%d,%d," + ",".join(["%.17g"] * d) + ",%d,%.17g"
+    rows = zip(tid.tolist(), t.tolist(), *panel.X.T.tolist(), panel.A.tolist(),
+               panel.Y.tolist())
     with open(path, "w") as fh:
-        fh.write("\n".join([header, *map(",".join, rows)]) + "\n")
+        fh.write("\n".join([header, *map(row.__mod__, rows)]) + "\n")
 
 
 def _parse_csv_rows(lines, d):

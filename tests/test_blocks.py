@@ -34,6 +34,21 @@ class TestRunSpans:
         assert threading.active_count() == threads
 
 
+class TestDeal:
+    @pytest.mark.parametrize("shares", [1, 2, 3, 8])
+    def test_loads_differ_by_at_most_the_largest_size(self, shares):
+        rng = np.random.default_rng(shares)
+        for sizes in ([24_212 // 5, 788 // 5] * 5, rng.integers(1, 5000, 17).tolist(), [7]):
+            dealt = _blocks._deal(sizes, shares)
+            loads = [sum(sizes[i] for i in share) for share in dealt]
+            assert len(dealt) == shares
+            assert sorted(sum(dealt, [])) == list(range(len(sizes)))
+            assert max(loads) - min(loads) <= max(sizes)
+
+    def test_largest_first_to_the_least_loaded_share(self):
+        assert _blocks._deal([5, 1, 5, 1, 5, 1], 2) == [[0, 4], [2, 1, 3, 5]]
+
+
 class TestTableBlocks:
     def test_blocks_start_at_the_minimum_row_count(self):
         spans = []

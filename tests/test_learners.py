@@ -209,6 +209,66 @@ class TestPredictMany:
         assert max(peaks) <= two_blocks + 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 2 ** 20
 
+    @staticmethod
+    def share_models(rng, features=64):
+        """Two ridge models on one map (seed 3), the second weighted, and a
+        third on its own map (seed 4)."""
+        train = rng.normal(size=(300, 19))
+        return [fit_regressor(RegressorSpec(feature_count=features, seed=seed), train,
+                              rng.normal(size=300), weight)
+                for seed, weight in ((3, None), (3, rng.uniform(0.5, 2.0, 300)), (4, None))]
+
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_shares_have_the_bits_of_one_share(self, cpus, monkeypatch):
+        # 20,000 rows are five blocks; each share maps, centers and
+        # multiplies its own, by predict_many and by RowMap.predict at rows
+        rng = np.random.default_rng(17)
+        models = self.share_models(rng)
+        X = rng.normal(size=(20_000, 19))
+        rows = np.sort(rng.choice(20_000, size=15_000, replace=False))
+
+        def run():
+            outs = predict_many(models, X) + RowMap(models[0].spec, X).predict(models[:2], rows)
+            return [out.tobytes() for out in outs]
+        set_blocks(monkeypatch, 1, blas=1)
+        want = run()
+        set_blocks(monkeypatch, cpus)
+        names, original = set(), learners._cosine_features
+
+        def recording(*args):
+            names.add(threading.current_thread().name)
+            return original(*args)
+        monkeypatch.setattr(learners, "_cosine_features", recording)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run()
+        finally:
+            sys.setswitchinterval(interval)
+        assert _blocks._shares(5) == cpus
+        assert ("tvcate-block" in names) == (cpus > 1)
+        assert [k for k, (a, b) in enumerate(zip(got, want)) if a != b] == []
+
+    def test_two_share_peak_memory_is_a_block_and_a_sub_block_per_share(self, monkeypatch):
+        # two models on one 256-feature map over two shares: per share its
+        # block of the map and the sub-block the first model is centered in
+        set_blocks(monkeypatch, 2, blas=1)
+        rng = np.random.default_rng(13)
+        models = self.share_models(rng, 256)[:2]
+        peaks = []
+        for rows in (10_000, 40_000):
+            X = rng.normal(size=(rows, 19))
+            tracemalloc.start()
+            try:
+                outs = predict_many(models, X)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak - sum(out.nbytes for out in outs))
+        sub = _blocks._SUB_BLOCK_ROWS + _blocks._SUB_BLOCK_LEAST - 1
+        assert max(peaks) <= 2 * (4097 + sub) * 256 * 8 + 2 ** 20
+        assert abs(peaks[1] - peaks[0]) <= 2 ** 20
+
 
 def inline_map(X, W, b):
     """The cosine map made in one piece in the calling thread."""
@@ -637,6 +697,30 @@ class TestGroupedMap:
         assert rows[0] == repeated.size
         assert params_equal(got, fit_regressor(spec, X[repeated], y[repeated]))
 
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_groups_are_dealt_by_rows_with_the_sums_of_one_share(self, cpus, monkeypatch):
+        # labels time * 2 + arm with arm 1 rare, as on a panel: every other
+        # group is small, so taking every P-th group would load one share
+        rng = np.random.default_rng(47)
+        X = rng.normal(size=(12_000, 3))
+        groups = 2 * rng.integers(0, 5, 12_000) + (rng.uniform(size=12_000) < 0.03)
+        spec = RegressorSpec(feature_count=32)
+        set_blocks(monkeypatch, 1, blas=1)
+        one = RowMap(spec, X, groups)
+        one._group_means(None)
+        set_blocks(monkeypatch, cpus)
+        deals, original = [], _blocks._deal
+        monkeypatch.setattr(_blocks, "_deal", lambda sizes, shares: deals.append(
+            (sizes, original(sizes, shares))) or deals[-1][1])
+        many = RowMap(spec, X, groups)
+        many._group_means(None)
+        (sizes, dealt), = deals
+        loads = [sum(sizes[i] for i in share) for share in dealt]
+        assert len(dealt) == cpus and sorted(sum(dealt, [])) == list(range(10))
+        assert max(loads) - min(loads) <= max(sizes)
+        for got, want in zip(many._sums[:2], one._sums[:2]):
+            assert got.tobytes() == want.tobytes()
+
     def test_group_labels_are_one_per_row(self):
         with pytest.raises(ValueError, match="one label per mapped row"):
             RowMap(RegressorSpec(feature_count=8), np.zeros((5, 2)), np.zeros(4))
@@ -658,6 +742,22 @@ def serial_sums(phi, rows, w=None, v=None):
     return gram, total, rhs
 
 
+def predict_mapped(models, phi, rows=None, copied=False):
+    """``learners._predict_mapped`` at ``rows`` of ``phi`` (all when None), as
+    ``RowMap.predict`` calls it; ``copied`` copies each block of views into
+    the share's buffer first, as a block of ``predict_many`` is mapped into
+    it, so that the last model centers it in place."""
+    edges, take = learners._row_blocks(phi, rows)
+    fills = copied or rows is not None
+    if copied:
+        view = take
+
+        def take(span, out):
+            np.copyto(out[:span.stop - span.start], view(span, None))
+            return out[:span.stop - span.start]
+    return learners._predict_mapped(models, edges, take, phi.shape[1], fills)
+
+
 def serial_predictions(models, phi, rows=None):
     """``learners._predict_mapped`` as one loop over the row blocks in the
     calling thread."""
@@ -675,7 +775,8 @@ class RidgePasses:
     """Every ridge row pass on one 9,000 x 64 grouped map (12 groups), as
     bytes by name: group sums, ``_raw_sums`` weighted and uniform on views
     and gathered rows, ``RidgeDesign._rhs`` on both, and ``_predict_mapped``
-    of one and two models on views, gathered rows and in place."""
+    of one and two models on views, gathered rows and copied blocks, which
+    the last model centers in place."""
 
     def __init__(self, seed=40, n=9000):
         rng = np.random.default_rng(seed)
@@ -700,12 +801,10 @@ class RidgePasses:
                             for name, value in zip(("gram", "total", "rhs"), sums)})
             got[f"rhs {where}"] = RidgeDesign(raw, w, rows)._rhs(v)
             for count in (1, 2):
-                for name, out in (("", None), (" in place", raw.phi.copy())):
-                    if out is not None and rows is not None:
+                for name, copied in (("", False), (" in place", True)):
+                    if copied and rows is not None:
                         continue
-                    outs = learners._predict_mapped(self.models[:count],
-                                                    raw.phi if out is None else out,
-                                                    rows, in_place=out is not None)
+                    outs = predict_mapped(self.models[:count], raw.phi, rows, copied)
                     got.update({f"{count} models {where}{name} {k}": o
                                 for k, o in enumerate(outs)})
         return {name: value.tobytes() for name, value in got.items()}
@@ -808,7 +907,7 @@ class TestBlockPass:
         threads = threading.active_count()
         run = {"group sums": lambda: raw._group_means(None),
                "sums": lambda: learners._raw_sums(raw.phi, passes.at, None, passes.v[:7000]),
-               "predictions": lambda: learners._predict_mapped(passes.models, raw.phi)}[which]
+               "predictions": lambda: predict_mapped(passes.models, raw.phi)}[which]
         with pytest.raises(ArithmeticError, match="in a share's block"):
             run()
         assert "tvcate-block" in names
@@ -830,7 +929,7 @@ class TestBlockPass:
         blocks, grams = 2 * 4097 * 256 * 8, 3 * 256 * 256 * 8
         for run, bound in ((lambda: learners._raw_sums(raw.phi, rows, w / w.sum(), v),
                             blocks + grams),
-                           (lambda: learners._predict_mapped(models, raw.phi, rows),
+                           (lambda: predict_mapped(models, raw.phi, rows),
                             blocks + 2 * n * 8)):
             tracemalloc.start()
             try:

@@ -239,6 +239,19 @@ class TestInterventionPair:
         pair = InterventionPair((1,), (1,))
         assert pair.a_seq == pair.b_seq
 
+    @pytest.mark.parametrize("a,b,where", [
+        ((0, 1.5), (1, 0), r"a_seq\[1\]"), ((True, 0), (1, 0), r"a_seq\[0\]"),
+        ((0, 1), (1, np.float64(0.0)), r"b_seq\[1\]"), ((0, 1), (np.True_, 0), r"b_seq\[0\]"),
+        (("0", 1), (1, 0), r"a_seq\[0\]")])
+    def test_arms_that_are_not_integers_are_rejected_naming_the_position(self, a, b, where):
+        with pytest.raises(ValueError, match=where):
+            InterventionPair(a, b)
+
+    def test_python_and_numpy_integers_accepted(self):
+        pair = InterventionPair((np.int64(0), 1), (np.int32(1), np.uint8(0)))
+        assert pair == InterventionPair((0, 1), (1, 0))
+        assert all(type(v) is int for v in pair.a_seq + pair.b_seq)
+
 
 class TestCsvRoundTrip:
     def test_bit_exact_round_trip(self, tmp_path):
@@ -279,6 +292,22 @@ class TestCsvRoundTrip:
         assert path.read_bytes() == self.row_by_row(panel)
         back = panel_from_csv(path, treatment_arity=3)
         assert back.X.tobytes() == X.tobytes() and back.Y.tobytes() == Y.tobytes()
+
+    @pytest.mark.parametrize("d", [0, 2])
+    def test_integer_valued_reals_and_no_covariates_keep_the_per_field_bytes(self, tmp_path, d):
+        # reals that are integers print without a point, and a panel without
+        # covariates writes one empty field between t and a
+        rng = np.random.default_rng(12)
+        X, Y = rng.normal(size=(5, 4, d)), rng.normal(size=(5, 4))
+        special = [-0.0, 1e-300, 1e300, 3.0, -7.0, 2.0 ** 53, 1e16, 0.0]
+        X.flat[:min(X.size, len(special))] = special[:X.size]
+        Y.flat[:len(special)] = special
+        panel = panel_from_arrays(X, rng.integers(0, 2, (5, 4)), Y)
+        path = tmp_path / "panel.csv"
+        panel_to_csv(panel, path)
+        assert path.read_bytes() == self.row_by_row(panel)
+        if d == 0:
+            assert path.read_text().splitlines()[1] == "0,1,,%d,-0" % panel.A[0]
 
     def test_header_layout(self, tmp_path):
         panel = panel_from_arrays(np.zeros((1, 2, 2)), np.zeros((1, 2), dtype=int),
