@@ -9,10 +9,14 @@ Work is split over the usable CPUs by sizes alone, in three ways:
   (:func:`_table_blocks`);
 * BLAS products over rows, the two-class classifier's Newton pass and the
   ridge grams, right-hand sides and predictions, run in 4096-row blocks
-  (:func:`_block_edges`), over the CPUs when NumPy's OpenBLAS runs one
-  thread and in the calling thread otherwise (:func:`_shares`).  A
-  prediction block is mapped, centered and multiplied on its share, and a
-  map's (time, arm) groups are dealt whole to the shares (:func:`_deal`).
+  (:func:`_block_edges`) over the CPUs (:func:`_shares`): a prediction
+  block is mapped, centered and multiplied on its share, and a map's
+  (time, arm) groups are dealt whole to the shares (:func:`_deal`).
+
+While a public fit or prediction runs, it holds every loaded OpenBLAS at
+one thread, for the process's other threads too (:func:`_one_blas_thread`),
+so the user's BLAS setting picks no path and no bit.  A BLAS whose count
+cannot be set runs each pass as one share in the calling thread.
 
 Smaller work is one span in the calling thread.  No edge depends on the
 CPU count, an elementwise operation gives each element the same bits in
@@ -23,6 +27,7 @@ draws, LAPACK and the BLAS products outside these passes run in the
 calling thread only, and no thread outlives the call that starts it.
 """
 
+import contextlib
 import ctypes
 import functools
 import os
@@ -48,36 +53,62 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-#: OpenBLAS's thread-count calls, as threadpoolctl looks them up: that of
-#: NumPy's bundled ``scipy_openblas64_``, then those of plain OpenBLAS builds
-_OPENBLAS_THREAD_CALLS = ("scipy_openblas_get_num_threads64_",
-                          "openblas_get_num_threads64_", "openblas_get_num_threads")
+#: OpenBLAS's thread-count getters, as threadpoolctl looks them up: NumPy's
+#: bundled ``scipy_openblas64_``, SciPy's ``scipy_openblas``, plain builds
+_OPENBLAS_GETS = ("scipy_openblas_get_num_threads64_", "scipy_openblas_get_num_threads",
+                  "openblas_get_num_threads64_", "openblas_get_num_threads")
 
 
 @functools.cache
-def _blas_thread_call():
-    """The thread-count call of the OpenBLAS loaded in this process that
-    NumPy multiplies with, or None where none is found (no OpenBLAS, or no
-    ``/proc/self/maps`` listing the loaded libraries)."""
+def _openblas() -> tuple:
+    """The (get, set) thread-count calls of each OpenBLAS loaded in this process,
+    none where none is found (another BLAS, or no ``/proc/self/maps``)."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(maxsplit=5)[-1].rstrip("\n")
                             for line in maps if "openblas" in line})
         libs = [ctypes.CDLL(path) for path in paths]
     except OSError:
-        return None
-    call = next((getattr(lib, name) for name in _OPENBLAS_THREAD_CALLS
-                 for lib in libs if hasattr(lib, name)), None)
-    if call is not None:
-        call.argtypes, call.restype = [], ctypes.c_int
-    return call
+        return ()
+    names = [next((name for name in _OPENBLAS_GETS if hasattr(lib, name)), None) for lib in libs]
+    calls = tuple((getattr(lib, name), getattr(lib, name.replace("_get_", "_set_")))
+                  for lib, name in zip(libs, names) if name)
+    for get, put in calls:
+        get.argtypes, get.restype = [], ctypes.c_int
+        put.argtypes, put.restype = [ctypes.c_int], None
+    return calls
 
 
-def _blas_threads() -> int:
-    """The threads NumPy's OpenBLAS runs a product on now, or 0 when that
-    cannot be read."""
-    call = _blas_thread_call()
-    return 0 if call is None else call()
+_LIMIT_LOCK = threading.Lock()
+#: calls now under :func:`_one_blas_thread`, and each library's (set, count) before
+_limit_depth, _limit_saved = 0, []
+
+
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS (:func:`_openblas`) held at one thread, for every
+    thread of the process, as a context or a decorator: the first of nested
+    or concurrent entries sets each count to 1, the last exit restores it."""
+    global _limit_depth, _limit_saved
+    with _LIMIT_LOCK:
+        if _limit_depth == 0:
+            _limit_saved = [(put, get()) for get, put in _openblas()]
+            for put, _ in _limit_saved:
+                put(1)
+        _limit_depth += 1
+    try:
+        yield
+    finally:
+        with _LIMIT_LOCK:
+            _limit_depth -= 1
+            if _limit_depth == 0:
+                for put, count in _limit_saved:
+                    put(count)
+
+
+def _limit_in_force() -> bool:
+    """Whether a package call holds OpenBLAS at one thread: never without one."""
+    return _limit_depth > 0 and bool(_openblas())
 
 
 def _run_spans(edges, shares: int, work) -> list:
@@ -138,10 +169,9 @@ def _block_edges(n: int, rows: int = 0, least: int = 2) -> list:
 
 def _shares(blocks: int) -> int:
     """Shares of a pass over ``blocks`` row blocks: one per usable CPU, at
-    most one per block, when NumPy's BLAS runs one thread; else one, in the
-    calling thread (BLAS threads of its own, or a count that cannot be
-    read)."""
-    return max(min(_usable_cpus(), blocks), 1) if _blas_threads() == 1 else 1
+    most one per block, while the limit is in force (:func:`_limit_in_force`);
+    else one, in the calling thread."""
+    return max(min(_usable_cpus(), blocks), 1) if _limit_in_force() else 1
 
 
 def _share_blocks(shares: int, n: int, width: int, rows: int = 0, least: int = 2) -> np.ndarray:

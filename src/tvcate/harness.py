@@ -2,12 +2,12 @@
 
 An :class:`ExperimentConfig` pins one experiment completely: generator,
 horizons, sample sizes, seed list, learner set, nuisance and second-stage
-hyper-parameters.  Given the same config and BLAS thread count,
-:func:`run_experiment` and :func:`overlap_sweep` produce byte-identical
-result files on every run, under every ``workers`` setting and for any
-number of CPUs the process may use, because all randomness flows through
-seeds derived from the config, rows are assembled in a fixed order, and
-work split over CPUs keeps the bits of one CPU (see :mod:`tvcate._blocks`).
+hyper-parameters.  Given the same config, :func:`run_experiment` and
+:func:`overlap_sweep` produce byte-identical result files on every run,
+under every ``workers`` setting, CPU count and BLAS thread setting, because
+all randomness flows through seeds derived from the config, rows are
+assembled in a fixed order, work split over CPUs keeps the bits of one CPU,
+and fits hold OpenBLAS at one thread (see :mod:`tvcate._blocks`).
 Measured wall times are the one intentionally non-reproducible quantity,
 so the ``walltime_s`` column (a learner's ``fit_meta`` plus its test
 prediction) is written as ``0.0`` unless ``record_walltime`` is switched
@@ -135,8 +135,8 @@ class ExperimentConfig:
         Write measured per-fit wall times instead of the deterministic 0.0.
     workers : int
         Worker processes for seed-level (and gamma-level) parallelism.
-        Results are byte-identical for every value and CPU count at a
-        fixed BLAS thread count.
+        Results are byte-identical for every value, CPU count and BLAS
+        thread setting.
     output_dir : str
         Where emit functions write files; empty means "TVCATE_OUTPUT_DIR or
         ``results``".

@@ -31,7 +31,8 @@ tells the kinds apart.
 The elementwise part of a cosine map, the two-class Newton pass and the
 ridge grams, right-hand sides and mapped predictions run in row blocks
 over the CPUs through :mod:`tvcate._blocks`, which states the split rules
-and why no result depends on the CPU count.
+and why no result depends on the CPU count or on the BLAS thread setting:
+each public fit and prediction holds every loaded OpenBLAS at one thread.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -317,12 +318,12 @@ def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
     of a map.  Each block is taken once; each model centers it by its
     ``phi_mean`` and multiplies by its ``beta`` into its rows of its output,
     the last model of a filled block in place and every other through its
-    share's scratch, in ``_SUB_BLOCK_ROWS`` sub-blocks on one BLAS thread
-    (the block's bits) and whole blocks otherwise."""
+    share's scratch, in ``_SUB_BLOCK_ROWS`` sub-blocks while the limit is in
+    force (the block's bits on one BLAS thread) and whole blocks otherwise."""
     shares, n = _shares(len(edges) - 1), edges[-1]
     outs = [np.empty(n) for _ in models]
     buf = _share_blocks(shares, n, width) if fills else None
-    sub = (_blocks._SUB_BLOCK_ROWS if _blocks._blas_threads() == 1
+    sub = (_blocks._SUB_BLOCK_ROWS if _blocks._limit_in_force()
            else _blocks._PREDICT_BLOCK_ROWS, _blocks._SUB_BLOCK_LEAST)
     scratch = None if fills and len(models) == 1 else _share_blocks(shares, n, width, *sub)
 
@@ -343,6 +344,7 @@ def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
     return outs
 
 
+@_blocks._one_blas_thread()
 def predict_many(models, features) -> list:
     """Predict each fitted regressor at the same rows.
 
@@ -351,8 +353,8 @@ def predict_many(models, features) -> list:
     multiplied one row block at a time (:func:`_block_edges`), each block
     on one share of the CPUs (:func:`_predict_mapped`), so the peak memory
     of a prediction is about a block of the map per CPU whatever the row
-    count.  One block, or one share (BLAS threads of its own), is mapped
-    with its ``cos`` over the CPUs.  On one OpenBLAS 0.3 thread every
+    count.  One block, or one share (a BLAS whose count cannot be set), is
+    mapped with its ``cos`` over the CPUs.  On one OpenBLAS 0.3 thread every
     prediction has the bits of the one whole-map product
     ``(_cosine_features(X, W, b) - phi_mean) @ beta + intercept``: row
     blocks of ``X @ W`` keep them when the feature count is a multiple of 8,
@@ -471,6 +473,7 @@ class RowMap:
     blocks over the CPUs (:mod:`tvcate._blocks`), its solves in the caller.
     """
 
+    @_blocks._one_blas_thread()
     def __init__(self, spec: RegressorSpec, X, groups=None):
         X = np.asarray(X, dtype=float)
         if X.ndim == 1:
@@ -547,6 +550,7 @@ class RowMap:
                 _block_pass(edges, 1, work, ((grams[g], gram), (totals[g], total)))
         _run_spans(list(range(shares + 1)), shares, share)
 
+    @_blocks._one_blas_thread()
     def fit(self, spec: RegressorSpec, target, weight=None, rows=None) -> FittedRegressor:
         """``fit_regressor(spec, X[rows], target, weight)`` from the map (its bits
         unless the gram is from group sums); one target and weight per row."""
@@ -571,6 +575,7 @@ class RowMap:
             self._design = RidgeDesign(self, None, rows, y)
         return self._design.fit(spec, y)
 
+    @_blocks._one_blas_thread()
     def predict(self, models, rows=None) -> list:
         """``predict_many(models, X[rows])`` for models that read this map."""
         reads = ((lambda m: map_key(m.spec, m.in_dim) == self.key) if self.W is None
@@ -713,7 +718,7 @@ class ClassifierSpec:
     ``tol`` and takes at most ``max_iter`` trust-region steps; with more,
     L-BFGS stops when the largest entry of its projected gradient is at most
     ``tol`` and runs at most ``max_iter`` iterations.  A two-class fit gives
-    the same bits on any CPU count, but not on any BLAS thread count (see
+    the same bits on any CPU count and any BLAS thread setting (see
     :func:`_solve_logistic`).
     """
 
@@ -778,7 +783,7 @@ class _BinaryLoss:
     def __init__(self, phi, y, w, l2):
         n, width = phi.shape
         self.phi, self.y, self.w, self.l2 = phi, y, w, l2
-        self.edges = _block_edges(n) if _blocks._blas_threads() == 1 else [0, n]
+        self.edges = _block_edges(n) if _blocks._limit_in_force() else [0, n]
         blocks = len(self.edges) - 1
         rows = max(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
         self.scratch = [(np.empty((rows, width)), np.empty((4, rows)))
@@ -877,6 +882,7 @@ class FittedClassifier:
     params: dict
     fitted_rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
+    @_blocks._one_blas_thread()
     def predict_proba(self, features) -> np.ndarray:
         """Class probabilities at ``features``.
 
@@ -927,6 +933,7 @@ class FittedClassifier:
         return FittedClassifier(spec, in_dim, n_classes, int(state["n_rows"]), params)
 
 
+@_blocks._one_blas_thread()
 def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
                    n_classes: Optional[int] = None) -> FittedClassifier:
     """Fit multinomial logistic regression by weighted cross-entropy.
@@ -978,11 +985,9 @@ def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
     which is least when each row of theta sums to zero (the unpenalized
     intercept row is set so too), so that is its optimum.  One
     :class:`_BinaryLoss` per solve makes the loss, gradient and Hessian at
-    each point the solver proposes in one fused pass: over 4096-row blocks
-    when NumPy's BLAS runs one thread (:mod:`tvcate._blocks`); over one
-    block, with the bits of whole-row products, when BLAS runs several
-    (blocks were slower there) or its thread count cannot be read.  More
-    classes take L-BFGS.
+    each point the solver proposes in one fused pass over 4096-row blocks
+    (:mod:`tvcate._blocks`): one block, with the bits of whole-row products,
+    where no OpenBLAS thread count can be set.  More classes take L-BFGS.
     """
     width = phi.shape[1]
     if theta0 is None:

@@ -628,15 +628,21 @@ def _split_to_dict(split: SplitPlan) -> dict:
             "folds": {k: v.tolist() for k, v in split.folds.items()}}
 
 
-def _split_from_dict(state: dict, version: int) -> SplitPlan:
+def _split_from_dict(state: dict, version: int, tau: int) -> SplitPlan:
     require_keys(state, ("enabled", "tau"), "split")
-    enabled, tau = bool(state["enabled"]), int(state["tau"])
+    where, enabled = "nuisance bundle: split.", state["enabled"]
+    if not isinstance(enabled, bool):
+        raise ValueError(f"{where}enabled must be true or false, got {enabled!r}")
+    _validate_count(state["tau"], f"{where}tau", 0)
+    if state["tau"] != tau:
+        raise ValueError(f"{where}tau {state['tau']} differs from the bundle's tau {tau}")
     if enabled or version == 1:
         require_keys(state, ("folds",), "split")
         return SplitPlan(enabled, tau,
                          {k: np.array(v, dtype=int) for k, v in state["folds"].items()})
     require_keys(state, ("trajectories",), "split")
-    full = np.arange(int(state["trajectories"]))
+    _validate_count(state["trajectories"], f"{where}trajectories", 0)
+    full = np.arange(state["trajectories"])
     return SplitPlan(False, tau, {name: full for name in _fold_names(tau)})
 
 
@@ -672,7 +678,7 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
     check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
     pair, tau = bundle_pair(state, "nuisance")
     codec = FeatureCodec(**state["codec"])
-    split = _split_from_dict(state["split"], version)
+    split = _split_from_dict(state["split"], version, tau)
     common = dict(pair=pair, tau=tau, codec=codec,
                   clip_eps=float(state["clip_eps"]), split=split)
     if state["oracle_mode"]:

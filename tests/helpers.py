@@ -10,7 +10,7 @@ independent route.  The rest: an encoding inverse; a fresh-interpreter
 runner, and a suite's report from one pinned to one CPU and from one on
 all CPUs; ``same_bits``; ``recording``, a generator that records the
 threads its structural functions run on; and ``set_blocks``, which sets
-the block runners' CPU count, BLAS thread count and block sizes.
+the block runners' CPU count, BLAS limit and block sizes.
 """
 
 import dataclasses
@@ -80,14 +80,14 @@ def recording(dgp, name, record):
 
 def set_blocks(monkeypatch, cpus=None, *, blas=None, blas_rows=None, table_rows=None):
     """Set the block runners' knobs in :mod:`tvcate._blocks` for one test,
-    each left as it is when None: ``cpus`` usable CPUs, ``blas`` BLAS
-    threads as read (0: the count cannot be read), ``blas_rows``-row BLAS
-    blocks, and every table and simulation split into ``table_rows``-row
-    blocks."""
+    each left as it is when None: ``cpus`` usable CPUs, ``blas`` whether
+    the one-thread BLAS limit is in force (1) or not (0: a BLAS whose count
+    cannot be set), ``blas_rows``-row BLAS blocks, and every table and
+    simulation split into ``table_rows``-row blocks."""
     if cpus is not None:
         monkeypatch.setattr(_blocks, "_usable_cpus", lambda: cpus)
     if blas is not None:
-        monkeypatch.setattr(_blocks, "_blas_threads", lambda: blas)
+        monkeypatch.setattr(_blocks, "_limit_in_force", lambda: bool(blas))
     if blas_rows is not None:
         monkeypatch.setattr(_blocks, "_PREDICT_BLOCK_ROWS", blas_rows)
     if table_rows is not None:

@@ -230,6 +230,27 @@ class TestLoadChecks:
         with pytest.raises(ValueError, match="split lacks the required key 'trajectories'"):
             nuisances_from_dict(state)
 
+    @pytest.mark.parametrize("edit,field", [
+        pytest.param(lambda s: s.update(tau=2.5), "tau", id="tau 2.5"),
+        pytest.param(lambda s: s.update(tau="3"), "tau", id="tau '3'"),
+        pytest.param(lambda s: s.update(tau=0), "tau", id="tau 0"),
+        pytest.param(lambda s: s.update(tau=2), "tau", id="tau 2"),
+        pytest.param(lambda s: s.update(enabled="no"), "enabled", id="enabled 'no'"),
+        pytest.param(lambda s: s.update(enabled=1), "enabled", id="enabled 1"),
+        pytest.param(lambda s: s.update(trajectories=-1), "trajectories", id="trajectories -1"),
+        pytest.param(lambda s: s.update(trajectories=2.5), "trajectories",
+                     id="trajectories 2.5"),
+        pytest.param(lambda s: s.update(trajectories=None), "trajectories",
+                     id="trajectories None"),
+    ])
+    def test_split_of_another_kind_names_the_field(self, edit, field, fitted):
+        # a d1 tau = 1 bundle whose split once loaded as tau 2, 3 or 0, or
+        # read "no" as enabled and failed on the missing folds
+        state = json.loads(json.dumps(nuisances_to_dict(fitted[3])))
+        edit(state["split"])
+        with pytest.raises(ValueError, match=rf"^nuisance bundle: split\.{field} "):
+            nuisances_from_dict(state)
+
     def test_pair_must_match_tau(self, fitted):
         state = nuisances_to_dict(fitted[3])
         state["pair"] = {"a_seq": [1], "b_seq": [0]}

@@ -837,8 +837,9 @@ class RidgePasses:
 
 class TestBlockPass:
     """Ridge grams, right-hand sides and mapped predictions run their row
-    blocks on every CPU at one BLAS thread (``tvcate._blocks``), with
-    the bits of one share; in one share in the calling thread otherwise."""
+    blocks on every CPU while the one-thread BLAS limit is in force
+    (``tvcate._blocks``), with the bits of one share; in one share in the
+    calling thread otherwise."""
 
     @pytest.mark.parametrize("small", [False, True])
     @pytest.mark.parametrize("cpus", [2, 3, 8])
@@ -861,11 +862,12 @@ class TestBlockPass:
             assert run.keys() == want.keys()
             assert [name for name in want if run[name] != want[name]] == []
 
-    @pytest.mark.parametrize("blas,cpus", [(0, 3), (2, 3), (1, 1), (None, 3)])
+    @pytest.mark.parametrize("blas,cpus", [(0, 3), (1, 1), (None, 3)])
     def test_one_share_keeps_the_serial_bits(self, blas, cpus, monkeypatch):
-        # 0: the count cannot be read; 2: BLAS runs its own threads; None:
-        # this process's own count.  Off one BLAS thread every pass is one
-        # share in the calling thread, whatever the CPUs
+        # 0: the limit is not in force (a BLAS whose count cannot be set);
+        # None: this process's own, outside a package call.  Without the
+        # limit every pass is one share in the calling thread, whatever the
+        # CPUs
         set_blocks(monkeypatch, cpus, blas=blas)
         threads, original = set(), learners._gram
 
@@ -876,8 +878,8 @@ class TestBlockPass:
         passes = RidgePasses()
         threads.clear()
         got, want = passes.run(), passes.serial()
-        assert _blocks._shares(3) == (cpus if _blocks._blas_threads() == 1 else 1)
-        if _blocks._blas_threads() != 1:
+        assert _blocks._shares(3) == (cpus if _blocks._limit_in_force() else 1)
+        if not _blocks._limit_in_force():
             assert threads == {threading.current_thread().name}
         assert got.keys() == want.keys()
         assert [name for name in want if got[name] != want[name]] == []
@@ -1238,13 +1240,13 @@ def signal_fit(spec, n, seed):
 
 class TestNewtonPass:
     """The two-class solve's fused pass: loss, gradient and Hessian at a
-    point in one pass of fixed row blocks on every CPU at one BLAS thread,
-    in one block otherwise."""
+    point in one pass of fixed row blocks on every CPU while the one-thread
+    BLAS limit is in force, in one block otherwise."""
 
-    @pytest.mark.parametrize("blas,rows", [(0, 9000), (2, 9000), (1, 40), (1, 4097)])
+    @pytest.mark.parametrize("blas,rows", [(0, 9000), (1, 40), (1, 4097)])
     def test_one_block_has_the_bits_of_the_whole_row_formulas(self, blas, rows, monkeypatch):
-        # 0: the count cannot be read; 2: BLAS runs its own threads; at one
-        # BLAS thread, a table of up to 4097 rows is one block
+        # 0: the limit is not in force (a BLAS whose count cannot be set);
+        # under it, a table of up to 4097 rows is one block
         set_blocks(monkeypatch, blas=blas)
         phi, y, w, beta = binary_problem(rows, rows)
         loss = learners._BinaryLoss(phi, y, w, 1e-3)
@@ -1376,16 +1378,15 @@ class TestNewtonPass:
         slots = 9 * (1 + 65 + 65 * 65) * 8                  # 0.3 MB
         assert peak <= scratch + slots + 2 ** 20
 
-    def test_blas_threads_are_read_from_the_loaded_library(self, monkeypatch):
-        # NumPy's OpenBLAS on Linux lists itself in the process's maps; when
-        # no count can be read, the pass takes one block
-        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]["name"]
-        if "openblas" in blas and sys.platform.startswith("linux"):
-            assert run_on_one_thread("""
-                from tvcate import _blocks
-                print(_blocks._blas_threads())
-                """).split() == ["1"]
-        monkeypatch.setattr(_blocks, "_blas_thread_call", lambda: None)
-        assert _blocks._blas_threads() == 0
-        phi, y, w, _ = binary_problem(9000, 37)
-        assert learners._BinaryLoss(phi, y, w, 1e-3).edges == [0, 9000]
+    def test_without_an_openblas_count_the_pass_takes_one_block(self, monkeypatch):
+        # a BLAS whose count cannot be set: the limit is never in force
+        monkeypatch.setattr(_blocks, "_openblas", lambda: ())
+        X, labels = TestClassifier.signal(9000, 37)
+        edges, original = [], learners._BinaryLoss.__init__
+
+        def init(self, *args):
+            original(self, *args)
+            edges.append(self.edges)
+        monkeypatch.setattr(learners._BinaryLoss, "__init__", init)
+        fit_classifier(ClassifierSpec(l2=1e-2, seed=2), X, labels)
+        assert edges == [[0, 9000]]
