@@ -7,16 +7,16 @@ Work is split over the usable CPUs by sizes alone, in three ways:
 * tables and simulations of at least 1.5 * 2^16 rows (a simulation's rows
   are its trajectories) run their row-wise arithmetic in 2^16-row blocks
   (:func:`_table_blocks`);
-* BLAS products over rows, the two-class classifier's Newton pass and the
-  ridge grams, right-hand sides and predictions, run in 4096-row blocks
-  (:func:`_block_edges`) over the CPUs (:func:`_shares`): a prediction
-  block is mapped, centered and multiplied on its share, and a map's
-  (time, arm) groups are dealt whole to the shares (:func:`_deal`).
+* BLAS products over rows, the classifier's design, Newton pass and
+  predictions and the ridge grams, right-hand sides and predictions, run
+  in 4096-row blocks (:func:`_block_edges`) over the CPUs (:func:`_shares`):
+  a prediction block is mapped, centered and multiplied on its share, and
+  a map's (time, arm) groups are dealt whole to the shares (:func:`_deal`).
 
 While a public fit or prediction runs, it holds every loaded OpenBLAS at
 one thread, for the process's other threads too (:func:`_one_blas_thread`),
 so the user's BLAS setting picks no path and no bit.  A BLAS whose count
-cannot be set runs each pass as one share in the calling thread.
+cannot be set runs the one-CPU layout: the same blocks, on one share.
 
 Smaller work is one span in the calling thread.  No edge depends on the
 CPU count, an elementwise operation gives each element the same bits in
@@ -107,7 +107,7 @@ def _one_blas_thread():
 
 
 def _limit_in_force() -> bool:
-    """Whether a package call holds OpenBLAS at one thread: never without one."""
+    """Whether a package call holds OpenBLAS at one thread; :func:`_shares` asks."""
     return _limit_depth > 0 and bool(_openblas())
 
 
@@ -170,7 +170,7 @@ def _block_edges(n: int, rows: int = 0, least: int = 2) -> list:
 def _shares(blocks: int) -> int:
     """Shares of a pass over ``blocks`` row blocks: one per usable CPU, at
     most one per block, while the limit is in force (:func:`_limit_in_force`);
-    else one, in the calling thread."""
+    else one, in the calling thread, over the same blocks."""
     return max(min(_usable_cpus(), blocks), 1) if _limit_in_force() else 1
 
 

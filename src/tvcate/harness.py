@@ -39,7 +39,8 @@ point is checked before any job starts.  Both return an
 in a sweep only, and both write through one writer that formats every file
 before it writes the first.  Result files per experiment: a row-level CSV
 (``learner,tau,seed,rmse,walltime_s,clip_fraction``, reals at 17 significant
-digits), a JSON mirror of the same rows plus the config, and a
+digits), a JSON mirror of the same rows plus the config (less
+``output_dir``: the bytes do not depend on where they go), and a
 per-(learner, tau) summary CSV with mean and standard deviation of RMSE
 across seeds.  The overlap sweep prepends a
 ``gamma`` column and emits a plot-data JSON with per-gamma mean curves.
@@ -578,9 +579,10 @@ def format_summary_csv(result: ExperimentResult) -> str:
 
 
 def results_to_json_dict(result: ExperimentResult) -> Dict[str, object]:
-    """JSON mirror of the result CSV plus the config and advisories."""
+    """JSON mirror of the result CSV plus the config (less ``output_dir``,
+    which says where the files went, not what ran) and advisories."""
     return {
-        "config": config_to_dict(result.config),
+        "config": {k: v for k, v in config_to_dict(result.config).items() if k != "output_dir"},
         "rows": [_row_dict(result, r) for r in result.rows],
         "summary": summarize(result),
         "advisories": list(result.advisories),

@@ -28,11 +28,12 @@ encoded positions), from which fits and predictions take rows by index.
 :func:`fit_regressor` maps its rows and fits them all.  Only this module
 tells the kinds apart.
 
-The elementwise part of a cosine map, the two-class Newton pass and the
-ridge grams, right-hand sides and mapped predictions run in row blocks
-over the CPUs through :mod:`tvcate._blocks`, which states the split rules
-and why no result depends on the CPU count or on the BLAS thread setting:
-each public fit and prediction holds every loaded OpenBLAS at one thread.
+The elementwise part of a cosine map, the classifier's design, Newton
+pass and predictions, and the ridge grams, right-hand sides and mapped
+predictions run in row blocks over the CPUs through :mod:`tvcate._blocks`,
+which states the split rules and why no result depends on the CPU count
+or on the BLAS thread setting: each public fit and prediction holds every
+loaded OpenBLAS at one thread.  A prediction reads a model's parameters alone.
 
 The classifier is multinomial logistic regression (optional random cosine
 features) fitted on the weighted cross-entropy: with two classes by Newton's
@@ -51,7 +52,7 @@ does not promise one ``Generator.normal`` stream across versions).  Format
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -81,12 +82,13 @@ CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 BUNDLE_FORMAT_VERSION = 2
 
 
-def _validate_count(value, name, least=1):
+def _validate_count(value, name, least=1) -> int:
     # bool is an int subclass: reject it along with floats and strings
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
+    return int(value)
 
 
 def _validate_penalty(value, name):
@@ -146,6 +148,25 @@ def require_keys(state, keys, what: str) -> None:
     for key in keys:
         if key not in state:
             raise ValueError(f"{what} lacks the required key {key!r}")
+
+
+def _bundled_real(raw: dict, key: str, where: str, penalty: bool = False) -> float:
+    """``raw[key]``, a finite real (>= 0 for a ``penalty``), else ValueError naming it."""
+    value, bound = raw[key], " >= 0" if penalty else ""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
+            np.isfinite(value) and (value >= 0 or not penalty)):
+        raise ValueError(f"{where}: params.{key} must be a finite real{bound}")
+    return float(value)
+
+
+def _bundled_spec(cls, state: dict, where: str, drop: tuple = ()):
+    """``cls`` built from the JSON object ``state["spec"]`` less the keys of
+    ``drop``; a bad spec raises ValueError naming ``where: spec``."""
+    require_keys(state["spec"], (), f"{where}: spec")
+    try:
+        return cls(**{key: v for key, v in state["spec"].items() if key not in drop})
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{where}: spec: {exc}") from exc
 
 
 def _bundled_array(raw: dict, key: str, shape: tuple, where: str) -> np.ndarray:
@@ -270,12 +291,13 @@ class FittedRegressor:
     def from_dict(state: dict, where: str = "regressor",
                   version: int = BUNDLE_FORMAT_VERSION) -> "FittedRegressor":
         """Load ``to_dict``'s state, of bundle format ``version``; a missing
-        key, a mis-shaped array or a digest mismatch raises ValueError naming
-        ``where``."""
+        key, a bad spec, count or real, a mis-shaped array or a digest
+        mismatch raises ValueError naming ``where`` and the field."""
         require_keys(state, ("spec", "in_dim", "n_rows", "params"), where)
         # bundles written while a kNN kind existed carry its neighbor count "k"
-        spec = RegressorSpec(**{key: v for key, v in state["spec"].items() if key != "k"})
-        in_dim, raw = int(state["in_dim"]), state["params"]
+        spec = _bundled_spec(RegressorSpec, state, where, drop=("k",))
+        in_dim, raw = _validate_count(state["in_dim"], f"{where}: in_dim"), state["params"]
+        n_rows = _validate_count(state["n_rows"], f"{where}: n_rows")
         if spec.kind == "ridge-random-features":
             require_keys(raw, ("beta", "phi_mean", "intercept", "ridge_lambda_used"),
                          f"{where}: params")
@@ -283,14 +305,14 @@ class FittedRegressor:
             W, b = _bundled_map(raw, in_dim, spec, where, version)
             params = {"W": W, "b": b, "beta": _bundled_array(raw, "beta", (F,), where),
                       "phi_mean": _bundled_array(raw, "phi_mean", (F,), where),
-                      "intercept": float(raw["intercept"]),
-                      "ridge_lambda_used": float(raw["ridge_lambda_used"])}
+                      "intercept": _bundled_real(raw, "intercept", where),
+                      "ridge_lambda_used": _bundled_real(raw, "ridge_lambda_used", where, True)}
         else:
             require_keys(raw, ("keys", "values", "default"), f"{where}: params")
             table = {np.array(k, dtype=float).tobytes(): float(v)
                      for k, v in zip(raw["keys"], raw["values"])}
-            params = {"table": table, "default": float(raw["default"])}
-        return FittedRegressor(spec, in_dim, int(state["n_rows"]), params)
+            params = {"table": table, "default": _bundled_real(raw, "default", where)}
+        return FittedRegressor(spec, in_dim, n_rows, params)
 
 
 def _row_blocks(phi, rows=None):
@@ -318,13 +340,12 @@ def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
     of a map.  Each block is taken once; each model centers it by its
     ``phi_mean`` and multiplies by its ``beta`` into its rows of its output,
     the last model of a filled block in place and every other through its
-    share's scratch, in ``_SUB_BLOCK_ROWS`` sub-blocks while the limit is in
-    force (the block's bits on one BLAS thread) and whole blocks otherwise."""
+    share's scratch, in ``_SUB_BLOCK_ROWS`` sub-blocks (the block's bits on
+    one BLAS thread)."""
     shares, n = _shares(len(edges) - 1), edges[-1]
     outs = [np.empty(n) for _ in models]
     buf = _share_blocks(shares, n, width) if fills else None
-    sub = (_blocks._SUB_BLOCK_ROWS if _blocks._limit_in_force()
-           else _blocks._PREDICT_BLOCK_ROWS, _blocks._SUB_BLOCK_LEAST)
+    sub = _blocks._SUB_BLOCK_ROWS, _blocks._SUB_BLOCK_LEAST
     scratch = None if fills and len(models) == 1 else _share_blocks(shares, n, width, *sub)
 
     def work(span, j):
@@ -353,9 +374,9 @@ def predict_many(models, features) -> list:
     multiplied one row block at a time (:func:`_block_edges`), each block
     on one share of the CPUs (:func:`_predict_mapped`), so the peak memory
     of a prediction is about a block of the map per CPU whatever the row
-    count.  One block, or one share (a BLAS whose count cannot be set), is
-    mapped with its ``cos`` over the CPUs.  On one OpenBLAS 0.3 thread every
-    prediction has the bits of the one whole-map product
+    count.  When one share maps every block, it chunks its ``cos`` over the
+    CPUs.  On one OpenBLAS 0.3 thread every prediction has the bits of the
+    one whole-map product
     ``(_cosine_features(X, W, b) - phi_mean) @ beta + intercept``: row
     blocks of ``X @ W`` keep them when the feature count is a multiple of 8,
     and at other counts, where they need not, the map is made whole.
@@ -772,20 +793,18 @@ class _BinaryLoss:
     One pass makes all three at a point: per row block, ``z = block @
     beta``, the loss and gradient sums, then A and A^T A (BLAS ``syrk``),
     each into the block's slot; the slots are added in block order
-    (:func:`_in_order`), the penalty last.  The blocks (the rule is
-    :func:`_solve_logistic`'s) and the scratch of every share are fixed
-    when the instance is made, in the calling thread.  The values at the
-    last point are kept, because the solver asks for the loss and the
-    Hessian at each point it proposes; an instance serves one solve, so one
-    ``l2``.
+    (:func:`_in_order`), the penalty last.  The blocks (:func:`_block_edges`)
+    and the scratch of every share are fixed when the instance is made.
+    The values at the last point are kept, because the solver asks for the
+    loss and the Hessian at each point it proposes; an instance serves one
+    solve, so one ``l2``.
     """
 
     def __init__(self, phi, y, w, l2):
         n, width = phi.shape
         self.phi, self.y, self.w, self.l2 = phi, y, w, l2
-        self.edges = _block_edges(n) if _blocks._limit_in_force() else [0, n]
-        blocks = len(self.edges) - 1
-        rows = max(hi - lo for lo, hi in zip(self.edges, self.edges[1:]))
+        self.edges = _block_edges(n)
+        blocks, rows = len(self.edges) - 1, min(n, _blocks._PREDICT_BLOCK_ROWS + 1)
         self.scratch = [(np.empty((rows, width)), np.empty((4, rows)))
                         for _ in range(_shares(blocks))]
         self.parts = np.empty(blocks), np.empty((blocks, width)), np.empty((blocks, width, width))
@@ -832,67 +851,45 @@ class _BinaryLoss:
         return self._at(beta)[2]
 
 
-def _design(X, W, b) -> np.ndarray:
+def _design(X, W, b, chunks: int = 0) -> np.ndarray:
     """The classifier's rows [phi(X), 1]: the cosine map of ``X`` under
     (W, b), or ``X`` itself when W is None, and the intercept's column of
-    ones.  The map is made one :func:`_block_edges` block at a time, the
-    blocks :meth:`FittedClassifier.predict_proba` maps, so a prediction at
-    the training rows has the bits of the fit's design."""
+    ones.  Each :func:`_block_edges` block is mapped on one share into its
+    buffer, its ``cos`` in ``chunks`` chunks (when 0, over the CPUs if one
+    share maps every block, else one), and copied in."""
     n = X.shape[0]
     F = X.shape[1] if W is None else W.shape[1]
     out = np.empty((n, F + 1))
     out[:, F] = 1.0
     edges = _block_edges(n)
-    for lo, hi in zip(edges, edges[1:]):
-        out[lo:hi, :F] = X[lo:hi] if W is None else _cosine_features(X[lo:hi], W, b)
+    shares = _shares(len(edges) - 1)
+    buf = None if W is None else _share_blocks(shares, n, F)
+    chunks = chunks or (0 if shares == 1 else 1)
+
+    def work(span, j):
+        out[span, :F] = X[span] if W is None else _cosine_features(
+            X[span], W, b, buf[j][:span.stop - span.start], chunks)
+    _run_spans(edges, shares, work)
     return out
-
-
-def _probabilities(design_of, n: int, theta: np.ndarray) -> np.ndarray:
-    """Class probabilities of ``n`` rows, clipped to [eps, 1 - eps] and
-    renormalized; ``design_of(lo, hi)`` gives the design rows of one
-    :func:`_block_edges` block, which is multiplied by ``theta`` alone."""
-    edges = _block_edges(n)
-    P = np.empty((n, theta.shape[1]))
-    for lo, hi in zip(edges, edges[1:]):
-        P[lo:hi] = _softmax(design_of(lo, hi) @ theta)
-    np.clip(P, _PROB_EPS, 1.0 - _PROB_EPS, out=P)
-    P /= P.sum(axis=1, keepdims=True)
-    return P
-
-
-def _rows_digest(X: np.ndarray) -> bytes:
-    """SHA-256 of the rows' float64 bytes in C order."""
-    return hashlib.sha256(np.ascontiguousarray(X, dtype=float).data).digest()
 
 
 @dataclass(frozen=True)
 class FittedClassifier:
-    """Immutable fitted classifier; probabilities are clipped only at evaluation.
-
-    A model that :func:`fit_classifier` returns holds ``fitted_rows``: a
-    digest of its training rows and its probabilities there, evaluated from
-    the fit's own map.  Bundles do not store them.
-    """
+    """Immutable fitted classifier; probabilities are clipped only at evaluation."""
 
     spec: ClassifierSpec
     in_dim: int
     n_classes: int
     n_rows: int
     params: dict
-    fitted_rows: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     @_blocks._one_blas_thread()
     def predict_proba(self, features) -> np.ndarray:
-        """Class probabilities at ``features``.
-
-        The map is made and multiplied by ``theta`` one 4096-row block at a
-        time (:func:`_block_edges`), so the peak memory of a prediction is
-        about two blocks of the map whatever the row count.  At rows of the
-        same bytes as the training rows it returns the probabilities the fit
-        evaluated from its map, in the same blocks, so they have the bits of
-        mapping those rows again.
-        """
+        """Class probabilities at ``features``, in one pass of
+        :func:`_block_edges` blocks over the shares: each share makes its
+        block's design (:func:`_design`, so the training rows get the bits
+        of the fit's) and writes its softmax of the product with ``theta``.
+        A prediction holds about two blocks of the map per share."""
         features = np.asarray(features, dtype=float)
         squeeze = features.ndim == 1
         if squeeze:
@@ -900,13 +897,14 @@ class FittedClassifier:
         if features.shape[1] != self.in_dim:
             raise ValueError(f"feature width {features.shape[1]} does not match "
                              f"training width {self.in_dim}")
-        if (self.fitted_rows is not None and features.shape[0] == self.n_rows
-                and _rows_digest(features) == self.fitted_rows[0]):
-            P = self.fitted_rows[1].copy()
-        else:
-            W, b = self.params.get("W"), self.params.get("b")
-            P = _probabilities(lambda lo, hi: _design(features[lo:hi], W, b),
-                               features.shape[0], self.params["theta"])
+        W, b, theta = self.params.get("W"), self.params.get("b"), self.params["theta"]
+        edges = _block_edges(features.shape[0])
+        shares = _shares(len(edges) - 1)
+        P = np.empty((features.shape[0], self.n_classes))
+        _run_spans(edges, shares, lambda span, j: np.copyto(
+            P[span], _softmax(_design(features[span], W, b, 0 if shares == 1 else 1) @ theta)))
+        np.clip(P, _PROB_EPS, 1.0 - _PROB_EPS, out=P)
+        P /= P.sum(axis=1, keepdims=True)
         return P[0] if squeeze else P
 
     def to_dict(self) -> dict:
@@ -922,15 +920,17 @@ class FittedClassifier:
                   version: int = BUNDLE_FORMAT_VERSION) -> "FittedClassifier":
         """Load ``to_dict``'s state (see :meth:`FittedRegressor.from_dict`)."""
         require_keys(state, ("spec", "in_dim", "n_classes", "n_rows", "params"), where)
-        spec = ClassifierSpec(**state["spec"])
-        in_dim, n_classes, raw = int(state["in_dim"]), int(state["n_classes"]), state["params"]
+        spec = _bundled_spec(ClassifierSpec, state, where)
+        in_dim, raw = _validate_count(state["in_dim"], f"{where}: in_dim"), state["params"]
+        n_classes = _validate_count(state["n_classes"], f"{where}: n_classes", 2)
+        n_rows = _validate_count(state["n_rows"], f"{where}: n_rows")
         require_keys(raw, ("theta", "l2_used"), f"{where}: params")
         width = (spec.feature_count if spec.use_random_features else in_dim) + 1
         params = {"theta": _bundled_array(raw, "theta", (width, n_classes), where),
-                  "l2_used": float(raw["l2_used"])}
+                  "l2_used": _bundled_real(raw, "l2_used", where, True)}
         if spec.use_random_features:
             params["W"], params["b"] = _bundled_map(raw, in_dim, spec, where, version)
-        return FittedClassifier(spec, in_dim, n_classes, int(state["n_rows"]), params)
+        return FittedClassifier(spec, in_dim, n_classes, n_rows, params)
 
 
 @_blocks._one_blas_thread()
@@ -968,11 +968,9 @@ def fit_classifier(spec: ClassifierSpec, features, labels, weight=None,
     l2 = spec.l2
     if l2 == "auto":
         l2 = _holdout_l2(spec, phi, labels, w, K)
-    theta = params["theta"] = _solve_logistic(spec, phi, labels, w, l2, K)
+    params["theta"] = _solve_logistic(spec, phi, labels, w, l2, K)
     params["l2_used"] = float(l2)
-    proba = _probabilities(lambda lo, hi: phi[lo:hi], n, theta)
-    proba.flags.writeable = False
-    return FittedClassifier(spec, X.shape[1], K, n, params, (_rows_digest(X), proba))
+    return FittedClassifier(spec, X.shape[1], K, n, params)
 
 
 def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
@@ -986,8 +984,7 @@ def _solve_logistic(spec, phi, labels, w, l2, n_classes, theta0=None):
     intercept row is set so too), so that is its optimum.  One
     :class:`_BinaryLoss` per solve makes the loss, gradient and Hessian at
     each point the solver proposes in one fused pass over 4096-row blocks
-    (:mod:`tvcate._blocks`): one block, with the bits of whole-row products,
-    where no OpenBLAS thread count can be set.  More classes take L-BFGS.
+    (:mod:`tvcate._blocks`).  More classes take L-BFGS.
     """
     width = phi.shape[1]
     if theta0 is None:

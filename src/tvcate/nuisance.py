@@ -351,8 +351,8 @@ def propensities_at_positions(model: FittedClassifier, panel: Panel,
                               codec: FeatureCodec) -> np.ndarray:
     """Class probabilities at every panel row, from one ``predict_proba`` in
     the classifier's training order.  Without a split these are its training
-    rows, so the model returns the probabilities its fit evaluated and maps
-    nothing again."""
+    rows, mapped again in the blocks of the fit's design, so they have the
+    bits of the fit's own map."""
     rows = _classifier_positions(panel)
     proba = np.empty((rows.size, model.n_classes))
     proba[rows] = model.predict_proba(panel.encoded(codec)[rows])
@@ -484,8 +484,8 @@ class NuisanceSet:
 
     def at(self, table: RowTable) -> "NuisanceSet":
         """The set, or a copy that also holds its fitted models' values on the
-        table's panel: pi-hat from one ``predict_proba`` at every position,
-        mu-hat from one map per level shared by both arms."""
+        table's panel: pi-hat from one ``predict_proba`` that maps every
+        position, mu-hat from one map per level shared by both arms."""
         changes, model, models = {}, self.propensity_model, self.response_models
         if model is not None and not _serves(self.pi_values, table, model):
             changes["pi_values"] = FittedValues(table.panel, table.codec, model,

@@ -299,6 +299,23 @@ class TestEmit:
         assert table[0].split()[:2] == ["gamma", "learner"]
         assert table[2].split()[:3] == ["4", "DR", "41.5000"]
 
+    @pytest.mark.parametrize("emit", [emit_results, emit_sweep])
+    def test_one_config_into_two_directories_writes_the_same_bytes(self, emit, tmp_path):
+        # the JSON records the config but not output_dir, which says where
+        # the files went, not what ran
+        cfg = dataclasses.replace(default_sweep_config(), seeds=(0,), gammas=(0.0,),
+                                  learners=("DR",))
+        files = []
+        for out in ("first", "second"):
+            result = ExperimentResult(dataclasses.replace(cfg, output_dir=str(tmp_path / out)),
+                                      (ResultRow("DR", 1, 0, 0.1, 0.0, 0.0, gamma=0.0),))
+            paths = emit(result).values()
+            assert {os.path.dirname(path) for path in paths} == {str(tmp_path / out)}
+            files.append({os.path.basename(path): open(path, "rb").read() for path in paths})
+        assert files[0] == files[1]
+        config = json.loads(files[0][emit.__name__.replace("emit_", "") + ".json"])["config"]
+        assert "output_dir" not in config and config["dgp"] == "d3"
+
     def test_failing_formatter_writes_no_file(self, tmp_path, monkeypatch):
         def failing(result):
             raise RuntimeError("summary failed")
@@ -423,13 +440,12 @@ class TestBlasThreadCount:
         src = os.path.dirname(os.path.dirname(tvcate.__file__))
         env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
                    PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-        # one relative --out for both: results.json holds the config
-        cwd = tmp_path / f"threads{threads}"
-        cwd.mkdir()
+        # results.json does not record where it went
+        out = tmp_path / f"threads{threads}"
         subprocess.run([sys.executable, "-m", "tvcate.cli", "run", "--fast",
-                        "--taus=0,1", "--seeds=0", "--out", "out"],
-                       cwd=cwd, env=env, check=True, capture_output=True, text=True)
-        return {path.name: path.read_bytes() for path in (cwd / "out").iterdir()}
+                        "--taus=0,1", "--seeds=0", "--out", str(out)],
+                       cwd=tmp_path, env=env, check=True, capture_output=True, text=True)
+        return {path.name: path.read_bytes() for path in out.iterdir()}
 
     def test_one_and_two_threads_agree(self, tmp_path):
         one, two = self.files(tmp_path, 1), self.files(tmp_path, 2)

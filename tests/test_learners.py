@@ -3,6 +3,7 @@ import hashlib
 import json
 import multiprocessing
 import os
+import re
 import sys
 import threading
 import tracemalloc
@@ -26,7 +27,7 @@ from tvcate.learners import (
     predict_many,
 )
 
-from helpers import run_on_one_thread, set_blocks
+from helpers import run_on_one_thread, same_bits, set_blocks
 
 
 def sigmoid(z):
@@ -1012,6 +1013,42 @@ class TestSerialization:
                                    atol=1e-15)
 
 
+    @staticmethod
+    def bundled(kind):
+        """A small fitted model of ``kind``'s state and its loader."""
+        rng = np.random.default_rng(8)
+        X = rng.integers(0, 3, size=(60, 2)).astype(float)
+        if kind == "classifier":
+            model = fit_classifier(ClassifierSpec(feature_count=8, l2=1e-2), X, X[:, 0] > 0)
+            return model.to_dict(), FittedClassifier.from_dict
+        spec = LOOKUP_TABLE if kind == "lookup" else RegressorSpec(feature_count=8, seed=1)
+        return fit_regressor(spec, X, rng.normal(size=60)).to_dict(), FittedRegressor.from_dict
+
+    @pytest.mark.parametrize("kind,path,value", [
+        ("ridge", "in_dim", [1, 2]), ("ridge", "in_dim", 2.5), ("ridge", "n_rows", -1),
+        ("ridge", "spec", 3), ("ridge", "spec", [1, 2]), ("ridge", "spec.bandwidth", "x"),
+        ("ridge", "spec.feature_count", 2.5), ("ridge", "params.intercept", None),
+        ("ridge", "params.intercept", float("nan")), ("ridge", "params.ridge_lambda_used", -1),
+        ("ridge", "params.ridge_lambda_used", "x"), ("lookup", "params.default", None),
+        ("lookup", "params.default", float("inf")), ("classifier", "in_dim", [1, 2]),
+        ("classifier", "in_dim", True), ("classifier", "n_classes", 1),
+        ("classifier", "n_rows", -1), ("classifier", "n_rows", 2.5), ("classifier", "spec", 3),
+        ("classifier", "spec", [1, 2]), ("classifier", "spec.bandwidth", "x"),
+        ("classifier", "params.l2_used", None), ("classifier", "params.l2_used", float("nan")),
+        ("classifier", "params.l2_used", -1e-3)])
+    def test_a_bad_scalar_raises_value_error_naming_its_field(self, kind, path, value):
+        state, load = self.bundled(kind)
+        load(json.loads(json.dumps(state)), "model")
+        *parents, key = path.split(".")
+        node = state
+        for parent in parents:
+            node = node[parent]
+        node[key] = value
+        field = "spec" if path.startswith("spec") else path
+        with pytest.raises(ValueError, match=f"^model: {re.escape(field)}"):
+            load(state, "model")
+
+
 class TestClassifier:
     def test_balanced_label_independent_data_predicts_half(self):
         rng = np.random.default_rng(8)
@@ -1157,33 +1194,22 @@ class TestClassifier:
             p1 = model.predict_proba(x)[:, 1]
         assert np.all(p1[labels == 1] > 0.5) and np.all(p1[labels == 0] < 0.5)
 
-    def test_training_rows_are_evaluated_from_the_fits_map(self, monkeypatch):
-        # predict_proba at rows of the training bytes returns what the fit
-        # evaluated from its own map, maps nothing, and has the bits of a
-        # bundled copy mapping them again; other rows are mapped
-        from tvcate import learners
-
+    def test_training_rows_have_the_bits_of_a_bundled_copy(self):
+        # a fit holds its parameters alone: at its training rows it maps them
+        # again, with the bits of the blocks of the fit's design and of a
+        # copy loaded from its bundle
         X, labels = self.signal(9000, 16)
         model = fit_classifier(ClassifierSpec(l2=1e-2, seed=2), X, labels)
         clone = FittedClassifier.from_dict(json.loads(json.dumps(model.to_dict())))
-        mapped, original = [], learners._cosine_features
+        proba = model.predict_proba(X)
+        assert same_bits(proba, clone.predict_proba(X.copy()))
+        design = learners._design(X, model.params["W"], model.params["b"])
+        assert same_bits(proba, serial_proba(model, design))
 
-        def counting(X, W, b):
-            mapped.append(X.shape[0])
-            return original(X, W, b)
-        monkeypatch.setattr(learners, "_cosine_features", counting)
-        proba = model.predict_proba(X.copy())
-        assert mapped == []
-        assert np.array_equal(proba, clone.predict_proba(X))
-        assert mapped == [4096, 4096, 808]
-        moved = X.copy()
-        moved[-1, 0] += 1e-9
-        model.predict_proba(moved)
-        assert mapped[3:] == [4096, 4096, 808]
-
-    def test_peak_memory_does_not_grow_with_the_rows(self):
-        # a block of the 64-feature map and the block of design rows it is
-        # copied into at most, whatever the row count
+    def test_peak_memory_does_not_grow_with_the_rows(self, monkeypatch):
+        # per share, a block of the 64-feature map and the block of design
+        # rows it is copied into at most, whatever the row count
+        set_blocks(monkeypatch, 2, blas=1)
         X, labels = self.signal(500, 17)
         model = fit_classifier(ClassifierSpec(l2=1e-2), X, labels)
         peaks = []
@@ -1196,9 +1222,92 @@ class TestClassifier:
             finally:
                 tracemalloc.stop()
             peaks.append(peak - proba.nbytes)
-        two_blocks = 2 * 4097 * 65 * 8               # about 4.3 MB
+        two_blocks = 2 * 4097 * (64 + 65) * 8        # about 8.5 MB: two shares
         assert max(peaks) <= two_blocks + 2 ** 20
         assert abs(peaks[1] - peaks[0]) <= 2 ** 20
+
+
+def serial_proba(model, design=None, X=None):
+    """``predict_proba`` as one loop over the row blocks in the calling
+    thread: each block's design rows, mapped afresh from ``X`` (or taken
+    from ``design``), times ``theta``, then clipped and renormalized."""
+    W, b, theta = model.params.get("W"), model.params.get("b"), model.params["theta"]
+    n = (design if X is None else X).shape[0]
+    P = np.empty((n, theta.shape[1]))
+    edges = _blocks._block_edges(n)
+    for lo, hi in zip(edges, edges[1:]):
+        if X is not None:
+            rows = X[lo:hi] if W is None else learners._cosine_features(X[lo:hi], W, b)
+            block = np.hstack([rows, np.ones((hi - lo, 1))])
+        else:
+            block = design[lo:hi]
+        P[lo:hi] = learners._softmax(block @ theta)
+    np.clip(P, learners._PROB_EPS, 1.0 - learners._PROB_EPS, out=P)
+    return P / P.sum(axis=1, keepdims=True)
+
+
+class TestClassifierShares:
+    """The classifier's design and predictions run their 4096-row blocks on
+    the shares, with the bits of one share."""
+
+    @staticmethod
+    def model(kind):
+        X, labels = TestClassifier.signal(3000, 40)
+        if kind == "three classes":
+            labels = labels + (X[:, 1] > 1.0)
+        spec = (ClassifierSpec(use_random_features=False, l2=1e-2) if kind == "plain"
+                else ClassifierSpec(l2=1e-2, seed=5))
+        return fit_classifier(spec, X, labels)
+
+    @pytest.mark.parametrize("kind", ["cosine", "plain", "three classes"])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
+    def test_predictions_have_the_bits_of_one_share(self, cpus, kind, monkeypatch):
+        set_blocks(monkeypatch, cpus, blas=1)
+        model = self.model(kind)
+        grid = np.random.default_rng(41).normal(size=(12_000, 2))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = {n: model.predict_proba(grid[:n]) for n in (1, 2, 4097, 4098, 8193, 12_000)}
+        finally:
+            sys.setswitchinterval(interval)
+        assert _blocks._shares(3) == cpus
+        assert [n for n, P in got.items()
+                if not same_bits(P, serial_proba(model, X=grid[:n]))] == []
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    def test_designs_have_the_bits_of_one_cpu(self, cpus, monkeypatch):
+        X = np.random.default_rng(42).normal(size=(12_000, 3))
+        W, b = learners.random_cosine_map(3, 64, 2.0, 6)
+        set_blocks(monkeypatch, 1, blas=1)
+        want = [learners._design(X, W, b), learners._design(X, None, None)]
+        set_blocks(monkeypatch, cpus)
+        got = [learners._design(X, W, b), learners._design(X, None, None)]
+        assert all(same_bits(g, w) for g, w in zip(got, want))
+
+    def test_without_the_limit_fits_and_predictions_have_the_one_cpu_bits(self, monkeypatch):
+        # a BLAS whose count cannot be set runs the one-CPU layout: the same
+        # blocks and sub-blocks on one share, whatever the CPUs
+        X, labels = TestClassifier.signal(9000, 43)
+        grid = np.random.default_rng(44).normal(size=(9000, 2))
+        rng = np.random.default_rng(45)
+        models, rows = TestPredictMany.share_models(rng), rng.normal(size=(9000, 19))
+        y, w = rng.normal(size=9000), rng.uniform(0.5, 2.0, 9000)
+
+        def run():
+            classifier = fit_classifier(ClassifierSpec(seed=3), X, labels)
+            raw = RowMap(models[0].spec, rows)
+            ridge = raw.fit(models[0].spec, y, w)
+            outs = [classifier.params["theta"], classifier.predict_proba(grid),
+                    ridge.params["beta"]]
+            return [out.tobytes() for out in outs + predict_many(models + [ridge], rows)
+                    + raw.predict([ridge, models[0]], np.arange(0, 9000, 2))]
+        set_blocks(monkeypatch, 1, blas=1)
+        want = run()
+        set_blocks(monkeypatch, 3, blas=0)
+        assert _blocks._shares(3) == 1
+        got = run()
+        assert [k for k, (a, b) in enumerate(zip(got, want)) if a != b] == []
 
 
 def whole_row_loss(beta, phi, y, w, l2):
@@ -1243,10 +1352,10 @@ class TestNewtonPass:
     point in one pass of fixed row blocks on every CPU while the one-thread
     BLAS limit is in force, in one block otherwise."""
 
-    @pytest.mark.parametrize("blas,rows", [(0, 9000), (1, 40), (1, 4097)])
+    @pytest.mark.parametrize("blas,rows", [(0, 4097), (1, 40), (1, 4097)])
     def test_one_block_has_the_bits_of_the_whole_row_formulas(self, blas, rows, monkeypatch):
         # 0: the limit is not in force (a BLAS whose count cannot be set);
-        # under it, a table of up to 4097 rows is one block
+        # with it or without, a table of up to 4097 rows is one block
         set_blocks(monkeypatch, blas=blas)
         phi, y, w, beta = binary_problem(rows, rows)
         loss = learners._BinaryLoss(phi, y, w, 1e-3)
@@ -1285,16 +1394,19 @@ class TestNewtonPass:
 
     @pytest.mark.parametrize("cpus", [2, 3])
     def test_fits_have_the_bits_of_one_cpu(self, cpus, monkeypatch):
-        # the penalty grid's solves and the last, and the probabilities
+        # the penalty grid's solves and the last, and the probabilities at
+        # the training rows
         set_blocks(monkeypatch, blas=1)
         spec = ClassifierSpec(seed=3)
+        X = TestClassifier.signal(12_000, 32)[0]
         set_blocks(monkeypatch, 1)
         want = signal_fit(spec, 12_000, 32)
+        want_proba = want.predict_proba(X)
         set_blocks(monkeypatch, cpus)
         got = signal_fit(spec, 12_000, 32)
         assert got.params["l2_used"] == want.params["l2_used"]
         assert got.params["theta"].tobytes() == want.params["theta"].tobytes()
-        assert got.fitted_rows[1].tobytes() == want.fitted_rows[1].tobytes()
+        assert same_bits(got.predict_proba(X), want_proba)
 
     @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity call")
     def test_one_cpu_process_fits_with_the_bits_of_every_cpu(self):
@@ -1378,15 +1490,17 @@ class TestNewtonPass:
         slots = 9 * (1 + 65 + 65 * 65) * 8                  # 0.3 MB
         assert peak <= scratch + slots + 2 ** 20
 
-    def test_without_an_openblas_count_the_pass_takes_one_block(self, monkeypatch):
-        # a BLAS whose count cannot be set: the limit is never in force
+    def test_without_an_openblas_count_the_pass_takes_one_share(self, monkeypatch):
+        # a BLAS whose count cannot be set: the limit is never in force, and
+        # the pass runs its blocks on one share, whatever the CPUs
         monkeypatch.setattr(_blocks, "_openblas", lambda: ())
+        set_blocks(monkeypatch, 3)
         X, labels = TestClassifier.signal(9000, 37)
-        edges, original = [], learners._BinaryLoss.__init__
+        layouts, original = [], learners._BinaryLoss.__init__
 
         def init(self, *args):
             original(self, *args)
-            edges.append(self.edges)
+            layouts.append((self.edges, len(self.scratch)))
         monkeypatch.setattr(learners._BinaryLoss, "__init__", init)
         fit_classifier(ClassifierSpec(l2=1e-2, seed=2), X, labels)
-        assert edges == [[0, 9000]]
+        assert layouts == [([0, 4096, 8192, 9000], 1)]

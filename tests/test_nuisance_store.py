@@ -223,9 +223,9 @@ def map_rows(monkeypatch):
     maps = collections.Counter()
     original = learners_module._cosine_features
 
-    def counting(X, W, b):
+    def counting(X, W, b, *rest):
         maps[W.shape[1], X.shape[0]] += 1
-        return original(X, W, b)
+        return original(X, W, b, *rest)
     monkeypatch.setattr(learners_module, "_cosine_features", counting)
     return maps
 
@@ -282,8 +282,8 @@ class TestHeldDesign:
     def test_seed_job_map_rows(self, monkeypatch):
         # d1 with 500 training and 100 test trajectories of length 5: 2500
         # training and 500 test positions, each mapped once per map for
-        # every tau and learner; the classifier maps its training rows once,
-        # to fit, and evaluates every position from that map
+        # every tau and learner; the classifier maps its training rows to
+        # fit, and every position again to evaluate them
         cfg = ExperimentConfig(n_train=500, n_test=100, seeds=(0,), taus=(0, 1, 2),
                                classifier_l2=1e-2)
         names = {}
@@ -296,12 +296,12 @@ class TestHeldDesign:
         counts = collections.Counter()
         original = learners_module._cosine_features
 
-        def counting(X, W, b):
+        def counting(X, W, b, *rest):
             counts[names[W.tobytes()], X.shape[0]] += 1
-            return original(X, W, b)
+            return original(X, W, b, *rest)
         monkeypatch.setattr(learners_module, "_cosine_features", counting)
         _seed_job(cfg, 0)
-        assert counts == {("classifier", 2500): 1,
+        assert counts == {("classifier", 2500): 2,
                           ("regressor", 2500): 1, ("regressor", 500): 1,
                           ("second stage", 2500): 1, ("second stage", 500): 1}
 
