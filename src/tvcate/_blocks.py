@@ -6,7 +6,9 @@ Work is split over the usable CPUs by sizes alone, in three ways:
   chunk per CPU from 2^14 elements (``learners._map_chunks``);
 * tables and simulations of at least 1.5 * 2^16 rows (a simulation's rows
   are its trajectories) run their row-wise arithmetic in 2^16-row blocks
-  (:func:`_table_blocks`);
+  (:func:`_table_blocks`); a pseudo-outcome makes one pass of the blocks,
+  each block querying the nuisances at its own rows, so only its outputs
+  are table-sized;
 * BLAS products over rows, the classifier's design, Newton pass and
   predictions and the ridge grams, right-hand sides and predictions, run
   in 4096-row blocks (:func:`_block_edges`) over the CPUs (:func:`_shares`):

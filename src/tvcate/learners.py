@@ -52,6 +52,7 @@ does not promise one ``Generator.normal`` stream across versions).  Format
 from __future__ import annotations
 
 import hashlib
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -91,6 +92,12 @@ def _validate_count(value, name, least=1) -> int:
     return int(value)
 
 
+def _validate_bandwidth(value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
+            np.isfinite(value) and value > 0):
+        raise ValueError(f"bandwidth must be a finite real > 0, got {value!r}")
+
+
 def _validate_penalty(value, name):
     if isinstance(value, str):
         if value != "auto":
@@ -118,8 +125,8 @@ class RegressorSpec:
         if self.kind not in REGRESSOR_KINDS:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         _validate_count(self.feature_count, "feature_count")
-        if self.bandwidth <= 0:
-            raise ValueError("bandwidth must be > 0")
+        _validate_count(self.seed, "seed", 0)
+        _validate_bandwidth(self.bandwidth)
         _validate_penalty(self.ridge_lambda, "ridge_lambda")
 
 
@@ -754,8 +761,10 @@ class ClassifierSpec:
     def __post_init__(self):
         _validate_count(self.feature_count, "feature_count")
         _validate_count(self.max_iter, "max_iter")
-        if self.bandwidth <= 0 or self.tol <= 0:
-            raise ValueError("bandwidth and tol must be > 0")
+        _validate_count(self.seed, "seed", 0)
+        _validate_bandwidth(self.bandwidth)
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
         _validate_penalty(self.l2, "l2")
 
 

@@ -15,9 +15,11 @@ Six learner kinds share one interface; each estimates E[Y(a) - Y(b) | H_t]:
   E[V | H_t] of the pseudo-outcome variance.
 
 Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
-RowTable` and runs one level at a time: each level's propensities give one
-(N,) ratio 1{A_k = a_k}/pi-hat_k, a running product of the ratios gives the
-inverse-propensity weights, and products and sums run in level order.
+RowTable` and runs one pass per row block (:func:`~tvcate._blocks.
+_table_blocks`): the block's propensities give each level's ratio
+1{A_k = a_k}/pi-hat_k at its rows, a running product of the ratios gives
+the inverse-propensity weights, and products and sums run in level order,
+so only the outputs are table-sized.
 Every propensity enters through the nuisance set's clipping, and the
 fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
@@ -88,36 +90,35 @@ DEFAULT_SECOND_STAGE = RegressorSpec(ridge_lambda=1e-2)
 DEFAULT_V_SPEC = RegressorSpec(ridge_lambda="auto")
 
 
-def _level(nuisances: NuisanceSet, table: RowTable, seq, k: int, squared=False):
+def _level(nuisances: NuisanceSet, table: RowTable, seq, k: int, rows, squared=False):
     """One arm's level-k weight 1{A_k = a_k}/pi-hat_k (over pi-hat_k^2 when
-    ``squared``), an (N,) array, and the count of its clipped pi-hat."""
-    cl, raw = nuisances.propensity(k, seq[k], table)
-    ratio = _table_array(table.n_rows, lambda rows: (table.a_obs[rows, k] == seq[k])
-                         / (cl[rows] ** 2 if squared else cl[rows]))
-    return ratio, sum(_table_blocks(table.n_rows,
-                                    lambda rows: int(np.count_nonzero(cl[rows] != raw[rows]))))
+    ``squared``) at ``rows``, and the count of its clipped pi-hat."""
+    cl, raw = nuisances.propensity(k, seq[k], table, rows)
+    return ((table.a_obs[rows, k] == seq[k]) / (cl ** 2 if squared else cl),
+            int(np.count_nonzero(cl != raw)))
 
 
 def _arm_value(nuisances, table, seq, arm=None):
     """One arm's IPW pseudo-outcome, plus DR's response terms when ``arm``
     ("a" or "b") names the arm's mu-hat; also the clip and query counts.
 
-    Only the per-level ratios 1{A_k = a_k}/pi-hat_k, the value and one
-    mu-hat are held; products and sums run in level order, block by block.
+    Each row block holds its per-level ratios 1{A_k = a_k}/pi-hat_k, its
+    value and one mu-hat; products and sums run in level order.
     """
-    levels = [_level(nuisances, table, seq, k) for k in range(nuisances.tau + 1)]
-    ratios = [ratio for ratio, _ in levels]
-    value = _table_array(table.n_rows,
-                         lambda rows: reduce(mul, (r[rows] for r in ratios)) * table.y_term[rows])
-    for k in range(len(ratios) if arm is not None else 0):
-        mu = nuisances.mu(arm, k, table)
+    nuisances, nclip = nuisances.at(table), []   # blocks gather fitted values held whole
 
-        def response_term(rows):
+    def block(rows):
+        levels = [_level(nuisances, table, seq, k, rows) for k in range(nuisances.tau + 1)]
+        ratios = [ratio for ratio, _ in levels]
+        nclip.append(sum(n for _, n in levels))
+        value = reduce(mul, ratios) * table.y_term[rows]
+        for k in range(len(ratios) if arm is not None else 0):
             # the product of the strictly earlier levels' ratios, 1 at level 0
-            prefix = reduce(mul, (r[rows] for r in ratios[:k]), 1.0)
-            value[rows] += mu[rows] * (1.0 - ratios[k][rows]) * prefix
-        _table_blocks(table.n_rows, response_term)
-    return value, sum(nclip for _, nclip in levels), table.n_rows * len(levels)
+            prefix = reduce(mul, ratios[:k], 1.0)
+            value += nuisances.mu(arm, k, table, rows) * (1.0 - ratios[k]) * prefix
+        return value
+    value = _table_array(table.n_rows, block)
+    return value, sum(nclip), table.n_rows * (nuisances.tau + 1)
 
 
 def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -179,13 +180,16 @@ def ivw_realized(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair
     V per arm is the sum over levels k of the product over earlier-or-equal
     levels of 1{A = a}/pi-hat^2; the pair statistic is the sum of both arms.
     """
-    v = []
-    for seq in (pair.a_seq, pair.b_seq):
-        weights = [_level(nuisances, table, seq, k, squared=True)[0]
-                   for k in range(nuisances.tau + 1)]
-        v.append(_table_array(table.n_rows, lambda rows: reduce(
-            add, accumulate((w[rows] for w in weights), mul))))
-    return v[0], _table_array(table.n_rows, lambda rows: v[0][rows] + v[1][rows])
+    nuisances, v_a, v_ab = nuisances.at(table), np.empty(table.n_rows), np.empty(table.n_rows)
+
+    def block(rows):
+        v = [reduce(add, accumulate((_level(nuisances, table, seq, k, rows, squared=True)[0]
+                                     for k in range(nuisances.tau + 1)), mul))
+             for seq in (pair.a_seq, pair.b_seq)]
+        v_a[rows] = v[0]
+        np.add(*v, out=v_ab[rows])
+    _table_blocks(table.n_rows, block)
+    return v_a, v_ab
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ gathers of the panel's flat rows.  Every regressor fit and prediction
 reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
 A table fills its row index, arms and outcome, and an oracle, injected
-or held-value query (one call per level, arm and table) fills its rows,
-in row blocks over the usable CPUs, with the bits of one whole
-evaluation (:mod:`tvcate._blocks`); predictions are not.
+or held-value query (one call per level, arm and table, or per row block
+given its ``rows``) fills its rows, in row blocks over the usable CPUs,
+with the bits of one whole evaluation (:mod:`tvcate._blocks`);
+predictions are not.
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
@@ -89,6 +90,9 @@ class RowTable:
     ``yprev_tail`` and ``time_abs`` stack every level into an (N, tau + 1)
     array on each access; no query reads them, they remain for callers that
     compare whole tables.  Rows are ordered by (trajectory position, t).
+    ``traj_id`` is int32, ``t`` the narrowest signed integer type that holds
+    the longest trajectory's length and ``a_obs`` the narrowest that holds
+    the arms; ``y_term`` is float64.
     """
 
     def __init__(self, panel: Panel, tau: int, codec: FeatureCodec):
@@ -105,11 +109,12 @@ class RowTable:
 
         # rows ordered by (trajectory position, t); row(i, t) = first[i] + t - 1
         n_t = lengths - tau
-        self.traj_id = np.repeat(np.arange(panel.n), n_t)
+        self.traj_id = np.repeat(np.arange(panel.n, dtype=np.int32), n_t)
         self.n_rows = self.traj_id.size
         first = np.cumsum(n_t) - n_t
-        self.t = np.empty(self.n_rows, dtype=int)
-        self.a_obs = np.empty((self.n_rows, tau + 1), dtype=panel.A.dtype)
+        self.t = np.empty(self.n_rows, dtype=np.min_scalar_type(-1 - int(lengths.max())))
+        self.a_obs = np.empty((self.n_rows, tau + 1),
+                              dtype=np.min_scalar_type(panel.treatment_arity - 1))
         self.y_term = np.empty(self.n_rows, dtype=panel.Y.dtype)
 
         def fill(rows):
@@ -150,13 +155,13 @@ class RowTable:
     yprev_tail = property(lambda self: self._stacked("y_prev"))
     time_abs = property(lambda self: self.t[:, None] + np.arange(self.tau + 1)[None, :])
 
-    def features(self, j: int) -> np.ndarray:
-        """Encoded H_{t+j} for every row: a gather of the encoded positions."""
+    def features(self, j: int, rows=slice(None)) -> np.ndarray:
+        """Encoded H_{t+j} for every row (or ``rows``): a gather of the encoded positions."""
         if not 0 <= j <= self.tau:
             raise ValueError(f"offset {j} outside 0..{self.tau}")
         if self.panel.lengths().max() - self.tau + j > self.codec.max_len:
             raise ValueError("history exceeds codec capacity")
-        return self.panel.encoded(self.codec)[self.positions(j)]
+        return self.panel.encoded(self.codec)[self.positions(j, rows)]
 
     def traj_mask(self, fold_ids: np.ndarray) -> np.ndarray:
         return np.isin(self.traj_id, fold_ids)
@@ -432,15 +437,17 @@ class NuisanceSet:
         return float(v)
 
     # -- response surfaces ------------------------------------------------
-    def mu(self, arm: str, j: int, table: RowTable) -> np.ndarray:
-        """mu-hat for arm at level offset j, for every row of the table."""
+    def mu(self, arm: str, j: int, table: RowTable, rows: Optional[slice] = None) -> np.ndarray:
+        """mu-hat for arm at level offset j, for every row of the table (or ``rows``)."""
         if not 0 <= j <= self.tau:
             raise ValueError(f"level offset {j} outside 0..{self.tau}")
         if self.override_response is None and not self.oracle_mode:
             self._need_response(arm)
             if table.tau == self.tau and _serves(self.mu_values, table, self.response_models):
-                return self.mu_values.values[arm, j]
-            return self.response_models[arm][j].predict(table.features(j))
+                values = self.mu_values.values[arm, j]
+                return values if rows is None else values[rows]
+            return self.response_models[arm][j].predict(
+                table.features(j, slice(None) if rows is None else rows))
         value = None if self.override_response is None else self._response_override(arm, j)
 
         def block(rows):
@@ -449,7 +456,7 @@ class NuisanceSet:
             x, = table.frontier(j, ("x",), rows)
             return np.asarray(self.dgp.response_form.capo(x, self.tau - j, self._seq(arm)[-1],
                                                           self.dgp.x_noise_std))
-        return _table_array(table.n_rows, block)
+        return _table_array(table.n_rows, block) if rows is None else block(rows)
 
     def _need_response(self, arm: str):
         if self.response_models is None or arm not in self.response_models:
@@ -458,14 +465,16 @@ class NuisanceSet:
             raise ValueError(f"missing nuisance level for arm {arm!r}")
 
     # -- propensities ------------------------------------------------------
-    def propensity(self, j: int, a_value: int, table: RowTable):
-        """(clipped, raw) estimated P(A_{t+j} = a_value | H_{t+j}) per row."""
+    def propensity(self, j: int, a_value: int, table: RowTable, rows: Optional[slice] = None):
+        """(clipped, raw) estimated P(A_{t+j} = a_value | H_{t+j}) per row (or per
+        row of ``rows``)."""
         p, lo, hi = self.override_propensity, self.clip_eps, 1.0 - self.clip_eps
         if p is None and not self.oracle_mode:
             if self.propensity_model is None:
                 raise ValueError("missing propensity model")
             if not _serves(self.pi_values, table, self.propensity_model):
-                raw = self.propensity_model.predict_proba(table.features(j))[:, int(a_value)]
+                raw = self.propensity_model.predict_proba(
+                    table.features(j, slice(None) if rows is None else rows))[:, int(a_value)]
                 return np.clip(raw, lo, hi), raw
         if p is not None:               # injected values are used verbatim
             p, lo, hi = p if a_value == 1 else 1.0 - p, None, None
@@ -479,6 +488,9 @@ class NuisanceSet:
                 p1 = expit(self.dgp.f_a(x, a_prev, y_prev))
                 return p1 if a_value == 1 else 1.0 - p1
             return self.pi_values.values[table.positions(j, rows), int(a_value)]
+        if rows is not None:
+            raw = block(rows)
+            return np.clip(raw, lo, hi), raw
         raw = _table_array(table.n_rows, block)
         return _table_array(table.n_rows, lambda rows: np.clip(raw[rows], lo, hi)), raw
 

@@ -156,8 +156,7 @@ def _suite_eif_mean(budget, seed):
         nz = oracle_nuisances(dgp, pair)
         panel = simulate_panel(dgp, budget, seed=[seed, 11, tau])
         table = build_row_table(panel, tau)
-        _, _, diff = pseudo_dr(table, nz, pair)
-        mean, se = cluster_mean_se(table.traj_id, diff, panel.n)
+        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair)[2], panel.n)
         checks.append(CheckResult.compare(
             f"tau={tau}: |mean - 0.5| in standard errors",
             abs(mean - 0.5) / se, 3.0,
@@ -191,8 +190,8 @@ def _suite_double_robust(budget, seed):
     ]
     checks = []
     for name, nz, cmp_, tol, scaled in configs:
-        _, _, diff = pseudo_dr(table, nz, pair)
-        mean, se = cluster_mean_se(table.traj_id, diff, panel.n)
+        # no config's pseudo-outcomes outlive its statistic
+        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair)[2], panel.n)
         stat = abs(mean - 0.5) / se if scaled else abs(mean - 0.5)
         unit = "standard errors" if scaled else "absolute bias"
         checks.append(CheckResult.compare(
@@ -209,8 +208,7 @@ def _suite_ipw_unbiased(budget, seed):
         nz = oracle_nuisances(dgp, pair)
         panel = simulate_panel(dgp, budget, seed=[seed, 31, tau])
         table = build_row_table(panel, tau)
-        _, _, diff = pseudo_ipw(table, nz, pair)
-        mean, se = cluster_mean_se(table.traj_id, diff, panel.n)
+        mean, se = cluster_mean_se(table.traj_id, pseudo_ipw(table, nz, pair)[2], panel.n)
         checks.append(CheckResult.compare(
             f"tau={tau}: |mean - 0.5| in standard errors",
             abs(mean - 0.5) / se, 3.0,

@@ -1048,6 +1048,22 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^model: {re.escape(field)}"):
             load(state, "model")
 
+    @pytest.mark.parametrize("kind", ["ridge", "classifier"])
+    @pytest.mark.parametrize("key,value", [
+        ("seed", None), ("seed", 2.5), ("seed", float("nan")), ("seed", "x"), ("seed", -1),
+        ("seed", True), ("bandwidth", float("nan")), ("bandwidth", float("inf")),
+        ("bandwidth", 0), ("bandwidth", "x")])
+    def test_a_bad_seed_or_bandwidth_is_refused_naming_the_field(self, kind, key, value):
+        # refused when the spec is built, not when a fit draws an unseeded map
+        # or a loaded digest fails to match the map drawn from the spec
+        cls = ClassifierSpec if kind == "classifier" else RegressorSpec
+        with pytest.raises(ValueError, match=f"^{key} must be"):
+            cls(**{key: value})
+        state, load = self.bundled(kind)
+        state["spec"][key] = value
+        with pytest.raises(ValueError, match=f"^model: spec: {key} must be"):
+            load(state, "model")
+
 
 class TestClassifier:
     def test_balanced_label_independent_data_predicts_half(self):

@@ -407,6 +407,27 @@ class TestPseudoRowBlocks:
         if name == "oracle clipped":       # the clip counts are summed over blocks
             assert want["arm a"][1] > 0 and want["arm b"][1] > 0
 
+    @pytest.mark.parametrize("build", [pseudo_dr, pseudo_ipw, ivw_realized])
+    def test_blocked_peak_memory_is_the_outputs_and_a_block(self, build, monkeypatch):
+        # the 18,000-row tau = 2 table of test_dr_peak_memory_per_row in
+        # 1024-row blocks on two CPUs: one pass of the blocks holds the
+        # outputs (24 or 16 bytes a row) and each block's levels; a pass per
+        # level, whose ratios and pi-hat were table-sized, peaked at 58.8
+        # (DR), 49.6 (IPW) and 74.0 (V) bytes a row
+        set_blocks(monkeypatch, 2, table_rows=1024)
+        d1 = make_d1()
+        pair = benchmark_pair(2)
+        table = build_row_table(simulate_panel(d1, 6000, seed=62), 2)
+        nz = oracle_nuisances(d1, pair)
+        tracemalloc.start()
+        try:
+            build(table, nz, pair)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert table.n_rows == 18000
+        assert peak <= 32 * table.n_rows
+
     def test_more_threads_than_cores_keep_every_block(self, d1_sets, monkeypatch):
         # eight shares of 7-row blocks, switching threads every microsecond:
         # a block written twice, lost or mixed up changes the bits

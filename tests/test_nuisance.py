@@ -80,6 +80,31 @@ class TestRowTable:
                     vec = encode_history(HistoryView(trajs[i], t + j), table.codec)
                     assert table.features(j)[row].tobytes() == vec.tobytes()
 
+    @pytest.mark.parametrize("lengths,arity,t_type", [((200, 4, 7), 2, np.int16),
+                                                      ((127, 3), 2, np.int8),
+                                                      ((128, 3), 3, np.int16),
+                                                      ((5, 3, 4), 3, np.int8)])
+    def test_row_index_and_arms_in_narrow_types(self, lengths, arity, t_type):
+        # traj_id int32, t the narrowest signed type that holds the longest
+        # trajectory and a_obs the narrowest that holds the arms; the values
+        # are the pooled rows' and the panel's arms
+        rng = np.random.default_rng(len(lengths) + arity)
+        trajs = tuple(Trajectory(rng.normal(size=(T, 1)), rng.integers(0, arity, size=T),
+                                 rng.normal(size=T)) for T in lengths)
+        table = build_row_table(Panel(trajs, arity), 2)
+        assert (table.traj_id.dtype, table.t.dtype, table.a_obs.dtype) == (
+            np.int32, t_type, np.uint8)
+        want = [(i, t) for i, tr in enumerate(trajs) for t in range(1, tr.length - 1)]
+        assert list(zip(table.traj_id.tolist(), table.t.tolist())) == want
+        assert table.a_obs.tolist() == [trajs[i].treatments[t - 1:t + 2].tolist()
+                                        for i, t in want]
+        assert table.y_term.dtype == np.float64
+        assert same_bits(table.y_term, np.array([trajs[i].outcomes[t + 1] for i, t in want]))
+        assert np.array_equal(table.positions(2), [sum(lengths[:i]) + t + 1 for i, t in want])
+        # an evaluation time past the type's range selects no row
+        assert not np.any(table.t == np.iinfo(t_type).max + 1)
+        assert np.count_nonzero(table.t == 1) == len(lengths)
+
     def test_raw_tails_hand_values(self):
         table = build_row_table(hand_panel(), 1)
         assert np.array_equal(table.traj_id, [0, 0, 1, 1])
