@@ -31,8 +31,7 @@ import numpy as np
 from scipy.special import expit
 
 from ._blocks import _table_blocks
-from .learners import _validate_count
-from .panel import InterventionPair, Panel, panel_from_arrays
+from .panel import InterventionPair, Panel, _arm_dtype, _validate_count, panel_from_arrays
 
 __all__ = [
     "StructuralDGP",
@@ -123,6 +122,7 @@ class StructuralDGP:
             raise ValueError("noise scales must be > 0")
         if self.horizon < 1:
             raise ValueError("horizon must be >= 1")
+        _validate_count(self.treatment_arity, "treatment_arity")
 
 
 def make_d1() -> StructuralDGP:
@@ -226,7 +226,7 @@ def simulate_panel(dgp: StructuralDGP, n: int, seed, x1=None) -> Panel:
     rng = np.random.default_rng(seed)
     T = dgp.horizon
     X = np.empty((n, T))
-    A = np.empty((n, T), dtype=int)
+    A = np.empty((n, T), dtype=_arm_dtype(dgp.treatment_arity))   # the panel's own type
     Y = np.empty((n, T))
     X[:, 0] = rng.normal(0.0, dgp.x1_std, size=n) if x1 is None else x1
 
@@ -280,6 +280,9 @@ class DiscreteDGP:
     horizon: int = 2
     treatment_arity: int = 2
     name: str = "mini-discrete"
+
+    def __post_init__(self):
+        _validate_count(self.treatment_arity, "treatment_arity")
 
     def propensity1(self, x, a_prev):
         return expit(self.a_slope * np.asarray(x, dtype=float)

@@ -61,6 +61,7 @@ from scipy import linalg, optimize, special
 
 from . import _blocks
 from ._blocks import _block_edges, _block_pass, _in_order, _run_spans, _share_blocks, _shares
+from .panel import _validate_count
 
 __all__ = [
     "RegressorSpec",
@@ -81,15 +82,6 @@ CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 #: layout version written into nuisance and model bundles
 BUNDLE_FORMAT_VERSION = 2
-
-
-def _validate_count(value, name, least=1) -> int:
-    # bool is an int subclass: reject it along with floats and strings
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-    return int(value)
 
 
 def _validate_bandwidth(value) -> None:

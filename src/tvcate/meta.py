@@ -51,6 +51,7 @@ from .nuisance import (
     NuisanceSet,
     RowTable,
     build_row_table,
+    bundle_codec,
     bundle_pair,
     check_bundle,
 )
@@ -111,7 +112,7 @@ def _arm_value(nuisances, table, seq, arm=None):
         levels = [_level(nuisances, table, seq, k, rows) for k in range(nuisances.tau + 1)]
         ratios = [ratio for ratio, _ in levels]
         nclip.append(sum(n for _, n in levels))
-        value = reduce(mul, ratios) * table.y_term[rows]
+        value = reduce(mul, ratios) * table.panel.Y[table.positions(table.tau, rows)]
         for k in range(len(ratios) if arm is not None else 0):
             # the product of the strictly earlier levels' ratios, 1 at level 0
             prefix = reduce(mul, ratios[:k], 1.0)
@@ -450,7 +451,7 @@ def cate_model_from_dict(state: dict) -> CateModel:
         kind=kind,
         pair=pair,
         tau=tau,
-        codec=FeatureCodec(**state["codec"]),
+        codec=bundle_codec(state, "model"),
         diagnostics=state["diagnostics"],
         arm_models=None if arms is None else
         {arm: FittedRegressor.from_dict(d, where, version) for arm, (where, d) in arms.items()},

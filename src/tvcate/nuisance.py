@@ -7,20 +7,19 @@ and exact propensities), so estimator identities can be tested in isolation
 from fit quality.
 
 Row bookkeeping lives in :class:`RowTable`: one row per (trajectory i,
-time t) with 1 <= t <= T_i - tau.  It holds the row index, the observed
-treatments A_{t..t+tau} and the terminal outcome Y_{t+tau}; everything
-else is gathered from the panel one level offset j in {0..tau} at a time.
+time t) with 1 <= t <= T_i - tau.  It holds the row index and the observed
+treatments A_{t..t+tau}; everything else, the terminal outcome Y_{t+tau}
+too, is gathered from the panel one level offset j in {0..tau} at a time.
 Row (i, t) at level j is the panel position (i, t + j), so the encoded
 history H_{t+j} is a gather of the panel's encoded positions, and the raw
 frontier values oracle queries read (X_{t+j}, A_{t+j-1}, Y_{t+j-1}) are
 gathers of the panel's flat rows.  Every regressor fit and prediction
 reads one row map of those positions (:class:`~tvcate.learners.RowMap`).
 
-A table fills its row index, arms and outcome, and an oracle, injected
-or held-value query (one call per level, arm and table, or per row block
-given its ``rows``) fills its rows, in row blocks over the usable CPUs,
-with the bits of one whole evaluation (:mod:`tvcate._blocks`);
-predictions are not.
+A table fills its row index and arms, and an oracle, injected or held-value
+query (one call per level, arm and table, or per row block given its
+``rows``) fills its rows, in row blocks over the usable CPUs, with the bits
+of one whole evaluation (:mod:`tvcate._blocks`); predictions are not.
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
@@ -48,12 +47,11 @@ from .learners import (
     FittedRegressor,
     RegressorSpec,
     RowMap,
-    _validate_count,
     fit_classifier,
     predict_many,
     require_keys,
 )
-from .panel import FeatureCodec, InterventionPair, Panel, validate_panel
+from .panel import FeatureCodec, InterventionPair, Panel, _validate_count, validate_panel
 
 __all__ = [
     "RowTable",
@@ -92,7 +90,8 @@ class RowTable:
     compare whole tables.  Rows are ordered by (trajectory position, t).
     ``traj_id`` is int32, ``t`` the narrowest signed integer type that holds
     the longest trajectory's length and ``a_obs`` the narrowest that holds
-    the arms; ``y_term`` is float64.
+    the arms.  ``y_term``, the terminal outcome Y_{t+tau}, is not held: each
+    access gathers it from the panel, so callers that loop should hoist it.
     """
 
     def __init__(self, panel: Panel, tau: int, codec: FeatureCodec):
@@ -115,14 +114,12 @@ class RowTable:
         self.t = np.empty(self.n_rows, dtype=np.min_scalar_type(-1 - int(lengths.max())))
         self.a_obs = np.empty((self.n_rows, tau + 1),
                               dtype=np.min_scalar_type(panel.treatment_arity - 1))
-        self.y_term = np.empty(self.n_rows, dtype=panel.Y.dtype)
 
         def fill(rows):
             self.t[rows] = np.arange(rows.start, rows.stop) - first[self.traj_id[rows]] + 1
             at = self.positions(0, rows)
             for j in range(tau + 1):
                 self.a_obs[rows, j] = panel.A[at + j]
-            self.y_term[rows] = panel.Y[at + tau]
         _table_blocks(self.n_rows, fill)
 
     def positions(self, j: int, rows=slice(None)) -> np.ndarray:
@@ -154,6 +151,7 @@ class RowTable:
     aprev_tail = property(lambda self: self._stacked("a_prev"))
     yprev_tail = property(lambda self: self._stacked("y_prev"))
     time_abs = property(lambda self: self.t[:, None] + np.arange(self.tau + 1)[None, :])
+    y_term = property(lambda self: self.panel.Y[self.positions(self.tau)])
 
     def features(self, j: int, rows=slice(None)) -> np.ndarray:
         """Encoded H_{t+j} for every row (or ``rows``): a gather of the encoded positions."""
@@ -322,7 +320,7 @@ def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
     same rows, targets and weights, so they are returned in place of
     refitting.
     """
-    fold_mask = table.traj_mask(split.fold("mu_0"))
+    fold_mask, y_term = table.traj_mask(split.fold("mu_0")), table.y_term
     out = {}
     for key, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
         mask = fold_mask & np.all(table.a_obs == np.asarray(seq), axis=1)
@@ -331,7 +329,7 @@ def _fit_history(table: RowTable, pair: InterventionPair, spec: RegressorSpec,
                              f"arms {seq} (low overlap)")
         _restrict(mask, f"history adjustment (arms {seq}) -> unreachable")
         out[key] = (responses[key][0] if responses is not None
-                    else raw.fit(spec, table.y_term[mask], rows=table.positions(0)[mask]))
+                    else raw.fit(spec, y_term[mask], rows=table.positions(0)[mask]))
         if key == "a" and pair.a_seq == pair.b_seq:
             out["b"] = out["a"]
             break
@@ -613,6 +611,15 @@ def check_bundle(state, what: str, required) -> int:
     return version
 
 
+def bundle_codec(state, what: str) -> FeatureCodec:
+    """A bundle's feature codec; raise ValueError naming ``codec`` unless valid."""
+    require_keys(state["codec"], (), f"{what} bundle: codec")
+    try:
+        return FeatureCodec(**state["codec"])
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{what} bundle: codec: {exc}") from None
+
+
 def bundle_pair(state, what: str):
     """A bundle's intervention pair and horizon; raise ValueError naming
     ``tau``, ``pair``, ``pair.a_seq`` or ``pair.b_seq`` unless tau is an
@@ -689,7 +696,7 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
     version = check_bundle(state, "nuisance", _NUISANCE_KEYS)
     check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
     pair, tau = bundle_pair(state, "nuisance")
-    codec = FeatureCodec(**state["codec"])
+    codec = bundle_codec(state, "nuisance")
     split = _split_from_dict(state["split"], version, tau)
     common = dict(pair=pair, tau=tau, codec=codec,
                   clip_eps=float(state["clip_eps"]), split=split)

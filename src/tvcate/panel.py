@@ -22,13 +22,15 @@ not hot paths.  What each constructor rejects:
   trajectories whose covariates, treatments and outcomes differ in length.
   Values are left to :func:`validate_panel`, which reports and does not raise.
 * :func:`panel_from_arrays`, which copies its inputs: also non-finite
-  covariates or outcomes and arms outside [0, treatment_arity).
+  covariates or outcomes, arms outside [0, treatment_arity) and a
+  ``treatment_arity`` that is not an integer >= 1.
 * :func:`panel_from_csv`: also wrong field counts, a non-integral traj_id,
   t or arm, and times other than 1..T once each.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
@@ -49,6 +51,20 @@ __all__ = [
     "panel_to_csv",
     "panel_from_csv",
 ]
+
+
+def _validate_count(value, name, least=1) -> int:
+    # bool is an int subclass: reject it along with floats and strings
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return int(value)
+
+
+def _arm_dtype(treatment_arity: int) -> np.dtype:
+    """The narrowest unsigned integer type that holds every arm."""
+    return np.min_scalar_type(_validate_count(treatment_arity, "treatment_arity") - 1)
 
 
 def _frozen_array(values, dtype) -> np.ndarray:
@@ -101,7 +117,11 @@ class Trajectory:
 
 class Panel:
     """Immutable trajectories of one covariate width and treatment arity, held
-    in the flat read-only columns ``X``, ``A``, ``Y`` and ``offsets``."""
+    in the flat read-only columns ``X``, ``A``, ``Y`` and ``offsets``.  Read
+    from arrays or CSV, ``A`` is the narrowest unsigned type that holds every
+    arm (uint8 up to 256 arms), so arithmetic on arms casts them or takes an
+    int64 left operand (``1 - A`` wraps); built from trajectories, it keeps
+    their int64."""
 
     def __init__(self, trajectories: Iterable[Trajectory] = (), treatment_arity: int = 2):
         trajs = tuple(trajectories)
@@ -269,8 +289,13 @@ class FeatureCodec:
     time_scale: float = 1.0
 
     def __post_init__(self):
-        if self.max_len < 1:
-            raise ValueError("max_len must be >= 1")
+        for name in ("max_len", "cov_dim", "treatment_arity"):     # ints for JSON
+            object.__setattr__(self, name, _validate_count(getattr(self, name), name))
+        flag, scale = self.include_time_index, self.time_scale
+        if not isinstance(flag, bool):
+            raise ValueError(f"include_time_index must be a bool, got {flag!r}")
+        if isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and np.isfinite(scale)):
+            raise ValueError(f"time_scale must be a finite real, got {scale!r}")
         if self.scheme != "flat-padded":
             raise ValueError(f"unknown encoding scheme {self.scheme!r}")
 
@@ -358,33 +383,34 @@ def encode_history(h: HistoryView, codec: FeatureCodec) -> np.ndarray:
 def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
     """Build a Panel from private copies of X (n,T,d) or (n,T), A (n,T), Y (n,T).
 
-    Rejects a non-finite covariate or outcome and an arm outside
-    [0, treatment_arity), naming the first such trajectory index and t.
+    Rejects a non-finite covariate or outcome and an arm (of any integer
+    type) outside [0, treatment_arity), naming the first such trajectory and t.
     The copies and checks run over blocks of trajectories, with the bits of
     one block (:mod:`tvcate._blocks`).
     """
-    X, A, Y = np.asarray(X, dtype=float), np.asarray(A, dtype=int), np.asarray(Y, dtype=float)
+    X, A, Y = np.asarray(X, dtype=float), np.asarray(A), np.asarray(Y, dtype=float)
+    A = A if A.dtype.kind in "iu" else A.astype(int)
     if X.ndim == 2:
         X = X[:, :, None]
     if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != X.shape[:2]:
         raise ValueError(f"X {X.shape}, A {A.shape} and Y {Y.shape} do not share (n, T)")
     n, T, d = X.shape
-    out = np.empty((n * T, d)), np.empty(n * T, dtype=int), np.empty(n * T)
+    out = np.empty((n * T, d)), np.empty(n * T, dtype=_arm_dtype(treatment_arity)), np.empty(n * T)
 
     def copy(rows):
         """Copy trajectories ``rows``; the first bad flat row among them, if any."""
         flat = slice(rows.start * T, rows.stop * T)
         for dst, src in zip(out, (X, A, Y)):
             dst[flat] = src[rows].reshape(dst[flat].shape)
-        bad_arm, bad_val = _bad_rows(*(dst[flat] for dst in out), treatment_arity)
+        bad_arm, bad_val = _bad_rows(out[0][flat], A[rows].ravel(), out[2][flat], treatment_arity)
         return flat.start + np.flatnonzero(bad_arm | bad_val)[:1]
     bad = [r for found in _table_blocks(n, copy) for r in found]
-    X, A, Y = out
     for r in bad[:1]:
-        why = (f"arm {A[r]} outside [0, {treatment_arity})" if not 0 <= A[r] < treatment_arity
+        arm = A.flat[r]
+        why = (f"arm {arm} outside [0, {treatment_arity})" if not 0 <= arm < treatment_arity
                else "non-finite covariate or outcome")
         raise ValueError(f"trajectory {r // T}, t {r % T + 1}: {why}")
-    return Panel.__new__(Panel)._fill(X, A, Y, np.arange(n + 1) * T, treatment_arity)
+    return Panel.__new__(Panel)._fill(*out, np.arange(n + 1) * T, int(treatment_arity))
 
 
 def panel_to_csv(panel: Panel, path) -> None:
@@ -443,6 +469,7 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     other than 1..T once each.  Faults of one line report the earliest such
     line; a missing time or a first time other than 1 the smallest traj_id.
     """
+    arm_dtype = _arm_dtype(treatment_arity)
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["traj_id", "t"] or header[-2:] != ["a", "y"]:
@@ -473,6 +500,6 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     for k in np.flatnonzero(np.where(first, t != 1, t != np.append(0, t[:-1]) + 1))[:1]:
         raise ValueError(f"traj_id {tid[k]}: times start at t {t[k]}, not 1" if first[k]
                          else f"traj_id {tid[k]}, t {t[k - 1] + 1}: missing")
-    return Panel.__new__(Panel)._fill(body["x"][order], a[order], body["y"][order],
-                                      np.append(np.flatnonzero(first), tid.size),
-                                      treatment_arity)
+    x, a, y = body["x"][order], a[order].astype(arm_dtype), body["y"][order]
+    return Panel.__new__(Panel)._fill(x, a, y, np.append(np.flatnonzero(first), tid.size),
+                                      int(treatment_arity))

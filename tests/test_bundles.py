@@ -283,6 +283,32 @@ class TestLoadChecks:
         with pytest.raises(ValueError, match=rf"^{bundle} bundle: {re.escape(field)} "):
             load(state)
 
+    @pytest.mark.parametrize("field,value", [
+        ("max_len", float("nan")), ("max_len", 0), ("max_len", 3.0), ("cov_dim", [1, 2]),
+        ("cov_dim", True), ("treatment_arity", "x"), ("treatment_arity", 0),
+        ("include_time_index", 1), ("include_time_index", None), ("time_scale", float("nan")),
+        ("time_scale", float("inf")), ("time_scale", "1"), ("time_scale", True),
+        (None, 3), (None, None), (None, [3, 1]),
+    ])
+    def test_a_bad_codec_is_refused_naming_the_field(self, field, value, fitted):
+        # a d1 tau = 1 bundle; a codec of 3 raised TypeError, and max_len NaN,
+        # cov_dim [1, 2] and treatment_arity "x" loaded
+        codec = fitted[3].codec
+        if field is not None:
+            with pytest.raises(ValueError, match=f"^{field} must be"):
+                dataclasses.replace(codec, **{field: value})
+        for what, state, load in (("nuisance", nuisances_to_dict(fitted[3]), nuisances_from_dict),
+                                  ("model", cate_model_to_dict(fitted[4]["DR"]),
+                                   cate_model_from_dict)):
+            state = json.loads(json.dumps(state))
+            if field is None:
+                state["codec"] = value
+            else:
+                state["codec"][field] = value
+            match = f"codec: {field} must be" if field else "codec must be a JSON object$"
+            with pytest.raises(ValueError, match=f"^{what} bundle: {match}"):
+                load(state)
+
     @pytest.mark.parametrize("source,edit,match", [
         ("PI-RA", lambda s: s.update(kind="XYZ"), "kind 'XYZ'; choose from"),
         ("DR", lambda s: s.update(kind="PI-RA"), "kind 'PI-RA' needs arm_models"),

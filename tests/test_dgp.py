@@ -2,6 +2,7 @@ import dataclasses
 import os
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -195,6 +196,20 @@ class TestSimulateBlocks:
         got = simulate_panel(dgp, 300, seed=[8, 1], x1=x1)
         for field in ("X", "A", "Y", "offsets"):
             assert same_bits(getattr(got, field), getattr(want, field)), field
+
+    def test_peak_memory_per_position(self, monkeypatch):
+        # X and Y at 8 bytes a position in the simulation and again in the
+        # panel's copies, A at 1 byte in each and one step's draws: 37.3
+        # bytes a position here; int64 arms measured 51.3
+        set_blocks(monkeypatch, 2, table_rows=1024)
+        tracemalloc.start()
+        try:
+            panel = simulate_panel(make_d2(), 20000, seed=64)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 40 * panel.A.size
+        assert panel.A.dtype == np.uint8
 
     def test_more_threads_than_cores_keep_every_block(self, monkeypatch):
         # eight shares of 7-row blocks, switching threads every microsecond:

@@ -105,6 +105,23 @@ class TestRowTable:
         assert not np.any(table.t == np.iinfo(t_type).max + 1)
         assert np.count_nonzero(table.t == 1) == len(lengths)
 
+    @pytest.mark.parametrize("tau", [0, 1, 2])
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_terminal_outcome_is_gathered_not_held(self, ragged, tau):
+        # each access gathers Y_{t+tau} from the panel: the float64 bits of
+        # the trajectories' outcomes, and no column of the table holds them
+        panel = simulate_panel(make_d1(), 60, seed=[9, tau])
+        if ragged:                 # lengths 3 to 5
+            panel = Panel([Trajectory(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
+                                      tr.outcomes[:3 + i % 3])
+                           for i, tr in enumerate(panel.trajectories)], 2)
+        table = build_row_table(panel, tau)
+        assert "y_term" not in vars(table)
+        trajs = panel.trajectories
+        want = np.array([trajs[i].outcomes[t + tau - 1]
+                         for i, t in zip(table.traj_id.tolist(), table.t.tolist())])
+        assert same_bits(table.y_term, want)
+
     def test_raw_tails_hand_values(self):
         table = build_row_table(hand_panel(), 1)
         assert np.array_equal(table.traj_id, [0, 0, 1, 1])

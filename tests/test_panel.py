@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,10 +16,11 @@ from tvcate.panel import (
     panel_to_csv,
     validate_panel,
 )
+from tvcate.dgp import DiscreteDGP, make_d1, simulate_panel
 from tvcate.learners import _normalized_weights
 from tvcate.nuisance import build_row_table
 
-from helpers import decode_history
+from helpers import decode_history, same_bits
 
 
 def random_panel(rng, n=6, lengths=None, d=2, arity=3):
@@ -110,6 +113,76 @@ class TestFlatStoreBoundaries:
         with pytest.raises(ValueError, match=r"^trajectory 1: length mismatch between "
                                              r"covariates, treatments, and outcomes$"):
             Panel(trs, treatment_arity=2)
+
+
+class TestNarrowArms:
+    """The array and CSV readers store arms in the narrowest unsigned type
+    that holds ``treatment_arity - 1``; ``Panel(trajectories)`` keeps int64."""
+
+    def test_two_arms_take_one_byte_from_every_reader(self, tmp_path):
+        panel = simulate_panel(make_d1(), 40, seed=16)
+        X, A, Y = panel.dense()
+        from_int64 = panel_from_arrays(X, A.astype(np.int64), Y)
+        panel_to_csv(panel, tmp_path / "panel.csv")
+        from_csv = panel_from_csv(tmp_path / "panel.csv")
+        for built in (panel, from_int64, from_csv):
+            assert built.A.dtype == np.uint8 and same_bits(built.A, panel.A)
+
+    def test_three_hundred_arms_take_two_bytes_and_round_trip_the_csv(self, tmp_path):
+        rng = np.random.default_rng(17)
+        A = rng.integers(0, 300, size=(25, 4))
+        A[3, 2] = 299
+        panel = panel_from_arrays(rng.normal(size=(25, 4)), A, rng.normal(size=(25, 4)), 300)
+        assert panel.A.dtype == np.uint16 and np.array_equal(panel.A, A.ravel())
+        wide = Panel([Trajectory(tr.covariates, tr.treatments.astype(np.int64), tr.outcomes)
+                      for tr in panel.trajectories], 300)
+        assert wide.A.dtype == np.int64
+        for name, built in (("narrow.csv", panel), ("wide.csv", wide)):
+            panel_to_csv(built, tmp_path / name)
+        assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
+        back = panel_from_csv(tmp_path / "narrow.csv", treatment_arity=300)
+        assert same_bits(back.A, panel.A)
+        panel_to_csv(back, tmp_path / "again.csv")
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "narrow.csv").read_bytes()
+
+    @pytest.mark.parametrize("arm,dtype", [(258, np.int64), (256, np.int64), (258, np.uint16),
+                                           (-1, np.int8), (-255, np.int64)])
+    def test_an_arm_is_checked_before_it_is_narrowed(self, arm, dtype):
+        # 256 and -255 would narrow to 0 and 1, inside [0, 2)
+        A = np.zeros((3, 4), dtype=dtype)
+        A[2, 1] = arm
+        with pytest.raises(ValueError, match=rf"^trajectory 2, t 2: arm {arm} "
+                                             r"outside \[0, 2\)$"):
+            panel_from_arrays(np.zeros((3, 4)), A, np.zeros((3, 4)))
+
+    def test_trajectories_keep_int64_arms_for_validate_panel(self):
+        panel = Panel((Trajectory([[0.0], [1.0]], [0, 258], [1.0, 2.0]),), treatment_arity=2)
+        assert panel.A.dtype == np.int64 and panel.A.tolist() == [0, 258]
+        assert validate_panel(panel) == ["trajectory 0: treatment out of range [0, 2)"]
+
+    @pytest.mark.parametrize("arity", [1.5, True, "2", 0, -1, None, np.float64(2.0)])
+    @pytest.mark.parametrize("where", ["arrays", "csv", "structural", "discrete"])
+    def test_an_arity_that_is_not_an_integer_of_one_or_more_is_refused(self, where, arity,
+                                                                        tmp_path):
+        # 1.5 and True once built panels, "2" raised UFuncTypeError, a
+        # StructuralDGP of arity 2.5 simulated
+        X, A, Y = np.zeros((2, 3)), np.zeros((2, 3), dtype=int), np.zeros((2, 3))
+        panel_to_csv(panel_from_arrays(X, A, Y), tmp_path / "panel.csv")
+        build = {"arrays": lambda: panel_from_arrays(X, A, Y, arity),
+                 "csv": lambda: panel_from_csv(tmp_path / "panel.csv", arity),
+                 "structural": lambda: dataclasses.replace(make_d1(), treatment_arity=arity),
+                 "discrete": lambda: DiscreteDGP(treatment_arity=arity)}[where]
+        with pytest.raises(ValueError, match=r"^treatment_arity must be "):
+            build()
+
+    def test_numpy_integer_arities_are_accepted_as_ints(self, tmp_path):
+        arity = np.int64(3)
+        panel = panel_from_arrays(np.zeros((2, 3)), np.ones((2, 3), dtype=int),
+                                  np.zeros((2, 3)), arity)
+        panel_to_csv(panel, tmp_path / "panel.csv")
+        for built in (panel, panel_from_csv(tmp_path / "panel.csv", arity)):
+            assert type(built.treatment_arity) is int and built.treatment_arity == 3
+        assert DiscreteDGP(treatment_arity=np.int32(2)).treatment_arity == 2
 
 
 class TestEncodeHistory:
