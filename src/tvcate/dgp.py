@@ -31,7 +31,8 @@ import numpy as np
 from scipy.special import expit
 
 from ._blocks import _table_blocks
-from .panel import InterventionPair, Panel, _arm_dtype, _validate_count, panel_from_arrays
+from .panel import (InterventionPair, Panel, _arm_dtype, _validate_count, _validate_real,
+                    panel_from_arrays)
 
 __all__ = [
     "StructuralDGP",
@@ -118,11 +119,12 @@ class StructuralDGP:
     response_form: Optional[ChainResponseForm] = None
 
     def __post_init__(self):
-        if self.x1_std <= 0 or self.x_noise_std <= 0 or self.y_noise_std <= 0:
-            raise ValueError("noise scales must be > 0")
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        _validate_count(self.treatment_arity, "treatment_arity")
+        _validate_count(self.horizon, "horizon")
+        for name in ("x1_std", "x_noise_std", "y_noise_std"):
+            _validate_real(getattr(self, name), name, 0, strict=True)
+        arity = _validate_count(self.treatment_arity, "treatment_arity")
+        if _validate_count(self.a0, "a0", 0) >= arity:
+            raise ValueError(f"a0 must be an arm in [0, {self.treatment_arity}), got {self.a0}")
 
 
 def make_d1() -> StructuralDGP:
@@ -283,6 +285,8 @@ class DiscreteDGP:
 
     def __post_init__(self):
         _validate_count(self.treatment_arity, "treatment_arity")
+        if _validate_count(self.horizon, "horizon") != 2:
+            raise ValueError(f"horizon must be 2 (two steps are simulated), got {self.horizon}")
 
     def propensity1(self, x, a_prev):
         return expit(self.a_slope * np.asarray(x, dtype=float)
@@ -350,6 +354,8 @@ def get_dgp(name: str):
     Parameters after the colon are comma-separated key=value pairs passed to
     the factory as floats.
     """
+    if not isinstance(name, str):
+        raise ValueError(f"a DGP name is a string, got {name!r}")
     base, _, param_str = name.partition(":")
     base = base.strip().lower()
     if base not in _FACTORIES:

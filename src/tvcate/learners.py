@@ -42,17 +42,19 @@ by L-BFGS on one column per class.
 
 A fitted model's ``to_dict`` is its part of a bundle.  Format 2 stores a
 cosine map as its ``map_sha256``, the SHA-256 of ``W.tobytes() +
-b.tobytes()`` (float64, C order), and not W and b: they are a function of
-(in_dim, feature_count, bandwidth, seed), so ``from_dict`` draws them again
-and raises ``ValueError`` naming the model if the digest differs (NumPy
-does not promise one ``Generator.normal`` stream across versions).  Format
-1 stored W and b, and loads from them.
+b.tobytes()`` (float64, C order): W and b are a function of (in_dim,
+feature_count, bandwidth, seed), and NumPy does not promise one
+``Generator.normal`` stream across versions, so ``from_dict`` draws them
+again and checks the digest.  Format 1 stored W and b.  Every bundle loader
+reads through one :class:`_Fields` reader: a field missing, mistyped,
+non-finite or mis-shaped, or a digest that differs, raises ``ValueError``
+naming its path (``response_models.a[1]: params.beta``).
 """
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
-import numbers
 from dataclasses import dataclass
 from typing import Optional
 
@@ -61,7 +63,7 @@ from scipy import linalg, optimize, special
 
 from . import _blocks
 from ._blocks import _block_edges, _block_pass, _in_order, _run_spans, _share_blocks, _shares
-from .panel import _validate_count
+from .panel import _validate_count, _validate_real
 
 __all__ = [
     "RegressorSpec",
@@ -84,20 +86,6 @@ CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 BUNDLE_FORMAT_VERSION = 2
 
 
-def _validate_bandwidth(value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not (
-            np.isfinite(value) and value > 0):
-        raise ValueError(f"bandwidth must be a finite real > 0, got {value!r}")
-
-
-def _validate_penalty(value, name):
-    if isinstance(value, str):
-        if value != "auto":
-            raise ValueError(f"{name} must be a number >= 0 or 'auto'")
-    elif value < 0:
-        raise ValueError(f"{name} must be >= 0")
-
-
 @dataclass(frozen=True)
 class RegressorSpec:
     """Configuration of a weighted regressor.
@@ -118,8 +106,8 @@ class RegressorSpec:
             raise ValueError(f"unknown regressor kind {self.kind!r}")
         _validate_count(self.feature_count, "feature_count")
         _validate_count(self.seed, "seed", 0)
-        _validate_bandwidth(self.bandwidth)
-        _validate_penalty(self.ridge_lambda, "ridge_lambda")
+        _validate_real(self.bandwidth, "bandwidth", 0, strict=True)
+        _validate_real(0 if self.ridge_lambda == "auto" else self.ridge_lambda, "ridge_lambda", 0)
 
 
 #: the exact-match cell-mean regressor for discrete features
@@ -140,57 +128,82 @@ def map_digest(W: np.ndarray, b: np.ndarray) -> str:
                           + np.ascontiguousarray(b, dtype=float).tobytes()).hexdigest()
 
 
-def require_keys(state, keys, what: str) -> None:
-    """Raise ValueError unless ``state`` is a dict holding every key."""
-    if not isinstance(state, dict):
-        raise ValueError(f"{what} must be a JSON object")
-    for key in keys:
-        if key not in state:
-            raise ValueError(f"{what} lacks the required key {key!r}")
+class _Fields:
+    """A JSON object of a bundle, read one checked field at a time: ``where``
+    names the model or bundle and ``inner`` the object's path in it, and a
+    bad field raises ValueError naming ``where: inner.key``.  A missing key's
+    error ends with ``layout``, the fields that decide which keys it holds."""
+
+    def __init__(self, state, where: str, inner: str = "", layout: str = ""):
+        self.name, self.inner = (f"{where}: {inner}", inner + ".") if inner else (where, "")
+        if not isinstance(state, dict):
+            raise ValueError(f"{self.name} must be a JSON object")
+        self.state, self.where, self.layout = state, where, layout
+
+    def path(self, key) -> str:
+        return f"{self.where}: {self.inner}{key}"
+
+    def __getitem__(self, key):
+        if key not in self.state:
+            raise ValueError(f"{self.name} lacks the required key {key!r}{self.layout}")
+        return self.state[key]
+
+    def obj(self, key, layout: str = "") -> "_Fields":
+        return _Fields(self[key], self.where, f"{self.inner}{key}", layout)
+
+    def seq(self, key) -> list:
+        if not isinstance(self[key], list):
+            raise ValueError(f"{self.path(key)} must be a list, got {self[key]!r}")
+        return self[key]
+
+    def count(self, key, least: int = 1) -> int:
+        return _validate_count(self[key], self.path(key), least)
+
+    def flag(self, key) -> bool:
+        if not isinstance(self[key], bool):
+            raise ValueError(f"{self.path(key)} must be true or false, got {self[key]!r}")
+        return self[key]
+
+    def real(self, key, least=None) -> float:
+        return _validate_real(self[key], self.path(key), least)
+
+    def array(self, key, shape: tuple, dims: str = "") -> np.ndarray:
+        """The finite float array at ``key`` of ``shape`` (None: any length),
+        whose ``dims`` name the fields that fix the shape."""
+        raw = self[key]
+        try:
+            value = np.array(raw, dtype=float)
+        except (TypeError, ValueError, OverflowError):
+            value = np.array(np.nan)            # neither of a requested shape nor finite
+        if len(value.shape) != len(shape) or not np.isfinite(value).all() or any(
+                want not in (None, got) for want, got in zip(shape, value.shape)):
+            raise ValueError(f"{self.path(key)} is not an array of shape {shape}{dims} "
+                             "of finite reals")
+        return value
+
+    def build(self, cls, drop: tuple = ()):
+        """``cls`` from every field of the dataclass (the keys of ``drop`` are
+        ignored); a value ``cls`` refuses raises ValueError naming this object."""
+        for f in dataclasses.fields(cls):
+            self[f.name]
+        try:
+            return cls(**{key: v for key, v in self.state.items() if key not in drop})
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{self.name}: {exc}") from None
 
 
-def _bundled_real(raw: dict, key: str, where: str, penalty: bool = False) -> float:
-    """``raw[key]``, a finite real (>= 0 for a ``penalty``), else ValueError naming it."""
-    value, bound = raw[key], " >= 0" if penalty else ""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not (
-            np.isfinite(value) and (value >= 0 or not penalty)):
-        raise ValueError(f"{where}: params.{key} must be a finite real{bound}")
-    return float(value)
-
-
-def _bundled_spec(cls, state: dict, where: str, drop: tuple = ()):
-    """``cls`` built from the JSON object ``state["spec"]`` less the keys of
-    ``drop``; a bad spec raises ValueError naming ``where: spec``."""
-    require_keys(state["spec"], (), f"{where}: spec")
-    try:
-        return cls(**{key: v for key, v in state["spec"].items() if key not in drop})
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: spec: {exc}") from exc
-
-
-def _bundled_array(raw: dict, key: str, shape: tuple, where: str) -> np.ndarray:
-    try:
-        value = np.array(raw[key], dtype=float)
-    except (TypeError, ValueError):
-        value = None
-    if value is None or value.shape != shape:
-        raise ValueError(f"{where}: params.{key} is not an array of shape {shape}")
-    return value
-
-
-def _bundled_map(raw: dict, in_dim: int, spec, where: str, version: int):
-    """The (W, b) of a bundled model on a regressor or classifier ``spec``:
-    stored in format 1; in format 2 drawn from the spec and checked against
-    the stored digest."""
-    require_keys(raw, ("W", "b") if version == 1 else ("map_sha256",), f"{where}: params")
+def _bundled_map(fields: _Fields, in_dim: int, spec, version: int):
+    """The (W, b) of a bundled model on ``spec`` from its ``params`` reader:
+    stored in format 1, in format 2 drawn from the spec and checked."""
+    F = spec.feature_count
     if version == 1:
-        return (_bundled_array(raw, "W", (in_dim, spec.feature_count), where),
-                _bundled_array(raw, "b", (spec.feature_count,), where))
-    W, b = random_cosine_map(in_dim, spec.feature_count, spec.bandwidth, spec.seed)
-    if map_digest(W, b) != raw["map_sha256"]:
-        raise ValueError(f"{where}: the cosine map drawn from its spec does not match "
-                         "params.map_sha256 (was the bundle written under another "
-                         "NumPy random stream?)")
+        return (fields.array("W", (in_dim, F), " = (in_dim, spec.feature_count)"),
+                fields.array("b", (F,), " = (spec.feature_count,)"))
+    W, b = random_cosine_map(in_dim, F, spec.bandwidth, spec.seed)
+    if map_digest(W, b) != fields["map_sha256"]:
+        raise ValueError(f"{fields.where}: the cosine map drawn from in_dim and spec "
+                         "(feature_count, bandwidth, seed) does not match params.map_sha256 "
+                         "(was the bundle written under another NumPy random stream?)")
     return W, b
 
 
@@ -289,28 +302,28 @@ class FittedRegressor:
     @staticmethod
     def from_dict(state: dict, where: str = "regressor",
                   version: int = BUNDLE_FORMAT_VERSION) -> "FittedRegressor":
-        """Load ``to_dict``'s state, of bundle format ``version``; a missing
-        key, a bad spec, count or real, a mis-shaped array or a digest
-        mismatch raises ValueError naming ``where`` and the field."""
-        require_keys(state, ("spec", "in_dim", "n_rows", "params"), where)
+        """Load ``to_dict``'s state, of bundle format ``version``; a field
+        missing or of another kind, or a digest mismatch, raises ValueError
+        naming ``where`` and the field (:class:`_Fields`)."""
+        fields = _Fields(state, where)
         # bundles written while a kNN kind existed carry its neighbor count "k"
-        spec = _bundled_spec(RegressorSpec, state, where, drop=("k",))
-        in_dim, raw = _validate_count(state["in_dim"], f"{where}: in_dim"), state["params"]
-        n_rows = _validate_count(state["n_rows"], f"{where}: n_rows")
+        spec = fields.obj("spec").build(RegressorSpec, drop=("k",))
+        in_dim, n_rows = fields.count("in_dim"), fields.count("n_rows")
+        raw = fields.obj("params", f" (format_version {version})")
         if spec.kind == "ridge-random-features":
-            require_keys(raw, ("beta", "phi_mean", "intercept", "ridge_lambda_used"),
-                         f"{where}: params")
-            F = spec.feature_count
-            W, b = _bundled_map(raw, in_dim, spec, where, version)
-            params = {"W": W, "b": b, "beta": _bundled_array(raw, "beta", (F,), where),
-                      "phi_mean": _bundled_array(raw, "phi_mean", (F,), where),
-                      "intercept": _bundled_real(raw, "intercept", where),
-                      "ridge_lambda_used": _bundled_real(raw, "ridge_lambda_used", where, True)}
+            F, dims = spec.feature_count, " = (spec.feature_count,)"
+            W, b = _bundled_map(raw, in_dim, spec, version)
+            params = {"W": W, "b": b, "beta": raw.array("beta", (F,), dims),
+                      "phi_mean": raw.array("phi_mean", (F,), dims),
+                      "intercept": raw.real("intercept"),
+                      "ridge_lambda_used": raw.real("ridge_lambda_used", 0)}
         else:
-            require_keys(raw, ("keys", "values", "default"), f"{where}: params")
-            table = {np.array(k, dtype=float).tobytes(): float(v)
-                     for k, v in zip(raw["keys"], raw["values"])}
-            params = {"table": table, "default": _bundled_real(raw, "default", where)}
+            keys = raw.array("keys", (None, in_dim), " = (cells, in_dim)")
+            table = dict(zip([row.tobytes() for row in keys], raw.array(
+                "values", (len(keys),), " = (rows of params.keys,)").tolist()))
+            if len(table) < len(keys):
+                raise ValueError(f"{raw.path('keys')} repeats a cell")
+            params = {"table": table, "default": raw.real("default")}
         return FittedRegressor(spec, in_dim, n_rows, params)
 
 
@@ -754,10 +767,11 @@ class ClassifierSpec:
         _validate_count(self.feature_count, "feature_count")
         _validate_count(self.max_iter, "max_iter")
         _validate_count(self.seed, "seed", 0)
-        _validate_bandwidth(self.bandwidth)
-        if self.tol <= 0:
-            raise ValueError("tol must be > 0")
-        _validate_penalty(self.l2, "l2")
+        _validate_real(self.bandwidth, "bandwidth", 0, strict=True)
+        _validate_real(self.tol, "tol", 0, strict=True)
+        _validate_real(0 if self.l2 == "auto" else self.l2, "l2", 0)
+        if not isinstance(flag := self.use_random_features, bool):
+            raise ValueError(f"use_random_features must be a bool, got {flag!r}")
 
 
 _PROB_EPS = 1e-12
@@ -920,17 +934,17 @@ class FittedClassifier:
     def from_dict(state: dict, where: str = "classifier",
                   version: int = BUNDLE_FORMAT_VERSION) -> "FittedClassifier":
         """Load ``to_dict``'s state (see :meth:`FittedRegressor.from_dict`)."""
-        require_keys(state, ("spec", "in_dim", "n_classes", "n_rows", "params"), where)
-        spec = _bundled_spec(ClassifierSpec, state, where)
-        in_dim, raw = _validate_count(state["in_dim"], f"{where}: in_dim"), state["params"]
-        n_classes = _validate_count(state["n_classes"], f"{where}: n_classes", 2)
-        n_rows = _validate_count(state["n_rows"], f"{where}: n_rows")
-        require_keys(raw, ("theta", "l2_used"), f"{where}: params")
-        width = (spec.feature_count if spec.use_random_features else in_dim) + 1
-        params = {"theta": _bundled_array(raw, "theta", (width, n_classes), where),
-                  "l2_used": _bundled_real(raw, "l2_used", where, True)}
+        fields = _Fields(state, where)
+        spec = fields.obj("spec").build(ClassifierSpec)
+        in_dim, n_rows = fields.count("in_dim"), fields.count("n_rows")
+        n_classes = fields.count("n_classes", 2)
+        raw, params = fields.obj("params", f" (format_version {version})"), {}
+        width, dims = in_dim, " = (in_dim + 1, n_classes)"
         if spec.use_random_features:
-            params["W"], params["b"] = _bundled_map(raw, in_dim, spec, where, version)
+            params["W"], params["b"] = _bundled_map(raw, in_dim, spec, version)
+            width, dims = spec.feature_count, " = (spec.feature_count + 1, n_classes)"
+        params["theta"] = raw.array("theta", (width + 1, n_classes), dims)
+        params["l2_used"] = raw.real("l2_used", 0)
         return FittedClassifier(spec, in_dim, n_classes, n_rows, params)
 
 

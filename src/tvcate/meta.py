@@ -29,7 +29,8 @@ A model bundle (format 2) holds the models a learner predicts from: a
 plug-in kind's two arm models, or a second stage and, for IVW-DR, its
 variance model; each stores its cosine map as a digest
 (:mod:`tvcate.learners`).  Format-1 bundles, which embedded a plug-in's
-whole nuisance bundle, still load.
+whole nuisance bundle, still load.  Loading reads each field through the
+reader of :mod:`tvcate.learners`, which names a bad field's path.
 """
 
 from __future__ import annotations
@@ -44,16 +45,16 @@ from typing import Optional
 import numpy as np
 
 from ._blocks import _table_array, _table_blocks
-from .learners import (FittedRegressor, RegressorSpec, RowMap, fit_regressor, map_key,
-                       predict_many, require_keys)
+from .learners import (FittedRegressor, RegressorSpec, RowMap, _Fields, fit_regressor, map_key,
+                       predict_many)
 from .nuisance import (
     BUNDLE_FORMAT_VERSION,
     NuisanceSet,
     RowTable,
     build_row_table,
-    bundle_codec,
     bundle_pair,
     check_bundle,
+    response_levels,
 )
 from .panel import FeatureCodec, InterventionPair, Panel
 
@@ -253,9 +254,9 @@ class VModel:
 
     @staticmethod
     def from_dict(state: dict, version: int = BUNDLE_FORMAT_VERSION) -> "VModel":
-        require_keys(state, ("model", "v_floor"), "v_model")
-        return VModel(FittedRegressor.from_dict(state["model"], "v_model.model", version),
-                      float(state["v_floor"]))
+        fields = _Fields(state, "v_model")
+        return VModel(FittedRegressor.from_dict(fields["model"], "v_model.model", version),
+                      fields.real("v_floor"))
 
 
 def fit_v_model(rows: PseudoRows) -> VModel:
@@ -382,8 +383,6 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
 
 # -- bundles -----------------------------------------------------------------
 
-_MODEL_KEYS = ("kind", "target", "pair", "tau", "codec", "weights_mode", "diagnostics",
-               "second_stage", "v_model")
 #: where a plug-in bundle keeps its arm models: format 1 embedded the whole
 #: nuisance bundle, format 2 holds the two models
 _PLUG_IN_KEY = {1: "nuisances", 2: "arm_models"}
@@ -409,56 +408,42 @@ def cate_model_to_dict(model: CateModel) -> dict:
     }
 
 
-def _arm_model_states(state: dict, version: int):
-    """``{arm: (where, regressor state)}`` of a plug-in bundle, or None."""
-    held = state[_PLUG_IN_KEY[version]]
-    if held is None:
-        return None
-    if version == 2:
-        return {arm: (f"arm_models.{arm}", d) for arm, d in held.items()}
-    # format 1: read the two models the kind predicts from out of the
-    # embedded nuisance bundle
-    family = f"{LEARNER_NUISANCES[state['kind']][0]}_models"
-    check_bundle(held, "nuisance", (family,))
-    models = held[family] or {}           # none: the caller names the missing models
-    if family == "history_models":
-        return {arm: (f"nuisances.history_models.{arm}", d) for arm, d in models.items()}
-    return {arm: (f"nuisances.response_models.{arm}[0]", levels[0])
-            for arm, levels in models.items()}
-
-
 def cate_model_from_dict(state: dict) -> CateModel:
     """Load a model bundle whose ``kind`` holds the models it predicts
     from; ``weights_mode`` is read and ignored."""
-    version = check_bundle(state, "model", _MODEL_KEYS)
-    check_bundle(state, "model", (_PLUG_IN_KEY[version],))
-    if state["target"] != "cate":
-        raise ValueError(f"model bundle has target {state['target']!r}; "
-                         "only 'cate' models load")
-    kind = state["kind"]
+    fields = _Fields(state, "model bundle")
+    kind = fields["kind"]
     if kind not in LEARNER_KINDS:
         raise ValueError(f"model bundle has kind {kind!r}; choose from {LEARNER_KINDS}")
-    pair, tau = bundle_pair(state, "model")
-    arms = _arm_model_states(state, version)
-    if kind in PLUG_IN_KINDS and (arms is None or set(arms) != {"a", "b"}):
-        raise ValueError(f"model bundle of kind {kind!r} needs "
-                         f"{_PLUG_IN_KEY[version]} for arms 'a' and 'b'")
-    if kind not in PLUG_IN_KINDS and state["second_stage"] is None:
-        raise ValueError(f"model bundle of kind {kind!r} needs second_stage")
-    if kind == "IVW-DR" and state["v_model"] is None:
-        raise ValueError(f"model bundle of kind {kind!r} needs v_model")
+    version = check_bundle(fields)
+    if fields["target"] != "cate":
+        raise ValueError(f"model bundle has target {fields['target']!r}; "
+                         "only 'cate' models load")
+    fields["weights_mode"]                # read and ignored
+    pair, tau = bundle_pair(fields)
+    fields.layout, arm_models = f" (format_version {version})", None
+    family = f"{LEARNER_NUISANCES[kind][0]}_models"
+    if fields[_PLUG_IN_KEY[version]] is not None:
+        held, level0 = fields.obj(_PLUG_IN_KEY[version]), False
+        if version == 1:              # read the kind's two models out of the nuisance bundle
+            check_bundle(held)
+            held, level0 = held[family] and held.obj(family), family == "response_models"
+        arm_models = {} if not held else {arm: FittedRegressor.from_dict(
+            response_levels(held, arm, tau)[0] if level0 else held[arm],
+            held.inner + arm + ("[0]" if level0 else ""), version) for arm in held.state}
+    if kind in PLUG_IN_KINDS and (arm_models is None or set(arm_models) != {"a", "b"}):
+        raise ValueError(f"model bundle of kind {kind!r} needs {_PLUG_IN_KEY[version]} for "
+                         "arms 'a' and 'b'" + (f" in {family}" if version == 1 else ""))
+    second_stage, v_model = fields["second_stage"], fields["v_model"]
+    for key, need in (("second_stage", kind not in PLUG_IN_KINDS), ("v_model", kind == "IVW-DR")):
+        if need and fields[key] is None:
+            raise ValueError(f"model bundle of kind {kind!r} needs {key}")
     return CateModel(
-        kind=kind,
-        pair=pair,
-        tau=tau,
-        codec=bundle_codec(state, "model"),
-        diagnostics=state["diagnostics"],
-        arm_models=None if arms is None else
-        {arm: FittedRegressor.from_dict(d, where, version) for arm, (where, d) in arms.items()},
-        second_stage=None if state["second_stage"] is None
-        else FittedRegressor.from_dict(state["second_stage"], "second_stage", version),
-        v_model=None if state["v_model"] is None
-        else VModel.from_dict(state["v_model"], version),
+        kind=kind, pair=pair, tau=tau, codec=fields.obj("codec").build(FeatureCodec),
+        diagnostics=fields.obj("diagnostics").state, arm_models=arm_models,
+        second_stage=None if second_stage is None
+        else FittedRegressor.from_dict(second_stage, "second_stage", version),
+        v_model=None if v_model is None else VModel.from_dict(v_model, version),
     )
 
 

@@ -23,10 +23,11 @@ of one whole evaluation (:mod:`tvcate._blocks`); predictions are not.
 
 A nuisance bundle (format 2) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
-trajectory count; an enabled plan keeps its folds.  Loading checks the
-format version, every key and array shape, and that the pair and each
-arm's response models have tau + 1 levels, and raises ``ValueError``
-naming the model and field.  Format-1 bundles still load.
+trajectory count; an enabled plan keeps its folds.  Loading reads each field
+once through the reader of :mod:`tvcate.learners` (flags, counts, reals such
+as ``clip_eps``, finite arrays of their shapes, model containers, tau + 1
+levels in the pair and each arm's response models) and raises ``ValueError``
+naming the field's path.  Format-1 bundles still load.
 """
 
 from __future__ import annotations
@@ -47,9 +48,9 @@ from .learners import (
     FittedRegressor,
     RegressorSpec,
     RowMap,
+    _Fields,
     fit_classifier,
     predict_many,
-    require_keys,
 )
 from .panel import FeatureCodec, InterventionPair, Panel, _validate_count, validate_panel
 
@@ -593,50 +594,38 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
 #: bundle format versions that load (format 1 stored every cosine map's W and b)
 READABLE_FORMAT_VERSIONS = (1, BUNDLE_FORMAT_VERSION)
 
-_NUISANCE_KEYS = ("oracle_mode", "pair", "tau", "clip_eps", "codec", "split")
-_FITTED_KEYS = ("response_models", "propensity_model", "history_models")
 
-
-def check_bundle(state, what: str, required) -> int:
-    """The bundle's format version; raise ValueError for an unknown version
-    or a missing key.  Bundles written before the version key existed load
-    as version 1.
-    """
-    require_keys(state, (), f"{what} bundle")
-    version = state.get("format_version", 1)
-    if version not in READABLE_FORMAT_VERSIONS:
-        raise ValueError(f"{what} bundle has unknown format_version {version!r}; "
+def check_bundle(fields: _Fields) -> int:
+    """The format version of the bundle ``fields`` reads; ValueError for an
+    unknown one.  Bundles written before the version key existed load as
+    version 1."""
+    version = fields.state.get("format_version", 1)
+    if isinstance(version, bool) or version not in READABLE_FORMAT_VERSIONS:
+        raise ValueError(f"{fields.name} has unknown format_version {version!r}; "
                          f"this version reads {READABLE_FORMAT_VERSIONS}")
-    require_keys(state, required, f"{what} bundle")
     return version
 
 
-def bundle_codec(state, what: str) -> FeatureCodec:
-    """A bundle's feature codec; raise ValueError naming ``codec`` unless valid."""
-    require_keys(state["codec"], (), f"{what} bundle: codec")
-    try:
-        return FeatureCodec(**state["codec"])
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{what} bundle: codec: {exc}") from None
-
-
-def bundle_pair(state, what: str):
-    """A bundle's intervention pair and horizon; raise ValueError naming
-    ``tau``, ``pair``, ``pair.a_seq`` or ``pair.b_seq`` unless tau is an
-    integer >= 0 and the pair two lists of tau + 1 arm indices >= 0."""
-    where, tau = f"{what} bundle", state["tau"]
-    _validate_count(tau, f"{where}: tau", 0)
-    require_keys(state["pair"], ("a_seq", "b_seq"), f"{where}: pair")
+def bundle_pair(fields: _Fields):
+    """A bundle's intervention pair and horizon; ValueError naming ``tau``,
+    ``pair``, ``pair.a_seq`` or ``pair.b_seq`` unless tau is an integer >= 0
+    and the pair two lists of tau + 1 arm indices >= 0."""
+    tau, pair, seqs = fields.count("tau", 0), fields.obj("pair"), []
     for key in ("a_seq", "b_seq"):
-        seq = state["pair"][key]
-        if not isinstance(seq, list):
-            raise ValueError(f"{where}: pair.{key} must be a list of arm indices, got {seq!r}")
-        for arm in seq:
-            _validate_count(arm, f"{where}: pair.{key} arm", 0)
-        if len(seq) != tau + 1:
-            raise ValueError(f"{where} pair has {len(seq)} levels per arm, tau {tau} "
-                             f"needs {tau + 1}")
-    return InterventionPair(tuple(state["pair"]["a_seq"]), tuple(state["pair"]["b_seq"])), tau
+        seqs.append(tuple(_validate_count(arm, f"{pair.path(key)} arm", 0)
+                          for arm in pair.seq(key)))
+        if len(seqs[-1]) != tau + 1:
+            raise ValueError(f"{pair.name} has {len(seqs[-1])} levels per arm, tau {tau} "
+                             f"needs {tau + 1} ({key})")
+    return InterventionPair(*seqs), tau
+
+
+def response_levels(models: _Fields, arm: str, tau: int) -> list:
+    """The states of ``arm``'s tau + 1 levels in a ``response_models`` object."""
+    levels = models.seq(arm)
+    if len(levels) != tau + 1:
+        raise ValueError(f"{models.path(arm)}: {len(levels)} levels, tau {tau} needs {tau + 1}")
+    return levels
 
 
 def _split_to_dict(split: SplitPlan) -> dict:
@@ -647,21 +636,20 @@ def _split_to_dict(split: SplitPlan) -> dict:
             "folds": {k: v.tolist() for k, v in split.folds.items()}}
 
 
-def _split_from_dict(state: dict, version: int, tau: int) -> SplitPlan:
-    require_keys(state, ("enabled", "tau"), "split")
-    where, enabled = "nuisance bundle: split.", state["enabled"]
-    if not isinstance(enabled, bool):
-        raise ValueError(f"{where}enabled must be true or false, got {enabled!r}")
-    _validate_count(state["tau"], f"{where}tau", 0)
-    if state["tau"] != tau:
-        raise ValueError(f"{where}tau {state['tau']} differs from the bundle's tau {tau}")
+def _split_from_dict(split: _Fields, version: int, tau: int) -> SplitPlan:
+    enabled = split.flag("enabled")
+    if split.count("tau", 0) != tau:
+        raise ValueError(f"{split.path('tau')} {split['tau']} differs from the bundle's tau {tau}")
+    split.layout = f" (enabled {str(enabled).lower()}, format_version {version})"
     if enabled or version == 1:
-        require_keys(state, ("folds",), "split")
-        return SplitPlan(enabled, tau,
-                         {k: np.array(v, dtype=int) for k, v in state["folds"].items()})
-    require_keys(state, ("trajectories",), "split")
-    _validate_count(state["trajectories"], f"{where}trajectories", 0)
-    full = np.arange(state["trajectories"])
+        folds, plan = split.obj("folds"), {}
+        for name in _fold_names(tau):
+            ids = folds.array(name, (None,))
+            if np.any((ids < 0) | (ids % 1 != 0)):
+                raise ValueError(f"{folds.path(name)} must hold trajectory ids >= 0")
+            plan[name] = ids.astype(int)
+        return SplitPlan(enabled, tau, plan)
+    full = np.arange(split.count("trajectories", 0))
     return SplitPlan(False, tau, {name: full for name in _fold_names(tau)})
 
 
@@ -693,35 +681,35 @@ def nuisances_to_dict(ns: NuisanceSet) -> dict:
 
 
 def nuisances_from_dict(state: dict) -> NuisanceSet:
-    version = check_bundle(state, "nuisance", _NUISANCE_KEYS)
-    check_bundle(state, "nuisance", ("dgp",) if state["oracle_mode"] else _FITTED_KEYS)
-    pair, tau = bundle_pair(state, "nuisance")
-    codec = bundle_codec(state, "nuisance")
-    split = _split_from_dict(state["split"], version, tau)
-    common = dict(pair=pair, tau=tau, codec=codec,
-                  clip_eps=float(state["clip_eps"]), split=split)
-    if state["oracle_mode"]:
+    fields = _Fields(state, "nuisance bundle")
+    oracle = fields.flag("oracle_mode")
+    version = check_bundle(fields)
+    fields.layout = f" (oracle_mode {str(oracle).lower()})"
+    pair, tau = bundle_pair(fields)
+    common = dict(pair=pair, tau=tau, codec=fields.obj("codec").build(FeatureCodec),
+                  clip_eps=fields.real("clip_eps"),
+                  split=_split_from_dict(fields.obj("split"), version, tau))
+    if oracle:
         from .dgp import get_dgp
-        if state["dgp"] is None:
-            raise ValueError("oracle bundle lacks a registered DGP name")
-        return NuisanceSet(oracle_mode=True, dgp=get_dgp(state["dgp"]), **common)
-    rm = state["response_models"]
-    pm = state["propensity_model"]
-    hm = state["history_models"]
-    for arm, models in (rm or {}).items():
-        if len(models) != tau + 1:
-            raise ValueError(f"response_models.{arm}: {len(models)} levels, "
-                             f"tau {tau} needs {tau + 1}")
+        name = fields["dgp"]
+        try:
+            dgp = get_dgp(name)
+        except ValueError as exc:
+            raise ValueError(f"{fields.path('dgp')}: {exc}") from None
+        return NuisanceSet(oracle_mode=True, dgp=dgp, **common)
+    rm, hm = (None if fields[key] is None else fields.obj(key)
+              for key in ("response_models", "history_models"))
+    pm = fields["propensity_model"]
     return NuisanceSet(
         response_models=None if rm is None else
             {arm: [FittedRegressor.from_dict(d, f"response_models.{arm}[{j}]", version)
-                   for j, d in enumerate(models)]
-             for arm, models in rm.items()},
+                   for j, d in enumerate(response_levels(rm, arm, tau))]
+             for arm in rm.state},
         propensity_model=None if pm is None
             else FittedClassifier.from_dict(pm, "propensity_model", version),
         history_models=None if hm is None else
-            {arm: FittedRegressor.from_dict(d, f"history_models.{arm}", version)
-             for arm, d in hm.items()},
+            {arm: FittedRegressor.from_dict(hm[arm], f"history_models.{arm}", version)
+             for arm in hm.state},
         **common)
 
 

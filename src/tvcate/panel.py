@@ -22,8 +22,8 @@ not hot paths.  What each constructor rejects:
   trajectories whose covariates, treatments and outcomes differ in length.
   Values are left to :func:`validate_panel`, which reports and does not raise.
 * :func:`panel_from_arrays`, which copies its inputs: also non-finite
-  covariates or outcomes, arms outside [0, treatment_arity) and a
-  ``treatment_arity`` that is not an integer >= 1.
+  covariates or outcomes, arms outside [0, treatment_arity) or of a
+  non-integer dtype, and a ``treatment_arity`` that is not an integer >= 1.
 * :func:`panel_from_csv`: also wrong field counts, a non-integral traj_id,
   t or arm, and times other than 1..T once each.
 """
@@ -31,6 +31,7 @@ not hot paths.  What each constructor rejects:
 from __future__ import annotations
 
 import numbers
+import sys
 from dataclasses import FrozenInstanceError, dataclass
 from typing import Iterable
 
@@ -60,6 +61,17 @@ def _validate_count(value, name, least=1) -> int:
     if value < least:
         raise ValueError(f"{name} must be >= {least}")
     return int(value)
+
+
+def _validate_real(value, name, least=None, strict=False) -> float:
+    """``value`` as a float: a finite real (not a bool), >= ``least`` (>
+    when ``strict``) when given; else ValueError naming ``name``."""
+    bound = "" if least is None else f" {'>' if strict else '>='} {least}"
+    real = (isinstance(value, numbers.Real) and not isinstance(value, bool)
+            and abs(value) <= sys.float_info.max)      # no NaN, inf or int beyond a float
+    if not real or (bound and not (value > least if strict else value >= least)):
+        raise ValueError(f"{name} must be a finite real{bound}, got {value!r}")
+    return float(value)
 
 
 def _arm_dtype(treatment_arity: int) -> np.dtype:
@@ -291,11 +303,9 @@ class FeatureCodec:
     def __post_init__(self):
         for name in ("max_len", "cov_dim", "treatment_arity"):     # ints for JSON
             object.__setattr__(self, name, _validate_count(getattr(self, name), name))
-        flag, scale = self.include_time_index, self.time_scale
-        if not isinstance(flag, bool):
-            raise ValueError(f"include_time_index must be a bool, got {flag!r}")
-        if isinstance(scale, bool) or not (isinstance(scale, numbers.Real) and np.isfinite(scale)):
-            raise ValueError(f"time_scale must be a finite real, got {scale!r}")
+        if not isinstance(self.include_time_index, bool):
+            raise ValueError(f"include_time_index must be a bool, got {self.include_time_index!r}")
+        _validate_real(self.time_scale, "time_scale")
         if self.scheme != "flat-padded":
             raise ValueError(f"unknown encoding scheme {self.scheme!r}")
 
@@ -383,13 +393,14 @@ def encode_history(h: HistoryView, codec: FeatureCodec) -> np.ndarray:
 def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
     """Build a Panel from private copies of X (n,T,d) or (n,T), A (n,T), Y (n,T).
 
-    Rejects a non-finite covariate or outcome and an arm (of any integer
-    type) outside [0, treatment_arity), naming the first such trajectory and t.
+    Rejects an ``A`` of a non-integer dtype, a non-finite covariate or outcome
+    and an arm outside [0, treatment_arity), naming the first such trajectory and t.
     The copies and checks run over blocks of trajectories, with the bits of
     one block (:mod:`tvcate._blocks`).
     """
     X, A, Y = np.asarray(X, dtype=float), np.asarray(A), np.asarray(Y, dtype=float)
-    A = A if A.dtype.kind in "iu" else A.astype(int)
+    if A.dtype.kind not in "iu":
+        raise ValueError(f"A must hold integer arms, got dtype {A.dtype}")
     if X.ndim == 2:
         X = X[:, :, None]
     if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != X.shape[:2]:

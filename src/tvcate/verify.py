@@ -51,7 +51,6 @@ from .meta import (
     pseudo_ipw,
 )
 from .nuisance import build_row_table, default_codec, fit_response_iterative, oracle_nuisances
-from .panel import encode_history
 
 __all__ = [
     "SUITE_NAMES",
@@ -221,16 +220,13 @@ def _suite_gcomp_bruteforce(budget, seed):
     panel = dgp.simulate(budget, seed=[seed, 21])
     codec = default_codec(panel)
     table = build_row_table(panel, 1, codec)
-    from .panel import HistoryView
-    reps = {}
-    for traj in panel.trajectories:
-        reps.setdefault(float(traj.covariates[0, 0]), HistoryView(traj, 1))
+    first = panel.offsets[:-1]            # per x1, the encoded H_1 of its first trajectory
+    reps = {x1: panel.encoded(codec)[first[panel.X[first, 0] == x1][0]] for x1 in (0.0, 1.0)}
     checks = []
     for suffix in ((0, 1), (1, 0)):
         models = fit_response_iterative(panel, suffix, 1, LOOKUP_TABLE, table=table)
         exact0 = dgp.enumerate_response(suffix, 0)
-        err0 = max(abs(float(models[0].predict(encode_history(reps[x1], codec)))
-                       - exact0[x1]) for x1 in (0.0, 1.0))
+        err0 = max(abs(float(models[0].predict(reps[x1])) - exact0[x1]) for x1 in (0.0, 1.0))
         checks.append(CheckResult.compare(
             f"arms {suffix} level 0: max abs error vs enumeration", err0, 0.02,
             detail={"n": budget, "exact": exact0}))

@@ -16,7 +16,7 @@ import pytest
 
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.learners import (ClassifierSpec, FittedClassifier, FittedRegressor, RegressorSpec,
-                             fit_classifier, fit_regressor)
+                             fit_classifier, fit_regressor, map_digest)
 from tvcate.meta import (LEARNER_KINDS, cate_model_from_dict, cate_model_to_dict, fit_meta,
                          load_cate_model, save_cate_model)
 from tvcate.nuisance import (build_row_table, fit_nuisances, load_nuisances, make_split,
@@ -347,3 +347,139 @@ class TestUnmappedModels:
         assert state["split"] == {"enabled": False, "tau": 1, "trajectories": 0}
         back = nuisances_from_dict(json.loads(json.dumps(state)))
         assert back.oracle_mode and back.split.fold("po").size == 0
+
+
+#: the single mutations of a key or list element: "delete" removes the key
+#: or drops the element, any other value replaces it
+MUTATIONS = ("delete", None, float("nan"), 3, "x", [], {}, True)
+#: fields a loader reads and ignores by design, so a mutation may load
+#: without round-tripping: ``weights_mode`` is always "estimated" (every
+#: model is fitted with estimated weights), format 1's kNN "k" and
+#: ``oracle_history_mc`` are shims for bundles of removed features, and
+#: ``diagnostics`` is a record of the fit that predictions never read
+IGNORED = ("weights_mode", "k", "oracle_history_mc")
+
+
+def json_round(state):
+    return json.loads(json.dumps(state))
+
+
+def mutation_paths(state, rng, path=()):
+    """Every key path of a JSON state and two seeded elements of each list
+    (lists of numbers hold most paths and share one reader), with a parent
+    before its children."""
+    items = (state.items() if isinstance(state, dict) else
+             [(i, state[i]) for i in sorted(set(rng.integers(0, len(state), 2).tolist()))]
+             if isinstance(state, list) and state else ())
+    for key, value in items:
+        yield path + (key,)
+        yield from mutation_paths(value, rng, path + (key,))
+
+
+def exempt(path) -> bool:
+    return bool(set(path) & set(IGNORED)) or (path[0] == "diagnostics" and len(path) > 1)
+
+
+def mutated(state, path, kind):
+    """``state`` with one mutation at ``path``; objects off the path are shared."""
+    key, copy = path[0], dict(state) if isinstance(state, dict) else list(state)
+    if len(path) > 1:
+        copy[key] = mutated(state[key], path[1:], kind)
+    elif kind == "delete":
+        del copy[key]
+    else:
+        copy[key] = json_round(kind)
+    return copy
+
+
+def format2_of(state):
+    """The format-2 bundle of a format-1 one's models, built apart from the
+    loaders: a cosine map's W and b become their digest, a disabled split
+    its trajectory count, and a plug-in model keeps the two models its kind
+    predicts from."""
+    def maps(node):
+        if isinstance(node, list):
+            return [maps(child) for child in node]
+        if not isinstance(node, dict):
+            return node
+        node = {key: maps(child) for key, child in node.items()}
+        params = node.get("params")
+        if isinstance(params, dict) and "W" in params:
+            params["map_sha256"] = map_digest(np.array(params.pop("W")),
+                                              np.array(params.pop("b")))
+        return node
+    state = dict(state)
+    if "nuisances" in state:
+        held = state.pop("nuisances")
+        state["arm_models"] = (None if held is None else held["history_models"]
+                               if state["kind"] == "PI-HA" else
+                               {arm: levels[0] for arm, levels in held["response_models"].items()})
+    state = maps(state)
+    if "split" in state and not state["split"]["enabled"]:
+        state["split"] = {"enabled": False, "tau": state["split"]["tau"],
+                          "trajectories": len(state["split"]["folds"]["po"])}
+    state["format_version"] = 2
+    return state
+
+
+class TestSeededMutations:
+    """Single seeded mutations at every path of a bundle: each load raises
+    ValueError naming the mutated key (the last key of its path), or loads
+    an object whose ``to_dict`` is the mutated state after a JSON round trip
+    (for a format-1 bundle, the state's :func:`format2_of`).  Two elements
+    of each list and four seeded mutation kinds at each path keep the test
+    to a few seconds."""
+
+    @staticmethod
+    def check(state, load, dump, seed, upgrade=lambda s: s):
+        state = json_round(state)
+        assert json_round(dump(load(state))) == upgrade(state)
+        rng = np.random.default_rng(seed)
+        escapes = []
+        for path in list(mutation_paths(state, rng)):
+            if exempt(path):
+                continue
+            key = next(k for k in reversed(path) if isinstance(k, str))
+            for pick in rng.choice(len(MUTATIONS), 4, replace=False):
+                kind = MUTATIONS[pick]
+                changed = mutated(state, path, kind)
+                try:
+                    back = json_round(dump(load(changed)))
+                except ValueError as exc:
+                    if key not in str(exc):
+                        escapes.append((path, kind, f"ValueError: {exc}"))
+                    continue
+                except Exception as exc:      # any other error is an escape
+                    escapes.append((path, kind, f"{type(exc).__name__}: {exc}"))
+                    continue
+                if back != upgrade(changed):
+                    escapes.append((path, kind, "loaded another state"))
+        assert not escapes, "\n".join(map(str, escapes[:10]))
+
+    @pytest.mark.parametrize("mode", ["fitted", "oracle"])
+    def test_nuisance_bundle(self, mode, fitted):
+        ns = fitted[3] if mode == "fitted" else oracle_nuisances(make_d1(), benchmark_pair(1))
+        self.check(nuisances_to_dict(ns), nuisances_from_dict, nuisances_to_dict, 11)
+
+    @pytest.mark.parametrize("kind", LEARNER_KINDS)
+    def test_model_bundle(self, kind, fitted):
+        self.check(cate_model_to_dict(fitted[4][kind]), cate_model_from_dict,
+                   cate_model_to_dict, 12)
+
+    @pytest.mark.parametrize("name", ["nuisances-nosplit", "nuisances-split"] +
+                             [f"model-{kind}" for kind in LEARNER_KINDS])
+    def test_format1_fixture(self, name):
+        state = json.loads((FORMAT1 / f"{name}.json").read_text())
+        load, dump = ((nuisances_from_dict, nuisances_to_dict) if name.startswith("nuisances")
+                      else (cate_model_from_dict, cate_model_to_dict))
+        self.check(state, load, dump, 13, format2_of)
+
+    @pytest.mark.parametrize("kind", ["lookup", "plain-classifier"])
+    def test_unmapped_model(self, kind):
+        rng = np.random.default_rng(4)
+        cells = rng.integers(0, 3, size=(40, 2)).astype(float)
+        model = (fit_regressor(RegressorSpec(kind="lookup-table"), cells, rng.normal(size=40))
+                 if kind == "lookup" else
+                 fit_classifier(ClassifierSpec(use_random_features=False, l2=1e-2), cells,
+                                cells[:, 0] > 0))
+        self.check(model.to_dict(), type(model).from_dict, type(model).to_dict, 14)

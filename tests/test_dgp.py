@@ -77,6 +77,33 @@ class TestFactories:
         assert (x2 - 0.5 * x1).std() == pytest.approx(0.5, rel=0.03)
 
 
+@pytest.mark.parametrize("build,field", [
+    pytest.param(lambda: dataclasses.replace(make_d1(), horizon=2.5), "horizon", id="horizon 2.5"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), horizon=True), "horizon",
+                 id="horizon True"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), horizon=0), "horizon", id="horizon 0"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), x1_std=np.nan), "x1_std", id="x1_std nan"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), x_noise_std=0.0), "x_noise_std",
+                 id="x_noise_std 0"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), y_noise_std=np.inf), "y_noise_std",
+                 id="y_noise_std inf"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), y_noise_std="x"), "y_noise_std",
+                 id="y_noise_std x"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), a0=2.5), "a0", id="a0 2.5"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), a0=5), "a0", id="a0 5"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), a0=-1), "a0", id="a0 -1"),
+    pytest.param(lambda: dataclasses.replace(make_d1(), a0=True), "a0", id="a0 True"),
+    pytest.param(lambda: DiscreteDGP(horizon=3), "horizon", id="discrete horizon 3"),
+    pytest.param(lambda: DiscreteDGP(horizon=2.0), "horizon", id="discrete horizon 2.0"),
+])
+def test_a_generator_field_is_checked_when_built(build, field):
+    # each once built: horizon 2.5 and True then failed inside NumPy, the
+    # noise scales were caught by the panel check or not at all, a0 2.5 and
+    # 5 simulated, and DiscreteDGP(horizon=3) simulated two steps
+    with pytest.raises(ValueError, match=f"^{field} must be"):
+        build()
+
+
 class TestRegistry:
     def test_known_names(self):
         assert get_dgp("d1").name == "d1"

@@ -78,6 +78,14 @@ class TestFlatStoreBoundaries:
                                              r"outside \[0, 2\)$"):
             panel_from_arrays(np.zeros((3, 4)), A, np.zeros((3, 4)))
 
+    @pytest.mark.parametrize("A", [np.array([[0.5, 1.7, 1.0]]), np.array([[0.0, 1.0, 1.0]]),
+                                   np.array([[False, True, True]]),
+                                   np.array([[0, 1, 1]], dtype=object)])
+    def test_from_arrays_rejects_arms_of_a_non_integer_dtype(self, A):
+        # a float column of arms was once truncated to [0, 1, 1] without an error
+        with pytest.raises(ValueError, match=rf"^A must hold integer arms, got dtype {A.dtype}$"):
+            panel_from_arrays(np.zeros((1, 3)), A, np.zeros((1, 3)))
+
     def test_from_arrays_rejects_mismatched_shapes(self):
         with pytest.raises(ValueError, match=r"do not share \(n, T\)"):
             panel_from_arrays(np.zeros((3, 4)), np.zeros((3, 3), dtype=int),
