@@ -13,7 +13,6 @@ from .panel import (
     HistoryView,
     InterventionPair,
     FeatureCodec,
-    validate_panel,
     encode_history,
     encode_block,
     panel_from_arrays,

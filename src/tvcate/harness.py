@@ -480,10 +480,8 @@ def _sweep_job(cfg: ExperimentConfig, gamma: Optional[float], seed: int):
 def _run(cfg: ExperimentConfig, gammas: Tuple[Optional[float], ...]) -> ExperimentResult:
     """Every (point, seed) job, rows in a fixed, seed-free order.
 
-    Every point's generator and horizons are checked before any job starts.
-    Runs no :func:`~tvcate.panel.validate_panel` up front: every panel comes
-    from ``simulate_panel`` (``fit_nuisances`` still checks the training
-    panel).
+    Every point's generator and horizons are checked before any job starts;
+    every panel comes from ``simulate_panel``, whose constructor checks it.
     """
     for gamma in gammas:
         _validate_horizons(_point(cfg, gamma))

@@ -300,15 +300,17 @@ class FittedRegressor:
         return state
 
     @staticmethod
-    def from_dict(state: dict, where: str = "regressor",
-                  version: int = BUNDLE_FORMAT_VERSION) -> "FittedRegressor":
+    def from_dict(state: dict, where: str = "regressor", version: int = BUNDLE_FORMAT_VERSION,
+                  codec=None) -> "FittedRegressor":
         """Load ``to_dict``'s state, of bundle format ``version``; a field
-        missing or of another kind, or a digest mismatch, raises ValueError
-        naming ``where`` and the field (:class:`_Fields`)."""
+        missing or of another kind, a digest mismatch or an ``in_dim`` other
+        than ``codec``'s width raises ValueError naming ``where`` and the field."""
         fields = _Fields(state, where)
         # bundles written while a kNN kind existed carry its neighbor count "k"
         spec = fields.obj("spec").build(RegressorSpec, drop=("k",))
         in_dim, n_rows = fields.count("in_dim"), fields.count("n_rows")
+        if codec is not None:
+            codec.check_width(in_dim, where)
         raw = fields.obj("params", f" (format_version {version})")
         if spec.kind == "ridge-random-features":
             F, dims = spec.feature_count, " = (spec.feature_count,)"
@@ -931,12 +933,14 @@ class FittedClassifier:
                 "n_classes": self.n_classes, "n_rows": self.n_rows, "params": params}
 
     @staticmethod
-    def from_dict(state: dict, where: str = "classifier",
-                  version: int = BUNDLE_FORMAT_VERSION) -> "FittedClassifier":
+    def from_dict(state: dict, where: str = "classifier", version: int = BUNDLE_FORMAT_VERSION,
+                  codec=None) -> "FittedClassifier":
         """Load ``to_dict``'s state (see :meth:`FittedRegressor.from_dict`)."""
         fields = _Fields(state, where)
         spec = fields.obj("spec").build(ClassifierSpec)
         in_dim, n_rows = fields.count("in_dim"), fields.count("n_rows")
+        if codec is not None:
+            codec.check_width(in_dim, where)
         n_classes = fields.count("n_classes", 2)
         raw, params = fields.obj("params", f" (format_version {version})"), {}
         width, dims = in_dim, " = (in_dim + 1, n_classes)"

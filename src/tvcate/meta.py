@@ -253,9 +253,9 @@ class VModel:
         return {"model": self.model.to_dict(), "v_floor": self.v_floor}
 
     @staticmethod
-    def from_dict(state: dict, version: int = BUNDLE_FORMAT_VERSION) -> "VModel":
+    def from_dict(state: dict, version: int = BUNDLE_FORMAT_VERSION, codec=None) -> "VModel":
         fields = _Fields(state, "v_model")
-        return VModel(FittedRegressor.from_dict(fields["model"], "v_model.model", version),
+        return VModel(FittedRegressor.from_dict(fields["model"], "v_model.model", version, codec),
                       fields.real("v_floor"))
 
 
@@ -420,7 +420,8 @@ def cate_model_from_dict(state: dict) -> CateModel:
         raise ValueError(f"model bundle has target {fields['target']!r}; "
                          "only 'cate' models load")
     fields["weights_mode"]                # read and ignored
-    pair, tau = bundle_pair(fields)
+    codec = fields.obj("codec").build(FeatureCodec)
+    pair, tau = bundle_pair(fields, codec.treatment_arity)
     fields.layout, arm_models = f" (format_version {version})", None
     family = f"{LEARNER_NUISANCES[kind][0]}_models"
     if fields[_PLUG_IN_KEY[version]] is not None:
@@ -430,7 +431,7 @@ def cate_model_from_dict(state: dict) -> CateModel:
             held, level0 = held[family] and held.obj(family), family == "response_models"
         arm_models = {} if not held else {arm: FittedRegressor.from_dict(
             response_levels(held, arm, tau)[0] if level0 else held[arm],
-            held.inner + arm + ("[0]" if level0 else ""), version) for arm in held.state}
+            held.inner + arm + ("[0]" if level0 else ""), version, codec) for arm in held.state}
     if kind in PLUG_IN_KINDS and (arm_models is None or set(arm_models) != {"a", "b"}):
         raise ValueError(f"model bundle of kind {kind!r} needs {_PLUG_IN_KEY[version]} for "
                          "arms 'a' and 'b'" + (f" in {family}" if version == 1 else ""))
@@ -439,11 +440,11 @@ def cate_model_from_dict(state: dict) -> CateModel:
         if need and fields[key] is None:
             raise ValueError(f"model bundle of kind {kind!r} needs {key}")
     return CateModel(
-        kind=kind, pair=pair, tau=tau, codec=fields.obj("codec").build(FeatureCodec),
+        kind=kind, pair=pair, tau=tau, codec=codec,
         diagnostics=fields.obj("diagnostics").state, arm_models=arm_models,
         second_stage=None if second_stage is None
-        else FittedRegressor.from_dict(second_stage, "second_stage", version),
-        v_model=None if v_model is None else VModel.from_dict(v_model, version),
+        else FittedRegressor.from_dict(second_stage, "second_stage", version, codec),
+        v_model=None if v_model is None else VModel.from_dict(v_model, version, codec),
     )
 
 

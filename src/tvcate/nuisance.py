@@ -52,7 +52,7 @@ from .learners import (
     fit_classifier,
     predict_many,
 )
-from .panel import FeatureCodec, InterventionPair, Panel, _validate_count, validate_panel
+from .panel import FeatureCodec, InterventionPair, Panel, _validate_count
 
 __all__ = [
     "RowTable",
@@ -85,10 +85,10 @@ class RowTable:
     Encoded features are gathers of the panel's encoded positions
     (:meth:`~tvcate.panel.Panel.encoded`) at :meth:`positions`, and raw
     frontier values (x, previous a/y) gathers of its flat rows
-    (:meth:`frontier`), one level per call.  ``x_tail``, ``aprev_tail``,
-    ``yprev_tail`` and ``time_abs`` stack every level into an (N, tau + 1)
-    array on each access; no query reads them, they remain for callers that
-    compare whole tables.  Rows are ordered by (trajectory position, t).
+    (:meth:`frontier`), one level per call.  ``x_tail``, ``aprev_tail`` and
+    ``yprev_tail`` stack every level into an (N, tau + 1) array on each
+    access; no query reads them, they remain for callers that compare whole
+    tables.  Rows are ordered by (trajectory position, t).
     ``traj_id`` is int32, ``t`` the narrowest signed integer type that holds
     the longest trajectory's length and ``a_obs`` the narrowest that holds
     the arms.  ``y_term``, the terminal outcome Y_{t+tau}, is not held: each
@@ -99,8 +99,6 @@ class RowTable:
         if tau < 0:
             raise ValueError("tau must be >= 0")
         lengths = panel.lengths()
-        if lengths.size == 0:
-            raise ValueError("empty panel")
         if tau >= lengths.min():
             raise ValueError("horizon too long: tau >= shortest trajectory length")
         self.panel = panel
@@ -113,8 +111,7 @@ class RowTable:
         self.n_rows = self.traj_id.size
         first = np.cumsum(n_t) - n_t
         self.t = np.empty(self.n_rows, dtype=np.min_scalar_type(-1 - int(lengths.max())))
-        self.a_obs = np.empty((self.n_rows, tau + 1),
-                              dtype=np.min_scalar_type(panel.treatment_arity - 1))
+        self.a_obs = np.empty((self.n_rows, tau + 1), dtype=panel.A.dtype)
 
         def fill(rows):
             self.t[rows] = np.arange(rows.start, rows.stop) - first[self.traj_id[rows]] + 1
@@ -151,7 +148,6 @@ class RowTable:
     x_tail = property(lambda self: self._stacked("x"))
     aprev_tail = property(lambda self: self._stacked("a_prev"))
     yprev_tail = property(lambda self: self._stacked("y_prev"))
-    time_abs = property(lambda self: self.t[:, None] + np.arange(self.tau + 1)[None, :])
     y_term = property(lambda self: self.panel.Y[self.positions(self.tau)])
 
     def features(self, j: int, rows=slice(None)) -> np.ndarray:
@@ -423,6 +419,11 @@ class NuisanceSet:
             if getattr(self.dgp, "response_form", None) is None:
                 raise ValueError("oracle mode needs a DGP with closed-form response "
                                  "surfaces (response_form)")
+        if self.oracle_mode or self.override_propensity is not None:
+            for name, k, arm in [(name, k, arm) for name in ("a_seq", "b_seq")
+                                 for k, arm in enumerate(getattr(self.pair, name)) if arm > 1][:1]:
+                raise ValueError(f"{name}[{k}] is arm {arm}: oracle and injected propensities "
+                                 "answer arms 0 and 1 only")
 
     def _seq(self, arm: str):
         return {"a": self.pair.a_seq, "b": self.pair.b_seq}[arm]
@@ -530,19 +531,15 @@ def fit_nuisances(panel: Panel, pair: InterventionPair, *,
                   response_map: Optional[RowMap] = None) -> NuisanceSet:
     """Fit the full nuisance collection for one intervention pair.
 
-    A panel that fails :func:`~tvcate.panel.validate_panel` is rejected with
-    its messages, which name the trajectory.  ``propensity_model`` hands in a
-    classifier fitted elsewhere (without a split, one fit serves every
-    horizon) and ``propensities`` its :func:`propensities_at_positions` on
-    the panel; ``response_map`` the row map of the panel's positions under
-    the regressor spec, from which every response fit, mu-hat and history
-    fit reads (mapped here when None, grouped by :func:`position_groups`).
+    ``propensity_model`` hands in a classifier fitted elsewhere (without a
+    split, one fit serves every horizon) and ``propensities`` its
+    :func:`propensities_at_positions` on the panel; ``response_map`` the row
+    map of the panel's positions under the regressor spec, from which every
+    response fit, mu-hat and history fit reads (mapped here when None,
+    grouped by :func:`position_groups`).
     Histories are encoded under :func:`default_codec`.  At tau = 0 the
     history adjustments are the level-0 response models.
     """
-    problems = validate_panel(panel)
-    if problems:
-        raise ValueError("invalid panel: " + "; ".join(problems))
     tau = pair.tau
     codec = default_codec(panel)
     if split is None:
@@ -606,10 +603,10 @@ def check_bundle(fields: _Fields) -> int:
     return version
 
 
-def bundle_pair(fields: _Fields):
+def bundle_pair(fields: _Fields, arity: int):
     """A bundle's intervention pair and horizon; ValueError naming ``tau``,
     ``pair``, ``pair.a_seq`` or ``pair.b_seq`` unless tau is an integer >= 0
-    and the pair two lists of tau + 1 arm indices >= 0."""
+    and the pair two lists of tau + 1 arms in [0, ``arity``)."""
     tau, pair, seqs = fields.count("tau", 0), fields.obj("pair"), []
     for key in ("a_seq", "b_seq"):
         seqs.append(tuple(_validate_count(arm, f"{pair.path(key)} arm", 0)
@@ -617,6 +614,8 @@ def bundle_pair(fields: _Fields):
         if len(seqs[-1]) != tau + 1:
             raise ValueError(f"{pair.name} has {len(seqs[-1])} levels per arm, tau {tau} "
                              f"needs {tau + 1} ({key})")
+        if max(seqs[-1]) >= arity:
+            raise ValueError(f"{pair.path(key)}: arm {max(seqs[-1])} >= treatment_arity {arity}")
     return InterventionPair(*seqs), tau
 
 
@@ -685,9 +684,9 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
     oracle = fields.flag("oracle_mode")
     version = check_bundle(fields)
     fields.layout = f" (oracle_mode {str(oracle).lower()})"
-    pair, tau = bundle_pair(fields)
-    common = dict(pair=pair, tau=tau, codec=fields.obj("codec").build(FeatureCodec),
-                  clip_eps=fields.real("clip_eps"),
+    codec = fields.obj("codec").build(FeatureCodec)
+    pair, tau = bundle_pair(fields, codec.treatment_arity)
+    common = dict(pair=pair, tau=tau, codec=codec, clip_eps=fields.real("clip_eps"),
                   split=_split_from_dict(fields.obj("split"), version, tau))
     if oracle:
         from .dgp import get_dgp
@@ -702,13 +701,13 @@ def nuisances_from_dict(state: dict) -> NuisanceSet:
     pm = fields["propensity_model"]
     return NuisanceSet(
         response_models=None if rm is None else
-            {arm: [FittedRegressor.from_dict(d, f"response_models.{arm}[{j}]", version)
+            {arm: [FittedRegressor.from_dict(d, f"response_models.{arm}[{j}]", version, codec)
                    for j, d in enumerate(response_levels(rm, arm, tau))]
              for arm in rm.state},
         propensity_model=None if pm is None
-            else FittedClassifier.from_dict(pm, "propensity_model", version),
+            else FittedClassifier.from_dict(pm, "propensity_model", version, codec),
         history_models=None if hm is None else
-            {arm: FittedRegressor.from_dict(hm[arm], f"history_models.{arm}", version)
+            {arm: FittedRegressor.from_dict(hm[arm], f"history_models.{arm}", version, codec)
              for arm in hm.state},
         **common)
 

@@ -16,16 +16,16 @@ and ``Y (R,)`` hold the rows of all trajectories end to end, and
 ``offsets[i]:offsets[i+1]``); row ``offsets[i] + s - 1`` is position (i, s),
 whose H_s :meth:`Panel.encoded` holds.  ``Panel.trajectories`` builds n read-only
 :class:`Trajectory` views on every access: O(n) objects, meant for tests,
-not hot paths.  What each constructor rejects:
+not hot paths.
 
-* ``Panel(trajectories, treatment_arity)``: mixed covariate widths, and
-  trajectories whose covariates, treatments and outcomes differ in length.
-  Values are left to :func:`validate_panel`, which reports and does not raise.
-* :func:`panel_from_arrays`, which copies its inputs: also non-finite
-  covariates or outcomes, arms outside [0, treatment_arity) or of a
-  non-integer dtype, and a ``treatment_arity`` that is not an integer >= 1.
-* :func:`panel_from_csv`: also wrong field counts, a non-integral traj_id,
-  t or arm, and times other than 1..T once each.
+``Panel(X, A, Y, offsets, treatment_arity)`` is the one constructor, so a
+panel is valid once it exists.  It rejects, naming the first trajectory and
+t where it can: arms outside [0, treatment_arity) or of a non-integer dtype,
+a non-finite covariate or outcome, columns of other row counts, offsets that
+do not run from 0 to the row count or hold an empty trajectory, no
+trajectory and an arity that is not an integer >= 1.  The readers build
+through it; :func:`panel_from_csv` also names the line of a wrong field
+count, a non-integral traj_id, t or arm, and times other than 1..T once each.
 """
 
 from __future__ import annotations
@@ -45,7 +45,6 @@ __all__ = [
     "HistoryView",
     "InterventionPair",
     "FeatureCodec",
-    "validate_panel",
     "encode_history",
     "encode_block",
     "panel_from_arrays",
@@ -94,7 +93,8 @@ class Trajectory:
     covariates : array_like, shape (T, d) or (T,)
         Real covariate vectors X_t.  A 1-D array is treated as d = 1.
     treatments : array_like, shape (T,)
-        Treatment category indices A_t (small non-negative integers).
+        Treatment category indices A_t (small non-negative integers); an
+        array of a non-integer dtype is refused, not truncated.
     outcomes : array_like, shape (T,)
         Scalar outcomes Y_t.
     """
@@ -107,8 +107,11 @@ class Trajectory:
         x = np.atleast_1d(np.asarray(self.covariates, dtype=float))
         if x.ndim == 1:
             x = x[:, None]
+        a = np.asarray(self.treatments)
+        if a.dtype.kind not in "iu":
+            raise ValueError(f"treatments must hold integer arms, got dtype {a.dtype}")
         object.__setattr__(self, "covariates", _frozen_array(x, float))
-        object.__setattr__(self, "treatments", _frozen_array(self.treatments, int))
+        object.__setattr__(self, "treatments", _frozen_array(a, int))
         object.__setattr__(self, "outcomes", _frozen_array(self.outcomes, float))
 
     @classmethod
@@ -128,34 +131,46 @@ class Trajectory:
 
 
 class Panel:
-    """Immutable trajectories of one covariate width and treatment arity, held
-    in the flat read-only columns ``X``, ``A``, ``Y`` and ``offsets``.  Read
-    from arrays or CSV, ``A`` is the narrowest unsigned type that holds every
-    arm (uint8 up to 256 arms), so arithmetic on arms casts them or takes an
-    int64 left operand (``1 - A`` wraps); built from trajectories, it keeps
-    their int64."""
+    """Immutable trajectories in private read-only copies of the flat columns
+    ``X``, ``A``, ``Y`` and ``offsets`` (module docstring), checked and copied
+    in row blocks (:mod:`tvcate._blocks`).  ``A`` is the narrowest unsigned
+    type that holds every arm (uint8 up to 256 arms), so arithmetic on arms
+    casts them or takes an int64 left operand (``1 - A`` wraps)."""
 
-    def __init__(self, trajectories: Iterable[Trajectory] = (), treatment_arity: int = 2):
-        trajs = tuple(trajectories)
-        for i, tr in enumerate(trajs):
-            if not tr.length == tr.treatments.shape[0] == tr.outcomes.shape[0]:
-                raise ValueError(f"trajectory {i}: length mismatch between covariates, "
-                                 f"treatments, and outcomes")
-            if tr.covariate_dim != trajs[0].covariate_dim:
-                raise ValueError(f"trajectory {i}: covariate dimension "
-                                 f"{tr.covariate_dim} != {trajs[0].covariate_dim}")
-        X = np.concatenate([tr.covariates for tr in trajs] or [np.empty((0, 0))])
-        A = np.concatenate([tr.treatments for tr in trajs] or [np.empty(0, dtype=int)])
-        Y = np.concatenate([tr.outcomes for tr in trajs] or [np.empty(0)])
-        self._fill(X, A, Y, np.cumsum([0] + [tr.length for tr in trajs]), treatment_arity)
+    def __init__(self, X, A, Y, offsets, treatment_arity: int = 2):
+        X, A, Y = np.asarray(X, dtype=float), np.asarray(A), np.asarray(Y, dtype=float)
+        offsets, arms = np.asarray(offsets), _arm_dtype(treatment_arity)
+        if A.dtype.kind not in "iu":
+            raise ValueError(f"A must hold integer arms, got dtype {A.dtype}")
+        R = X.shape[0] if X.ndim == 2 else -1
+        if A.shape != (R,) or Y.shape != (R,):
+            raise ValueError(f"X {X.shape}, A {A.shape}, Y {Y.shape} are not (R, d), (R,), (R,)")
+        if offsets.dtype.kind not in "iu" or offsets.ndim != 1:
+            raise ValueError(f"offsets must be 1-D integers, got {offsets.dtype} {offsets.shape}")
+        if offsets.size < 2:
+            raise ValueError("panel has no trajectories")
+        offsets = offsets.astype(np.int64)
+        if offsets[0] != 0 or offsets[-1] != R:
+            raise ValueError(f"offsets run from {offsets[0]} to {offsets[-1]}, not 0 to {R} rows")
+        for i in np.flatnonzero(np.diff(offsets) < 1)[:1]:
+            raise ValueError(f"trajectory {i} is empty")
+        out = np.empty(X.shape), np.empty(R, dtype=arms), np.empty(R)
 
-    def _fill(self, X, A, Y, offsets, treatment_arity):
-        for name, arr in zip(("X", "A", "Y", "offsets"), (X, A, Y, offsets)):
+        def copy(rows):
+            """Check and copy ``rows``; the first bad row among them, if any."""
+            bad_arm, bad_val = _bad_rows(X[rows], A[rows], Y[rows], treatment_arity)
+            for dst, src in zip(out, (X, A, Y)):
+                dst[rows] = src[rows]
+            return rows.start + np.flatnonzero(bad_arm | bad_val)[:1]
+        for r in np.concatenate(_table_blocks(R, copy))[:1]:
+            i = np.searchsorted(offsets, r, "right") - 1
+            why = (f"arm {A[r]} outside [0, {treatment_arity})" if not 0 <= A[r] < treatment_arity
+                   else "non-finite covariate or outcome")
+            raise ValueError(f"trajectory {i}, t {r - offsets[i] + 1}: {why}")
+        for arr in (*out, offsets):
             arr.flags.writeable = False
-            object.__setattr__(self, name, arr)
-        object.__setattr__(self, "treatment_arity", treatment_arity)
-        object.__setattr__(self, "_encoded", {})
-        return self
+        self.__dict__.update(X=out[0], A=out[1], Y=out[2], offsets=offsets,
+                             treatment_arity=int(treatment_arity), _encoded={})
 
     def __setattr__(self, name, value):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -166,8 +181,6 @@ class Panel:
 
     @property
     def covariate_dim(self) -> int:
-        if self.n == 0:
-            raise ValueError("empty panel has no covariate dimension")
         return self.X.shape[1]
 
     @property
@@ -183,8 +196,7 @@ class Panel:
         """Read-only (X, A, Y) reshaped to (n, T, d) / (n, T) / (n, T); equal lengths only."""
         blocks = list(self.dense_blocks())
         if len(blocks) != 1:
-            raise ValueError("dense() requires equal-length trajectories" if blocks
-                             else "empty panel")
+            raise ValueError("dense() requires equal-length trajectories")
         return blocks[0][1:]
 
     def dense_blocks(self) -> Iterable[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
@@ -314,27 +326,16 @@ class FeatureCodec:
         L, d, m = self.max_len, self.cov_dim, self.treatment_arity
         return L * d + (L - 1) * (m - 1) + (L - 1) + L + (1 if self.include_time_index else 0)
 
+    def check_width(self, in_dim: int, name: str) -> None:
+        """ValueError naming ``name`` and every field unless ``in_dim`` is :attr:`width`."""
+        if in_dim != self.width:
+            raise ValueError(f"{name}: in_dim {in_dim} is not the width {self.width} of {self}")
+
 
 def _bad_rows(X, A, Y, treatment_arity):
     """Row masks: arm outside [0, treatment_arity); non-finite covariate or outcome."""
     return ((A < 0) | (A >= treatment_arity),
             ~(np.isfinite(Y) & np.isfinite(X).all(axis=1)))
-
-
-def validate_panel(panel: Panel) -> list[str]:
-    """Check panel invariants; returns a list of violation messages (empty = valid)."""
-    if panel.n == 0:
-        return ["panel has no trajectories"]
-    traj = np.repeat(np.arange(panel.n), panel.lengths())
-    m = panel.treatment_arity
-    checks = [
-        (np.flatnonzero(panel.lengths() < 1), "empty trajectory"),
-        (traj[~np.isfinite(panel.X).all(axis=1)], "non-finite covariate"),
-        (traj[~np.isfinite(panel.Y)], "non-finite outcome"),
-        (traj[(panel.A < 0) | (panel.A >= m)], f"treatment out of range [0, {m})"),
-    ]
-    found = sorted({(int(i), k) for k, (ids, _) in enumerate(checks) for i in ids})
-    return [f"trajectory {i}: {checks[k][1]}" for i, k in found]
 
 
 def encode_block(X: np.ndarray, A: np.ndarray, Y: np.ndarray, t: int,
@@ -391,37 +392,16 @@ def encode_history(h: HistoryView, codec: FeatureCodec) -> np.ndarray:
 
 
 def panel_from_arrays(X, A, Y, treatment_arity: int = 2) -> Panel:
-    """Build a Panel from private copies of X (n,T,d) or (n,T), A (n,T), Y (n,T).
-
-    Rejects an ``A`` of a non-integer dtype, a non-finite covariate or outcome
-    and an arm outside [0, treatment_arity), naming the first such trajectory and t.
-    The copies and checks run over blocks of trajectories, with the bits of
-    one block (:mod:`tvcate._blocks`).
-    """
+    """A :class:`Panel` of n trajectories of length T from X (n, T, d) or
+    (n, T), A (n, T) and Y (n, T), which must share (n, T)."""
     X, A, Y = np.asarray(X, dtype=float), np.asarray(A), np.asarray(Y, dtype=float)
-    if A.dtype.kind not in "iu":
-        raise ValueError(f"A must hold integer arms, got dtype {A.dtype}")
     if X.ndim == 2:
         X = X[:, :, None]
     if X.ndim != 3 or A.shape != X.shape[:2] or Y.shape != X.shape[:2]:
         raise ValueError(f"X {X.shape}, A {A.shape} and Y {Y.shape} do not share (n, T)")
     n, T, d = X.shape
-    out = np.empty((n * T, d)), np.empty(n * T, dtype=_arm_dtype(treatment_arity)), np.empty(n * T)
-
-    def copy(rows):
-        """Copy trajectories ``rows``; the first bad flat row among them, if any."""
-        flat = slice(rows.start * T, rows.stop * T)
-        for dst, src in zip(out, (X, A, Y)):
-            dst[flat] = src[rows].reshape(dst[flat].shape)
-        bad_arm, bad_val = _bad_rows(out[0][flat], A[rows].ravel(), out[2][flat], treatment_arity)
-        return flat.start + np.flatnonzero(bad_arm | bad_val)[:1]
-    bad = [r for found in _table_blocks(n, copy) for r in found]
-    for r in bad[:1]:
-        arm = A.flat[r]
-        why = (f"arm {arm} outside [0, {treatment_arity})" if not 0 <= arm < treatment_arity
-               else "non-finite covariate or outcome")
-        raise ValueError(f"trajectory {r // T}, t {r % T + 1}: {why}")
-    return Panel.__new__(Panel)._fill(*out, np.arange(n + 1) * T, int(treatment_arity))
+    return Panel(X.reshape(n * T, d), A.reshape(-1), Y.reshape(-1), np.arange(n + 1) * T,
+                 treatment_arity)
 
 
 def panel_to_csv(panel: Panel, path) -> None:
@@ -475,12 +455,12 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     """Read a panel written by :func:`panel_to_csv`.
 
     Rejects, naming the line or the traj_id and t, a row with the wrong field
-    count, a non-integral traj_id, t or arm, an arm outside [0,
-    treatment_arity), a ``nan`` or infinite covariate or outcome, and times
-    other than 1..T once each.  Faults of one line report the earliest such
+    count, a non-integral traj_id, t or arm, an arm outside [0, arity), a
+    ``nan`` or infinite covariate or outcome, times other than 1..T once each
+    and a file without rows.  Faults of one line report the earliest such
     line; a missing time or a first time other than 1 the smallest traj_id.
     """
-    arm_dtype = _arm_dtype(treatment_arity)
+    _validate_count(treatment_arity, "treatment_arity")
     with open(path) as fh:
         header = fh.readline().strip().split(",")
         if header[:2] != ["traj_id", "t"] or header[-2:] != ["a", "y"]:
@@ -511,6 +491,6 @@ def panel_from_csv(path, treatment_arity: int = 2) -> Panel:
     for k in np.flatnonzero(np.where(first, t != 1, t != np.append(0, t[:-1]) + 1))[:1]:
         raise ValueError(f"traj_id {tid[k]}: times start at t {t[k]}, not 1" if first[k]
                          else f"traj_id {tid[k]}, t {t[k - 1] + 1}: missing")
-    x, a, y = body["x"][order], a[order].astype(arm_dtype), body["y"][order]
-    return Panel.__new__(Panel)._fill(x, a, y, np.append(np.flatnonzero(first), tid.size),
-                                      int(treatment_arity))
+    x, a, y = body["x"][order], a[order], body["y"][order]
+    del body, lines             # freed before the constructor copies the columns once more
+    return Panel(x, a, y, np.append(np.flatnonzero(first), tid.size), treatment_arity)

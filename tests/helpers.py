@@ -6,7 +6,8 @@ CATE), ``oracle_history_adjustment`` (a path-conditioned mean) and
 ``oracle_propensity``.  They work for any
 :class:`~tvcate.dgp.StructuralDGP`, so tests can check the closed forms the
 package reads (:class:`~tvcate.dgp.ChainResponseForm`) against an
-independent route.  The rest: an encoding inverse; a fresh-interpreter
+independent route.  The rest: ``panel_of``, a panel of per-trajectory
+(X, A, Y) triples; an encoding inverse; a fresh-interpreter
 runner, and a suite's report from one pinned to one CPU and from one on
 all CPUs; ``same_bits``; ``recording``, a generator that records the
 threads its structural functions run on; and ``set_blocks``, which sets
@@ -27,7 +28,7 @@ from scipy.special import expit
 import tvcate
 from tvcate import _blocks
 from tvcate.dgp import StructuralDGP
-from tvcate.panel import FeatureCodec, HistoryView
+from tvcate.panel import FeatureCodec, HistoryView, Panel
 
 
 def run_on_one_thread(script: str) -> str:
@@ -58,6 +59,13 @@ def suite_report_pinned_and_free(suite: str, budget) -> tuple:
         """
     return tuple(run_on_one_thread(script.replace("PIN", repr(pin))).split("\n", 1)
                  for pin in (True, False))
+
+
+def panel_of(trajectories, treatment_arity=2) -> Panel:
+    """The panel of ``trajectories``, (X (T, d), A (T,), Y (T,)) triples, end to end."""
+    X, A, Y = zip(*trajectories)
+    return Panel(np.concatenate(X), np.concatenate(A), np.concatenate(Y),
+                 np.cumsum([0] + [len(a) for a in A]), treatment_arity)
 
 
 def same_bits(got, want):

@@ -326,6 +326,70 @@ class TestLoadChecks:
             load_cate_model(path)
 
 
+class TestCrossFieldChecks:
+    """A bundle's pair holds arms of its codec and every model it loads reads
+    the codec's width; each refusal names the field or the model."""
+
+    @staticmethod
+    def state(bundle, fitted):
+        """A d1 tau = 1 bundle's JSON state and its loader."""
+        if bundle in LEARNER_KINDS:
+            return json_round(cate_model_to_dict(fitted[4][bundle])), cate_model_from_dict
+        ns = fitted[3] if bundle == "nuisance" else oracle_nuisances(make_d1(), benchmark_pair(1))
+        return json_round(nuisances_to_dict(ns)), nuisances_from_dict
+
+    @pytest.mark.parametrize("bundle", ["nuisance", "oracle", "DR"])
+    @pytest.mark.parametrize("key", ["a_seq", "b_seq"])
+    def test_a_pair_arm_past_the_codec_arity_names_the_sequence(self, bundle, key, fitted):
+        # an oracle bundle whose a_seq was [0, 5] loaded and answered P(A = 0) for arm 5
+        state, load = self.state(bundle, fitted)
+        state["pair"][key][1] = 5
+        what = "model" if bundle == "DR" else "nuisance"
+        with pytest.raises(ValueError, match=rf"^{what} bundle: pair\.{key}: arm 5 >= "
+                                             r"treatment_arity 2$"):
+            load(state)
+
+    def test_an_oracle_bundle_of_more_arms_is_refused_by_its_set(self, fitted):
+        state, load = self.state("oracle", fitted)
+        state["codec"]["treatment_arity"] = 6
+        state["pair"]["a_seq"] = [0, 5]
+        with pytest.raises(ValueError, match=r"^a_seq\[1\] is arm 5: oracle and injected "):
+            load(state)
+
+    @pytest.mark.parametrize("field,value", [("max_len", 5), ("cov_dim", 2),
+                                             ("treatment_arity", 3),
+                                             ("include_time_index", False)])
+    @pytest.mark.parametrize("bundle,first", [("nuisance", "response_models.a[0]"),
+                                              ("PI-HA", "arm_models.a"), ("DR", "second_stage"),
+                                              ("IVW-DR", "second_stage")])
+    def test_a_codec_of_another_width_names_the_first_model(self, bundle, first, field, value,
+                                                            fitted):
+        # a DR bundle whose max_len went from 3 to 5 loaded, and only predict
+        # failed, naming neither the bundle nor the codec
+        state, load = self.state(bundle, fitted)
+        state["codec"][field] = value
+        with pytest.raises(ValueError, match=rf"^{re.escape(first)}: in_dim 11 is not the "
+                                             rf"width \d+ of FeatureCodec\(.*{field}={value}"):
+            load(state)
+
+    @pytest.mark.parametrize("bundle,path,name", [
+        ("nuisance", ("response_models", "b", 1), "response_models.b[1]"),
+        ("nuisance", ("propensity_model",), "propensity_model"),
+        ("nuisance", ("history_models", "b"), "history_models.b"),
+        ("PI-RA", ("arm_models", "b"), "arm_models.b"), ("DR", ("second_stage",), "second_stage"),
+        ("IVW-DR", ("v_model", "model"), "v_model.model")])
+    def test_a_model_of_another_width_is_named(self, bundle, path, name, fitted):
+        state, load = self.state(bundle, fitted)
+        node = state
+        for key in path:
+            node = node[key]
+        node["in_dim"] = 12
+        with pytest.raises(ValueError, match=rf"^{re.escape(name)}: in_dim 12 is not the width "
+                                             r"11 of FeatureCodec\(max_len=3, cov_dim=1, "
+                                             r"treatment_arity=2, .*include_time_index=True"):
+            load(state)
+
+
 class TestUnmappedModels:
     def test_plain_classifier_and_lookup_regressor_keep_their_params(self):
         rng = np.random.default_rng(4)

@@ -17,7 +17,7 @@ import tvcate
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(tvcate.__path__))
 
-#: the 72 public names ``import tvcate`` provides, sorted
+#: the 71 public names ``import tvcate`` provides, sorted
 PACKAGE_NAMES = [
     "CateModel", "ChainResponseForm", "CheckResult", "ClassifierSpec",
     "DiscreteDGP", "ExperimentConfig", "ExperimentResult", "FeatureCodec",
@@ -35,7 +35,6 @@ PACKAGE_NAMES = [
     "panel_from_arrays", "panel_from_csv", "panel_to_csv", "parse_config_text",
     "pseudo_dr", "pseudo_ipw", "pseudo_ra", "run_experiment", "run_suite",
     "save_cate_model", "save_nuisances", "simulate_panel", "spearman", "summarize",
-    "validate_panel",
 ]
 
 

@@ -22,6 +22,7 @@ from tvcate.meta import LEARNER_KINDS, build_pseudo_rows, fit_meta
 from tvcate.nuisance import (
     NuisanceSet,
     RowTable,
+    SplitPlan,
     build_row_table,
     default_codec,
     fit_history_adjustment,
@@ -37,6 +38,7 @@ from tvcate.nuisance import (
     save_nuisances,
 )
 from tvcate.panel import (
+    FeatureCodec,
     HistoryView,
     InterventionPair,
     Panel,
@@ -46,7 +48,7 @@ from tvcate.panel import (
 )
 from tvcate.verify import SUITE_NAMES, run_suite
 
-from helpers import oracle_history_adjustment, same_bits, set_blocks
+from helpers import oracle_history_adjustment, panel_of, same_bits, set_blocks
 
 TUNED_D1_SPEC = RegressorSpec(bandwidth=1.5, ridge_lambda=1e-2)
 
@@ -66,7 +68,7 @@ class TestRowTable:
         rng = np.random.default_rng(3)
         trajs = tuple(Trajectory(rng.normal(size=(T, 1)), rng.integers(0, 2, size=T),
                                  rng.normal(size=T)) for T in (5, 3))
-        panel = Panel(trajs, 2)
+        panel = panel_of([(tr.covariates, tr.treatments, tr.outcomes) for tr in trajs])
         with pytest.raises(ValueError, match="horizon too long"):
             build_row_table(panel, 3)
         for tau in (1, 2):
@@ -91,7 +93,8 @@ class TestRowTable:
         rng = np.random.default_rng(len(lengths) + arity)
         trajs = tuple(Trajectory(rng.normal(size=(T, 1)), rng.integers(0, arity, size=T),
                                  rng.normal(size=T)) for T in lengths)
-        table = build_row_table(Panel(trajs, arity), 2)
+        table = build_row_table(panel_of([(tr.covariates, tr.treatments, tr.outcomes)
+                                          for tr in trajs], arity), 2)
         assert (table.traj_id.dtype, table.t.dtype, table.a_obs.dtype) == (
             np.int32, t_type, np.uint8)
         want = [(i, t) for i, tr in enumerate(trajs) for t in range(1, tr.length - 1)]
@@ -112,9 +115,9 @@ class TestRowTable:
         # the trajectories' outcomes, and no column of the table holds them
         panel = simulate_panel(make_d1(), 60, seed=[9, tau])
         if ragged:                 # lengths 3 to 5
-            panel = Panel([Trajectory(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
-                                      tr.outcomes[:3 + i % 3])
-                           for i, tr in enumerate(panel.trajectories)], 2)
+            panel = panel_of([(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
+                               tr.outcomes[:3 + i % 3])
+                              for i, tr in enumerate(panel.trajectories)])
         table = build_row_table(panel, tau)
         assert "y_term" not in vars(table)
         trajs = panel.trajectories
@@ -132,7 +135,7 @@ class TestRowTable:
         assert np.array_equal(table.yprev_tail,
                               [[0, 0.5], [0.5, 1.5], [0, -0.5], [-0.5, -1.5]])
         assert np.array_equal(table.y_term, [1.5, 2.5, -1.5, -2.5])
-        assert np.array_equal(table.time_abs, [[1, 2], [2, 3], [1, 2], [2, 3]])
+        assert np.array_equal(table.t[:, None] + np.arange(2), [[1, 2], [2, 3], [1, 2], [2, 3]])
 
     def test_horizon_and_offset_errors(self):
         with pytest.raises(ValueError, match="horizon too long"):
@@ -159,7 +162,6 @@ class TestRowTable:
         def refuse(self, *args):
             raise AssertionError("stacked (N, tau + 1) frontier column built")
         monkeypatch.setattr(RowTable, "_stacked", refuse)
-        monkeypatch.setattr(RowTable, "time_abs", property(refuse))
         d1 = make_d1()
         pair = benchmark_pair(2)
         table = build_row_table(simulate_panel(d1, 50, seed=7), 2)
@@ -187,9 +189,9 @@ class TestRowTable:
         # index, arms and outcome in row blocks on every usable CPU
         panel = simulate_panel(make_d1(), 300, seed=[7, tau])
         if ragged:                 # lengths 3 to 5, so blocks start mid-trajectory
-            panel = Panel([Trajectory(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
-                                      tr.outcomes[:3 + i % 3])
-                           for i, tr in enumerate(panel.trajectories)], 2)
+            panel = panel_of([(tr.covariates[:3 + i % 3], tr.treatments[:3 + i % 3],
+                               tr.outcomes[:3 + i % 3])
+                              for i, tr in enumerate(panel.trajectories)])
         want = build_row_table(panel, tau)
         set_blocks(monkeypatch, cpus, table_rows=97)
         got = build_row_table(panel, tau)
@@ -434,7 +436,7 @@ class TestNuisanceSetOracle:
         table = build_row_table(panel, 1)
         ons = oracle_nuisances(d1, pair, clip_eps=0.01)
         a_prev = table.aprev_tail[:, 0].copy()
-        a_prev[table.time_abs[:, 0] == 1] = d1.a0
+        a_prev[table.t == 1] = d1.a0
         want_raw = expit(d1.f_a(table.x_tail[:, 0], a_prev, table.yprev_tail[:, 0]))
         clipped, raw = ons.propensity(0, 1, table)
         assert np.array_equal(raw, want_raw)
@@ -459,6 +461,22 @@ class TestNuisanceSetOracle:
     def test_requires_closed_form(self):
         with pytest.raises(ValueError, match="closed-form"):
             oracle_nuisances(make_mini_discrete(), benchmark_pair(1))
+
+    @pytest.mark.parametrize("mode", ["oracle", "injected"])
+    @pytest.mark.parametrize("seqs,where", [(((0, 5), (1, 1)), r"a_seq\[1\] is arm 5"),
+                                            (((1, 0), (2, 0)), r"b_seq\[0\] is arm 2")])
+    def test_oracle_and_injected_propensities_refuse_arms_past_one(self, mode, seqs, where):
+        # both answered P(A = 0) for every arm other than 1
+        pair, codec = InterventionPair(*seqs), FeatureCodec(max_len=5, treatment_arity=6)
+        fitted = NuisanceSet(pair=pair, tau=1, codec=codec, clip_eps=0.01,
+                             split=SplitPlan(False, 1, {}))
+        fitted.corrupted(response=1.0)          # fitted values and responses take any arm
+        with pytest.raises(ValueError, match=rf"^{where}: oracle and injected propensities "
+                                             r"answer arms 0 and 1 only$"):
+            if mode == "oracle":
+                oracle_nuisances(make_d1(), pair, codec=codec)
+            else:
+                fitted.corrupted(propensity=0.3)
 
     def test_corruption_overrides(self):
         d2 = make_d2()
@@ -603,15 +621,12 @@ class TestLookupTableSpecs:
 
 class TestFitBoundary:
     def test_invalid_panel_rejected_naming_the_trajectory(self):
+        # a panel is checked when built, so no fit can receive an invalid one
         panel = simulate_panel(make_d1(), 12, seed=34)
-        trajectories = list(panel.trajectories)
-        tr = trajectories[7]
-        Y = tr.outcomes.copy()
-        Y[2] = np.nan
-        trajectories[7] = Trajectory(tr.covariates, tr.treatments, Y)
-        bad = Panel(tuple(trajectories), treatment_arity=2)    # accepted as built
-        with pytest.raises(ValueError, match="trajectory 7: non-finite outcome"):
-            fit_nuisances(bad, benchmark_pair(1))
+        Y = panel.Y.copy()
+        Y[panel.offsets[7] + 2] = np.nan
+        with pytest.raises(ValueError, match="trajectory 7, t 3: non-finite covariate or outcome"):
+            Panel(panel.X, panel.A, Y, panel.offsets, treatment_arity=2)
 
 
 class TestBundleSerialization:

@@ -412,7 +412,7 @@ class TestStoreContract:
         train, test = panels
         ns = tiny_fit(train)
         query_all(ns, build_row_table(train, 1, ns.codec))
-        sources = [build_row_table(Panel(train.trajectories), 1, ns.codec),
+        sources = [build_row_table(Panel(train.X, train.A, train.Y, train.offsets), 1, ns.codec),
                    build_row_table(test, 1, ns.codec),
                    build_row_table(train, 1, dataclasses.replace(ns.codec,
                                                                  time_scale=2.0))]

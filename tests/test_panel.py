@@ -14,13 +14,12 @@ from tvcate.panel import (
     panel_from_arrays,
     panel_from_csv,
     panel_to_csv,
-    validate_panel,
 )
 from tvcate.dgp import DiscreteDGP, make_d1, simulate_panel
 from tvcate.learners import _normalized_weights
 from tvcate.nuisance import build_row_table
 
-from helpers import decode_history, same_bits
+from helpers import decode_history, panel_of, same_bits
 
 
 def random_panel(rng, n=6, lengths=None, d=2, arity=3):
@@ -30,30 +29,94 @@ def random_panel(rng, n=6, lengths=None, d=2, arity=3):
         X = rng.normal(size=(T, d)) * 10.0 ** rng.integers(-3, 4)
         A = rng.integers(0, arity, size=T)
         Y = rng.normal(size=T)
-        trajs.append(Trajectory(X, A, Y))
-    return Panel(tuple(trajs), treatment_arity=arity)
+        trajs.append((X, A, Y))
+    return panel_of(trajs, arity)
 
 
-class TestValidatePanel:
-    def test_well_formed_panel_passes(self):
-        rng = np.random.default_rng(0)
-        panel = random_panel(rng, n=3)
-        assert validate_panel(panel) == []
+class TestConstructor:
+    """``Panel(X, A, Y, offsets)`` refuses what a panel may not hold, naming
+    the trajectory and t where there is one, so every panel is valid."""
+
+    def test_well_formed_panel_builds_private_copies(self):
+        panel = random_panel(np.random.default_rng(0), n=3)
+        X, A, Y, offsets = panel.X.copy(), panel.A.astype(np.int64), panel.Y.copy(), panel.offsets
+        again = Panel(X, A, Y, offsets.tolist(), 3)
+        for got, want in zip((again.X, again.A, again.Y, again.offsets), (X, panel.A, Y, offsets)):
+            assert same_bits(got, want)
+        for arr in (X, A, Y):
+            arr[...] = 0
+        assert same_bits(again.X, panel.X) and same_bits(again.Y, panel.Y)
+        assert again.A.dtype == np.uint8 and again.lengths().tolist() == panel.lengths().tolist()
 
     def test_treatment_out_of_range(self):
-        tr = Trajectory([[0.0]], [2], [1.0])
-        report = validate_panel(Panel((tr,), treatment_arity=2))
-        assert any("treatment out of range" in msg for msg in report)
+        with pytest.raises(ValueError, match=r"^trajectory 0, t 1: arm 2 outside \[0, 2\)$"):
+            Panel([[0.0]], [2], [1.0], [0, 1])
 
     def test_non_finite_outcome(self):
-        tr = Trajectory([[0.0], [1.0]], [0, 1], [1.0, np.nan])
-        report = validate_panel(Panel((tr,), treatment_arity=2))
-        assert any("non-finite outcome" in msg for msg in report)
+        with pytest.raises(ValueError, match=r"^trajectory 1, t 2: non-finite covariate "
+                                             r"or outcome$"):
+            Panel([[0.0], [1.0], [2.0]], [0, 1, 0], [1.0, 2.0, np.nan], [0, 1, 3])
 
-    def test_covariate_dim_mismatch(self):
-        trs = (Trajectory([[0.0]], [0], [1.0]), Trajectory([[0.0, 1.0]], [0], [1.0]))
-        with pytest.raises(ValueError, match=r"trajectory 1: covariate dimension 2 != 1"):
-            Panel(trs, treatment_arity=2)
+    @pytest.mark.parametrize("X", [np.zeros(3), np.zeros((3, 1, 1)), np.zeros((2, 1))])
+    def test_covariates_are_one_matrix_of_the_rows(self, X):
+        # trajectories of two covariate widths cannot share one (R, d) column
+        with pytest.raises(ValueError, match=r"are not \(R, d\), \(R,\), \(R,\)$"):
+            Panel(X, [0, 1, 0], [0.0, 1.0, 2.0], [0, 1, 3])
+
+    @pytest.mark.parametrize("arm,dtype", [(258, np.int64), (256, np.int64), (256, np.uint16),
+                                           (-1, np.int8), (-255, np.int64)])
+    def test_an_arm_is_checked_before_it_is_narrowed(self, arm, dtype):
+        # 256 and -255 would narrow to 0 and 1, inside [0, 2)
+        A = np.zeros(7, dtype=dtype)
+        A[5] = arm
+        with pytest.raises(ValueError, match=rf"^trajectory 1, t 3: arm {arm} "
+                                             r"outside \[0, 2\)$"):
+            Panel(np.zeros((7, 1)), A, np.zeros(7), [0, 3, 7])
+
+    @pytest.mark.parametrize("column,value", [("X", np.nan), ("X", -np.inf),
+                                              ("Y", np.inf), ("Y", np.nan)])
+    def test_a_non_finite_value_names_its_trajectory_and_t(self, column, value):
+        arrays = {"X": np.zeros((7, 2)), "Y": np.zeros(7)}
+        arrays[column][4] = value
+        arrays[column][6] = value         # only the earliest is named
+        with pytest.raises(ValueError, match=r"^trajectory 1, t 2: non-finite "
+                                             r"covariate or outcome$"):
+            Panel(arrays["X"], np.zeros(7, dtype=int), arrays["Y"], [0, 3, 7])
+
+    @pytest.mark.parametrize("A", [np.array([0.0, 1.0, 1.0]), np.array([0.5, 1.7, 1.0]),
+                                   np.array([False, True, True]),
+                                   np.array([0, 1, 1], dtype=object)])
+    def test_arms_of_a_non_integer_dtype_are_refused(self, A):
+        with pytest.raises(ValueError, match=rf"^A must hold integer arms, got dtype {A.dtype}$"):
+            Panel(np.zeros((3, 1)), A, np.zeros(3), [0, 3])
+
+    @pytest.mark.parametrize("offsets,match", [
+        ([1, 3, 7], r"^offsets run from 1 to 7, not 0 to 7 rows$"),
+        ([0, 3, 6], r"^offsets run from 0 to 6, not 0 to 7 rows$"),
+        ([0, 3, 3, 7], r"^trajectory 1 is empty$"),
+        ([0, 5, 3, 7], r"^trajectory 1 is empty$"),
+        ([0.0, 3.0, 7.0], r"^offsets must be 1-D integers, got float64 \(3,\)$"),
+        ([[0, 7]], r"^offsets must be 1-D integers, got int64 \(1, 2\)$"),
+        ([0], r"^panel has no trajectories$"), (np.zeros(0, dtype=int), r"^panel has no "),
+    ])
+    def test_offsets_bound_non_empty_trajectories_from_the_first_row_to_the_last(
+            self, offsets, match):
+        with pytest.raises(ValueError, match=match):
+            Panel(np.zeros((7, 1)), np.zeros(7, dtype=int), np.zeros(7), np.array(offsets))
+
+    def test_no_trajectories_from_arrays_or_an_empty_csv(self, tmp_path):
+        with pytest.raises(ValueError, match=r"^panel has no trajectories$"):
+            panel_from_arrays(np.zeros((0, 3)), np.zeros((0, 3), dtype=int), np.zeros((0, 3)))
+        path = tmp_path / "panel.csv"
+        path.write_text("traj_id,t,x_1,a,y\n")
+        with pytest.raises(ValueError, match=r"^panel has no trajectories$"):
+            panel_from_csv(path)
+
+    def test_a_trajectory_of_float_arms_is_refused_not_truncated(self):
+        # [1.7, 0] was once stored as arm 1
+        with pytest.raises(ValueError, match=r"^treatments must hold integer arms, "
+                                             r"got dtype float64$"):
+            Trajectory([[0.0], [0.5]], [1.7, 0], [0.0, 1.0])
 
 
 class TestFlatStoreBoundaries:
@@ -117,15 +180,15 @@ class TestFlatStoreBoundaries:
             panel.X = np.zeros_like(panel.X)
 
     def test_panel_rejects_length_mismatch(self):
-        trs = (Trajectory([[0.0]], [0], [1.0]), Trajectory([[0.0], [1.0]], [0, 1], [1.0]))
-        with pytest.raises(ValueError, match=r"^trajectory 1: length mismatch between "
-                                             r"covariates, treatments, and outcomes$"):
-            Panel(trs, treatment_arity=2)
+        # a trajectory whose outcomes are one short leaves Y a row short
+        with pytest.raises(ValueError, match=r"^X \(3, 1\), A \(3,\), Y \(2,\) are not "
+                                             r"\(R, d\), \(R,\), \(R,\)$"):
+            Panel([[0.0], [0.0], [1.0]], [0, 0, 1], [1.0, 1.0], [0, 1, 3])
 
 
 class TestNarrowArms:
-    """The array and CSV readers store arms in the narrowest unsigned type
-    that holds ``treatment_arity - 1``; ``Panel(trajectories)`` keeps int64."""
+    """Every panel stores arms in the narrowest unsigned type that holds
+    ``treatment_arity - 1``, whichever reader built it."""
 
     def test_two_arms_take_one_byte_from_every_reader(self, tmp_path):
         panel = simulate_panel(make_d1(), 40, seed=16)
@@ -142,9 +205,8 @@ class TestNarrowArms:
         A[3, 2] = 299
         panel = panel_from_arrays(rng.normal(size=(25, 4)), A, rng.normal(size=(25, 4)), 300)
         assert panel.A.dtype == np.uint16 and np.array_equal(panel.A, A.ravel())
-        wide = Panel([Trajectory(tr.covariates, tr.treatments.astype(np.int64), tr.outcomes)
-                      for tr in panel.trajectories], 300)
-        assert wide.A.dtype == np.int64
+        wide = Panel(panel.X, panel.A.astype(np.int64), panel.Y, panel.offsets, 300)
+        assert wide.A.dtype == np.uint16
         for name, built in (("narrow.csv", panel), ("wide.csv", wide)):
             panel_to_csv(built, tmp_path / name)
         assert (tmp_path / "narrow.csv").read_bytes() == (tmp_path / "wide.csv").read_bytes()
@@ -163,10 +225,11 @@ class TestNarrowArms:
                                              r"outside \[0, 2\)$"):
             panel_from_arrays(np.zeros((3, 4)), A, np.zeros((3, 4)))
 
-    def test_trajectories_keep_int64_arms_for_validate_panel(self):
-        panel = Panel((Trajectory([[0.0], [1.0]], [0, 258], [1.0, 2.0]),), treatment_arity=2)
-        assert panel.A.dtype == np.int64 and panel.A.tolist() == [0, 258]
-        assert validate_panel(panel) == ["trajectory 0: treatment out of range [0, 2)"]
+    def test_int64_arms_are_checked_before_they_are_narrowed(self):
+        # a constructor that kept int64 arms once built this panel, and its
+        # row table's uint8 arm column read arm 258 as 2
+        with pytest.raises(ValueError, match=r"^trajectory 0, t 2: arm 258 outside \[0, 2\)$"):
+            Panel([[0.0], [1.0], [2.0]], np.array([0, 258, 1]), [1.0, 2.0, 3.0], [0, 3])
 
     @pytest.mark.parametrize("arity", [1.5, True, "2", 0, -1, None, np.float64(2.0)])
     @pytest.mark.parametrize("where", ["arrays", "csv", "structural", "discrete"])
@@ -367,7 +430,7 @@ class TestCsvRoundTrip:
         special = [-0.0, 0.0, 5e-324, -5e-324, 1e300, -1e300, 1e-300, 2.5e-308, 0.1, 1 / 3]
         X.flat[:len(special)] = special
         Y[-len(special):] = special
-        panel = Panel.__new__(Panel)._fill(X, panel.A.copy(), Y, panel.offsets.copy(), 3)
+        panel = Panel(X, panel.A, Y, panel.offsets, 3)
         path = tmp_path / "panel.csv"
         panel_to_csv(panel, path)
         assert path.read_bytes() == self.row_by_row(panel)

@@ -18,10 +18,9 @@ from hypothesis.extra.numpy import arrays
 from tvcate.dgp import benchmark_pair, get_dgp, simulate_panel
 from tvcate.meta import ivw_realized, pseudo_dr, pseudo_ipw
 from tvcate.nuisance import build_row_table, default_codec, oracle_nuisances
-from tvcate.panel import (HistoryView, Panel, Trajectory, encode_block, encode_history,
-                          panel_from_csv, panel_to_csv)
+from tvcate.panel import HistoryView, encode_block, encode_history, panel_from_csv, panel_to_csv
 
-from helpers import decode_history, same_bits
+from helpers import decode_history, panel_of, same_bits
 
 SETTINGS = settings(max_examples=60, deadline=None)
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
@@ -32,11 +31,11 @@ def ragged_panels(draw):
     d = draw(st.sampled_from([1, 2]))
     arity = draw(st.integers(2, 3))
     lengths = draw(st.lists(st.integers(1, 6), min_size=1, max_size=6))
-    trajs = [Trajectory(draw(arrays(float, (T, d), elements=FINITE)),
-                        draw(arrays(int, T, elements=st.integers(0, arity - 1))),
-                        draw(arrays(float, T, elements=FINITE)))
+    trajs = [(draw(arrays(float, (T, d), elements=FINITE)),
+              draw(arrays(int, T, elements=st.integers(0, arity - 1))),
+              draw(arrays(float, T, elements=FINITE)))
              for T in lengths]
-    return Panel(trajs, arity)
+    return panel_of(trajs, arity)
 
 
 @st.composite
@@ -154,8 +153,11 @@ def test_row_table_matches_per_trajectory_reference(panel, data):
 @given(ragged_panels(), st.data())
 def test_subset_and_blocks_agree_with_source_views(panel, data):
     views = panel.trajectories
-    idx = data.draw(st.lists(st.integers(-panel.n, panel.n - 1), max_size=8), label="idx")
-    sub = Panel([views[k] for k in idx], panel.treatment_arity)
+    # a panel holds at least one trajectory
+    idx = data.draw(st.lists(st.integers(-panel.n, panel.n - 1), min_size=1, max_size=8),
+                    label="idx")
+    sub = panel_of([(views[k].covariates, views[k].treatments, views[k].outcomes) for k in idx],
+                   panel.treatment_arity)
     assert sub.n == len(idx) and sub.treatment_arity == panel.treatment_arity
     for tr, k in zip(sub.trajectories, idx):
         for name in ("covariates", "treatments", "outcomes"):
