@@ -18,8 +18,8 @@ Pseudo-outcome construction is vectorized over a :class:`~tvcate.nuisance.
 RowTable` and runs one pass per row block (:func:`~tvcate._blocks.
 _table_blocks`): the block's propensities give each level's ratio
 1{A_k = a_k}/pi-hat_k at its rows, a running product of the ratios gives
-the inverse-propensity weights, and products and sums run in level order,
-so only the outputs are table-sized.
+the inverse-propensity weights, and products and sums run in level order;
+IPW and DR blocks take arm a, then arm b: only their contrast is table-sized.
 Every propensity enters through the nuisance set's clipping, and the
 fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
@@ -39,7 +39,7 @@ import json
 from dataclasses import dataclass, field
 from functools import reduce
 from itertools import accumulate
-from operator import add, mul
+from operator import add, isub, mul
 from typing import Optional
 
 import numpy as np
@@ -100,50 +100,54 @@ def _level(nuisances: NuisanceSet, table: RowTable, seq, k: int, rows, squared=F
             int(np.count_nonzero(cl != raw)))
 
 
-def _arm_value(nuisances, table, seq, arm=None):
-    """One arm's IPW pseudo-outcome, plus DR's response terms when ``arm``
-    ("a" or "b") names the arm's mu-hat; also the clip and query counts.
+def _arm_block(nuisances, table, seq, side, dr, rows):
+    """Arm ``side``'s ("a" or "b") IPW pseudo-outcome at ``rows`` (DR's when ``dr``)
+    and its clip count; products and sums run in level order."""
+    levels = [_level(nuisances, table, seq, k, rows) for k in range(nuisances.tau + 1)]
+    ratios = [ratio for ratio, _ in levels]
+    value = reduce(mul, ratios) * table.panel.Y[table.positions(table.tau, rows)]
+    for k in range(len(ratios) if dr else 0):
+        # the product of the strictly earlier levels' ratios, 1 at level 0
+        prefix = reduce(mul, ratios[:k], 1.0)
+        value += nuisances.mu(side, k, table, rows) * (1.0 - ratios[k]) * prefix
+    return value, sum(n for _, n in levels)
 
-    Each row block holds its per-level ratios 1{A_k = a_k}/pi-hat_k, its
-    value and one mu-hat; products and sums run in level order.
-    """
+
+def _arm_value(nuisances, table, dr, *arms):
+    """The first of ``arms``, (seq, "a" or "b") pairs, less the others (DR when ``dr``), in
+    one pass of row blocks computing them in order; also every arm's clip and query counts."""
     nuisances, nclip = nuisances.at(table), []   # blocks gather fitted values held whole
 
     def block(rows):
-        levels = [_level(nuisances, table, seq, k, rows) for k in range(nuisances.tau + 1)]
-        ratios = [ratio for ratio, _ in levels]
-        nclip.append(sum(n for _, n in levels))
-        value = reduce(mul, ratios) * table.panel.Y[table.positions(table.tau, rows)]
-        for k in range(len(ratios) if arm is not None else 0):
-            # the product of the strictly earlier levels' ratios, 1 at level 0
-            prefix = reduce(mul, ratios[:k], 1.0)
-            value += nuisances.mu(arm, k, table, rows) * (1.0 - ratios[k]) * prefix
-        return value
+        values = [_arm_block(nuisances, table, seq, side, dr, rows) for seq, side in arms]
+        nclip.append(sum(n for _, n in values))
+        return reduce(isub, (value for value, _ in values))
     value = _table_array(table.n_rows, block)
-    return value, sum(nclip), table.n_rows * (nuisances.tau + 1)
+    return value, sum(nclip), len(arms) * table.n_rows * (nuisances.tau + 1)
+
+
+def _contrast(table, nuisances, pair, dr):
+    """Arm a less arm b of the IPW (DR when ``dr``) pseudo-outcome, and counts."""
+    return _arm_value(nuisances, table, dr, (pair.a_seq, "a"), (pair.b_seq, "b"))
 
 
 def pseudo_ipw(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
-    """Inverse-propensity-weighted pseudo-outcomes (arm a, arm b, difference).
+    """Inverse-propensity-weighted pseudo-outcomes (contrast form only).
 
-    Each value is the product over levels of 1{A = a}/pi-hat times the
-    terminal outcome; clipping upstream bounds every factor.
+    Each arm's value is the product over levels of 1{A = a}/pi-hat times
+    the terminal outcome; clipping upstream bounds every factor.
     """
-    a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq)
-    b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq)
-    return a_vals, b_vals, _table_array(table.n_rows, lambda rows: a_vals[rows] - b_vals[rows])
+    return _contrast(table, nuisances, pair, dr=False)[0]
 
 
 def pseudo_dr(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
-    """Doubly robust pseudo-outcomes (arm a, arm b, difference).
+    """Doubly robust pseudo-outcomes (contrast form only).
 
-    The IPW term plus, per level k, mu-hat_k * (1 - 1{A_k=a_k}/pi-hat_k)
-    times the inverse-propensity product of the strictly earlier levels
-    (empty product = 1).
+    Each arm's value is its IPW term plus, per level k, mu-hat_k *
+    (1 - 1{A_k=a_k}/pi-hat_k) times the inverse-propensity product of the
+    strictly earlier levels (empty product = 1).
     """
-    a_vals, _, _ = _arm_value(nuisances, table, pair.a_seq, "a")
-    b_vals, _, _ = _arm_value(nuisances, table, pair.b_seq, "b")
-    return a_vals, b_vals, _table_array(table.n_rows, lambda rows: a_vals[rows] - b_vals[rows])
+    return _contrast(table, nuisances, pair, dr=True)[0]
 
 
 def pseudo_ra(table: RowTable, nuisances: NuisanceSet, pair: InterventionPair):
@@ -223,11 +227,7 @@ def build_pseudo_rows(table: RowTable, nuisances: NuisanceSet, pair: Interventio
     if kind == "RA":
         value = pseudo_ra(table, nuisances, pair)
     else:
-        dr = kind != "IPW"
-        va, ca, qa = _arm_value(nuisances, table, pair.a_seq, "a" if dr else None)
-        vb, cb, qb = _arm_value(nuisances, table, pair.b_seq, "b" if dr else None)
-        nclip, nquery = ca + cb, qa + qb
-        value = _table_array(table.n_rows, lambda rows: va[rows] - vb[rows])
+        value, nclip, nquery = _contrast(table, nuisances, pair, dr=kind != "IPW")
     _, v = ivw_realized(table, nuisances, pair)
     columns = (table.features(0), np.asarray(value), np.asarray(v))
     if row_mask is not None:

@@ -44,6 +44,7 @@ from .dgp import (
 from .learners import LOOKUP_TABLE
 from .meta import (
     PseudoRows,
+    _arm_value,
     fit_meta,
     fit_v_model,
     ivw_realized,
@@ -78,6 +79,7 @@ DEFAULT_BUDGETS = {
 #: bias margin is stable at the default budget).
 DEFAULT_SEEDS = {name: 1 if name == "double-robust" else 0
                  for name in SUITE_NAMES}
+_CLUSTER_TRAJ = 1 << 14    # trajectories per row chunk of cluster_mean_se
 
 
 @dataclass(frozen=True)
@@ -115,9 +117,16 @@ class SuiteReport:
 
 
 def cluster_mean_se(traj_id, values, n_traj):
-    """Mean of per-trajectory means and its standard error over trajectories."""
-    counts = np.bincount(traj_id, minlength=n_traj)
-    m = np.bincount(traj_id, weights=values, minlength=n_traj) / counts
+    """Mean of per-trajectory means and its standard error over trajectories,
+    from a sorted ``traj_id``: ``bincount`` over row chunks that start every
+    ``_CLUSTER_TRAJ`` trajectories keeps each trajectory's summation order, and
+    needles of ``traj_id``'s dtype make no int64 index array the table's size."""
+    m = np.empty(n_traj)
+    for first in range(0, n_traj, _CLUSTER_TRAJ):
+        at = slice(first, min(first + _CLUSTER_TRAJ, n_traj))
+        lo, hi = np.searchsorted(traj_id, np.array([at.start, at.stop], traj_id.dtype))
+        ids, width = traj_id[lo:hi] - np.intp(first), at.stop - first
+        m[at] = np.bincount(ids, values[lo:hi], width) / np.bincount(ids, minlength=width)
     return float(m.mean()), float(m.std(ddof=1) / np.sqrt(m.size))
 
 
@@ -134,7 +143,8 @@ def _suite_ivw_variance(budget, seed):
         panel = simulate_panel(short, budget, seed=[seed, 71, tau], x1=x_pin)
         nz = oracle_nuisances(short, pair)
         table = build_row_table(panel, tau)
-        a_vals, _, diff = pseudo_dr(table, nz, pair)
+        a_vals = _arm_value(nz, table, True, (pair.a_seq, "a"))[0]     # one arm's pass each
+        diff = a_vals - _arm_value(nz, table, True, (pair.b_seq, "b"))[0]
         v_a, v_ab = ivw_realized(table, nz, pair)
         for label, lhs, rhs in (("arm", a_vals.var(ddof=1), sigma2 * v_a.mean()),
                                 ("pair", diff.var(ddof=1), sigma2 * v_ab.mean())):
@@ -155,7 +165,7 @@ def _suite_eif_mean(budget, seed):
         nz = oracle_nuisances(dgp, pair)
         panel = simulate_panel(dgp, budget, seed=[seed, 11, tau])
         table = build_row_table(panel, tau)
-        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair)[2], panel.n)
+        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair), panel.n)
         checks.append(CheckResult.compare(
             f"tau={tau}: |mean - 0.5| in standard errors",
             abs(mean - 0.5) / se, 3.0,
@@ -190,7 +200,7 @@ def _suite_double_robust(budget, seed):
     checks = []
     for name, nz, cmp_, tol, scaled in configs:
         # no config's pseudo-outcomes outlive its statistic
-        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair)[2], panel.n)
+        mean, se = cluster_mean_se(table.traj_id, pseudo_dr(table, nz, pair), panel.n)
         stat = abs(mean - 0.5) / se if scaled else abs(mean - 0.5)
         unit = "standard errors" if scaled else "absolute bias"
         checks.append(CheckResult.compare(
@@ -207,7 +217,7 @@ def _suite_ipw_unbiased(budget, seed):
         nz = oracle_nuisances(dgp, pair)
         panel = simulate_panel(dgp, budget, seed=[seed, 31, tau])
         table = build_row_table(panel, tau)
-        mean, se = cluster_mean_se(table.traj_id, pseudo_ipw(table, nz, pair)[2], panel.n)
+        mean, se = cluster_mean_se(table.traj_id, pseudo_ipw(table, nz, pair), panel.n)
         checks.append(CheckResult.compare(
             f"tau={tau}: |mean - 0.5| in standard errors",
             abs(mean - 0.5) / se, 3.0,

@@ -75,6 +75,14 @@ def oracle_history_contrast(dgp, pair, histories):
     return arm(pair.a_seq) - arm(pair.b_seq)
 
 
+def arms_and_contrast(build, table, nz, pair):
+    """Arm a's and arm b's values, each from the one-arm pass, and the
+    contrast ``build`` (:func:`pseudo_ipw` or :func:`pseudo_dr`) returns."""
+    return (*(meta._arm_value(nz, table, build is pseudo_dr, arm)[0]
+              for arm in ((pair.a_seq, "a"), (pair.b_seq, "b"))),
+            build(table, nz, pair))
+
+
 def cluster_mean_se(table, values):
     """Mean of per-trajectory means and its standard error."""
     counts = np.bincount(table.traj_id)
@@ -88,7 +96,7 @@ class TestPseudoHandValues:
         pair = InterventionPair((1,), (0,))
         nz = override_nuisances(panel, pair, propensity=0.5)
         table = build_row_table(panel, 0)
-        a, b, diff = pseudo_ipw(table, nz, pair)
+        a, b, diff = arms_and_contrast(pseudo_ipw, table, nz, pair)
         assert a == pytest.approx(4.0, abs=0)
         assert b == pytest.approx(0.0, abs=0)
         assert diff == pytest.approx(4.0, abs=0)
@@ -98,7 +106,7 @@ class TestPseudoHandValues:
         pair = InterventionPair((1, 1), (0, 0))
         nz = override_nuisances(panel, pair, propensity=0.5)
         table = build_row_table(panel, 1)
-        a, b, diff = pseudo_ipw(table, nz, pair)
+        a, b, diff = arms_and_contrast(pseudo_ipw, table, nz, pair)
         assert np.array_equal(a, [0.0])
         assert np.array_equal(b, [0.0])
         assert np.array_equal(diff, [0.0])
@@ -109,7 +117,7 @@ class TestPseudoHandValues:
         nz = override_nuisances(panel, pair, propensity=0.5,
                                 response={"a": 1.0, "b": 0.5})
         table = build_row_table(panel, 0)
-        a, b, diff = pseudo_dr(table, nz, pair)
+        a, b, diff = arms_and_contrast(pseudo_dr, table, nz, pair)
         assert a == pytest.approx(3.0, abs=0)
         assert b == pytest.approx(0.5, abs=0)
         assert diff == pytest.approx(2.5, abs=0)
@@ -122,7 +130,7 @@ class TestPseudoHandValues:
         nz = override_nuisances(panel, pair, propensity=1.0,
                                 response={"a": 3.3, "b": -2.2})
         table = build_row_table(panel, 2)
-        a, b, diff = pseudo_dr(table, nz, pair)
+        a, b, diff = arms_and_contrast(pseudo_dr, table, nz, pair)
         assert np.array_equal(a, table.y_term)
         assert np.array_equal(b, table.y_term)
         assert np.array_equal(diff, [0.0])
@@ -214,8 +222,8 @@ class TestPseudoIdentities:
         pair = benchmark_pair(1)
         nz = oracle_nuisances(d2, pair).corrupted(response=0.0)
         table = build_row_table(panel, 1)
-        a_ipw, b_ipw, d_ipw = pseudo_ipw(table, nz, pair)
-        a_dr, b_dr, d_dr = pseudo_dr(table, nz, pair)
+        a_ipw, b_ipw, d_ipw = arms_and_contrast(pseudo_ipw, table, nz, pair)
+        a_dr, b_dr, d_dr = arms_and_contrast(pseudo_dr, table, nz, pair)
         assert np.array_equal(a_ipw, a_dr)
         assert np.array_equal(b_ipw, b_dr)
         assert np.array_equal(d_ipw, d_dr)
@@ -225,7 +233,7 @@ class TestPseudoIdentities:
         panel = simulate_panel(d1, 20_000, seed=5)
         pair = benchmark_pair(1)
         table = build_row_table(panel, 1)
-        _, _, diff = pseudo_dr(table, oracle_nuisances(d1, pair), pair)
+        diff = pseudo_dr(table, oracle_nuisances(d1, pair), pair)
         mean, se = cluster_mean_se(table, diff)
         assert abs(mean - 0.5) <= 3 * se
 
@@ -244,7 +252,7 @@ class TestPseudoIdentities:
         panel = simulate_panel(d2, 20_000, seed=13 + tau)
         pair = benchmark_pair(tau)
         table = build_row_table(panel, tau)
-        _, _, diff = pseudo_ipw(table, oracle_nuisances(d2, pair), pair)
+        diff = pseudo_ipw(table, oracle_nuisances(d2, pair), pair)
         mean, se = cluster_mean_se(table, diff)
         assert abs(mean - 0.5) <= 3 * se
 
@@ -255,7 +263,7 @@ class TestPseudoIdentities:
         table = build_row_table(panel, 1)
         base = oracle_nuisances(d2, pair)
         for nz in (base.corrupted(propensity=0.5), base.corrupted(response=0.0)):
-            _, _, diff = pseudo_dr(table, nz, pair)
+            diff = pseudo_dr(table, nz, pair)
             mean, se = cluster_mean_se(table, diff)
             assert abs(mean - 0.5) <= 3 * se
 
@@ -265,7 +273,7 @@ class TestPseudoIdentities:
         pair = benchmark_pair(1)
         table = build_row_table(panel, 1)
         nz = oracle_nuisances(d2, pair).corrupted(propensity=0.5, response=0.0)
-        _, _, diff = pseudo_dr(table, nz, pair)
+        diff = pseudo_dr(table, nz, pair)
         mean, se = cluster_mean_se(table, diff)
         assert abs(mean - 0.5) > 3 * se
 
@@ -331,8 +339,10 @@ class TestPseudoBitsPinned:
         table = build_row_table(panel, tau, nz.codec)
         ref = matrix_pseudo(table, nz, pair)
         (ipw_a, dr_a, v_a, clip_a), (ipw_b, dr_b, v_b, clip_b) = ref["a"], ref["b"]
-        for got, want in ((pseudo_ipw(table, nz, pair), (ipw_a, ipw_b, ipw_a - ipw_b)),
-                          (pseudo_dr(table, nz, pair), (dr_a, dr_b, dr_a - dr_b)),
+        for got, want in ((arms_and_contrast(pseudo_ipw, table, nz, pair),
+                           (ipw_a, ipw_b, ipw_a - ipw_b)),
+                          (arms_and_contrast(pseudo_dr, table, nz, pair),
+                           (dr_a, dr_b, dr_a - dr_b)),
                           (ivw_realized(table, nz, pair), (v_a, v_a + v_b))):
             assert all(same_bits(g, w) for g, w in zip(got, want, strict=True))
         clip = (clip_a + clip_b) / (2 * table.n_rows * (tau + 1))
@@ -349,10 +359,10 @@ class TestPseudoBitsPinned:
                 assert rows.clip_fraction == clip_fraction
 
     def test_dr_peak_memory_per_row(self):
-        # tau = 2 on oracle nuisances: the three outputs, one arm's three
-        # level ratios and the temporaries of one level's terms measure
-        # 80 bytes a row; the (N, 3) indicator, pi-hat, ratio, cumprod and
-        # prefix matrices this replaced peaked at 168
+        # tau = 2 on oracle nuisances, one span: arm a's values, arm b's
+        # three level ratios and value and the temporaries of one level's
+        # terms measure 80.2 bytes a row; the (N, 3) indicator, pi-hat,
+        # ratio, cumprod and prefix matrices this replaced peaked at 168
         d1 = make_d1()
         pair = benchmark_pair(2)
         table = build_row_table(simulate_panel(d1, 6000, seed=62), 2)
@@ -363,16 +373,16 @@ class TestPseudoBitsPinned:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 88 * table.n_rows
+        assert peak <= 82 * table.n_rows
 
 
 def block_outputs(table, nz, pair):
     """Every pseudo-outcome output of the table, each arm's (value, clip
     count, query count) and the pseudo rows of each second-stage kind."""
-    out = {"IPW": pseudo_ipw(table, nz, pair), "DR": pseudo_dr(table, nz, pair),
+    out = {"IPW": (pseudo_ipw(table, nz, pair),), "DR": (pseudo_dr(table, nz, pair),),
            "RA": (pseudo_ra(table, nz, pair),), "V": ivw_realized(table, nz, pair)}
     for arm, seq in (("a", pair.a_seq), ("b", pair.b_seq)):
-        out[f"arm {arm}"] = meta._arm_value(nz, table, seq, arm)
+        out[f"arm {arm}"] = meta._arm_value(nz, table, True, (seq, arm))
     for kind in ("RA", "IPW", "DR"):
         rows = build_pseudo_rows(table, nz, pair, kind, row_mask=table.traj_id % 3 == 0)
         out[f"rows {kind}"] = (rows.features, rows.value, rows.v_realized, rows.clip_fraction)
@@ -411,9 +421,11 @@ class TestPseudoRowBlocks:
     def test_blocked_peak_memory_is_the_outputs_and_a_block(self, build, monkeypatch):
         # the 18,000-row tau = 2 table of test_dr_peak_memory_per_row in
         # 1024-row blocks on two CPUs: one pass of the blocks holds the
-        # outputs (24 or 16 bytes a row) and each block's levels; a pass per
-        # level, whose ratios and pi-hat were table-sized, peaked at 58.8
-        # (DR), 49.6 (IPW) and 74.0 (V) bytes a row
+        # outputs (8 bytes a row for a contrast, 16 for V) and each block's
+        # levels, 17.3-17.8 (DR), 15.6-16.8 (IPW) and 24.5-25.7 (V) bytes a
+        # row; with each arm's values table-sized DR and IPW peaked at 25.4
+        # and 24.9, and a pass per level, whose ratios and pi-hat were
+        # table-sized, at 58.8 (DR), 49.6 (IPW) and 74.0 (V)
         set_blocks(monkeypatch, 2, table_rows=1024)
         d1 = make_d1()
         pair = benchmark_pair(2)
@@ -426,7 +438,7 @@ class TestPseudoRowBlocks:
         finally:
             tracemalloc.stop()
         assert table.n_rows == 18000
-        assert peak <= 32 * table.n_rows
+        assert peak <= (32 if build is ivw_realized else 20) * table.n_rows
 
     def test_more_threads_than_cores_keep_every_block(self, d1_sets, monkeypatch):
         # eight shares of 7-row blocks, switching threads every microsecond:

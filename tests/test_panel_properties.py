@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
 from tvcate.dgp import benchmark_pair, get_dgp, simulate_panel
-from tvcate.meta import ivw_realized, pseudo_dr, pseudo_ipw
+from tvcate.meta import _arm_value, ivw_realized, pseudo_dr, pseudo_ipw
 from tvcate.nuisance import build_row_table, default_codec, oracle_nuisances
 from tvcate.panel import HistoryView, encode_block, encode_history, panel_from_csv, panel_to_csv
 
@@ -194,8 +194,10 @@ def test_dr_equals_ipw_when_every_response_is_zero(case):
     pair = benchmark_pair(tau)
     table = build_row_table(panel, tau)
     nz = oracle_nuisances(dgp, pair).corrupted(response=0.0)
-    for dr, ipw in zip(pseudo_dr(table, nz, pair), pseudo_ipw(table, nz, pair)):
-        assert np.array_equal(dr, ipw)
+    assert np.array_equal(pseudo_dr(table, nz, pair), pseudo_ipw(table, nz, pair))
+    for seq, arm in ((pair.a_seq, "a"), (pair.b_seq, "b")):      # and each arm alone
+        assert np.array_equal(_arm_value(nz, table, True, (seq, arm))[0],
+                              _arm_value(nz, table, False, (seq, arm))[0])
 
 
 @SETTINGS

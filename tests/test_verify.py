@@ -2,15 +2,19 @@
 identities at reduced Monte-Carlo budgets (full budgets run in the
 acceptance tests)."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from tvcate.verify import (
+    _CLUSTER_TRAJ,
     DEFAULT_BUDGETS,
     DEFAULT_SEEDS,
     SUITE_NAMES,
     CheckResult,
     SuiteReport,
+    cluster_mean_se,
     format_report,
     run_suite,
 )
@@ -56,6 +60,43 @@ class TestRunSuite:
         a = run_suite("ivw-variance", budget=5000)
         b = run_suite("ivw-variance", budget=5000)
         assert [c.statistic for c in a.checks] == [c.statistic for c in b.checks]
+
+
+class TestClusterMeanSE:
+    """Per-trajectory means over row chunks that start at trajectory
+    boundaries keep the bits of one whole-table ``bincount``."""
+
+    @staticmethod
+    def ragged(n_traj):
+        """A sorted int32 ``traj_id`` of 1-7 rows a trajectory, and values
+        spread over six decades, so a changed summation order shows."""
+        rng = np.random.default_rng([35, n_traj])
+        traj_id = np.repeat(np.arange(n_traj, dtype=np.int32), rng.integers(1, 8, n_traj))
+        return traj_id, rng.standard_normal(traj_id.size) * 10.0 ** rng.uniform(-3, 3, traj_id.size)
+
+    @pytest.mark.parametrize("n_traj", [1000, 3 * _CLUSTER_TRAJ + 1234, 5 * _CLUSTER_TRAJ + 1])
+    def test_chunks_have_the_bits_of_the_whole_table_formula(self, n_traj):
+        traj_id, values = self.ragged(n_traj)
+        # trajectories straddle fixed 2^16-row edges, which a row chunking would split
+        edges = np.arange(1 << 16, traj_id.size, 1 << 16)
+        assert n_traj < _CLUSTER_TRAJ or np.any(traj_id[edges - 1] == traj_id[edges])
+        m = np.bincount(traj_id, weights=values, minlength=n_traj) / np.bincount(traj_id)
+        want = float(m.mean()), float(m.std(ddof=1) / np.sqrt(m.size))
+        assert repr(cluster_mean_se(traj_id, values, n_traj)) == repr(want)
+
+    def test_peak_memory_has_no_int64_copy_of_traj_id(self):
+        # an int64 copy of traj_id alone is 8 bytes a row; the chunked means
+        # measure 1.8 MB here against a bound of 2.6 MB (the whole-table
+        # formula 3.9 MB)
+        n_traj = 5 * _CLUSTER_TRAJ + 1
+        traj_id, values = self.ragged(n_traj)
+        tracemalloc.start()
+        try:
+            cluster_mean_se(traj_id, values, n_traj)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * traj_id.size + 24 * n_traj
 
 
 class TestSuitesAtReducedBudget:
