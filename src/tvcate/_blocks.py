@@ -3,7 +3,7 @@
 Work is split over the usable CPUs by sizes alone, in three ways:
 
 * a cosine map's elementwise part (shift, ``cos``, scale) runs in one row
-  chunk per CPU from 2^14 elements (``learners._map_chunks``);
+  chunk per CPU from 2^19 elements (``learners._map_chunks``);
 * tables and simulations of at least 1.5 * 2^16 rows (a simulation's rows
   are its trajectories) run their row-wise arithmetic in 2^16-row blocks
   (:func:`_table_blocks`); a pseudo-outcome makes one pass of the blocks,

@@ -5,8 +5,10 @@ with the same contract could be swapped in.  The built-in regressors are
 
 * ``ridge-random-features`` — closed-form weighted ridge on a random cosine
   feature map phi(x) = sqrt(2/F) * cos(W x + b), W ~ Normal(0, 1/bandwidth^2),
-  b ~ Uniform[0, 2*pi).  An unpenalized intercept is fitted via weighted
-  centering, so the solved objective is
+  b ~ Uniform[0, 2*pi).  W x + b is float64 and its ``cos`` is taken in
+  float32 (NumPy's SIMD loop; the map only approximates a kernel, Rahimi &
+  Recht 2007), then scaled into the float64 map.  An unpenalized intercept
+  is fitted via weighted centering, so the solved objective is
 
       sum_i w_i (y_i - alpha - beta . (phi(x_i) - mean_w phi))^2
           + ridge_lambda * ||beta||^2,
@@ -40,15 +42,18 @@ features) fitted on the weighted cross-entropy: with two classes by Newton's
 method on one parameter vector (``trust-exact``, exact Hessian), with more
 by L-BFGS on one column per class.
 
-A fitted model's ``to_dict`` is its part of a bundle.  Format 2 stores a
+A fitted model's ``to_dict`` is its part of a bundle.  Format 3 stores a
 cosine map as its ``map_sha256``, the SHA-256 of ``W.tobytes() +
 b.tobytes()`` (float64, C order): W and b are a function of (in_dim,
 feature_count, bandwidth, seed), and NumPy does not promise one
 ``Generator.normal`` stream across versions, so ``from_dict`` draws them
-again and checks the digest.  Format 1 stored W and b.  Every bundle loader
-reads through one :class:`_Fields` reader: a field missing, mistyped,
-non-finite or mis-shaped, or a digest that differs, raises ``ValueError``
-naming its path (``response_models.a[1]: params.beta``).
+again and checks the digest.  Format 2 did the same and format 1 stored W
+and b; a model loaded from either maps with float64 ``cos``, so it predicts
+its old bits, and is written into format 3 marked ``"cos": "float64"``.
+Every bundle loader reads through one :class:`_Fields` reader: a field
+missing, mistyped, non-finite or mis-shaped, or a digest that differs,
+raises ``ValueError`` naming its path (``response_models.a[1]:
+params.beta``).
 """
 
 from __future__ import annotations
@@ -83,7 +88,7 @@ RIDGE_LAMBDA_GRID = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 CLASSIFIER_L2_GRID = (1e-3, 3e-3, 1e-2, 3e-2, 1e-1)
 
 #: layout version written into nuisance and model bundles
-BUNDLE_FORMAT_VERSION = 2
+BUNDLE_FORMAT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -192,19 +197,32 @@ class _Fields:
             raise ValueError(f"{self.name}: {exc}") from None
 
 
-def _bundled_map(fields: _Fields, in_dim: int, spec, version: int):
-    """The (W, b) of a bundled model on ``spec`` from its ``params`` reader:
-    stored in format 1, in format 2 drawn from the spec and checked."""
+def _bundled_map(fields: _Fields, in_dim: int, spec, version: int) -> dict:
+    """The map params of a bundled model on ``spec`` from its ``params``
+    reader: (W, b), stored in format 1, else drawn from the spec and checked,
+    and ``cos64`` (float64 ``cos``) for a model of format 1 or 2 or marked
+    ``"cos": "float64"``."""
     F = spec.feature_count
+    legacy = {"cos64": True} if version < 3 or "cos" in fields.state else {}
+    if version == 3 and legacy and fields["cos"] != "float64":
+        raise ValueError(f"{fields.path('cos')} must be 'float64' when present, "
+                         f"got {fields['cos']!r}")
     if version == 1:
-        return (fields.array("W", (in_dim, F), " = (in_dim, spec.feature_count)"),
-                fields.array("b", (F,), " = (spec.feature_count,)"))
+        return {"W": fields.array("W", (in_dim, F), " = (in_dim, spec.feature_count)"),
+                "b": fields.array("b", (F,), " = (spec.feature_count,)"), **legacy}
     W, b = random_cosine_map(in_dim, F, spec.bandwidth, spec.seed)
     if map_digest(W, b) != fields["map_sha256"]:
         raise ValueError(f"{fields.where}: the cosine map drawn from in_dim and spec "
                          "(feature_count, bandwidth, seed) does not match params.map_sha256 "
                          "(was the bundle written under another NumPy random stream?)")
-    return W, b
+    return {"W": W, "b": b, **legacy}
+
+
+def _map_state(params: dict) -> dict:
+    """A mapped model's map in its bundle: the digest of (W, b), and the
+    marker of a model that maps with float64 ``cos``."""
+    return {"map_sha256": map_digest(params["W"], params["b"]),
+            **({"cos": "float64"} if params.get("cos64") else {})}
 
 
 def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
@@ -217,9 +235,11 @@ def map_key(spec: RegressorSpec, in_dim: int) -> tuple:
 
 
 #: cosine maps of fewer elements than this run their elementwise part inline:
-#: a map thread's start and join cost about as much as the ``cos`` of 2^14
-#: elements, so chunking smaller maps over two CPUs makes them slower
-_PARALLEL_MIN_ELEMENTS = 1 << 14
+#: with float32 ``cos``, two CPUs chunking maps of up to 2^18 elements were
+#: no faster than one (3-23 % slower at 2^18 on two runs), from 2^19 faster
+_PARALLEL_MIN_ELEMENTS = 1 << 19
+#: rows of a float32 ``cos`` sub-block: one buffer of this many map rows per chunk
+_COS_ROWS = 256
 
 
 def _map_chunks(rows: int, features: int) -> int:
@@ -229,23 +249,37 @@ def _map_chunks(rows: int, features: int) -> int:
     return 1 if rows * features < _PARALLEL_MIN_ELEMENTS else min(_blocks._usable_cpus(), rows)
 
 
-def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale) -> None:
+def _shift_cos_scale(Z: np.ndarray, b: np.ndarray, scale, cos64: bool = False) -> None:
+    """``Z = scale * cos(Z + b)`` in place: the shift in float64, then ``cos``
+    of its float32 cast in ``_COS_ROWS``-row sub-blocks through one float32
+    buffer, widened by the float64 product with ``scale``; with ``cos64``
+    (a model of format 1 or 2) ``cos`` in float64."""
     Z += b
-    np.cos(Z, out=Z)
-    Z *= scale
+    if cos64:
+        np.cos(Z, out=Z)
+        Z *= scale
+        return
+    buf = np.empty((min(_COS_ROWS, Z.shape[0]), Z.shape[1]), dtype=np.float32)
+    for lo in range(0, Z.shape[0], _COS_ROWS):
+        part = Z[lo:lo + _COS_ROWS]
+        cos = buf[:part.shape[0]]
+        np.copyto(cos, part, casting="same_kind")
+        np.cos(cos, out=cos)
+        np.multiply(cos, scale, out=part)
 
 
 def _cosine_features(X: np.ndarray, W: np.ndarray, b: np.ndarray, out=None,
-                     chunks: int = 0) -> np.ndarray:
+                     chunks: int = 0, cos64: bool = False) -> np.ndarray:
     """The raw map sqrt(2/F) * cos(X W + b), built in place in one N x F
     array (``out`` when given): ``X @ W`` in the calling thread, then the
-    elementwise rest in ``chunks`` row chunks over the CPUs (when 0,
+    elementwise rest (:func:`_shift_cos_scale`, ``cos`` in float32 unless
+    ``cos64``) in ``chunks`` row chunks over the CPUs (when 0,
     :func:`_map_chunks`; :func:`_run_spans`)."""
     Z = np.matmul(X, W, out=out)
     scale = np.sqrt(2.0 / W.shape[1])
     chunks = chunks or _map_chunks(*Z.shape)
     _run_spans([Z.shape[0] * k // chunks for k in range(chunks + 1)], chunks,
-               lambda rows, j: _shift_cos_scale(Z[rows], b, scale))
+               lambda rows, j: _shift_cos_scale(Z[rows], b, scale, cos64))
     return Z
 
 
@@ -287,7 +321,7 @@ class FittedRegressor:
     def to_dict(self) -> dict:
         state = {"spec": dict(self.spec.__dict__), "in_dim": self.in_dim, "n_rows": self.n_rows}
         if self.spec.kind == "ridge-random-features":
-            state["params"] = {"map_sha256": map_digest(self.params["W"], self.params["b"]),
+            state["params"] = {**_map_state(self.params),
                                "beta": self.params["beta"].tolist(),
                                "phi_mean": self.params["phi_mean"].tolist(),
                                "intercept": self.params["intercept"],
@@ -314,8 +348,8 @@ class FittedRegressor:
         raw = fields.obj("params", f" (format_version {version})")
         if spec.kind == "ridge-random-features":
             F, dims = spec.feature_count, " = (spec.feature_count,)"
-            W, b = _bundled_map(raw, in_dim, spec, version)
-            params = {"W": W, "b": b, "beta": raw.array("beta", (F,), dims),
+            params = {**_bundled_map(raw, in_dim, spec, version),
+                      "beta": raw.array("beta", (F,), dims),
                       "phi_mean": raw.array("phi_mean", (F,), dims),
                       "intercept": raw.real("intercept"),
                       "ridge_lambda_used": raw.real("ridge_lambda_used", 0)}
@@ -340,10 +374,12 @@ def _row_blocks(phi, rows=None):
         phi, rows[span], axis=0, out=out[:span.stop - span.start], mode="clip")
 
 
-def _draws(model: FittedRegressor, W, b) -> bool:
-    """Whether ``model`` is a ridge model on the cosine map (W, b)."""
+def _draws(model: FittedRegressor, W, b, cos64: bool) -> bool:
+    """Whether ``model`` is a ridge model on the cosine map (W, b) whose
+    ``cos`` is float64 when ``cos64`` and float32 when not."""
     return (model.spec.kind == "ridge-random-features" and np.array_equal(model.params["W"], W)
-            and np.array_equal(model.params["b"], b))
+            and np.array_equal(model.params["b"], b)
+            and model.params.get("cos64", False) == cos64)
 
 
 def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
@@ -383,9 +419,9 @@ def _predict_mapped(models, edges, take, width: int, fills: bool) -> list:
 def predict_many(models, features) -> list:
     """Predict each fitted regressor at the same rows.
 
-    Ridge models whose cosine maps have equal (W, b) share one evaluation of
-    the map.  It is made (``X @ W``, shift, ``cos``, scale), centered and
-    multiplied one row block at a time (:func:`_block_edges`), each block
+    Ridge models whose cosine maps have equal (W, b) and ``cos`` arithmetic
+    share one evaluation of the map.  It is made (``X @ W``, shift, ``cos``,
+    scale), centered and multiplied one row block at a time (:func:`_block_edges`), each block
     on one share of the CPUs (:func:`_predict_mapped`), so the peak memory
     of a prediction is about a block of the map per CPU whatever the row
     count.  When one share maps every block, it chunks its ``cos`` over the
@@ -411,15 +447,16 @@ def predict_many(models, features) -> list:
         if model.spec.kind != "ridge-random-features":
             outs[k] = model._predict_lookup(features)
             continue
-        W, b = model.params["W"], model.params["b"]
-        group = [j for j in range(k, len(models)) if outs[j] is None and _draws(models[j], W, b)]
+        W, b, cos64 = model.params["W"], model.params["b"], model.params.get("cos64", False)
+        group = [j for j in range(k, len(models))
+                 if outs[j] is None and _draws(models[j], W, b, cos64)]
         F, edges = W.shape[1], _block_edges(n)
         fills = F % 8 == 0 and len(edges) > 2       # else one whole map
         # one share maps each block with its cos over the CPUs, several a block each
         chunks = 0 if _shares(len(edges) - 1) == 1 else 1
         take = ((lambda span, out: _cosine_features(features[span], W, b,
-                                                    out[:span.stop - span.start], chunks))
-                if fills else _row_blocks(_cosine_features(features, W, b))[1])
+                                                    out[:span.stop - span.start], chunks, cos64))
+                if fills else _row_blocks(_cosine_features(features, W, b, None, 0, cos64))[1])
         for j, out in zip(group, _predict_mapped([models[j] for j in group], edges, take, F,
                                                  fills)):
             outs[j] = out
@@ -612,9 +649,10 @@ class RowMap:
 
     @_blocks._one_blas_thread()
     def predict(self, models, rows=None) -> list:
-        """``predict_many(models, X[rows])`` for models that read this map."""
+        """``predict_many(models, X[rows])`` for models that read this map (a
+        map's ``cos`` is float32, so never a model loaded from format 1 or 2)."""
         reads = ((lambda m: map_key(m.spec, m.in_dim) == self.key) if self.W is None
-                 else (lambda m: _draws(m, self.W, self.b)))
+                 else (lambda m: _draws(m, self.W, self.b, False)))
         if not all(reads(model) for model in models):
             raise ValueError("model reads another row map than the map's")
         rows = None if rows is None else self._index(rows)
@@ -868,12 +906,13 @@ class _BinaryLoss:
         return self._at(beta)[2]
 
 
-def _design(X, W, b, chunks: int = 0) -> np.ndarray:
+def _design(X, W, b, chunks: int = 0, cos64: bool = False) -> np.ndarray:
     """The classifier's rows [phi(X), 1]: the cosine map of ``X`` under
-    (W, b), or ``X`` itself when W is None, and the intercept's column of
-    ones.  Each :func:`_block_edges` block is mapped on one share into its
-    buffer, its ``cos`` in ``chunks`` chunks (when 0, over the CPUs if one
-    share maps every block, else one), and copied in."""
+    (W, b) (``cos`` in float64 when ``cos64``), or ``X`` itself when W is
+    None, and the intercept's column of ones.  Each :func:`_block_edges`
+    block is mapped on one share into its buffer, its ``cos`` in ``chunks``
+    chunks (when 0, over the CPUs if one share maps every block, else one),
+    and copied in."""
     n = X.shape[0]
     F = X.shape[1] if W is None else W.shape[1]
     out = np.empty((n, F + 1))
@@ -885,7 +924,7 @@ def _design(X, W, b, chunks: int = 0) -> np.ndarray:
 
     def work(span, j):
         out[span, :F] = X[span] if W is None else _cosine_features(
-            X[span], W, b, buf[j][:span.stop - span.start], chunks)
+            X[span], W, b, buf[j][:span.stop - span.start], chunks, cos64)
     _run_spans(edges, shares, work)
     return out
 
@@ -915,11 +954,11 @@ class FittedClassifier:
             raise ValueError(f"feature width {features.shape[1]} does not match "
                              f"training width {self.in_dim}")
         W, b, theta = self.params.get("W"), self.params.get("b"), self.params["theta"]
-        edges = _block_edges(features.shape[0])
+        cos64, edges = self.params.get("cos64", False), _block_edges(features.shape[0])
         shares = _shares(len(edges) - 1)
         P = np.empty((features.shape[0], self.n_classes))
-        _run_spans(edges, shares, lambda span, j: np.copyto(
-            P[span], _softmax(_design(features[span], W, b, 0 if shares == 1 else 1) @ theta)))
+        _run_spans(edges, shares, lambda span, j: np.copyto(P[span], _softmax(
+            _design(features[span], W, b, 0 if shares == 1 else 1, cos64) @ theta)))
         np.clip(P, _PROB_EPS, 1.0 - _PROB_EPS, out=P)
         P /= P.sum(axis=1, keepdims=True)
         return P[0] if squeeze else P
@@ -928,7 +967,7 @@ class FittedClassifier:
         params = {"theta": self.params["theta"].tolist(),
                   "l2_used": self.params["l2_used"]}
         if self.spec.use_random_features:
-            params["map_sha256"] = map_digest(self.params["W"], self.params["b"])
+            params.update(_map_state(self.params))
         return {"spec": dict(self.spec.__dict__), "in_dim": self.in_dim,
                 "n_classes": self.n_classes, "n_rows": self.n_rows, "params": params}
 
@@ -945,7 +984,7 @@ class FittedClassifier:
         raw, params = fields.obj("params", f" (format_version {version})"), {}
         width, dims = in_dim, " = (in_dim + 1, n_classes)"
         if spec.use_random_features:
-            params["W"], params["b"] = _bundled_map(raw, in_dim, spec, version)
+            params.update(_bundled_map(raw, in_dim, spec, version))
             width, dims = spec.feature_count, " = (spec.feature_count + 1, n_classes)"
         params["theta"] = raw.array("theta", (width + 1, n_classes), dims)
         params["l2_used"] = raw.real("l2_used", 0)

@@ -25,11 +25,12 @@ fraction of clipped queries is reported per learner.  Every learner
 predicts from encoded histories H_t, the rows of ``RowTable.features(0)``,
 or from rows of a row map of a panel's encoded positions.
 
-A model bundle (format 2) holds the models a learner predicts from: a
+A model bundle (format 3) holds the models a learner predicts from: a
 plug-in kind's two arm models, or a second stage and, for IVW-DR, its
 variance model; each stores its cosine map as a digest
-(:mod:`tvcate.learners`).  Format-1 bundles, which embedded a plug-in's
-whole nuisance bundle, still load.  Loading reads each field through the
+(:mod:`tvcate.learners`).  Format-1 and format-2 bundles still load and
+predict their old bits; format 1 embedded a plug-in's whole nuisance
+bundle.  Loading reads each field through the
 reader of :mod:`tvcate.learners`, which names a bad field's path.
 """
 
@@ -384,8 +385,8 @@ def fit_meta(kind: str, panel: Panel, pair: InterventionPair,
 # -- bundles -----------------------------------------------------------------
 
 #: where a plug-in bundle keeps its arm models: format 1 embedded the whole
-#: nuisance bundle, format 2 holds the two models
-_PLUG_IN_KEY = {1: "nuisances", 2: "arm_models"}
+#: nuisance bundle, formats 2 and 3 hold the two models
+_PLUG_IN_KEY = {1: "nuisances", 2: "arm_models", 3: "arm_models"}
 
 
 def cate_model_to_dict(model: CateModel) -> dict:

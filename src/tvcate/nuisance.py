@@ -21,13 +21,14 @@ query (one call per level, arm and table, or per row block given its
 ``rows``) fills its rows, in row blocks over the usable CPUs, with the bits
 of one whole evaluation (:mod:`tvcate._blocks`); predictions are not.
 
-A nuisance bundle (format 2) stores each fitted model with its cosine map
+A nuisance bundle (format 3) stores each fitted model with its cosine map
 as a digest (:mod:`tvcate.learners`), and a disabled split plan as its
 trajectory count; an enabled plan keeps its folds.  Loading reads each field
 once through the reader of :mod:`tvcate.learners` (flags, counts, reals such
 as ``clip_eps``, finite arrays of their shapes, model containers, tau + 1
 levels in the pair and each arm's response models) and raises ``ValueError``
-naming the field's path.  Format-1 bundles still load.
+naming the field's path.  Format-1 and format-2 bundles still load, and
+their models map with float64 ``cos``.
 """
 
 from __future__ import annotations
@@ -588,8 +589,9 @@ def oracle_nuisances(dgp, pair: InterventionPair, clip_eps: float = 0.01,
 
 # -- bundle serialization ----------------------------------------------------
 
-#: bundle format versions that load (format 1 stored every cosine map's W and b)
-READABLE_FORMAT_VERSIONS = (1, BUNDLE_FORMAT_VERSION)
+#: bundle format versions that load (format 1 stored every cosine map's W and b;
+#: the models of formats 1 and 2 map with float64 ``cos``)
+READABLE_FORMAT_VERSIONS = (1, 2, BUNDLE_FORMAT_VERSION)
 
 
 def check_bundle(fields: _Fields) -> int:

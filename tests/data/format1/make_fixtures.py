@@ -36,10 +36,12 @@ def nuisance_predictions(ns, table):
                       for arm in ("a", "b")}}
 
 
-def main(out):
+def main(out, seeds=(41, 42, 5)):
+    """Write the fixtures into ``out`` from the seeds of the training panel,
+    the test panel and the split."""
     dgp = dataclasses.replace(make_d1(), horizon=3)
-    train = simulate_panel(dgp, 120, seed=41)
-    panel_to_csv(simulate_panel(dgp, 20, seed=42), os.path.join(out, "test-panel.csv"))
+    train = simulate_panel(dgp, 120, seed=seeds[0])
+    panel_to_csv(simulate_panel(dgp, 20, seed=seeds[1]), os.path.join(out, "test-panel.csv"))
     test = panel_from_csv(os.path.join(out, "test-panel.csv"))
     pair = benchmark_pair(1)
     specs = dict(regressor_spec=RegressorSpec(feature_count=16),
@@ -48,7 +50,7 @@ def main(out):
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         plain = fit_nuisances(train, pair, **specs)
-        split = fit_nuisances(train, pair, split=make_split(train, 1, True, seed=5), **specs)
+        split = fit_nuisances(train, pair, split=make_split(train, 1, True, seed=seeds[2]), **specs)
         for name, ns in (("nuisances-nosplit", plain), ("nuisances-split", split)):
             path = os.path.join(out, f"{name}.json")
             save_nuisances(ns, path)

@@ -1,8 +1,9 @@
-"""Bundle format 2 and the format-1 bundles that still load.
+"""Bundle format 3 and the format-1 and format-2 bundles that still load.
 
-``tests/data/format1`` holds bundles written in format 1 (see its
-``make_fixtures.py``) with the predictions their writer made on
-``test-panel.csv``.
+``tests/data/format1`` and ``tests/data/format2`` hold bundles written in
+those formats (see each ``make_fixtures.py``) with the predictions their
+writer made on ``test-panel.csv``.  Their models map with float64 ``cos``,
+so they predict those bits, also when written again into format 3.
 """
 
 import dataclasses
@@ -16,7 +17,7 @@ import pytest
 
 from tvcate.dgp import benchmark_pair, make_d1, simulate_panel
 from tvcate.learners import (ClassifierSpec, FittedClassifier, FittedRegressor, RegressorSpec,
-                             fit_classifier, fit_regressor, map_digest)
+                             RowMap, fit_classifier, fit_regressor, map_digest, predict_many)
 from tvcate.meta import (LEARNER_KINDS, cate_model_from_dict, cate_model_to_dict, fit_meta,
                          load_cate_model, save_cate_model)
 from tvcate.nuisance import (build_row_table, fit_nuisances, load_nuisances, make_split,
@@ -25,6 +26,8 @@ from tvcate.nuisance import (build_row_table, fit_nuisances, load_nuisances, mak
 from tvcate.panel import panel_from_csv
 
 FORMAT1 = pathlib.Path(__file__).parent / "data" / "format1"
+FORMAT2 = FORMAT1.parent / "format2"
+FIXTURE_NAMES = ["nuisances-nosplit", "nuisances-split"] + [f"model-{k}" for k in LEARNER_KINDS]
 SPECS = dict(regressor_spec=RegressorSpec(feature_count=16),
              classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
 SECOND_STAGE = RegressorSpec(feature_count=16, ridge_lambda=1e-2)
@@ -71,35 +74,53 @@ def fitted():
     return train, test, pair, ns, models
 
 
-class TestFormat1Fixtures:
+class OldFixtures:
+    """The fixtures of an old format in ``ROOT``: every bundle predicts as
+    its writer recorded, also after it is written again (into format 3,
+    each mapped model marked as mapping with float64 ``cos``)."""
+
+    ROOT = FORMAT1
+
     @pytest.fixture(scope="class")
     def expected(self):
-        with open(FORMAT1 / "predictions.json") as fh:
+        with open(self.ROOT / "predictions.json") as fh:
             return json.load(fh)
 
     @pytest.fixture(scope="class")
     def test_panel(self):
-        return panel_from_csv(FORMAT1 / "test-panel.csv")
+        return panel_from_csv(self.ROOT / "test-panel.csv")
 
     @pytest.mark.parametrize("name", ["nuisances-nosplit", "nuisances-split"])
     def test_nuisance_bundle_predicts_as_written(self, name, expected, test_panel):
-        ns = load_nuisances(FORMAT1 / f"{name}.json")
+        ns = load_nuisances(self.ROOT / f"{name}.json")
         assert ns.split.enabled == (name == "nuisances-split")
         table = build_row_table(test_panel, 1, ns.codec)
         assert nuisance_predictions(ns, table) == expected[name]
 
     @pytest.mark.parametrize("kind", LEARNER_KINDS)
     def test_model_bundle_predicts_as_written(self, kind, expected, test_panel):
-        model = load_cate_model(FORMAT1 / f"model-{kind}.json")
+        model = load_cate_model(self.ROOT / f"model-{kind}.json")
         feats = build_row_table(test_panel, 1, model.codec).features(0)
         assert model.predict(feats).tolist() == expected[f"model-{kind}"]
 
-    def test_resaved_as_format_2_predicts_as_written(self, expected, test_panel, tmp_path):
-        for kind in ("PI-HA", "IVW-DR"):
-            save_cate_model(load_cate_model(FORMAT1 / f"model-{kind}.json"), tmp_path / "m.json")
+    def test_resaved_as_format_3_predicts_as_written(self, expected, test_panel, tmp_path):
+        for name in ("nuisances-nosplit", "nuisances-split"):
+            save_nuisances(load_nuisances(self.ROOT / f"{name}.json"), tmp_path / "ns.json")
+            state = json.loads((tmp_path / "ns.json").read_text())
+            assert state["format_version"] == 3 and state == format3_of(state)
+            ns = load_nuisances(tmp_path / "ns.json")
+            assert nuisance_predictions(ns, build_row_table(test_panel, 1, ns.codec)) == \
+                expected[name]
+        for kind in LEARNER_KINDS:
+            save_cate_model(load_cate_model(self.ROOT / f"model-{kind}.json"), tmp_path / "m.json")
+            state = json.loads((tmp_path / "m.json").read_text())
+            assert state["format_version"] == 3 and state == format3_of(state)
             model = load_cate_model(tmp_path / "m.json")
             feats = build_row_table(test_panel, 1, model.codec).features(0)
             assert model.predict(feats).tolist() == expected[f"model-{kind}"]
+
+
+class TestFormat1Fixtures(OldFixtures):
 
     def test_truncated_map_raises_naming_the_model(self):
         state = json.loads((FORMAT1 / "nuisances-nosplit.json").read_text())
@@ -118,7 +139,49 @@ class TestFormat1Fixtures:
             cate_model_from_dict(state)
 
 
-class TestFormat2:
+class TestFormat2Fixtures(OldFixtures):
+    ROOT = FORMAT2
+
+    def test_a_loaded_model_shares_no_map_with_a_fresh_one(self, test_panel):
+        # one (W, b) in both arithmetics: predict_many maps it once for each,
+        # and a row map (float32 cos) refuses the loaded model
+        ns = load_nuisances(self.ROOT / "nuisances-nosplit.json")
+        loaded = ns.response_models["a"][0]
+        fresh = dataclasses.replace(loaded, params={
+            key: value for key, value in loaded.params.items() if key != "cos64"})
+        feats = build_row_table(test_panel, 1, ns.codec).features(0)
+        both = predict_many([loaded, fresh, loaded], feats)
+        assert np.array_equal(both[0], loaded.predict(feats))
+        assert np.array_equal(both[1], fresh.predict(feats))
+        assert np.array_equal(both[2], both[0]) and not np.array_equal(both[1], both[0])
+        raw = RowMap(fresh.spec, feats)
+        assert np.array_equal(raw.predict([fresh])[0], both[1])
+        with pytest.raises(ValueError, match="model reads another row map"):
+            raw.predict([loaded])
+
+    @pytest.mark.parametrize("kind", ["DR", "PI-RA"])
+    def test_model_on_loaded_nuisances_predicts_the_same_after_a_reload(self, kind, test_panel,
+                                                                        tmp_path):
+        # the fixtures' training panel; DR fits a second stage of its own
+        # (float32 cos), PI-RA keeps the loaded level-0 response models
+        train = simulate_panel(dataclasses.replace(make_d1(), horizon=3), 120, seed=61)
+        ns = load_nuisances(self.ROOT / "nuisances-nosplit.json")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            model = fit_meta(kind, train, ns.pair, ns, SECOND_STAGE)
+        feats = build_row_table(test_panel, 1, model.codec).features(0)
+        save_cate_model(model, tmp_path / "m.json")
+        state = json.loads((tmp_path / "m.json").read_text())
+        assert ("cos" in param_keys(state)) == (kind == "PI-RA")
+        assert np.array_equal(load_cate_model(tmp_path / "m.json").predict(feats),
+                              model.predict(feats))
+        if kind == "PI-RA":
+            assert model.predict(feats).tolist() == [
+                a - b for a, b in zip(*(nuisance_predictions(ns, build_row_table(
+                    test_panel, 1, ns.codec))["mu"][arm][0] for arm in ("a", "b")))]
+
+
+class TestFormat3:
     @pytest.mark.parametrize("kind", LEARNER_KINDS)
     def test_learner_round_trips_with_equal_bits(self, kind, fitted, tmp_path):
         _, test, _, ns, models = fitted
@@ -456,11 +519,17 @@ def mutated(state, path, kind):
     return copy
 
 
-def format2_of(state):
-    """The format-2 bundle of a format-1 one's models, built apart from the
-    loaders: a cosine map's W and b become their digest, a disabled split
-    its trajectory count, and a plug-in model keeps the two models its kind
-    predicts from."""
+def format3_of(state):
+    """The format-3 bundle of a format-1 or format-2 one's models, built
+    apart from the loaders: a cosine map's W and b become their digest, each
+    model with a map is marked as mapping with float64 ``cos``, a disabled
+    split of format 1 becomes its trajectory count, and a plug-in model
+    keeps the two models its kind predicts from.  A format-3 state is its
+    own."""
+    version = state.get("format_version", 1)
+    if version == 3:
+        return state
+
     def maps(node):
         if isinstance(node, list):
             return [maps(child) for child in node]
@@ -471,6 +540,8 @@ def format2_of(state):
         if isinstance(params, dict) and "W" in params:
             params["map_sha256"] = map_digest(np.array(params.pop("W")),
                                               np.array(params.pop("b")))
+        if isinstance(params, dict) and "map_sha256" in params:
+            params["cos"] = "float64"
         return node
     state = dict(state)
     if "nuisances" in state:
@@ -479,10 +550,10 @@ def format2_of(state):
                                if state["kind"] == "PI-HA" else
                                {arm: levels[0] for arm, levels in held["response_models"].items()})
     state = maps(state)
-    if "split" in state and not state["split"]["enabled"]:
+    if version == 1 and "split" in state and not state["split"]["enabled"]:
         state["split"] = {"enabled": False, "tau": state["split"]["tau"],
                           "trajectories": len(state["split"]["folds"]["po"])}
-    state["format_version"] = 2
+    state["format_version"] = 3
     return state
 
 
@@ -490,7 +561,7 @@ class TestSeededMutations:
     """Single seeded mutations at every path of a bundle: each load raises
     ValueError naming the mutated key (the last key of its path), or loads
     an object whose ``to_dict`` is the mutated state after a JSON round trip
-    (for a format-1 bundle, the state's :func:`format2_of`).  Two elements
+    (for a format-1 or format-2 bundle, the state's :func:`format3_of`).  Two elements
     of each list and four seeded mutation kinds at each path keep the test
     to a few seconds."""
 
@@ -530,13 +601,26 @@ class TestSeededMutations:
         self.check(cate_model_to_dict(fitted[4][kind]), cate_model_from_dict,
                    cate_model_to_dict, 12)
 
-    @pytest.mark.parametrize("name", ["nuisances-nosplit", "nuisances-split"] +
-                             [f"model-{kind}" for kind in LEARNER_KINDS])
+    @staticmethod
+    def fixture(root, name):
+        """An old format's fixture state, its loader and its dump."""
+        state = json.loads((root / f"{name}.json").read_text())
+        return (state, *((nuisances_from_dict, nuisances_to_dict) if name.startswith("nuisances")
+                         else (cate_model_from_dict, cate_model_to_dict)))
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_format1_fixture(self, name):
-        state = json.loads((FORMAT1 / f"{name}.json").read_text())
-        load, dump = ((nuisances_from_dict, nuisances_to_dict) if name.startswith("nuisances")
-                      else (cate_model_from_dict, cate_model_to_dict))
-        self.check(state, load, dump, 13, format2_of)
+        self.check(*self.fixture(FORMAT1, name), 13, format3_of)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_format2_fixture(self, name):
+        self.check(*self.fixture(FORMAT2, name), 16, format3_of)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_resaved_format2_fixture(self, name):
+        # format 3 with every mapped model marked: the marker is checked too
+        state, load, dump = self.fixture(FORMAT2, name)
+        self.check(format3_of(state), load, dump, 17)
 
     @pytest.mark.parametrize("kind", ["lookup", "plain-classifier"])
     def test_unmapped_model(self, kind):

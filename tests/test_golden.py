@@ -1,7 +1,7 @@
 """Golden end-to-end values: runs, a sweep, a CLI pipeline and the verify
 suites, recomputed and compared with ``tests/data/golden/golden.json``.
 
-Criterion 9 compares two runs of one session, so a change that moves every
+Criterion 9 compares two runs of the same code, so a change that moves every
 number the same way passes it; this test compares with values written
 earlier.  A relative tolerance of 1e-12 lets a last-bit difference of
 another BLAS build pass, but no change of arithmetic.  Values below 1e-14

@@ -272,7 +272,15 @@ class TestPredictMany:
 
 
 def inline_map(X, W, b):
-    """The cosine map made in one piece in the calling thread."""
+    """The cosine map made in one piece in the calling thread: X W + b in
+    float64, its ``cos`` in float32, scaled in float64."""
+    Z = X @ W + b
+    return np.cos(Z.astype(np.float32)).astype(float) * np.sqrt(2.0 / W.shape[1])
+
+
+def inline_map64(X, W, b):
+    """The same with ``cos`` in float64: the map of a model loaded from a
+    format-1 or format-2 bundle."""
     Z = X @ W
     Z += b
     np.cos(Z, out=Z)
@@ -295,9 +303,24 @@ class TestChunkedCosineMap:
         X = rng.normal(size=(rows, 5))
         W, b = learners.random_cosine_map(5, features, 1.5, 7)
         chunks = learners._map_chunks(rows, features)
-        assert chunks == (1 if rows * features < 2 ** 14
+        assert chunks == (1 if rows * features < 2 ** 19
                           else min(cpus or _blocks._usable_cpus(), rows))
         assert np.array_equal(learners._cosine_features(X, W, b), inline_map(X, W, b))
+        assert np.array_equal(learners._cosine_features(X, W, b, cos64=True),
+                              inline_map64(X, W, b))
+
+    def test_float32_cos_bits_do_not_depend_on_the_slice(self):
+        # chunks, sub-blocks and shares take cos of any slice of a map's
+        # arguments; each element must get the bits of the whole-array call
+        # whatever the slice's offset and length (SIMD body and tail)
+        rng = np.random.default_rng(37)
+        z = rng.uniform(-15.0, 15.0, 4000).astype(np.float32)
+        whole = np.cos(z)
+        for start in range(40):
+            for length in (1, 2, 3, 7, 8, 15, 16, 17, 31, 33, 64, 100, 255, 1000):
+                assert np.array_equal(np.cos(z[start:start + length]),
+                                      whole[start:start + length]), (start, length)
+        assert all(np.cos(z[k]) == whole[k] for k in range(0, 4000, 97))
 
     def test_chunk_error_is_raised_in_the_caller(self, monkeypatch):
         # an inf in the last row makes the last chunk's cos warn; as an

@@ -756,9 +756,9 @@ class TestFitMeta:
                   (split_nz, "IVW-DR", narrow)]
         mapped, original = [0], learners._cosine_features
 
-        def counting(X, W, b):
+        def counting(X, W, b, *rest):
             mapped[0] += X.shape[0]
-            return original(X, W, b)
+            return original(X, W, b, *rest)
         monkeypatch.setattr(learners, "_cosine_features", counting)
         for ns, kind, spec in cases:
             given = fit_meta(kind, panel, pair, ns, spec,
@@ -849,16 +849,16 @@ class TestSerialization:
         for kind in ("PI-RA", "DR"):
             model = fit_meta(kind, panel, pair, nz)
             state = cate_model_to_dict(model)
-            assert state["format_version"] == 2
+            assert state["format_version"] == 3
             # a bundle without the version key is read as format 1, which a
-            # format-2 state is not: it raises instead of loading other bits
+            # format-3 state is not: it raises instead of loading other bits
             legacy = {k: v for k, v in state.items() if k != "format_version"}
             with pytest.raises(ValueError):
                 cate_model_from_dict(legacy)
             with pytest.raises(ValueError, match="unknown format_version 'x'"):
                 cate_model_from_dict({**state, "format_version": "x"})
-            with pytest.raises(ValueError, match="unknown format_version 3"):
-                cate_model_from_dict({**state, "format_version": 3})
+            with pytest.raises(ValueError, match="unknown format_version 4"):
+                cate_model_from_dict({**state, "format_version": 4})
             broken = {k: v for k, v in state.items() if k != "second_stage"}
             with pytest.raises(ValueError, match="lacks the required key 'second_stage'"):
                 cate_model_from_dict(broken)

@@ -677,14 +677,14 @@ class TestBundleSerialization:
                                    classifier_spec=ClassifierSpec(feature_count=8, l2=1e-2))
         for ns in (fitted, oracle_nuisances(make_d1(), benchmark_pair(1))):
             state = nuisances_to_dict(ns)
-            assert state["format_version"] == 2
+            assert state["format_version"] == 3
             # a bundle without the version key is read as format 1, which a
-            # format-2 state is not: it raises instead of loading other bits
+            # format-3 state is not: it raises instead of loading other bits
             legacy = {k: v for k, v in state.items() if k != "format_version"}
             with pytest.raises(ValueError):
                 nuisances_from_dict(legacy)
-            with pytest.raises(ValueError, match="unknown format_version 3"):
-                nuisances_from_dict({**state, "format_version": 3})
+            with pytest.raises(ValueError, match="unknown format_version 4"):
+                nuisances_from_dict({**state, "format_version": 4})
             for key in ("pair", "split", "dgp" if ns.oracle_mode else "history_models"):
                 broken = {k: v for k, v in state.items() if k != key}
                 with pytest.raises(ValueError, match=f"lacks the required key '{key}'"):
